@@ -58,11 +58,7 @@ class GeneralizedHermite:
 
     def __call__(self, k: int, x: int | Fraction) -> Fraction:
         """Evaluate H_k exactly at a rational argument."""
-        x = Fraction(x)
-        result = Fraction(0)
-        for coeff in reversed(self.coefficients[k]):
-            result = result * x + coeff
-        return result
+        return _eval_poly(self.coefficients[k], Fraction(x))
 
     def characteristic_coefficients(self, k: int) -> tuple[Fraction, ...]:
         """Coefficients of G_k(l) = H_k(l / sqrt(2)) / 2^(k/2), still rational.
@@ -78,10 +74,10 @@ class GeneralizedHermite:
 
 def hermite_sequence(label: IrrepLabel, ratio: FrequencyRatio) -> GeneralizedHermite:
     """Build H_0 .. H_{N+1} from H_{k+1} = 2x H_k - 2 Phi(k) H_{k-1}."""
-    sf = StructureFunction(label, ratio)
+    phi = StructureFunction(label, ratio).values()
     polys: list[list[Fraction]] = [[Fraction(1)], [Fraction(0), Fraction(2)]]
     for k in range(1, label.N + 1):
-        phi_k = sf(k)
+        phi_k = phi[k]
         previous, current = polys[k - 1], polys[k]
         nxt = [Fraction(0)] * (k + 2)
         for j, coeff in enumerate(current):
@@ -106,8 +102,8 @@ class AngularSpectrum:
 
 
 def _offdiagonals(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:
-    sf = StructureFunction(label, ratio)
-    return np.array([math.sqrt(float(sf(k))) for k in range(1, label.N + 1)])
+    phi = StructureFunction(label, ratio).values()
+    return np.array([math.sqrt(float(v)) for v in phi[1:-1]])
 
 
 def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
@@ -241,9 +237,8 @@ def angular_eigenvector(
     endpoint term |G_{N+1}(l)| / (sqrt([N]!) ||w||) equals ||L0 v - l v||_inf
     and is required to stay within `tolerance`.
     """
-    sf = StructureFunction(label, ratio)
     big_n = label.N
-    phis = [float(sf(k)) for k in range(big_n + 2)]
+    phis = [float(v) for v in StructureFunction(label, ratio).values()]
     facts = [1.0]
     for k in range(1, big_n + 1):
         facts.append(facts[-1] * phis[k])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -396,7 +397,9 @@ def verify(ratio, n_max, fmt, tol, output):
     records = []
 
     def bump(key: str, value: float) -> None:
-        worst[key] = max(worst.get(key, 0.0), value)
+        # max() would drop a NaN; once stored, a NaN is never replaced
+        current = worst.get(key, 0.0)
+        worst[key] = value if math.isnan(value) or value > current else current
 
     for big_n in range(n_max + 1):
         for p in range(1, ratio.m + 1):

@@ -16,7 +16,6 @@ exactly one irrep label and the level degeneracy is N + 1.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -192,42 +191,21 @@ def irrep_members(label: IrrepLabel, ratio: FrequencyRatio) -> tuple[CartesianSt
 def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     """First `count` energy levels in strictly ascending exact order.
 
-    Cartesian states are generated inside the diamond E(n_x, n_y) <= bound;
-    every level with energy <= bound is then complete (all its member states
-    satisfy the same inequality), so the bound simply doubles until `count`
-    distinct energies have appeared.
+    Each level carries exactly one irrep label, so the levels are the label
+    energies in ascending order.  Since E(N, p, q) lies in (N, N + 2), the
+    K m n labels with N < K = count // (m n) + 1, more than `count`, all lie
+    below K + 1, while every label with N > K lies above it; the labels with
+    N <= K therefore hold the lowest `count` levels.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    bound = Fraction(count, ratio.m * ratio.n) + 2
-    while True:
-        states = _states_within(ratio, bound)
-        if len(states) >= count:
-            break
-        bound *= 2
-    levels = []
-    for energy in sorted(states)[:count]:
-        members = states[energy]
-        label = cartesian_to_irrep(members[0], ratio).label
-        levels.append(Level(energy, label, len(members)))
-    return levels
-
-
-def _states_within(
-    ratio: FrequencyRatio, bound: Fraction
-) -> dict[Fraction, list[CartesianState]]:
-    states: dict[Fraction, list[CartesianState]] = defaultdict(list)
-    n_x = 0
-    while True:
-        e_x = Fraction(2 * n_x + 1, 2 * ratio.m)
-        if e_x + Fraction(1, 2 * ratio.n) > bound:
-            break
-        n_y = 0
-        while True:
-            energy = e_x + Fraction(2 * n_y + 1, 2 * ratio.n)
-            if energy > bound:
-                break
-            states[energy].append(CartesianState(n_x, n_y))
-            n_y += 1
-        n_x += 1
-    return states
+    top = count // (ratio.m * ratio.n) + 1
+    labels = [
+        IrrepLabel(big_n, p, q)
+        for big_n in range(top + 1)
+        for p in range(1, ratio.m + 1)
+        for q in range(1, ratio.n + 1)
+    ]
+    levels = [Level(energy_of_irrep(label, ratio), label, label.N + 1) for label in labels]
+    levels.sort(key=lambda level: level.energy)
+    return levels[:count]

@@ -64,7 +64,7 @@ class VerificationReport:
     holds the outcomes of the checks that can be decided exactly (these are
     the identities that are 0 by construction when the arithmetic is done
     over the rationals).  The report passes when every residual is within
-    tolerance and every exact check holds.
+    tolerance and every exact check holds; a NaN residual never passes.
     """
 
     name: str
@@ -74,6 +74,13 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
+        """Largest residual, or NaN when any residual is NaN.
+
+        The built-in max() keeps its running value when compared with a
+        NaN, so a NaN would otherwise vanish from the maximum.
+        """
+        if any(math.isnan(v) for v in self.residuals.values()):
+            return math.nan
         return max(self.residuals.values(), default=0.0)
 
     @property

@@ -19,6 +19,7 @@ transcendental Gamma function (so there are no poles and no rounding).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,8 +42,6 @@ __all__ = [
 
 H_SYMBOL, S0_SYMBOL, X_SYMBOL = sympy.symbols("H S0 x")
 
-_FORMS = ("product", "gamma")
-
 
 def _to_sympy(value: Fraction) -> sympy.Rational:
     return sympy.Rational(value.numerator, value.denominator)
@@ -62,31 +61,44 @@ def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
     ) / 2
 
 
+def _ladder_product(ratio: FrequencyRatio, h, s0):
+    """F(H, S0), the operator product S+ S- expressed through H and S0:
+
+        prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
+        prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)).
+
+    The body is generic: `Fraction` arguments give the exact value, sympy
+    expressions give the (unexpanded) polynomial.
+    """
+    half_h = h / 2
+    value = 1
+    for k in range(1, ratio.m + 1):
+        value *= half_h + s0 - Fraction(2 * k - 1, 2 * ratio.m)
+    for l in range(1, ratio.n + 1):
+        value *= half_h - s0 + Fraction(2 * l - 1, 2 * ratio.n)
+    return value
+
+
 @dataclass(frozen=True)
 class StructureFunction:
     """Exact evaluator for the ladder-strength function of one irrep.
 
-    Two algebraically identical evaluation routes are kept side by side:
-
-    * ``product`` -- the product of m + n linear factors,
+    Phi(x) = F(E, u + x), the ladder product on the irrep's energy E and
+    S0 shift u; expanded, that is the product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
-      prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n));
-    * ``gamma`` -- the Gamma-quotient form, expanded exactly into
-      falling/rising factorials
+      prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
+    `gamma_value` keeps the Gamma-quotient form as an independent check,
+    expanded exactly into falling/rising factorials
       (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
       prod_{j=0..n-1} ((N-x) n + q + j).
-
     Both are exact at any rational argument and must agree everywhere.
     """
 
     label: IrrepLabel
     ratio: FrequencyRatio
-    form: str = "product"
 
     def __post_init__(self) -> None:
         self.label.validate_for(self.ratio)
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
 
     @property
     def u(self) -> Fraction:
@@ -97,25 +109,10 @@ class StructureFunction:
         return energy_of_irrep(self.label, self.ratio)
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        x = Fraction(x)
-        if self.form == "product":
-            return self.product_value(x)
-        return self.gamma_value(x)
+        return self.product_value(x)
 
     def product_value(self, x: int | Fraction) -> Fraction:
-        x = Fraction(x)
-        m, n = self.ratio.m, self.ratio.n
-        value = Fraction(1)
-        for k in range(1, m + 1):
-            value *= x + Fraction(2 * self.label.p - 1, 2 * m) - Fraction(2 * k - 1, 2 * m)
-        for l in range(1, n + 1):
-            value *= (
-                self.label.N
-                - x
-                + Fraction(2 * self.label.q - 1, 2 * n)
-                + Fraction(2 * l - 1, 2 * n)
-            )
-        return value
+        return _ladder_product(self.ratio, self.energy, self.u + Fraction(x))
 
     def gamma_value(self, x: int | Fraction) -> Fraction:
         x = Fraction(x)
@@ -127,43 +124,23 @@ class StructureFunction:
             value *= (self.label.N - x) * n + self.label.q + j
         return value
 
+    @functools.cache
     def values(self) -> tuple[Fraction, ...]:
-        """Phi(0), Phi(1), ..., Phi(N+1)."""
+        """Phi(0), Phi(1), ..., Phi(N+1), computed once per (label, ratio)."""
         return tuple(self(k) for k in range(self.label.N + 2))
 
     def factorials(self) -> tuple[Fraction, ...]:
         """Deformed factorials [0]!, [1]!, ..., [N]! with [k]! = Phi(k) [k-1]!."""
+        phi = self.values()
         facts = [Fraction(1)]
         for k in range(1, self.label.N + 1):
-            facts.append(facts[-1] * self(k))
+            facts.append(facts[-1] * phi[k])
         return tuple(facts)
 
     def as_poly(self) -> sympy.Poly:
         """Phi as a univariate polynomial in x over QQ."""
-        m, n = self.ratio.m, self.ratio.n
-        expr = sympy.Integer(1)
-        for k in range(1, m + 1):
-            expr *= X_SYMBOL + sympy.Rational(2 * self.label.p - 1, 2 * m) - sympy.Rational(
-                2 * k - 1, 2 * m
-            )
-        for l in range(1, n + 1):
-            expr *= (
-                self.label.N
-                - X_SYMBOL
-                + sympy.Rational(2 * self.label.q - 1, 2 * n)
-                + sympy.Rational(2 * l - 1, 2 * n)
-            )
+        expr = _ladder_product(self.ratio, self.energy, self.u + X_SYMBOL)
         return sympy.Poly(sympy.expand(expr), X_SYMBOL, domain="QQ")
-
-
-def _ladder_product(ratio: FrequencyRatio) -> sympy.Expr:
-    """F(H, S0): the operator product S+ S- expressed through H and S0."""
-    expr = sympy.Integer(1)
-    for k in range(1, ratio.m + 1):
-        expr *= H_SYMBOL / 2 + S0_SYMBOL - sympy.Rational(2 * k - 1, 2 * ratio.m)
-    for l in range(1, ratio.n + 1):
-        expr *= H_SYMBOL / 2 - S0_SYMBOL + sympy.Rational(2 * l - 1, 2 * ratio.n)
-    return sympy.expand(expr)
 
 
 @dataclass(frozen=True)
@@ -196,14 +173,18 @@ class CommutatorPolynomial:
         return str(self.expression())
 
 
+@functools.cache
 def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     """Build [S-, S+] = F(H, S0+1) - F(H, S0) for the given ratio.
 
     The two leading S0^(m+n) terms cancel in the difference, leaving degree
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
+    The result is immutable, so it is built once per ratio and shared.
     """
-    f = _ladder_product(ratio)
-    diff = sympy.expand(f.subs(S0_SYMBOL, S0_SYMBOL + 1) - f)
+    diff = sympy.expand(
+        _ladder_product(ratio, H_SYMBOL, S0_SYMBOL + 1)
+        - _ladder_product(ratio, H_SYMBOL, S0_SYMBOL)
+    )
     return CommutatorPolynomial(ratio, sympy.Poly(diff, H_SYMBOL, S0_SYMBOL, domain="QQ"))
 
 

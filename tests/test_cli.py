@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
+from deformed_u2 import cli, structure
 from deformed_u2.cli import main
+
+# exact fields of reference JSON outputs; float residuals vary by platform and stay out
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_output.json").read_text())
 
 
 @pytest.fixture()
@@ -164,6 +172,79 @@ class TestVerify:
         first = invoke(runner, *args).output
         second = invoke(runner, *args).output
         assert first == second
+
+    def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
+        compare = cli.oracle_compare
+
+        def nan_for_one_irrep(oracle, label, tolerance):
+            report = compare(oracle, label, tolerance)
+            if label == IrrepLabel(1, 1, 1):
+                report = VerificationReport(
+                    report.name, {**report.residuals, "h": math.nan}, {}, tolerance
+                )
+            return report
+
+        monkeypatch.setattr(cli, "oracle_compare", nan_for_one_irrep)
+        result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "2",
+                        "--format", "json")
+        assert result.exit_code == 1
+        document = json.loads(result.output)
+        assert document["records"][0]["passed"] is False
+        assert math.isnan(document["residuals"]["oracle_h"])
+
+    def test_phi_and_commutator_computed_once(self, runner, monkeypatch):
+        StructureFunction.values.cache_clear()
+        structure.commutator_polynomial.cache_clear()
+        phi_calls = Counter()
+        phi = StructureFunction.__call__
+
+        def counting_phi(self, x):
+            phi_calls[self.label] += 1
+            return phi(self, x)
+
+        builds = []
+        build = structure.CommutatorPolynomial
+
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(StructureFunction, "__call__", counting_phi)
+        monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)
+        result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
+                        "--format", "json")
+        assert result.exit_code == 0
+        labels = [
+            IrrepLabel(big_n, p, q)
+            for big_n in range(4) for p in range(1, 3) for q in range(1, 4)
+        ]
+        assert phi_calls == {label: label.N + 2 for label in labels}
+        assert len(builds) == 1
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("case", PINNED["spectrum"], ids=lambda c: " ".join(c["args"]))
+    def test_spectrum(self, runner, case):
+        records = json.loads(invoke(runner, *case["args"], "--format", "json").output)["records"]
+        assert [
+            [r["energy"], r["N"], r["p"], r["q"], r["degeneracy"]] for r in records
+        ] == case["levels"]
+
+    @pytest.mark.parametrize("case", PINNED["irrep"], ids=lambda c: " ".join(c["args"]))
+    def test_irrep(self, runner, case):
+        (record,) = json.loads(invoke(runner, *case["args"], "--format", "json").output)["records"]
+        assert (record["energy"], record["u"], record["phi"]) == (
+            case["energy"], case["u"], case["phi"]
+        )
+
+    @pytest.mark.parametrize("case", PINNED["verify"], ids=lambda c: " ".join(c["args"]))
+    def test_verify(self, runner, case):
+        summary, *irreps = json.loads(
+            invoke(runner, *case["args"], "--format", "json").output
+        )["records"]
+        assert summary["commutator"] == case["commutator"]
+        assert summary["irreps_checked"] == case["irreps_checked"]
+        assert [[r["N"], r["p"], r["q"], r["energy"]] for r in irreps] == case["irreps"]
 
 
 class TestOutputFile:

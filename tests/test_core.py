@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -191,9 +192,9 @@ class TestEnumerateLevels:
 
     def test_multiset_of_energies_matches_label_enumeration(self):
         # both sides built here, independently of enumerate_levels internals
-        for m, n in coprime_pairs(5):
+        for (m, n), count in itertools.product(coprime_pairs(5), (50, 400)):
             ratio = FrequencyRatio(m, n)
-            levels = enumerate_levels(ratio, 50)
+            levels = enumerate_levels(ratio, count)
             top = levels[-1].energy
 
             cartesian = Counter()

@@ -10,6 +10,7 @@ from deformed_u2 import (
     FrequencyRatio,
     IrrepLabel,
     ShapeMismatchError,
+    VerificationReport,
     WrongRatioError,
     build_irrep,
     build_oracle,
@@ -96,6 +97,19 @@ class TestVerifyAlgebra:
         corrupted[1, 0] += 1e-3
         report = verify_algebra(dataclasses.replace(rep, s_plus=corrupted))
         assert report.residuals["commutator_sminus_splus"] >= 1e-4
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            {"a": 0.0, "b": math.nan},
+            {"a": math.nan, "b": 0.0},
+            {"a": 0.0, "b": math.inf},
+        ],
+    )
+    def test_non_finite_residual_never_passes(self, residuals):
+        report = VerificationReport("injected", residuals, {}, 1e-10)
+        assert not report.max_residual <= 1e-10
         assert not report.passed
 
     def test_shape_mismatch_raises(self):

@@ -69,14 +69,6 @@ class TestStructureFunction:
                 for x in arguments:
                     assert sf.product_value(x) == sf.gamma_value(x)
 
-    def test_form_selects_evaluation_route(self):
-        label, ratio = IrrepLabel(3, 1, 2), FrequencyRatio(1, 2)
-        product = StructureFunction(label, ratio, form="product")
-        gamma = StructureFunction(label, ratio, form="gamma")
-        assert [product(k) for k in range(5)] == [gamma(k) for k in range(5)]
-        with pytest.raises(ValueError):
-            StructureFunction(label, ratio, form="horner")
-
     def test_boundary_and_positivity(self):
         for m, n in coprime_pairs(5):
             ratio = FrequencyRatio(m, n)

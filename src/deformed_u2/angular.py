@@ -12,22 +12,22 @@ eigenvalues are the roots of G_{N+1}; they are simple (Phi > 0 on 1..N) and
 symmetric about zero (G_k has the parity of k), and in the isotropic 1:1
 case they are exactly -N, -N+2, ..., N.
 
-The primary eigensolver is the symmetric tridiagonal eigenproblem, which is
-numerically stable for clustered roots; root finding on the recurrence
-polynomial is retained as an independent cross-check with exact rational
-sign evaluation, so its bracketing cannot be fooled by rounding.
+One symmetric tridiagonal eigensolve gives every eigenpair; the forward
+float run of the recurrence is unstable and never builds an eigenvector.
+Root finding on G_{N+1} is the independent check of the eigenvalues, with
+exact rational sign evaluation, so its bracketing cannot be fooled by rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import CartesianState, FrequencyRatio, IrrepLabel, IrrepState, irrep_to_cartesian
+from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
 from .exceptions import NotAnEigenvalueError
 from .representation import build_irrep
 from .structure import StructureFunction
@@ -90,10 +90,12 @@ def hermite_sequence(label: IrrepLabel, ratio: FrequencyRatio) -> GeneralizedHer
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L."""
+    """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L,
+    with one eigenvector per eigenvalue."""
 
     label: IrrepLabel
     eigenvalues: tuple[float, ...]
+    vectors: tuple[AngularEigenvector, ...]
 
     @property
     def markers(self) -> tuple[int, ...]:
@@ -101,32 +103,64 @@ class AngularSpectrum:
         return tuple(range(-big_n, big_n + 1, 2))
 
 
+# (-i)^k by k mod 4, exact for every k
+_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
+
+
 def _offdiagonals(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:
     phi = StructureFunction(label, ratio).values()
     return np.array([math.sqrt(float(v)) for v in phi[1:-1]])
 
 
+def _residuals(offdiag: np.ndarray, w: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """||T w_i - l_i w_i||_inf for each column w_i of `w`."""
+    tw = np.zeros_like(w)
+    tw[1:] += offdiag[:, None] * w[:-1]
+    tw[:-1] += offdiag[:, None] * w[1:]
+    return np.max(np.abs(tw - w * eigs), axis=0)
+
+
 def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
-    """Eigenvalues via the symmetric tridiagonal eigenproblem.
+    """Eigenpairs via one symmetric tridiagonal eigenproblem.
 
     The computed spectrum is projected onto its provable symmetry
     eigs[i] = -eigs[N-i] (this also pins the middle eigenvalue of an
     even-N irrep to exactly zero), and simplicity of the roots is asserted.
+    Each eigenvector is signed so that w_0 > 0 (T is unreduced, so
+    w_0 != 0); the zero-eigenvalue vector of an even-N irrep has the parity
+    of G_k(0), so its odd components are set to exactly zero.
     """
     label.validate_for(ratio)
-    if label.N == 0:
-        return AngularSpectrum(label, (0.0,))
-    eigs = eigh_tridiagonal(
-        np.zeros(label.N + 1), _offdiagonals(label, ratio), eigvals_only=True
-    )
-    eigs = np.sort(eigs)
+    big_n = label.N
+    offdiag = _offdiagonals(label, ratio)
+    eigs, w = eigh_tridiagonal(np.zeros(big_n + 1), offdiag)
     eigs = (eigs - eigs[::-1]) / 2.0
     margin = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
     if np.any(np.diff(eigs) <= margin):
         raise ArithmeticError(
             f"eigenvalues of {label} not strictly separated; numerical failure"
         )
-    return AngularSpectrum(label, tuple(float(v) for v in eigs))
+    w = w * np.sign(w[0])
+    if big_n % 2 == 0:
+        w[1::2, big_n // 2] = 0.0
+    residuals = _residuals(offdiag, w, eigs)
+    root_factorials = np.concatenate(([1.0], np.cumprod(offdiag)))
+    signs = (-1.0) ** np.arange(big_n + 1)
+    members = irrep_members(label, ratio)
+    vectors = []
+    for i, value in enumerate(eigs):
+        amplitudes = tuple(_PHASES[k % 4] * float(w[k, i]) for k in range(big_n + 1))
+        vectors.append(
+            AngularEigenvector(
+                label,
+                float(value),
+                tuple(float(c) for c in signs * root_factorials * w[:, i]),
+                amplitudes,
+                tuple(zip(members, amplitudes)),
+                float(residuals[i]),
+            )
+        )
+    return AngularSpectrum(label, tuple(float(v) for v in eigs), tuple(vectors))
 
 
 def _eval_poly(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
@@ -213,7 +247,8 @@ class AngularEigenvector:
     the state is sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>, so `amplitudes`
     carry the alternating phases explicitly and `cartesian` re-expresses
     the same amplitudes on the occupation states |n_x, n_y>.  `residual`
-    is the recurrence endpoint term, which equals ||L0 v - l v||_inf.
+    is ||T w - l w||_inf for the real tridiagonal T, which equals
+    ||L0 v - l v||_inf.
     """
 
     label: IrrepLabel
@@ -230,44 +265,25 @@ def angular_eigenvector(
     eigenvalue: float,
     tolerance: float = 1e-9,
 ) -> AngularEigenvector:
-    """Eigenvector of L0 for a known eigenvalue, via the recurrence.
+    """Eigenvector of L0 for a known eigenvalue.
 
-    The unnormalized real components are w_k = G_k(l) / sqrt([k]!); the
-    recurrence closes only when G_{N+1}(l) vanishes, so the normalized
-    endpoint term |G_{N+1}(l)| / (sqrt([N]!) ||w||) equals ||L0 v - l v||_inf
-    and is required to stay within `tolerance`.
+    Returns the computed eigenvector whose eigenvalue is nearest
+    `eigenvalue`, with its residual ||T w - l w||_inf recomputed at the
+    given value, which must stay within `tolerance`.
     """
-    big_n = label.N
-    phis = [float(v) for v in StructureFunction(label, ratio).values()]
-    facts = [1.0]
-    for k in range(1, big_n + 1):
-        facts.append(facts[-1] * phis[k])
-
-    g = [1.0, eigenvalue]
-    for k in range(1, big_n + 1):
-        g.append(eigenvalue * g[k] - phis[k] * g[k - 1])
-
-    w = np.array([g[k] / math.sqrt(facts[k]) for k in range(big_n + 1)])
-    norm = float(np.linalg.norm(w))
-    endpoint = abs(g[big_n + 1]) / (math.sqrt(facts[big_n]) * norm)
-    if endpoint > tolerance:
+    spec = angular_eigenvalues(label, ratio)
+    i = int(np.argmin(np.abs(np.array(spec.eigenvalues) - eigenvalue)))
+    vector = spec.vectors[i]
+    w = np.array([(_PHASES[-k % 4] * a).real for k, a in enumerate(vector.amplitudes)])
+    (residual,) = _residuals(
+        _offdiagonals(label, ratio), w[:, None], np.array([eigenvalue])
+    )
+    if residual > tolerance:
         raise NotAnEigenvalueError(
             f"{eigenvalue} is not an eigenvalue of L0 on {label}: "
-            f"recurrence endpoint residual {endpoint:.3e} > {tolerance:.1e}"
+            f"residual {residual:.3e} > {tolerance:.1e}"
         )
-
-    w_hat = w / norm
-    coefficients = tuple(
-        float((-1) ** k * math.sqrt(facts[k]) * w_hat[k]) for k in range(big_n + 1)
-    )
-    amplitudes = tuple(complex((-1j) ** k * w_hat[k]) for k in range(big_n + 1))
-    cartesian = tuple(
-        (irrep_to_cartesian(IrrepState(label, k), ratio), amplitudes[k])
-        for k in range(big_n + 1)
-    )
-    return AngularEigenvector(
-        label, eigenvalue, coefficients, amplitudes, cartesian, endpoint
-    )
+    return replace(vector, eigenvalue=eigenvalue, residual=float(residual))
 
 
 def build_l0(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:

@@ -23,12 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .angular import (
-    angular_eigenvalues,
-    angular_eigenvector,
-    bisection_eigenvalues,
-    build_l0,
-)
+from .angular import angular_eigenvalues, bisection_eigenvalues, build_l0
 from .core import (
     FrequencyRatio,
     IrrepLabel,
@@ -323,15 +318,9 @@ def angular(ratio, big_n, p, q, fmt, output):
     """Angular-momentum table of one irrep: eigenvalues and eigenvectors."""
     label = _make_label(big_n, p, q, ratio)
     spec = angular_eigenvalues(label, ratio)
-    # eigenvalues come from the solver itself, so the constructor guard is
-    # irrelevant here; residuals are reported instead
-    vectors = [
-        angular_eigenvector(label, ratio, value, tolerance=float("inf"))
-        for value in spec.eigenvalues
-    ]
 
     records = []
-    for marker, value, vector in zip(spec.markers, spec.eigenvalues, vectors):
+    for marker, value, vector in zip(spec.markers, spec.eigenvalues, spec.vectors):
         records.append(
             {
                 "marker": marker,
@@ -353,7 +342,7 @@ def angular(ratio, big_n, p, q, fmt, output):
         )
     eigenvalues = np.array(spec.eigenvalues)
     residuals = {
-        "eigenvector_residual": _decimal(max(v.residual for v in vectors)),
+        "eigenvector_residual": _decimal(max(v.residual for v in spec.vectors)),
         "spectrum_symmetry": _decimal(float(np.max(np.abs(eigenvalues + eigenvalues[::-1])))),
     }
     if fmt == "json":
@@ -432,14 +421,8 @@ def verify(ratio, n_max, fmt, tol, output):
                     "spectrum_symmetry",
                     float(np.max(np.abs(eigenvalues + eigenvalues[::-1]))),
                 )
-                # residuals are judged against eigen_tol below; the
-                # constructor guard stays out of the way here
-                vectors = [
-                    angular_eigenvector(label, ratio, value, tolerance=float("inf"))
-                    for value in spec.eigenvalues
-                ]
-                bump("eigenvector_residual", max(v.residual for v in vectors))
-                basis = np.array([v.amplitudes for v in vectors]).T
+                bump("eigenvector_residual", max(v.residual for v in spec.vectors))
+                basis = np.array([v.amplitudes for v in spec.vectors]).T
                 gram = basis.conj().T @ basis
                 bump(
                     "orthonormality",

@@ -18,6 +18,7 @@ from .angular import (
     angular_eigenvector,
     bisection_eigenvalues,
     build_l0,
+    exact_hints,
     hermite_sequence,
 )
 from .core import (
@@ -49,6 +50,7 @@ from .representation import (
     build_irrep,
     verify_algebra,
     w32_check,
+    worst_residual,
 )
 from .structure import (
     CommutatorPolynomial,
@@ -95,6 +97,7 @@ __all__ = [
     "energy_of_cartesian",
     "energy_of_irrep",
     "enumerate_levels",
+    "exact_hints",
     "hermite_sequence",
     "irrep_members",
     "irrep_to_cartesian",
@@ -103,4 +106,5 @@ __all__ = [
     "u_constant",
     "verify_algebra",
     "w32_check",
+    "worst_residual",
 ]

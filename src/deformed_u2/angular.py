@@ -29,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
 from .exceptions import NotAnEigenvalueError
-from .representation import build_irrep
+from .representation import build_irrep, worst_residual
 from .structure import StructureFunction
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "AngularEigenvector",
     "angular_eigenvector",
     "build_l0",
+    "exact_hints",
 ]
 
 
@@ -90,8 +91,10 @@ def hermite_sequence(label: IrrepLabel, ratio: FrequencyRatio) -> GeneralizedHer
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L,
-    with one eigenvector per eigenvalue."""
+    """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L.
+
+    `vectors[i]` is the normalized eigenvector for `eigenvalues[i]`.
+    """
 
     label: IrrepLabel
     eigenvalues: tuple[float, ...]
@@ -101,6 +104,11 @@ class AngularSpectrum:
     def markers(self) -> tuple[int, ...]:
         big_n = self.label.N
         return tuple(range(-big_n, big_n + 1, 2))
+
+    @property
+    def max_residual(self) -> float:
+        """Worst eigenvector residual; NaN when any residual is NaN."""
+        return worst_residual(v.residual for v in self.vectors)
 
 
 # (-i)^k by k mod 4, exact for every k
@@ -144,8 +152,15 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     if big_n % 2 == 0:
         w[1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    root_factorials = np.concatenate(([1.0], np.cumprod(offdiag)))
-    signs = (-1.0) ** np.arange(big_n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root_factorials = np.concatenate(([1.0], np.cumprod(offdiag)))
+        coefficients = ((-1.0) ** np.arange(big_n + 1) * root_factorials)[:, None] * w
+    if not np.all(np.isfinite(coefficients)):
+        k = int(np.argmin(np.all(np.isfinite(coefficients), axis=1)))
+        raise ArithmeticError(
+            f"eigenvector coefficient c_{k} of L0 on {label} of the {ratio} "
+            f"oscillator is not finite: sqrt([{k}]!) overflows a float"
+        )
     members = irrep_members(label, ratio)
     vectors = []
     for i, value in enumerate(eigs):
@@ -154,13 +169,45 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
             AngularEigenvector(
                 label,
                 float(value),
-                tuple(float(c) for c in signs * root_factorials * w[:, i]),
+                tuple(float(c) for c in coefficients[:, i]),
                 amplitudes,
                 tuple(zip(members, amplitudes)),
                 float(residuals[i]),
             )
         )
     return AngularSpectrum(label, tuple(float(v) for v in eigs), tuple(vectors))
+
+
+def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str | None, ...]:
+    """Closed forms like '2', '-sqrt(8)' or 'sqrt(3/2)' of the eigenvalues.
+
+    A candidate is the rational with denominator <= 1000 nearest l (or l^2)
+    and within 1e-10 of it; it is kept only when it is an exact root.  With
+    G_{N+1}(l) = l^((N+1) mod 2) P(l^2) over the rationals, a rational r is
+    a root iff P(r^2) = 0, sqrt(s) iff P(s) = 0, and 0 iff N is even.
+    Eigenvalues without a confirmed closed form get None.
+    """
+    label = spectrum.label
+    top = hermite_sequence(label, ratio).characteristic_coefficients(label.N + 1)
+    p_coeffs = top[(label.N + 1) % 2 :: 2]
+
+    def near_rational(value: float) -> Fraction | None:
+        candidate = Fraction(value).limit_denominator(1000)
+        close = abs(value - candidate) <= 1e-10 * max(1.0, abs(value))
+        return candidate if candidate and close else None
+
+    def hint(value: float) -> str | None:
+        if value == 0.0:
+            return "0" if label.N % 2 == 0 else None
+        rational = near_rational(value)
+        if rational is not None and _eval_poly(p_coeffs, rational**2) == 0:
+            return str(rational)
+        square = near_rational(value * value)
+        if square is not None and _eval_poly(p_coeffs, square) == 0:
+            return f"{'-' if value < 0 else ''}sqrt({square})"
+        return None
+
+    return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
 def _eval_poly(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:

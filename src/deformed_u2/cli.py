@@ -14,16 +14,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .angular import angular_eigenvalues, bisection_eigenvalues, build_l0
+from .angular import (
+    AngularSpectrum,
+    angular_eigenvalues,
+    bisection_eigenvalues,
+    build_l0,
+    exact_hints,
+)
 from .core import (
     FrequencyRatio,
     IrrepLabel,
@@ -32,7 +36,7 @@ from .core import (
 )
 from .exceptions import NonCoprimeError
 from .oracle import build_oracle, oracle_compare
-from .representation import build_irrep, verify_algebra, w32_check
+from .representation import build_irrep, verify_algebra, w32_check, worst_residual
 from .structure import StructureFunction, commutator_polynomial, parafermionic_decompose
 
 IDENTITY_TOL = 1e-10
@@ -64,24 +68,12 @@ def _decimal(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _exact_hint(value: float) -> str | None:
-    """Closed form like '2', '-sqrt(8)' or 'sqrt(3/2)' when one is detected.
-
-    Detection is by rounding the value (or its square) to a small-denominator
-    rational; it is a rendering aid only and never feeds back into
-    computation.
-    """
-    if value == 0.0:
-        return "0"
-    candidate = Fraction(value).limit_denominator(1000)
-    if candidate != 0 and abs(value - candidate) <= 1e-10 * max(1.0, abs(value)):
-        return str(candidate)
-    square = value * value
-    candidate = Fraction(square).limit_denominator(1000)
-    if candidate != 0 and abs(square - candidate) <= 1e-10 * max(1.0, square):
-        sign = "-" if value < 0 else ""
-        return f"{sign}sqrt({candidate})"
-    return None
+def _angular_spectrum(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
+    """The eigenpairs of L0, or exit 2 naming the value that is out of reach."""
+    try:
+        return angular_eigenvalues(label, ratio)
+    except ArithmeticError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _amplitude_text(amp: complex) -> str:
@@ -317,15 +309,17 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
 def angular(ratio, big_n, p, q, fmt, output):
     """Angular-momentum table of one irrep: eigenvalues and eigenvectors."""
     label = _make_label(big_n, p, q, ratio)
-    spec = angular_eigenvalues(label, ratio)
+    spec = _angular_spectrum(label, ratio)
 
     records = []
-    for marker, value, vector in zip(spec.markers, spec.eigenvalues, spec.vectors):
+    for marker, value, hint, vector in zip(
+        spec.markers, spec.eigenvalues, exact_hints(spec, ratio), spec.vectors
+    ):
         records.append(
             {
                 "marker": marker,
                 "eigenvalue": _decimal(value),
-                "exact_hint": _exact_hint(value),
+                "exact_hint": hint,
                 "coefficients": [_decimal(c) for c in vector.coefficients],
                 "amplitudes": [
                     {
@@ -342,7 +336,7 @@ def angular(ratio, big_n, p, q, fmt, output):
         )
     eigenvalues = np.array(spec.eigenvalues)
     residuals = {
-        "eigenvector_residual": _decimal(max(v.residual for v in spec.vectors)),
+        "eigenvector_residual": _decimal(spec.max_residual),
         "spectrum_symmetry": _decimal(float(np.max(np.abs(eigenvalues + eigenvalues[::-1])))),
     }
     if fmt == "json":
@@ -385,19 +379,13 @@ def verify(ratio, n_max, fmt, tol, output):
     parafermionic_failures = 0
     records = []
 
-    def bump(key: str, value: float) -> None:
-        # max() would drop a NaN; once stored, a NaN is never replaced
-        current = worst.get(key, 0.0)
-        worst[key] = value if math.isnan(value) or value > current else current
-
     for big_n in range(n_max + 1):
         for p in range(1, ratio.m + 1):
             for q in range(1, ratio.n + 1):
                 label = IrrepLabel(big_n, p, q)
                 rep = build_irrep(label, ratio)
                 rep_report = verify_algebra(rep, identity_tol)
-                for key, value in rep_report.residuals.items():
-                    bump(key, value)
+                irrep_residuals = dict(rep_report.residuals)
                 irrep_exact_failures = sum(
                     not ok for ok in rep_report.exact_checks.values()
                 )
@@ -405,28 +393,25 @@ def verify(ratio, n_max, fmt, tol, output):
 
                 oracle_report = oracle_compare(oracle, label, identity_tol)
                 for key, value in oracle_report.residuals.items():
-                    bump(f"oracle_{key}", value)
+                    irrep_residuals[f"oracle_{key}"] = value
 
-                spec = angular_eigenvalues(label, ratio)
+                spec = _angular_spectrum(label, ratio)
                 eigenvalues = np.array(spec.eigenvalues)
                 roots = np.array(bisection_eigenvalues(label, ratio))
                 dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
-                agreement = max(
+                irrep_residuals["method_agreement"] = worst_residual((
                     float(np.max(np.abs(eigenvalues - roots))),
                     float(np.max(np.abs(eigenvalues - dense))),
                     float(np.max(np.abs(roots - dense))),
+                ))
+                irrep_residuals["spectrum_symmetry"] = float(
+                    np.max(np.abs(eigenvalues + eigenvalues[::-1]))
                 )
-                bump("method_agreement", agreement)
-                bump(
-                    "spectrum_symmetry",
-                    float(np.max(np.abs(eigenvalues + eigenvalues[::-1]))),
-                )
-                bump("eigenvector_residual", max(v.residual for v in spec.vectors))
+                irrep_residuals["eigenvector_residual"] = spec.max_residual
                 basis = np.array([v.amplitudes for v in spec.vectors]).T
                 gram = basis.conj().T @ basis
-                bump(
-                    "orthonormality",
-                    float(np.max(np.abs(gram - np.eye(label.dimension)))),
+                irrep_residuals["orthonormality"] = float(
+                    np.max(np.abs(gram - np.eye(label.dimension)))
                 )
 
                 if ratio.m == 1:
@@ -436,13 +421,10 @@ def verify(ratio, n_max, fmt, tol, output):
                 if (ratio.m, ratio.n) == (1, 2):
                     w32 = w32_check(rep, tolerance=identity_tol)
                     for key, value in w32.residuals.items():
-                        bump(f"w32_{key}", value)
+                        irrep_residuals[f"w32_{key}"] = value
 
-                irrep_worst = max(
-                    max(rep_report.residuals.values()),
-                    max(oracle_report.residuals.values()),
-                    agreement,
-                )
+                for key, value in irrep_residuals.items():
+                    worst[key] = worst_residual((worst.get(key, 0.0), value))
                 records.append(
                     {
                         "kind": "irrep",
@@ -450,7 +432,7 @@ def verify(ratio, n_max, fmt, tol, output):
                         "p": p,
                         "q": q,
                         "energy": str(rep.energy),
-                        "max_residual": _decimal(irrep_worst),
+                        "max_residual": _decimal(worst_residual(irrep_residuals.values())),
                         "exact_check_failures": irrep_exact_failures,
                     }
                 )

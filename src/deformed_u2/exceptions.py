@@ -26,4 +26,4 @@ class TruncationTooSmallError(DeformedU2Error):
 
 
 class NotAnEigenvalueError(DeformedU2Error):
-    """Value fails the eigenvalue condition of the recurrence endpoint."""
+    """Value is not an eigenvalue: its eigenvector residual exceeds the tolerance."""

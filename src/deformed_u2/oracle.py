@@ -109,7 +109,7 @@ def oracle_compare(
     label.validate_for(oracle.ratio)
     members = irrep_members(label, oracle.ratio)
     for state in members:
-        if state.n_x >= oracle.x_dim or state.n_y >= oracle.y_dim or not oracle.is_interior(state):
+        if not oracle.is_interior(state):
             raise TruncationTooSmallError(
                 f"eigenspace of {label} touches the truncation boundary at {state}; "
                 f"rebuild the oracle with n_max >= {label.N}"

@@ -18,6 +18,7 @@ machine epsilon means "holds to working precision" at every irrep size.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ __all__ = [
     "build_irrep",
     "VerificationReport",
     "verify_algebra",
+    "worst_residual",
     "w32_check",
 ]
 
@@ -56,6 +58,18 @@ class IrrepMatrices:
         return self.label.N + 1
 
 
+def worst_residual(values: Iterable[float]) -> float:
+    """Largest of `values` (0.0 when empty), or NaN when any of them is NaN.
+
+    The built-in max() keeps its running value when compared with a NaN,
+    so a NaN would otherwise vanish from the maximum.
+    """
+    values = list(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Residuals per identity, with the exact-arithmetic outcomes alongside.
@@ -74,14 +88,8 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        """Largest residual, or NaN when any residual is NaN.
-
-        The built-in max() keeps its running value when compared with a
-        NaN, so a NaN would otherwise vanish from the maximum.
-        """
-        if any(math.isnan(v) for v in self.residuals.values()):
-            return math.nan
-        return max(self.residuals.values(), default=0.0)
+        """Largest residual, or NaN when any residual is NaN."""
+        return worst_residual(self.residuals.values())
 
     @property
     def passed(self) -> bool:

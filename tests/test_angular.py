@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from deformed_u2 import (
     angular_eigenvector,
     bisection_eigenvalues,
     build_l0,
+    exact_hints,
     hermite_sequence,
 )
 
@@ -225,6 +227,97 @@ class TestEigenvectors:
     def test_rejects_non_eigenvalue(self):
         with pytest.raises(NotAnEigenvalueError):
             angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), 0.37)
+
+    def test_spectrum_carries_the_same_vectors(self):
+        ratio = FrequencyRatio(2, 3)
+        spec = angular_eigenvalues(IrrepLabel(5, 2, 3), ratio)
+        for value, vec in zip(spec.eigenvalues, spec.vectors):
+            assert vec.eigenvalue == value
+            assert angular_eigenvector(spec.label, ratio, value) == vec
+            assert [amp for _, amp in vec.cartesian] == list(vec.amplitudes)
+
+    @pytest.mark.parametrize("m,n,big_n", [(1, 2, 40), (2, 3, 30)])
+    def test_large_n_residuals_and_orthonormality(self, m, n, big_n):
+        ratio = FrequencyRatio(m, n)
+        for p in range(1, m + 1):
+            for q in range(1, n + 1):
+                label = IrrepLabel(big_n, p, q)
+                spec = angular_eigenvalues(label, ratio)
+                l0 = build_l0(label, ratio)
+                basis = np.array([v.amplitudes for v in spec.vectors]).T
+                assert spec.max_residual <= 1e-11
+                assert np.max(np.abs(l0 @ basis - basis * spec.eigenvalues)) <= 1e-11
+                gram = basis.conj().T @ basis
+                assert np.max(np.abs(gram - np.eye(label.dimension))) <= 1e-13
+
+    @pytest.mark.parametrize("m,n,big_n", [(1, 2, 18), (3, 5, 8)])
+    def test_amplitudes_match_high_precision_reference(self, m, n, big_n):
+        ratio = FrequencyRatio(m, n)
+        with mpmath.workdps(50):
+            for p in range(1, m + 1):
+                for q in range(1, n + 1):
+                    label = IrrepLabel(big_n, p, q)
+                    phi = StructureFunction(label, ratio).values()
+                    t = mpmath.zeros(big_n + 1)
+                    for k in range(big_n):
+                        v = phi[k + 1]
+                        t[k, k + 1] = t[k + 1, k] = mpmath.sqrt(
+                            mpmath.mpf(v.numerator) / v.denominator
+                        )
+                    values, vectors = mpmath.eigsy(t)
+                    order = sorted(range(big_n + 1), key=lambda i: values[i])
+                    spec = angular_eigenvalues(label, ratio)
+                    for vec, i in zip(spec.vectors, order):
+                        sign = 1 if vectors[0, i] > 0 else -1
+                        for k, amp in enumerate(vec.amplitudes):
+                            expected = (-1j) ** k * float(sign * vectors[k, i])
+                            assert abs(amp - expected) <= 1e-13, (label, i, k)
+
+    def test_coefficients_stay_finite_at_n40(self):
+        spec = angular_eigenvalues(IrrepLabel(40, 2, 3), FrequencyRatio(3, 5))
+        for vec in spec.vectors:
+            assert all(math.isfinite(c) for c in vec.coefficients)
+
+    def test_overflowing_coefficient_raises(self):
+        with pytest.raises(ArithmeticError, match=r"c_\d+ .*\(N=60, p=2, q=3\)"):
+            angular_eigenvalues(IrrepLabel(60, 2, 3), FrequencyRatio(3, 5))
+
+
+class TestExactHints:
+    @pytest.mark.parametrize(
+        "m,n,label,expected",
+        [
+            (1, 1, IrrepLabel(4, 1, 1), ["-4", "-2", "0", "2", "4"]),
+            (1, 2, IrrepLabel(2, 1, 2), ["-sqrt(8)", "0", "sqrt(8)"]),
+            (1, 2, IrrepLabel(1, 1, 1), ["-sqrt(1/2)", "sqrt(1/2)"]),
+            (1, 2, IrrepLabel(1, 1, 2), ["-sqrt(3/2)", "sqrt(3/2)"]),
+        ],
+    )
+    def test_closed_forms(self, m, n, label, expected):
+        ratio = FrequencyRatio(m, n)
+        assert list(exact_hints(angular_eigenvalues(label, ratio), ratio)) == expected
+
+    @pytest.mark.parametrize(
+        "m,n,label,value",
+        [
+            (3, 5, IrrepLabel(3, 2, 3), -21.4331),
+            (2, 3, IrrepLabel(4, 2, 1), -14.0188),
+            (1, 2, IrrepLabel(8, 1, 2), -18.6858),
+        ],
+    )
+    def test_no_hint_for_near_miss_rationals(self, m, n, label, value):
+        # once shown as -sqrt(417115/908), -sqrt(99443/506) and -18256/977
+        ratio = FrequencyRatio(m, n)
+        spec = angular_eigenvalues(label, ratio)
+        hints = exact_hints(spec, ratio)
+        assert spec.eigenvalues[0] == pytest.approx(value, abs=1e-4)
+        assert hints[0] is None and hints[-1] is None
+
+    def test_zero_only_for_even_n(self):
+        ratio = FrequencyRatio(2, 3)
+        for big_n in range(6):
+            spec = angular_eigenvalues(IrrepLabel(big_n, 1, 2), ratio)
+            assert ("0" in exact_hints(spec, ratio)) == (big_n % 2 == 0)
 
 
 class TestBuildL0:

@@ -135,6 +135,34 @@ class TestAngular:
         records = json.loads(result.output)["records"]
         assert [r["exact_hint"] for r in records] == ["-sqrt(8)", "0", "sqrt(8)"]
 
+    @pytest.mark.parametrize(
+        "ratio,big_n,p,q",
+        [("3:5", "3", "2", "3"), ("2:3", "4", "2", "1"), ("1:2", "8", "1", "2")],
+    )
+    def test_no_hint_without_an_exact_root(self, runner, ratio, big_n, p, q):
+        result = invoke(runner, "angular", "--ratio", ratio, "--N", big_n,
+                        "--p", p, "--q", q, "--format", "json")
+        records = json.loads(result.output)["records"]
+        assert records[0]["exact_hint"] is None
+        assert records[-1]["exact_hint"] is None
+
+    def test_json_numbers_finite_at_n40(self, runner):
+        result = invoke(runner, "angular", "--ratio", "3:5", "--N", "40",
+                        "--p", "2", "--q", "3", "--format", "json")
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-finite number {constant} in the JSON")
+
+        json.loads(result.output, parse_constant=reject)
+
+    def test_overflow_exits_2_with_label(self, runner):
+        result = runner.invoke(main, ["angular", "--ratio", "3:5", "--N", "60",
+                                      "--p", "2", "--q", "3"])
+        assert result.exit_code == 2
+        assert "(N=60, p=2, q=3)" in result.stderr
+        assert "c_" in result.stderr
+
 
 class TestVerify:
     def test_1_2_passes_with_w32_section(self, runner):
@@ -191,6 +219,19 @@ class TestVerify:
         document = json.loads(result.output)
         assert document["records"][0]["passed"] is False
         assert math.isnan(document["residuals"]["oracle_h"])
+        worst = {(r["N"], r["p"], r["q"]): r["max_residual"] for r in document["records"][1:]}
+        assert math.isnan(worst[(1, 1, 1)])
+        assert not any(math.isnan(v) for key, v in worst.items() if key != (1, 1, 1))
+
+    @pytest.mark.parametrize("ratio,n_max", [("1:2", "20"), ("3:5", "8")])
+    def test_passes_at_larger_n(self, runner, ratio, n_max):
+        result = invoke(runner, "verify", "--ratio", ratio, "--N-max", n_max,
+                        "--format", "json")
+        assert result.exit_code == 0
+        document = json.loads(result.output)
+        assert document["records"][0]["passed"] is True
+        assert document["residuals"]["eigenvector_residual"] <= 1e-9
+        assert document["residuals"]["orthonormality"] <= 1e-9
 
     def test_phi_and_commutator_computed_once(self, runner, monkeypatch):
         StructureFunction.values.cache_clear()

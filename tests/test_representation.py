@@ -17,6 +17,7 @@ from deformed_u2 import (
     oracle_compare,
     verify_algebra,
     w32_check,
+    worst_residual,
 )
 
 
@@ -111,6 +112,13 @@ class TestVerifyAlgebra:
         report = VerificationReport("injected", residuals, {}, 1e-10)
         assert not report.max_residual <= 1e-10
         assert not report.passed
+
+    def test_worst_residual_keeps_nan_wherever_it_is(self):
+        assert worst_residual([]) == 0.0
+        assert worst_residual(iter([1e-3, 2e-3])) == 2e-3
+        assert math.isnan(worst_residual([1.0, math.nan, 2.0]))
+        assert math.isnan(worst_residual([math.nan, 1.0]))
+        assert worst_residual([0.0, math.inf]) == math.inf
 
     def test_shape_mismatch_raises(self):
         rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))

@@ -14,8 +14,9 @@ case they are exactly -N, -N+2, ..., N.
 
 One symmetric tridiagonal eigensolve gives every eigenpair; the forward
 float run of the recurrence is unstable and never builds an eigenvector.
-Root finding on G_{N+1} is the independent check of the eigenvalues, with
-exact rational sign evaluation, so its bracketing cannot be fooled by rounding.
+The independent check of the eigenvalues is bisection on Sturm counts, the
+sign changes of G_0 .. G_{N+1} run on the recurrence in integer arithmetic,
+so no rounding can misplace a root.
 """
 
 from __future__ import annotations
@@ -222,68 +223,67 @@ def bisection_eigenvalues(
     ratio: FrequencyRatio,
     tolerance: float = 1e-12,
 ) -> tuple[float, ...]:
-    """Roots of the top recurrence polynomial by exact-sign bisection.
+    """Roots of G_{N+1} by exact Sturm-count bisection, to within `tolerance`.
 
-    Signs of G_{N+1} are evaluated in rational arithmetic at rational
-    points, so every bracket is rigorous.  A uniform scan inside the
-    Gershgorin bound is refined until all N+1 sign changes appear (the
-    roots are simple, so they must), then each bracket is bisected down
-    to `tolerance`.
+    The number of eigenvalues strictly above x is the number of sign
+    changes in G_0(x) .. G_{N+1}(x), zeros dropped (Sturm's theorem; Barth,
+    Martin & Wilkinson 1967).  Counts are exact integer runs of the
+    recurrence at dyadic points, so every cell is a proof.  Starting from
+    [-R, R], cells are halved down to width <= `tolerance`, and the
+    midpoints of those holding one eigenvalue are returned in ascending
+    order; one holding more raises ArithmeticError, with no fallback.
     """
     label.validate_for(ratio)
-    if label.N == 0:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"bisection tolerance must be finite and > 0, not {tolerance!r}")
+    big_n = label.N
+    if big_n == 0:
         return (0.0,)
-    hermites = hermite_sequence(label, ratio)
-    coeffs = hermites.characteristic_coefficients(label.N + 1)
-    offdiag = _offdiagonals(label, ratio)
-    radius = Fraction(math.ceil(2 * float(np.max(offdiag)) + 1))
+    phi = StructureFunction(label, ratio).values()[1 : big_n + 1]
+    denominator = math.lcm(*(v.denominator for v in phi))
+    weights = [v.numerator * (denominator // v.denominator) * denominator for v in phi]
+    # |l| <= 2 sqrt(max Phi) < 2 (isqrt(ceil(max Phi)) + 1) by Gershgorin
+    radius = 2 * math.isqrt(math.ceil(max(phi))) + 2
 
-    expected = label.N + 1
-    intervals = 8 * expected
-    for _ in range(24):
-        roots, brackets = _scan(coeffs, radius, intervals)
-        if len(roots) + len(brackets) == expected:
-            break
-        intervals *= 2
-    else:
-        raise ArithmeticError(f"could not isolate all {expected} roots of {label}")
+    def count_above(a: int, e: int) -> int:
+        """#{eigenvalues > a / 2^e}: sign changes of g_k = (2^e D)^k G_k."""
+        shift = min(e, (a & -a).bit_length() - 1) if a else e
+        a, e = a >> shift, e - shift
+        ad = a * denominator
+        previous, current = 0, 1  # g_{-1}, g_0; then g_1 = aD
+        changes, positive = 0, True
+        for weight in (0, *weights):
+            previous, current = current, ad * current - ((weight * previous) << (2 * e))
+            if current and (current > 0) != positive:
+                changes, positive = changes + 1, not positive
+        return changes
 
-    tol = Fraction(tolerance).limit_denominator(10**15)
-    for lo, hi in brackets:
-        sign_lo = _eval_poly(coeffs, lo) > 0
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            value = _eval_poly(coeffs, mid)
-            if value == 0:
-                lo = hi = mid
-                break
-            if (value > 0) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        roots.append((lo + hi) / 2)
-    return tuple(sorted(float(r) for r in roots))
+    if count_above(-radius, 0) != big_n + 1 or count_above(radius, 0) != 0:
+        raise ArithmeticError(f"eigenvalues of {label} escape [-{radius}, {radius}]")
+    depth, limit = 0, Fraction(tolerance)
+    while Fraction(2 * radius, 1 << depth) > limit:
+        depth += 1
 
-
-def _scan(
-    coeffs: tuple[Fraction, ...], radius: Fraction, intervals: int
-) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    step = 2 * radius / intervals
-    exact_roots: list[Fraction] = []
-    brackets: list[tuple[Fraction, Fraction]] = []
-    previous_x = -radius
-    previous_value = _eval_poly(coeffs, previous_x)
-    if previous_value == 0:
-        exact_roots.append(previous_x)
-    for i in range(1, intervals + 1):
-        x = -radius + i * step
-        value = _eval_poly(coeffs, x)
-        if value == 0:
-            exact_roots.append(x)
-        elif previous_value != 0 and (value > 0) != (previous_value > 0):
-            brackets.append((previous_x, x))
-        previous_x, previous_value = x, value
-    return exact_roots, brackets
+    # a cell (lo, e, c_lo, c_hi) spans (lo / 2^e, (lo + 2R) / 2^e]
+    roots: list[float] = []
+    cells = [(-radius, 0, big_n + 1, 0)]
+    while cells:
+        lo, e, c_lo, c_hi = cells.pop()
+        if c_lo == c_hi:
+            continue
+        if e == depth:
+            if c_lo - c_hi > 1:
+                raise ArithmeticError(
+                    f"{c_lo - c_hi} eigenvalues of L0 on {label} of the {ratio} "
+                    f"oscillator are not separated at bisection tolerance {tolerance:g}"
+                )
+            roots.append(float(Fraction(lo + radius, 1 << depth)))
+            continue
+        mid = 2 * lo + 2 * radius
+        c_mid = count_above(mid, e + 1)
+        cells.append((mid, e + 1, c_mid, c_hi))
+        cells.append((2 * lo, e + 1, c_lo, c_mid))
+    return tuple(roots)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,12 @@ def _parse_ratio(ctx, param, value):
         return FrequencyRatio.parse(value)
     except (ValueError, NonCoprimeError) as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _parse_tol(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a finite number > 0")
+    return value
 
 
 def _make_label(big_n: int, p: int, q: int, ratio: FrequencyRatio) -> IrrepLabel:
@@ -169,6 +176,7 @@ _tol_option = click.option(
     "--tol",
     type=float,
     default=None,
+    callback=_parse_tol,
     help="Identity-residual tolerance (default 1e-10); eigenvector and "
     "method-agreement checks use 10x this value.",
 )
@@ -371,6 +379,8 @@ def verify(ratio, n_max, fmt, tol, output):
     """
     identity_tol = tol if tol is not None else IDENTITY_TOL
     eigen_tol = 10 * tol if tol is not None else EIGEN_TOL
+    # the bisection cells' width must not eat into the method-agreement gate
+    bisection_tol = min(1e-12, eigen_tol / 10)
 
     poly = commutator_polynomial(ratio)
     oracle = build_oracle(ratio, n_max)
@@ -397,7 +407,7 @@ def verify(ratio, n_max, fmt, tol, output):
 
                 spec = _angular_spectrum(label, ratio)
                 eigenvalues = np.array(spec.eigenvalues)
-                roots = np.array(bisection_eigenvalues(label, ratio))
+                roots = np.array(bisection_eigenvalues(label, ratio, bisection_tol))
                 dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
                 irrep_residuals["method_agreement"] = worst_residual((
                     float(np.max(np.abs(eigenvalues - roots))),

@@ -134,17 +134,6 @@ class TestEigenvalues:
                 if label.N % 2 == 0:
                     assert values[label.N // 2] == 0.0
 
-    def test_method_agreement(self):
-        for m, n in coprime_pairs(4):
-            ratio = FrequencyRatio(m, n)
-            for label in all_labels(m, n, 8):
-                tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
-                roots = np.array(bisection_eigenvalues(label, ratio))
-                dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
-                assert np.max(np.abs(tri - roots)) <= 1e-9
-                assert np.max(np.abs(tri - dense)) <= 1e-9
-                assert np.max(np.abs(roots - dense)) <= 1e-9
-
     def test_markers_step_two(self):
         spec = angular_eigenvalues(IrrepLabel(3, 1, 1), FrequencyRatio(1, 2))
         assert spec.markers == (-3, -1, 1, 3)
@@ -313,6 +302,47 @@ class TestExactHints:
         for big_n in range(6):
             spec = angular_eigenvalues(IrrepLabel(big_n, 1, 2), ratio)
             assert ("0" in exact_hints(spec, ratio)) == (big_n % 2 == 0)
+
+
+class TestBisection:
+    @pytest.mark.parametrize("big_n", [63, 64])
+    def test_isotropic_roots_on_grid_points(self, big_n):
+        # -N, -N+2, ..., N are dyadic, so G_{N+1} vanishes exactly at cell ends
+        roots = np.array(bisection_eigenvalues(IrrepLabel(big_n, 1, 1), FrequencyRatio(1, 1)))
+        expected = np.arange(-big_n, big_n + 1, 2)
+        assert len(roots) == big_n + 1
+        assert np.max(np.abs(roots - expected)) <= 1e-12 / 2
+
+    @pytest.mark.parametrize("big_n,q", [(2, 1), (10, 2), (40, 1)])
+    def test_even_n_has_one_root_at_zero(self, big_n, q):
+        roots = np.array(bisection_eigenvalues(IrrepLabel(big_n, 1, q), FrequencyRatio(1, 2)))
+        assert len(roots) == big_n + 1
+        assert np.count_nonzero(np.abs(roots) <= 1e-12 / 2) == 1
+        assert abs(roots[big_n // 2]) <= 1e-12 / 2
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_agrees_with_eigensolver_at_n60(self, q):
+        label, ratio = IrrepLabel(60, 1, q), FrequencyRatio(1, 2)
+        roots = np.array(bisection_eigenvalues(label, ratio))
+        tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
+        assert np.max(np.abs(roots - tri)) <= 1e-9
+
+    def test_coarse_tolerance(self):
+        label, ratio = IrrepLabel(12, 2, 3), FrequencyRatio(2, 3)
+        roots = np.array(bisection_eigenvalues(label, ratio, tolerance=1e-6))
+        tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
+        assert len(roots) == label.N + 1
+        assert np.max(np.abs(roots - tri)) <= 1e-6
+
+    def test_cell_with_two_eigenvalues_raises(self):
+        # eigenvalues -4, -2, ..., 4 cannot be isolated in cells of width 6
+        with pytest.raises(ArithmeticError, match="not separated"):
+            bisection_eigenvalues(IrrepLabel(4, 1, 1), FrequencyRatio(1, 1), tolerance=10.0)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            bisection_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), tolerance)
 
 
 class TestBuildL0:

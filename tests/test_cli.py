@@ -189,11 +189,29 @@ class TestVerify:
         assert "-2*S0" in result.output
         assert "result: PASS" in result.output
 
-    def test_zero_tolerance_fails_with_report(self, runner):
+    def test_unreachable_tolerance_fails_with_report(self, runner):
         result = runner.invoke(main, ["verify", "--ratio", "1:2", "--N-max", "3",
-                                      "--tol", "0"])
+                                      "--tol", "1e-30"])
         assert result.exit_code == 1
         assert "result: FAIL" in result.output
+
+    def test_tight_tolerance_passes(self, runner):
+        # method agreement must not be limited by the bisection's own width
+        result = invoke(runner, "verify", "--ratio", "1:2", "--N-max", "3",
+                        "--tol", "1e-14", "--format", "json")
+        assert result.exit_code == 0
+        document = json.loads(result.output)
+        assert document["records"][0]["passed"] is True
+        assert document["residuals"]["method_agreement"] <= 1e-13
+
+    @pytest.mark.parametrize("command", [["irrep", "--N", "3"], ["verify", "--N-max", "3"]])
+    @pytest.mark.parametrize("tol", ["inf", "-1", "0", "nan"])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, runner, command, tol):
+        result = runner.invoke(main, [command[0], "--ratio", "1:2", *command[1:],
+                                      f"--tol={tol}"])
+        assert result.exit_code == 2
+        assert "--tol" in result.stderr
+        assert f"{float(tol)} is not a finite number > 0" in result.stderr
 
     def test_deterministic_output(self, runner):
         args = ["verify", "--ratio", "2:3", "--N-max", "3", "--format", "json"]

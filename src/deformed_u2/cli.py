@@ -52,8 +52,14 @@ def _parse_ratio(ctx, param, value):
 
 
 def _parse_tol(ctx, param, value):
-    if value is not None and not (math.isfinite(value) and value > 0):
+    if value is None:
+        return value
+    if not (math.isfinite(value) and value > 0):
         raise click.BadParameter(f"{value} is not a finite number > 0")
+    if not math.isfinite(10 * value):
+        raise click.BadParameter(
+            f"{value} is too large: the eigen tolerance 10 * {value} is not finite"
+        )
     return value
 
 

@@ -195,17 +195,22 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     energies in ascending order.  Since E(N, p, q) lies in (N, N + 2), the
     K m n labels with N < K = count // (m n) + 1, more than `count`, all lie
     below K + 1, while every label with N > K lies above it; the labels with
-    N <= K therefore hold the lowest `count` levels.
+    N <= K therefore hold the lowest `count` levels.  They are sorted on the
+    exact integer key 2mn E = 2mn N + n (2p-1) + m (2q-1); labels and
+    energies are built only for the levels kept.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    top = count // (ratio.m * ratio.n) + 1
-    labels = [
-        IrrepLabel(big_n, p, q)
+    m, n = ratio.m, ratio.n
+    top = count // (m * n) + 1
+    scale = 2 * m * n
+    keys = sorted(
+        (scale * big_n + n * (2 * p - 1) + m * (2 * q - 1), big_n, p, q)
         for big_n in range(top + 1)
-        for p in range(1, ratio.m + 1)
-        for q in range(1, ratio.n + 1)
+        for p in range(1, m + 1)
+        for q in range(1, n + 1)
+    )
+    return [
+        Level(Fraction(key, scale), IrrepLabel(big_n, p, q), big_n + 1)
+        for key, big_n, p, q in keys[:count]
     ]
-    levels = [Level(energy_of_irrep(label, ratio), label, label.N + 1) for label in labels]
-    levels.sort(key=lambda level: level.energy)
-    return levels[:count]

@@ -11,22 +11,29 @@ in S0.  On the irrep (N, p, q) the same data appears as the ladder-strength
 function Phi(x), positive on 1..N and vanishing at 0 and N + 1, which pins
 the Fock dimension to N + 1.
 
-Everything here is exact.  Rational arithmetic is used throughout, the
-bivariate polynomial algebra is done over QQ, and the Gamma-quotient form
-of Phi is expanded into rising/falling factorials instead of evaluating a
-transcendental Gamma function (so there are no poles and no rounding).
+Everything here is exact.  Values are `Fraction`s; the commutator and the
+1:n split Phi(x) = x (N+1-x) P(x) are expanded by `_Polynomial`, a small
+exact polynomial over QQ, and the Gamma-quotient form of Phi is expanded
+into rising/falling factorials instead of evaluating a transcendental Gamma
+function (so there are no poles and no rounding).  sympy is imported only
+by the symbolic outputs (`CommutatorPolynomial.poly` and `.expression()`,
+`StructureFunction.as_poly`, `ParafermionicForm.factor`, and the symbols
+`H_SYMBOL`, `S0_SYMBOL`, `X_SYMBOL`), on first use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
+from math import lcm
+from typing import TYPE_CHECKING
 
 from .core import FrequencyRatio, IrrepLabel, energy_of_irrep
 from .exceptions import NotDivisibleError
+
+if TYPE_CHECKING:
+    import sympy
 
 __all__ = [
     "H_SYMBOL",
@@ -40,15 +47,92 @@ __all__ = [
     "parafermionic_decompose",
 ]
 
-H_SYMBOL, S0_SYMBOL, X_SYMBOL = sympy.symbols("H S0 x")
+_SYMBOL_NAMES = {"H_SYMBOL": "H", "S0_SYMBOL": "S0", "X_SYMBOL": "x"}
+
+
+def __getattr__(name: str):
+    # PEP 562: the sympy symbols are built, and sympy imported, on first access
+    if name not in _SYMBOL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _symbol(name)
+
+
+def _symbol(name: str) -> sympy.Symbol:
+    import sympy
+
+    symbol = globals()[name] = sympy.Symbol(_SYMBOL_NAMES[name])
+    return symbol
 
 
 def _to_sympy(value: Fraction) -> sympy.Rational:
+    import sympy
+
     return sympy.Rational(value.numerator, value.denominator)
 
 
-def _to_fraction(value: sympy.Rational) -> Fraction:
-    return Fraction(int(value.p), int(value.q))
+class _Polynomial:
+    """Exact polynomial over QQ: a dict from exponent tuples to nonzero Fractions.
+
+    It carries just the arithmetic `_ladder_product` uses, so that F can be
+    expanded without a computer-algebra system: sums and products with other
+    polynomials and with rational constants, and division by a constant.
+    """
+
+    __slots__ = ("terms", "nvars")
+
+    def __init__(self, terms: dict[tuple[int, ...], Fraction], nvars: int) -> None:
+        self.terms = terms
+        self.nvars = nvars
+
+    @classmethod
+    def variable(cls, index: int, nvars: int) -> "_Polynomial":
+        exponents = tuple(int(i == index) for i in range(nvars))
+        return cls({exponents: Fraction(1)}, nvars)
+
+    def _coerce(self, other) -> "_Polynomial":
+        if isinstance(other, _Polynomial):
+            return other
+        other = Fraction(other)
+        return _Polynomial({(0,) * self.nvars: other} if other else {}, self.nvars)
+
+    def __add__(self, other) -> "_Polynomial":
+        terms = dict(self.terms)
+        for exponents, coeff in self._coerce(other).terms.items():
+            total = terms.get(exponents, 0) + coeff
+            if total:
+                terms[exponents] = total
+            else:
+                terms.pop(exponents, None)
+        return _Polynomial(terms, self.nvars)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Polynomial":
+        return _Polynomial({e: -c for e, c in self.terms.items()}, self.nvars)
+
+    def __sub__(self, other) -> "_Polynomial":
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other) -> "_Polynomial":
+        return self._coerce(other) + -self
+
+    def __mul__(self, other) -> "_Polynomial":
+        if not isinstance(other, _Polynomial):
+            other = Fraction(other)
+            if not other:
+                return _Polynomial({}, self.nvars)
+            return _Polynomial({e: c * other for e, c in self.terms.items()}, self.nvars)
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exponents = tuple(a + b for a, b in zip(e1, e2))
+                terms[exponents] = terms.get(exponents, 0) + c1 * c2
+        return _Polynomial({e: c for e, c in terms.items() if c}, self.nvars)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Polynomial":
+        return self * (1 / Fraction(other))
 
 
 def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
@@ -67,8 +151,8 @@ def _ladder_product(ratio: FrequencyRatio, h, s0):
         prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
         prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)).
 
-    The body is generic: `Fraction` arguments give the exact value, sympy
-    expressions give the (unexpanded) polynomial.
+    The body is generic: `Fraction` arguments give the exact value,
+    `_Polynomial` arguments the expanded polynomial.
     """
     half_h = h / 2
     value = 1
@@ -138,39 +222,123 @@ class StructureFunction:
         return tuple(facts)
 
     def as_poly(self) -> sympy.Poly:
-        """Phi as a univariate polynomial in x over QQ."""
-        expr = _ladder_product(self.ratio, self.energy, self.u + X_SYMBOL)
-        return sympy.Poly(sympy.expand(expr), X_SYMBOL, domain="QQ")
+        """Phi as a univariate polynomial in x over QQ (imports sympy)."""
+        return _poly_in_x(_phi_coefficients(self))
+
+
+def _phi_coefficients(sf: StructureFunction) -> list[Fraction]:
+    """Coefficients of Phi in x, lowest power first."""
+    x = _Polynomial.variable(0, 1)
+    phi = _ladder_product(sf.ratio, sf.energy, sf.u + x)
+    degree = max(e for (e,) in phi.terms)
+    return [phi.terms.get((k,), Fraction(0)) for k in range(degree + 1)]
+
+
+def _poly_in_x(coefficients) -> sympy.Poly:
+    """sympy `Poly` in x over QQ from coefficients listed lowest power first."""
+    import sympy
+
+    return sympy.Poly(
+        [_to_sympy(c) for c in reversed(coefficients)], _symbol("X_SYMBOL"), domain="QQ"
+    )
+
+
+def _monomial(h_power: int, s0_power: int) -> str:
+    factors = [
+        name if power == 1 else f"{name}**{power}"
+        for name, power in (("H", h_power), ("S0", s0_power))
+        if power
+    ]
+    return "*".join(factors)
 
 
 @dataclass(frozen=True)
 class CommutatorPolynomial:
-    """[S-, S+] as an exact bivariate polynomial in (H, S0) over QQ."""
+    """[S-, S+] as an exact bivariate polynomial in (H, S0) over QQ.
+
+    `terms` holds ((H power, S0 power), coefficient) pairs, zero terms
+    omitted, lex-descending in (H power, S0 power), the order sympy prints.
+    """
 
     ratio: FrequencyRatio
-    poly: sympy.Poly
+    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    # integer form for evaluation: poly = sum(a * H**i * S0**j) / denominator
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _numerators: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _degrees: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        denominator = lcm(*(c.denominator for _, c in self.terms))
+        numerators = tuple(
+            (i, j, c.numerator * (denominator // c.denominator)) for (i, j), c in self.terms
+        )
+        degrees = (max(i for i, _, _ in numerators), max(j for _, j, _ in numerators))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_degrees", degrees)
 
     @property
     def degree_in_s0(self) -> int:
-        return self.poly.degree(S0_SYMBOL)
+        return self._degrees[1]
 
     def coefficients(self) -> dict[tuple[int, int], Fraction]:
         """Map (H power, S0 power) -> coefficient, zero terms omitted."""
-        return {
-            (int(dh), int(ds)): _to_fraction(coeff)
-            for (dh, ds), coeff in self.poly.terms()
-        }
+        return dict(self.terms)
 
     def __call__(self, h: int | Fraction, s0: int | Fraction) -> Fraction:
+        """Exact value at (h, s0): the sum is taken in plain ints over one
+        common denominator, and a single `Fraction` is built at the end."""
         h, s0 = Fraction(h), Fraction(s0)
-        result = self.poly.eval((_to_sympy(h), _to_sympy(s0)))
-        return _to_fraction(sympy.Rational(result))
+        h_top, s0_top = self._degrees
+        h_powers = _scaled_powers(h.numerator, h.denominator, h_top)
+        s0_powers = _scaled_powers(s0.numerator, s0.denominator, s0_top)
+        total = sum(a * h_powers[i] * s0_powers[j] for i, j, a in self._numerators)
+        return Fraction(
+            total, self._denominator * h.denominator**h_top * s0.denominator**s0_top
+        )
+
+    @property
+    def poly(self) -> sympy.Poly:
+        """The polynomial as a sympy `Poly` over QQ (imports sympy)."""
+        import sympy
+
+        return sympy.Poly.from_dict(
+            {exponents: _to_sympy(c) for exponents, c in self.terms},
+            _symbol("H_SYMBOL"),
+            _symbol("S0_SYMBOL"),
+            domain="QQ",
+        )
 
     def expression(self) -> sympy.Expr:
         return self.poly.as_expr()
 
     def __str__(self) -> str:
-        return str(self.expression())
+        """sympy's rendering of `expression()`, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
+        text = ""
+        for (h_power, s0_power), coeff in self.terms:
+            body = _monomial(h_power, s0_power)
+            numerator = abs(coeff.numerator)
+            if not body:
+                body = str(numerator)
+            elif numerator != 1:
+                body = f"{numerator}*{body}"
+            if coeff.denominator != 1:
+                body += f"/{coeff.denominator}"
+            if not text:
+                text = "-" + body if coeff < 0 else body
+            else:
+                text += (" - " if coeff < 0 else " + ") + body
+        return text
+
+
+def _scaled_powers(numerator: int, denominator: int, top: int) -> list[int]:
+    """numerator**k * denominator**(top - k) for k = 0..top."""
+    up = [1]
+    down = [1]
+    for _ in range(top):
+        up.append(up[-1] * numerator)
+        down.append(down[-1] * denominator)
+    return [up[k] * down[top - k] for k in range(top + 1)]
 
 
 @functools.cache
@@ -181,19 +349,26 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
     The result is immutable, so it is built once per ratio and shared.
     """
-    diff = sympy.expand(
-        _ladder_product(ratio, H_SYMBOL, S0_SYMBOL + 1)
-        - _ladder_product(ratio, H_SYMBOL, S0_SYMBOL)
-    )
-    return CommutatorPolynomial(ratio, sympy.Poly(diff, H_SYMBOL, S0_SYMBOL, domain="QQ"))
+    h, s0 = _Polynomial.variable(0, 2), _Polynomial.variable(1, 2)
+    diff = _ladder_product(ratio, h, s0 + 1) - _ladder_product(ratio, h, s0)
+    return CommutatorPolynomial(ratio, tuple(sorted(diff.terms.items(), reverse=True)))
 
 
 @dataclass(frozen=True)
 class ParafermionicForm:
-    """Factorization Phi(x) = x (N+1-x) P(x) with P positive on 1..N."""
+    """Factorization Phi(x) = x (N+1-x) P(x) with P positive on 1..N.
 
-    factor: sympy.Poly
+    `coefficients` are those of P, lowest power first; `values` are
+    P(1), ..., P(N).
+    """
+
+    coefficients: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+
+    @property
+    def factor(self) -> sympy.Poly:
+        """P as a univariate sympy `Poly` in x over QQ (imports sympy)."""
+        return _poly_in_x(self.coefficients)
 
     @property
     def positive(self) -> bool:
@@ -205,22 +380,34 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
 
     The parafermionic reading of the algebra is established for frequency
     ratios 1:n only, so any other ratio is rejected rather than silently
-    factored.  The division itself is exact and its remainder is required
-    to vanish.
+    factored.  The division is exact, by x and then by x - (N+1) with
+    synthetic division, and both remainders are required to vanish.
     """
     if sf.ratio.m != 1:
         raise NotDivisibleError(
             f"parafermionic form applies to 1:n ratios only, got {sf.ratio}"
         )
     big_n = sf.label.N
-    base = sympy.Poly(X_SYMBOL * (big_n + 1 - X_SYMBOL), X_SYMBOL, domain="QQ")
-    quotient, remainder = sympy.div(sf.as_poly(), base, X_SYMBOL)
-    if not remainder.is_zero:
+    root = big_n + 1
+    remainder, *over_x = _phi_coefficients(sf)
+    # synthetic division of Phi/x by (x - root), from the top coefficient down
+    quotient = [Fraction(0)] * (len(over_x) - 1)
+    carry = Fraction(0)
+    for k in range(len(over_x) - 1, 0, -1):
+        carry = over_x[k] + root * carry
+        quotient[k - 1] = carry
+    if remainder or over_x[0] + root * carry:
         raise NotDivisibleError(
             f"x (N+1-x) does not divide the structure function of {sf.label}"
         )
-    quotient = sympy.Poly(quotient, X_SYMBOL, domain="QQ")
-    values = tuple(
-        _to_fraction(sympy.Rational(quotient.eval(k))) for k in range(1, big_n + 1)
-    )
-    return ParafermionicForm(quotient, values)
+    # (N+1-x) = -(x - root), so P is minus the quotient
+    coefficients = tuple(-c for c in quotient)
+    values = tuple(_horner(coefficients, k) for k in range(1, big_n + 1))
+    return ParafermionicForm(coefficients, values)
+
+
+def _horner(coefficients: tuple[Fraction, ...], x: int) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value

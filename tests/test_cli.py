@@ -213,6 +213,25 @@ class TestVerify:
         assert "--tol" in result.stderr
         assert f"{float(tol)} is not a finite number > 0" in result.stderr
 
+    @pytest.mark.parametrize("command", [["irrep", "--N", "1"], ["verify", "--N-max", "1"]])
+    @pytest.mark.parametrize("tol", ["1e308", "1.7976931348623157e308", "1.8e307"])
+    def test_rejects_tolerance_whose_tenfold_overflows(self, runner, command, tol):
+        result = runner.invoke(main, [command[0], "--ratio", "1:1", *command[1:],
+                                      f"--tol={tol}"])
+        assert result.exit_code == 2
+        assert "--tol" in result.stderr
+        assert f"{float(tol)} is too large" in result.stderr
+
+    def test_largest_accepted_tolerance_gives_finite_json(self, runner):
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "1",
+                        "--tol", "1.7e307", "--format", "json")
+        assert result.exit_code == 0
+        summary = json.loads(result.output, parse_constant=reject)["records"][0]
+        assert summary["eigen_tolerance"] == 1.7e308
+
     def test_deterministic_output(self, runner):
         args = ["verify", "--ratio", "2:3", "--N-max", "3", "--format", "json"]
         first = invoke(runner, *args).output

@@ -1,0 +1,47 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import deformed_u2
+
+# each step runs in one fresh interpreter; after it, list which of the
+# symbolic-algebra packages are loaded
+SCRIPT = """
+import json, sys
+HEAVY = ("sympy", "mpmath")
+loaded = lambda: [name for name in HEAVY if name in sys.modules]
+import deformed_u2.cli
+from click.testing import CliRunner
+steps = [["import deformed_u2.cli", 0, loaded()]]
+runner = CliRunner()
+for args in json.loads(sys.argv[1]):
+    result = runner.invoke(deformed_u2.cli.main, args)
+    steps.append([" ".join(args), result.exit_code, loaded()])
+print(json.dumps(steps))
+"""
+
+COMMANDS = [
+    ["spectrum", "--ratio", "2:3", "--count", "10"],
+    ["irrep", "--ratio", "1:2", "--N", "3", "--p", "1", "--q", "2"],
+    ["angular", "--ratio", "2:3", "--N", "3"],
+    ["verify", "--ratio", "1:2", "--N-max", "2"],
+]
+
+
+def test_cli_and_commands_never_load_sympy():
+    src = str(Path(deformed_u2.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(COMMANDS)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert [step for step, _, _ in steps] == ["import deformed_u2.cli"] + [
+        " ".join(args) for args in COMMANDS
+    ]
+    for step, exit_code, loaded in steps:
+        assert exit_code == 0, step
+        assert loaded == [], f"{step} loaded {loaded}"

@@ -1,7 +1,9 @@
+import functools
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,9 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
+from deformed_u2.structure import _ladder_product
+
+H, S0, X = sympy.symbols("H S0 x")
 
 
 def coprime_pairs(limit):
@@ -187,7 +192,7 @@ class TestParafermionicDecompose:
         with pytest.raises(NotDivisibleError):
             parafermionic_decompose(sf)
 
-    @settings(deadline=None)  # sympy division can be slow on first call
+    @settings(deadline=None)  # the first draws fill the Phi and commutator caches
     @given(
         n=st.integers(1, 6),
         q=st.integers(1, 6),
@@ -197,3 +202,57 @@ class TestParafermionicDecompose:
         q = min(q, n)
         sf = StructureFunction(IrrepLabel(big_n, 1, q), FrequencyRatio(1, n))
         assert parafermionic_decompose(sf).positive
+
+
+# sympy as an independent oracle for the exact expansion and division
+ORACLE_RATIOS = coprime_pairs(8) + [(11, 13)]
+
+
+@functools.cache
+def sympy_commutator(m, n):
+    ratio = FrequencyRatio(m, n)
+    return sympy.expand(_ladder_product(ratio, H, S0 + 1) - _ladder_product(ratio, H, S0))
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("m,n", ORACLE_RATIOS, ids=lambda v: str(v))
+    def test_commutator_terms_and_rendering(self, m, n):
+        expected = sympy_commutator(m, n)
+        expected_poly = sympy.Poly(expected, H, S0, domain="QQ")
+        poly = commutator_polynomial(FrequencyRatio(m, n))
+        assert poly.coefficients() == {
+            (int(i), int(j)): Fraction(int(c.p), int(c.q))
+            for (i, j), c in expected_poly.terms()
+        }
+        assert poly.degree_in_s0 == expected_poly.degree(S0) == m + n - 1
+        assert str(poly) == str(expected) == str(poly.expression())
+        assert poly.poly == expected_poly
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        ratio=st.sampled_from(coprime_pairs(5) + [(4, 7)]),
+        h=st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40),
+        s0=st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40),
+    )
+    def test_evaluation_matches_sympy_eval(self, ratio, h, s0):
+        expected_poly = sympy.Poly(sympy_commutator(*ratio), H, S0, domain="QQ")
+        expected = expected_poly.eval((sympy.Rational(h.numerator, h.denominator),
+                                       sympy.Rational(s0.numerator, s0.denominator)))
+        assert commutator_polynomial(FrequencyRatio(*ratio))(h, s0) == Fraction(
+            int(expected.p), int(expected.q)
+        )
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_parafermionic_split_matches_sympy_div(self, n):
+        ratio = FrequencyRatio(1, n)
+        for label in all_labels(1, n, 14):
+            sf = StructureFunction(label, ratio)
+            phi = sympy.expand(_ladder_product(ratio, sf.energy, sf.u + X))
+            base = sympy.Poly(X * (label.N + 1 - X), X, domain="QQ")
+            quotient, remainder = sympy.div(sympy.Poly(phi, X, domain="QQ"), base)
+            assert remainder.is_zero
+            form = parafermionic_decompose(sf)
+            assert form.factor == quotient
+            assert form.values == tuple(
+                Fraction(str(quotient.eval(k))) for k in range(1, label.N + 1)
+            )

@@ -192,23 +192,31 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     """First `count` energy levels in strictly ascending exact order.
 
     Each level carries exactly one irrep label, so the levels are the label
-    energies in ascending order.  Since E(N, p, q) lies in (N, N + 2), the
-    K m n labels with N < K = count // (m n) + 1, more than `count`, all lie
-    below K + 1, while every label with N > K lies above it; the labels with
-    N <= K therefore hold the lowest `count` levels.  They are sorted on the
-    exact integer key 2mn E = 2mn N + n (2p-1) + m (2q-1); labels and
-    energies are built only for the levels kept.
+    energies in ascending order.  E(N, p, q) rises with p and with q, so a
+    label with p q > count lies above the p q - 1 > count - 1 labels
+    (N, p', q') with p' <= p, q' <= q and is never kept: only the pairs with
+    p <= count and q <= count // p are listed.  With P such pairs, since
+    E(N, p, q) lies in (N, N + 2), the K P labels with N < K = count // P + 1,
+    more than `count`, all lie below K + 1, while every label with N > K lies
+    above it; the labels with N <= K therefore hold the lowest `count`
+    levels.  They are sorted on the exact integer key
+    2mn E = 2mn N + n (2p-1) + m (2q-1); labels and energies are built only
+    for the levels kept.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     m, n = ratio.m, ratio.n
-    top = count // (m * n) + 1
+    pairs = [
+        (p, q)
+        for p in range(1, min(m, count) + 1)
+        for q in range(1, min(n, count // p) + 1)
+    ]
+    top = count // len(pairs) + 1
     scale = 2 * m * n
     keys = sorted(
         (scale * big_n + n * (2 * p - 1) + m * (2 * q - 1), big_n, p, q)
         for big_n in range(top + 1)
-        for p in range(1, m + 1)
-        for q in range(1, n + 1)
+        for p, q in pairs
     )
     return [
         Level(Fraction(key, scale), IrrepLabel(big_n, p, q), big_n + 1)

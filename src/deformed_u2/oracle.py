@@ -14,6 +14,10 @@ outermost shells (a+ annihilates the top state instead of leaving the box),
 so only states with n_x + m < X and n_y + n < Y are trustworthy; the default
 box X = m (N_max + 2), Y = n (N_max + 2) keeps every irrep with N <= N_max
 strictly interior.
+
+Restricting a generator to one irrep copies its entries on the irrep's
+member rows and columns straight out of the CSR arrays; nothing is summed
+or multiplied on the way, so the comparison sees the oracle's own values.
 """
 
 from __future__ import annotations
@@ -96,15 +100,34 @@ def build_oracle(ratio: FrequencyRatio, n_max: int) -> CartesianOracle:
     return CartesianOracle(ratio, n_max)
 
 
+def _block(op: sparse.csr_matrix, rows: list[int]) -> np.ndarray:
+    """Dense op[rows][:, rows], copied entry by entry from op's CSR arrays.
+
+    Row `rows[i]` is read as its slice of `indices`/`data`; an entry whose
+    column is `rows[k]` lands at [i, k], and the others are dropped.  `op`
+    must be in canonical format: one stored entry per (row, column).
+    """
+    k_of = {row: k for k, row in enumerate(rows)}
+    block = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        start, stop = op.indptr[row], op.indptr[row + 1]
+        for column, value in zip(op.indices[start:stop].tolist(), op.data[start:stop].tolist()):
+            k = k_of.get(column)
+            if k is not None:
+                block[i, k] = value
+    return block
+
+
 def oracle_compare(
     oracle: CartesianOracle, label: IrrepLabel, tolerance: float = 1e-10
 ) -> VerificationReport:
     """Restrict the oracle to one energy eigenspace and compare entrywise.
 
     The eigenspace of `label` is spanned by its Cartesian member states
-    ordered by k; restriction is the plain orthogonal projection onto those
-    basis vectors.  Residuals are entrywise max differences against the
-    matrices from `build_irrep`.
+    ordered by k; the restriction of each generator is its (N+1)x(N+1)
+    block on those basis vectors, read from the generator's CSR rows (see
+    `_block`), so every entry is the oracle's own value.  Residuals are
+    entrywise max differences against the matrices from `build_irrep`.
     """
     label.validate_for(oracle.ratio)
     members = irrep_members(label, oracle.ratio)
@@ -114,20 +137,11 @@ def oracle_compare(
                 f"eigenspace of {label} touches the truncation boundary at {state}; "
                 f"rebuild the oracle with n_max >= {label.N}"
             )
-    indices = [oracle.index(state) for state in members]
-    selector = sparse.csr_matrix(
-        (np.ones(len(indices)), (range(len(indices)), indices)),
-        shape=(len(indices), oracle.dim),
-    )
-
-    def restrict(op: sparse.csr_matrix) -> np.ndarray:
-        return (selector @ op @ selector.T).toarray()
+    rows = [oracle.index(state) for state in members]
 
     rep = build_irrep(label, oracle.ratio)
-    residuals = {
-        "s0": float(np.max(np.abs(restrict(oracle.s0) - rep.s0))),
-        "s_plus": float(np.max(np.abs(restrict(oracle.s_plus) - rep.s_plus))),
-        "s_minus": float(np.max(np.abs(restrict(oracle.s_minus) - rep.s_minus))),
-        "h": float(np.max(np.abs(restrict(oracle.h) - rep.h))),
-    }
+    residuals = {}
+    for name in ("s0", "s_plus", "s_minus", "h"):
+        block = _block(getattr(oracle, name), rows)
+        residuals[name] = float(np.max(np.abs(block - getattr(rep, name))))
     return VerificationReport("oracle", residuals, {}, tolerance)

@@ -24,6 +24,7 @@ by the symbolic outputs (`CommutatorPolynomial.poly` and `.expression()`,
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -145,21 +146,33 @@ def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
     ) / 2
 
 
+def _ladder_factors(ratio: FrequencyRatio) -> Iterator[tuple[int, Fraction]]:
+    """The factor table (sigma_i, c_i) of F(H, S0) = prod_i (H/2 + sigma_i S0 + c_i).
+
+    The m raised x-mode factors have sigma = +1, c = -(2k-1)/(2m), k = 1..m;
+    the n lowered y-mode factors have sigma = -1, c = (2l-1)/(2n), l = 1..n.
+    This table is the one written form of F.
+    """
+    for k in range(1, ratio.m + 1):
+        yield 1, Fraction(-(2 * k - 1), 2 * ratio.m)
+    for l in range(1, ratio.n + 1):
+        yield -1, Fraction(2 * l - 1, 2 * ratio.n)
+
+
 def _ladder_product(ratio: FrequencyRatio, h, s0):
     """F(H, S0), the operator product S+ S- expressed through H and S0:
 
         prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
-        prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)).
+        prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)),
 
-    The body is generic: `Fraction` arguments give the exact value,
-    `_Polynomial` arguments the expanded polynomial.
+    multiplied out from `_ladder_factors`.  The body is generic: `Fraction`
+    arguments give the exact value, `_Polynomial` arguments the expanded
+    polynomial.
     """
     half_h = h / 2
     value = 1
-    for k in range(1, ratio.m + 1):
-        value *= half_h + s0 - Fraction(2 * k - 1, 2 * ratio.m)
-    for l in range(1, ratio.n + 1):
-        value *= half_h - s0 + Fraction(2 * l - 1, 2 * ratio.n)
+    for sigma, c in _ladder_factors(ratio):
+        value *= half_h + sigma * s0 + c
     return value
 
 
@@ -171,6 +184,10 @@ class StructureFunction:
     S0 shift u; expanded, that is the product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
       prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
+    `product_value` evaluates F's factor table (see `_ladder_factors`) in
+    plain ints: each factor E/2 + sigma_i (u + x) + c_i is scaled by
+    4mn den(x), the per-irrep offsets are computed once per instance, and
+    one `Fraction` is built from the product.
     `gamma_value` keeps the Gamma-quotient form as an independent check,
     expanded exactly into falling/rising factorials
       (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
@@ -195,8 +212,28 @@ class StructureFunction:
     def __call__(self, x: int | Fraction) -> Fraction:
         return self.product_value(x)
 
+    @functools.cached_property
+    def _scaled_factors(self) -> tuple[tuple[int, int], ...]:
+        """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F.
+
+        E/2 and u have denominators dividing 4mn and each c_i one dividing
+        2m or 2n, so every scaled offset is an int.
+        """
+        scale = 4 * self.ratio.m * self.ratio.n
+        half_e, u = int(scale * self.energy / 2), int(scale * self.u)
+        return tuple(
+            (sigma, half_e + sigma * u + c.numerator * (scale // c.denominator))
+            for sigma, c in _ladder_factors(self.ratio)
+        )
+
     def product_value(self, x: int | Fraction) -> Fraction:
-        return _ladder_product(self.ratio, self.energy, self.u + Fraction(x))
+        x = Fraction(x)
+        scale = 4 * self.ratio.m * self.ratio.n
+        step = scale * x.numerator
+        value = 1
+        for sigma, offset in self._scaled_factors:
+            value *= offset * x.denominator + sigma * step
+        return Fraction(value, (scale * x.denominator) ** len(self._scaled_factors))
 
     def gamma_value(self, x: int | Fraction) -> Fraction:
         x = Fraction(x)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -12,6 +13,7 @@ from deformed_u2 import (
     FrequencyRatio,
     IrrepLabel,
     IrrepState,
+    Level,
     NonCoprimeError,
     cartesian_to_irrep,
     energy_of_cartesian,
@@ -185,6 +187,22 @@ class TestEnumerateLevels:
             for level in levels:
                 assert level.degeneracy == level.label.N + 1
                 assert energy_of_irrep(level.label, ratio) == level.energy
+
+    def test_large_ratio_lists_only_pairs_that_can_be_kept(self):
+        # only p q <= count can be among the lowest `count` labels, so a large
+        # m costs nothing here (listing all m n sublabels took ~50 MB)
+        m, n = 100003, 2
+        tracemalloc.start()
+        try:
+            levels = enumerate_levels(FrequencyRatio(m, n), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert levels == [
+            Level(Fraction(2 * p - 1, 2 * m) + Fraction(1, 4), IrrepLabel(0, p, 1), 1)
+            for p in (1, 2, 3)
+        ]
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):

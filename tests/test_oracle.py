@@ -3,6 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from deformed_u2 import (
     CartesianState,
@@ -13,6 +14,24 @@ from deformed_u2 import (
     irrep_members,
     oracle_compare,
 )
+from deformed_u2.oracle import _block
+
+# (m, n, N-max) of the benchmark's verify_deep and verify_wide rounds
+VERIFY_INPUTS = [
+    (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16),
+    (3, 5, 8), (4, 7, 5), (5, 7, 4), (2, 7, 6),
+]
+GENERATORS = ("s0", "s_plus", "s_minus", "h")
+
+
+def projected_block(oracle, op, label):
+    """Reference restriction: selector @ op @ selector.T with a 0/1 selector."""
+    indices = [oracle.index(state) for state in irrep_members(label, oracle.ratio)]
+    selector = sparse.csr_matrix(
+        (np.ones(len(indices)), (range(len(indices)), indices)),
+        shape=(len(indices), oracle.dim),
+    )
+    return (selector @ op @ selector.T).toarray()
 
 
 def coprime_pairs(limit):
@@ -113,3 +132,22 @@ class TestOracleCompare:
                     for q in range(1, n + 1):
                         report = oracle_compare(oracle, IrrepLabel(big_n, p, q))
                         assert report.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("m,n,n_max", VERIFY_INPUTS, ids=lambda v: str(v))
+    def test_blocks_equal_selector_products(self, m, n, n_max):
+        # the CSR row read copies one entry per (row, column), so the oracle's
+        # operators must hold no duplicates for it to match the product
+        ratio = FrequencyRatio(m, n)
+        oracle = build_oracle(ratio, n_max)
+        for name in GENERATORS:
+            assert getattr(oracle, name).has_canonical_format
+        for big_n in range(n_max + 1):
+            for p in range(1, m + 1):
+                for q in range(1, n + 1):
+                    label = IrrepLabel(big_n, p, q)
+                    rows = [oracle.index(s) for s in irrep_members(label, ratio)]
+                    for name in GENERATORS:
+                        op = getattr(oracle, name)
+                        assert np.array_equal(
+                            _block(op, rows), projected_block(oracle, op, label)
+                        ), (label, name)

@@ -60,6 +60,7 @@ from .structure import (
     parafermionic_decompose,
     u_constant,
 )
+from .suite import run_suite
 
 __version__ = "0.1.0"
 
@@ -103,6 +104,7 @@ __all__ = [
     "irrep_to_cartesian",
     "oracle_compare",
     "parafermionic_decompose",
+    "run_suite",
     "u_constant",
     "verify_algebra",
     "w32_check",

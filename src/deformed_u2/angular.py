@@ -30,8 +30,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
 from .exceptions import NotAnEigenvalueError
-from .representation import build_irrep, worst_residual
-from .structure import StructureFunction
+from .representation import IrrepMatrices, worst_residual
+from .structure import StructureFunction, _horner
 
 __all__ = [
     "GeneralizedHermite",
@@ -60,7 +60,7 @@ class GeneralizedHermite:
 
     def __call__(self, k: int, x: int | Fraction) -> Fraction:
         """Evaluate H_k exactly at a rational argument."""
-        return _eval_poly(self.coefficients[k], Fraction(x))
+        return _horner(self.coefficients[k], Fraction(x))
 
     def characteristic_coefficients(self, k: int) -> tuple[Fraction, ...]:
         """Coefficients of G_k(l) = H_k(l / sqrt(2)) / 2^(k/2), still rational.
@@ -110,6 +110,12 @@ class AngularSpectrum:
     def max_residual(self) -> float:
         """Worst eigenvector residual; NaN when any residual is NaN."""
         return worst_residual(v.residual for v in self.vectors)
+
+    @property
+    def symmetry_residual(self) -> float:
+        """max |l_i + l_{N-i}|; NaN when any eigenvalue is NaN."""
+        values = self.eigenvalues
+        return worst_residual(abs(a + b) for a, b in zip(values, reversed(values)))
 
 
 # (-i)^k by k mod 4, exact for every k
@@ -201,21 +207,14 @@ def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str |
         if value == 0.0:
             return "0" if label.N % 2 == 0 else None
         rational = near_rational(value)
-        if rational is not None and _eval_poly(p_coeffs, rational**2) == 0:
+        if rational is not None and _horner(p_coeffs, rational**2) == 0:
             return str(rational)
         square = near_rational(value * value)
-        if square is not None and _eval_poly(p_coeffs, square) == 0:
+        if square is not None and _horner(p_coeffs, square) == 0:
             return f"{'-' if value < 0 else ''}sqrt({square})"
         return None
 
     return tuple(hint(value) for value in spectrum.eigenvalues)
-
-
-def _eval_poly(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    result = Fraction(0)
-    for coeff in reversed(coeffs):
-        result = result * x + coeff
-    return result
 
 
 def bisection_eigenvalues(
@@ -316,8 +315,10 @@ def angular_eigenvector(
 
     Returns the computed eigenvector whose eigenvalue is nearest
     `eigenvalue`, with its residual ||T w - l w||_inf recomputed at the
-    given value, which must stay within `tolerance`.
+    given value, which must stay within `tolerance`, a finite number > 0.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"eigenvector tolerance must be finite and > 0, not {tolerance!r}")
     spec = angular_eigenvalues(label, ratio)
     i = int(np.argmin(np.abs(np.array(spec.eigenvalues) - eigenvalue)))
     vector = spec.vectors[i]
@@ -333,7 +334,6 @@ def angular_eigenvector(
     return replace(vector, eigenvalue=eigenvalue, residual=float(residual))
 
 
-def build_l0(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:
-    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep."""
-    rep = build_irrep(label, ratio)
+def build_l0(rep: IrrepMatrices) -> np.ndarray:
+    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep built as `rep`."""
     return -1j * (rep.s_plus - rep.s_minus)

@@ -19,29 +19,13 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .angular import (
-    AngularSpectrum,
-    angular_eigenvalues,
-    bisection_eigenvalues,
-    build_l0,
-    exact_hints,
-)
-from .core import (
-    FrequencyRatio,
-    IrrepLabel,
-    enumerate_levels,
-    irrep_members,
-)
+from .angular import angular_eigenvalues, exact_hints
+from .core import FrequencyRatio, IrrepLabel, enumerate_levels, irrep_members
 from .exceptions import NonCoprimeError
-from .oracle import build_oracle, oracle_compare
-from .representation import build_irrep, verify_algebra, w32_check, worst_residual
-from .structure import StructureFunction, commutator_polynomial, parafermionic_decompose
-
-IDENTITY_TOL = 1e-10
-EIGEN_TOL = 1e-9
+from .representation import build_irrep, verify_algebra
+from .suite import IDENTITY_TOL, run_suite
 
 
 def _parse_ratio(ctx, param, value):
@@ -81,10 +65,10 @@ def _decimal(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _angular_spectrum(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
-    """The eigenpairs of L0, or exit 2 naming the value that is out of reach."""
+def _reachable(compute, *args):
+    """compute(*args), or exit 2 with the ArithmeticError naming what is out of reach."""
     try:
-        return angular_eigenvalues(label, ratio)
+        return compute(*args)
     except ArithmeticError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -104,21 +88,13 @@ def _state_text(pairs) -> str:
     for state, amp in pairs:
         if abs(amp) <= 1e-12:
             continue
-        if amp.imag == 0.0:
-            value, suffix = amp.real, ""
-        elif amp.real == 0.0:
-            value, suffix = amp.imag, "i"
-        else:
-            terms.append(("+", f"{_amplitude_text(amp)}|{state.n_x},{state.n_y}>"))
-            continue
-        sign = "-" if value < 0 else "+"
-        terms.append((sign, f"{_fmt(abs(value))}{suffix}|{state.n_x},{state.n_y}>"))
+        text = _amplitude_text(amp)
+        sign, text = ("-", text[1:]) if text.startswith("-") else ("+", text)
+        terms.append(f"{sign} {text}|{state.n_x},{state.n_y}>")
     if not terms:
         return "0"
-    text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
-    for sign, term in terms[1:]:
-        text += f" {sign} {term}"
-    return text
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -273,11 +249,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
     }
     if fmt == "json":
         _emit(json.dumps(_document(ratio, "irrep", [record], residuals), indent=2), output)
-        if not report.passed:
-            sys.exit(1)
-        return
-
-    if fmt == "csv":
+    elif fmt == "csv":
         headers = ["k", "n_x", "n_y", "s0_diagonal", "splus_next"]
         rows = []
         for k, state in enumerate(members):
@@ -285,29 +257,26 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
             rows.append([str(k), str(state.n_x), str(state.n_y),
                          _fmt(rep.s0[k, k]), _fmt(up)])
         _emit(_render_csv(headers, rows), output)
-        if not report.passed:
-            sys.exit(1)
-        return
-
-    lines = [
-        f"irrep (N={label.N}, p={label.p}, q={label.q}) of the {ratio} oscillator",
-        f"energy: {rep.energy} ({_fmt(float(rep.energy))})",
-        f"dimension: {label.dimension}",
-        f"u: {rep.u}",
-        "phi: " + ", ".join(str(v) for v in rep.phi),
-        "members: " + "  ".join(f"k={k} {s}" for k, s in enumerate(members)),
-        "s0 diagonal: " + ", ".join(_fmt(rep.s0[k, k]) for k in range(label.dimension)),
-        "s+ subdiagonal: "
-        + (", ".join(_fmt(rep.s_plus[k + 1, k]) for k in range(label.N)) or "(none)"),
-        f"h: {rep.energy} * identity",
-        "",
-        "residuals:",
-    ]
-    for key, value in residuals.items():
-        lines.append(f"  {key:<28}{_fmt(value)}")
-    lines.append(f"verification: {'PASS' if report.passed else 'FAIL'} "
-                 f"(tolerance {identity_tol:g})")
-    _emit("\n".join(lines), output)
+    else:
+        lines = [
+            f"irrep (N={label.N}, p={label.p}, q={label.q}) of the {ratio} oscillator",
+            f"energy: {rep.energy} ({_fmt(float(rep.energy))})",
+            f"dimension: {label.dimension}",
+            f"u: {rep.u}",
+            "phi: " + ", ".join(str(v) for v in rep.phi),
+            "members: " + "  ".join(f"k={k} {s}" for k, s in enumerate(members)),
+            "s0 diagonal: " + ", ".join(_fmt(rep.s0[k, k]) for k in range(label.dimension)),
+            "s+ subdiagonal: "
+            + (", ".join(_fmt(rep.s_plus[k + 1, k]) for k in range(label.N)) or "(none)"),
+            f"h: {rep.energy} * identity",
+            "",
+            "residuals:",
+        ]
+        for key, value in residuals.items():
+            lines.append(f"  {key:<28}{_fmt(value)}")
+        lines.append(f"verification: {'PASS' if report.passed else 'FAIL'} "
+                     f"(tolerance {identity_tol:g})")
+        _emit("\n".join(lines), output)
     if not report.passed:
         sys.exit(1)
 
@@ -323,7 +292,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
 def angular(ratio, big_n, p, q, fmt, output):
     """Angular-momentum table of one irrep: eigenvalues and eigenvectors."""
     label = _make_label(big_n, p, q, ratio)
-    spec = _angular_spectrum(label, ratio)
+    spec = _reachable(angular_eigenvalues, label, ratio)
 
     records = []
     for marker, value, hint, vector in zip(
@@ -348,10 +317,9 @@ def angular(ratio, big_n, p, q, fmt, output):
                 "state": _state_text(vector.cartesian),
             }
         )
-    eigenvalues = np.array(spec.eigenvalues)
     residuals = {
         "eigenvector_residual": _decimal(spec.max_residual),
-        "spectrum_symmetry": _decimal(float(np.max(np.abs(eigenvalues + eigenvalues[::-1])))),
+        "spectrum_symmetry": _decimal(spec.symmetry_residual),
     }
     if fmt == "json":
         _emit(json.dumps(_document(ratio, "angular", records, residuals), indent=2), output)
@@ -383,133 +351,55 @@ def verify(ratio, n_max, fmt, tol, output):
     Exit status 0 when every residual is within tolerance and every exact
     check holds, 1 otherwise (the report is still emitted).
     """
-    identity_tol = tol if tol is not None else IDENTITY_TOL
-    eigen_tol = 10 * tol if tol is not None else EIGEN_TOL
-    # the bisection cells' width must not eat into the method-agreement gate
-    bisection_tol = min(1e-12, eigen_tol / 10)
-
-    poly = commutator_polynomial(ratio)
-    oracle = build_oracle(ratio, n_max)
-    worst: dict[str, float] = {}
-    exact_failures = 0
-    parafermionic_failures = 0
-    records = []
-
-    for big_n in range(n_max + 1):
-        for p in range(1, ratio.m + 1):
-            for q in range(1, ratio.n + 1):
-                label = IrrepLabel(big_n, p, q)
-                rep = build_irrep(label, ratio)
-                rep_report = verify_algebra(rep, identity_tol)
-                irrep_residuals = dict(rep_report.residuals)
-                irrep_exact_failures = sum(
-                    not ok for ok in rep_report.exact_checks.values()
-                )
-                exact_failures += irrep_exact_failures
-
-                oracle_report = oracle_compare(oracle, label, identity_tol)
-                for key, value in oracle_report.residuals.items():
-                    irrep_residuals[f"oracle_{key}"] = value
-
-                spec = _angular_spectrum(label, ratio)
-                eigenvalues = np.array(spec.eigenvalues)
-                roots = np.array(bisection_eigenvalues(label, ratio, bisection_tol))
-                dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
-                irrep_residuals["method_agreement"] = worst_residual((
-                    float(np.max(np.abs(eigenvalues - roots))),
-                    float(np.max(np.abs(eigenvalues - dense))),
-                    float(np.max(np.abs(roots - dense))),
-                ))
-                irrep_residuals["spectrum_symmetry"] = float(
-                    np.max(np.abs(eigenvalues + eigenvalues[::-1]))
-                )
-                irrep_residuals["eigenvector_residual"] = spec.max_residual
-                basis = np.array([v.amplitudes for v in spec.vectors]).T
-                gram = basis.conj().T @ basis
-                irrep_residuals["orthonormality"] = float(
-                    np.max(np.abs(gram - np.eye(label.dimension)))
-                )
-
-                if ratio.m == 1:
-                    form = parafermionic_decompose(StructureFunction(label, ratio))
-                    if not form.positive:
-                        parafermionic_failures += 1
-                if (ratio.m, ratio.n) == (1, 2):
-                    w32 = w32_check(rep, tolerance=identity_tol)
-                    for key, value in w32.residuals.items():
-                        irrep_residuals[f"w32_{key}"] = value
-
-                for key, value in irrep_residuals.items():
-                    worst[key] = worst_residual((worst.get(key, 0.0), value))
-                records.append(
-                    {
-                        "kind": "irrep",
-                        "N": big_n,
-                        "p": p,
-                        "q": q,
-                        "energy": str(rep.energy),
-                        "max_residual": _decimal(worst_residual(irrep_residuals.values())),
-                        "exact_check_failures": irrep_exact_failures,
-                    }
-                )
-
-    eigen_keys = {"method_agreement", "eigenvector_residual", "orthonormality"}
-    residual_ok = all(
-        value <= (eigen_tol if key in eigen_keys else identity_tol)
-        for key, value in worst.items()
-    )
-    passed = residual_ok and exact_failures == 0 and parafermionic_failures == 0
-
-    residuals = {key: _decimal(value) for key, value in sorted(worst.items())}
-    residuals["exact_check_failures"] = float(exact_failures)
-    if ratio.m == 1:
-        residuals["parafermionic_failures"] = float(parafermionic_failures)
-
+    report = _reachable(run_suite, ratio, n_max, tol)
+    residuals = {key: _decimal(value) for key, value in report.residuals.items()}
+    records = [
+        {
+            "kind": "irrep",
+            "N": irrep.label.N,
+            "p": irrep.label.p,
+            "q": irrep.label.q,
+            "energy": str(irrep.energy),
+            "max_residual": _decimal(irrep.max_residual),
+            "exact_check_failures": irrep.exact_check_failures,
+        }
+        for irrep in report.irreps
+    ]
     summary = {
         "kind": "summary",
         "n_max": n_max,
         "irreps_checked": len(records),
-        "commutator": str(poly),
-        "identity_tolerance": identity_tol,
-        "eigen_tolerance": eigen_tol,
-        "passed": passed,
+        "commutator": str(report.commutator),
+        "identity_tolerance": report.identity_tolerance,
+        "eigen_tolerance": report.eigen_tolerance,
+        "passed": report.passed,
     }
 
     if fmt == "json":
-        _emit(
-            json.dumps(
-                _document(ratio, "verify", [summary] + records, residuals), indent=2
-            ),
-            output,
-        )
+        document = _document(ratio, "verify", [summary] + records, residuals)
+        _emit(json.dumps(document, indent=2), output)
     else:
         headers = ["check", "worst residual", "status"]
-        rows = []
-        for key, value in residuals.items():
-            if key.endswith("_failures"):
-                ok = value == 0.0
-            elif key in eigen_keys:
-                ok = value <= eigen_tol
-            else:
-                ok = value <= identity_tol
-            rows.append([key, _fmt(value), "pass" if ok else "FAIL"])
-        body = _render_csv(headers, rows) if fmt == "csv" else _render_table(headers, rows)
-        lines = []
-        if fmt == "table":
+        rows = [
+            [key, _fmt(residuals[key]), "pass" if report.passes(key, value) else "FAIL"]
+            for key, value in report.residuals.items()
+        ]
+        if fmt == "csv":
+            _emit(_render_csv(headers, rows), output)
+        else:
             lines = [
                 f"verification of the {ratio} oscillator algebra, N <= {n_max}",
-                f"tolerances: identities {identity_tol:g}, eigenvectors {eigen_tol:g}",
-                f"[S-, S+] = {poly}",
+                f"tolerances: identities {report.identity_tolerance:g}, "
+                f"eigenvectors {report.eigen_tolerance:g}",
+                f"[S-, S+] = {report.commutator}",
                 f"irreps checked: {len(records)}",
                 "",
+                _render_table(headers, rows),
+                "",
+                f"result: {'PASS' if report.passed else 'FAIL'}",
             ]
-        lines.append(body)
-        if fmt == "table":
-            lines.append("")
-            lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-        _emit("\n".join(lines), output)
-
-    if not passed:
+            _emit("\n".join(lines), output)
+    if not report.passed:
         sys.exit(1)
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .exceptions import TruncationTooSmallError
-from .representation import VerificationReport, build_irrep
+from .core import CartesianState, FrequencyRatio, irrep_members
+from .exceptions import TruncationTooSmallError, WrongRatioError
+from .representation import IrrepMatrices, VerificationReport
 
 __all__ = ["CartesianOracle", "build_oracle", "oracle_compare"]
 
@@ -119,17 +119,19 @@ def _block(op: sparse.csr_matrix, rows: list[int]) -> np.ndarray:
 
 
 def oracle_compare(
-    oracle: CartesianOracle, label: IrrepLabel, tolerance: float = 1e-10
+    oracle: CartesianOracle, rep: IrrepMatrices, tolerance: float = 1e-10
 ) -> VerificationReport:
     """Restrict the oracle to one energy eigenspace and compare entrywise.
 
-    The eigenspace of `label` is spanned by its Cartesian member states
+    The eigenspace of `rep.label` is spanned by its Cartesian member states
     ordered by k; the restriction of each generator is its (N+1)x(N+1)
     block on those basis vectors, read from the generator's CSR rows (see
     `_block`), so every entry is the oracle's own value.  Residuals are
-    entrywise max differences against the matrices from `build_irrep`.
+    entrywise max differences against `rep`, built for the oracle's ratio.
     """
-    label.validate_for(oracle.ratio)
+    label = rep.label
+    if rep.ratio != oracle.ratio:
+        raise WrongRatioError(f"irrep {label} is of ratio {rep.ratio}, the oracle of {oracle.ratio}")
     members = irrep_members(label, oracle.ratio)
     for state in members:
         if not oracle.is_interior(state):
@@ -139,7 +141,6 @@ def oracle_compare(
             )
     rows = [oracle.index(state) for state in members]
 
-    rep = build_irrep(label, oracle.ratio)
     residuals = {}
     for name in ("s0", "s_plus", "s_minus", "h"):
         block = _block(getattr(oracle, name), rows)

@@ -179,7 +179,8 @@ def w32_check(
     and C_W = -(4/9) H^2 + 1/4, valid for any rho*sigma = 4/3; the default
     takes the symmetric gauge rho = sigma = 2/sqrt(3).  Verified relations:
     [H_W, E_W] = 2 E_W, [H_W, F_W] = -2 F_W, [E_W, F_W] = H_W^2 + C_W, and
-    centrality of C_W.
+    centrality of C_W.  A missing factor is taken from the other; ValueError
+    unless both are finite and rho*sigma is within 1e-12 of 4/3.
     """
     if (rep.ratio.m, rep.ratio.n) != (1, 2):
         raise WrongRatioError(
@@ -188,11 +189,12 @@ def w32_check(
     if rho is None and sigma is None:
         rho = sigma = 2.0 / math.sqrt(3.0)
     elif rho is None:
-        rho = _W32_PRODUCT / sigma
+        rho = _W32_PRODUCT / sigma if sigma else math.inf
     elif sigma is None:
-        sigma = _W32_PRODUCT / rho
-    elif abs(rho * sigma - _W32_PRODUCT) > 1e-12:
-        raise ValueError(f"need rho*sigma = 4/3, got {rho * sigma}")
+        sigma = _W32_PRODUCT / rho if rho else math.inf
+    if not (math.isfinite(rho) and math.isfinite(sigma)
+            and abs(rho * sigma - _W32_PRODUCT) <= 1e-12):
+        raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
     dim = _require_square(rep)
     f_w = sigma * rep.s_plus

@@ -443,7 +443,7 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
     return ParafermionicForm(coefficients, values)
 
 
-def _horner(coefficients: tuple[Fraction, ...], x: int) -> Fraction:
+def _horner(coefficients: tuple[Fraction, ...], x: int | Fraction) -> Fraction:
     value = Fraction(0)
     for c in reversed(coefficients):
         value = value * x + c

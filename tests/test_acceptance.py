@@ -182,7 +182,7 @@ def test_criterion_06_oracle_equivalence():
             ratio = FrequencyRatio(m, n)
             oracle = build_oracle(ratio, 6)
             for label in all_labels(m, n, 6):
-                report = oracle_compare(oracle, label, tolerance=1e-10)
+                report = oracle_compare(oracle, build_irrep(label, ratio), tolerance=1e-10)
                 assert report.max_residual <= 1e-10, (label, ratio)
 
 
@@ -249,7 +249,7 @@ def test_criterion_10_method_agreement():
             for label in all_labels(m, n, 8):
                 tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
                 roots = np.array(bisection_eigenvalues(label, ratio))
-                dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
+                dense = np.sort(np.linalg.eigvalsh(build_l0(build_irrep(label, ratio))))
                 assert np.max(np.abs(tri - roots)) <= 1e-9, (label, ratio)
                 assert np.max(np.abs(tri - dense)) <= 1e-9, (label, ratio)
                 assert np.max(np.abs(roots - dense)) <= 1e-9, (label, ratio)

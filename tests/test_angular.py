@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from math import gcd
@@ -15,6 +16,7 @@ from deformed_u2 import (
     angular_eigenvalues,
     angular_eigenvector,
     bisection_eigenvalues,
+    build_irrep,
     build_l0,
     exact_hints,
     hermite_sequence,
@@ -197,7 +199,7 @@ class TestEigenvectors:
         for m, n in coprime_pairs(3):
             ratio = FrequencyRatio(m, n)
             for label in all_labels(m, n, 6):
-                l0 = build_l0(label, ratio)
+                l0 = build_l0(build_irrep(label, ratio))
                 spec = angular_eigenvalues(label, ratio)
                 vectors = [
                     angular_eigenvector(label, ratio, value)
@@ -217,6 +219,20 @@ class TestEigenvectors:
         with pytest.raises(NotAnEigenvalueError):
             angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), 0.37)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        # a NaN or inf gate would accept 0.37, whose residual is 0.32
+        with pytest.raises(ValueError, match="finite and > 0"):
+            angular_eigenvector(
+                IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), 0.37, tolerance=tolerance
+            )
+
+    def test_symmetry_residual_sees_nan(self):
+        spec = angular_eigenvalues(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        assert spec.symmetry_residual == 0.0
+        broken = dataclasses.replace(spec, eigenvalues=(math.nan, *spec.eigenvalues[1:]))
+        assert math.isnan(broken.symmetry_residual)
+
     def test_spectrum_carries_the_same_vectors(self):
         ratio = FrequencyRatio(2, 3)
         spec = angular_eigenvalues(IrrepLabel(5, 2, 3), ratio)
@@ -232,7 +248,7 @@ class TestEigenvectors:
             for q in range(1, n + 1):
                 label = IrrepLabel(big_n, p, q)
                 spec = angular_eigenvalues(label, ratio)
-                l0 = build_l0(label, ratio)
+                l0 = build_l0(build_irrep(label, ratio))
                 basis = np.array([v.amplitudes for v in spec.vectors]).T
                 assert spec.max_residual <= 1e-11
                 assert np.max(np.abs(l0 @ basis - basis * spec.eigenvalues)) <= 1e-11
@@ -347,19 +363,19 @@ class TestBisection:
 
 class TestBuildL0:
     def test_trivial_irrep(self):
-        l0 = build_l0(IrrepLabel(0, 1, 1), FrequencyRatio(1, 2))
+        l0 = build_l0(build_irrep(IrrepLabel(0, 1, 1), FrequencyRatio(1, 2)))
         assert l0.shape == (1, 1)
         assert l0[0, 0] == 0
 
     def test_hermitian_with_matching_spectrum(self):
         label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(1, 1)
-        l0 = build_l0(label, ratio)
+        l0 = build_l0(build_irrep(label, ratio))
         assert np.allclose(l0, l0.conj().T)
         assert np.sort(np.linalg.eigvalsh(l0)) == pytest.approx([-2.0, 0.0, 2.0])
 
     def test_2_3_extremes_match_bisection(self):
         label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(2, 3)
-        dense = np.sort(np.linalg.eigvalsh(build_l0(label, ratio)))
+        dense = np.sort(np.linalg.eigvalsh(build_l0(build_irrep(label, ratio))))
         roots = bisection_eigenvalues(label, ratio)
         assert dense[-1] == pytest.approx(roots[-1], abs=1e-10)
         assert dense[0] == pytest.approx(-roots[-1], abs=1e-10)

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import cli, structure
+from deformed_u2 import structure, suite
 from deformed_u2.cli import main
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
@@ -239,17 +239,17 @@ class TestVerify:
         assert first == second
 
     def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
-        compare = cli.oracle_compare
+        compare = suite.oracle_compare
 
-        def nan_for_one_irrep(oracle, label, tolerance):
-            report = compare(oracle, label, tolerance)
-            if label == IrrepLabel(1, 1, 1):
+        def nan_for_one_irrep(oracle, rep, tolerance):
+            report = compare(oracle, rep, tolerance)
+            if rep.label == IrrepLabel(1, 1, 1):
                 report = VerificationReport(
                     report.name, {**report.residuals, "h": math.nan}, {}, tolerance
                 )
             return report
 
-        monkeypatch.setattr(cli, "oracle_compare", nan_for_one_irrep)
+        monkeypatch.setattr(suite, "oracle_compare", nan_for_one_irrep)
         result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "2",
                         "--format", "json")
         assert result.exit_code == 1
@@ -323,6 +323,28 @@ class TestPinnedOutput:
         assert summary["commutator"] == case["commutator"]
         assert summary["irreps_checked"] == case["irreps_checked"]
         assert [[r["N"], r["p"], r["q"], r["energy"]] for r in irreps] == case["irreps"]
+
+
+class TestPinnedText:
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize("case", PINNED["verify_text"], ids=lambda c: " ".join(c["args"]))
+    def test_verify(self, runner, case, fmt):
+        # header and footer lines, check names in order and the status column
+        result = runner.invoke(main, [*case["args"], "--format", fmt])
+        assert result.exit_code == (0 if case["result"] == "result: PASS" else 1)
+        lines = result.output.splitlines()
+        if fmt == "table":
+            assert lines[:5] == case["header"] + [""]
+            assert lines[5].split() == ["check", "worst", "residual", "status"]
+            assert set(lines[6]) == {"-", " "}
+            assert lines[-2:] == ["", case["result"]]
+            rows = [line.split() for line in lines[7:-2]]
+        else:
+            assert lines[0] == "check,worst residual,status"
+            rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows] == case["checks"]
+        assert [row[2] for row in rows] == case["status"]
 
 
 class TestOutputFile:

@@ -12,9 +12,12 @@ SCRIPT = """
 import json, sys
 HEAVY = ("sympy", "mpmath")
 loaded = lambda: [name for name in HEAVY if name in sys.modules]
+from deformed_u2 import FrequencyRatio
+from deformed_u2.suite import run_suite
+steps = [["run_suite 1:2 N<=2", int(not run_suite(FrequencyRatio(1, 2), 2).passed), loaded()]]
 import deformed_u2.cli
 from click.testing import CliRunner
-steps = [["import deformed_u2.cli", 0, loaded()]]
+steps.append(["import deformed_u2.cli", 0, loaded()])
 runner = CliRunner()
 for args in json.loads(sys.argv[1]):
     result = runner.invoke(deformed_u2.cli.main, args)
@@ -39,7 +42,7 @@ def test_cli_and_commands_never_load_sympy():
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(completed.stdout.strip().splitlines()[-1])
-    assert [step for step, _, _ in steps] == ["import deformed_u2.cli"] + [
+    assert [step for step, _, _ in steps] == ["run_suite 1:2 N<=2", "import deformed_u2.cli"] + [
         " ".join(args) for args in COMMANDS
     ]
     for step, exit_code, loaded in steps:

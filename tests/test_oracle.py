@@ -10,6 +10,7 @@ from deformed_u2 import (
     FrequencyRatio,
     IrrepLabel,
     TruncationTooSmallError,
+    build_irrep,
     build_oracle,
     irrep_members,
     oracle_compare,
@@ -99,7 +100,7 @@ class TestOracleCompare:
             CartesianState(1, 3),
             CartesianState(2, 1),
         )
-        report = oracle_compare(build_oracle(ratio, 2), label)
+        report = oracle_compare(build_oracle(ratio, 2), build_irrep(label, ratio))
         assert report.max_residual <= 1e-10
 
     def test_isotropic_ladder_entry(self):
@@ -107,7 +108,7 @@ class TestOracleCompare:
         ratio = FrequencyRatio(1, 1)
         oracle = build_oracle(ratio, 1)
         label = IrrepLabel(1, 1, 1)
-        report = oracle_compare(oracle, label)
+        report = oracle_compare(oracle, build_irrep(label, ratio))
         assert report.passed
         up = oracle.s_plus[
             oracle.index(CartesianState(1, 0)), oracle.index(CartesianState(0, 1))
@@ -115,13 +116,14 @@ class TestOracleCompare:
         assert up == pytest.approx(1.0)
 
     def test_2_3_agreement(self):
-        report = oracle_compare(build_oracle(FrequencyRatio(2, 3), 2), IrrepLabel(2, 2, 1))
+        ratio = FrequencyRatio(2, 3)
+        report = oracle_compare(build_oracle(ratio, 2), build_irrep(IrrepLabel(2, 2, 1), ratio))
         assert report.max_residual <= 1e-10
 
     def test_truncation_guard(self):
         oracle = build_oracle(FrequencyRatio(1, 2), 1)
         with pytest.raises(TruncationTooSmallError):
-            oracle_compare(oracle, IrrepLabel(2, 1, 1))
+            oracle_compare(oracle, build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)))
 
     def test_sweep_agreement(self):
         for m, n in coprime_pairs(4):
@@ -130,7 +132,7 @@ class TestOracleCompare:
             for big_n in range(7):
                 for p in range(1, m + 1):
                     for q in range(1, n + 1):
-                        report = oracle_compare(oracle, IrrepLabel(big_n, p, q))
+                        report = oracle_compare(oracle, build_irrep(IrrepLabel(big_n, p, q), ratio))
                         assert report.max_residual <= 1e-10
 
     @pytest.mark.parametrize("m,n,n_max", VERIFY_INPUTS, ids=lambda v: str(v))

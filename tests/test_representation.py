@@ -56,7 +56,7 @@ class TestBuildIrrep:
         assert np.diag(rep.s0) == pytest.approx([-5 / 8, 3 / 8])
         oracle = build_oracle(ratio, 1)
         for q in (1, 2):
-            assert oracle_compare(oracle, IrrepLabel(1, 1, q)).passed
+            assert oracle_compare(oracle, build_irrep(IrrepLabel(1, 1, q), ratio)).passed
 
     def test_h_is_scalar_matrix(self):
         rep = build_irrep(IrrepLabel(2, 1, 2), FrequencyRatio(1, 2))
@@ -169,6 +169,15 @@ class TestW32Check:
         rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
         with pytest.raises(ValueError):
             w32_check(rep, rho=1.0, sigma=1.0)
+
+    @pytest.mark.parametrize("rho,sigma", [
+        (0.0, None), (None, 0.0), (math.nan, math.nan), (math.nan, None), (None, math.nan),
+        (math.inf, None), (None, math.inf), (math.inf, 0.0), (-math.inf, -math.inf),
+    ])
+    def test_rejects_gauge_that_is_not_finite_or_zero(self, rho, sigma):
+        rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
+        with pytest.raises(ValueError, match="rho\\*sigma = 4/3"):
+            w32_check(rep, rho=rho, sigma=sigma)
 
     def test_detects_broken_representation(self):
         rep = build_irrep(IrrepLabel(3, 1, 1), FrequencyRatio(1, 2))

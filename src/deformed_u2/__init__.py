@@ -13,13 +13,11 @@ Fock-space oracle.
 from .angular import (
     AngularEigenvector,
     AngularSpectrum,
-    GeneralizedHermite,
     angular_eigenvalues,
     angular_eigenvector,
     bisection_eigenvalues,
     build_l0,
     exact_hints,
-    hermite_sequence,
 )
 from .core import (
     CartesianState,
@@ -73,7 +71,6 @@ __all__ = [
     "CommutatorPolynomial",
     "DeformedU2Error",
     "FrequencyRatio",
-    "GeneralizedHermite",
     "IrrepLabel",
     "IrrepMatrices",
     "IrrepState",
@@ -99,7 +96,6 @@ __all__ = [
     "energy_of_irrep",
     "enumerate_levels",
     "exact_hints",
-    "hermite_sequence",
     "irrep_members",
     "irrep_to_cartesian",
     "oracle_compare",

@@ -16,7 +16,8 @@ One symmetric tridiagonal eigensolve gives every eigenpair; the forward
 float run of the recurrence is unstable and never builds an eigenvector.
 The independent check of the eigenvalues is bisection on Sturm counts, the
 sign changes of G_0 .. G_{N+1} run on the recurrence in integer arithmetic,
-so no rounding can misplace a root.
+so no rounding can misplace a root.  The exact hints evaluate G_{N+1}, as
+P(l^2), on the same recurrence in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .exceptions import NotAnEigenvalueError
+from .exceptions import NotAnEigenvalueError, WrongRatioError
 from .representation import IrrepMatrices, worst_residual
-from .structure import StructureFunction, _horner
+from .structure import StructureFunction
 
 __all__ = [
-    "GeneralizedHermite",
-    "hermite_sequence",
     "AngularSpectrum",
     "angular_eigenvalues",
     "bisection_eigenvalues",
@@ -47,50 +46,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GeneralizedHermite:
-    """Recurrence polynomials H_0 .. H_{N+1} with exact coefficients.
-
-    `coefficients[k]` lists the coefficients of H_k in ascending powers;
-    H_k has degree k and the parity of k, so alternating entries are zero.
-    """
-
-    label: IrrepLabel
-    ratio: FrequencyRatio
-    coefficients: tuple[tuple[Fraction, ...], ...]
-
-    def __call__(self, k: int, x: int | Fraction) -> Fraction:
-        """Evaluate H_k exactly at a rational argument."""
-        return _horner(self.coefficients[k], Fraction(x))
-
-    def characteristic_coefficients(self, k: int) -> tuple[Fraction, ...]:
-        """Coefficients of G_k(l) = H_k(l / sqrt(2)) / 2^(k/2), still rational.
-
-        The j-th coefficient of H_k is divided by 2^((k+j)/2); k and j share
-        parity, so the exponent is an integer and no surd appears.
-        """
-        return tuple(
-            coeff / Fraction(2) ** ((k + j) // 2) if coeff else Fraction(0)
-            for j, coeff in enumerate(self.coefficients[k])
-        )
-
-
-def hermite_sequence(label: IrrepLabel, ratio: FrequencyRatio) -> GeneralizedHermite:
-    """Build H_0 .. H_{N+1} from H_{k+1} = 2x H_k - 2 Phi(k) H_{k-1}."""
-    phi = StructureFunction(label, ratio).values()
-    polys: list[list[Fraction]] = [[Fraction(1)], [Fraction(0), Fraction(2)]]
-    for k in range(1, label.N + 1):
-        phi_k = phi[k]
-        previous, current = polys[k - 1], polys[k]
-        nxt = [Fraction(0)] * (k + 2)
-        for j, coeff in enumerate(current):
-            nxt[j + 1] += 2 * coeff
-        for j, coeff in enumerate(previous):
-            nxt[j] -= 2 * phi_k * coeff
-        polys.append(nxt)
-    return GeneralizedHermite(label, ratio, tuple(tuple(p) for p in polys))
-
-
-@dataclass(frozen=True)
 class AngularSpectrum:
     """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L.
 
@@ -98,6 +53,7 @@ class AngularSpectrum:
     """
 
     label: IrrepLabel
+    ratio: FrequencyRatio
     eigenvalues: tuple[float, ...]
     vectors: tuple[AngularEigenvector, ...]
 
@@ -182,7 +138,21 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
                 float(residuals[i]),
             )
         )
-    return AngularSpectrum(label, tuple(float(v) for v in eigs), tuple(vectors))
+    return AngularSpectrum(label, ratio, tuple(float(v) for v in eigs), tuple(vectors))
+
+
+def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
+    """P(s), where G_{N+1}(l) = l^((N+1) mod 2) P(l^2), from Phi(0) .. Phi(N+1).
+
+    G_k(l) = l^(k mod 2) R_k(l^2), and P = R_{N+1} is run exactly on
+
+        R_{k+1}(s) = (s if k odd else 1) R_k(s) - Phi(k) R_{k-1}(s),
+        R_{-1} = 0,  R_0 = 1.
+    """
+    previous, current = Fraction(0), Fraction(1)
+    for k, phi_k in enumerate(phi[:-1]):
+        previous, current = current, (s if k % 2 else 1) * current - phi_k * previous
+    return current
 
 
 def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str | None, ...]:
@@ -191,12 +161,17 @@ def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str |
     A candidate is the rational with denominator <= 1000 nearest l (or l^2)
     and within 1e-10 of it; it is kept only when it is an exact root.  With
     G_{N+1}(l) = l^((N+1) mod 2) P(l^2) over the rationals, a rational r is
-    a root iff P(r^2) = 0, sqrt(s) iff P(s) = 0, and 0 iff N is even.
-    Eigenvalues without a confirmed closed form get None.
+    a root iff P(r^2) = 0, sqrt(s) iff P(s) = 0, and 0 iff N is even; P is
+    evaluated exactly on the recurrence (`_p_value`).  Eigenvalues without a
+    confirmed closed form get None.  A spectrum of another ratio raises
+    WrongRatioError.
     """
+    if spectrum.ratio != ratio:
+        raise WrongRatioError(
+            f"spectrum of {spectrum.label} is of ratio {spectrum.ratio}, not {ratio}"
+        )
     label = spectrum.label
-    top = hermite_sequence(label, ratio).characteristic_coefficients(label.N + 1)
-    p_coeffs = top[(label.N + 1) % 2 :: 2]
+    phi = StructureFunction(label, ratio).values()
 
     def near_rational(value: float) -> Fraction | None:
         candidate = Fraction(value).limit_denominator(1000)
@@ -207,10 +182,10 @@ def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str |
         if value == 0.0:
             return "0" if label.N % 2 == 0 else None
         rational = near_rational(value)
-        if rational is not None and _horner(p_coeffs, rational**2) == 0:
+        if rational is not None and _p_value(phi, rational**2) == 0:
             return str(rational)
         square = near_rational(value * value)
-        if square is not None and _horner(p_coeffs, square) == 0:
+        if square is not None and _p_value(phi, square) == 0:
             return f"{'-' if value < 0 else ''}sqrt({square})"
         return None
 
@@ -326,7 +301,7 @@ def angular_eigenvector(
     (residual,) = _residuals(
         _offdiagonals(label, ratio), w[:, None], np.array([eigenvalue])
     )
-    if residual > tolerance:
+    if not residual <= tolerance:
         raise NotAnEigenvalueError(
             f"{eigenvalue} is not an eigenvalue of L0 on {label}: "
             f"residual {residual:.3e} > {tolerance:.1e}"

@@ -12,19 +12,20 @@ function Phi(x), positive on 1..N and vanishing at 0 and N + 1, which pins
 the Fock dimension to N + 1.
 
 Everything here is exact.  Values are `Fraction`s; the commutator and the
-1:n split Phi(x) = x (N+1-x) P(x) are expanded by `_Polynomial`, a small
-exact polynomial over QQ, and the Gamma-quotient form of Phi is expanded
-into rising/falling factorials instead of evaluating a transcendental Gamma
-function (so there are no poles and no rounding).  sympy is imported only
-by the symbolic outputs (`CommutatorPolynomial.poly` and `.expression()`,
-`StructureFunction.as_poly`, `ParafermionicForm.factor`, and the symbols
-`H_SYMBOL`, `S0_SYMBOL`, `X_SYMBOL`), on first use.
+1:n split Phi(x) = x (N+1-x) P(x) are multiplied out of the linear factors
+of F (`_ladder_factors`) by one loop, `_expand`, and the Gamma-quotient form
+of Phi is expanded into rising/falling factorials instead of evaluating a
+transcendental Gamma function (so there are no poles and no rounding).
+sympy is imported only by the symbolic outputs (`CommutatorPolynomial.poly`
+and `.expression()`, `StructureFunction.as_poly`, `ParafermionicForm.factor`,
+and the symbols `H_SYMBOL`, `S0_SYMBOL`, `X_SYMBOL`), on first use.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -71,71 +72,6 @@ def _to_sympy(value: Fraction) -> sympy.Rational:
     return sympy.Rational(value.numerator, value.denominator)
 
 
-class _Polynomial:
-    """Exact polynomial over QQ: a dict from exponent tuples to nonzero Fractions.
-
-    It carries just the arithmetic `_ladder_product` uses, so that F can be
-    expanded without a computer-algebra system: sums and products with other
-    polynomials and with rational constants, and division by a constant.
-    """
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, terms: dict[tuple[int, ...], Fraction], nvars: int) -> None:
-        self.terms = terms
-        self.nvars = nvars
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "_Polynomial":
-        exponents = tuple(int(i == index) for i in range(nvars))
-        return cls({exponents: Fraction(1)}, nvars)
-
-    def _coerce(self, other) -> "_Polynomial":
-        if isinstance(other, _Polynomial):
-            return other
-        other = Fraction(other)
-        return _Polynomial({(0,) * self.nvars: other} if other else {}, self.nvars)
-
-    def __add__(self, other) -> "_Polynomial":
-        terms = dict(self.terms)
-        for exponents, coeff in self._coerce(other).terms.items():
-            total = terms.get(exponents, 0) + coeff
-            if total:
-                terms[exponents] = total
-            else:
-                terms.pop(exponents, None)
-        return _Polynomial(terms, self.nvars)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Polynomial":
-        return _Polynomial({e: -c for e, c in self.terms.items()}, self.nvars)
-
-    def __sub__(self, other) -> "_Polynomial":
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other) -> "_Polynomial":
-        return self._coerce(other) + -self
-
-    def __mul__(self, other) -> "_Polynomial":
-        if not isinstance(other, _Polynomial):
-            other = Fraction(other)
-            if not other:
-                return _Polynomial({}, self.nvars)
-            return _Polynomial({e: c * other for e, c in self.terms.items()}, self.nvars)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exponents = tuple(a + b for a, b in zip(e1, e2))
-                terms[exponents] = terms.get(exponents, 0) + c1 * c2
-        return _Polynomial({e: c for e, c in terms.items() if c}, self.nvars)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_Polynomial":
-        return self * (1 / Fraction(other))
-
-
 def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
     """Shift between S0 and the number operator: S0 = (number op) + u."""
     label.validate_for(ratio)
@@ -159,21 +95,23 @@ def _ladder_factors(ratio: FrequencyRatio) -> Iterator[tuple[int, Fraction]]:
         yield -1, Fraction(2 * l - 1, 2 * ratio.n)
 
 
-def _ladder_product(ratio: FrequencyRatio, h, s0):
-    """F(H, S0), the operator product S+ S- expressed through H and S0:
+def _expand(forms: Iterable[tuple[Fraction, ...]]) -> dict[tuple[int, ...], Fraction]:
+    """Multiply out linear forms (a_1, ..., a_v, c) = a_1 x_1 + ... + a_v x_v + c.
 
-        prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
-        prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)),
-
-    multiplied out from `_ladder_factors`.  The body is generic: `Fraction`
-    arguments give the exact value, `_Polynomial` arguments the expanded
-    polynomial.
+    The product comes back as a dict from exponent tuples (e_1, ..., e_v) to
+    its nonzero `Fraction` coefficients.
     """
-    half_h = h / 2
-    value = 1
-    for sigma, c in _ladder_factors(ratio):
-        value *= half_h + sigma * s0 + c
-    return value
+    forms = list(forms)
+    terms: dict[tuple[int, ...], Fraction] = {(0,) * (len(forms[0]) - 1): Fraction(1)}
+    for *slopes, constant in forms:
+        product: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+        for exponents, coeff in terms.items():
+            product[exponents] += constant * coeff
+            for i, slope in enumerate(slopes):
+                raised = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1 :]
+                product[raised] += slope * coeff
+        terms = product
+    return {exponents: coeff for exponents, coeff in terms.items() if coeff}
 
 
 @dataclass(frozen=True)
@@ -264,11 +202,14 @@ class StructureFunction:
 
 
 def _phi_coefficients(sf: StructureFunction) -> list[Fraction]:
-    """Coefficients of Phi in x, lowest power first."""
-    x = _Polynomial.variable(0, 1)
-    phi = _ladder_product(sf.ratio, sf.energy, sf.u + x)
-    degree = max(e for (e,) in phi.terms)
-    return [phi.terms.get((k,), Fraction(0)) for k in range(degree + 1)]
+    """Coefficients of Phi in x, lowest power first.
+
+    Phi(x) = F(E, u + x) is the product of the forms sigma_i x + E/2 +
+    sigma_i u + c_i.
+    """
+    half_e, u = sf.energy / 2, sf.u
+    phi = _expand((sigma, half_e + sigma * u + c) for sigma, c in _ladder_factors(sf.ratio))
+    return [phi.get((k,), Fraction(0)) for k in range(sf.ratio.m + sf.ratio.n + 1)]
 
 
 def _poly_in_x(coefficients) -> sympy.Poly:
@@ -386,9 +327,14 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
     The result is immutable, so it is built once per ratio and shared.
     """
-    h, s0 = _Polynomial.variable(0, 2), _Polynomial.variable(1, 2)
-    diff = _ladder_product(ratio, h, s0 + 1) - _ladder_product(ratio, h, s0)
-    return CommutatorPolynomial(ratio, tuple(sorted(diff.terms.items(), reverse=True)))
+    half = Fraction(1, 2)
+    factors = list(_ladder_factors(ratio))
+    diff = _expand((half, sigma, c + sigma) for sigma, c in factors)
+    for exponents, coeff in _expand((half, sigma, c) for sigma, c in factors).items():
+        diff[exponents] = diff.get(exponents, 0) - coeff
+    return CommutatorPolynomial(
+        ratio, tuple(sorted(((e, c) for e, c in diff.items() if c), reverse=True))
+    )
 
 
 @dataclass(frozen=True)

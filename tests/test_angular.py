@@ -6,6 +6,7 @@ from math import gcd
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from deformed_u2 import (
     CartesianState,
@@ -13,14 +14,15 @@ from deformed_u2 import (
     IrrepLabel,
     NotAnEigenvalueError,
     StructureFunction,
+    WrongRatioError,
     angular_eigenvalues,
     angular_eigenvector,
     bisection_eigenvalues,
     build_irrep,
     build_l0,
     exact_hints,
-    hermite_sequence,
 )
+from deformed_u2.angular import _p_value
 
 
 def coprime_pairs(limit):
@@ -39,66 +41,49 @@ def all_labels(m, n, n_top):
                 yield IrrepLabel(big_n, p, q)
 
 
-class TestHermiteSequence:
-    def test_first_polynomial_is_2x(self):
-        for m, n, big_n in [(1, 1, 0), (1, 2, 3), (2, 3, 2)]:
-            hermites = hermite_sequence(IrrepLabel(big_n, 1, 1), FrequencyRatio(m, n))
-            assert hermites.coefficients[1] == (Fraction(0), Fraction(2))
+def p_value(label, ratio, s):
+    return _p_value(StructureFunction(label, ratio).values(), Fraction(s))
 
-    def test_isotropic_h2(self):
-        # Phi(1) = 1 at N=1, so H2 = 4x^2 - 2 with roots +-1/sqrt(2), l = +-1
-        hermites = hermite_sequence(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
-        assert hermites.coefficients[2] == (Fraction(-2), Fraction(0), Fraction(4))
 
-    def test_1_2_h2_for_both_q(self):
-        # q=1: Phi(1) = 1/2 -> H2 = 4x^2 - 1, roots give l = +-1/sqrt(2);
-        # q=2: Phi(1) = 3/2 -> H2 = 4x^2 - 3, roots give l = +-sqrt(3/2)
+S_POINTS = [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(5, 7), Fraction(4)]
+
+
+class TestCharacteristicP:
+    """P(s), with G_{N+1}(l) = l^((N+1) mod 2) P(l^2), on the recurrence."""
+
+    def test_isotropic_p(self):
+        # Phi(1) = 1 at N=1, so G_2 = l^2 - 1 and P(s) = s - 1, l = +-1
+        for s in S_POINTS:
+            assert p_value(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1), s) == s - 1
+
+    def test_1_2_p_for_both_q(self):
+        # q=1: Phi(1) = 1/2, P(s) = s - 1/2, l = +-sqrt(1/2);
+        # q=2: Phi(1) = 3/2, P(s) = s - 3/2, l = +-sqrt(3/2)
         ratio = FrequencyRatio(1, 2)
-        hermites = hermite_sequence(IrrepLabel(1, 1, 1), ratio)
-        assert hermites.coefficients[2] == (Fraction(-1), Fraction(0), Fraction(4))
-        hermites = hermite_sequence(IrrepLabel(1, 1, 2), ratio)
-        assert hermites.coefficients[2] == (Fraction(-3), Fraction(0), Fraction(4))
+        for s in S_POINTS:
+            assert p_value(IrrepLabel(1, 1, 1), ratio, s) == s - Fraction(1, 2)
+            assert p_value(IrrepLabel(1, 1, 2), ratio, s) == s - Fraction(3, 2)
 
-    def test_recurrence_and_degree(self):
-        ratio = FrequencyRatio(2, 3)
-        label = IrrepLabel(4, 2, 2)
-        hermites = hermite_sequence(label, ratio)
-        sf = StructureFunction(label, ratio)
-        x = Fraction(5, 7)
-        for k in range(1, label.N + 1):
-            assert hermites(k + 1, x) == 2 * x * hermites(k, x) - 2 * sf(k) * hermites(
-                k - 1, x
-            )
-        for k, coeffs in enumerate(hermites.coefficients):
-            assert len(coeffs) == k + 1
-            assert coeffs[-1] == Fraction(2) ** k  # leading coefficient
-
-    def test_parity_is_exact(self):
+    def test_matches_sympy_charpoly(self):
+        # The rational tridiagonal with superdiagonal 1 and subdiagonal Phi(k)
+        # has the characteristic polynomial of T, with no surds.  Agreement
+        # at N + 2 points pins the whole polynomial of degree N + 1.
+        ell = sympy.Symbol("l")
         for m, n in coprime_pairs(4):
+            ratio = FrequencyRatio(m, n)
             for label in all_labels(m, n, 6):
-                hermites = hermite_sequence(label, FrequencyRatio(m, n))
-                for k, coeffs in enumerate(hermites.coefficients):
-                    for j, coeff in enumerate(coeffs):
-                        if (k - j) % 2 == 1:
-                            assert coeff == 0
-
-    def test_characteristic_coefficients_satisfy_shifted_recurrence(self):
-        # G_{k+1}(l) = l G_k(l) - Phi(k) G_{k-1}(l), exactly
-        ratio = FrequencyRatio(1, 2)
-        label = IrrepLabel(5, 1, 2)
-        hermites = hermite_sequence(label, ratio)
-        sf = StructureFunction(label, ratio)
-        g = [hermites.characteristic_coefficients(k) for k in range(label.N + 2)]
-        ell = Fraction(3, 4)
-
-        def value(coeffs):
-            total = Fraction(0)
-            for coeff in reversed(coeffs):
-                total = total * ell + coeff
-            return total
-
-        for k in range(1, label.N + 1):
-            assert value(g[k + 1]) == ell * value(g[k]) - sf(k) * value(g[k - 1])
+                phi = StructureFunction(label, ratio).values()
+                size = label.N + 1
+                t = sympy.zeros(size, size)
+                for k in range(1, size):
+                    t[k - 1, k] = 1
+                    t[k, k - 1] = sympy.Rational(phi[k].numerator, phi[k].denominator)
+                charpoly = t.charpoly(ell)
+                for j in range(size + 1):
+                    point = Fraction(j, 3) - 1
+                    expected = charpoly.eval(sympy.Rational(point.numerator, point.denominator))
+                    value = point ** (size % 2) * _p_value(phi, point**2)
+                    assert value == Fraction(int(expected.p), int(expected.q)), (label, point)
 
 
 WORKED_1_2_SPECTRA = [
@@ -219,6 +204,11 @@ class TestEigenvectors:
         with pytest.raises(NotAnEigenvalueError):
             angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), 0.37)
 
+    def test_rejects_nan_eigenvalue(self):
+        # a NaN residual must fail the gate, not pass it
+        with pytest.raises(NotAnEigenvalueError):
+            angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), math.nan)
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
         # a NaN or inf gate would accept 0.37, whose residual is 0.32
@@ -312,6 +302,12 @@ class TestExactHints:
         hints = exact_hints(spec, ratio)
         assert spec.eigenvalues[0] == pytest.approx(value, abs=1e-4)
         assert hints[0] is None and hints[-1] is None
+
+    def test_rejects_spectrum_of_another_ratio(self):
+        spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
+        assert exact_hints(spec, FrequencyRatio(1, 1)) == ("-1", "1")
+        with pytest.raises(WrongRatioError, match="1:1"):
+            exact_hints(spec, FrequencyRatio(1, 2))
 
     def test_zero_only_for_even_n(self):
         ratio = FrequencyRatio(2, 3)

@@ -324,6 +324,12 @@ class TestPinnedOutput:
         assert summary["irreps_checked"] == case["irreps_checked"]
         assert [[r["N"], r["p"], r["q"], r["energy"]] for r in irreps] == case["irreps"]
 
+    @pytest.mark.parametrize("case", PINNED["angular"], ids=lambda c: " ".join(c["args"]))
+    def test_angular(self, runner, case):
+        records = json.loads(invoke(runner, *case["args"], "--format", "json").output)["records"]
+        assert [r["marker"] for r in records] == case["markers"]
+        assert [r["exact_hint"] for r in records] == case["exact_hints"]
+
 
 class TestPinnedText:
     @pytest.mark.parametrize("fmt", ["table", "csv"])

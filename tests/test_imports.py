@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +50,14 @@ def test_cli_and_commands_never_load_sympy():
     for step, exit_code, loaded in steps:
         assert exit_code == 0, step
         assert loaded == [], f"{step} loaded {loaded}"
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    modules = [deformed_u2] + [
+        importlib.import_module(f"deformed_u2.{info.name}")
+        for info in pkgutil.iter_modules(deformed_u2.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"

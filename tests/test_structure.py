@@ -17,9 +17,26 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-from deformed_u2.structure import _ladder_product
+from deformed_u2.structure import _ladder_factors
 
 H, S0, X = sympy.symbols("H S0 x")
+
+
+def _ladder_product(ratio: FrequencyRatio, h, s0):
+    """F(H, S0), the operator product S+ S- expressed through H and S0:
+
+        prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
+        prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)),
+
+    multiplied out from `_ladder_factors`.  The body is generic: `Fraction`
+    arguments give the exact value, sympy arguments the expanded
+    polynomial.
+    """
+    half_h = h / 2
+    value = 1
+    for sigma, c in _ladder_factors(ratio):
+        value *= half_h + sigma * s0 + c
+    return value
 
 
 def coprime_pairs(limit):

@@ -86,6 +86,73 @@ class TestCharacteristicP:
                     assert value == Fraction(int(expected.p), int(expected.q)), (label, point)
 
 
+def g_value(phi, k, ell):
+    """G_k(l) = l^(k mod 2) R_k(l^2), with R_k from the first k + 1 values of Phi."""
+    return ell ** (k % 2) * _p_value(phi[: k + 1], ell**2)
+
+
+def g_unreduced(phi, ell):
+    """G_0(l) .. G_{N+1}(l) on G_{k+1} = l G_k - Phi(k) G_{k-1}, straight in l."""
+    values = [Fraction(1)]
+    previous = Fraction(0)
+    for phi_k in phi[:-1]:
+        previous, current = values[-1], ell * values[-1] - phi_k * previous
+        values.append(current)
+    return values
+
+
+class TestHermiteSequence:
+    """G_k(l) = H_k(l / sqrt 2) / 2^(k/2), the generalized Hermite sequence of L0."""
+
+    def test_first_polynomial_is_2x(self):
+        # G_1(l) = l, the H_1(x) = 2x of the Hermite normalisation
+        for m, n, big_n in [(1, 1, 0), (1, 2, 3), (2, 3, 2)]:
+            phi = StructureFunction(IrrepLabel(big_n, 1, 1), FrequencyRatio(m, n)).values()
+            for ell in S_POINTS:
+                assert g_value(phi, 1, ell) == ell
+
+    def test_recurrence_and_degree(self):
+        ratio = FrequencyRatio(2, 3)
+        label = IrrepLabel(4, 2, 2)
+        phi = StructureFunction(label, ratio).values()
+        x = Fraction(5, 7)
+        for k in range(1, label.N + 1):
+            assert g_value(phi, k + 1, x) == x * g_value(phi, k, x) - phi[k] * g_value(
+                phi, k - 1, x
+            )
+        for k in range(label.N + 2):
+            # G_k is monic of degree k: its k-th unit-step difference is k!,
+            # its (k+1)-th is 0
+            row = [g_value(phi, k, Fraction(j)) for j in range(k + 2)]
+            for _ in range(k):
+                row = [b - a for a, b in zip(row, row[1:])]
+            assert row[0] == row[1] == math.factorial(k)
+
+    def test_parity_is_exact(self):
+        # the recurrence straight in l leaves only powers of l of the parity
+        # of k, which is the reduced form l^(k mod 2) R_k(l^2)
+        points = [Fraction(-5, 3), Fraction(1, 2), Fraction(7, 4)]
+        for m, n in coprime_pairs(4):
+            ratio = FrequencyRatio(m, n)
+            for label in all_labels(m, n, 6):
+                phi = StructureFunction(label, ratio).values()
+                for ell in points:
+                    plus, minus = g_unreduced(phi, ell), g_unreduced(phi, -ell)
+                    for k, value in enumerate(plus):
+                        assert minus[k] == (-1) ** k * value, (label, k)
+                        assert value == g_value(phi, k, ell), (label, k)
+
+    def test_characteristic_coefficients_satisfy_shifted_recurrence(self):
+        # G_{k+1}(l) = l G_k(l) - Phi(k) G_{k-1}(l), exactly
+        ratio = FrequencyRatio(1, 2)
+        label = IrrepLabel(5, 1, 2)
+        phi = StructureFunction(label, ratio).values()
+        ell = Fraction(3, 4)
+        g = [g_value(phi, k, ell) for k in range(label.N + 2)]
+        for k in range(1, label.N + 1):
+            assert g[k + 1] == ell * g[k] - phi[k] * g[k - 1]
+
+
 WORKED_1_2_SPECTRA = [
     (1, 1, [-1 / math.sqrt(2), 1 / math.sqrt(2)]),
     (1, 2, [-math.sqrt(1.5), math.sqrt(1.5)]),

@@ -6,8 +6,8 @@ polynomial in S0.  This package constructs its spectra and irreducible
 representations exactly, realizes the generators as matrices, builds the
 "angular momentum" eigenbases that label degenerate states, and verifies
 every defining identity both in exact rational arithmetic (where possible)
-and as floating-point residuals, against an independent truncated
-Fock-space oracle.
+and as floating-point residuals, and checks the matrices exactly against an
+independent Fock-space oracle.
 """
 
 from .angular import (
@@ -38,10 +38,9 @@ from .exceptions import (
     NotAnEigenvalueError,
     NotDivisibleError,
     ShapeMismatchError,
-    TruncationTooSmallError,
     WrongRatioError,
 )
-from .oracle import CartesianOracle, build_oracle, oracle_compare
+from .oracle import oracle_compare
 from .representation import (
     IrrepMatrices,
     VerificationReport,
@@ -66,7 +65,6 @@ __all__ = [
     "__version__",
     "AngularEigenvector",
     "AngularSpectrum",
-    "CartesianOracle",
     "CartesianState",
     "CommutatorPolynomial",
     "DeformedU2Error",
@@ -81,7 +79,6 @@ __all__ = [
     "ParafermionicForm",
     "ShapeMismatchError",
     "StructureFunction",
-    "TruncationTooSmallError",
     "VerificationReport",
     "WrongRatioError",
     "angular_eigenvalues",
@@ -89,7 +86,6 @@ __all__ = [
     "bisection_eigenvalues",
     "build_irrep",
     "build_l0",
-    "build_oracle",
     "cartesian_to_irrep",
     "commutator_polynomial",
     "energy_of_cartesian",

@@ -304,7 +304,7 @@ def angular_eigenvector(
     if not residual <= tolerance:
         raise NotAnEigenvalueError(
             f"{eigenvalue} is not an eigenvalue of L0 on {label}: "
-            f"residual {residual:.3e} > {tolerance:.1e}"
+            f"residual {residual:.3e} is not within the tolerance {tolerance:.1e}"
         )
     return replace(vector, eigenvalue=eigenvalue, residual=float(residual))
 

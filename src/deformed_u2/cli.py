@@ -117,8 +117,13 @@ def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+# version 1, the documents without this key, carried the oracle's float residuals
+SCHEMA_VERSION = 2
+
+
 def _document(ratio: FrequencyRatio, command: str, records, residuals) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
         "ratio": {"m": ratio.m, "n": ratio.n},
         "command": command,
         "records": records,

@@ -21,9 +21,5 @@ class WrongRatioError(DeformedU2Error):
     """Operation is defined only for a specific frequency ratio."""
 
 
-class TruncationTooSmallError(DeformedU2Error):
-    """Requested eigenspace touches the Fock-space truncation boundary."""
-
-
 class NotAnEigenvalueError(DeformedU2Error):
     """Value is not an eigenvalue: its eigenvector residual exceeds the tolerance."""

@@ -1,148 +1,109 @@
-"""Truncated two-mode Fock-space oracle built from raw ladder operators.
+"""Exact two-mode Fock-space oracle, derived from one-mode ladder factors.
 
-This is the independent route to the algebra: the one-mode ladders act as
-a|n_x> = sqrt(n_x/m)|n_x - 1> (so [a, a+] = 1/m, and likewise 1/n for b),
-and every generator is assembled purely by sparse matrix products,
+This is the independent route to the algebra.  The one-mode ladders act as
+a|n_x> = sqrt(n_x/m)|n_x - 1> and b|n_y> = sqrt(n_y/n)|n_y - 1>, and the
+generators are the monomials
 
     S+ = (a+)^m b^n,  S- = a^m (b+)^n,  S0 = (U - W)/2,  H = U + W,
 
-with U = {a, a+}/2 and W = {b, b+}/2.  No structure function enters, which
-is what makes the entrywise comparison against `build_irrep` meaningful.
+with U = {a, a+}/2 = (2 n_x + 1)/(2m) and W = {b, b+}/2 = (2 n_y + 1)/(2n)
+diagonal.  So S+ takes |n_x, n_y> to the one state |n_x + m, n_y - n> with
+squared weight (n_x + 1)...(n_x + m) * n_y (n_y - 1)...(n_y - n + 1) / (m^m n^n),
+and S- takes it to |n_x - m, n_y + n> with squared weight
+n_x (n_x - 1)...(n_x - m + 1) * (n_y + 1)...(n_y + n) / (m^m n^n).
 
-Truncating to n_x < X, n_y < Y corrupts anticommutators and products on the
-outermost shells (a+ annihilates the top state instead of leaving the box),
-so only states with n_x + m < X and n_y + n < Y are trustworthy; the default
-box X = m (N_max + 2), Y = n (N_max + 2) keeps every irrep with N <= N_max
-strictly interior.
-
-Restricting a generator to one irrep copies its entries on the irrep's
-member rows and columns straight out of the CSR arrays; nothing is summed
-or multiplied on the way, so the comparison sees the oracle's own values.
+Every quantity is a plain integer over a known denominator, so the oracle
+needs no truncated basis and no tolerance, and no structure function enters:
+its comparison with `build_irrep` is a set of exact checks.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sparse
+import math
+from fractions import Fraction
 
-from .core import CartesianState, FrequencyRatio, irrep_members
-from .exceptions import TruncationTooSmallError, WrongRatioError
+import numpy as np
+
+from .core import irrep_members
 from .representation import IrrepMatrices, VerificationReport
 
-__all__ = ["CartesianOracle", "build_oracle", "oracle_compare"]
+__all__ = ["oracle_compare"]
 
 
-class CartesianOracle:
-    """Sparse generator matrices on the truncated basis {|n_x, n_y>}."""
+def _equals(num: int, den: int, value: Fraction) -> bool:
+    """Whether num/den == value, by cross-multiplying integers."""
+    return num * value.denominator == value.numerator * den
 
-    def __init__(self, ratio: FrequencyRatio, n_max: int):
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        self.ratio = ratio
-        self.n_max = n_max
-        self.x_dim = ratio.m * (n_max + 2)
-        self.y_dim = ratio.n * (n_max + 2)
-        self.dim = self.x_dim * self.y_dim
 
-        a_x = sparse.diags(np.sqrt(np.arange(1, self.x_dim) / ratio.m), 1, format="csr")
-        b_y = sparse.diags(np.sqrt(np.arange(1, self.y_dim) / ratio.n), 1, format="csr")
-        eye_x = sparse.identity(self.x_dim, format="csr")
-        eye_y = sparse.identity(self.y_dim, format="csr")
+def _within_one_ulp(s: float, num: int, den: int) -> bool:
+    """Whether (s - ulp)^2 < num/den < (s + ulp)^2, with ulp = ulp(s).
 
-        self.a = sparse.kron(a_x, eye_y, format="csr")
-        self.b = sparse.kron(eye_x, b_y, format="csr")
-        self.a_dag = self.a.T.tocsr()
-        self.b_dag = self.b.T.tocsr()
+    s and ulp are dyadic, so over their common denominator d the bounds are
+    integers and the test is decided in integers.  NaN and inf fail, and so
+    does a negative s, whose interval is empty.
+    """
+    if not math.isfinite(s):
+        return False
+    (s_num, s_den), (u_num, u_den) = s.as_integer_ratio(), math.ulp(s).as_integer_ratio()
+    d = max(s_den, u_den)
+    s_d, ulp_d = s_num * (d // s_den), u_num * (d // u_den)
+    return (s_d - ulp_d) ** 2 * den < num * d * d < (s_d + ulp_d) ** 2 * den
 
-        self.u_op = (self.a @ self.a_dag + self.a_dag @ self.a) / 2.0
-        self.w_op = (self.b @ self.b_dag + self.b_dag @ self.b) / 2.0
 
-        s_plus = sparse.identity(self.dim, format="csr")
-        for _ in range(ratio.m):
-            s_plus = s_plus @ self.a_dag
-        for _ in range(ratio.n):
-            s_plus = s_plus @ self.b
-        s_minus = sparse.identity(self.dim, format="csr")
-        for _ in range(ratio.m):
-            s_minus = s_minus @ self.a
-        for _ in range(ratio.n):
-            s_minus = s_minus @ self.b_dag
+def _only_on(matrix: np.ndarray, dim: int, offset: int) -> bool:
+    """Whether `matrix` is dim x dim with every entry off its diagonal `offset` exactly 0."""
+    if matrix.shape != (dim, dim):
+        return False
+    return int(np.count_nonzero(matrix)) == int(np.count_nonzero(np.diagonal(matrix, offset)))
 
-        self.s_plus = s_plus.tocsr()
-        self.s_minus = s_minus.tocsr()
-        self.s0 = ((self.u_op - self.w_op) / 2.0).tocsr()
-        self.h = (self.u_op + self.w_op).tocsr()
 
-    def index(self, state: CartesianState) -> int:
-        if state.n_x >= self.x_dim or state.n_y >= self.y_dim:
-            raise TruncationTooSmallError(f"{state} outside truncation {self.x_dim}x{self.y_dim}")
-        return state.n_x * self.y_dim + state.n_y
+def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
+    """Check `rep` against the Fock-space action on its member states, exactly.
 
-    def state_at(self, index: int) -> CartesianState:
-        return CartesianState(index // self.y_dim, index % self.y_dim)
+    With |n_x, n_y> the k-th member of `rep.label` (see `irrep_members`):
 
-    def is_interior(self, state: CartesianState) -> bool:
-        """True when every generator product on `state` stays in the box."""
-        return (
-            state.n_x + self.ratio.m < self.x_dim
-            and state.n_y + self.ratio.n < self.y_dim
+    - `s_plus`: the raise from member k lands on member k+1 and its squared
+      weight is `rep.phi[k+1]`, so the raise from k = N has weight 0;
+    - `s_minus`: the lower from member k has squared weight `rep.phi[k]`, so
+      the lower from k = 0 has weight 0;
+    - `s0`, `h`: (U - W)/2 == u + k and U + W == E, and the diagonals of
+      `rep.s0` and `rep.h` are the float()s of those values.
+
+    Each S+ and S- entry must lie within 1 ulp of the square root of its
+    weight, and every entry off a generator's pattern must be exactly 0.
+    """
+    m, n = rep.ratio.m, rep.ratio.n
+    dim = rep.dimension
+    den = m**m * n**n
+    members = irrep_members(rep.label, rep.ratio)
+    raises = [math.perm(s.n_x + m, m) * math.perm(s.n_y, n) for s in members]
+    lowers = [math.perm(s.n_x, m) * math.perm(s.n_y + n, n) for s in members]
+    # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
+    s0_den, h_den = 4 * m * n, 2 * m * n
+    s0_num = [n * (2 * s.n_x + 1) - m * (2 * s.n_y + 1) for s in members]
+    h_num = [n * (2 * s.n_x + 1) + m * (2 * s.n_y + 1) for s in members]
+
+    checks = {
+        "s0": all(_equals(v - s0_den * k, s0_den, rep.u) for k, v in enumerate(s0_num))
+        and _only_on(rep.s0, dim, 0)
+        and np.diagonal(rep.s0).tolist() == [v / s0_den for v in s0_num],
+        "s_plus": all(
+            (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
         )
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dim, dtype=bool)
-        for i in range(self.dim):
-            mask[i] = self.is_interior(self.state_at(i))
-        return mask
-
-
-def build_oracle(ratio: FrequencyRatio, n_max: int) -> CartesianOracle:
-    """Oracle whose box holds every irrep with N <= n_max strictly inside."""
-    return CartesianOracle(ratio, n_max)
-
-
-def _block(op: sparse.csr_matrix, rows: list[int]) -> np.ndarray:
-    """Dense op[rows][:, rows], copied entry by entry from op's CSR arrays.
-
-    Row `rows[i]` is read as its slice of `indices`/`data`; an entry whose
-    column is `rows[k]` lands at [i, k], and the others are dropped.  `op`
-    must be in canonical format: one stored entry per (row, column).
-    """
-    k_of = {row: k for k, row in enumerate(rows)}
-    block = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        start, stop = op.indptr[row], op.indptr[row + 1]
-        for column, value in zip(op.indices[start:stop].tolist(), op.data[start:stop].tolist()):
-            k = k_of.get(column)
-            if k is not None:
-                block[i, k] = value
-    return block
-
-
-def oracle_compare(
-    oracle: CartesianOracle, rep: IrrepMatrices, tolerance: float = 1e-10
-) -> VerificationReport:
-    """Restrict the oracle to one energy eigenspace and compare entrywise.
-
-    The eigenspace of `rep.label` is spanned by its Cartesian member states
-    ordered by k; the restriction of each generator is its (N+1)x(N+1)
-    block on those basis vectors, read from the generator's CSR rows (see
-    `_block`), so every entry is the oracle's own value.  Residuals are
-    entrywise max differences against `rep`, built for the oracle's ratio.
-    """
-    label = rep.label
-    if rep.ratio != oracle.ratio:
-        raise WrongRatioError(f"irrep {label} is of ratio {rep.ratio}, the oracle of {oracle.ratio}")
-    members = irrep_members(label, oracle.ratio)
-    for state in members:
-        if not oracle.is_interior(state):
-            raise TruncationTooSmallError(
-                f"eigenspace of {label} touches the truncation boundary at {state}; "
-                f"rebuild the oracle with n_max >= {label.N}"
-            )
-    rows = [oracle.index(state) for state in members]
-
-    residuals = {}
-    for name in ("s0", "s_plus", "s_minus", "h"):
-        block = _block(getattr(oracle, name), rows)
-        residuals[name] = float(np.max(np.abs(block - getattr(rep, name))))
-    return VerificationReport("oracle", residuals, {}, tolerance)
+        and all(_equals(w, den, phi) for w, phi in zip(raises, rep.phi[1:], strict=True))
+        and _only_on(rep.s_plus, dim, -1)
+        and all(
+            _within_one_ulp(s, w, den)
+            for s, w in zip(np.diagonal(rep.s_plus, -1).tolist(), raises[:-1], strict=True)
+        ),
+        "s_minus": all(_equals(w, den, phi) for w, phi in zip(lowers, rep.phi[:-1], strict=True))
+        and _only_on(rep.s_minus, dim, 1)
+        and all(
+            _within_one_ulp(s, w, den)
+            for s, w in zip(np.diagonal(rep.s_minus, 1).tolist(), lowers[1:], strict=True)
+        ),
+        "h": all(_equals(v, h_den, rep.energy) for v in h_num)
+        and _only_on(rep.h, dim, 0)
+        and np.diagonal(rep.h).tolist() == [v / h_den for v in h_num],
+    }
+    return VerificationReport("oracle", {}, checks, 0.0)

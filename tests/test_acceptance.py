@@ -26,7 +26,6 @@ from deformed_u2 import (
     bisection_eigenvalues,
     build_irrep,
     build_l0,
-    build_oracle,
     commutator_polynomial,
     energy_of_cartesian,
     energy_of_irrep,
@@ -177,13 +176,13 @@ def test_criterion_05_angular_momentum():
 
 
 def test_criterion_06_oracle_equivalence():
-    with criterion(6, "oracle equivalence, coprime m,n <= 4, N <= 6, 1e-10"):
+    with criterion(6, "oracle equivalence, coprime m,n <= 4, N <= 6, exact"):
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
-            oracle = build_oracle(ratio, 6)
             for label in all_labels(m, n, 6):
-                report = oracle_compare(oracle, build_irrep(label, ratio), tolerance=1e-10)
-                assert report.max_residual <= 1e-10, (label, ratio)
+                report = oracle_compare(build_irrep(label, ratio))
+                assert report.residuals == {}, (label, ratio)
+                assert all(report.exact_checks.values()), (label, ratio)
 
 
 def test_criterion_07_algebra_identities():

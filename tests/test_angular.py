@@ -276,6 +276,15 @@ class TestEigenvectors:
         with pytest.raises(NotAnEigenvalueError):
             angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), math.nan)
 
+    def test_nan_residual_message_claims_no_comparison(self):
+        # NaN > tolerance is false, so the message must not state it
+        with pytest.raises(NotAnEigenvalueError) as raised:
+            angular_eigenvector(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), math.nan)
+        assert str(raised.value) == (
+            "nan is not an eigenvalue of L0 on (N=2, p=1, q=1): "
+            "residual nan is not within the tolerance 1.0e-09"
+        )
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
         # a NaN or inf gate would accept 0.37, whose residual is 0.32

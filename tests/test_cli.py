@@ -49,8 +49,9 @@ class TestSpectrum:
         result = invoke(runner, "spectrum", "--ratio", "1:2", "--count", "4",
                         "--format", "json")
         document = json.loads(result.output)
-        assert list(document) == ["ratio", "command", "records", "residuals",
-                                  "tool_version"]
+        assert list(document) == ["schema_version", "ratio", "command", "records",
+                                  "residuals", "tool_version"]
+        assert document["schema_version"] == 2
         assert document["ratio"] == {"m": 1, "n": 2}
         assert document["command"] == "spectrum"
         assert document["records"][0]["energy"] == "3/4"
@@ -239,23 +240,24 @@ class TestVerify:
         assert first == second
 
     def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
-        compare = suite.oracle_compare
+        verify = suite.verify_algebra
 
-        def nan_for_one_irrep(oracle, rep, tolerance):
-            report = compare(oracle, rep, tolerance)
+        def nan_for_one_irrep(rep, tolerance):
+            report = verify(rep, tolerance)
             if rep.label == IrrepLabel(1, 1, 1):
                 report = VerificationReport(
-                    report.name, {**report.residuals, "h": math.nan}, {}, tolerance
+                    report.name, {**report.residuals, "commutator_h": math.nan},
+                    report.exact_checks, tolerance,
                 )
             return report
 
-        monkeypatch.setattr(suite, "oracle_compare", nan_for_one_irrep)
+        monkeypatch.setattr(suite, "verify_algebra", nan_for_one_irrep)
         result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "2",
                         "--format", "json")
         assert result.exit_code == 1
         document = json.loads(result.output)
         assert document["records"][0]["passed"] is False
-        assert math.isnan(document["residuals"]["oracle_h"])
+        assert math.isnan(document["residuals"]["commutator_h"])
         worst = {(r["N"], r["p"], r["q"]): r["max_residual"] for r in document["records"][1:]}
         assert math.isnan(worst[(1, 1, 1)])
         assert not any(math.isnan(v) for key, v in worst.items() if key != (1, 1, 1))

@@ -9,10 +9,10 @@ from pathlib import Path
 import deformed_u2
 
 # each step runs in one fresh interpreter; after it, list which of the
-# symbolic-algebra packages are loaded
+# symbolic-algebra packages and scipy.sparse are loaded
 SCRIPT = """
 import json, sys
-HEAVY = ("sympy", "mpmath")
+HEAVY = ("sympy", "mpmath", "scipy.sparse")
 loaded = lambda: [name for name in HEAVY if name in sys.modules]
 from deformed_u2 import FrequencyRatio
 from deformed_u2.suite import run_suite

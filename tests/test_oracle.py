@@ -1,38 +1,24 @@
+import dataclasses
 import math
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from deformed_u2 import (
     CartesianState,
     FrequencyRatio,
     IrrepLabel,
-    TruncationTooSmallError,
+    StructureFunction,
     build_irrep,
-    build_oracle,
+    energy_of_cartesian,
     irrep_members,
     oracle_compare,
 )
-from deformed_u2.oracle import _block
+from deformed_u2.oracle import _within_one_ulp
 
-# (m, n, N-max) of the benchmark's verify_deep and verify_wide rounds
-VERIFY_INPUTS = [
-    (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16),
-    (3, 5, 8), (4, 7, 5), (5, 7, 4), (2, 7, 6),
-]
-GENERATORS = ("s0", "s_plus", "s_minus", "h")
-
-
-def projected_block(oracle, op, label):
-    """Reference restriction: selector @ op @ selector.T with a 0/1 selector."""
-    indices = [oracle.index(state) for state in irrep_members(label, oracle.ratio)]
-    selector = sparse.csr_matrix(
-        (np.ones(len(indices)), (range(len(indices)), indices)),
-        shape=(len(indices), oracle.dim),
-    )
-    return (selector @ op @ selector.T).toarray()
+CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
 
 
 def coprime_pairs(limit):
@@ -44,50 +30,61 @@ def coprime_pairs(limit):
     ]
 
 
+def labels_of(ratio, n_max):
+    return [
+        IrrepLabel(big_n, p, q)
+        for big_n in range(n_max + 1)
+        for p in range(1, ratio.m + 1)
+        for q in range(1, ratio.n + 1)
+    ]
+
+
+def failed(rep):
+    return {name for name, ok in oracle_compare(rep).exact_checks.items() if not ok}
+
+
+def with_entry(rep, name, index, value):
+    matrix = getattr(rep, name).copy()
+    matrix[index] = value
+    return dataclasses.replace(rep, **{name: matrix})
+
+
 class TestConstruction:
-    def test_truncation_box(self):
-        oracle = build_oracle(FrequencyRatio(2, 3), 1)
-        assert (oracle.x_dim, oracle.y_dim) == (6, 9)
-        assert oracle.dim == 54
-
-    def test_index_round_trip(self):
-        oracle = build_oracle(FrequencyRatio(2, 3), 1)
-        for i in range(oracle.dim):
-            assert oracle.index(oracle.state_at(i)) == i
-
     def test_isotropic_hamiltonian_diagonal(self):
-        oracle = build_oracle(FrequencyRatio(1, 1), 2)
-        diag = oracle.h.diagonal()
-        for i in np.flatnonzero(oracle.interior_mask()):
-            state = oracle.state_at(i)
-            assert diag[i] == pytest.approx(state.n_x + state.n_y + 1)
-
-    def test_commutators_on_interior(self):
-        # [a, a+] = 1/m and [b, b+] = 1/n hold wherever truncation is clean
-        for m, n in [(1, 2), (2, 3)]:
-            oracle = build_oracle(FrequencyRatio(m, n), 2)
-            comm_a = (oracle.a @ oracle.a_dag - oracle.a_dag @ oracle.a).toarray()
-            comm_b = (oracle.b @ oracle.b_dag - oracle.b_dag @ oracle.b).toarray()
-            for i in np.flatnonzero(oracle.interior_mask()):
-                assert comm_a[i, i] == pytest.approx(1 / m)
-                assert comm_b[i, i] == pytest.approx(1 / n)
+        # at 1:1, H = U + W = n_x + n_y + 1 on every member of every irrep
+        ratio = FrequencyRatio(1, 1)
+        for label in labels_of(ratio, 6):
+            rep = build_irrep(label, ratio)
+            assert all(rep.energy == s.n_x + s.n_y + 1 for s in irrep_members(label, ratio))
+            assert oracle_compare(rep).exact_checks == CHECKS
+            assert failed(dataclasses.replace(rep, energy=rep.energy + 1)) == {"h"}
 
     def test_level_multiplicity_11_4(self):
         # the E = 11/4 eigenspace of the 1:2 oscillator holds three states
-        oracle = build_oracle(FrequencyRatio(1, 2), 2)
-        diag = oracle.h.diagonal()[oracle.interior_mask()]
-        assert int(np.sum(np.abs(diag - 2.75) < 1e-12)) == 3
+        ratio = FrequencyRatio(1, 2)
+        states = [
+            CartesianState(n_x, n_y)
+            for n_x in range(12) for n_y in range(12)
+            if energy_of_cartesian(CartesianState(n_x, n_y), ratio) == Fraction(11, 4)
+        ]
+        label = IrrepLabel(2, 1, 1)
+        assert sorted(irrep_members(label, ratio), key=lambda s: s.n_x) == states
+        assert len(states) == 3
+        rep = build_irrep(label, ratio)
+        assert rep.energy == Fraction(11, 4)
+        assert oracle_compare(rep).passed
 
     def test_ladder_coefficient_2_3(self):
-        # <2,0| S+ |0,3> = sqrt((1*2/2^2) * (3*2*1/3^3)) = sqrt(1/9)
-        oracle = build_oracle(FrequencyRatio(2, 3), 1)
-        row = oracle.index(CartesianState(2, 0))
-        col = oracle.index(CartesianState(0, 3))
-        assert oracle.s_plus[row, col] == pytest.approx(1 / 3)
-
-    def test_rejects_negative_n_max(self):
-        with pytest.raises(ValueError):
-            build_oracle(FrequencyRatio(1, 1), -1)
+        # <2,0| S+ |0,3> has weight^2 (1*2/2^2) * (3*2*1/3^3) = 1/9, exactly
+        ratio = FrequencyRatio(2, 3)
+        label = IrrepLabel(1, 1, 1)
+        assert irrep_members(label, ratio) == (CartesianState(0, 3), CartesianState(2, 0))
+        rep = build_irrep(label, ratio)
+        assert rep.phi == (0, Fraction(1, 9), 0)
+        assert oracle_compare(rep).passed
+        assert failed(dataclasses.replace(rep, phi=(0, Fraction(1, 8), 0))) == {
+            "s_plus", "s_minus"
+        }
 
 
 class TestOracleCompare:
@@ -100,56 +97,94 @@ class TestOracleCompare:
             CartesianState(1, 3),
             CartesianState(2, 1),
         )
-        report = oracle_compare(build_oracle(ratio, 2), build_irrep(label, ratio))
-        assert report.max_residual <= 1e-10
+        report = oracle_compare(build_irrep(label, ratio))
+        assert report.residuals == {}
+        assert report.exact_checks == CHECKS
+        assert report.passed
 
     def test_isotropic_ladder_entry(self):
         # Phi(x) = x(N+1-x) at N=1 gives sqrt(Phi(1)) = 1
         ratio = FrequencyRatio(1, 1)
-        oracle = build_oracle(ratio, 1)
-        label = IrrepLabel(1, 1, 1)
-        report = oracle_compare(oracle, build_irrep(label, ratio))
-        assert report.passed
-        up = oracle.s_plus[
-            oracle.index(CartesianState(1, 0)), oracle.index(CartesianState(0, 1))
-        ]
-        assert up == pytest.approx(1.0)
+        rep = build_irrep(IrrepLabel(1, 1, 1), ratio)
+        assert rep.s_plus[1, 0] == 1.0
+        assert oracle_compare(rep).passed
 
     def test_2_3_agreement(self):
         ratio = FrequencyRatio(2, 3)
-        report = oracle_compare(build_oracle(ratio, 2), build_irrep(IrrepLabel(2, 2, 1), ratio))
-        assert report.max_residual <= 1e-10
-
-    def test_truncation_guard(self):
-        oracle = build_oracle(FrequencyRatio(1, 2), 1)
-        with pytest.raises(TruncationTooSmallError):
-            oracle_compare(oracle, build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)))
+        assert oracle_compare(build_irrep(IrrepLabel(2, 2, 1), ratio)).exact_checks == CHECKS
 
     def test_sweep_agreement(self):
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
-            oracle = build_oracle(ratio, 6)
-            for big_n in range(7):
-                for p in range(1, m + 1):
-                    for q in range(1, n + 1):
-                        report = oracle_compare(oracle, build_irrep(IrrepLabel(big_n, p, q), ratio))
-                        assert report.max_residual <= 1e-10
+            for label in labels_of(ratio, 6):
+                assert oracle_compare(build_irrep(label, ratio)).passed, (label, ratio)
 
-    @pytest.mark.parametrize("m,n,n_max", VERIFY_INPUTS, ids=lambda v: str(v))
-    def test_blocks_equal_selector_products(self, m, n, n_max):
-        # the CSR row read copies one entry per (row, column), so the oracle's
-        # operators must hold no duplicates for it to match the product
+    @pytest.mark.parametrize("m,n,n_max", [(4, 7, 20), (5, 7, 15), (2, 7, 25)],
+                             ids=lambda v: str(v))
+    def test_passes_where_entries_outgrow_an_absolute_gate(self, m, n, n_max):
+        # sqrt(Phi) reaches ~2^20 here, where 1 ulp is above the old 1e-10 gate
         ratio = FrequencyRatio(m, n)
-        oracle = build_oracle(ratio, n_max)
-        for name in GENERATORS:
-            assert getattr(oracle, name).has_canonical_format
-        for big_n in range(n_max + 1):
-            for p in range(1, m + 1):
-                for q in range(1, n + 1):
-                    label = IrrepLabel(big_n, p, q)
-                    rows = [oracle.index(s) for s in irrep_members(label, ratio)]
-                    for name in GENERATORS:
-                        op = getattr(oracle, name)
-                        assert np.array_equal(
-                            _block(op, rows), projected_block(oracle, op, label)
-                        ), (label, name)
+        for label in labels_of(ratio, n_max):
+            assert oracle_compare(build_irrep(label, ratio)).passed, (label, ratio)
+
+    def test_never_reads_the_structure_function(self, monkeypatch):
+        ratio = FrequencyRatio(3, 5)
+        reps = [build_irrep(label, ratio) for label in labels_of(ratio, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle read the structure function")
+
+        monkeypatch.setattr(StructureFunction, "__init__", refuse)
+        monkeypatch.setattr(StructureFunction, "__call__", refuse)
+        assert all(oracle_compare(rep).passed for rep in reps)
+
+
+class TestMutations:
+    REP = build_irrep(IrrepLabel(4, 2, 3), FrequencyRatio(2, 3))
+
+    def test_splus_entry_two_ulp_away(self):
+        for k in range(self.REP.label.N):
+            entry = self.REP.s_plus[k + 1, k]
+            for direction in (math.inf, -math.inf):
+                moved = np.nextafter(np.nextafter(entry, direction), direction)
+                assert failed(with_entry(self.REP, "s_plus", (k + 1, k), moved)) == {"s_plus"}
+
+    @pytest.mark.parametrize("name,index", [
+        ("s_plus", (0, 1)), ("s_plus", (3, 1)), ("s_minus", (1, 0)), ("s_minus", (0, 4)),
+        ("s0", (0, 1)), ("h", (4, 0)),
+    ])
+    def test_nonzero_off_pattern_entry(self, name, index):
+        for value in (1e-300, -1.0, 5e-324):
+            assert failed(with_entry(self.REP, name, index, value)) == {name}
+
+    def test_wrong_phi_entry(self):
+        for k in range(len(self.REP.phi)):
+            for delta in (Fraction(1, 10**12), -1):
+                phi = list(self.REP.phi)
+                phi[k] += delta
+                assert failed(dataclasses.replace(self.REP, phi=tuple(phi))), k
+
+    def test_wrong_u_or_diagonal(self):
+        assert failed(dataclasses.replace(self.REP, u=self.REP.u + Fraction(1, 10**9))) == {"s0"}
+        s0 = self.REP.s0[2, 2]
+        assert failed(with_entry(self.REP, "s0", (2, 2), np.nextafter(s0, math.inf))) == {"s0"}
+        h = self.REP.h[0, 0]
+        assert failed(with_entry(self.REP, "h", (0, 0), np.nextafter(h, -math.inf))) == {"h"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,index", [
+        ("s_plus", (2, 1)), ("s_minus", (1, 2)), ("s0", (3, 3)), ("h", (0, 0)),
+        ("s_plus", (1, 2)), ("s0", (0, 4)),
+    ])
+    def test_nan_or_inf_entry(self, name, index, value):
+        assert failed(with_entry(self.REP, name, index, value)) == {name}
+
+    def test_one_ulp_certificate(self):
+        assert _within_one_ulp(math.sqrt(2.0), 2, 1)
+        assert _within_one_ulp(1 / 3, 1, 9)
+        assert _within_one_ulp(5e-324, 1, 10**648)
+        assert not _within_one_ulp(np.nextafter(np.nextafter(1 / 3, 1), 1), 1, 9)
+        assert not _within_one_ulp(-1.0, 1, 1)
+        assert not _within_one_ulp(math.sqrt(2.0), 3, 1)
+        for value in (math.nan, math.inf, -math.inf):
+            assert not _within_one_ulp(value, 1, 1)

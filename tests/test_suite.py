@@ -1,17 +1,10 @@
+import dataclasses
 import math
 from collections import Counter
 
-import pytest
+import numpy as np
 
-from deformed_u2 import (
-    FrequencyRatio,
-    IrrepLabel,
-    VerificationReport,
-    WrongRatioError,
-    build_irrep,
-    build_oracle,
-    oracle_compare,
-)
+from deformed_u2 import FrequencyRatio, IrrepLabel, VerificationReport
 from deformed_u2 import representation, suite
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 
@@ -52,33 +45,47 @@ def test_builds_each_irrep_once(monkeypatch):
     assert report.passed
 
 
-def test_nan_from_the_oracle_fails_only_its_irrep(monkeypatch):
-    compare = suite.oracle_compare
+def test_nan_residual_fails_only_its_irrep(monkeypatch):
+    verify = suite.verify_algebra
     poisoned = IrrepLabel(1, 1, 1)
 
-    def nan_for_one_irrep(oracle, rep, tolerance):
-        report = compare(oracle, rep, tolerance)
+    def nan_for_one_irrep(rep, tolerance):
+        report = verify(rep, tolerance)
         if rep.label == poisoned:
             report = VerificationReport(
-                report.name, {**report.residuals, "h": math.nan}, {}, tolerance
+                report.name, {**report.residuals, "commutator_h": math.nan},
+                report.exact_checks, tolerance,
             )
         return report
 
-    monkeypatch.setattr(suite, "oracle_compare", nan_for_one_irrep)
+    monkeypatch.setattr(suite, "verify_algebra", nan_for_one_irrep)
     report = run_suite(FrequencyRatio(1, 1), 2)
     assert not report.passed
-    assert math.isnan(report.residuals["oracle_h"])
-    assert not report.passes("oracle_h", report.residuals["oracle_h"])
+    assert math.isnan(report.residuals["commutator_h"])
+    assert not report.passes("commutator_h", report.residuals["commutator_h"])
     for irrep in report.irreps:
-        assert math.isnan(irrep.residuals["oracle_h"]) == (irrep.label == poisoned)
+        assert math.isnan(irrep.residuals["commutator_h"]) == (irrep.label == poisoned)
         assert math.isnan(irrep.max_residual) == (irrep.label == poisoned)
 
 
-def test_oracle_compare_rejects_a_rep_of_another_ratio():
-    # (1, 1, 1) is a valid label of both ratios; only the record's ratio tells them apart
-    oracle = build_oracle(FrequencyRatio(1, 2), 2)
-    with pytest.raises(WrongRatioError):
-        oracle_compare(oracle, build_irrep(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1)))
+def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
+    build = suite.build_irrep
+    poisoned = IrrepLabel(2, 1, 2)
+
+    def one_entry_off(label, ratio):
+        rep = build(label, ratio)
+        if label == poisoned:
+            s_plus = rep.s_plus.copy()
+            s_plus[1, 0] = np.nextafter(np.nextafter(s_plus[1, 0], 0.0), 0.0)
+            rep = dataclasses.replace(rep, s_plus=s_plus)
+        return rep
+
+    monkeypatch.setattr(suite, "build_irrep", one_entry_off)
+    report = run_suite(FrequencyRatio(1, 2), 2)
+    assert not report.passed
+    assert report.residuals["exact_check_failures"] == 1.0
+    assert [i.label for i in report.irreps if i.exact_check_failures] == [poisoned]
+    assert not any(key.startswith("oracle_") for key in report.residuals)
 
 
 def test_tolerances_and_gate_rule():
@@ -86,7 +93,7 @@ def test_tolerances_and_gate_rule():
     report = run_suite(ratio, 1)
     assert (report.identity_tolerance, report.eigen_tolerance) == (IDENTITY_TOL, EIGEN_TOL)
     assert report.passes("method_agreement", EIGEN_TOL)
-    assert not report.passes("oracle_h", EIGEN_TOL)
+    assert not report.passes("commutator_h", EIGEN_TOL)
     assert not report.passes("orthonormality", math.nan)
     assert not report.passes("exact_check_failures", 1.0)
     assert report.passes("parafermionic_failures", 0.0)

@@ -15,8 +15,8 @@ from .angular import (
     AngularSpectrum,
     angular_eigenvalues,
     angular_eigenvector,
-    bisection_eigenvalues,
     build_l0,
+    certify_eigenvalues,
     exact_hints,
 )
 from .core import (
@@ -83,10 +83,10 @@ __all__ = [
     "WrongRatioError",
     "angular_eigenvalues",
     "angular_eigenvector",
-    "bisection_eigenvalues",
     "build_irrep",
     "build_l0",
     "cartesian_to_irrep",
+    "certify_eigenvalues",
     "commutator_polynomial",
     "energy_of_cartesian",
     "energy_of_irrep",

@@ -14,35 +14,29 @@ case they are exactly -N, -N+2, ..., N.
 
 One symmetric tridiagonal eigensolve gives every eigenpair; the forward
 float run of the recurrence is unstable and never builds an eigenvector.
-The independent check of the eigenvalues is bisection on Sturm counts, the
-sign changes of G_0 .. G_{N+1} run on the recurrence in integer arithmetic,
-so no rounding can misplace a root.  The exact hints evaluate G_{N+1}, as
-P(l^2), on the same recurrence in `Fraction`s.
+Its eigenvalues are certified by Sturm counts, the sign changes of
+G_0 .. G_{N+1} run on the recurrence in integer arithmetic at dyadic points
+beside each computed value, so no rounding can misplace a root.  The exact
+hints evaluate G_{N+1}, as P(l^2), on the same recurrence in `Fraction`s.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
 from .exceptions import NotAnEigenvalueError, WrongRatioError
 from .representation import IrrepMatrices, worst_residual
 from .structure import StructureFunction
 
-__all__ = [
-    "AngularSpectrum",
-    "angular_eigenvalues",
-    "bisection_eigenvalues",
-    "AngularEigenvector",
-    "angular_eigenvector",
-    "build_l0",
-    "exact_hints",
-]
+__all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
+           "AngularEigenvector", "angular_eigenvector", "build_l0", "exact_hints"]
 
 
 @dataclass(frozen=True)
@@ -98,47 +92,36 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     eigs[i] = -eigs[N-i] (this also pins the middle eigenvalue of an
     even-N irrep to exactly zero), and simplicity of the roots is asserted.
     Each eigenvector is signed so that w_0 > 0 (T is unreduced, so
-    w_0 != 0); the zero-eigenvalue vector of an even-N irrep has the parity
-    of G_k(0), so its odd components are set to exactly zero.
+    w_0 != 0 in exact arithmetic; a w_0 that underflows to 0.0 raises
+    ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
+    parity of G_k(0), so its odd components are set to exactly zero.
     """
     label.validate_for(ratio)
     big_n = label.N
     offdiag = _offdiagonals(label, ratio)
-    eigs, w = eigh_tridiagonal(np.zeros(big_n + 1), offdiag)
+    eigs, w = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     eigs = (eigs - eigs[::-1]) / 2.0
     margin = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
     if np.any(np.diff(eigs) <= margin):
+        raise ArithmeticError(f"eigenvalues of {label} not strictly separated; numerical failure")
+    signs = np.sign(w[0])
+    if not np.all(signs):
+        i = int(np.argmin(np.abs(signs)))
         raise ArithmeticError(
-            f"eigenvalues of {label} not strictly separated; numerical failure"
+            f"eigenvector {i} of L0 on {label} of the {ratio} oscillator has "
+            f"w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
         )
-    w = w * np.sign(w[0])
+    w = w * signs
     if big_n % 2 == 0:
         w[1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        root_factorials = np.concatenate(([1.0], np.cumprod(offdiag)))
-        coefficients = ((-1.0) ** np.arange(big_n + 1) * root_factorials)[:, None] * w
-    if not np.all(np.isfinite(coefficients)):
-        k = int(np.argmin(np.all(np.isfinite(coefficients), axis=1)))
-        raise ArithmeticError(
-            f"eigenvector coefficient c_{k} of L0 on {label} of the {ratio} "
-            f"oscillator is not finite: sqrt([{k}]!) overflows a float"
-        )
     members = irrep_members(label, ratio)
     vectors = []
-    for i, value in enumerate(eigs):
-        amplitudes = tuple(_PHASES[k % 4] * float(w[k, i]) for k in range(big_n + 1))
-        vectors.append(
-            AngularEigenvector(
-                label,
-                float(value),
-                tuple(float(c) for c in coefficients[:, i]),
-                amplitudes,
-                tuple(zip(members, amplitudes)),
-                float(residuals[i]),
-            )
-        )
-    return AngularSpectrum(label, ratio, tuple(float(v) for v in eigs), tuple(vectors))
+    for value, components, residual in zip(eigs.tolist(), w.T.tolist(), residuals.tolist()):
+        amplitudes = tuple(_PHASES[k % 4] * x for k, x in enumerate(components))
+        vectors.append(AngularEigenvector(label, ratio, value, tuple(components), amplitudes,
+                                          tuple(zip(members, amplitudes)), residual))
+    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), tuple(vectors))
 
 
 def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
@@ -192,37 +175,21 @@ def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str |
     return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
-def bisection_eigenvalues(
-    label: IrrepLabel,
-    ratio: FrequencyRatio,
-    tolerance: float = 1e-12,
-) -> tuple[float, ...]:
-    """Roots of G_{N+1} by exact Sturm-count bisection, to within `tolerance`.
+def _sturm_counter(label: IrrepLabel, ratio: FrequencyRatio) -> Callable[[int, int], int]:
+    """count_above(a, e) = #{eigenvalues of L0 on `label` > a / 2^e}, exactly.
 
-    The number of eigenvalues strictly above x is the number of sign
-    changes in G_0(x) .. G_{N+1}(x), zeros dropped (Sturm's theorem; Barth,
-    Martin & Wilkinson 1967).  Counts are exact integer runs of the
-    recurrence at dyadic points, so every cell is a proof.  Starting from
-    [-R, R], cells are halved down to width <= `tolerance`, and the
-    midpoints of those holding one eigenvalue are returned in ascending
-    order; one holding more raises ArithmeticError, with no fallback.
+    It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped
+    (Sturm's theorem; Barth, Martin & Wilkinson 1967).  With D the common
+    denominator of Phi, g_k = (2^e D)^k G_k(a / 2^e) obey an integer
+    recurrence, so the count is exact at every dyadic point, e <= 0 too.
     """
-    label.validate_for(ratio)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"bisection tolerance must be finite and > 0, not {tolerance!r}")
-    big_n = label.N
-    if big_n == 0:
-        return (0.0,)
-    phi = StructureFunction(label, ratio).values()[1 : big_n + 1]
+    phi = StructureFunction(label, ratio).values()[1 : label.N + 1]
     denominator = math.lcm(*(v.denominator for v in phi))
     weights = [v.numerator * (denominator // v.denominator) * denominator for v in phi]
-    # |l| <= 2 sqrt(max Phi) < 2 (isqrt(ceil(max Phi)) + 1) by Gershgorin
-    radius = 2 * math.isqrt(math.ceil(max(phi))) + 2
 
     def count_above(a: int, e: int) -> int:
-        """#{eigenvalues > a / 2^e}: sign changes of g_k = (2^e D)^k G_k."""
-        shift = min(e, (a & -a).bit_length() - 1) if a else e
-        a, e = a >> shift, e - shift
+        if e < 0:
+            a, e = a << -e, 0
         ad = a * denominator
         previous, current = 0, 1  # g_{-1}, g_0; then g_1 = aD
         changes, positive = 0, True
@@ -232,52 +199,75 @@ def bisection_eigenvalues(
                 changes, positive = changes + 1, not positive
         return changes
 
-    if count_above(-radius, 0) != big_n + 1 or count_above(radius, 0) != 0:
-        raise ArithmeticError(f"eigenvalues of {label} escape [-{radius}, {radius}]")
-    depth, limit = 0, Fraction(tolerance)
-    while Fraction(2 * radius, 1 << depth) > limit:
-        depth += 1
+    return count_above
 
-    # a cell (lo, e, c_lo, c_hi) spans (lo / 2^e, (lo + 2R) / 2^e]
-    roots: list[float] = []
-    cells = [(-radius, 0, big_n + 1, 0)]
-    while cells:
-        lo, e, c_lo, c_hi = cells.pop()
-        if c_lo == c_hi:
-            continue
-        if e == depth:
-            if c_lo - c_hi > 1:
-                raise ArithmeticError(
-                    f"{c_lo - c_hi} eigenvalues of L0 on {label} of the {ratio} "
-                    f"oscillator are not separated at bisection tolerance {tolerance:g}"
-                )
-            roots.append(float(Fraction(lo + radius, 1 << depth)))
-            continue
-        mid = 2 * lo + 2 * radius
-        c_mid = count_above(mid, e + 1)
-        cells.append((mid, e + 1, c_mid, c_hi))
-        cells.append((2 * lo, e + 1, c_lo, c_mid))
-    return tuple(roots)
+
+def certify_eigenvalues(spectrum: AngularSpectrum, ratio: FrequencyRatio,
+                        tolerance: float) -> tuple[bool, ...]:
+    """Whether each eigenvalue of `spectrum` is proven within `tolerance` of its own.
+
+    With delta the largest power of two <= `tolerance`, the i-th value l_i
+    (ascending, from 0) is certified iff count_above(l_i - delta) >= N+1-i
+    and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`).
+    That proves the i-th true eigenvalue lies in (l_i - delta, l_i + delta].
+    There is no float fallback; a NaN is not certified.  A spectrum of
+    another ratio raises WrongRatioError, a tolerance that is not finite
+    and > 0 ValueError.
+    """
+    if spectrum.ratio != ratio:
+        raise WrongRatioError(
+            f"spectrum of {spectrum.label} is of ratio {spectrum.ratio}, not {ratio}"
+        )
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"certificate tolerance must be finite and > 0, not {tolerance!r}")
+    big_n = spectrum.label.N
+    count = _sturm_counter(spectrum.label, ratio)
+    delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
+
+    def count_above(x: Fraction) -> int:
+        return count(x.numerator, x.denominator.bit_length() - 1)
+
+    return tuple(
+        math.isfinite(value)
+        and count_above(Fraction(value) - delta) >= big_n + 1 - i
+        and count_above(Fraction(value) + delta) <= big_n - i
+        for i, value in enumerate(spectrum.eigenvalues)
+    )
 
 
 @dataclass(frozen=True)
 class AngularEigenvector:
     """One normalized eigenvector of L0, in both bases.
 
-    `coefficients` are the real recurrence coefficients c_k (c_0 > 0);
-    the state is sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>, so `amplitudes`
-    carry the alternating phases explicitly and `cartesian` re-expresses
-    the same amplitudes on the occupation states |n_x, n_y>.  `residual`
-    is ||T w - l w||_inf for the real tridiagonal T, which equals
+    `components` are the real eigenvector w of the tridiagonal T (w_0 > 0),
+    and `amplitudes` = (-i)^k w_k carry the alternating phases explicitly;
+    `cartesian` re-expresses the same amplitudes on the occupation states
+    |n_x, n_y>.  `residual` is ||T w - l w||_inf, which equals
     ||L0 v - l v||_inf.
     """
 
     label: IrrepLabel
+    ratio: FrequencyRatio
     eigenvalue: float
-    coefficients: tuple[float, ...]
+    components: tuple[float, ...]
     amplitudes: tuple[complex, ...]
     cartesian: tuple[tuple[CartesianState, complex], ...]
     residual: float
+
+    @cached_property
+    def coefficients(self) -> tuple[float, ...]:
+        """The real recurrence coefficients c_k = (-1)^k sqrt([k]!) w_k (c_0 > 0) of
+        the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>.  Computed on first
+        read; a sqrt([k]!) beyond float range raises ArithmeticError."""
+        with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
+            signed = np.cumprod([1.0, *-_offdiagonals(self.label, self.ratio)])
+        if not np.all(np.isfinite(signed)):
+            k = int(np.argmin(np.isfinite(signed)))
+            raise ArithmeticError(
+                f"eigenvector coefficient c_{k} of L0 on {self.label} of the {self.ratio} "
+                f"oscillator is not finite: sqrt([{k}]!) overflows a float"
+            )
+        return tuple((signed * np.array(self.components)).tolist())
 
 
 def angular_eigenvector(
@@ -297,9 +287,8 @@ def angular_eigenvector(
     spec = angular_eigenvalues(label, ratio)
     i = int(np.argmin(np.abs(np.array(spec.eigenvalues) - eigenvalue)))
     vector = spec.vectors[i]
-    w = np.array([(_PHASES[-k % 4] * a).real for k, a in enumerate(vector.amplitudes)])
     (residual,) = _residuals(
-        _offdiagonals(label, ratio), w[:, None], np.array([eigenvalue])
+        _offdiagonals(label, ratio), np.array(vector.components)[:, None], np.array([eigenvalue])
     )
     if not residual <= tolerance:
         raise NotAnEigenvalueError(

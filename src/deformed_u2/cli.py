@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -165,7 +166,8 @@ _tol_option = click.option(
     default=None,
     callback=_parse_tol,
     help="Identity-residual tolerance (default 1e-10); eigenvector and "
-    "method-agreement checks use 10x this value.",
+    "method-agreement checks, and the Sturm-count certificate of every "
+    "eigenvalue, use 10x this value.",
 )
 
 
@@ -298,6 +300,7 @@ def angular(ratio, big_n, p, q, fmt, output):
     """Angular-momentum table of one irrep: eigenvalues and eigenvectors."""
     label = _make_label(big_n, p, q, ratio)
     spec = _reachable(angular_eigenvalues, label, ratio)
+    _reachable(lambda: [vector.coefficients for vector in spec.vectors])  # c_k may overflow
 
     records = []
     for marker, value, hint, vector in zip(
@@ -366,7 +369,7 @@ def verify(ratio, n_max, fmt, tol, output):
             "q": irrep.label.q,
             "energy": str(irrep.energy),
             "max_residual": _decimal(irrep.max_residual),
-            "exact_check_failures": irrep.exact_check_failures,
+            "exact_check_failures": irrep.failures["exact_check_failures"],
         }
         for irrep in report.irreps
     ]
@@ -378,6 +381,7 @@ def verify(ratio, n_max, fmt, tol, output):
         "identity_tolerance": report.identity_tolerance,
         "eigen_tolerance": report.eigen_tolerance,
         "passed": report.passed,
+        "worst_irreps": {key: asdict(report.worst_irrep(key)) for key in residuals},
     }
 
     if fmt == "json":

@@ -2,19 +2,22 @@
 
 Each irrep is built once (`build_irrep`), and that record feeds the algebra
 relations, the exact Fock-space oracle, the dense L0 and, for 1:2, the
-W_3^(2) relations; the eigenvalue routes read the per-irrep Phi cache.
-Identity residuals are gated at the identity tolerance, the eigen class at
-10x it, and every exact check, the oracle's included, must hold.
+W_3^(2) relations; the tridiagonal eigensolve and its Sturm-count
+certificate read the per-irrep Phi cache.  Identity residuals are gated at
+the identity tolerance, the eigen class at 10x it, every exact check, the
+oracle's included, must hold, and every eigenvalue must be certified within
+the eigen tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .angular import angular_eigenvalues, bisection_eigenvalues, build_l0
+from .angular import angular_eigenvalues, build_l0, certify_eigenvalues
 from .core import FrequencyRatio, IrrepLabel
 from .oracle import oracle_compare
 from .representation import build_irrep, verify_algebra, w32_check, worst_residual
@@ -30,12 +33,12 @@ EIGEN_KEYS = frozenset({"method_agreement", "eigenvector_residual", "orthonormal
 
 @dataclass(frozen=True)
 class IrrepReport:
-    """Every residual computed on one irrep, and its failed exact checks."""
+    """Every residual computed on one irrep, and its failure counts by key."""
 
     label: IrrepLabel
     energy: Fraction
     residuals: dict[str, float]
-    exact_check_failures: int
+    failures: dict[str, int]
 
     @property
     def max_residual(self) -> float:
@@ -53,20 +56,25 @@ class SuiteReport:
     identity_tolerance: float
     eigen_tolerance: float
     irreps: tuple[IrrepReport, ...]
-    parafermionic_failures: int | None  # 1:n irreps with P(x) not positive; None unless m = 1
 
     @property
     def residuals(self) -> dict[str, float]:
         """Worst value of each check over all irreps, sorted by name, then the
-        failure counts (`exact_check_failures`, `parafermionic_failures`)."""
+        failure counts summed over all irreps, in `IrrepReport.failures` order."""
         keys = sorted({key for irrep in self.irreps for key in irrep.residuals})
         residuals = {
             key: worst_residual(irrep.residuals[key] for irrep in self.irreps) for key in keys
         }
-        residuals["exact_check_failures"] = float(sum(i.exact_check_failures for i in self.irreps))
-        if self.parafermionic_failures is not None:
-            residuals["parafermionic_failures"] = float(self.parafermionic_failures)
+        for key in self.irreps[0].failures:
+            residuals[key] = float(sum(irrep.failures[key] for irrep in self.irreps))
         return residuals
+
+    def worst_irrep(self, key: str) -> IrrepLabel:
+        """The first irrep holding the worst value of `key`; a NaN is the worst."""
+        values = [{**irrep.residuals, **irrep.failures}[key] for irrep in self.irreps]
+        worst = worst_residual(values)  # NaN iff some value is NaN
+        return next(irrep.label for irrep, value in zip(self.irreps, values)
+                    if value == worst or math.isnan(value))
 
     def passes(self, key: str, value: float) -> bool:
         """Whether the entry `key` of `residuals` holding `value` is within its gate."""
@@ -83,15 +91,13 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float | None = None)
     """Run every identity check on every irrep (N, p, q) with N <= n_max.
 
     `tolerance` is the identity tolerance (default `IDENTITY_TOL`); the
-    eigen class is gated at 10x it (default `EIGEN_TOL`).  An
-    `ArithmeticError` from the eigenvalue routes propagates.
+    eigen class, and the certificate of each eigenvalue, are gated at 10x
+    it (default `EIGEN_TOL`).  An `ArithmeticError` from the eigensolve
+    propagates.
     """
     identity_tol = IDENTITY_TOL if tolerance is None else tolerance
     eigen_tol = EIGEN_TOL if tolerance is None else 10 * tolerance
-    # the bisection cells' width must not eat into the method-agreement gate
-    bisection_tol = min(1e-12, eigen_tol / 10)
 
-    parafermionic_failures = 0 if ratio.m == 1 else None
     irreps = []
     labels = [IrrepLabel(big_n, p, q) for big_n in range(n_max + 1)
               for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
@@ -102,27 +108,27 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float | None = None)
         residuals = dict(algebra.residuals)
 
         spec = angular_eigenvalues(label, ratio)
-        eigenvalues = np.array(spec.eigenvalues)
-        roots = np.array(bisection_eigenvalues(label, ratio, bisection_tol))
         dense = np.sort(np.linalg.eigvalsh(build_l0(rep)))
-        gaps = (eigenvalues - roots, eigenvalues - dense, roots - dense)
-        residuals["method_agreement"] = worst_residual(float(np.max(np.abs(g))) for g in gaps)
+        residuals["method_agreement"] = float(np.max(np.abs(np.array(spec.eigenvalues) - dense)))
         residuals["spectrum_symmetry"] = spec.symmetry_residual
         residuals["eigenvector_residual"] = spec.max_residual
         basis = np.array([v.amplitudes for v in spec.vectors]).T
         gram = basis.conj().T @ basis
         residuals["orthonormality"] = float(np.max(np.abs(gram - np.eye(label.dimension))))
 
-        if ratio.m == 1:
-            form = parafermionic_decompose(StructureFunction(label, ratio))
-            parafermionic_failures += not form.positive
         if (ratio.m, ratio.n) == (1, 2):
             w32 = w32_check(rep, tolerance=identity_tol).residuals
             residuals.update({f"w32_{key}": value for key, value in w32.items()})
 
         exact_checks = (*algebra.exact_checks.values(), *oracle.exact_checks.values())
-        failures = sum(not ok for ok in exact_checks)
+        failures = {
+            "exact_check_failures": sum(not ok for ok in exact_checks),
+            "eigen_certificate_failures": certify_eigenvalues(spec, ratio, eigen_tol).count(False),
+        }
+        if ratio.m == 1:
+            form = parafermionic_decompose(StructureFunction(label, ratio))
+            failures["parafermionic_failures"] = int(not form.positive)
         irreps.append(IrrepReport(label, rep.energy, residuals, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), identity_tol, eigen_tol,
-                       tuple(irreps), parafermionic_failures)
+                       tuple(irreps))

@@ -23,9 +23,9 @@ from deformed_u2 import (
     WrongRatioError,
     angular_eigenvalues,
     angular_eigenvector,
-    bisection_eigenvalues,
     build_irrep,
     build_l0,
+    certify_eigenvalues,
     commutator_polynomial,
     energy_of_cartesian,
     energy_of_irrep,
@@ -242,14 +242,15 @@ def test_criterion_09_spectrum_consistency():
 
 
 def test_criterion_10_method_agreement():
-    with criterion(10, "eigensolver vs bisection vs dense L0 (1e-9); symmetry 1e-10"):
+    with criterion(10, "eigensolver certified by Sturm counts; eigensolver vs dense L0 "
+                       "(1e-9); symmetry 1e-10"):
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
             for label in all_labels(m, n, 8):
-                tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
-                roots = np.array(bisection_eigenvalues(label, ratio))
+                spec = angular_eigenvalues(label, ratio)
+                tri = np.array(spec.eigenvalues)
                 dense = np.sort(np.linalg.eigvalsh(build_l0(build_irrep(label, ratio))))
-                assert np.max(np.abs(tri - roots)) <= 1e-9, (label, ratio)
+                # each value is proven within 2^-30 <= 1e-9 of its own true eigenvalue
+                assert all(certify_eigenvalues(spec, ratio, 1e-9)), (label, ratio)
                 assert np.max(np.abs(tri - dense)) <= 1e-9, (label, ratio)
-                assert np.max(np.abs(roots - dense)) <= 1e-9, (label, ratio)
                 assert np.max(np.abs(tri + tri[::-1])) <= 1e-10, (label, ratio)

@@ -17,12 +17,13 @@ from deformed_u2 import (
     WrongRatioError,
     angular_eigenvalues,
     angular_eigenvector,
-    bisection_eigenvalues,
     build_irrep,
     build_l0,
+    certify_eigenvalues,
     exact_hints,
 )
-from deformed_u2.angular import _p_value
+from deformed_u2.angular import _p_value, _sturm_counter
+from deformed_u2.suite import EIGEN_TOL
 
 
 def coprime_pairs(limit):
@@ -345,8 +346,25 @@ class TestEigenvectors:
                             assert abs(amp - expected) <= 1e-13, (label, i, k)
 
     def test_overflowing_coefficient_raises(self):
+        spec = angular_eigenvalues(IrrepLabel(60, 2, 3), FrequencyRatio(3, 5))
         with pytest.raises(ArithmeticError, match=r"c_\d+ .*\(N=60, p=2, q=3\)"):
-            angular_eigenvalues(IrrepLabel(60, 2, 3), FrequencyRatio(3, 5))
+            spec.vectors[0].coefficients
+
+    def test_eigenpairs_do_not_read_the_coefficients(self):
+        # sqrt([57]!) overflows a float here; only reading c_k raises
+        spec = angular_eigenvalues(IrrepLabel(57, 3, 4), FrequencyRatio(3, 5))
+        assert spec.max_residual <= 1e-9
+        with pytest.raises(ArithmeticError, match=r"c_57 of L0 on \(N=57, p=3, q=4\) of the 3:5"):
+            spec.vectors[-1].coefficients
+
+    def test_underflowing_first_component_raises(self):
+        # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them
+        with pytest.raises(
+            ArithmeticError,
+            match=r"eigenvector \d+ of L0 on \(N=1000, p=1, q=1\) of the 1:2 oscillator "
+            r"has w_0 == 0.0",
+        ):
+            angular_eigenvalues(IrrepLabel(1000, 1, 1), FrequencyRatio(1, 2))
 
 
 class TestExactHints:
@@ -392,45 +410,108 @@ class TestExactHints:
             assert ("0" in exact_hints(spec, ratio)) == (big_n % 2 == 0)
 
 
-class TestBisection:
+def shifted(spec, changes):
+    """`spec` with the eigenvalues at the given indices replaced."""
+    values = list(spec.eigenvalues)
+    for i, value in changes.items():
+        values[i] = value
+    return dataclasses.replace(spec, eigenvalues=tuple(values))
+
+
+class TestCertificate:
+    """Exact Sturm counts at l_i +- delta, delta = 2^-30 for the tolerance 1e-9."""
+
+    DELTA = 2.0**-30
+
     @pytest.mark.parametrize("big_n", [63, 64])
-    def test_isotropic_roots_on_grid_points(self, big_n):
-        # -N, -N+2, ..., N are dyadic, so G_{N+1} vanishes exactly at cell ends
-        roots = np.array(bisection_eigenvalues(IrrepLabel(big_n, 1, 1), FrequencyRatio(1, 1)))
-        expected = np.arange(-big_n, big_n + 1, 2)
-        assert len(roots) == big_n + 1
-        assert np.max(np.abs(roots - expected)) <= 1e-12 / 2
+    def test_isotropic_values_certified(self, big_n):
+        label, ratio = IrrepLabel(big_n, 1, 1), FrequencyRatio(1, 1)
+        spec = angular_eigenvalues(label, ratio)
+        assert certify_eigenvalues(spec, ratio, 1e-12) == (True,) * (big_n + 1)
+        # -N, -N+2, ..., N are integers, so G_{N+1} vanishes exactly at each
+        # count point, and a root is not counted above itself
+        count_above = _sturm_counter(label, ratio)
+        roots = range(-big_n, big_n + 1, 2)
+        assert [count_above(root, 0) for root in roots] == list(range(big_n, -1, -1))
 
     @pytest.mark.parametrize("big_n,q", [(2, 1), (10, 2), (40, 1)])
-    def test_even_n_has_one_root_at_zero(self, big_n, q):
-        roots = np.array(bisection_eigenvalues(IrrepLabel(big_n, 1, q), FrequencyRatio(1, 2)))
-        assert len(roots) == big_n + 1
-        assert np.count_nonzero(np.abs(roots) <= 1e-12 / 2) == 1
-        assert abs(roots[big_n // 2]) <= 1e-12 / 2
+    def test_even_n_zero_is_certified(self, big_n, q):
+        label, ratio = IrrepLabel(big_n, 1, q), FrequencyRatio(1, 2)
+        spec = angular_eigenvalues(label, ratio)
+        assert spec.eigenvalues[big_n // 2] == 0.0
+        assert all(certify_eigenvalues(spec, ratio, 1e-12))
+        assert _sturm_counter(label, ratio)(0, 0) == big_n // 2
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_agrees_with_eigensolver_at_n60(self, q):
+    def test_certifies_n60(self, q):
         label, ratio = IrrepLabel(60, 1, q), FrequencyRatio(1, 2)
-        roots = np.array(bisection_eigenvalues(label, ratio))
-        tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
-        assert np.max(np.abs(roots - tri)) <= 1e-9
+        assert all(certify_eigenvalues(angular_eigenvalues(label, ratio), ratio, 1e-12))
 
-    def test_coarse_tolerance(self):
-        label, ratio = IrrepLabel(12, 2, 3), FrequencyRatio(2, 3)
-        roots = np.array(bisection_eigenvalues(label, ratio, tolerance=1e-6))
-        tri = np.array(angular_eigenvalues(label, ratio).eigenvalues)
-        assert len(roots) == label.N + 1
-        assert np.max(np.abs(roots - tri)) <= 1e-6
+    def test_counts_at_any_dyadic_point(self):
+        # a / 2^e is the same point for every (a 2^j, e + j), with e <= 0 too
+        count_above = _sturm_counter(IrrepLabel(12, 2, 3), FrequencyRatio(2, 3))
+        for a in (-37, -4, 0, 3, 52):
+            counts = {count_above(a << j, j - 2) for j in range(6)}
+            assert len(counts) == 1
+            assert counts == {count_above(4 * a, 0)}
+        assert count_above(-(1 << 40), -3) == 13
+        assert count_above(1, -40) == 0
 
-    def test_cell_with_two_eigenvalues_raises(self):
-        # eigenvalues -4, -2, ..., 4 cannot be isolated in cells of width 6
-        with pytest.raises(ArithmeticError, match="not separated"):
-            bisection_eigenvalues(IrrepLabel(4, 1, 1), FrequencyRatio(1, 1), tolerance=10.0)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_moved_by_two_delta_fails_that_index_only(self, sign):
+        ratio = FrequencyRatio(2, 3)
+        spec = angular_eigenvalues(IrrepLabel(6, 2, 3), ratio)
+        assert all(certify_eigenvalues(spec, ratio, EIGEN_TOL))
+        for i, value in enumerate(spec.eigenvalues):
+            moved = shifted(spec, {i: value + sign * 2 * self.DELTA})
+            expected = tuple(j != i for j in range(len(spec.eigenvalues)))
+            assert certify_eigenvalues(moved, ratio, EIGEN_TOL) == expected
+            # half of delta still holds: the eigensolve is far more accurate
+            moved = shifted(spec, {i: value + sign * self.DELTA / 2})
+            assert all(certify_eigenvalues(moved, ratio, EIGEN_TOL))
+
+    def test_swapped_neighbours_fail_both(self):
+        ratio = FrequencyRatio(1, 2)
+        spec = angular_eigenvalues(IrrepLabel(5, 1, 2), ratio)
+        values = spec.eigenvalues
+        swapped = shifted(spec, {2: values[3], 3: values[2]})
+        assert certify_eigenvalues(swapped, ratio, EIGEN_TOL) == (
+            True, True, False, False, True, True
+        )
+
+    def test_nan_is_not_certified(self):
+        ratio = FrequencyRatio(1, 2)
+        spec = angular_eigenvalues(IrrepLabel(3, 1, 1), ratio)
+        broken = shifted(spec, {1: math.nan})
+        assert certify_eigenvalues(broken, ratio, EIGEN_TOL) == (True, False, True, True)
+
+    def test_huge_tolerance_passes(self):
+        # delta = 2^1023 holds every eigenvalue; no separation is required
+        label, ratio = IrrepLabel(4, 1, 1), FrequencyRatio(1, 1)
+        spec = angular_eigenvalues(label, ratio)
+        assert all(certify_eigenvalues(spec, ratio, 1.7e308))
+        assert all(certify_eigenvalues(spec, ratio, 10.0))
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        ratio = FrequencyRatio(1, 2)
+        spec = angular_eigenvalues(IrrepLabel(2, 1, 1), ratio)
         with pytest.raises(ValueError, match="tolerance"):
-            bisection_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2), tolerance)
+            certify_eigenvalues(spec, ratio, tolerance)
+
+    def test_rejects_spectrum_of_another_ratio(self):
+        spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
+        with pytest.raises(WrongRatioError, match="1:1"):
+            certify_eigenvalues(spec, FrequencyRatio(1, 2), EIGEN_TOL)
+
+    @pytest.mark.parametrize("m,n,n_max", [(4, 7, 20), (5, 7, 15), (2, 7, 25)])
+    def test_certifies_where_float_values_outgrow_the_tolerance(self, m, n, n_max):
+        # |l| reaches 1.1e6 here; with delta = EIGEN_TOL / 8 instead of the
+        # largest power of two <= EIGEN_TOL, 406, 126 and 40 values fail
+        ratio = FrequencyRatio(m, n)
+        for label in all_labels(m, n, n_max):
+            spec = angular_eigenvalues(label, ratio)
+            assert all(certify_eigenvalues(spec, ratio, EIGEN_TOL)), label
 
 
 class TestBuildL0:
@@ -445,9 +526,10 @@ class TestBuildL0:
         assert np.allclose(l0, l0.conj().T)
         assert np.sort(np.linalg.eigvalsh(l0)) == pytest.approx([-2.0, 0.0, 2.0])
 
-    def test_2_3_extremes_match_bisection(self):
+    def test_2_3_extremes_match_certified_eigenvalues(self):
         label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(2, 3)
         dense = np.sort(np.linalg.eigvalsh(build_l0(build_irrep(label, ratio))))
-        roots = bisection_eigenvalues(label, ratio)
-        assert dense[-1] == pytest.approx(roots[-1], abs=1e-10)
-        assert dense[0] == pytest.approx(-roots[-1], abs=1e-10)
+        spec = angular_eigenvalues(label, ratio)
+        assert all(certify_eigenvalues(spec, ratio, 1e-12))
+        assert dense[-1] == pytest.approx(spec.eigenvalues[-1], abs=1e-10)
+        assert dense[0] == pytest.approx(-spec.eigenvalues[-1], abs=1e-10)

@@ -175,6 +175,7 @@ class TestVerify:
         summary = document["records"][0]
         assert summary["kind"] == "summary"
         assert summary["passed"] is True
+        assert list(summary["worst_irreps"]) == list(document["residuals"])
 
     def test_2_3_passes_without_w32_section(self, runner):
         result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
@@ -197,13 +198,15 @@ class TestVerify:
         assert "result: FAIL" in result.output
 
     def test_tight_tolerance_passes(self, runner):
-        # method agreement must not be limited by the bisection's own width
+        # the certificate proves every eigenvalue within 2^-44 <= 1e-13, the
+        # eigen tolerance, and eigh agrees with the dense L0 within it
         result = invoke(runner, "verify", "--ratio", "1:2", "--N-max", "3",
                         "--tol", "1e-14", "--format", "json")
         assert result.exit_code == 0
         document = json.loads(result.output)
         assert document["records"][0]["passed"] is True
         assert document["residuals"]["method_agreement"] <= 1e-13
+        assert document["residuals"]["eigen_certificate_failures"] == 0.0
 
     @pytest.mark.parametrize("command", [["irrep", "--N", "3"], ["verify", "--N-max", "3"]])
     @pytest.mark.parametrize("tol", ["inf", "-1", "0", "nan"])
@@ -261,6 +264,8 @@ class TestVerify:
         worst = {(r["N"], r["p"], r["q"]): r["max_residual"] for r in document["records"][1:]}
         assert math.isnan(worst[(1, 1, 1)])
         assert not any(math.isnan(v) for key, v in worst.items() if key != (1, 1, 1))
+        named = document["records"][0]["worst_irreps"]
+        assert named["commutator_h"] == {"N": 1, "p": 1, "q": 1}
 
     @pytest.mark.parametrize("ratio,n_max", [("1:2", "20"), ("3:5", "8")])
     def test_passes_at_larger_n(self, runner, ratio, n_max):

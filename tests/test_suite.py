@@ -63,6 +63,7 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
     assert not report.passed
     assert math.isnan(report.residuals["commutator_h"])
     assert not report.passes("commutator_h", report.residuals["commutator_h"])
+    assert report.worst_irrep("commutator_h") == poisoned
     for irrep in report.irreps:
         assert math.isnan(irrep.residuals["commutator_h"]) == (irrep.label == poisoned)
         assert math.isnan(irrep.max_residual) == (irrep.label == poisoned)
@@ -84,7 +85,8 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
     report = run_suite(FrequencyRatio(1, 2), 2)
     assert not report.passed
     assert report.residuals["exact_check_failures"] == 1.0
-    assert [i.label for i in report.irreps if i.exact_check_failures] == [poisoned]
+    assert [i.label for i in report.irreps if i.failures["exact_check_failures"]] == [poisoned]
+    assert report.worst_irrep("exact_check_failures") == poisoned
     assert not any(key.startswith("oracle_") for key in report.residuals)
 
 
@@ -96,8 +98,41 @@ def test_tolerances_and_gate_rule():
     assert not report.passes("commutator_h", EIGEN_TOL)
     assert not report.passes("orthonormality", math.nan)
     assert not report.passes("exact_check_failures", 1.0)
+    assert not report.passes("eigen_certificate_failures", 1.0)
     assert report.passes("parafermionic_failures", 0.0)
 
     tight = run_suite(ratio, 1, tolerance=1e-13)
     assert tight.eigen_tolerance == 10 * 1e-13
     assert tight.passed
+
+
+def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
+    eigensolve = suite.angular_eigenvalues
+    poisoned = IrrepLabel(3, 1, 2)
+
+    def swapped_pair(label, ratio):
+        spec = eigensolve(label, ratio)
+        if label == poisoned:
+            values = spec.eigenvalues
+            spec = dataclasses.replace(spec, eigenvalues=(values[1], values[0], *values[2:]))
+        return spec
+
+    monkeypatch.setattr(suite, "angular_eigenvalues", swapped_pair)
+    report = run_suite(FrequencyRatio(1, 2), 3)
+    assert not report.passed
+    assert report.residuals["eigen_certificate_failures"] == 2.0
+    assert report.residuals["exact_check_failures"] == 0.0
+    assert [i.label for i in report.irreps if i.failures["eigen_certificate_failures"]] == [
+        poisoned
+    ]
+    assert report.worst_irrep("eigen_certificate_failures") == poisoned
+
+
+def test_worst_irrep_is_the_first_holding_the_worst_value():
+    ratio = FrequencyRatio(2, 3)
+    report = run_suite(ratio, 3)
+    agreement = [irrep.residuals["method_agreement"] for irrep in report.irreps]
+    first_worst = agreement.index(max(agreement))
+    assert report.worst_irrep("method_agreement") == report.irreps[first_worst].label
+    # every irrep holds the worst count, 0
+    assert report.worst_irrep("exact_check_failures") == IrrepLabel(0, 1, 1)

@@ -14,7 +14,6 @@ from .angular import (
     AngularEigenvector,
     AngularSpectrum,
     angular_eigenvalues,
-    angular_eigenvector,
     build_l0,
     certify_eigenvalues,
     exact_hints,
@@ -35,7 +34,6 @@ from .core import (
 from .exceptions import (
     DeformedU2Error,
     NonCoprimeError,
-    NotAnEigenvalueError,
     NotDivisibleError,
     ShapeMismatchError,
     WrongRatioError,
@@ -74,7 +72,6 @@ __all__ = [
     "IrrepState",
     "Level",
     "NonCoprimeError",
-    "NotAnEigenvalueError",
     "NotDivisibleError",
     "ParafermionicForm",
     "ShapeMismatchError",
@@ -82,7 +79,6 @@ __all__ = [
     "VerificationReport",
     "WrongRatioError",
     "angular_eigenvalues",
-    "angular_eigenvector",
     "build_irrep",
     "build_l0",
     "cartesian_to_irrep",

@@ -12,9 +12,11 @@ eigenvalues are the roots of G_{N+1}; they are simple (Phi > 0 on 1..N) and
 symmetric about zero (G_k has the parity of k), and in the isotropic 1:1
 case they are exactly -N, -N+2, ..., N.
 
-One symmetric tridiagonal eigensolve gives every eigenpair; the forward
-float run of the recurrence is unstable and never builds an eigenvector.
-Its eigenvalues are certified by Sturm counts, the sign changes of
+One symmetric tridiagonal eigensolve gives every eigenpair, and the
+`AngularSpectrum` it returns is the only route to them; the forward float
+run of the recurrence is unstable and never builds an eigenvector.  The
+functions below read the label, ratio and values of the spectrum they are
+given.  Its eigenvalues are certified by Sturm counts, the sign changes of
 G_0 .. G_{N+1} run on the recurrence in integer arithmetic at dyadic points
 beside each computed value, so no rounding can misplace a root.  The exact
 hints evaluate G_{N+1}, as P(l^2), on the same recurrence in `Fraction`s.
@@ -24,19 +26,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .exceptions import NotAnEigenvalueError, WrongRatioError
 from .representation import IrrepMatrices, worst_residual
 from .structure import StructureFunction
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
-           "AngularEigenvector", "angular_eigenvector", "build_l0", "exact_hints"]
+           "AngularEigenvector", "build_l0", "exact_hints"]
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,11 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     if big_n % 2 == 0:
         w[1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    members = irrep_members(label, ratio)
-    vectors = []
-    for value, components, residual in zip(eigs.tolist(), w.T.tolist(), residuals.tolist()):
-        amplitudes = tuple(_PHASES[k % 4] * x for k, x in enumerate(components))
-        vectors.append(AngularEigenvector(label, ratio, value, tuple(components), amplitudes,
-                                          tuple(zip(members, amplitudes)), residual))
-    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), tuple(vectors))
+    vectors = tuple(
+        AngularEigenvector(label, ratio, value, tuple(components), residual)
+        for value, components, residual in zip(eigs.tolist(), w.T.tolist(), residuals.tolist())
+    )
+    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), vectors)
 
 
 def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
@@ -138,7 +137,7 @@ def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
     return current
 
 
-def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str | None, ...]:
+def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     """Closed forms like '2', '-sqrt(8)' or 'sqrt(3/2)' of the eigenvalues.
 
     A candidate is the rational with denominator <= 1000 nearest l (or l^2)
@@ -146,15 +145,10 @@ def exact_hints(spectrum: AngularSpectrum, ratio: FrequencyRatio) -> tuple[str |
     G_{N+1}(l) = l^((N+1) mod 2) P(l^2) over the rationals, a rational r is
     a root iff P(r^2) = 0, sqrt(s) iff P(s) = 0, and 0 iff N is even; P is
     evaluated exactly on the recurrence (`_p_value`).  Eigenvalues without a
-    confirmed closed form get None.  A spectrum of another ratio raises
-    WrongRatioError.
+    confirmed closed form get None.
     """
-    if spectrum.ratio != ratio:
-        raise WrongRatioError(
-            f"spectrum of {spectrum.label} is of ratio {spectrum.ratio}, not {ratio}"
-        )
     label = spectrum.label
-    phi = StructureFunction(label, ratio).values()
+    phi = StructureFunction(label, spectrum.ratio).values()
 
     def near_rational(value: float) -> Fraction | None:
         candidate = Fraction(value).limit_denominator(1000)
@@ -202,26 +196,20 @@ def _sturm_counter(label: IrrepLabel, ratio: FrequencyRatio) -> Callable[[int, i
     return count_above
 
 
-def certify_eigenvalues(spectrum: AngularSpectrum, ratio: FrequencyRatio,
-                        tolerance: float) -> tuple[bool, ...]:
+def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bool, ...]:
     """Whether each eigenvalue of `spectrum` is proven within `tolerance` of its own.
 
     With delta the largest power of two <= `tolerance`, the i-th value l_i
     (ascending, from 0) is certified iff count_above(l_i - delta) >= N+1-i
     and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`).
     That proves the i-th true eigenvalue lies in (l_i - delta, l_i + delta].
-    There is no float fallback; a NaN is not certified.  A spectrum of
-    another ratio raises WrongRatioError, a tolerance that is not finite
-    and > 0 ValueError.
+    There is no float fallback; a NaN is not certified.  A tolerance that
+    is not finite and > 0 raises ValueError.
     """
-    if spectrum.ratio != ratio:
-        raise WrongRatioError(
-            f"spectrum of {spectrum.label} is of ratio {spectrum.ratio}, not {ratio}"
-        )
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"certificate tolerance must be finite and > 0, not {tolerance!r}")
     big_n = spectrum.label.N
-    count = _sturm_counter(spectrum.label, ratio)
+    count = _sturm_counter(spectrum.label, spectrum.ratio)
     delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
 
     def count_above(x: Fraction) -> int:
@@ -240,25 +228,32 @@ class AngularEigenvector:
     """One normalized eigenvector of L0, in both bases.
 
     `components` are the real eigenvector w of the tridiagonal T (w_0 > 0),
-    and `amplitudes` = (-i)^k w_k carry the alternating phases explicitly;
-    `cartesian` re-expresses the same amplitudes on the occupation states
-    |n_x, n_y>.  `residual` is ||T w - l w||_inf, which equals
-    ||L0 v - l v||_inf.
+    the one stored form; `amplitudes`, `cartesian` and `coefficients` are
+    derived from it on first read.  `residual` is ||T w - l w||_inf, which
+    equals ||L0 v - l v||_inf.
     """
 
     label: IrrepLabel
     ratio: FrequencyRatio
     eigenvalue: float
     components: tuple[float, ...]
-    amplitudes: tuple[complex, ...]
-    cartesian: tuple[tuple[CartesianState, complex], ...]
     residual: float
+
+    @cached_property
+    def amplitudes(self) -> tuple[complex, ...]:
+        """(-i)^k w_k, the eigenvector of L0 with its alternating phases explicit."""
+        return tuple(_PHASES[k % 4] * x for k, x in enumerate(self.components))
+
+    @cached_property
+    def cartesian(self) -> tuple[tuple[CartesianState, complex], ...]:
+        """The amplitudes on the occupation states |n_x, n_y> of the irrep."""
+        return tuple(zip(irrep_members(self.label, self.ratio), self.amplitudes))
 
     @cached_property
     def coefficients(self) -> tuple[float, ...]:
         """The real recurrence coefficients c_k = (-1)^k sqrt([k]!) w_k (c_0 > 0) of
-        the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>.  Computed on first
-        read; a sqrt([k]!) beyond float range raises ArithmeticError."""
+        the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>.  A sqrt([k]!) beyond
+        float range raises ArithmeticError."""
         with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
             signed = np.cumprod([1.0, *-_offdiagonals(self.label, self.ratio)])
         if not np.all(np.isfinite(signed)):
@@ -268,34 +263,6 @@ class AngularEigenvector:
                 f"oscillator is not finite: sqrt([{k}]!) overflows a float"
             )
         return tuple((signed * np.array(self.components)).tolist())
-
-
-def angular_eigenvector(
-    label: IrrepLabel,
-    ratio: FrequencyRatio,
-    eigenvalue: float,
-    tolerance: float = 1e-9,
-) -> AngularEigenvector:
-    """Eigenvector of L0 for a known eigenvalue.
-
-    Returns the computed eigenvector whose eigenvalue is nearest
-    `eigenvalue`, with its residual ||T w - l w||_inf recomputed at the
-    given value, which must stay within `tolerance`, a finite number > 0.
-    """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"eigenvector tolerance must be finite and > 0, not {tolerance!r}")
-    spec = angular_eigenvalues(label, ratio)
-    i = int(np.argmin(np.abs(np.array(spec.eigenvalues) - eigenvalue)))
-    vector = spec.vectors[i]
-    (residual,) = _residuals(
-        _offdiagonals(label, ratio), np.array(vector.components)[:, None], np.array([eigenvalue])
-    )
-    if not residual <= tolerance:
-        raise NotAnEigenvalueError(
-            f"{eigenvalue} is not an eigenvalue of L0 on {label}: "
-            f"residual {residual:.3e} is not within the tolerance {tolerance:.1e}"
-        )
-    return replace(vector, eigenvalue=eigenvalue, residual=float(residual))
 
 
 def build_l0(rep: IrrepMatrices) -> np.ndarray:

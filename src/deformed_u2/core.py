@@ -33,6 +33,7 @@ __all__ = [
     "energy_of_cartesian",
     "cartesian_to_irrep",
     "irrep_to_cartesian",
+    "irrep_members",
     "enumerate_levels",
 ]
 

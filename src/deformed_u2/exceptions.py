@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DeformedU2Error", "NonCoprimeError", "ShapeMismatchError", "NotDivisibleError",
+           "WrongRatioError"]
+
 
 class DeformedU2Error(Exception):
     """Base class for all library-specific errors."""
@@ -19,7 +22,3 @@ class NotDivisibleError(DeformedU2Error):
 
 class WrongRatioError(DeformedU2Error):
     """Operation is defined only for a specific frequency ratio."""
-
-
-class NotAnEigenvalueError(DeformedU2Error):
-    """Value is not an eigenvalue: its eigenvector residual exceeds the tolerance."""

@@ -92,6 +92,11 @@ class VerificationReport:
         return worst_residual(self.residuals.values())
 
     @property
+    def failures(self) -> int:
+        """Number of exact checks that do not hold."""
+        return sum(not ok for ok in self.exact_checks.values())
+
+    @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance and all(self.exact_checks.values())
 

@@ -27,7 +27,7 @@ from .structure import parafermionic_decompose
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
 IDENTITY_TOL = 1e-10
-EIGEN_TOL = 1e-9
+EIGEN_TOL = 10 * IDENTITY_TOL
 EIGEN_KEYS = frozenset({"method_agreement", "eigenvector_residual", "orthonormality"})
 
 
@@ -87,23 +87,22 @@ class SuiteReport:
         return all(self.passes(key, value) for key, value in self.residuals.items())
 
 
-def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float | None = None) -> SuiteReport:
+def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL) -> SuiteReport:
     """Run every identity check on every irrep (N, p, q) with N <= n_max.
 
-    `tolerance` is the identity tolerance (default `IDENTITY_TOL`); the
+    `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the
     eigen class, and the certificate of each eigenvalue, are gated at 10x
-    it (default `EIGEN_TOL`).  An `ArithmeticError` from the eigensolve
-    propagates.
+    it, so at `EIGEN_TOL` by default.  An `ArithmeticError` from the
+    eigensolve propagates.
     """
-    identity_tol = IDENTITY_TOL if tolerance is None else tolerance
-    eigen_tol = EIGEN_TOL if tolerance is None else 10 * tolerance
+    eigen_tol = 10 * tolerance
 
     irreps = []
     labels = [IrrepLabel(big_n, p, q) for big_n in range(n_max + 1)
               for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
     for label in labels:
         rep = build_irrep(label, ratio)
-        algebra = verify_algebra(rep, identity_tol)
+        algebra = verify_algebra(rep, tolerance)
         oracle = oracle_compare(rep)
         residuals = dict(algebra.residuals)
 
@@ -117,18 +116,17 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float | None = None)
         residuals["orthonormality"] = float(np.max(np.abs(gram - np.eye(label.dimension))))
 
         if (ratio.m, ratio.n) == (1, 2):
-            w32 = w32_check(rep, tolerance=identity_tol).residuals
+            w32 = w32_check(rep, tolerance=tolerance).residuals
             residuals.update({f"w32_{key}": value for key, value in w32.items()})
 
-        exact_checks = (*algebra.exact_checks.values(), *oracle.exact_checks.values())
         failures = {
-            "exact_check_failures": sum(not ok for ok in exact_checks),
-            "eigen_certificate_failures": certify_eigenvalues(spec, ratio, eigen_tol).count(False),
+            "exact_check_failures": algebra.failures + oracle.failures,
+            "eigen_certificate_failures": certify_eigenvalues(spec, eigen_tol).count(False),
         }
         if ratio.m == 1:
             form = parafermionic_decompose(StructureFunction(label, ratio))
             failures["parafermionic_failures"] = int(not form.positive)
         irreps.append(IrrepReport(label, rep.energy, residuals, failures))
 
-    return SuiteReport(ratio, n_max, commutator_polynomial(ratio), identity_tol, eigen_tol,
+    return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
                        tuple(irreps))

@@ -22,7 +22,6 @@ from deformed_u2 import (
     StructureFunction,
     WrongRatioError,
     angular_eigenvalues,
-    angular_eigenvector,
     build_irrep,
     build_l0,
     certify_eigenvalues,
@@ -165,7 +164,7 @@ def test_criterion_05_angular_momentum():
             values = np.array(angular_eigenvalues(label, ratio).eigenvalues)
             assert np.max(np.abs(values - np.array(expected))) <= 1e-10
 
-        vec = angular_eigenvector(IrrepLabel(2, 1, 1), ratio, 0.0)
+        vec = angular_eigenvalues(IrrepLabel(2, 1, 1), ratio).vectors[1]
         states = [state for state, _ in vec.cartesian]
         assert states == [
             CartesianState(0, 4), CartesianState(1, 2), CartesianState(2, 0),
@@ -251,6 +250,6 @@ def test_criterion_10_method_agreement():
                 tri = np.array(spec.eigenvalues)
                 dense = np.sort(np.linalg.eigvalsh(build_l0(build_irrep(label, ratio))))
                 # each value is proven within 2^-30 <= 1e-9 of its own true eigenvalue
-                assert all(certify_eigenvalues(spec, ratio, 1e-9)), (label, ratio)
+                assert all(certify_eigenvalues(spec, 1e-9)), (label, ratio)
                 assert np.max(np.abs(tri - dense)) <= 1e-9, (label, ratio)
                 assert np.max(np.abs(tri + tri[::-1])) <= 1e-10, (label, ratio)

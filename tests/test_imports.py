@@ -52,6 +52,15 @@ def test_cli_and_commands_never_load_sympy_or_scipy():
         assert loaded == [], f"{step} loaded {loaded}"
 
 
+def test_every_package_export_is_listed_where_it_is_defined():
+    # `from deformed_u2.<module> import *` gives the same names as the package
+    for name in deformed_u2.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(getattr(deformed_u2, name).__module__)
+        assert name in module.__all__, f"{module.__name__}.__all__ does not list {name!r}"
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition is deleted breaks `import *`
     modules = [deformed_u2] + [

@@ -111,6 +111,14 @@ class TestVerifyAlgebra:
         assert not report.max_residual <= 1e-10
         assert not report.passed
 
+    def test_failures_count_the_exact_checks_that_do_not_hold(self):
+        report = verify_algebra(build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)))
+        assert report.failures == 0
+        checks = {"phi_boundary": True, "phi_positive": False, "ladder_difference": True}
+        report = VerificationReport("injected", {"a": 0.0}, checks, 1e-10)
+        assert report.failures == 1
+        assert not report.passed
+
     def test_worst_residual_keeps_nan_wherever_it_is(self):
         assert worst_residual([]) == 0.0
         assert worst_residual(iter([1e-3, 2e-3])) == 2e-3

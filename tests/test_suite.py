@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 
 from deformed_u2 import FrequencyRatio, IrrepLabel, VerificationReport
-from deformed_u2 import representation, suite
+from deformed_u2 import angular, oracle, representation, suite
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 
 
@@ -43,6 +43,22 @@ def test_builds_each_irrep_once(monkeypatch):
     assert made == builds
     assert [irrep.label for irrep in report.irreps] == labels
     assert report.passed
+
+
+def test_lists_each_irreps_members_once(monkeypatch):
+    # the oracle reads the members; the eigenvectors' Cartesian view is never read
+    calls = Counter()
+    members = oracle.irrep_members
+
+    def counting_members(label, ratio):
+        calls[label] += 1
+        return members(label, ratio)
+
+    monkeypatch.setattr(oracle, "irrep_members", counting_members)
+    monkeypatch.setattr(angular, "irrep_members", counting_members)
+    ratio = FrequencyRatio(2, 3)
+    run_suite(ratio, 3)
+    assert calls == {label: 1 for label in labels_of(ratio, 3)}
 
 
 def test_nan_residual_fails_only_its_irrep(monkeypatch):

@@ -203,24 +203,30 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     (ascending, from 0) is certified iff count_above(l_i - delta) >= N+1-i
     and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`).
     That proves the i-th true eigenvalue lies in (l_i - delta, l_i + delta].
+    Both points are dyadic: l_i = a / 2^e exactly (`float.as_integer_ratio`),
+    so l_i +- delta is (a 2^(s-e) +- 2^(s+t)) / 2^s, delta = 2^t and
+    s = max(e, -t), formed by integer shifts with no `Fraction`.
     There is no float fallback; a NaN is not certified.  A tolerance that
     is not finite and > 0 raises ValueError.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"certificate tolerance must be finite and > 0, not {tolerance!r}")
     big_n = spectrum.label.N
-    count = _sturm_counter(spectrum.label, spectrum.ratio)
-    delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
+    count_above = _sturm_counter(spectrum.label, spectrum.ratio)
+    delta_exponent = math.frexp(tolerance)[1] - 1
 
-    def count_above(x: Fraction) -> int:
-        return count(x.numerator, x.denominator.bit_length() - 1)
+    def certified(i: int, value: float) -> bool:
+        if not math.isfinite(value):
+            return False
+        numerator, denominator = value.as_integer_ratio()
+        exponent = denominator.bit_length() - 1
+        shift = max(exponent, -delta_exponent)
+        centre = numerator << (shift - exponent)
+        delta = 1 << (shift + delta_exponent)
+        return (count_above(centre - delta, shift) >= big_n + 1 - i
+                and count_above(centre + delta, shift) <= big_n - i)
 
-    return tuple(
-        math.isfinite(value)
-        and count_above(Fraction(value) - delta) >= big_n + 1 - i
-        and count_above(Fraction(value) + delta) <= big_n - i
-        for i, value in enumerate(spectrum.eigenvalues)
-    )
+    return tuple(certified(i, value) for i, value in enumerate(spectrum.eigenvalues))
 
 
 @dataclass(frozen=True)

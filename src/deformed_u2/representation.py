@@ -109,7 +109,8 @@ def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
     energy = sf.energy
     dim = label.N + 1
 
-    s0 = np.diag([float(u + k) for k in range(dim)])
+    # float(u + k), with the sum taken on u's numerator
+    s0 = np.diag([(u.numerator + k * u.denominator) / u.denominator for k in range(dim)])
     s_plus = np.zeros((dim, dim))
     for k in range(dim - 1):
         s_plus[k + 1, k] = math.sqrt(float(phi[k + 1]))
@@ -145,13 +146,20 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
     [S-, S+] against the commutator polynomial evaluated on the diagonal.
     Exact checks: Phi boundary (Phi(0) = Phi(N+1) = 0), Phi positivity on
     1..N, and the rational identity Phi(k+1) - Phi(k) = poly(E, u + k).
+    The polynomial is evaluated along the irrep by its integer kernel, and
+    the identity is compared cross-multiplied in ints; the diagonal target
+    of [S-, S+] is the correctly rounded quotient of the same ints.
     """
     dim = _require_square(rep)
     s0, sp, sm, h = rep.s0, rep.s_plus, rep.s_minus, rep.h
-    poly = commutator_polynomial(rep.ratio)
-
-    ladder_exact = [poly(rep.energy, rep.u + k) for k in range(dim)]
-    ladder_target = np.diag([float(v) for v in ladder_exact])
+    # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N, and Phi(k) =
+    # phi[k] / phi_den: both over one common denominator, in plain ints
+    ladder, ladder_den = commutator_polynomial(rep.ratio)._scaled_values(
+        rep.energy, rep.u, dim
+    )
+    phi_den = math.lcm(*(v.denominator for v in rep.phi))
+    phi = [v.numerator * (phi_den // v.denominator) for v in rep.phi]
+    ladder_target = np.diag([v / ladder_den for v in ladder])
 
     residuals = {
         "commutator_s0_splus": _residual(s0 @ sp - sp @ s0, sp),
@@ -163,7 +171,7 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
         "phi_boundary": rep.phi[0] == 0 and rep.phi[-1] == 0,
         "phi_positive": all(v > 0 for v in rep.phi[1:-1]),
         "ladder_difference": all(
-            rep.phi[k + 1] - rep.phi[k] == ladder_exact[k] for k in range(dim)
+            (phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den for k in range(dim)
         ),
     }
     return VerificationReport("algebra", residuals, exact_checks, tolerance)

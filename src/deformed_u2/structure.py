@@ -11,10 +11,12 @@ in S0.  On the irrep (N, p, q) the same data appears as the ladder-strength
 function Phi(x), positive on 1..N and vanishing at 0 and N + 1, which pins
 the Fock dimension to N + 1.
 
-Everything here is exact.  Values are `Fraction`s; the commutator and the
-1:n split Phi(x) = x (N+1-x) P(x) are multiplied out of the linear factors
-of F (`_ladder_factors`) by one loop, `_expand`, and the Gamma-quotient form
-of Phi is expanded into rising/falling factorials instead of evaluating a
+Everything here is exact.  F is written once, as its table of linear
+factors with every offset scaled by 4mn to an int (`_ladder_factors`); the
+commutator and the 1:n split Phi(x) = x (N+1-x) P(x) are multiplied out of
+that table in plain ints by one loop, `_expand`, and a `Fraction` is built
+only for a value that is returned.  The Gamma-quotient form of Phi is
+expanded into rising/falling factorials instead of evaluating a
 transcendental Gamma function (so there are no poles and no rounding).
 sympy is imported only by the symbolic outputs (`CommutatorPolynomial.poly`
 and `.expression()`, `StructureFunction.as_poly`, `ParafermionicForm.factor`,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -82,29 +84,32 @@ def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
     ) / 2
 
 
-def _ladder_factors(ratio: FrequencyRatio) -> Iterator[tuple[int, Fraction]]:
-    """The factor table (sigma_i, c_i) of F(H, S0) = prod_i (H/2 + sigma_i S0 + c_i).
+@functools.cache
+def _ladder_factors(ratio: FrequencyRatio) -> tuple[tuple[int, int], ...]:
+    """The factor table (sigma_i, 4mn c_i) of F(H, S0) = prod_i (H/2 + sigma_i S0 + c_i).
 
     The m raised x-mode factors have sigma = +1, c = -(2k-1)/(2m), k = 1..m;
     the n lowered y-mode factors have sigma = -1, c = (2l-1)/(2n), l = 1..n.
-    This table is the one written form of F.
+    Each c_i is stored times 4mn, an int.  This table is the one written
+    form of F, built once per ratio.
     """
-    for k in range(1, ratio.m + 1):
-        yield 1, Fraction(-(2 * k - 1), 2 * ratio.m)
-    for l in range(1, ratio.n + 1):
-        yield -1, Fraction(2 * l - 1, 2 * ratio.n)
+    m, n = ratio.m, ratio.n
+    return (*((1, -(2 * k - 1) * 2 * n) for k in range(1, m + 1)),
+            *((-1, (2 * l - 1) * 2 * m) for l in range(1, n + 1)))
 
 
-def _expand(forms: Iterable[tuple[Fraction, ...]]) -> dict[tuple[int, ...], Fraction]:
-    """Multiply out linear forms (a_1, ..., a_v, c) = a_1 x_1 + ... + a_v x_v + c.
+def _expand(forms: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Multiply out integer linear forms (a_1, ..., a_v, c) = a_1 x_1 + ... + a_v x_v + c.
 
     The product comes back as a dict from exponent tuples (e_1, ..., e_v) to
-    its nonzero `Fraction` coefficients.
+    its nonzero int coefficients.  Callers scale each form by a common
+    denominator (4mn for the factors of F) so the loop runs in plain ints,
+    and divide once when they build the `Fraction` of a returned coefficient.
     """
     forms = list(forms)
-    terms: dict[tuple[int, ...], Fraction] = {(0,) * (len(forms[0]) - 1): Fraction(1)}
+    terms: dict[tuple[int, ...], int] = {(0,) * (len(forms[0]) - 1): 1}
     for *slopes, constant in forms:
-        product: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+        product: dict[tuple[int, ...], int] = defaultdict(int)
         for exponents, coeff in terms.items():
             product[exponents] += constant * coeff
             for i, slope in enumerate(slopes):
@@ -122,10 +127,11 @@ class StructureFunction:
     S0 shift u; expanded, that is the product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
       prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
-    `product_value` evaluates F's factor table (see `_ladder_factors`) in
-    plain ints: each factor E/2 + sigma_i (u + x) + c_i is scaled by
-    4mn den(x), the per-irrep offsets are computed once per instance, and
-    one `Fraction` is built from the product.
+    `product_value` evaluates F's integer factor table (see
+    `_ladder_factors`) in plain ints: each factor E/2 + sigma_i (u + x) + c_i
+    is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
+    int computed once per instance, and one `Fraction` is built from the
+    product.  `u` and `energy` are computed once per instance.
     `gamma_value` keeps the Gamma-quotient form as an independent check,
     expanded exactly into falling/rising factorials
       (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
@@ -139,11 +145,11 @@ class StructureFunction:
     def __post_init__(self) -> None:
         self.label.validate_for(self.ratio)
 
-    @property
+    @functools.cached_property
     def u(self) -> Fraction:
         return u_constant(self.label, self.ratio)
 
-    @property
+    @functools.cached_property
     def energy(self) -> Fraction:
         return energy_of_irrep(self.label, self.ratio)
 
@@ -154,14 +160,16 @@ class StructureFunction:
     def _scaled_factors(self) -> tuple[tuple[int, int], ...]:
         """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F.
 
-        E/2 and u have denominators dividing 4mn and each c_i one dividing
-        2m or 2n, so every scaled offset is an int.
+        E has a denominator dividing 2mn and u one dividing 4mn, so 4mn E/2
+        and 4mn u are ints, read off their numerators and denominators.
         """
         scale = 4 * self.ratio.m * self.ratio.n
-        half_e, u = int(scale * self.energy / 2), int(scale * self.u)
+        energy, u = self.energy, self.u
+        half_e = energy.numerator * (scale // (2 * energy.denominator))
+        shift = u.numerator * (scale // u.denominator)
         return tuple(
-            (sigma, half_e + sigma * u + c.numerator * (scale // c.denominator))
-            for sigma, c in _ladder_factors(self.ratio)
+            (sigma, half_e + sigma * shift + offset)
+            for sigma, offset in _ladder_factors(self.ratio)
         )
 
     def product_value(self, x: int | Fraction) -> Fraction:
@@ -198,18 +206,21 @@ class StructureFunction:
 
     def as_poly(self) -> sympy.Poly:
         """Phi as a univariate polynomial in x over QQ (imports sympy)."""
-        return _poly_in_x(_phi_coefficients(self))
+        numerators, denominator = _phi_numerators(self)
+        return _poly_in_x([Fraction(c, denominator) for c in numerators])
 
 
-def _phi_coefficients(sf: StructureFunction) -> list[Fraction]:
-    """Coefficients of Phi in x, lowest power first.
+def _phi_numerators(sf: StructureFunction) -> tuple[list[int], int]:
+    """Coefficients of Phi in x, lowest power first, as ints over one denominator.
 
     Phi(x) = F(E, u + x) is the product of the forms sigma_i x + E/2 +
-    sigma_i u + c_i.
+    sigma_i u + c_i; scaled by 4mn each is an integer form, so the
+    coefficients are ints over (4mn)^(m+n).
     """
-    half_e, u = sf.energy / 2, sf.u
-    phi = _expand((sigma, half_e + sigma * u + c) for sigma, c in _ladder_factors(sf.ratio))
-    return [phi.get((k,), Fraction(0)) for k in range(sf.ratio.m + sf.ratio.n + 1)]
+    scale = 4 * sf.ratio.m * sf.ratio.n
+    phi = _expand((sigma * scale, offset) for sigma, offset in sf._scaled_factors)
+    degree = sf.ratio.m + sf.ratio.n
+    return [phi.get((k,), 0) for k in range(degree + 1)], scale**degree
 
 
 def _poly_in_x(coefficients) -> sympy.Poly:
@@ -264,16 +275,33 @@ class CommutatorPolynomial:
         return dict(self.terms)
 
     def __call__(self, h: int | Fraction, s0: int | Fraction) -> Fraction:
-        """Exact value at (h, s0): the sum is taken in plain ints over one
-        common denominator, and a single `Fraction` is built at the end."""
-        h, s0 = Fraction(h), Fraction(s0)
+        """Exact value at (h, s0), from the integer kernel `_scaled_values`."""
+        (numerator,), denominator = self._scaled_values(Fraction(h), Fraction(s0), 1)
+        return Fraction(numerator, denominator)
+
+    def _scaled_values(self, h: Fraction, s0: Fraction, count: int) -> tuple[list[int], int]:
+        """Numerators of poly(h, s0 + k), k = 0..count-1, over one common denominator.
+
+        The H powers are collected once, into one int coefficient b_j per S0
+        power.  With s0 + k = y / d, each value is then sum_j b_j y^j
+        d^(J-j), J the S0 degree, run by integer Horner in y; no `Fraction`
+        is built.
+        """
         h_top, s0_top = self._degrees
         h_powers = _scaled_powers(h.numerator, h.denominator, h_top)
-        s0_powers = _scaled_powers(s0.numerator, s0.denominator, s0_top)
-        total = sum(a * h_powers[i] * s0_powers[j] for i, j, a in self._numerators)
-        return Fraction(
-            total, self._denominator * h.denominator**h_top * s0.denominator**s0_top
-        )
+        d_powers = _scaled_powers(1, s0.denominator, s0_top)
+        weights = [0] * (s0_top + 1)
+        for i, j, a in self._numerators:
+            weights[j] += a * h_powers[i] * d_powers[j]
+        weights.reverse()
+        numerators = []
+        for y in range(s0.numerator, s0.numerator + count * s0.denominator, s0.denominator):
+            value = 0
+            for weight in weights:
+                value = value * y + weight
+            numerators.append(value)
+        denominator = self._denominator * h.denominator**h_top * s0.denominator**s0_top
+        return numerators, denominator
 
     @property
     def poly(self) -> sympy.Poly:
@@ -325,16 +353,22 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
 
     The two leading S0^(m+n) terms cancel in the difference, leaving degree
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
-    The result is immutable, so it is built once per ratio and shared.
+    Both products are expanded from the integer factor table, each factor
+    scaled by 4mn, and subtracted in ints; one `Fraction` is built per
+    surviving coefficient.  The result is immutable, so it is built once per
+    ratio and shared.
     """
-    half = Fraction(1, 2)
-    factors = list(_ladder_factors(ratio))
-    diff = _expand((half, sigma, c + sigma) for sigma, c in factors)
-    for exponents, coeff in _expand((half, sigma, c) for sigma, c in factors).items():
+    scale = 4 * ratio.m * ratio.n
+    half = scale // 2
+    factors = _ladder_factors(ratio)
+    diff = _expand((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors)
+    at_s0 = _expand((half, sigma * scale, offset) for sigma, offset in factors)
+    for exponents, coeff in at_s0.items():
         diff[exponents] = diff.get(exponents, 0) - coeff
-    return CommutatorPolynomial(
-        ratio, tuple(sorted(((e, c) for e, c in diff.items() if c), reverse=True))
-    )
+    denominator = scale ** len(factors)
+    return CommutatorPolynomial(ratio, tuple(sorted(
+        ((e, Fraction(c, denominator)) for e, c in diff.items() if c), reverse=True
+    )))
 
 
 @dataclass(frozen=True)
@@ -372,10 +406,11 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
         )
     big_n = sf.label.N
     root = big_n + 1
-    remainder, *over_x = _phi_coefficients(sf)
-    # synthetic division of Phi/x by (x - root), from the top coefficient down
-    quotient = [Fraction(0)] * (len(over_x) - 1)
-    carry = Fraction(0)
+    (remainder, *over_x), denominator = _phi_numerators(sf)
+    # synthetic division of Phi/x by (x - root), from the top coefficient
+    # down; the root is an int, so it runs on the integer numerators
+    quotient = [0] * (len(over_x) - 1)
+    carry = 0
     for k in range(len(over_x) - 1, 0, -1):
         carry = over_x[k] + root * carry
         quotient[k - 1] = carry
@@ -383,14 +418,14 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
         raise NotDivisibleError(
             f"x (N+1-x) does not divide the structure function of {sf.label}"
         )
-    # (N+1-x) = -(x - root), so P is minus the quotient
-    coefficients = tuple(-c for c in quotient)
-    values = tuple(_horner(coefficients, k) for k in range(1, big_n + 1))
-    return ParafermionicForm(coefficients, values)
-
-
-def _horner(coefficients: tuple[Fraction, ...], x: int | Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(coefficients):
-        value = value * x + c
-    return value
+    # (N+1-x) = -(x - root), so P is minus the quotient; P(1..N) by integer
+    # Horner over the same denominator
+    numerators = [-c for c in reversed(quotient)]
+    values = []
+    for x in range(1, big_n + 1):
+        value = 0
+        for c in numerators:
+            value = value * x + c
+        values.append(Fraction(value, denominator))
+    coefficients = tuple(Fraction(-c, denominator) for c in quotient)
+    return ParafermionicForm(coefficients, tuple(values))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -57,21 +58,29 @@ class SuiteReport:
     eigen_tolerance: float
     irreps: tuple[IrrepReport, ...]
 
-    @property
+    @cached_property
+    def _columns(self) -> dict[str, tuple[float, ...]]:
+        """Each key's values over the irreps, in irrep order: the residual keys
+        sorted by name, then the failure keys in `IrrepReport.failures` order."""
+        keys = sorted({key for irrep in self.irreps for key in irrep.residuals})
+        columns = {key: tuple(irrep.residuals[key] for irrep in self.irreps) for key in keys}
+        for key in self.irreps[0].failures:
+            columns[key] = tuple(irrep.failures[key] for irrep in self.irreps)
+        return columns
+
+    @cached_property
     def residuals(self) -> dict[str, float]:
         """Worst value of each check over all irreps, sorted by name, then the
         failure counts summed over all irreps, in `IrrepReport.failures` order."""
-        keys = sorted({key for irrep in self.irreps for key in irrep.residuals})
-        residuals = {
-            key: worst_residual(irrep.residuals[key] for irrep in self.irreps) for key in keys
+        failure_keys = self.irreps[0].failures
+        return {
+            key: float(sum(values)) if key in failure_keys else worst_residual(values)
+            for key, values in self._columns.items()
         }
-        for key in self.irreps[0].failures:
-            residuals[key] = float(sum(irrep.failures[key] for irrep in self.irreps))
-        return residuals
 
     def worst_irrep(self, key: str) -> IrrepLabel:
         """The first irrep holding the worst value of `key`; a NaN is the worst."""
-        values = [{**irrep.residuals, **irrep.failures}[key] for irrep in self.irreps]
+        values = self._columns[key]
         worst = worst_residual(values)  # NaN iff some value is NaN
         return next(irrep.label for irrep, value in zip(self.irreps, values)
                     if value == worst or math.isnan(value))
@@ -93,8 +102,10 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the
     eigen class, and the certificate of each eigenvalue, are gated at 10x
     it, so at `EIGEN_TOL` by default.  An `ArithmeticError` from the
-    eigensolve propagates.
+    eigensolve propagates; an `n_max` below 0 raises ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0 for the {ratio} suite, got {n_max}")
     eigen_tol = 10 * tolerance
 
     irreps = []

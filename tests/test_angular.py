@@ -20,6 +20,7 @@ from deformed_u2 import (
     exact_hints,
     irrep_members,
 )
+from deformed_u2 import angular
 from deformed_u2.angular import _p_value, _sturm_counter
 from deformed_u2.suite import EIGEN_TOL
 
@@ -461,6 +462,44 @@ class TestCertificate:
         spec = angular_eigenvalues(label, ratio)
         assert all(certify_eigenvalues(spec, 1.7e308))
         assert all(certify_eigenvalues(spec, 10.0))
+
+    @pytest.mark.parametrize("tolerance", [2.0**-40, 1e-9, 3.0, 1.7e307])
+    def test_counts_at_the_fraction_points(self, monkeypatch, tolerance):
+        # the integer shifts of as_integer_ratio() land on Fraction(l_i) -+ delta
+        label, ratio = IrrepLabel(6, 1, 2), FrequencyRatio(1, 2)
+        tiny = 5e-324
+        values = (0.0, tiny, -tiny, 7e5, -7e5, math.nan, math.inf)
+        spec = shifted(angular_eigenvalues(label, ratio), dict(enumerate(values)))
+        count = _sturm_counter(label, ratio)
+        points = []
+
+        def recording_counter(*args):
+            def count_above(a, e):
+                points.append(Fraction(a, 2**e))
+                return count(a, e)
+
+            return count_above
+
+        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        certified = certify_eigenvalues(spec, tolerance)
+
+        def count_at(x):
+            return count(x.numerator, x.denominator.bit_length() - 1)
+
+        delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
+        expected_points, expected = [], []
+        for i, value in enumerate(values):
+            holds = math.isfinite(value)
+            if holds:
+                expected_points.append(Fraction(value) - delta)
+                holds = count_at(Fraction(value) - delta) >= 7 - i
+            if holds:
+                expected_points.append(Fraction(value) + delta)
+                holds = count_at(Fraction(value) + delta) <= 6 - i
+            expected.append(holds)
+        assert points == expected_points
+        assert certified == tuple(expected)
+        assert any(certified) == (tolerance > 1e6)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):

@@ -324,12 +324,13 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("case", PINNED["verify"], ids=lambda c: " ".join(c["args"]))
     def test_verify(self, runner, case):
-        summary, *irreps = json.loads(
-            invoke(runner, *case["args"], "--format", "json").output
-        )["records"]
+        document = json.loads(invoke(runner, *case["args"], "--format", "json").output)
+        summary, *irreps = document["records"]
         assert summary["commutator"] == case["commutator"]
         assert summary["irreps_checked"] == case["irreps_checked"]
         assert [[r["N"], r["p"], r["q"], r["energy"]] for r in irreps] == case["irreps"]
+        failures = {k: v for k, v in document["residuals"].items() if k.endswith("_failures")}
+        assert failures == case["failures"]
 
     @pytest.mark.parametrize("case", PINNED["angular"], ids=lambda c: " ".join(c["args"]))
     def test_angular(self, runner, case):

@@ -111,6 +111,19 @@ class TestVerifyAlgebra:
         assert not report.max_residual <= 1e-10
         assert not report.passed
 
+    def test_ladder_difference_sees_one_phi_value_off(self):
+        # the integer cross-multiplied check against poly(E, u + k), k = 0..N
+        rep = build_irrep(IrrepLabel(3, 2, 5), FrequencyRatio(4, 7))
+        for k in range(5):
+            phi = list(rep.phi)
+            phi[k] += Fraction(1, 10**30)
+            report = verify_algebra(dataclasses.replace(rep, phi=tuple(phi)))
+            assert report.exact_checks == {
+                "phi_boundary": k not in (0, 4), "phi_positive": True, "ladder_difference": False
+            }
+        report = verify_algebra(dataclasses.replace(rep, energy=rep.energy + Fraction(1, 10**30)))
+        assert not report.exact_checks["ladder_difference"]
+
     def test_failures_count_the_exact_checks_that_do_not_hold(self):
         report = verify_algebra(build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)))
         assert report.failures == 0

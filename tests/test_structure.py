@@ -28,14 +28,15 @@ def _ladder_product(ratio: FrequencyRatio, h, s0):
         prod_{k=1..m} (H/2 + S0 - (2k-1)/(2m)) *
         prod_{l=1..n} (H/2 - S0 + (2l-1)/(2n)),
 
-    multiplied out from `_ladder_factors`.  The body is generic: `Fraction`
-    arguments give the exact value, sympy arguments the expanded
-    polynomial.
+    multiplied out from `_ladder_factors`, whose offsets are stored times
+    4mn.  The body is generic: `Fraction` arguments give the exact value,
+    sympy arguments the expanded polynomial.
     """
     half_h = h / 2
+    scale = 4 * ratio.m * ratio.n
     value = 1
-    for sigma, c in _ladder_factors(ratio):
-        value *= half_h + sigma * s0 + c
+    for sigma, offset in _ladder_factors(ratio):
+        value *= half_h + sigma * s0 + Fraction(offset, scale)
     return value
 
 
@@ -292,3 +293,61 @@ class TestAgainstSympy:
             assert form.values == tuple(
                 Fraction(str(quotient.eval(k))) for k in range(1, label.N + 1)
             )
+
+
+# every integer kernel against the `Fraction` expression it replaced
+SMALL_FRACTIONS = st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40)
+
+
+def fraction_horner(coefficients, x):
+    value = Fraction(0)
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("m,n", [(1, 1), (4, 7), (11, 13)], ids=lambda v: str(v))
+    def test_commutator_terms_match_the_fraction_ladder_product(self, m, n):
+        # both sides have degree <= m + n in H and in S0, so agreeing on an
+        # (m+n+1) x (m+n+1) grid makes them the same polynomial
+        ratio = FrequencyRatio(m, n)
+        terms = commutator_polynomial(ratio).terms
+        assert max(max(i, j) for (i, j), _ in terms) <= m + n
+        grid = [Fraction(2 * k - m - n, 3) for k in range(m + n + 1)]
+        for h in grid:
+            h_powers = [h**i for i in range(m + n + 1)]
+            for s0 in grid:
+                s0_powers = [s0**j for j in range(m + n + 1)]
+                expected = _ladder_product(ratio, h, s0 + 1) - _ladder_product(ratio, h, s0)
+                assert sum(c * h_powers[i] * s0_powers[j] for (i, j), c in terms) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        ratio=st.sampled_from(coprime_pairs(5) + [(4, 7)]),
+        h=SMALL_FRACTIONS,
+        s0=SMALL_FRACTIONS,
+        count=st.integers(0, 12),
+    )
+    def test_values_along_the_irrep_match_call(self, ratio, h, s0, count):
+        ratio = FrequencyRatio(*ratio)
+        poly = commutator_polynomial(ratio)
+        numerators, denominator = poly._scaled_values(h, s0, count)
+        values = [Fraction(v, denominator) for v in numerators]
+        assert values == [poly(h, s0 + k) for k in range(count)]
+        assert values == [
+            _ladder_product(ratio, h, s0 + k + 1) - _ladder_product(ratio, h, s0 + k)
+            for k in range(count)
+        ]
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 7), q=st.integers(1, 7), big_n=st.integers(0, 14))
+    def test_parafermionic_values_match_fraction_horner(self, n, q, big_n):
+        sf = StructureFunction(IrrepLabel(big_n, 1, min(q, n)), FrequencyRatio(1, n))
+        form = parafermionic_decompose(sf)
+        assert form.values == tuple(
+            fraction_horner(form.coefficients, Fraction(x)) for x in range(1, big_n + 1)
+        )
+        # and x (N+1-x) P(x) is Phi at points off the irrep
+        for x in (Fraction(-7, 3), Fraction(1, 2), Fraction(big_n + 5)):
+            assert x * (big_n + 1 - x) * fraction_horner(form.coefficients, x) == sf(x)

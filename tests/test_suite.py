@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from deformed_u2 import FrequencyRatio, IrrepLabel, VerificationReport
 from deformed_u2 import angular, oracle, representation, suite
@@ -152,3 +153,19 @@ def test_worst_irrep_is_the_first_holding_the_worst_value():
     assert report.worst_irrep("method_agreement") == report.irreps[first_worst].label
     # every irrep holds the worst count, 0
     assert report.worst_irrep("exact_check_failures") == IrrepLabel(0, 1, 1)
+
+
+def test_rejects_negative_n_max():
+    with pytest.raises(ValueError, match="n_max"):
+        run_suite(FrequencyRatio(1, 2), -1)
+
+
+def test_residuals_are_derived_once():
+    report = run_suite(FrequencyRatio(2, 3), 2)
+    residuals = report.residuals
+    assert report.passed
+    assert report.residuals is residuals
+    assert residuals["method_agreement"] == max(
+        irrep.residuals["method_agreement"] for irrep in report.irreps
+    )
+    assert residuals["exact_check_failures"] == 0.0

@@ -11,7 +11,6 @@ independent Fock-space oracle.
 """
 
 from .angular import (
-    AngularEigenvector,
     AngularSpectrum,
     angular_eigenvalues,
     build_l0,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AngularEigenvector",
     "AngularSpectrum",
     "CartesianState",
     "CommutatorPolynomial",

@@ -13,13 +13,16 @@ symmetric about zero (G_k has the parity of k), and in the isotropic 1:1
 case they are exactly -N, -N+2, ..., N.
 
 One symmetric tridiagonal eigensolve gives every eigenpair, and the
-`AngularSpectrum` it returns is the only route to them; the forward float
-run of the recurrence is unstable and never builds an eigenvector.  The
-functions below read the label, ratio and values of the spectrum they are
-given.  Its eigenvalues are certified by Sturm counts, the sign changes of
-G_0 .. G_{N+1} run on the recurrence in integer arithmetic at dyadic points
-beside each computed value, so no rounding can misplace a root.  The exact
-hints evaluate G_{N+1}, as P(l^2), on the same recurrence in `Fraction`s.
+`AngularSpectrum` it returns is the only route to them: the eigenvalues and
+the (N+1) x (N+1) matrix of eigenvectors, one column each, whose phased,
+Cartesian and coefficient views are derived once for the whole basis.  The
+forward float run of the recurrence is unstable and never builds an
+eigenvector.  The functions below read the label, ratio and values of the
+spectrum they are given.  Its eigenvalues are certified by Sturm counts,
+the sign changes of G_0 .. G_{N+1} run on the recurrence in integer
+arithmetic at dyadic points beside each computed value, so no rounding can
+misplace a root.  The exact hints evaluate G_{N+1}, as P(l^2), on the same
+recurrence in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -34,23 +37,32 @@ import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
 from .representation import IrrepMatrices, worst_residual
-from .structure import StructureFunction
+from .structure import StructureFunction, _over_common_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
-           "AngularEigenvector", "build_l0", "exact_hints"]
+           "build_l0", "exact_hints"]
 
 
-@dataclass(frozen=True)
+# (-i)^k by k mod 4, exact for every k
+_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
+
+
+@dataclass(frozen=True, eq=False)
 class AngularSpectrum:
-    """Sorted eigenvalues of L0 on one irrep, labelled -L, -L+2, ..., L.
+    """The eigenbasis of L0 on one irrep: eigenvalues labelled -L, -L+2, ..., L.
 
-    `vectors[i]` is the normalized eigenvector for `eigenvalues[i]`.
+    Column i of `components` is the real eigenvector w_i of the tridiagonal
+    T (w_0 > 0) for `eigenvalues[i]`, and row k is the Fock state |k>; the
+    `amplitudes`, `cartesian` and `coefficients` views are derived from it
+    on first read.  `residuals[i]` is ||T w_i - l_i w_i||_inf, which equals
+    ||L0 v_i - l_i v_i||_inf.  It holds an ndarray, so it compares by identity.
     """
 
     label: IrrepLabel
     ratio: FrequencyRatio
     eigenvalues: tuple[float, ...]
-    vectors: tuple[AngularEigenvector, ...]
+    components: np.ndarray
+    residuals: tuple[float, ...]
 
     @property
     def markers(self) -> tuple[int, ...]:
@@ -60,17 +72,45 @@ class AngularSpectrum:
     @property
     def max_residual(self) -> float:
         """Worst eigenvector residual; NaN when any residual is NaN."""
-        return worst_residual(v.residual for v in self.vectors)
+        return worst_residual(self.residuals)
 
     @property
     def symmetry_residual(self) -> float:
-        """max |l_i + l_{N-i}|; NaN when any eigenvalue is NaN."""
+        """max |l_i + l_{N-i}|; NaN when any eigenvalue is NaN.
+
+        `angular_eigenvalues` projects its values onto l_i = -l_{N-i}, so on
+        any finite spectrum it returns this is exactly 0.0; only a NaN fails it.
+        """
         values = self.eigenvalues
         return worst_residual(abs(a + b) for a, b in zip(values, reversed(values)))
 
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """(-i)^k w_k: column i is the eigenvector of L0 for `eigenvalues[i]`,
+        with its alternating phases explicit (a complex multiply, so the
+        signs of zero parts are those of `_PHASES[k % 4] * w_k`)."""
+        phases = np.array([_PHASES[k % 4] for k in range(self.label.dimension)])
+        return phases[:, None] * self.components
 
-# (-i)^k by k mod 4, exact for every k
-_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
+    @cached_property
+    def cartesian(self) -> tuple[CartesianState, ...]:
+        """The occupation state |n_x, n_y> of each row k of the vectors."""
+        return irrep_members(self.label, self.ratio)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The real recurrence coefficients c_k = (-1)^k sqrt([k]!) w_k (c_0 > 0):
+        column i is the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k> for
+        `eigenvalues[i]`.  A sqrt([k]!) beyond float range raises ArithmeticError."""
+        with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
+            signed = np.cumprod([1.0, *-_offdiagonals(self.label, self.ratio)])
+        if not np.all(np.isfinite(signed)):
+            k = int(np.argmin(np.isfinite(signed)))
+            raise ArithmeticError(
+                f"eigenvector coefficient c_{k} of L0 on {self.label} of the {self.ratio} "
+                f"oscillator is not finite: sqrt([{k}]!) overflows a float"
+            )
+        return signed[:, None] * self.components
 
 
 def _offdiagonals(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:
@@ -116,11 +156,7 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     if big_n % 2 == 0:
         w[1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    vectors = tuple(
-        AngularEigenvector(label, ratio, value, tuple(components), residual)
-        for value, components, residual in zip(eigs.tolist(), w.T.tolist(), residuals.tolist())
-    )
-    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), vectors)
+    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), w, tuple(residuals.tolist()))
 
 
 def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
@@ -178,8 +214,8 @@ def _sturm_counter(label: IrrepLabel, ratio: FrequencyRatio) -> Callable[[int, i
     recurrence, so the count is exact at every dyadic point, e <= 0 too.
     """
     phi = StructureFunction(label, ratio).values()[1 : label.N + 1]
-    denominator = math.lcm(*(v.denominator for v in phi))
-    weights = [v.numerator * (denominator // v.denominator) * denominator for v in phi]
+    numerators, denominator = _over_common_denominator(phi)
+    weights = [v * denominator for v in numerators]
 
     def count_above(a: int, e: int) -> int:
         if e < 0:
@@ -227,48 +263,6 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
                 and count_above(centre + delta, shift) <= big_n - i)
 
     return tuple(certified(i, value) for i, value in enumerate(spectrum.eigenvalues))
-
-
-@dataclass(frozen=True)
-class AngularEigenvector:
-    """One normalized eigenvector of L0, in both bases.
-
-    `components` are the real eigenvector w of the tridiagonal T (w_0 > 0),
-    the one stored form; `amplitudes`, `cartesian` and `coefficients` are
-    derived from it on first read.  `residual` is ||T w - l w||_inf, which
-    equals ||L0 v - l v||_inf.
-    """
-
-    label: IrrepLabel
-    ratio: FrequencyRatio
-    eigenvalue: float
-    components: tuple[float, ...]
-    residual: float
-
-    @cached_property
-    def amplitudes(self) -> tuple[complex, ...]:
-        """(-i)^k w_k, the eigenvector of L0 with its alternating phases explicit."""
-        return tuple(_PHASES[k % 4] * x for k, x in enumerate(self.components))
-
-    @cached_property
-    def cartesian(self) -> tuple[tuple[CartesianState, complex], ...]:
-        """The amplitudes on the occupation states |n_x, n_y> of the irrep."""
-        return tuple(zip(irrep_members(self.label, self.ratio), self.amplitudes))
-
-    @cached_property
-    def coefficients(self) -> tuple[float, ...]:
-        """The real recurrence coefficients c_k = (-1)^k sqrt([k]!) w_k (c_0 > 0) of
-        the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k>.  A sqrt([k]!) beyond
-        float range raises ArithmeticError."""
-        with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
-            signed = np.cumprod([1.0, *-_offdiagonals(self.label, self.ratio)])
-        if not np.all(np.isfinite(signed)):
-            k = int(np.argmin(np.isfinite(signed)))
-            raise ArithmeticError(
-                f"eigenvector coefficient c_{k} of L0 on {self.label} of the {self.ratio} "
-                f"oscillator is not finite: sqrt([{k}]!) overflows a float"
-            )
-        return tuple((signed * np.array(self.components)).tolist())
 
 
 def build_l0(rep: IrrepMatrices) -> np.ndarray:

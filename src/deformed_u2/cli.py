@@ -295,18 +295,20 @@ def angular(ratio, big_n, p, q, fmt, output):
     """Angular-momentum table of one irrep: eigenvalues and eigenvectors."""
     label = _make_label(big_n, p, q, ratio)
     spec = _reachable(angular_eigenvalues, label, ratio)
-    _reachable(lambda: [vector.coefficients for vector in spec.vectors])  # c_k may overflow
+    coefficients = _reachable(lambda: spec.coefficients)  # c_k may overflow
 
     records = []
-    for marker, value, hint, vector in zip(
-        spec.markers, spec.eigenvalues, exact_hints(spec), spec.vectors
+    for marker, value, hint, column, amplitudes in zip(
+        spec.markers, spec.eigenvalues, exact_hints(spec),
+        coefficients.T.tolist(), spec.amplitudes.T.tolist(),
     ):
+        pairs = list(zip(spec.cartesian, amplitudes))
         records.append(
             {
                 "marker": marker,
                 "eigenvalue": _decimal(value),
                 "exact_hint": hint,
-                "coefficients": [_decimal(c) for c in vector.coefficients],
+                "coefficients": [_decimal(c) for c in column],
                 "amplitudes": [
                     {
                         "n_x": state.n_x,
@@ -315,9 +317,9 @@ def angular(ratio, big_n, p, q, fmt, output):
                         "im": _decimal(amp.imag),
                         "text": _amplitude_text(amp),
                     }
-                    for state, amp in vector.cartesian
+                    for state, amp in pairs
                 ],
-                "state": _state_text(vector.cartesian),
+                "state": _state_text(pairs),
             }
         )
     residuals = {

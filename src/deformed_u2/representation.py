@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import StructureFunction, commutator_polynomial
+from .structure import StructureFunction, _over_common_denominator, commutator_polynomial
 
 __all__ = [
     "IrrepMatrices",
@@ -157,8 +157,7 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
     ladder, ladder_den = commutator_polynomial(rep.ratio)._scaled_values(
         rep.energy, rep.u, dim
     )
-    phi_den = math.lcm(*(v.denominator for v in rep.phi))
-    phi = [v.numerator * (phi_den // v.denominator) for v in rep.phi]
+    phi, phi_den = _over_common_denominator(rep.phi)
     ladder_target = np.diag([v / ladder_den for v in ladder])
 
     residuals = {

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .core import FrequencyRatio, IrrepLabel, energy_of_irrep
@@ -210,6 +210,15 @@ class StructureFunction:
         return _poly_in_x([Fraction(c, denominator) for c in numerators])
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(P, D) with values[k] = P[k] / D, D the lcm of their denominators.
+
+    Phi's values over D let the exact checks on them run in plain ints.
+    """
+    denominator = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
 def _phi_numerators(sf: StructureFunction) -> tuple[list[int], int]:
     """Coefficients of Phi in x, lowest power first, as ints over one denominator.
 
@@ -245,30 +254,24 @@ def _monomial(h_power: int, s0_power: int) -> str:
 class CommutatorPolynomial:
     """[S-, S+] as an exact bivariate polynomial in (H, S0) over QQ.
 
-    `terms` holds ((H power, S0 power), coefficient) pairs, zero terms
-    omitted, lex-descending in (H power, S0 power), the order sympy prints.
+    The polynomial is sum(a * H**i * S0**j) / `denominator` over the
+    `numerators` (i, j, a), in lowest terms: the a and the denominator share
+    no factor.  Zero terms are omitted, and the order is lex-descending in
+    (H power, S0 power), the order sympy prints.
     """
 
     ratio: FrequencyRatio
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
-    # integer form for evaluation: poly = sum(a * H**i * S0**j) / denominator
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _numerators: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    _degrees: tuple[int, int] = field(init=False, repr=False, compare=False)
+    numerators: tuple[tuple[int, int, int], ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        denominator = lcm(*(c.denominator for _, c in self.terms))
-        numerators = tuple(
-            (i, j, c.numerator * (denominator // c.denominator)) for (i, j), c in self.terms
-        )
-        degrees = (max(i for i, _, _ in numerators), max(j for _, j, _ in numerators))
-        object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_numerators", numerators)
-        object.__setattr__(self, "_degrees", degrees)
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """((H power, S0 power), coefficient) pairs, in the order of `numerators`."""
+        return tuple(((i, j), Fraction(a, self.denominator)) for i, j, a in self.numerators)
 
     @property
     def degree_in_s0(self) -> int:
-        return self._degrees[1]
+        return max(j for _, j, _ in self.numerators)
 
     def coefficients(self) -> dict[tuple[int, int], Fraction]:
         """Map (H power, S0 power) -> coefficient, zero terms omitted."""
@@ -287,11 +290,11 @@ class CommutatorPolynomial:
         d^(J-j), J the S0 degree, run by integer Horner in y; no `Fraction`
         is built.
         """
-        h_top, s0_top = self._degrees
+        h_top, s0_top = max(i for i, _, _ in self.numerators), self.degree_in_s0
         h_powers = _scaled_powers(h.numerator, h.denominator, h_top)
         d_powers = _scaled_powers(1, s0.denominator, s0_top)
         weights = [0] * (s0_top + 1)
-        for i, j, a in self._numerators:
+        for i, j, a in self.numerators:
             weights[j] += a * h_powers[i] * d_powers[j]
         weights.reverse()
         numerators = []
@@ -300,7 +303,7 @@ class CommutatorPolynomial:
             for weight in weights:
                 value = value * y + weight
             numerators.append(value)
-        denominator = self._denominator * h.denominator**h_top * s0.denominator**s0_top
+        denominator = self.denominator * h.denominator**h_top * s0.denominator**s0_top
         return numerators, denominator
 
     @property
@@ -354,9 +357,9 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     The two leading S0^(m+n) terms cancel in the difference, leaving degree
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
     Both products are expanded from the integer factor table, each factor
-    scaled by 4mn, and subtracted in ints; one `Fraction` is built per
-    surviving coefficient.  The result is immutable, so it is built once per
-    ratio and shared.
+    scaled by 4mn, and subtracted in ints; the difference and its
+    denominator (4mn)^(m+n) are divided once by their gcd.  The result is
+    immutable, so it is built once per ratio and shared.
     """
     scale = 4 * ratio.m * ratio.n
     half = scale // 2
@@ -366,9 +369,9 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     for exponents, coeff in at_s0.items():
         diff[exponents] = diff.get(exponents, 0) - coeff
     denominator = scale ** len(factors)
-    return CommutatorPolynomial(ratio, tuple(sorted(
-        ((e, Fraction(c, denominator)) for e, c in diff.items() if c), reverse=True
-    )))
+    common = gcd(denominator, *diff.values())
+    numerators = sorted(((i, j, c // common) for (i, j), c in diff.items() if c), reverse=True)
+    return CommutatorPolynomial(ratio, tuple(numerators), denominator // common)
 
 
 @dataclass(frozen=True)

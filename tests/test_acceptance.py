@@ -164,12 +164,12 @@ def test_criterion_05_angular_momentum():
             values = np.array(angular_eigenvalues(label, ratio).eigenvalues)
             assert np.max(np.abs(values - np.array(expected))) <= 1e-10
 
-        vec = angular_eigenvalues(IrrepLabel(2, 1, 1), ratio).vectors[1]
-        states = [state for state, _ in vec.cartesian]
+        spec = angular_eigenvalues(IrrepLabel(2, 1, 1), ratio)
+        states = list(spec.cartesian)
         assert states == [
             CartesianState(0, 4), CartesianState(1, 2), CartesianState(2, 0),
         ]
-        amplitudes = np.array(vec.amplitudes)
+        amplitudes = spec.amplitudes[:, 1]
         expected = np.array([0.5, 0.0, math.sqrt(3) / 2])
         assert np.max(np.abs(amplitudes - expected)) <= 1e-9
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -199,50 +200,49 @@ class TestEigenvectors:
         ratio = FrequencyRatio(1, 1)
         label = IrrepLabel(1, 1, 1)
         spec = angular_eigenvalues(label, ratio)
-        vec = spec.vectors[0]
-        assert vec.amplitudes[0] == pytest.approx(1 / math.sqrt(2))
-        assert vec.amplitudes[1] == pytest.approx(1j / math.sqrt(2))
-        assert vec.cartesian[0][0] == CartesianState(0, 1)
-        assert vec.cartesian[1][0] == CartesianState(1, 0)
-        vec = spec.vectors[1]
-        assert vec.amplitudes[1] == pytest.approx(-1j / math.sqrt(2))
+        assert spec.amplitudes[0, 0] == pytest.approx(1 / math.sqrt(2))
+        assert spec.amplitudes[1, 0] == pytest.approx(1j / math.sqrt(2))
+        assert spec.cartesian[0] == CartesianState(0, 1)
+        assert spec.cartesian[1] == CartesianState(1, 0)
+        assert spec.amplitudes[1, 1] == pytest.approx(-1j / math.sqrt(2))
 
     def test_1_2_zero_eigenvector(self):
         # (1/2)|0,4> + (sqrt(3)/2)|2,0>, no |1,2> component
-        vec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)).vectors[1]
-        states = [state for state, _ in vec.cartesian]
+        spec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
+        states = list(spec.cartesian)
         assert states == [CartesianState(0, 4), CartesianState(1, 2), CartesianState(2, 0)]
-        amplitudes = np.array(vec.amplitudes)
+        amplitudes = spec.amplitudes[:, 1]
         assert amplitudes[0] == pytest.approx(0.5, abs=1e-9)
         assert amplitudes[1] == pytest.approx(0.0, abs=1e-9)
         assert amplitudes[2] == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
 
     def test_1_2_negative_sqrt8_eigenvector(self):
         # (sqrt(5)/4)|0,5> + (i/sqrt(2))|1,3> - (sqrt(3)/4)|2,1>
-        vec = angular_eigenvalues(IrrepLabel(2, 1, 2), FrequencyRatio(1, 2)).vectors[0]
-        assert vec.amplitudes[0] == pytest.approx(math.sqrt(5) / 4, abs=1e-9)
-        assert vec.amplitudes[1] == pytest.approx(1j / math.sqrt(2), abs=1e-9)
-        assert vec.amplitudes[2] == pytest.approx(-math.sqrt(3) / 4, abs=1e-9)
+        amplitudes = angular_eigenvalues(IrrepLabel(2, 1, 2), FrequencyRatio(1, 2)).amplitudes[:, 0]
+        assert amplitudes[0] == pytest.approx(math.sqrt(5) / 4, abs=1e-9)
+        assert amplitudes[1] == pytest.approx(1j / math.sqrt(2), abs=1e-9)
+        assert amplitudes[2] == pytest.approx(-math.sqrt(3) / 4, abs=1e-9)
 
     def test_1_2_minus_two_eigenvector(self):
         # sqrt(3/8)|0,4> + (i/sqrt(2))|1,2> - (1/sqrt(8))|2,0>
-        vec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)).vectors[0]
-        assert vec.amplitudes[0] == pytest.approx(math.sqrt(3 / 8), abs=1e-9)
-        assert vec.amplitudes[1] == pytest.approx(1j / math.sqrt(2), abs=1e-9)
-        assert vec.amplitudes[2] == pytest.approx(-1 / math.sqrt(8), abs=1e-9)
+        amplitudes = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)).amplitudes[:, 0]
+        assert amplitudes[0] == pytest.approx(math.sqrt(3 / 8), abs=1e-9)
+        assert amplitudes[1] == pytest.approx(1j / math.sqrt(2), abs=1e-9)
+        assert amplitudes[2] == pytest.approx(-1 / math.sqrt(8), abs=1e-9)
 
     def test_coefficient_conventions(self):
         ratio = FrequencyRatio(2, 3)
         label = IrrepLabel(4, 2, 1)
         sf = StructureFunction(label, ratio)
         facts = [float(f) for f in sf.factorials()]
-        for vec in angular_eigenvalues(label, ratio).vectors:
-            assert vec.coefficients[0] > 0
-            total = sum(c * c / f for c, f in zip(vec.coefficients, facts))
+        spec = angular_eigenvalues(label, ratio)
+        for coefficients, amplitudes in zip(spec.coefficients.T, spec.amplitudes.T):
+            assert coefficients[0] > 0
+            total = sum(c * c / f for c, f in zip(coefficients, facts))
             assert total == pytest.approx(1.0, abs=1e-12)
             # amplitudes are i^k c_k / sqrt([k]!)
-            for k, amp in enumerate(vec.amplitudes):
-                expected = (1j) ** k * vec.coefficients[k] / math.sqrt(facts[k])
+            for k, amp in enumerate(amplitudes):
+                expected = (1j) ** k * coefficients[k] / math.sqrt(facts[k])
                 assert amp == pytest.approx(expected, abs=1e-12)
 
     def test_residuals_and_orthonormality(self):
@@ -251,13 +251,12 @@ class TestEigenvectors:
             for label in all_labels(m, n, 6):
                 l0 = build_l0(build_irrep(label, ratio))
                 spec = angular_eigenvalues(label, ratio)
-                basis = np.array([v.amplitudes for v in spec.vectors]).T
-                for value, vec in zip(spec.eigenvalues, spec.vectors):
-                    column = np.array(vec.amplitudes)
+                basis = spec.amplitudes
+                for value, column, residual in zip(spec.eigenvalues, basis.T, spec.residuals):
                     assert (
                         np.max(np.abs(l0 @ column - value * column)) <= 1e-9
                     )
-                    assert vec.residual <= 1e-9
+                    assert residual <= 1e-9
                 gram = basis.conj().T @ basis
                 assert np.max(np.abs(gram - np.eye(label.dimension))) <= 1e-9
 
@@ -270,19 +269,64 @@ class TestEigenvectors:
     def test_spectrum_carries_the_same_vectors(self):
         ratio = FrequencyRatio(2, 3)
         spec = angular_eigenvalues(IrrepLabel(5, 2, 3), ratio)
-        for value, vec in zip(spec.eigenvalues, spec.vectors):
-            assert vec.eigenvalue == value
+        # one column, and one residual, per eigenvalue
+        assert spec.components.shape == (spec.label.dimension, len(spec.eigenvalues))
+        assert len(spec.residuals) == len(spec.eigenvalues)
         # a second solve returns the same vectors
-        assert angular_eigenvalues(spec.label, ratio).vectors == spec.vectors
+        again = angular_eigenvalues(spec.label, ratio)
+        assert again.eigenvalues == spec.eigenvalues
+        assert np.array_equal(again.components, spec.components)
+        assert again.residuals == spec.residuals
 
     def test_derived_views_of_the_components(self):
         ratio = FrequencyRatio(2, 3)
         label = IrrepLabel(5, 2, 3)
         members = irrep_members(label, ratio)
         phases = [(-1j) ** k for k in range(label.dimension)]
-        for vec in angular_eigenvalues(label, ratio).vectors:
-            assert vec.amplitudes == tuple(p * w for p, w in zip(phases, vec.components))
-            assert vec.cartesian == tuple(zip(members, vec.amplitudes))
+        spec = angular_eigenvalues(label, ratio)
+        for amplitudes, components in zip(spec.amplitudes.T, spec.components.T):
+            assert tuple(amplitudes) == tuple(p * w for p, w in zip(phases, components))
+        assert spec.cartesian == members
+
+    def test_views_match_each_element_bit_for_bit(self):
+        # one broadcast per view gives, bit for bit and with the sign of every
+        # zero, the per-element products (-i)^(k mod 4) w_k and signed_k w_k
+        zeros = 0
+        for m, n in coprime_pairs(4):
+            ratio = FrequencyRatio(m, n)
+            for label in all_labels(m, n, 8):
+                spec = angular_eigenvalues(label, ratio)
+                signed = [1.0]
+                for v in StructureFunction(label, ratio).values()[1:-1]:
+                    signed.append(signed[-1] * -math.sqrt(float(v)))
+                for i, components in enumerate(spec.components.T.tolist()):
+                    zeros += components.count(0.0)
+                    amplitudes = spec.amplitudes[:, i].tolist()
+                    assert [(float.hex(a.real), float.hex(a.imag)) for a in amplitudes] == [
+                        (float.hex(a.real), float.hex(a.imag))
+                        for a in (angular._PHASES[k % 4] * w for k, w in enumerate(components))
+                    ], (label, ratio, i)
+                    assert [float.hex(c) for c in spec.coefficients[:, i].tolist()] == [
+                        float.hex(s * w) for s, w in zip(signed, components)
+                    ], (label, ratio, i)
+        # the zero-eigenvalue vectors of even-N irreps have exact-zero components
+        assert zeros > 0
+
+    def test_coefficients_derive_the_offdiagonals_once(self, monkeypatch):
+        calls = Counter()
+        offdiagonals = angular._offdiagonals
+
+        def counting_offdiagonals(label, ratio):
+            calls[label] += 1
+            return offdiagonals(label, ratio)
+
+        monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
+        label = IrrepLabel(6, 2, 3)
+        spec = angular_eigenvalues(label, FrequencyRatio(2, 3))
+        assert calls == {label: 1}  # the eigensolve
+        assert spec.coefficients.shape == (7, 7)
+        assert spec.coefficients is spec.coefficients
+        assert calls == {label: 2}
 
     @pytest.mark.parametrize("m,n,big_n", [(1, 2, 40), (2, 3, 30)])
     def test_large_n_residuals_and_orthonormality(self, m, n, big_n):
@@ -292,7 +336,7 @@ class TestEigenvectors:
                 label = IrrepLabel(big_n, p, q)
                 spec = angular_eigenvalues(label, ratio)
                 l0 = build_l0(build_irrep(label, ratio))
-                basis = np.array([v.amplitudes for v in spec.vectors]).T
+                basis = spec.amplitudes
                 assert spec.max_residual <= 1e-11
                 assert np.max(np.abs(l0 @ basis - basis * spec.eigenvalues)) <= 1e-11
                 gram = basis.conj().T @ basis
@@ -315,23 +359,23 @@ class TestEigenvectors:
                     values, vectors = mpmath.eigsy(t)
                     order = sorted(range(big_n + 1), key=lambda i: values[i])
                     spec = angular_eigenvalues(label, ratio)
-                    for vec, i in zip(spec.vectors, order):
+                    for amplitudes, i in zip(spec.amplitudes.T, order):
                         sign = 1 if vectors[0, i] > 0 else -1
-                        for k, amp in enumerate(vec.amplitudes):
+                        for k, amp in enumerate(amplitudes):
                             expected = (-1j) ** k * float(sign * vectors[k, i])
                             assert abs(amp - expected) <= 1e-13, (label, i, k)
 
     def test_overflowing_coefficient_raises(self):
         spec = angular_eigenvalues(IrrepLabel(60, 2, 3), FrequencyRatio(3, 5))
         with pytest.raises(ArithmeticError, match=r"c_\d+ .*\(N=60, p=2, q=3\)"):
-            spec.vectors[0].coefficients
+            spec.coefficients
 
     def test_eigenpairs_do_not_read_the_coefficients(self):
         # sqrt([57]!) overflows a float here; only reading c_k raises
         spec = angular_eigenvalues(IrrepLabel(57, 3, 4), FrequencyRatio(3, 5))
         assert spec.max_residual <= 1e-9
         with pytest.raises(ArithmeticError, match=r"c_57 of L0 on \(N=57, p=3, q=4\) of the 3:5"):
-            spec.vectors[-1].coefficients
+            spec.coefficients
 
     def test_underflowing_first_component_raises(self):
         # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import structure, suite
+from deformed_u2 import angular, structure, suite
 from deformed_u2.cli import main
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
@@ -163,6 +163,22 @@ class TestAngular:
         assert result.exit_code == 2
         assert "(N=60, p=2, q=3)" in result.stderr
         assert "c_" in result.stderr
+
+    def test_lists_the_members_once(self, runner, monkeypatch):
+        # every column's Cartesian view reads the one member list of the irrep
+        calls = Counter()
+        members = angular.irrep_members
+
+        def counting_members(label, ratio):
+            calls[label] += 1
+            return members(label, ratio)
+
+        monkeypatch.setattr(angular, "irrep_members", counting_members)
+        result = invoke(runner, "angular", "--ratio", "2:3", "--N", "6", "--p", "2",
+                        "--q", "3", "--format", "json")
+        assert result.exit_code == 0
+        assert len(json.loads(result.output)["records"]) == 7
+        assert calls == {IrrepLabel(6, 2, 3): 1}
 
 
 class TestVerify:

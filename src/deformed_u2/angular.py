@@ -17,18 +17,19 @@ One symmetric tridiagonal eigensolve gives every eigenpair, and the
 the (N+1) x (N+1) matrix of eigenvectors, one column each, whose phased,
 Cartesian and coefficient views are derived once for the whole basis.  The
 forward float run of the recurrence is unstable and never builds an
-eigenvector.  The functions below read the label, ratio and values of the
-spectrum they are given.  Its eigenvalues are certified by Sturm counts,
-the sign changes of G_0 .. G_{N+1} run on the recurrence in integer
-arithmetic at dyadic points beside each computed value, so no rounding can
-misplace a root.  The exact hints evaluate G_{N+1}, as P(l^2), on the same
-recurrence in `Fraction`s.
+eigenvector.  The spectrum carries the irrep's integer Phi table
+(`StructureFunction.numerators`, Phi(k) = P_k / m^m n^n), and the functions
+below read it and the label and ratio of the spectrum they are given.  Its
+eigenvalues are certified by Sturm counts, the sign changes of G_0 ..
+G_{N+1} run on the recurrence in integer arithmetic at dyadic points beside
+each computed value, so no rounding can misplace a root.  The exact hints
+evaluate G_{N+1}, as P(l^2), on the same recurrence in `Fraction`s.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .representation import IrrepMatrices, worst_residual
-from .structure import StructureFunction, _over_common_denominator
+from .representation import IrrepMatrices, _offdiagonals, worst_residual
+from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
            "build_l0", "exact_hints"]
@@ -55,7 +56,8 @@ class AngularSpectrum:
     T (w_0 > 0) for `eigenvalues[i]`, and row k is the Fock state |k>; the
     `amplitudes`, `cartesian` and `coefficients` views are derived from it
     on first read.  `residuals[i]` is ||T w_i - l_i w_i||_inf, which equals
-    ||L0 v_i - l_i v_i||_inf.  It holds an ndarray, so it compares by identity.
+    ||L0 v_i - l_i v_i||_inf.  `numerators` is the integer Phi table T was
+    built from.  It holds an ndarray, so it compares by identity.
     """
 
     label: IrrepLabel
@@ -63,6 +65,7 @@ class AngularSpectrum:
     eigenvalues: tuple[float, ...]
     components: np.ndarray
     residuals: tuple[float, ...]
+    numerators: tuple[int, ...]
 
     @property
     def markers(self) -> tuple[int, ...]:
@@ -103,7 +106,7 @@ class AngularSpectrum:
         column i is the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k> for
         `eigenvalues[i]`.  A sqrt([k]!) beyond float range raises ArithmeticError."""
         with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
-            signed = np.cumprod([1.0, *-_offdiagonals(self.label, self.ratio)])
+            signed = np.cumprod([1.0, *-_offdiagonals(self.ratio, self.numerators)])
         if not np.all(np.isfinite(signed)):
             k = int(np.argmin(np.isfinite(signed)))
             raise ArithmeticError(
@@ -111,11 +114,6 @@ class AngularSpectrum:
                 f"oscillator is not finite: sqrt([{k}]!) overflows a float"
             )
         return signed[:, None] * self.components
-
-
-def _offdiagonals(label: IrrepLabel, ratio: FrequencyRatio) -> np.ndarray:
-    phi = StructureFunction(label, ratio).values()
-    return np.array([math.sqrt(float(v)) for v in phi[1:-1]])
 
 
 def _residuals(offdiag: np.ndarray, w: np.ndarray, eigs: np.ndarray) -> np.ndarray:
@@ -137,9 +135,14 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.
     """
-    label.validate_for(ratio)
+    return _eigensolve(label, ratio, StructureFunction(label, ratio).numerators)
+
+
+def _eigensolve(label: IrrepLabel, ratio: FrequencyRatio,
+                numerators: tuple[int, ...]) -> AngularSpectrum:
+    """`angular_eigenvalues` on the irrep's integer Phi table `numerators`."""
     big_n = label.N
-    offdiag = _offdiagonals(label, ratio)
+    offdiag = _offdiagonals(ratio, numerators)
     eigs, w = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     eigs = (eigs - eigs[::-1]) / 2.0
     margin = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
@@ -156,11 +159,12 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     if big_n % 2 == 0:
         w[1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), w, tuple(residuals.tolist()))
+    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), w, tuple(residuals.tolist()),
+                           numerators)
 
 
-def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
-    """P(s), where G_{N+1}(l) = l^((N+1) mod 2) P(l^2), from Phi(0) .. Phi(N+1).
+def _p_value(numerators: Sequence[int], denominator: int, s: Fraction) -> Fraction:
+    """P(s), where G_{N+1}(l) = l^((N+1) mod 2) P(l^2), from Phi(k) = P_k / D.
 
     G_k(l) = l^(k mod 2) R_k(l^2), and P = R_{N+1} is run exactly on
 
@@ -168,8 +172,8 @@ def _p_value(phi: tuple[Fraction, ...], s: Fraction) -> Fraction:
         R_{-1} = 0,  R_0 = 1.
     """
     previous, current = Fraction(0), Fraction(1)
-    for k, phi_k in enumerate(phi[:-1]):
-        previous, current = current, (s if k % 2 else 1) * current - phi_k * previous
+    for k, p in enumerate(numerators[:-1]):
+        previous, current = current, (s if k % 2 else 1) * current - previous * p / denominator
     return current
 
 
@@ -183,8 +187,8 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     evaluated exactly on the recurrence (`_p_value`).  Eigenvalues without a
     confirmed closed form get None.
     """
-    label = spectrum.label
-    phi = StructureFunction(label, spectrum.ratio).values()
+    label, numerators = spectrum.label, spectrum.numerators
+    denominator = _phi_denominator(spectrum.ratio)
 
     def near_rational(value: float) -> Fraction | None:
         candidate = Fraction(value).limit_denominator(1000)
@@ -195,27 +199,27 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
         if value == 0.0:
             return "0" if label.N % 2 == 0 else None
         rational = near_rational(value)
-        if rational is not None and _p_value(phi, rational**2) == 0:
+        if rational is not None and _p_value(numerators, denominator, rational**2) == 0:
             return str(rational)
         square = near_rational(value * value)
-        if square is not None and _p_value(phi, square) == 0:
+        if square is not None and _p_value(numerators, denominator, square) == 0:
             return f"{'-' if value < 0 else ''}sqrt({square})"
         return None
 
     return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
-def _sturm_counter(label: IrrepLabel, ratio: FrequencyRatio) -> Callable[[int, int], int]:
-    """count_above(a, e) = #{eigenvalues of L0 on `label` > a / 2^e}, exactly.
+def _sturm_counter(spectrum: AngularSpectrum) -> Callable[[int, int], int]:
+    """count_above(a, e) = #{eigenvalues of L0 on the irrep > a / 2^e}, exactly.
 
     It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped
-    (Sturm's theorem; Barth, Martin & Wilkinson 1967).  With D the common
-    denominator of Phi, g_k = (2^e D)^k G_k(a / 2^e) obey an integer
-    recurrence, so the count is exact at every dyadic point, e <= 0 too.
+    (Sturm's theorem; Barth, Martin & Wilkinson 1967).  With Phi(k) = P_k / D
+    (`spectrum.numerators`), g_k = (2^e D)^k G_k(a / 2^e) obey an integer
+    recurrence with weights P_k D, so the count is exact at every dyadic
+    point, e <= 0 too.
     """
-    phi = StructureFunction(label, ratio).values()[1 : label.N + 1]
-    numerators, denominator = _over_common_denominator(phi)
-    weights = [v * denominator for v in numerators]
+    denominator = _phi_denominator(spectrum.ratio)
+    weights = [v * denominator for v in spectrum.numerators[1:-1]]
 
     def count_above(a: int, e: int) -> int:
         if e < 0:
@@ -248,7 +252,7 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"certificate tolerance must be finite and > 0, not {tolerance!r}")
     big_n = spectrum.label.N
-    count_above = _sturm_counter(spectrum.label, spectrum.ratio)
+    count_above = _sturm_counter(spectrum)
     delta_exponent = math.frexp(tolerance)[1] - 1
 
     def certified(i: int, value: float) -> bool:

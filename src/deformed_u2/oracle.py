@@ -63,14 +63,16 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
     With |n_x, n_y> the k-th member of `rep.label` (see `irrep_members`):
 
     - `s_plus`: the raise from member k lands on member k+1 and its squared
-      weight is `rep.phi[k+1]`, so the raise from k = N has weight 0;
-    - `s_minus`: the lower from member k has squared weight `rep.phi[k]`, so
-      the lower from k = 0 has weight 0;
+      weight is Phi(k+1), so the raise from k = N has weight 0;
+    - `s_minus`: the lower from member k has squared weight Phi(k), so the
+      lower from k = 0 has weight 0;
     - `s0`, `h`: (U - W)/2 == u + k and U + W == E, and the diagonals of
       `rep.s0` and `rep.h` are the float()s of those values.
 
-    Each S+ and S- entry must lie within 1 ulp of the square root of its
-    weight, and every entry off a generator's pattern must be exactly 0.
+    The weights and `rep.numerators` are both over m^m n^n, so Phi(k) is
+    compared as the int P_k.  Each S+ and S- entry must lie within 1 ulp of
+    the square root of its weight, and every entry off a generator's pattern
+    must be exactly 0.
     """
     m, n = rep.ratio.m, rep.ratio.n
     dim = rep.dimension
@@ -90,13 +92,13 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
         "s_plus": all(
             (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
         )
-        and all(_equals(w, den, phi) for w, phi in zip(raises, rep.phi[1:], strict=True))
+        and raises == list(rep.numerators[1:])
         and _only_on(rep.s_plus, dim, -1)
         and all(
             _within_one_ulp(s, w, den)
             for s, w in zip(np.diagonal(rep.s_plus, -1).tolist(), raises[:-1], strict=True)
         ),
-        "s_minus": all(_equals(w, den, phi) for w, phi in zip(lowers, rep.phi[:-1], strict=True))
+        "s_minus": lowers == list(rep.numerators[:-1])
         and _only_on(rep.s_minus, dim, 1)
         and all(
             _within_one_ulp(s, w, den)

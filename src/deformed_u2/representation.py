@@ -18,7 +18,7 @@ machine epsilon means "holds to working precision" at every irrep size.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import StructureFunction, _over_common_denominator, commutator_polynomial
+from .structure import StructureFunction, _phi_denominator, commutator_polynomial
 
 __all__ = [
     "IrrepMatrices",
@@ -49,13 +49,19 @@ class IrrepMatrices:
     s_minus: np.ndarray
     h: np.ndarray
     number: np.ndarray
-    phi: tuple[Fraction, ...]  # Phi(0), ..., Phi(N+1), exact
+    numerators: tuple[int, ...]  # P_0, ..., P_{N+1}: Phi(k) = P_k / m^m n^n, exact
     u: Fraction
     energy: Fraction
 
     @property
     def dimension(self) -> int:
         return self.label.N + 1
+
+    @property
+    def phi(self) -> tuple[Fraction, ...]:
+        """Phi(0), ..., Phi(N+1), the `Fraction`s of `numerators`."""
+        denominator = _phi_denominator(self.ratio)
+        return tuple(Fraction(v, denominator) for v in self.numerators)
 
 
 def worst_residual(values: Iterable[float]) -> float:
@@ -101,23 +107,27 @@ class VerificationReport:
         return self.max_residual <= self.tolerance and all(self.exact_checks.values())
 
 
+def _offdiagonals(ratio: FrequencyRatio, numerators: Sequence[int]) -> np.ndarray:
+    """sqrt(Phi(1)), ..., sqrt(Phi(N)), each the root of a correctly rounded P_k / D."""
+    denominator = _phi_denominator(ratio)
+    return np.array([math.sqrt(v / denominator) for v in numerators[1:-1]])
+
+
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
     """Construct the (N+1)-dimensional matrices of the labelled irrep."""
     sf = StructureFunction(label, ratio)
-    phi = sf.values()
+    numerators = sf.numerators
     u = sf.u
     energy = sf.energy
     dim = label.N + 1
 
     # float(u + k), with the sum taken on u's numerator
     s0 = np.diag([(u.numerator + k * u.denominator) / u.denominator for k in range(dim)])
-    s_plus = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        s_plus[k + 1, k] = math.sqrt(float(phi[k + 1]))
+    s_plus = np.diag(_offdiagonals(ratio, numerators), -1)
     s_minus = s_plus.T.copy()
     h = float(energy) * np.eye(dim)
     number = np.diag(np.arange(dim, dtype=float))
-    return IrrepMatrices(label, ratio, s0, s_plus, s_minus, h, number, phi, u, energy)
+    return IrrepMatrices(label, ratio, s0, s_plus, s_minus, h, number, numerators, u, energy)
 
 
 def _max_abs(matrix: np.ndarray) -> float:
@@ -146,18 +156,19 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
     [S-, S+] against the commutator polynomial evaluated on the diagonal.
     Exact checks: Phi boundary (Phi(0) = Phi(N+1) = 0), Phi positivity on
     1..N, and the rational identity Phi(k+1) - Phi(k) = poly(E, u + k).
-    The polynomial is evaluated along the irrep by its integer kernel, and
-    the identity is compared cross-multiplied in ints; the diagonal target
-    of [S-, S+] is the correctly rounded quotient of the same ints.
+    The Phi checks read the integer table `rep.numerators`; the polynomial
+    is evaluated along the irrep by its integer kernel, and the identity is
+    compared cross-multiplied in ints; the diagonal target of [S-, S+] is
+    the correctly rounded quotient of the same ints.
     """
     dim = _require_square(rep)
     s0, sp, sm, h = rep.s0, rep.s_plus, rep.s_minus, rep.h
-    # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N, and Phi(k) =
-    # phi[k] / phi_den: both over one common denominator, in plain ints
+    # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
+    # phi[k] / phi_den, each over one denominator, in plain ints
     ladder, ladder_den = commutator_polynomial(rep.ratio)._scaled_values(
         rep.energy, rep.u, dim
     )
-    phi, phi_den = _over_common_denominator(rep.phi)
+    phi, phi_den = rep.numerators, _phi_denominator(rep.ratio)
     ladder_target = np.diag([v / ladder_den for v in ladder])
 
     residuals = {
@@ -167,8 +178,8 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
         "commutator_sminus_splus": _residual(sm @ sp - sp @ sm, ladder_target),
     }
     exact_checks = {
-        "phi_boundary": rep.phi[0] == 0 and rep.phi[-1] == 0,
-        "phi_positive": all(v > 0 for v in rep.phi[1:-1]),
+        "phi_boundary": phi[0] == 0 and phi[-1] == 0,
+        "phi_positive": all(v > 0 for v in phi[1:-1]),
         "ladder_difference": all(
             (phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den for k in range(dim)
         ),

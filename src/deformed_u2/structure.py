@@ -15,34 +15,27 @@ Everything here is exact.  F is written once, as its table of linear
 factors with every offset scaled by 4mn to an int (`_ladder_factors`); the
 commutator and the 1:n split Phi(x) = x (N+1-x) P(x) are multiplied out of
 that table in plain ints by one loop, `_expand`, and a `Fraction` is built
-only for a value that is returned.  The Gamma-quotient form of Phi is
+only for a value that is returned.  On the Fock indices the Gamma-quotient
+form makes P_k = m^m n^n Phi(k) an integer, so each irrep's Phi(0..N+1) is
+one table of ints over `_phi_denominator` (`StructureFunction.numerators`),
+and every exact check reads that table.  The Gamma-quotient form itself is
 expanded into rising/falling factorials instead of evaluating a
 transcendental Gamma function (so there are no poles and no rounding).
-sympy is imported only by the symbolic outputs (`CommutatorPolynomial.poly`
-and `.expression()`, `StructureFunction.as_poly`, `ParafermionicForm.factor`,
-and the symbols `H_SYMBOL`, `S0_SYMBOL`, `X_SYMBOL`), on first use.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import TYPE_CHECKING
+from math import gcd
 
 from .core import FrequencyRatio, IrrepLabel, energy_of_irrep
 from .exceptions import NotDivisibleError
 
-if TYPE_CHECKING:
-    import sympy
-
 __all__ = [
-    "H_SYMBOL",
-    "S0_SYMBOL",
-    "X_SYMBOL",
     "u_constant",
     "StructureFunction",
     "CommutatorPolynomial",
@@ -50,28 +43,6 @@ __all__ = [
     "ParafermionicForm",
     "parafermionic_decompose",
 ]
-
-_SYMBOL_NAMES = {"H_SYMBOL": "H", "S0_SYMBOL": "S0", "X_SYMBOL": "x"}
-
-
-def __getattr__(name: str):
-    # PEP 562: the sympy symbols are built, and sympy imported, on first access
-    if name not in _SYMBOL_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _symbol(name)
-
-
-def _symbol(name: str) -> sympy.Symbol:
-    import sympy
-
-    symbol = globals()[name] = sympy.Symbol(_SYMBOL_NAMES[name])
-    return symbol
-
-
-def _to_sympy(value: Fraction) -> sympy.Rational:
-    import sympy
-
-    return sympy.Rational(value.numerator, value.denominator)
 
 
 def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
@@ -119,6 +90,11 @@ def _expand(forms: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
     return {exponents: coeff for exponents, coeff in terms.items() if coeff}
 
 
+def _phi_denominator(ratio: FrequencyRatio) -> int:
+    """D = m^m n^n, the denominator of every Phi(k) at a Fock index k."""
+    return ratio.m**ratio.m * ratio.n**ratio.n
+
+
 @dataclass(frozen=True)
 class StructureFunction:
     """Exact evaluator for the ladder-strength function of one irrep.
@@ -131,9 +107,10 @@ class StructureFunction:
     `_ladder_factors`) in plain ints: each factor E/2 + sigma_i (u + x) + c_i
     is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
     int computed once per instance, and one `Fraction` is built from the
-    product.  `u` and `energy` are computed once per instance.
-    `gamma_value` keeps the Gamma-quotient form as an independent check,
-    expanded exactly into falling/rising factorials
+    product.  `numerators` holds the same products at x = 0..N+1 as the
+    ints P_k = D Phi(k), D = m^m n^n.  `u` and `energy` are computed once
+    per instance.  `gamma_value` keeps the Gamma-quotient form as an
+    independent check, expanded exactly into falling/rising factorials
       (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
       prod_{j=0..n-1} ((N-x) n + q + j).
     Both are exact at any rational argument and must agree everywhere.
@@ -172,14 +149,19 @@ class StructureFunction:
             for sigma, offset in _ladder_factors(self.ratio)
         )
 
-    def product_value(self, x: int | Fraction) -> Fraction:
-        x = Fraction(x)
-        scale = 4 * self.ratio.m * self.ratio.n
-        step = scale * x.numerator
+    def _product(self, numerator: int, denominator: int) -> int:
+        """F's integer product at x = numerator / denominator: Phi(x) (4mn den)^(m+n)."""
+        step = 4 * self.ratio.m * self.ratio.n * numerator
         value = 1
         for sigma, offset in self._scaled_factors:
-            value *= offset * x.denominator + sigma * step
-        return Fraction(value, (scale * x.denominator) ** len(self._scaled_factors))
+            value *= offset * denominator + sigma * step
+        return value
+
+    def product_value(self, x: int | Fraction) -> Fraction:
+        x = Fraction(x)
+        scale = 4 * self.ratio.m * self.ratio.n * x.denominator
+        return Fraction(self._product(x.numerator, x.denominator),
+                        scale ** len(self._scaled_factors))
 
     def gamma_value(self, x: int | Fraction) -> Fraction:
         x = Fraction(x)
@@ -191,10 +173,21 @@ class StructureFunction:
             value *= (self.label.N - x) * n + self.label.q + j
         return value
 
-    @functools.cache
+    @functools.cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """P_0, ..., P_{N+1} with Phi(k) = P_k / D, D = `_phi_denominator`.
+
+        F's product at x = k is Phi(k) (4mn)^(m+n), and (4mn)^(m+n) / D =
+        4^(m+n) m^n n^m is an int, so one exact integer division gives each P_k.
+        """
+        m, n = self.ratio.m, self.ratio.n
+        divisor = (4 * m * n) ** (m + n) // _phi_denominator(self.ratio)
+        return tuple(self._product(k, 1) // divisor for k in range(self.label.N + 2))
+
     def values(self) -> tuple[Fraction, ...]:
-        """Phi(0), Phi(1), ..., Phi(N+1), computed once per (label, ratio)."""
-        return tuple(self(k) for k in range(self.label.N + 2))
+        """Phi(0), Phi(1), ..., Phi(N+1), the `Fraction`s of `numerators`."""
+        denominator = _phi_denominator(self.ratio)
+        return tuple(Fraction(v, denominator) for v in self.numerators)
 
     def factorials(self) -> tuple[Fraction, ...]:
         """Deformed factorials [0]!, [1]!, ..., [N]! with [k]! = Phi(k) [k-1]!."""
@@ -203,20 +196,6 @@ class StructureFunction:
         for k in range(1, self.label.N + 1):
             facts.append(facts[-1] * phi[k])
         return tuple(facts)
-
-    def as_poly(self) -> sympy.Poly:
-        """Phi as a univariate polynomial in x over QQ (imports sympy)."""
-        numerators, denominator = _phi_numerators(self)
-        return _poly_in_x([Fraction(c, denominator) for c in numerators])
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(P, D) with values[k] = P[k] / D, D the lcm of their denominators.
-
-    Phi's values over D let the exact checks on them run in plain ints.
-    """
-    denominator = lcm(*(v.denominator for v in values))
-    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def _phi_numerators(sf: StructureFunction) -> tuple[list[int], int]:
@@ -230,15 +209,6 @@ def _phi_numerators(sf: StructureFunction) -> tuple[list[int], int]:
     phi = _expand((sigma * scale, offset) for sigma, offset in sf._scaled_factors)
     degree = sf.ratio.m + sf.ratio.n
     return [phi.get((k,), 0) for k in range(degree + 1)], scale**degree
-
-
-def _poly_in_x(coefficients) -> sympy.Poly:
-    """sympy `Poly` in x over QQ from coefficients listed lowest power first."""
-    import sympy
-
-    return sympy.Poly(
-        [_to_sympy(c) for c in reversed(coefficients)], _symbol("X_SYMBOL"), domain="QQ"
-    )
 
 
 def _monomial(h_power: int, s0_power: int) -> str:
@@ -306,23 +276,8 @@ class CommutatorPolynomial:
         denominator = self.denominator * h.denominator**h_top * s0.denominator**s0_top
         return numerators, denominator
 
-    @property
-    def poly(self) -> sympy.Poly:
-        """The polynomial as a sympy `Poly` over QQ (imports sympy)."""
-        import sympy
-
-        return sympy.Poly.from_dict(
-            {exponents: _to_sympy(c) for exponents, c in self.terms},
-            _symbol("H_SYMBOL"),
-            _symbol("S0_SYMBOL"),
-            domain="QQ",
-        )
-
-    def expression(self) -> sympy.Expr:
-        return self.poly.as_expr()
-
     def __str__(self) -> str:
-        """sympy's rendering of `expression()`, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
+        """The polynomial as sympy prints it, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
         text = ""
         for (h_power, s0_power), coeff in self.terms:
             body = _monomial(h_power, s0_power)
@@ -384,11 +339,6 @@ class ParafermionicForm:
 
     coefficients: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-
-    @property
-    def factor(self) -> sympy.Poly:
-        """P as a univariate sympy `Poly` in x over QQ (imports sympy)."""
-        return _poly_in_x(self.coefficients)
 
     @property
     def positive(self) -> bool:

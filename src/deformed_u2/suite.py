@@ -2,11 +2,11 @@
 
 Each irrep is built once (`build_irrep`), and that record feeds the algebra
 relations, the exact Fock-space oracle, the dense L0 and, for 1:2, the
-W_3^(2) relations; the tridiagonal eigensolve and its Sturm-count
-certificate read the per-irrep Phi cache.  Identity residuals are gated at
-the identity tolerance, the eigen class at 10x it, every exact check, the
-oracle's included, must hold, and every eigenvalue must be certified within
-the eigen tolerance.
+W_3^(2) relations; its integer Phi table, computed once per irrep, also
+feeds the tridiagonal eigensolve and its Sturm-count certificate.  Identity
+residuals are gated at the identity tolerance, the eigen class at 10x it,
+every exact check, the oracle's included, must hold, and every eigenvalue
+must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import angular_eigenvalues, build_l0, certify_eigenvalues
+from .angular import _eigensolve, build_l0, certify_eigenvalues
 from .core import FrequencyRatio, IrrepLabel
 from .oracle import oracle_compare
 from .representation import build_irrep, verify_algebra, w32_check, worst_residual
@@ -102,10 +102,14 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the
     eigen class, and the certificate of each eigenvalue, are gated at 10x
     it, so at `EIGEN_TOL` by default.  An `ArithmeticError` from the
-    eigensolve propagates; an `n_max` below 0 raises ValueError.
+    eigensolve propagates; an `n_max` below 0, or a `tolerance` that is not
+    finite and > 0 with 10x it finite, raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 for the {ratio} suite, got {n_max}")
+    if not (math.isfinite(tolerance) and tolerance > 0 and math.isfinite(10 * tolerance)):
+        raise ValueError(f"tolerance must be finite and > 0, with 10x it finite, "
+                         f"for the {ratio} suite, got {tolerance!r}")
     eigen_tol = 10 * tolerance
 
     irreps = []
@@ -117,7 +121,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         oracle = oracle_compare(rep)
         residuals = dict(algebra.residuals)
 
-        spec = angular_eigenvalues(label, ratio)
+        spec = _eigensolve(label, ratio, rep.numerators)
         dense = np.sort(np.linalg.eigvalsh(build_l0(rep)))
         residuals["method_agreement"] = float(np.max(np.abs(np.array(spec.eigenvalues) - dense)))
         residuals["spectrum_symmetry"] = spec.symmetry_residual

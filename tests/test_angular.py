@@ -23,6 +23,7 @@ from deformed_u2 import (
 )
 from deformed_u2 import angular
 from deformed_u2.angular import _p_value, _sturm_counter
+from deformed_u2.structure import _phi_denominator
 from deformed_u2.suite import EIGEN_TOL
 
 
@@ -43,7 +44,8 @@ def all_labels(m, n, n_top):
 
 
 def p_value(label, ratio, s):
-    return _p_value(StructureFunction(label, ratio).values(), Fraction(s))
+    numerators = StructureFunction(label, ratio).numerators
+    return _p_value(numerators, _phi_denominator(ratio), Fraction(s))
 
 
 S_POINTS = [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(5, 7), Fraction(4)]
@@ -72,24 +74,28 @@ class TestCharacteristicP:
         ell = sympy.Symbol("l")
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
+            denominator = _phi_denominator(ratio)
             for label in all_labels(m, n, 6):
-                phi = StructureFunction(label, ratio).values()
+                numerators = StructureFunction(label, ratio).numerators
                 size = label.N + 1
                 t = sympy.zeros(size, size)
                 for k in range(1, size):
                     t[k - 1, k] = 1
-                    t[k, k - 1] = sympy.Rational(phi[k].numerator, phi[k].denominator)
+                    t[k, k - 1] = sympy.Rational(numerators[k], denominator)
                 charpoly = t.charpoly(ell)
                 for j in range(size + 1):
                     point = Fraction(j, 3) - 1
                     expected = charpoly.eval(sympy.Rational(point.numerator, point.denominator))
-                    value = point ** (size % 2) * _p_value(phi, point**2)
+                    value = point ** (size % 2) * _p_value(numerators, denominator, point**2)
                     assert value == Fraction(int(expected.p), int(expected.q)), (label, point)
 
 
 def g_value(phi, k, ell):
-    """G_k(l) = l^(k mod 2) R_k(l^2), with R_k from the first k + 1 values of Phi."""
-    return ell ** (k % 2) * _p_value(phi[: k + 1], ell**2)
+    """G_k(l) = l^(k mod 2) R_k(l^2), with R_k from the first k + 1 values of Phi.
+
+    The `Fraction`s of Phi are passed as numerators over the denominator 1.
+    """
+    return ell ** (k % 2) * _p_value(phi[: k + 1], 1, ell**2)
 
 
 def g_unreduced(phi, ell):
@@ -316,17 +322,18 @@ class TestEigenvectors:
         calls = Counter()
         offdiagonals = angular._offdiagonals
 
-        def counting_offdiagonals(label, ratio):
-            calls[label] += 1
-            return offdiagonals(label, ratio)
+        def counting_offdiagonals(ratio, numerators):
+            calls[ratio, numerators] += 1
+            return offdiagonals(ratio, numerators)
 
         monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
-        label = IrrepLabel(6, 2, 3)
-        spec = angular_eigenvalues(label, FrequencyRatio(2, 3))
-        assert calls == {label: 1}  # the eigensolve
+        label, ratio = IrrepLabel(6, 2, 3), FrequencyRatio(2, 3)
+        spec = angular_eigenvalues(label, ratio)
+        table = StructureFunction(label, ratio).numerators
+        assert calls == {(ratio, table): 1}  # the eigensolve
         assert spec.coefficients.shape == (7, 7)
         assert spec.coefficients is spec.coefficients
-        assert calls == {label: 2}
+        assert calls == {(ratio, table): 2}
 
     @pytest.mark.parametrize("m,n,big_n", [(1, 2, 40), (2, 3, 30)])
     def test_large_n_residuals_and_orthonormality(self, m, n, big_n):
@@ -445,7 +452,7 @@ class TestCertificate:
         assert certify_eigenvalues(spec, 1e-12) == (True,) * (big_n + 1)
         # -N, -N+2, ..., N are integers, so G_{N+1} vanishes exactly at each
         # count point, and a root is not counted above itself
-        count_above = _sturm_counter(label, ratio)
+        count_above = _sturm_counter(spec)
         roots = range(-big_n, big_n + 1, 2)
         assert [count_above(root, 0) for root in roots] == list(range(big_n, -1, -1))
 
@@ -455,7 +462,7 @@ class TestCertificate:
         spec = angular_eigenvalues(label, ratio)
         assert spec.eigenvalues[big_n // 2] == 0.0
         assert all(certify_eigenvalues(spec, 1e-12))
-        assert _sturm_counter(label, ratio)(0, 0) == big_n // 2
+        assert _sturm_counter(spec)(0, 0) == big_n // 2
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_certifies_n60(self, q):
@@ -464,7 +471,8 @@ class TestCertificate:
 
     def test_counts_at_any_dyadic_point(self):
         # a / 2^e is the same point for every (a 2^j, e + j), with e <= 0 too
-        count_above = _sturm_counter(IrrepLabel(12, 2, 3), FrequencyRatio(2, 3))
+        spec = angular_eigenvalues(IrrepLabel(12, 2, 3), FrequencyRatio(2, 3))
+        count_above = _sturm_counter(spec)
         for a in (-37, -4, 0, 3, 52):
             counts = {count_above(a << j, j - 2) for j in range(6)}
             assert len(counts) == 1
@@ -514,7 +522,7 @@ class TestCertificate:
         tiny = 5e-324
         values = (0.0, tiny, -tiny, 7e5, -7e5, math.nan, math.inf)
         spec = shifted(angular_eigenvalues(label, ratio), dict(enumerate(values)))
-        count = _sturm_counter(label, ratio)
+        count = _sturm_counter(spec)
         points = []
 
         def recording_counter(*args):

@@ -294,14 +294,14 @@ class TestVerify:
         assert document["residuals"]["orthonormality"] <= 1e-9
 
     def test_phi_and_commutator_computed_once(self, runner, monkeypatch):
-        StructureFunction.values.cache_clear()
+        # each irrep's Phi table is F's product at x = 0..N+1, made once
         structure.commutator_polynomial.cache_clear()
         phi_calls = Counter()
-        phi = StructureFunction.__call__
+        product = StructureFunction._product
 
-        def counting_phi(self, x):
+        def counting_product(self, numerator, denominator):
             phi_calls[self.label] += 1
-            return phi(self, x)
+            return product(self, numerator, denominator)
 
         builds = []
         build = structure.CommutatorPolynomial
@@ -310,7 +310,7 @@ class TestVerify:
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(StructureFunction, "__call__", counting_phi)
+        monkeypatch.setattr(StructureFunction, "_product", counting_product)
         monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)
         result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
                         "--format", "json")

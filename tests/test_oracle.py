@@ -81,10 +81,13 @@ class TestConstruction:
         assert irrep_members(label, ratio) == (CartesianState(0, 3), CartesianState(2, 0))
         rep = build_irrep(label, ratio)
         assert rep.phi == (0, Fraction(1, 9), 0)
+        assert rep.numerators == (0, 12, 0)  # over m^m n^n = 108
         assert oracle_compare(rep).passed
-        assert failed(dataclasses.replace(rep, phi=(0, Fraction(1, 8), 0))) == {
-            "s_plus", "s_minus"
-        }
+        # Phi(1) off by +-1/108, the smallest change the table can hold
+        for numerator in (11, 13):
+            assert failed(dataclasses.replace(rep, numerators=(0, numerator, 0))) == {
+                "s_plus", "s_minus"
+            }
 
 
 class TestOracleCompare:
@@ -158,11 +161,13 @@ class TestMutations:
             assert failed(with_entry(self.REP, name, index, value)) == {name}
 
     def test_wrong_phi_entry(self):
-        for k in range(len(self.REP.phi)):
-            for delta in (Fraction(1, 10**12), -1):
-                phi = list(self.REP.phi)
-                phi[k] += delta
-                assert failed(dataclasses.replace(self.REP, phi=tuple(phi))), k
+        # +-1 moves Phi(k) by 1/D, the smallest representable change; -D by -1
+        denominator = 2**2 * 3**3
+        for k in range(len(self.REP.numerators)):
+            for delta in (1, -1, -denominator):
+                numerators = list(self.REP.numerators)
+                numerators[k] += delta
+                assert failed(dataclasses.replace(self.REP, numerators=tuple(numerators))), k
 
     def test_wrong_u_or_diagonal(self):
         assert failed(dataclasses.replace(self.REP, u=self.REP.u + Fraction(1, 10**9))) == {"s0"}

@@ -113,16 +113,29 @@ class TestVerifyAlgebra:
 
     def test_ladder_difference_sees_one_phi_value_off(self):
         # the integer cross-multiplied check against poly(E, u + k), k = 0..N
+        # +-1 on a numerator is Phi off by 1/D, the smallest representable change
         rep = build_irrep(IrrepLabel(3, 2, 5), FrequencyRatio(4, 7))
         for k in range(5):
-            phi = list(rep.phi)
-            phi[k] += Fraction(1, 10**30)
-            report = verify_algebra(dataclasses.replace(rep, phi=tuple(phi)))
-            assert report.exact_checks == {
-                "phi_boundary": k not in (0, 4), "phi_positive": True, "ladder_difference": False
-            }
+            for delta in (1, -1):
+                numerators = list(rep.numerators)
+                numerators[k] += delta
+                report = verify_algebra(dataclasses.replace(rep, numerators=tuple(numerators)))
+                assert report.exact_checks == {
+                    "phi_boundary": k not in (0, 4), "phi_positive": True,
+                    "ladder_difference": False,
+                }
         report = verify_algebra(dataclasses.replace(rep, energy=rep.energy + Fraction(1, 10**30)))
         assert not report.exact_checks["ladder_difference"]
+
+    def test_phi_positive_sees_an_interior_zero(self):
+        rep = build_irrep(IrrepLabel(3, 2, 5), FrequencyRatio(4, 7))
+        for k in range(1, 4):
+            numerators = list(rep.numerators)
+            numerators[k] = 0
+            report = verify_algebra(dataclasses.replace(rep, numerators=tuple(numerators)))
+            assert report.exact_checks == {
+                "phi_boundary": True, "phi_positive": False, "ladder_difference": False,
+            }
 
     def test_failures_count_the_exact_checks_that_do_not_hold(self):
         report = verify_algebra(build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)))

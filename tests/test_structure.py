@@ -1,4 +1,9 @@
 import functools
+import gc
+import importlib
+import inspect
+import pkgutil
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -17,9 +22,25 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-from deformed_u2.structure import _ladder_factors
+import deformed_u2
+from deformed_u2.structure import _ladder_factors, _phi_denominator, _phi_numerators
 
 H, S0, X = sympy.symbols("H S0 x")
+
+
+def sympy_poly(coefficients, *symbols):
+    """sympy `Poly` over QQ from a dict of exponent tuples to `Fraction`s."""
+    return sympy.Poly.from_dict(
+        {exponents: sympy.Rational(c.numerator, c.denominator)
+         for exponents, c in coefficients.items()},
+        *symbols,
+        domain="QQ",
+    )
+
+
+def poly_in_x(coefficients):
+    """sympy `Poly` in x over QQ from `Fraction` coefficients, lowest power first."""
+    return sympy_poly({(k,): c for k, c in enumerate(coefficients)}, X)
 
 
 def _ladder_product(ratio: FrequencyRatio, h, s0):
@@ -129,13 +150,49 @@ class TestStructureFunction:
 
     def test_polynomial_form_matches_values(self):
         sf = StructureFunction(IrrepLabel(4, 2, 1), FrequencyRatio(3, 2))
-        poly = sf.as_poly()
+        numerators, denominator = _phi_numerators(sf)
+        poly = poly_in_x([Fraction(c, denominator) for c in numerators])
         for x in range(6):
             assert Fraction(str(poly.eval(x))) == sf(x)
 
     def test_rejects_label_outside_ratio(self):
         with pytest.raises(ValueError):
             StructureFunction(IrrepLabel(2, 2, 1), FrequencyRatio(1, 2))
+
+    @pytest.mark.parametrize("ratios,n_top", [(coprime_pairs(7), 12), ([(11, 13)], 4)],
+                             ids=["m,n<=7", "11:13"])
+    def test_numerators_are_an_exact_division(self, ratios, n_top):
+        # P_k = D Phi(k) is F's integer product over (4mn)^(m+n) / D with no
+        # remainder, and equals the Gamma-quotient form times D
+        for m, n in ratios:
+            ratio = FrequencyRatio(m, n)
+            denominator = _phi_denominator(ratio)
+            divisor = (4 * m * n) ** (m + n) // denominator
+            assert divisor * denominator == (4 * m * n) ** (m + n)
+            for label in all_labels(m, n, n_top):
+                sf = StructureFunction(label, ratio)
+                assert len(sf.numerators) == label.N + 2
+                for k, numerator in enumerate(sf.numerators):
+                    assert divmod(sf._product(k, 1), divisor) == (numerator, 0), (label, k)
+                    assert sf.gamma_value(k) * denominator == numerator, (label, k)
+
+    def test_values_do_not_keep_the_instance_alive(self):
+        sf = StructureFunction(IrrepLabel(5, 2, 1), FrequencyRatio(2, 3))
+        assert sf.values() == tuple(sf(k) for k in range(7))
+        ref = weakref.ref(sf)
+        del sf
+        gc.collect()
+        assert ref() is None
+
+
+def test_no_class_holds_a_functools_cache():
+    # a cache wrapper on a method is module-global and keeps every instance alive
+    for info in pkgutil.iter_modules(deformed_u2.__path__):
+        module = importlib.import_module(f"deformed_u2.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                for name, attr in vars(cls).items():
+                    assert not hasattr(attr, "cache_clear"), f"{cls.__qualname__}.{name}"
 
 
 class TestUConstant:
@@ -204,14 +261,14 @@ class TestParafermionicDecompose:
         form = parafermionic_decompose(sf)
         # P(x) = 9/2 - x
         assert form.values == (Fraction(7, 2), Fraction(5, 2), Fraction(3, 2))
-        assert form.factor.all_coeffs() == [-1, Fraction(9, 2)]
+        assert poly_in_x(form.coefficients).all_coeffs() == [-1, Fraction(9, 2)]
         assert form.positive
 
     def test_isotropic_factor_is_one(self):
         for big_n in range(5):
             sf = StructureFunction(IrrepLabel(big_n, 1, 1), FrequencyRatio(1, 1))
             form = parafermionic_decompose(sf)
-            assert form.factor.all_coeffs() == [1]
+            assert poly_in_x(form.coefficients).all_coeffs() == [1]
             assert form.positive
 
     def test_one_three_example(self):
@@ -262,8 +319,8 @@ class TestAgainstSympy:
             for (i, j), c in expected_poly.terms()
         }
         assert poly.degree_in_s0 == expected_poly.degree(S0) == m + n - 1
-        assert str(poly) == str(expected) == str(poly.expression())
-        assert poly.poly == expected_poly
+        assert str(poly) == str(expected) == str(sympy_poly(poly.coefficients(), H, S0).as_expr())
+        assert sympy_poly(poly.coefficients(), H, S0) == expected_poly
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -289,7 +346,7 @@ class TestAgainstSympy:
             quotient, remainder = sympy.div(sympy.Poly(phi, X, domain="QQ"), base)
             assert remainder.is_zero
             form = parafermionic_decompose(sf)
-            assert form.factor == quotient
+            assert poly_in_x(form.coefficients) == quotient
             assert form.values == tuple(
                 Fraction(str(quotient.eval(k))) for k in range(1, label.N + 1)
             )

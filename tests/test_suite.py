@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from deformed_u2 import FrequencyRatio, IrrepLabel, VerificationReport
+from deformed_u2 import FrequencyRatio, IrrepLabel, StructureFunction, VerificationReport
 from deformed_u2 import angular, oracle, representation, suite
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 
@@ -124,17 +125,17 @@ def test_tolerances_and_gate_rule():
 
 
 def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
-    eigensolve = suite.angular_eigenvalues
+    eigensolve = suite._eigensolve
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(label, ratio):
-        spec = eigensolve(label, ratio)
+    def swapped_pair(label, ratio, numerators):
+        spec = eigensolve(label, ratio, numerators)
         if label == poisoned:
             values = spec.eigenvalues
             spec = dataclasses.replace(spec, eigenvalues=(values[1], values[0], *values[2:]))
         return spec
 
-    monkeypatch.setattr(suite, "angular_eigenvalues", swapped_pair)
+    monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
     report = run_suite(FrequencyRatio(1, 2), 3)
     assert not report.passed
     assert report.residuals["eigen_certificate_failures"] == 2.0
@@ -158,6 +159,45 @@ def test_worst_irrep_is_the_first_holding_the_worst_value():
 def test_rejects_negative_n_max():
     with pytest.raises(ValueError, match="n_max"):
         run_suite(FrequencyRatio(1, 2), -1)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-10, 1e308])
+def test_rejects_tolerance_that_is_not_finite_and_positive(tolerance):
+    # 1e308 is finite, but its eigen tolerance 10x it is not
+    message = "tolerance must be finite.*" + re.escape(f"the 1:2 suite, got {tolerance!r}")
+    with pytest.raises(ValueError, match=message):
+        run_suite(FrequencyRatio(1, 2), 2, tolerance)
+
+
+def test_computes_each_irreps_phi_table_once(monkeypatch):
+    # F's product at x = 0..N+1 once per irrep; the eigensolve gets rep's table
+    products = Counter()
+    product = StructureFunction._product
+
+    def counting_product(self, numerator, denominator):
+        products[self.label] += 1
+        return product(self, numerator, denominator)
+
+    tables = {}
+    build, eigensolve = suite.build_irrep, suite._eigensolve
+
+    def recording_build(label, ratio):
+        rep = build(label, ratio)
+        tables[label] = rep.numerators
+        return rep
+
+    def checking_eigensolve(label, ratio, numerators):
+        assert numerators is tables[label]
+        return eigensolve(label, ratio, numerators)
+
+    monkeypatch.setattr(StructureFunction, "_product", counting_product)
+    monkeypatch.setattr(suite, "build_irrep", recording_build)
+    monkeypatch.setattr(suite, "_eigensolve", checking_eigensolve)
+    ratio = FrequencyRatio(1, 2)  # 1:2 also runs the 1:n split and the W_3^(2) check
+    report = run_suite(ratio, 4)
+    assert report.passed
+    assert products == {label: label.N + 2 for label in labels_of(ratio, 4)}
+    assert tables.keys() == products.keys()
 
 
 def test_residuals_are_derived_once():

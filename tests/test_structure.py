@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deformed_u2
 from deformed_u2 import (
     FrequencyRatio,
     IrrepLabel,
@@ -22,7 +23,6 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-import deformed_u2
 from deformed_u2.structure import _ladder_factors, _phi_denominator, _phi_numerators
 
 H, S0, X = sympy.symbols("H S0 x")

@@ -32,12 +32,12 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .representation import IrrepMatrices, _offdiagonals, worst_residual
+from .representation import IrrepMatrices, IrrepStack, _diag, _offdiagonals, worst_residual
 from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
@@ -92,8 +92,7 @@ class AngularSpectrum:
         """(-i)^k w_k: column i is the eigenvector of L0 for `eigenvalues[i]`,
         with its alternating phases explicit (a complex multiply, so the
         signs of zero parts are those of `_PHASES[k % 4] * w_k`)."""
-        phases = np.array([_PHASES[k % 4] for k in range(self.label.dimension)])
-        return phases[:, None] * self.components
+        return _phased(self.components)
 
     @cached_property
     def cartesian(self) -> tuple[CartesianState, ...]:
@@ -116,12 +115,18 @@ class AngularSpectrum:
         return signed[:, None] * self.components
 
 
+def _phased(components: np.ndarray) -> np.ndarray:
+    """(-i)^k times row k of each matrix of `components` (the last two axes)."""
+    phases = np.array([_PHASES[k % 4] for k in range(components.shape[-2])])
+    return phases[:, None] * components
+
+
 def _residuals(offdiag: np.ndarray, w: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """||T w_i - l_i w_i||_inf for each column w_i of `w`."""
+    """||T w_i - l_i w_i||_inf for each column w_i of each matrix of `w`."""
     tw = np.zeros_like(w)
-    tw[1:] += offdiag[:, None] * w[:-1]
-    tw[:-1] += offdiag[:, None] * w[1:]
-    return np.max(np.abs(tw - w * eigs), axis=0)
+    tw[..., 1:, :] += offdiag[..., :, None] * w[..., :-1, :]
+    tw[..., :-1, :] += offdiag[..., :, None] * w[..., 1:, :]
+    return np.max(np.abs(tw - w * eigs[..., None, :]), axis=-2)
 
 
 def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
@@ -135,32 +140,35 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.
     """
-    return _eigensolve(label, ratio, StructureFunction(label, ratio).numerators)
+    return _eigensolve((label,), ratio, (StructureFunction(label, ratio).numerators,))[0]
 
 
-def _eigensolve(label: IrrepLabel, ratio: FrequencyRatio,
-                numerators: tuple[int, ...]) -> AngularSpectrum:
-    """`angular_eigenvalues` on the irrep's integer Phi table `numerators`."""
-    big_n = label.N
-    offdiag = _offdiagonals(ratio, numerators)
-    eigs, w = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
-    eigs = (eigs - eigs[::-1]) / 2.0
-    margin = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.diff(eigs) <= margin):
-        raise ArithmeticError(f"eigenvalues of {label} not strictly separated; numerical failure")
-    signs = np.sign(w[0])
-    if not np.all(signs):
-        i = int(np.argmin(np.abs(signs)))
+def _eigensolve(labels: Sequence[IrrepLabel], ratio: FrequencyRatio,
+                tables: Sequence[tuple[int, ...]]) -> tuple[AngularSpectrum, ...]:
+    """`angular_eigenvalues` on the irreps `labels`, all of one N, from their
+    integer Phi tables, as one stacked eigensolve."""
+    big_n = labels[0].N
+    offdiag = np.array([_offdiagonals(ratio, numerators) for numerators in tables])
+    eigs, w = np.linalg.eigh(_diag(offdiag, 1) + _diag(offdiag, -1))
+    eigs = (eigs - eigs[..., ::-1]) / 2.0
+    margin = 1e-12 * np.fmax(1.0, np.max(np.abs(eigs), axis=-1))
+    unseparated = np.any(np.diff(eigs, axis=-1) <= margin[:, None], axis=-1)
+    signs = np.sign(w[..., 0, :])
+    for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
+        if unseparated[i]:
+            raise ArithmeticError(
+                f"eigenvalues of {labels[i]} not strictly separated; numerical failure")
         raise ArithmeticError(
-            f"eigenvector {i} of L0 on {label} of the {ratio} oscillator has "
-            f"w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
+            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {labels[i]} of the {ratio} "
+            f"oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
         )
-    w = w * signs
+    w = w * signs[..., None, :]
     if big_n % 2 == 0:
-        w[1::2, big_n // 2] = 0.0
+        w[..., 1::2, big_n // 2] = 0.0
     residuals = _residuals(offdiag, w, eigs)
-    return AngularSpectrum(label, ratio, tuple(eigs.tolist()), w, tuple(residuals.tolist()),
-                           numerators)
+    return tuple(AngularSpectrum(label, ratio, tuple(values), vectors, tuple(errors), numerators)
+                 for label, numerators, values, vectors, errors
+                 in zip(labels, tables, eigs.tolist(), w, residuals.tolist()))
 
 
 def _p_value(numerators: Sequence[int], denominator: int, s: Fraction) -> Fraction:
@@ -240,9 +248,13 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     """Whether each eigenvalue of `spectrum` is proven within `tolerance` of its own.
 
     With delta the largest power of two <= `tolerance`, the i-th value l_i
-    (ascending, from 0) is certified iff count_above(l_i - delta) >= N+1-i
-    and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`).
-    That proves the i-th true eigenvalue lies in (l_i - delta, l_i + delta].
+    (ascending, from 0) passes its count iff count_above(l_i - delta) >= N+1-i
+    and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`),
+    which proves the i-th true eigenvalue in (l_i - delta, l_i + delta].  As
+    lambda_i = -lambda_{N-i} (G_k has the parity of k), a value below the middle
+    is certified without a count when l_i == -l_{N-i} and its mirror passes;
+    so a symmetric spectrum is counted at i >= N/2 only, and each certified
+    value is proven within the closed [l_i - delta, l_i + delta].
     Both points are dyadic: l_i = a / 2^e exactly (`float.as_integer_ratio`),
     so l_i +- delta is (a 2^(s-e) +- 2^(s+t)) / 2^s, delta = 2^t and
     s = max(e, -t), formed by integer shifts with no `Fraction`.
@@ -254,8 +266,11 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     big_n = spectrum.label.N
     count_above = _sturm_counter(spectrum)
     delta_exponent = math.frexp(tolerance)[1] - 1
+    values = spectrum.eigenvalues
 
-    def certified(i: int, value: float) -> bool:
+    @cache
+    def counted(i: int) -> bool:
+        value = values[i]
         if not math.isfinite(value):
             return False
         numerator, denominator = value.as_integer_ratio()
@@ -266,9 +281,12 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
         return (count_above(centre - delta, shift) >= big_n + 1 - i
                 and count_above(centre + delta, shift) <= big_n - i)
 
-    return tuple(certified(i, value) for i, value in enumerate(spectrum.eigenvalues))
+    return tuple(
+        (i < big_n - i and values[i] == -values[big_n - i] and counted(big_n - i)) or counted(i)
+        for i in range(big_n + 1)
+    )
 
 
-def build_l0(rep: IrrepMatrices) -> np.ndarray:
-    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep built as `rep`."""
+def build_l0(rep: IrrepMatrices | IrrepStack) -> np.ndarray:
+    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep (or each of the stack) `rep`."""
     return -1j * (rep.s_plus - rep.s_minus)

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import irrep_members
-from .representation import IrrepMatrices, VerificationReport
+from .representation import IrrepMatrices, IrrepStack, VerificationReport
 
 __all__ = ["oracle_compare"]
 
@@ -50,11 +50,12 @@ def _within_one_ulp(s: float, num: int, den: int) -> bool:
     return (s_d - ulp_d) ** 2 * den < num * d * d < (s_d + ulp_d) ** 2 * den
 
 
-def _only_on(matrix: np.ndarray, dim: int, offset: int) -> bool:
-    """Whether `matrix` is dim x dim with every entry off its diagonal `offset` exactly 0."""
-    if matrix.shape != (dim, dim):
-        return False
-    return int(np.count_nonzero(matrix)) == int(np.count_nonzero(np.diagonal(matrix, offset)))
+def _only_on(matrices: np.ndarray, dim: int, offset: int) -> np.ndarray:
+    """Per matrix of a stack: whether it is dim x dim and exactly 0 off its diagonal `offset`."""
+    if matrices.shape[-2:] != (dim, dim):
+        return np.zeros(len(matrices), dtype=bool)
+    on_diagonal = np.count_nonzero(np.diagonal(matrices, offset, -2, -1), axis=-1)
+    return np.count_nonzero(matrices, axis=(-2, -1)) == on_diagonal
 
 
 def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
@@ -74,38 +75,41 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
     the square root of its weight, and every entry off a generator's pattern
     must be exactly 0.
     """
-    m, n = rep.ratio.m, rep.ratio.n
-    dim = rep.dimension
-    den = m**m * n**n
-    members = irrep_members(rep.label, rep.ratio)
-    raises = [math.perm(s.n_x + m, m) * math.perm(s.n_y, n) for s in members]
-    lowers = [math.perm(s.n_x, m) * math.perm(s.n_y + n, n) for s in members]
+    return _oracle_reports(IrrepStack.of(rep))[0]
+
+
+def _oracle_reports(stack: IrrepStack) -> tuple[VerificationReport, ...]:
+    """`oracle_compare` on every irrep of `stack`; the patterns and diagonals
+    are read from the stacked matrices at once, the weights per irrep."""
+    m, n = stack.ratio.m, stack.ratio.n
+    dim, den = stack.irreps[0].dimension, m**m * n**n
+    offsets = {"s0": 0, "s_plus": -1, "s_minus": 1, "h": 0}
+    on = {key: _only_on(getattr(stack, key), dim, k).tolist() for key, k in offsets.items()}
+    diagonals = {key: np.diagonal(getattr(stack, key), k, -2, -1).tolist()
+                 for key, k in offsets.items()}
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
-    s0_num = [n * (2 * s.n_x + 1) - m * (2 * s.n_y + 1) for s in members]
-    h_num = [n * (2 * s.n_x + 1) + m * (2 * s.n_y + 1) for s in members]
-
-    checks = {
-        "s0": all(_equals(v - s0_den * k, s0_den, rep.u) for k, v in enumerate(s0_num))
-        and _only_on(rep.s0, dim, 0)
-        and np.diagonal(rep.s0).tolist() == [v / s0_den for v in s0_num],
-        "s_plus": all(
-            (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
-        )
-        and raises == list(rep.numerators[1:])
-        and _only_on(rep.s_plus, dim, -1)
-        and all(
-            _within_one_ulp(s, w, den)
-            for s, w in zip(np.diagonal(rep.s_plus, -1).tolist(), raises[:-1], strict=True)
-        ),
-        "s_minus": lowers == list(rep.numerators[:-1])
-        and _only_on(rep.s_minus, dim, 1)
-        and all(
-            _within_one_ulp(s, w, den)
-            for s, w in zip(np.diagonal(rep.s_minus, 1).tolist(), lowers[1:], strict=True)
-        ),
-        "h": all(_equals(v, h_den, rep.energy) for v in h_num)
-        and _only_on(rep.h, dim, 0)
-        and np.diagonal(rep.h).tolist() == [v / h_den for v in h_num],
-    }
-    return VerificationReport("oracle", {}, checks, 0.0)
+    reports = []
+    for i, rep in enumerate(stack.irreps):
+        members = irrep_members(rep.label, rep.ratio)
+        raises = [math.perm(s.n_x + m, m) * math.perm(s.n_y, n) for s in members]
+        lowers = [math.perm(s.n_x, m) * math.perm(s.n_y + n, n) for s in members]
+        s0_num = [n * (2 * s.n_x + 1) - m * (2 * s.n_y + 1) for s in members]
+        h_num = [n * (2 * s.n_x + 1) + m * (2 * s.n_y + 1) for s in members]
+        checks = {
+            "s0": all(_equals(v - s0_den * k, s0_den, rep.u) for k, v in enumerate(s0_num))
+            and on["s0"][i] and diagonals["s0"][i] == [v / s0_den for v in s0_num],
+            "s_plus": all(
+                (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
+            )
+            and raises == list(rep.numerators[1:]) and on["s_plus"][i]
+            and all(_within_one_ulp(s, w, den)
+                    for s, w in zip(diagonals["s_plus"][i], raises[:-1], strict=True)),
+            "s_minus": lowers == list(rep.numerators[:-1]) and on["s_minus"][i]
+            and all(_within_one_ulp(s, w, den)
+                    for s, w in zip(diagonals["s_minus"][i], lowers[1:], strict=True)),
+            "h": all(_equals(v, h_den, rep.energy) for v in h_num)
+            and on["h"][i] and diagonals["h"][i] == [v / h_den for v in h_num],
+        }
+        reports.append(VerificationReport("oracle", {}, checks, 0.0))
+    return tuple(reports)

@@ -113,34 +113,73 @@ def _offdiagonals(ratio: FrequencyRatio, numerators: Sequence[int]) -> np.ndarra
     return np.array([math.sqrt(v / denominator) for v in numerators[1:-1]])
 
 
+def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
+    """One matrix per row of `rows`, the row on diagonal `offset` and 0.0 elsewhere."""
+    rows = np.asarray(rows, dtype=float)
+    k, size = np.arange(rows.shape[-1]), rows.shape[-1] + abs(offset)
+    matrices = np.zeros((*rows.shape[:-1], size, size))
+    matrices[..., k + max(-offset, 0), k + max(offset, 0)] = rows
+    return matrices
+
+
+@dataclass(frozen=True, eq=False)
+class IrrepStack:
+    """Irreps of one N with their generators stacked on a leading axis, so that
+    `irreps[i].s0` is `s0[i]`; the float checks run on stacks, one irrep as a stack of one."""
+
+    ratio: FrequencyRatio
+    irreps: tuple[IrrepMatrices, ...]
+    s0: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, rep: IrrepMatrices) -> IrrepStack:
+        return cls(rep.ratio, (rep,), *(m[None] for m in (rep.s0, rep.s_plus, rep.s_minus, rep.h)))
+
+
+def _build_stack(labels: Sequence[IrrepLabel], ratio: FrequencyRatio) -> IrrepStack:
+    """The irreps `labels`, all of one N, built at once."""
+    functions = [StructureFunction(label, ratio) for label in labels]
+    dim = labels[0].N + 1
+    # float(u + k), with the sum taken on u's numerator
+    s0 = _diag([[(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
+                for f in functions])
+    s_plus = _diag([_offdiagonals(ratio, f.numerators) for f in functions], -1)
+    s_minus = s_plus.swapaxes(-1, -2).copy()
+    h = np.array([float(f.energy) for f in functions])[:, None, None] * np.eye(dim)
+    number = np.broadcast_to(np.diag(np.arange(dim, dtype=float)), s0.shape)  # read-only
+    irreps = tuple(IrrepMatrices(f.label, ratio, s0[i], s_plus[i], s_minus[i], h[i], number[i],
+                                 f.numerators, f.u, f.energy) for i, f in enumerate(functions))
+    return IrrepStack(ratio, irreps, s0, s_plus, s_minus, h)
+
+
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
     """Construct the (N+1)-dimensional matrices of the labelled irrep."""
-    sf = StructureFunction(label, ratio)
-    numerators = sf.numerators
-    u = sf.u
-    energy = sf.energy
-    dim = label.N + 1
-
-    # float(u + k), with the sum taken on u's numerator
-    s0 = np.diag([(u.numerator + k * u.denominator) / u.denominator for k in range(dim)])
-    s_plus = np.diag(_offdiagonals(ratio, numerators), -1)
-    s_minus = s_plus.T.copy()
-    h = float(energy) * np.eye(dim)
-    number = np.diag(np.arange(dim, dtype=float))
-    return IrrepMatrices(label, ratio, s0, s_plus, s_minus, h, number, numerators, u, energy)
+    return _build_stack((label,), ratio).irreps[0]
 
 
-def _max_abs(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix))) if matrix.size else 0.0
+def _max_abs(matrices: np.ndarray) -> np.ndarray:
+    """Max |entry| of each matrix (0.0 when empty)."""
+    return np.max(np.abs(matrices), axis=(-2, -1), initial=0.0)
 
 
-def _residual(lhs: np.ndarray, target: np.ndarray) -> float:
-    """Max-norm difference, relative to max(1, ||target||_inf)."""
-    return _max_abs(lhs - target) / max(1.0, _max_abs(target))
+def _residual(lhs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Max-norm difference, relative to max(1, ||target||_inf), of each matrix."""
+    return _max_abs(lhs - target) / np.fmax(1.0, _max_abs(target))
 
 
-def _require_square(rep: IrrepMatrices) -> int:
-    shapes = {m.shape for m in (rep.s0, rep.s_plus, rep.s_minus, rep.h)}
+def _reports(name: str, residuals: dict[str, np.ndarray], exact_checks: Sequence[dict],
+             tolerance: float) -> tuple[VerificationReport, ...]:
+    """One report per irrep of a stack, from each key's residuals over the stack."""
+    columns = {key: values.tolist() for key, values in residuals.items()}
+    return tuple(VerificationReport(name, {key: column[i] for key, column in columns.items()},
+                                    checks, tolerance) for i, checks in enumerate(exact_checks))
+
+
+def _require_square(stack: IrrepStack) -> int:
+    shapes = {m.shape[1:] for m in (stack.s0, stack.s_plus, stack.s_minus, stack.h)}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"generator matrices differ in shape: {sorted(shapes)}")
     (shape,) = shapes
@@ -161,30 +200,34 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> Verification
     compared cross-multiplied in ints; the diagonal target of [S-, S+] is
     the correctly rounded quotient of the same ints.
     """
-    dim = _require_square(rep)
-    s0, sp, sm, h = rep.s0, rep.s_plus, rep.s_minus, rep.h
-    # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
-    # phi[k] / phi_den, each over one denominator, in plain ints
-    ladder, ladder_den = commutator_polynomial(rep.ratio)._scaled_values(
-        rep.energy, rep.u, dim
-    )
-    phi, phi_den = rep.numerators, _phi_denominator(rep.ratio)
-    ladder_target = np.diag([v / ladder_den for v in ladder])
+    return _algebra_reports(IrrepStack.of(rep), tolerance)[0]
 
+
+def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationReport, ...]:
+    """`verify_algebra` on every irrep of `stack`."""
+    dim = _require_square(stack)
+    polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
+    ladder_targets, exact_checks = [], []
+    for rep in stack.irreps:
+        # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
+        # phi[k] / phi_den, each over one denominator, in plain ints
+        ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
+        phi = rep.numerators
+        ladder_targets.append([v / ladder_den for v in ladder])
+        exact_checks.append({
+            "phi_boundary": phi[0] == 0 and phi[-1] == 0,
+            "phi_positive": all(v > 0 for v in phi[1:-1]),
+            "ladder_difference": all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
+                                     for k in range(dim)),
+        })
+    s0, sp, sm, h = stack.s0, stack.s_plus, stack.s_minus, stack.h
     residuals = {
         "commutator_s0_splus": _residual(s0 @ sp - sp @ s0, sp),
         "commutator_s0_sminus": _residual(s0 @ sm - sm @ s0, -sm),
-        "commutator_h": max(_max_abs(h @ x - x @ h) for x in (s0, sp, sm)),
-        "commutator_sminus_splus": _residual(sm @ sp - sp @ sm, ladder_target),
+        "commutator_h": np.maximum.reduce([_max_abs(h @ x - x @ h) for x in (s0, sp, sm)]),
+        "commutator_sminus_splus": _residual(sm @ sp - sp @ sm, _diag(ladder_targets)),
     }
-    exact_checks = {
-        "phi_boundary": phi[0] == 0 and phi[-1] == 0,
-        "phi_positive": all(v > 0 for v in phi[1:-1]),
-        "ladder_difference": all(
-            (phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den for k in range(dim)
-        ),
-    }
-    return VerificationReport("algebra", residuals, exact_checks, tolerance)
+    return _reports("algebra", residuals, exact_checks, tolerance)
 
 
 _W32_PRODUCT = 4.0 / 3.0
@@ -205,9 +248,15 @@ def w32_check(
     centrality of C_W.  A missing factor is taken from the other; ValueError
     unless both are finite and rho*sigma is within 1e-12 of 4/3.
     """
-    if (rep.ratio.m, rep.ratio.n) != (1, 2):
+    return _w32_reports(IrrepStack.of(rep), rho, sigma, tolerance)[0]
+
+
+def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | None = None,
+                 tolerance: float = 1e-10) -> tuple[VerificationReport, ...]:
+    """`w32_check` on every irrep of `stack`."""
+    if (stack.ratio.m, stack.ratio.n) != (1, 2):
         raise WrongRatioError(
-            f"the W_3^(2) identification requires ratio 1:2, got {rep.ratio}"
+            f"the W_3^(2) identification requires ratio 1:2, got {stack.ratio}"
         )
     if rho is None and sigma is None:
         rho = sigma = 2.0 / math.sqrt(3.0)
@@ -219,16 +268,16 @@ def w32_check(
             and abs(rho * sigma - _W32_PRODUCT) <= 1e-12):
         raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
-    dim = _require_square(rep)
-    f_w = sigma * rep.s_plus
-    e_w = rho * rep.s_minus
-    h_w = -2.0 * rep.s0 + rep.h / 3.0
-    c_w = -(4.0 / 9.0) * rep.h @ rep.h + np.eye(dim) / 4.0
+    dim = _require_square(stack)
+    f_w = sigma * stack.s_plus
+    e_w = rho * stack.s_minus
+    h_w = -2.0 * stack.s0 + stack.h / 3.0
+    c_w = -(4.0 / 9.0) * stack.h @ stack.h + np.eye(dim) / 4.0
 
     residuals = {
         "commutator_hw_ew": _residual(h_w @ e_w - e_w @ h_w, 2.0 * e_w),
         "commutator_hw_fw": _residual(h_w @ f_w - f_w @ h_w, -2.0 * f_w),
         "commutator_ew_fw": _residual(e_w @ f_w - f_w @ e_w, h_w @ h_w + c_w),
-        "cw_central": max(_max_abs(c_w @ x - x @ c_w) for x in (e_w, f_w, h_w)),
+        "cw_central": np.maximum.reduce([_max_abs(c_w @ x - x @ c_w) for x in (e_w, f_w, h_w)]),
     }
-    return VerificationReport("w32", residuals, {}, tolerance)
+    return _reports("w32", residuals, [{} for _ in stack.irreps], tolerance)

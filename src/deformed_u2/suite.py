@@ -1,12 +1,15 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
-Each irrep is built once (`build_irrep`), and that record feeds the algebra
-relations, the exact Fock-space oracle, the dense L0 and, for 1:2, the
-W_3^(2) relations; its integer Phi table, computed once per irrep, also
-feeds the tridiagonal eigensolve and its Sturm-count certificate.  Identity
-residuals are gated at the identity tolerance, the eigen class at 10x it,
-every exact check, the oracle's included, must hold, and every eigenvalue
-must be certified within the eigen tolerance.
+The irreps of one N all have dimension N+1, so the suite builds them once as
+one `IrrepStack` per N and runs every float check (the algebra relations, the
+oracle's pattern and diagonal reads, the tridiagonal eigensolve, the dense L0,
+the Gram matrix and, for 1:2, the W_3^(2) relations) once on the stacked
+(irreps, N+1, N+1) arrays, by the kernels the one-irrep functions run.  The
+exact work stays per irrep: each integer Phi table, computed once, feeds the
+ladder identity, the oracle's weights and ulp tests, the Sturm certificate and
+the 1:n split.  Identity residuals are gated at the identity tolerance, the
+eigen class at 10x it, every exact check, the oracle's included, must hold,
+and every eigenvalue must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import _eigensolve, build_l0, certify_eigenvalues
+from .angular import _eigensolve, _phased, build_l0, certify_eigenvalues
 from .core import FrequencyRatio, IrrepLabel
-from .oracle import oracle_compare
-from .representation import build_irrep, verify_algebra, w32_check, worst_residual
+from .oracle import _oracle_reports
+from .representation import _algebra_reports, _build_stack, _w32_reports, worst_residual
 from .structure import CommutatorPolynomial, StructureFunction, commutator_polynomial
 from .structure import parafermionic_decompose
 
@@ -113,34 +116,37 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     eigen_tol = 10 * tolerance
 
     irreps = []
-    labels = [IrrepLabel(big_n, p, q) for big_n in range(n_max + 1)
-              for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
-    for label in labels:
-        rep = build_irrep(label, ratio)
-        algebra = verify_algebra(rep, tolerance)
-        oracle = oracle_compare(rep)
-        residuals = dict(algebra.residuals)
+    for big_n in range(n_max + 1):
+        labels = [IrrepLabel(big_n, p, q)
+                  for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
+        stack = _build_stack(labels, ratio)
+        algebras = _algebra_reports(stack, tolerance)
+        oracles = _oracle_reports(stack)
+        spectra = _eigensolve(labels, ratio, [rep.numerators for rep in stack.irreps])
+        dense = np.sort(np.linalg.eigvalsh(build_l0(stack)), axis=-1)
+        eigenvalues = np.array([spec.eigenvalues for spec in spectra])
+        agreement = np.max(np.abs(eigenvalues - dense), axis=-1).tolist()
+        amplitudes = _phased(np.stack([spec.components for spec in spectra]))
+        gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
+        orthonormality = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1)).tolist()
+        w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
 
-        spec = _eigensolve(label, ratio, rep.numerators)
-        dense = np.sort(np.linalg.eigvalsh(build_l0(rep)))
-        residuals["method_agreement"] = float(np.max(np.abs(np.array(spec.eigenvalues) - dense)))
-        residuals["spectrum_symmetry"] = spec.symmetry_residual
-        residuals["eigenvector_residual"] = spec.max_residual
-        gram = spec.amplitudes.conj().T @ spec.amplitudes
-        residuals["orthonormality"] = float(np.max(np.abs(gram - np.eye(label.dimension))))
+        for i, (rep, spec) in enumerate(zip(stack.irreps, spectra)):
+            residuals = {**algebras[i].residuals, "method_agreement": agreement[i],
+                         "spectrum_symmetry": spec.symmetry_residual,
+                         "eigenvector_residual": spec.max_residual,
+                         "orthonormality": orthonormality[i]}
+            if w32:
+                residuals.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
 
-        if (ratio.m, ratio.n) == (1, 2):
-            w32 = w32_check(rep, tolerance=tolerance).residuals
-            residuals.update({f"w32_{key}": value for key, value in w32.items()})
-
-        failures = {
-            "exact_check_failures": algebra.failures + oracle.failures,
-            "eigen_certificate_failures": certify_eigenvalues(spec, eigen_tol).count(False),
-        }
-        if ratio.m == 1:
-            form = parafermionic_decompose(StructureFunction(label, ratio))
-            failures["parafermionic_failures"] = int(not form.positive)
-        irreps.append(IrrepReport(label, rep.energy, residuals, failures))
+            failures = {
+                "exact_check_failures": algebras[i].failures + oracles[i].failures,
+                "eigen_certificate_failures": certify_eigenvalues(spec, eigen_tol).count(False),
+            }
+            if ratio.m == 1:
+                form = parafermionic_decompose(StructureFunction(rep.label, ratio))
+                failures["parafermionic_failures"] = int(not form.positive)
+            irreps.append(IrrepReport(rep.label, rep.energy, residuals, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
                        tuple(irreps))

@@ -384,6 +384,15 @@ class TestEigenvectors:
         with pytest.raises(ArithmeticError, match=r"c_57 of L0 on \(N=57, p=3, q=4\) of the 3:5"):
             spec.coefficients
 
+    def test_a_stacked_solve_names_the_first_irrep_that_fails(self):
+        # an all-zero Phi table gives T = 0, whose eigenvalues are not separated
+        ratio = FrequencyRatio(3, 5)
+        labels = [IrrepLabel(2, p, q) for p in range(1, 4) for q in range(1, 6)]
+        tables = [StructureFunction(label, ratio).numerators for label in labels]
+        tables[3] = tables[9] = (0, 0, 0, 0)
+        with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
+            angular._eigensolve(labels, ratio, tables)
+
     def test_underflowing_first_component_raises(self):
         # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them
         with pytest.raises(
@@ -507,6 +516,48 @@ class TestCertificate:
         spec = angular_eigenvalues(IrrepLabel(3, 1, 1), ratio)
         broken = shifted(spec, {1: math.nan})
         assert certify_eigenvalues(broken, EIGEN_TOL) == (True, False, True, True)
+
+    def record_count_points(self, monkeypatch):
+        """The list that collects, as Fractions, the points certify_eigenvalues counts at."""
+        points = []
+        counter = angular._sturm_counter
+
+        def recording_counter(spectrum):
+            count = counter(spectrum)
+
+            def count_above(a, e):
+                points.append(Fraction(a, 2**e))
+                return count(a, e)
+
+            return count_above
+
+        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        return points
+
+    @pytest.mark.parametrize("big_n", [0, 1, 5, 6])
+    def test_symmetric_spectrum_is_counted_from_the_middle_up(self, monkeypatch, big_n):
+        spec = angular_eigenvalues(IrrepLabel(big_n, 2, 3), FrequencyRatio(2, 3))
+        points = self.record_count_points(monkeypatch)
+        assert certify_eigenvalues(spec, EIGEN_TOL) == (True,) * (big_n + 1)
+        upper = spec.eigenvalues[(big_n + 1) // 2:]
+        delta = Fraction(self.DELTA)
+        assert sorted(points) == sorted(Fraction(v) + s * delta for v in upper for s in (-1, 1))
+
+    @pytest.mark.parametrize("big_n", [5, 6])
+    def test_asymmetric_value_below_the_middle_is_counted_itself(self, monkeypatch, big_n):
+        # a certified mirror l_{N-i} proves nothing of an l_i that is not -l_{N-i}
+        spec = angular_eigenvalues(IrrepLabel(big_n, 2, 3), FrequencyRatio(2, 3))
+        value = spec.eigenvalues[1]
+        assert value == -spec.eigenvalues[big_n - 1]
+        points = self.record_count_points(monkeypatch)
+        moved = shifted(spec, {1: value + 2 * self.DELTA})
+        assert certify_eigenvalues(moved, EIGEN_TOL) == tuple(i != 1 for i in range(big_n + 1))
+        assert Fraction(value + 2 * self.DELTA) - Fraction(self.DELTA) in points
+        # one ulp off the mirror's negative, yet within delta: counted, and certified
+        points.clear()
+        nudged = shifted(spec, {1: math.nextafter(value, math.inf)})
+        assert all(certify_eigenvalues(nudged, EIGEN_TOL))
+        assert Fraction(nudged.eigenvalues[1]) - Fraction(self.DELTA) in points
 
     def test_huge_tolerance_passes(self):
         # delta = 2^1023 holds every eigenvalue; no separation is required

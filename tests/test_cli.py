@@ -259,18 +259,20 @@ class TestVerify:
         assert first == second
 
     def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
-        verify = suite.verify_algebra
+        verify = suite._algebra_reports
 
-        def nan_for_one_irrep(rep, tolerance):
-            report = verify(rep, tolerance)
-            if rep.label == IrrepLabel(1, 1, 1):
-                report = VerificationReport(
-                    report.name, {**report.residuals, "commutator_h": math.nan},
-                    report.exact_checks, tolerance,
-                )
-            return report
+        def nan_for_one_irrep(stack, tolerance):
+            reports = list(verify(stack, tolerance))
+            for i, rep in enumerate(stack.irreps):
+                if rep.label == IrrepLabel(1, 1, 1):
+                    report = reports[i]
+                    reports[i] = VerificationReport(
+                        report.name, {**report.residuals, "commutator_h": math.nan},
+                        report.exact_checks, tolerance,
+                    )
+            return tuple(reports)
 
-        monkeypatch.setattr(suite, "verify_algebra", nan_for_one_irrep)
+        monkeypatch.setattr(suite, "_algebra_reports", nan_for_one_irrep)
         result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "2",
                         "--format", "json")
         assert result.exit_code == 1

@@ -16,6 +16,7 @@ from deformed_u2 import (
     irrep_members,
     oracle_compare,
 )
+from deformed_u2 import oracle, representation
 from deformed_u2.oracle import _within_one_ulp
 
 CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
@@ -159,6 +160,18 @@ class TestMutations:
     def test_nonzero_off_pattern_entry(self, name, index):
         for value in (1e-300, -1.0, 5e-324):
             assert failed(with_entry(self.REP, name, index, value)) == {name}
+
+    @pytest.mark.parametrize("name,index", [
+        ("s0", (0, 1)), ("s_plus", (0, 1)), ("s_minus", (1, 0)), ("h", (2, 0)),
+    ])
+    def test_off_pattern_entry_in_a_stack_fails_only_its_irrep(self, name, index):
+        # the 8th of the 15 irreps in the N = 2 stack of 3:5, read from the stacked patterns
+        ratio = FrequencyRatio(3, 5)
+        labels = [IrrepLabel(2, p, q) for p in range(1, 4) for q in range(1, 6)]
+        stack = representation._build_stack(labels, ratio)
+        getattr(stack, name)[(7, *index)] = 1e-300
+        checks = [report.exact_checks for report in oracle._oracle_reports(stack)]
+        assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(15)]
 
     def test_wrong_phi_entry(self):
         # +-1 moves Phi(k) by 1/D, the smallest representable change; -D by -1

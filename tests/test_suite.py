@@ -8,6 +8,16 @@ import pytest
 
 from deformed_u2 import FrequencyRatio, IrrepLabel, StructureFunction, VerificationReport
 from deformed_u2 import angular, oracle, representation, suite
+from deformed_u2 import (
+    angular_eigenvalues,
+    build_irrep,
+    build_l0,
+    certify_eigenvalues,
+    oracle_compare,
+    parafermionic_decompose,
+    verify_algebra,
+    w32_check,
+)
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 
 
@@ -22,11 +32,11 @@ def labels_of(ratio, n_max):
 
 def test_builds_each_irrep_once(monkeypatch):
     builds = Counter()
-    build = suite.build_irrep
+    build = suite._build_stack
 
-    def counting_build(label, ratio):
-        builds[label] += 1
-        return build(label, ratio)
+    def counting_build(labels, ratio):
+        builds.update(labels)
+        return build(labels, ratio)
 
     # every construction of a record, by whichever caller, goes through this class
     made = Counter()
@@ -36,7 +46,7 @@ def test_builds_each_irrep_once(monkeypatch):
         made[label] += 1
         return matrices(label, *args)
 
-    monkeypatch.setattr(suite, "build_irrep", counting_build)
+    monkeypatch.setattr(suite, "_build_stack", counting_build)
     monkeypatch.setattr(representation, "IrrepMatrices", counting_matrices)
     ratio = FrequencyRatio(2, 3)
     report = run_suite(ratio, 3)
@@ -64,19 +74,21 @@ def test_lists_each_irreps_members_once(monkeypatch):
 
 
 def test_nan_residual_fails_only_its_irrep(monkeypatch):
-    verify = suite.verify_algebra
+    verify = suite._algebra_reports
     poisoned = IrrepLabel(1, 1, 1)
 
-    def nan_for_one_irrep(rep, tolerance):
-        report = verify(rep, tolerance)
-        if rep.label == poisoned:
-            report = VerificationReport(
-                report.name, {**report.residuals, "commutator_h": math.nan},
-                report.exact_checks, tolerance,
-            )
-        return report
+    def nan_for_one_irrep(stack, tolerance):
+        reports = list(verify(stack, tolerance))
+        for i, rep in enumerate(stack.irreps):
+            if rep.label == poisoned:
+                report = reports[i]
+                reports[i] = VerificationReport(
+                    report.name, {**report.residuals, "commutator_h": math.nan},
+                    report.exact_checks, tolerance,
+                )
+        return tuple(reports)
 
-    monkeypatch.setattr(suite, "verify_algebra", nan_for_one_irrep)
+    monkeypatch.setattr(suite, "_algebra_reports", nan_for_one_irrep)
     report = run_suite(FrequencyRatio(1, 1), 2)
     assert not report.passed
     assert math.isnan(report.residuals["commutator_h"])
@@ -88,24 +100,101 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
 
 def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
-    build = suite.build_irrep
+    build = suite._build_stack
     poisoned = IrrepLabel(2, 1, 2)
 
-    def one_entry_off(label, ratio):
-        rep = build(label, ratio)
-        if label == poisoned:
-            s_plus = rep.s_plus.copy()
-            s_plus[1, 0] = np.nextafter(np.nextafter(s_plus[1, 0], 0.0), 0.0)
-            rep = dataclasses.replace(rep, s_plus=s_plus)
-        return rep
+    def one_entry_off(labels, ratio):
+        stack = build(labels, ratio)
+        for i, label in enumerate(labels):
+            if label == poisoned:
+                s_plus = stack.s_plus[i]
+                s_plus[1, 0] = np.nextafter(np.nextafter(s_plus[1, 0], 0.0), 0.0)
+        return stack
 
-    monkeypatch.setattr(suite, "build_irrep", one_entry_off)
+    monkeypatch.setattr(suite, "_build_stack", one_entry_off)
     report = run_suite(FrequencyRatio(1, 2), 2)
     assert not report.passed
     assert report.residuals["exact_check_failures"] == 1.0
     assert [i.label for i in report.irreps if i.failures["exact_check_failures"]] == [poisoned]
     assert report.worst_irrep("exact_check_failures") == poisoned
     assert not any(key.startswith("oracle_") for key in report.residuals)
+
+
+def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch):
+    # (2, 2, 3) is the 8th of the 15 irreps in the N = 2 stack of 3:5
+    ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(2, 2, 3)
+    clean = run_suite(ratio, 2)
+    build, eigensolve = suite._build_stack, suite._eigensolve
+
+    def nan_in_h(labels, ratio):
+        stack = build(labels, ratio)
+        for i, label in enumerate(labels):
+            if label == poisoned:
+                stack.h[i, 0, 0] = math.nan
+        return stack
+
+    def swapped_pair(labels, ratio, tables):
+        spectra = list(eigensolve(labels, ratio, tables))
+        for i, spec in enumerate(spectra):
+            if spec.label == poisoned:
+                values = spec.eigenvalues
+                spectra[i] = dataclasses.replace(spec, eigenvalues=values[1::-1] + values[2:])
+        return tuple(spectra)
+
+    monkeypatch.setattr(suite, "_build_stack", nan_in_h)
+    monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
+    report = run_suite(ratio, 2)
+    assert [irrep.label for irrep in report.irreps].index(poisoned) == 30 + 7
+    assert not report.passed
+    for key in ("commutator_h", "method_agreement", "exact_check_failures",
+                "eigen_certificate_failures"):
+        assert report.worst_irrep(key) == poisoned
+    for before, after in zip(clean.irreps, report.irreps, strict=True):
+        if after.label != poisoned:
+            assert after == before
+            continue
+        changed = {key for key in before.residuals
+                   if repr(before.residuals[key]) != repr(after.residuals[key])}
+        assert changed == {"commutator_h", "method_agreement", "spectrum_symmetry"}
+        assert math.isnan(after.residuals["commutator_h"])
+        assert after.failures == {"exact_check_failures": 1, "eigen_certificate_failures": 2}
+
+
+def one_irrep_report(label, ratio, tolerance=IDENTITY_TOL):
+    """The suite's residuals and failures of one irrep, from the public one-irrep functions."""
+    rep = build_irrep(label, ratio)
+    algebra, oracle_report = verify_algebra(rep, tolerance), oracle_compare(rep)
+    spec = angular_eigenvalues(label, ratio)
+    residuals = dict(algebra.residuals)
+    dense = np.sort(np.linalg.eigvalsh(build_l0(rep)))
+    residuals["method_agreement"] = float(np.max(np.abs(np.array(spec.eigenvalues) - dense)))
+    residuals["spectrum_symmetry"] = spec.symmetry_residual
+    residuals["eigenvector_residual"] = spec.max_residual
+    gram = spec.amplitudes.conj().T @ spec.amplitudes
+    residuals["orthonormality"] = float(np.max(np.abs(gram - np.eye(label.dimension))))
+    if (ratio.m, ratio.n) == (1, 2):
+        w32 = w32_check(rep, tolerance=tolerance).residuals
+        residuals.update({f"w32_{key}": value for key, value in w32.items()})
+    failures = {
+        "exact_check_failures": algebra.failures + oracle_report.failures,
+        "eigen_certificate_failures": certify_eigenvalues(spec, 10 * tolerance).count(False),
+    }
+    if ratio.m == 1:
+        form = parafermionic_decompose(StructureFunction(label, ratio))
+        failures["parafermionic_failures"] = int(not form.positive)
+    return residuals, failures
+
+
+@pytest.mark.parametrize("m,n,n_max", [(1, 1, 6), (1, 2, 8), (3, 5, 4), (2, 7, 3)])
+def test_stacked_suite_equals_the_one_irrep_functions_bitwise(m, n, n_max):
+    ratio = FrequencyRatio(m, n)
+    report = run_suite(ratio, n_max)
+    assert [irrep.label for irrep in report.irreps] == labels_of(ratio, n_max)
+    for irrep in report.irreps:  # N = 0 included: 1x1 stacks, empty off-diagonals
+        residuals, failures = one_irrep_report(irrep.label, ratio)
+        assert list(irrep.residuals) == list(residuals)
+        assert [v.hex() for v in irrep.residuals.values()] == [v.hex() for v in residuals.values()]
+        assert irrep.failures == failures
 
 
 def test_tolerances_and_gate_rule():
@@ -128,12 +217,15 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     eigensolve = suite._eigensolve
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(label, ratio, numerators):
-        spec = eigensolve(label, ratio, numerators)
-        if label == poisoned:
-            values = spec.eigenvalues
-            spec = dataclasses.replace(spec, eigenvalues=(values[1], values[0], *values[2:]))
-        return spec
+    def swapped_pair(labels, ratio, tables):
+        spectra = list(eigensolve(labels, ratio, tables))
+        for i, spec in enumerate(spectra):
+            if spec.label == poisoned:
+                values = spec.eigenvalues
+                spectra[i] = dataclasses.replace(
+                    spec, eigenvalues=(values[1], values[0], *values[2:])
+                )
+        return tuple(spectra)
 
     monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
     report = run_suite(FrequencyRatio(1, 2), 3)
@@ -179,19 +271,21 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
         return product(self, numerator, denominator)
 
     tables = {}
-    build, eigensolve = suite.build_irrep, suite._eigensolve
+    build, eigensolve = suite._build_stack, suite._eigensolve
 
-    def recording_build(label, ratio):
-        rep = build(label, ratio)
-        tables[label] = rep.numerators
-        return rep
+    def recording_build(labels, ratio):
+        stack = build(labels, ratio)
+        for rep in stack.irreps:
+            tables[rep.label] = rep.numerators
+        return stack
 
-    def checking_eigensolve(label, ratio, numerators):
-        assert numerators is tables[label]
-        return eigensolve(label, ratio, numerators)
+    def checking_eigensolve(labels, ratio, numerators):
+        for label, table in zip(labels, numerators, strict=True):
+            assert table is tables[label]
+        return eigensolve(labels, ratio, numerators)
 
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
-    monkeypatch.setattr(suite, "build_irrep", recording_build)
+    monkeypatch.setattr(suite, "_build_stack", recording_build)
     monkeypatch.setattr(suite, "_eigensolve", checking_eigensolve)
     ratio = FrequencyRatio(1, 2)  # 1:2 also runs the 1:n split and the W_3^(2) check
     report = run_suite(ratio, 4)

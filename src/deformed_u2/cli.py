@@ -163,7 +163,7 @@ _tol_option = click.option(
     type=float,
     default=IDENTITY_TOL,
     callback=_parse_tol,
-    help="Identity-residual tolerance (default 1e-10); eigenvector and "
+    help=f"Identity-residual tolerance (default {IDENTITY_TOL:g}); eigenvector and "
     "method-agreement checks, and the Sturm-count certificate of every "
     "eigenvalue, use 10x this value.",
 )

@@ -37,6 +37,8 @@ __all__ = [
     "w32_check",
 ]
 
+IDENTITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class IrrepMatrices:
@@ -188,7 +190,7 @@ def _require_square(stack: IrrepStack) -> int:
     return shape[0]
 
 
-def verify_algebra(rep: IrrepMatrices, tolerance: float = 1e-10) -> VerificationReport:
+def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Check the defining relations of the algebra on one representation.
 
     Floating residuals: [S0, S+] = S+, [S0, S-] = -S-, centrality of H, and
@@ -237,7 +239,7 @@ def w32_check(
     rep: IrrepMatrices,
     rho: float | None = None,
     sigma: float | None = None,
-    tolerance: float = 1e-10,
+    tolerance: float = IDENTITY_TOL,
 ) -> VerificationReport:
     """Check the finite W_3^(2) relations on a 1:2 representation.
 
@@ -252,7 +254,7 @@ def w32_check(
 
 
 def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | None = None,
-                 tolerance: float = 1e-10) -> tuple[VerificationReport, ...]:
+                 tolerance: float = IDENTITY_TOL) -> tuple[VerificationReport, ...]:
     """`w32_check` on every irrep of `stack`."""
     if (stack.ratio.m, stack.ratio.n) != (1, 2):
         raise WrongRatioError(

@@ -13,14 +13,15 @@ the Fock dimension to N + 1.
 
 Everything here is exact.  F is written once, as its table of linear
 factors with every offset scaled by 4mn to an int (`_ladder_factors`); the
-commutator and the 1:n split Phi(x) = x (N+1-x) P(x) are multiplied out of
-that table in plain ints by one loop, `_expand`, and a `Fraction` is built
-only for a value that is returned.  On the Fock indices the Gamma-quotient
-form makes P_k = m^m n^n Phi(k) an integer, so each irrep's Phi(0..N+1) is
-one table of ints over `_phi_denominator` (`StructureFunction.numerators`),
-and every exact check reads that table.  The Gamma-quotient form itself is
-expanded into rising/falling factorials instead of evaluating a
-transcendental Gamma function (so there are no poles and no rounding).
+commutator and the 1:n factor P of Phi(x) = x (N+1-x) P(x), whose x and
+N+1-x are two rows of the table, are multiplied out of it in plain ints by
+one loop, `_expand`, and a `Fraction` is built only for a returned value.
+On the Fock indices the Gamma-quotient form makes P_k = m^m n^n Phi(k) an
+integer, so each irrep's Phi(0..N+1) is one table of ints over
+`_phi_denominator` (`StructureFunction.numerators`), and every exact check
+reads that table.  The Gamma-quotient form itself is expanded into
+rising/falling factorials instead of evaluating a transcendental Gamma
+function (so there are no poles and no rounding).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .core import FrequencyRatio, IrrepLabel, energy_of_irrep
 from .exceptions import NotDivisibleError
@@ -69,16 +70,16 @@ def _ladder_factors(ratio: FrequencyRatio) -> tuple[tuple[int, int], ...]:
             *((-1, (2 * l - 1) * 2 * m) for l in range(1, n + 1)))
 
 
-def _expand(forms: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+def _expand(forms: Iterable[tuple[int, ...]], variables: int) -> dict[tuple[int, ...], int]:
     """Multiply out integer linear forms (a_1, ..., a_v, c) = a_1 x_1 + ... + a_v x_v + c.
 
-    The product comes back as a dict from exponent tuples (e_1, ..., e_v) to
-    its nonzero int coefficients.  Callers scale each form by a common
-    denominator (4mn for the factors of F) so the loop runs in plain ints,
-    and divide once when they build the `Fraction` of a returned coefficient.
+    The product (1 if there are no forms) comes back as a dict from exponent
+    tuples (e_1, ..., e_v), v = `variables`, to its nonzero int coefficients.
+    Callers scale each form by a common denominator (4mn for the factors of
+    F) so the loop runs in plain ints, and divide once when they build the
+    `Fraction` of a returned coefficient.
     """
-    forms = list(forms)
-    terms: dict[tuple[int, ...], int] = {(0,) * (len(forms[0]) - 1): 1}
+    terms: dict[tuple[int, ...], int] = {(0,) * variables: 1}
     for *slopes, constant in forms:
         product: dict[tuple[int, ...], int] = defaultdict(int)
         for exponents, coeff in terms.items():
@@ -198,19 +199,6 @@ class StructureFunction:
         return tuple(facts)
 
 
-def _phi_numerators(sf: StructureFunction) -> tuple[list[int], int]:
-    """Coefficients of Phi in x, lowest power first, as ints over one denominator.
-
-    Phi(x) = F(E, u + x) is the product of the forms sigma_i x + E/2 +
-    sigma_i u + c_i; scaled by 4mn each is an integer form, so the
-    coefficients are ints over (4mn)^(m+n).
-    """
-    scale = 4 * sf.ratio.m * sf.ratio.n
-    phi = _expand((sigma * scale, offset) for sigma, offset in sf._scaled_factors)
-    degree = sf.ratio.m + sf.ratio.n
-    return [phi.get((k,), 0) for k in range(degree + 1)], scale**degree
-
-
 def _monomial(h_power: int, s0_power: int) -> str:
     factors = [
         name if power == 1 else f"{name}**{power}"
@@ -239,9 +227,13 @@ class CommutatorPolynomial:
         """((H power, S0 power), coefficient) pairs, in the order of `numerators`."""
         return tuple(((i, j), Fraction(a, self.denominator)) for i, j, a in self.numerators)
 
-    @property
+    @functools.cached_property
     def degree_in_s0(self) -> int:
         return max(j for _, j, _ in self.numerators)
+
+    @functools.cached_property
+    def _degree_in_h(self) -> int:
+        return max(i for i, _, _ in self.numerators)
 
     def coefficients(self) -> dict[tuple[int, int], Fraction]:
         """Map (H power, S0 power) -> coefficient, zero terms omitted."""
@@ -260,7 +252,7 @@ class CommutatorPolynomial:
         d^(J-j), J the S0 degree, run by integer Horner in y; no `Fraction`
         is built.
         """
-        h_top, s0_top = max(i for i, _, _ in self.numerators), self.degree_in_s0
+        h_top, s0_top = self._degree_in_h, self.degree_in_s0
         h_powers = _scaled_powers(h.numerator, h.denominator, h_top)
         d_powers = _scaled_powers(1, s0.denominator, s0_top)
         weights = [0] * (s0_top + 1)
@@ -319,8 +311,8 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     scale = 4 * ratio.m * ratio.n
     half = scale // 2
     factors = _ladder_factors(ratio)
-    diff = _expand((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors)
-    at_s0 = _expand((half, sigma * scale, offset) for sigma, offset in factors)
+    diff = _expand(((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors), 2)
+    at_s0 = _expand(((half, sigma * scale, offset) for sigma, offset in factors), 2)
     for exponents, coeff in at_s0.items():
         diff[exponents] = diff.get(exponents, 0) - coeff
     denominator = scale ** len(factors)
@@ -350,35 +342,25 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
 
     The parafermionic reading of the algebra is established for frequency
     ratios 1:n only, so any other ratio is rejected rather than silently
-    factored.  The division is exact, by x and then by x - (N+1) with
-    synthetic division, and both remainders are required to vanish.
+    factored.  Scaled by 4n, x and N+1-x are the forms (4n, 0) and
+    (-4n, 4n(N+1)) in the irrep's factor table `_scaled_factors`; both are
+    removed, and P is the product of the forms left (none for 1:1, so P = 1).
     """
     if sf.ratio.m != 1:
         raise NotDivisibleError(
             f"parafermionic form applies to 1:n ratios only, got {sf.ratio}"
         )
-    big_n = sf.label.N
-    root = big_n + 1
-    (remainder, *over_x), denominator = _phi_numerators(sf)
-    # synthetic division of Phi/x by (x - root), from the top coefficient
-    # down; the root is an int, so it runs on the integer numerators
-    quotient = [0] * (len(over_x) - 1)
-    carry = 0
-    for k in range(len(over_x) - 1, 0, -1):
-        carry = over_x[k] + root * carry
-        quotient[k - 1] = carry
-    if remainder or over_x[0] + root * carry:
-        raise NotDivisibleError(
-            f"x (N+1-x) does not divide the structure function of {sf.label}"
-        )
-    # (N+1-x) = -(x - root), so P is minus the quotient; P(1..N) by integer
-    # Horner over the same denominator
-    numerators = [-c for c in reversed(quotient)]
-    values = []
-    for x in range(1, big_n + 1):
-        value = 0
-        for c in numerators:
-            value = value * x + c
-        values.append(Fraction(value, denominator))
-    coefficients = tuple(Fraction(-c, denominator) for c in quotient)
-    return ParafermionicForm(coefficients, tuple(values))
+    scale, root = 4 * sf.ratio.n, sf.label.N + 1
+    forms = [(sigma * scale, offset) for sigma, offset in sf._scaled_factors]
+    for form in ((scale, 0), (-scale, scale * root)):
+        if form not in forms:
+            raise NotDivisibleError(
+                f"x (N+1-x) does not divide the structure function of {sf.label}"
+            )
+        forms.remove(form)
+    denominator = scale ** len(forms)
+    terms = _expand(forms, 1)
+    coefficients = tuple(Fraction(terms.get((k,), 0), denominator) for k in range(len(forms) + 1))
+    values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
+                   for x in range(1, root))
+    return ParafermionicForm(coefficients, values)

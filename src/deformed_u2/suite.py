@@ -24,13 +24,13 @@ import numpy as np
 from .angular import _eigensolve, _phased, build_l0, certify_eigenvalues
 from .core import FrequencyRatio, IrrepLabel
 from .oracle import _oracle_reports
-from .representation import _algebra_reports, _build_stack, _w32_reports, worst_residual
+from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
+from .representation import worst_residual
 from .structure import CommutatorPolynomial, StructureFunction, commutator_polynomial
 from .structure import parafermionic_decompose
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
-IDENTITY_TOL = 1e-10
 EIGEN_TOL = 10 * IDENTITY_TOL
 EIGEN_KEYS = frozenset({"method_agreement", "eigenvector_residual", "orthonormality"})
 

@@ -3,6 +3,7 @@ import gc
 import importlib
 import inspect
 import pkgutil
+import re
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import deformed_u2
 from deformed_u2 import (
+    CommutatorPolynomial,
     FrequencyRatio,
     IrrepLabel,
     NotDivisibleError,
@@ -23,7 +25,7 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-from deformed_u2.structure import _ladder_factors, _phi_denominator, _phi_numerators
+from deformed_u2.structure import _ladder_factors, _phi_denominator
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -148,13 +150,6 @@ class TestStructureFunction:
         for k in range(1, 4):
             assert facts[k] == facts[k - 1] * sf(k)
 
-    def test_polynomial_form_matches_values(self):
-        sf = StructureFunction(IrrepLabel(4, 2, 1), FrequencyRatio(3, 2))
-        numerators, denominator = _phi_numerators(sf)
-        poly = poly_in_x([Fraction(c, denominator) for c in numerators])
-        for x in range(6):
-            assert Fraction(str(poly.eval(x))) == sf(x)
-
     def test_rejects_label_outside_ratio(self):
         with pytest.raises(ValueError):
             StructureFunction(IrrepLabel(2, 2, 1), FrequencyRatio(1, 2))
@@ -236,6 +231,27 @@ class TestCommutatorPolynomial:
         for m, n in coprime_pairs(5):
             assert commutator_polynomial(FrequencyRatio(m, n)).degree_in_s0 == m + n - 1
 
+    def test_degrees_are_read_once(self):
+        # after the first call, each evaluation walks the terms once, to
+        # collect them; the H and S0 degrees are kept on the instance
+        class CountingTerms(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        source = commutator_polynomial(FrequencyRatio(2, 3))
+        terms = CountingTerms(source.numerators)
+        poly = CommutatorPolynomial(source.ratio, terms, source.denominator)
+        h, s0 = Fraction(7, 2), Fraction(-1, 3)
+        first = poly._scaled_values(h, s0, 4)
+        assert first == source._scaled_values(h, s0, 4)
+        for _ in range(3):
+            before = terms.iterations
+            assert poly._scaled_values(h, s0, 4) == first
+            assert terms.iterations == before + 1
+
     def test_exact_evaluation(self):
         poly = commutator_polynomial(FrequencyRatio(1, 2))
         h, s0 = Fraction(7, 4), Fraction(-3, 8)
@@ -286,7 +302,21 @@ class TestParafermionicDecompose:
         with pytest.raises(NotDivisibleError):
             parafermionic_decompose(sf)
 
-    @settings(deadline=None)  # the first draws fill the Phi and commutator caches
+    # the rows of the 1:2 irrep (3, 1, 2)'s factor table that give x and
+    # N+1-x: (+1, 0) and (-1, 4n(N+1))
+    @pytest.mark.parametrize("row", [(1, 0), (-1, 4 * 2 * (3 + 1))], ids=["x", "N+1-x"])
+    def test_refuses_a_table_without_the_factor(self, row):
+        sf = StructureFunction(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        table = sf._scaled_factors
+        assert table.count(row) == 1
+        sf.__dict__["_scaled_factors"] = tuple(
+            (sigma, offset + 1) if (sigma, offset) == row else (sigma, offset)
+            for sigma, offset in table
+        )
+        with pytest.raises(NotDivisibleError, match=re.escape(str(sf.label))):
+            parafermionic_decompose(sf)
+
+    @settings(deadline=None)  # exact integer work grows with n and N; its timing is not tested
     @given(
         n=st.integers(1, 6),
         q=st.integers(1, 6),

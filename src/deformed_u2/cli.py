@@ -5,8 +5,9 @@ Four subcommands cover the toolkit: `spectrum` (level tables), `irrep`
 of one irrep) and `verify` (the whole identity suite up to a given N).
 Output formats are table (default), json and csv; exact rationals are
 serialized as "num/den" strings and decimals are 12-significant-digit
-renderings only.  Exit codes: 0 success, 1 verification failure, 2
-usage/input error.
+renderings only.  Every command writes its report through `_report`.
+Exit codes: 0 success, 1 verification failure, 2 usage/input error,
+including an --output that cannot be written.
 """
 
 from __future__ import annotations
@@ -120,8 +121,11 @@ def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
 SCHEMA_VERSION = 2
 
 
-def _document(ratio: FrequencyRatio, command: str, records, residuals) -> dict:
-    return {
+def _report(ratio: FrequencyRatio, command: str, fmt: str, output: str | None,
+            records, residuals, headers: list[str], rows: list[list[str]],
+            table: str | None = None, passed: bool = True) -> None:
+    """Render the report as fmt, write it to stdout or output, and exit 1 unless passed."""
+    document = {
         "schema_version": SCHEMA_VERSION,
         "ratio": {"m": ratio.m, "n": ratio.n},
         "command": command,
@@ -129,13 +133,21 @@ def _document(ratio: FrequencyRatio, command: str, records, residuals) -> dict:
         "residuals": residuals,
         "tool_version": __version__,
     }
-
-
-def _emit(text: str, output: str | None) -> None:
+    if fmt == "json":
+        text = json.dumps(document, indent=2)
+    elif fmt == "csv":
+        text = _render_csv(headers, rows)
+    else:
+        text = _render_table(headers, rows) if table is None else table
     if output is None:
         click.echo(text)
     else:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    if not passed:
+        sys.exit(1)
 
 
 _ratio_option = click.option(
@@ -199,16 +211,12 @@ def spectrum(ratio, count, fmt, output):
         }
         for level in levels
     ]
-    if fmt == "json":
-        _emit(json.dumps(_document(ratio, "spectrum", records, {}), indent=2), output)
-        return
     headers = ["energy", "decimal", "N", "p", "q", "degeneracy"]
     rows = [
         [r["energy"], _fmt(r["decimal"]), str(r["N"]), str(r["p"]), str(r["q"]), str(r["degeneracy"])]
         for r in records
     ]
-    renderer = _render_csv if fmt == "csv" else _render_table
-    _emit(renderer(headers, rows), output)
+    _report(ratio, "spectrum", fmt, output, records, {}, headers, rows)
 
 
 @main.command()
@@ -249,38 +257,32 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         },
         "passed": report.passed,
     }
-    if fmt == "json":
-        _emit(json.dumps(_document(ratio, "irrep", [record], residuals), indent=2), output)
-    elif fmt == "csv":
-        headers = ["k", "n_x", "n_y", "s0_diagonal", "splus_next"]
-        rows = []
-        for k, state in enumerate(members):
-            up = rep.s_plus[k + 1, k] if k < label.N else 0.0
-            rows.append([str(k), str(state.n_x), str(state.n_y),
-                         _fmt(rep.s0[k, k]), _fmt(up)])
-        _emit(_render_csv(headers, rows), output)
-    else:
-        lines = [
-            f"irrep (N={label.N}, p={label.p}, q={label.q}) of the {ratio} oscillator",
-            f"energy: {rep.energy} ({_fmt(float(rep.energy))})",
-            f"dimension: {label.dimension}",
-            f"u: {rep.u}",
-            "phi: " + ", ".join(str(v) for v in rep.phi),
-            "members: " + "  ".join(f"k={k} {s}" for k, s in enumerate(members)),
-            "s0 diagonal: " + ", ".join(_fmt(rep.s0[k, k]) for k in range(label.dimension)),
-            "s+ subdiagonal: "
-            + (", ".join(_fmt(rep.s_plus[k + 1, k]) for k in range(label.N)) or "(none)"),
-            f"h: {rep.energy} * identity",
-            "",
-            "residuals:",
-        ]
-        for key, value in residuals.items():
-            lines.append(f"  {key:<28}{_fmt(value)}")
-        lines.append(f"verification: {'PASS' if report.passed else 'FAIL'} "
-                     f"(tolerance {tol:g})")
-        _emit("\n".join(lines), output)
-    if not report.passed:
-        sys.exit(1)
+    rows = []
+    for k, state in enumerate(members):
+        up = rep.s_plus[k + 1, k] if k < label.N else 0.0
+        rows.append([str(k), str(state.n_x), str(state.n_y),
+                     _fmt(rep.s0[k, k]), _fmt(up)])
+    lines = [
+        f"irrep (N={label.N}, p={label.p}, q={label.q}) of the {ratio} oscillator",
+        f"energy: {rep.energy} ({_fmt(float(rep.energy))})",
+        f"dimension: {label.dimension}",
+        f"u: {rep.u}",
+        "phi: " + ", ".join(str(v) for v in rep.phi),
+        "members: " + "  ".join(f"k={k} {s}" for k, s in enumerate(members)),
+        "s0 diagonal: " + ", ".join(_fmt(rep.s0[k, k]) for k in range(label.dimension)),
+        "s+ subdiagonal: "
+        + (", ".join(_fmt(rep.s_plus[k + 1, k]) for k in range(label.N)) or "(none)"),
+        f"h: {rep.energy} * identity",
+        "",
+        "residuals:",
+    ]
+    for key, value in residuals.items():
+        lines.append(f"  {key:<28}{_fmt(value)}")
+    lines.append(f"verification: {'PASS' if report.passed else 'FAIL'} "
+                 f"(tolerance {tol:g})")
+    _report(ratio, "irrep", fmt, output, [record], residuals,
+            ["k", "n_x", "n_y", "s0_diagonal", "splus_next"], rows, "\n".join(lines),
+            report.passed)
 
 
 @main.command()
@@ -326,9 +328,6 @@ def angular(ratio, big_n, p, q, fmt, output):
         "eigenvector_residual": _decimal(spec.max_residual),
         "spectrum_symmetry": _decimal(spec.symmetry_residual),
     }
-    if fmt == "json":
-        _emit(json.dumps(_document(ratio, "angular", records, residuals), indent=2), output)
-        return
     headers = ["m", "eigenvalue", "exact", "state"]
     rows = [
         [
@@ -339,8 +338,7 @@ def angular(ratio, big_n, p, q, fmt, output):
         ]
         for r in records
     ]
-    renderer = _render_csv if fmt == "csv" else _render_table
-    _emit(renderer(headers, rows), output)
+    _report(ratio, "angular", fmt, output, records, residuals, headers, rows)
 
 
 @main.command()
@@ -380,33 +378,24 @@ def verify(ratio, n_max, fmt, tol, output):
         "passed": report.passed,
         "worst_irreps": {key: asdict(report.worst_irrep(key)) for key in residuals},
     }
-
-    if fmt == "json":
-        document = _document(ratio, "verify", [summary] + records, residuals)
-        _emit(json.dumps(document, indent=2), output)
-    else:
-        headers = ["check", "worst residual", "status"]
-        rows = [
-            [key, _fmt(residuals[key]), "pass" if report.passes(key, value) else "FAIL"]
-            for key, value in report.residuals.items()
-        ]
-        if fmt == "csv":
-            _emit(_render_csv(headers, rows), output)
-        else:
-            lines = [
-                f"verification of the {ratio} oscillator algebra, N <= {n_max}",
-                f"tolerances: identities {report.identity_tolerance:g}, "
-                f"eigenvectors {report.eigen_tolerance:g}",
-                f"[S-, S+] = {report.commutator}",
-                f"irreps checked: {len(records)}",
-                "",
-                _render_table(headers, rows),
-                "",
-                f"result: {'PASS' if report.passed else 'FAIL'}",
-            ]
-            _emit("\n".join(lines), output)
-    if not report.passed:
-        sys.exit(1)
+    headers = ["check", "worst residual", "status"]
+    rows = [
+        [key, _fmt(residuals[key]), "pass" if report.passes(key, value) else "FAIL"]
+        for key, value in report.residuals.items()
+    ]
+    table = "\n".join([
+        f"verification of the {ratio} oscillator algebra, N <= {n_max}",
+        f"tolerances: identities {report.identity_tolerance:g}, "
+        f"eigenvectors {report.eigen_tolerance:g}",
+        f"[S-, S+] = {report.commutator}",
+        f"irreps checked: {len(records)}",
+        "",
+        _render_table(headers, rows),
+        "",
+        f"result: {'PASS' if report.passed else 'FAIL'}",
+    ])
+    _report(ratio, "verify", fmt, output, [summary] + records, residuals, headers, rows,
+            table, report.passed)
 
 
 if __name__ == "__main__":

@@ -379,12 +379,32 @@ class TestPinnedText:
         assert [row[2] for row in rows] == case["status"]
 
 
+# one command each, with the exit code it has in every format
+OUTPUT_CASES = [
+    pytest.param(["spectrum", "--ratio", "1:2", "--count", "3"], 0, id="spectrum"),
+    pytest.param(["irrep", "--ratio", "1:2", "--N", "2", "--tol", "1e-30"], 1, id="irrep"),
+    pytest.param(["angular", "--ratio", "1:2", "--N", "2"], 0, id="angular"),
+    pytest.param(["verify", "--ratio", "1:2", "--N-max", "3", "--tol", "1e-30"], 1, id="verify"),
+]
+
+
 class TestOutputFile:
-    def test_writes_file(self, runner, tmp_path):
-        target = tmp_path / "spectrum.json"
-        result = invoke(runner, "spectrum", "--ratio", "1:2", "--count", "3",
-                        "--format", "json", "--output", str(target))
-        assert result.exit_code == 0
-        assert result.output == ""
-        document = json.loads(target.read_text())
-        assert document["command"] == "spectrum"
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    @pytest.mark.parametrize("args, exit_code", OUTPUT_CASES)
+    def test_writes_file(self, runner, tmp_path, args, exit_code, fmt):
+        target = tmp_path / "report.out"
+        printed = invoke(runner, *args, "--format", fmt)
+        written = invoke(runner, *args, "--format", fmt, "--output", str(target))
+        assert printed.exit_code == written.exit_code == exit_code
+        assert written.output == ""
+        assert target.read_text(encoding="utf-8") == printed.stdout
+
+    @pytest.mark.parametrize("args, exit_code", OUTPUT_CASES)
+    def test_unwritable_output_exits_2(self, runner, tmp_path, args, exit_code):
+        # exit 2 even where the report fails (exit 1 when written)
+        target = tmp_path / "missing" / "out.json"
+        result = invoke(runner, *args, "--output", str(target))
+        assert result.exit_code == 2
+        assert f"cannot write {target}: " in result.stderr
+        assert "Traceback" not in result.output
+        assert not target.parent.exists()

@@ -1,0 +1,89 @@
+"""Digest of the CLI's output over a fixed grid of commands.
+
+    python tools/cli_digest.py SRC_DIR
+
+imports `deformed_u2` from SRC_DIR, runs every command of the grid in-process
+with click's CliRunner, once to stdout and once with --output FILE in a
+temporary directory, and prints `<commands> <sha256>`.  The hash covers each
+command's arguments, exit code, stdout, stderr, any exception other than
+SystemExit, and the text of the --output file.  Two checkouts print the same
+line when their CLI output is byte-identical:
+
+    python tools/cli_digest.py old/src
+    python tools/cli_digest.py new/src
+
+The grid covers `irrep` and `angular` on every label of each ratio at N in
+{0, 1, 4}, `spectrum --count 25` and `verify --N-max 4` at each ratio, a few
+failing or out-of-reach cases, a bad label and a non-coprime ratio, each in
+the json, table and csv formats.  Needs click >= 8.2 (separate stderr).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+RATIOS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 5), (4, 7)]
+FORMATS = ["json", "table", "csv"]
+
+
+def grid() -> list[list[str]]:
+    commands = []
+    for m, n in RATIOS:
+        ratio = f"{m}:{n}"
+        for big_n in (0, 1, 4):
+            for p in range(1, m + 1):
+                for q in range(1, n + 1):
+                    label = ["--ratio", ratio, "--N", str(big_n), "--p", str(p), "--q", str(q)]
+                    commands += [["irrep", *label], ["angular", *label]]
+        commands += [
+            ["spectrum", "--ratio", ratio, "--count", "25"],
+            ["verify", "--ratio", ratio, "--N-max", "4"],
+        ]
+    commands += [
+        ["verify", "--ratio", "1:2", "--N-max", "3", "--tol", "1e-30"],
+        ["verify", "--ratio", "4:7", "--N-max", "20"],
+        ["irrep", "--ratio", "1:2", "--N", "2", "--tol", "1e-30"],
+        ["angular", "--ratio", "3:5", "--N", "60", "--p", "2", "--q", "3"],
+        ["irrep", "--ratio", "2:3", "--N", "1", "--p", "3", "--q", "1"],
+        ["spectrum", "--ratio", "2:4", "--count", "3"],
+    ]
+    return [[*args, "--format", fmt] for args in commands for fmt in FORMATS]
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/cli_digest.py SRC_DIR")
+    src = Path(sys.argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    from click.testing import CliRunner
+
+    import deformed_u2
+    from deformed_u2.cli import main as cli
+
+    if src not in Path(deformed_u2.__file__).resolve().parents:
+        sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
+
+    runner = CliRunner()
+    digest = hashlib.sha256()
+    commands = grid()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "report.out"
+        for args in commands:
+            for to_file in (False, True):
+                target.unlink(missing_ok=True)
+                result = runner.invoke(cli, [*args, "--output", str(target)] if to_file else args)
+                exception = result.exception
+                if isinstance(exception, SystemExit):
+                    exception = None
+                written = target.read_text(encoding="utf-8") if target.exists() else None
+                for part in (args, to_file, result.exit_code, result.stdout, result.stderr,
+                             repr(exception), written):
+                    digest.update(repr(part).encode("utf-8") + b"\0")
+    print(len(commands), digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

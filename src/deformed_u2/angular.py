@@ -140,15 +140,14 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.
     """
-    return _eigensolve((label,), ratio, (StructureFunction(label, ratio).numerators,))[0]
+    return _eigensolve((StructureFunction(label, ratio),))[0]
 
 
-def _eigensolve(labels: Sequence[IrrepLabel], ratio: FrequencyRatio,
-                tables: Sequence[tuple[int, ...]]) -> tuple[AngularSpectrum, ...]:
-    """`angular_eigenvalues` on the irreps `labels`, all of one N, from their
-    integer Phi tables, as one stacked eigensolve."""
-    big_n = labels[0].N
-    offdiag = np.array([_offdiagonals(ratio, numerators) for numerators in tables])
+def _eigensolve(functions: Sequence[StructureFunction]) -> tuple[AngularSpectrum, ...]:
+    """`angular_eigenvalues` on the irreps of the records `functions`, all of one N
+    and one ratio, from their integer Phi tables, as one stacked eigensolve."""
+    ratio, big_n = functions[0].ratio, functions[0].label.N
+    offdiag = np.array([_offdiagonals(ratio, f.numerators) for f in functions])
     eigs, w = np.linalg.eigh(_diag(offdiag, 1) + _diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
     margin = 1e-12 * np.fmax(1.0, np.max(np.abs(eigs), axis=-1))
@@ -157,18 +156,17 @@ def _eigensolve(labels: Sequence[IrrepLabel], ratio: FrequencyRatio,
     for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
         if unseparated[i]:
             raise ArithmeticError(
-                f"eigenvalues of {labels[i]} not strictly separated; numerical failure")
+                f"eigenvalues of {functions[i].label} not strictly separated; numerical failure")
         raise ArithmeticError(
-            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {labels[i]} of the {ratio} "
-            f"oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
+            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {functions[i].label} of the "
+            f"{ratio} oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
         )
     w = w * signs[..., None, :]
     if big_n % 2 == 0:
         w[..., 1::2, big_n // 2] = 0.0
-    residuals = _residuals(offdiag, w, eigs)
-    return tuple(AngularSpectrum(label, ratio, tuple(values), vectors, tuple(errors), numerators)
-                 for label, numerators, values, vectors, errors
-                 in zip(labels, tables, eigs.tolist(), w, residuals.tolist()))
+    residuals = _residuals(offdiag, w, eigs).tolist()
+    return tuple(AngularSpectrum(f.label, ratio, tuple(row), vectors, tuple(errors), f.numerators)
+                 for f, row, vectors, errors in zip(functions, eigs.tolist(), w, residuals))
 
 
 def _p_value(numerators: Sequence[int], denominator: int, s: Fraction) -> Fraction:

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -109,7 +110,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
+def _render_csv(headers: list[str], rows: Iterable[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
@@ -122,7 +123,7 @@ SCHEMA_VERSION = 2
 
 
 def _report(ratio: FrequencyRatio, command: str, fmt: str, output: str | None,
-            records, residuals, headers: list[str], rows: list[list[str]],
+            records, residuals, headers: list[str], rows: Iterable[list[str]],
             table: str | None = None, passed: bool = True) -> None:
     """Render the report as fmt, write it to stdout or output, and exit 1 unless passed."""
     document = {
@@ -138,7 +139,7 @@ def _report(ratio: FrequencyRatio, command: str, fmt: str, output: str | None,
     elif fmt == "csv":
         text = _render_csv(headers, rows)
     else:
-        text = _render_table(headers, rows) if table is None else table
+        text = _render_table(headers, list(rows)) if table is None else table
     if output is None:
         click.echo(text)
     else:
@@ -175,9 +176,9 @@ _tol_option = click.option(
     type=float,
     default=IDENTITY_TOL,
     callback=_parse_tol,
-    help=f"Identity-residual tolerance (default {IDENTITY_TOL:g}); eigenvector and "
-    "method-agreement checks, and the Sturm-count certificate of every "
-    "eigenvalue, use 10x this value.",
+    help=f"Identity-residual tolerance (default {IDENTITY_TOL:g}); 10x it must be finite. "
+    "verify gates its eigenvector and method-agreement checks, and the Sturm-count "
+    "certificate of every eigenvalue, at 10x this value.",
 )
 
 
@@ -212,10 +213,10 @@ def spectrum(ratio, count, fmt, output):
         for level in levels
     ]
     headers = ["energy", "decimal", "N", "p", "q", "degeneracy"]
-    rows = [
+    rows = (
         [r["energy"], _fmt(r["decimal"]), str(r["N"]), str(r["p"]), str(r["q"]), str(r["degeneracy"])]
         for r in records
-    ]
+    )
     _report(ratio, "spectrum", fmt, output, records, {}, headers, rows)
 
 
@@ -329,7 +330,7 @@ def angular(ratio, big_n, p, q, fmt, output):
         "spectrum_symmetry": _decimal(spec.symmetry_residual),
     }
     headers = ["m", "eigenvalue", "exact", "state"]
-    rows = [
+    rows = (
         [
             f"{r['marker']:+d}" if r["marker"] else "0",
             _fmt(r["eigenvalue"]),
@@ -337,7 +338,7 @@ def angular(ratio, big_n, p, q, fmt, output):
             r["state"],
         ]
         for r in records
-    ]
+    )
     _report(ratio, "angular", fmt, output, records, residuals, headers, rows)
 
 

@@ -40,9 +40,9 @@ __all__ = [
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrrepMatrices:
-    """Matrices of one irrep plus the exact data they were built from."""
+    """Matrices of one irrep plus the exact data they were built from; compares by identity."""
 
     label: IrrepLabel
     ratio: FrequencyRatio
@@ -141,10 +141,9 @@ class IrrepStack:
         return cls(rep.ratio, (rep,), *(m[None] for m in (rep.s0, rep.s_plus, rep.s_minus, rep.h)))
 
 
-def _build_stack(labels: Sequence[IrrepLabel], ratio: FrequencyRatio) -> IrrepStack:
-    """The irreps `labels`, all of one N, built at once."""
-    functions = [StructureFunction(label, ratio) for label in labels]
-    dim = labels[0].N + 1
+def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
+    """The irreps of the records `functions`, all of one N and one ratio, built at once."""
+    ratio, dim = functions[0].ratio, functions[0].label.N + 1
     # float(u + k), with the sum taken on u's numerator
     s0 = _diag([[(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
                 for f in functions])
@@ -159,7 +158,7 @@ def _build_stack(labels: Sequence[IrrepLabel], ratio: FrequencyRatio) -> IrrepSt
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
     """Construct the (N+1)-dimensional matrices of the labelled irrep."""
-    return _build_stack((label,), ratio).irreps[0]
+    return _build_stack((StructureFunction(label, ratio),)).irreps[0]
 
 
 def _max_abs(matrices: np.ndarray) -> np.ndarray:

@@ -1,15 +1,16 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
-The irreps of one N all have dimension N+1, so the suite builds them once as
-one `IrrepStack` per N and runs every float check (the algebra relations, the
-oracle's pattern and diagonal reads, the tridiagonal eigensolve, the dense L0,
-the Gram matrix and, for 1:2, the W_3^(2) relations) once on the stacked
-(irreps, N+1, N+1) arrays, by the kernels the one-irrep functions run.  The
-exact work stays per irrep: each integer Phi table, computed once, feeds the
-ladder identity, the oracle's weights and ulp tests, the Sturm certificate and
-the 1:n split.  Identity residuals are gated at the identity tolerance, the
-eigen class at 10x it, every exact check, the oracle's included, must hold,
-and every eigenvalue must be certified within the eigen tolerance.
+The irreps of one N all have dimension N+1.  The suite builds each one's
+record, its `StructureFunction`, once per N and hands the list to every stage.
+It runs every float check (the algebra relations, the oracle's pattern and
+diagonal reads, the tridiagonal and dense eigensolves, the Gram matrix and, for
+1:2, the W_3^(2) relations) once on the stacked (irreps, N+1, N+1) arrays, by
+the kernels the one-irrep functions run.  The exact work stays per irrep: each
+integer Phi table, computed once, feeds the ladder identity, the oracle's
+weights and ulp tests and the Sturm certificate, and each factor table the 1:n
+split.  Identity residuals are gated at the identity tolerance, the eigen class
+at 10x it, every exact check, the oracle's included, must hold, and every
+eigenvalue must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -117,12 +118,12 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
 
     irreps = []
     for big_n in range(n_max + 1):
-        labels = [IrrepLabel(big_n, p, q)
-                  for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
-        stack = _build_stack(labels, ratio)
+        functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio)
+                     for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
+        stack = _build_stack(functions)
         algebras = _algebra_reports(stack, tolerance)
         oracles = _oracle_reports(stack)
-        spectra = _eigensolve(labels, ratio, [rep.numerators for rep in stack.irreps])
+        spectra = _eigensolve(functions)
         dense = np.sort(np.linalg.eigvalsh(build_l0(stack)), axis=-1)
         eigenvalues = np.array([spec.eigenvalues for spec in spectra])
         agreement = np.max(np.abs(eigenvalues - dense), axis=-1).tolist()
@@ -144,7 +145,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                 "eigen_certificate_failures": certify_eigenvalues(spec, eigen_tol).count(False),
             }
             if ratio.m == 1:
-                form = parafermionic_decompose(StructureFunction(rep.label, ratio))
+                form = parafermionic_decompose(functions[i])
                 failures["parafermionic_failures"] = int(not form.positive)
             irreps.append(IrrepReport(rep.label, rep.energy, residuals, failures))
 

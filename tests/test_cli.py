@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import angular, structure, suite
+from deformed_u2 import angular, cli, structure, suite
 from deformed_u2.cli import main
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
@@ -64,6 +64,22 @@ class TestSpectrum:
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert [row["energy"] for row in rows] == ["1", "2", "3", "4"]
         assert [row["degeneracy"] for row in rows] == ["1", "2", "3", "4"]
+
+    def test_json_builds_no_rows(self, runner, monkeypatch):
+        calls = Counter()
+        fmt = cli._fmt
+
+        def counting_fmt(value):
+            calls["fmt"] += 1
+            return fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", counting_fmt)
+        result = invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500",
+                        "--format", "json")
+        assert len(json.loads(result.output)["records"]) == 1500
+        assert calls["fmt"] == 0
+        invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500", "--format", "csv")
+        assert calls["fmt"] == 1500
 
 
 class TestIrrep:

@@ -168,7 +168,7 @@ class TestMutations:
         # the 8th of the 15 irreps in the N = 2 stack of 3:5, read from the stacked patterns
         ratio = FrequencyRatio(3, 5)
         labels = [IrrepLabel(2, p, q) for p in range(1, 4) for q in range(1, 6)]
-        stack = representation._build_stack(labels, ratio)
+        stack = representation._build_stack([StructureFunction(label, ratio) for label in labels])
         getattr(stack, name)[(7, *index)] = 1e-300
         checks = [report.exact_checks for report in oracle._oracle_reports(stack)]
         assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(15)]

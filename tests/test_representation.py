@@ -73,6 +73,14 @@ class TestBuildIrrep:
         assert rep.number == pytest.approx(np.diag([0.0, 1.0, 2.0, 3.0]))
         assert rep.s0 == pytest.approx(rep.number + float(rep.u) * np.eye(4))
 
+    def test_records_compare_and_hash_by_identity(self):
+        label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)
+        a, b = build_irrep(label, ratio), build_irrep(label, ratio)
+        assert a == a
+        assert not a != a
+        assert a != b
+        assert len({a, b}) == 2
+
 
 class TestVerifyAlgebra:
     def test_constructed_irreps_pass_tightly(self):

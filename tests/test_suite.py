@@ -34,9 +34,9 @@ def test_builds_each_irrep_once(monkeypatch):
     builds = Counter()
     build = suite._build_stack
 
-    def counting_build(labels, ratio):
-        builds.update(labels)
-        return build(labels, ratio)
+    def counting_build(functions):
+        builds.update(f.label for f in functions)
+        return build(functions)
 
     # every construction of a record, by whichever caller, goes through this class
     made = Counter()
@@ -46,15 +46,27 @@ def test_builds_each_irrep_once(monkeypatch):
         made[label] += 1
         return matrices(label, *args)
 
+    # and of a structure function through its __post_init__; 1:n also runs the split
+    functions = Counter()
+    post_init = StructureFunction.__post_init__
+
+    def counting_post_init(self):
+        functions[self.label] += 1
+        post_init(self)
+
     monkeypatch.setattr(suite, "_build_stack", counting_build)
     monkeypatch.setattr(representation, "IrrepMatrices", counting_matrices)
-    ratio = FrequencyRatio(2, 3)
-    report = run_suite(ratio, 3)
-    labels = labels_of(ratio, 3)
-    assert builds == {label: 1 for label in labels}
-    assert made == builds
-    assert [irrep.label for irrep in report.irreps] == labels
-    assert report.passed
+    monkeypatch.setattr(StructureFunction, "__post_init__", counting_post_init)
+    for ratio, n_max in ((FrequencyRatio(2, 3), 3), (FrequencyRatio(1, 2), 4)):
+        for counter in (builds, made, functions):
+            counter.clear()
+        report = run_suite(ratio, n_max)
+        labels = labels_of(ratio, n_max)
+        assert builds == {label: 1 for label in labels}
+        assert made == builds
+        assert functions == builds
+        assert [irrep.label for irrep in report.irreps] == labels
+        assert report.passed
 
 
 def test_lists_each_irreps_members_once(monkeypatch):
@@ -103,10 +115,10 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
     build = suite._build_stack
     poisoned = IrrepLabel(2, 1, 2)
 
-    def one_entry_off(labels, ratio):
-        stack = build(labels, ratio)
-        for i, label in enumerate(labels):
-            if label == poisoned:
+    def one_entry_off(functions):
+        stack = build(functions)
+        for i, f in enumerate(functions):
+            if f.label == poisoned:
                 s_plus = stack.s_plus[i]
                 s_plus[1, 0] = np.nextafter(np.nextafter(s_plus[1, 0], 0.0), 0.0)
         return stack
@@ -126,15 +138,15 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
     clean = run_suite(ratio, 2)
     build, eigensolve = suite._build_stack, suite._eigensolve
 
-    def nan_in_h(labels, ratio):
-        stack = build(labels, ratio)
-        for i, label in enumerate(labels):
-            if label == poisoned:
+    def nan_in_h(functions):
+        stack = build(functions)
+        for i, f in enumerate(functions):
+            if f.label == poisoned:
                 stack.h[i, 0, 0] = math.nan
         return stack
 
-    def swapped_pair(labels, ratio, tables):
-        spectra = list(eigensolve(labels, ratio, tables))
+    def swapped_pair(functions):
+        spectra = list(eigensolve(functions))
         for i, spec in enumerate(spectra):
             if spec.label == poisoned:
                 values = spec.eigenvalues
@@ -217,8 +229,8 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     eigensolve = suite._eigensolve
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(labels, ratio, tables):
-        spectra = list(eigensolve(labels, ratio, tables))
+    def swapped_pair(functions):
+        spectra = list(eigensolve(functions))
         for i, spec in enumerate(spectra):
             if spec.label == poisoned:
                 values = spec.eigenvalues
@@ -273,16 +285,16 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     tables = {}
     build, eigensolve = suite._build_stack, suite._eigensolve
 
-    def recording_build(labels, ratio):
-        stack = build(labels, ratio)
+    def recording_build(functions):
+        stack = build(functions)
         for rep in stack.irreps:
             tables[rep.label] = rep.numerators
         return stack
 
-    def checking_eigensolve(labels, ratio, numerators):
-        for label, table in zip(labels, numerators, strict=True):
-            assert table is tables[label]
-        return eigensolve(labels, ratio, numerators)
+    def checking_eigensolve(functions):
+        for f in functions:
+            assert f.numerators is tables[f.label]
+        return eigensolve(functions)
 
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
     monkeypatch.setattr(suite, "_build_stack", recording_build)

@@ -1,0 +1,59 @@
+"""Digest of `run_suite`'s results over a fixed set of sweeps.
+
+    python tools/suite_digest.py SRC_DIR
+
+imports `deformed_u2` from SRC_DIR, runs `run_suite` on every sweep of the set
+and prints `<sweeps> <irreps> <sha256>`.  The hash covers, for each irrep, its
+label, its energy, every residual key with the `float.hex()` of its value, and
+its failure counts, and for each sweep whether it passed and its commutator.
+Two checkouts print the same line when their suite results are bitwise
+identical:
+
+    python tools/suite_digest.py old/src
+    python tools/suite_digest.py new/src
+
+The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
+1:1 and 1:2 at N <= 60, 4:7 and 2:7 at N <= 20.  4:7 at N <= 20 and 3:5 at
+N <= 40 fail (float residuals past the tolerances), so failing sweeps are
+covered too.  Nothing is written to disk.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from math import gcd
+from pathlib import Path
+
+SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1] + [
+    (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
+]
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/suite_digest.py SRC_DIR")
+    src = Path(sys.argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    import deformed_u2
+    from deformed_u2 import FrequencyRatio
+    from deformed_u2.suite import run_suite
+
+    if src not in Path(deformed_u2.__file__).resolve().parents:
+        sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
+
+    digest = hashlib.sha256()
+    irreps = 0
+    for m, n, n_max in SWEEPS:
+        report = run_suite(FrequencyRatio(m, n), n_max)
+        for irrep in report.irreps:
+            residuals = [(key, value.hex()) for key, value in irrep.residuals.items()]
+            for part in (irrep.label, str(irrep.energy), residuals, irrep.failures):
+                digest.update(repr(part).encode("utf-8") + b"\0")
+        irreps += len(report.irreps)
+        digest.update(repr((m, n, n_max, report.passed, str(report.commutator))).encode("utf-8"))
+    print(len(SWEEPS), irreps, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,12 +13,14 @@ including an --output that cannot be written.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import json
 import math
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict
+from itertools import repeat
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -118,6 +120,42 @@ def _render_csv(headers: list[str], rows: Iterable[list[str]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """CPython's C json encoder with the item separator of a container at depth."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * (depth + 1), False, False, True)
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte, for documents with str keys.
+
+    The C encoder serves only indent=None, so the indented layout is written
+    here.  Every scalar, and every container whose values are all scalars, is
+    encoded in one call to the C encoder; nested containers are written item
+    by item.
+    """
+    encode = _flat_encoder(depth)
+    if not isinstance(value, _CONTAINERS) or not value:
+        return "".join(encode(value, depth))
+    is_dict = isinstance(value, dict)
+    if any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        if is_dict:
+            items = [f"{encode_basestring_ascii(key)}: {_json_text(child, depth + 1)}"
+                     for key, child in value.items()]
+        else:
+            items = [_json_text(child, depth + 1) for child in value]
+        opening, closing = ("{", "}") if is_dict else ("[", "]")
+        body = (",\n" + "  " * (depth + 1)).join(items)
+    else:
+        text = "".join(encode(value, depth))
+        opening, body, closing = text[0], text[1:-1], text[-1]
+    return f"{opening}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{closing}"
+
+
 # version 1, the documents without this key, carried the oracle's float residuals
 SCHEMA_VERSION = 2
 
@@ -135,7 +173,7 @@ def _report(ratio: FrequencyRatio, command: str, fmt: str, output: str | None,
         "tool_version": __version__,
     }
     if fmt == "json":
-        text = json.dumps(document, indent=2)
+        text = _json_text(document)
     elif fmt == "csv":
         text = _render_csv(headers, rows)
     else:

@@ -104,7 +104,7 @@ class StructureFunction:
     S0 shift u; expanded, that is the product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
       prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
-    `product_value` evaluates F's integer factor table (see
+    `sf(x)` evaluates F's integer factor table (see
     `_ladder_factors`) in plain ints: each factor E/2 + sigma_i (u + x) + c_i
     is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
     int computed once per instance, and one `Fraction` is built from the
@@ -131,9 +131,6 @@ class StructureFunction:
     def energy(self) -> Fraction:
         return energy_of_irrep(self.label, self.ratio)
 
-    def __call__(self, x: int | Fraction) -> Fraction:
-        return self.product_value(x)
-
     @functools.cached_property
     def _scaled_factors(self) -> tuple[tuple[int, int], ...]:
         """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F.
@@ -158,7 +155,7 @@ class StructureFunction:
             value *= offset * denominator + sigma * step
         return value
 
-    def product_value(self, x: int | Fraction) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         x = Fraction(x)
         scale = 4 * self.ratio.m * self.ratio.n * x.denominator
         return Fraction(self._product(x.numerator, x.denominator),

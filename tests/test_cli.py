@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
 from deformed_u2 import angular, cli, structure, suite
@@ -424,3 +426,44 @@ class TestOutputFile:
         assert f"cannot write {target}: " in result.stderr
         assert "Traceback" not in result.output
         assert not target.parent.exists()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64)),
+    st.floats(),  # NaN, +-inf, -0.0 and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308]),
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "😀"])),
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300)
+    @given(document=JSON_DOCUMENTS)
+    @example(document={"a": {}, "b": [[], ()], "c": [{}, [-0.0, math.nan]]})
+    def test_matches_json_dumps(self, document):
+        assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    def test_spectrum_bypasses_the_python_encoder(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "_make_iterencode", refuse)
+            result = invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500",
+                            "--format", "json")
+        assert result.exit_code == 0
+        text = result.output.rstrip("\n")
+        assert text == json.dumps(json.loads(text), indent=2)

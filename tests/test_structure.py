@@ -107,7 +107,7 @@ class TestStructureFunction:
                 assert sf(x) == phi_closed(big_n, Fraction(x))
 
     def test_product_and_gamma_forms_agree(self):
-        # product_value (integer evaluation of F's factor table) against F
+        # sf(x) (integer evaluation of F's factor table) against F
         # multiplied out in Fractions and against the Gamma-quotient form
         rationals = [Fraction(1, 7), Fraction(9, 4), Fraction(-5, 3), Fraction(13, 2)]
         for m, n in coprime_pairs(6):
@@ -115,7 +115,7 @@ class TestStructureFunction:
             for label in all_labels(m, n, 6):
                 sf = StructureFunction(label, ratio)
                 for x in [*range(-3, 12), *rationals]:
-                    value = sf.product_value(x)
+                    value = sf(x)
                     assert value == _ladder_product(ratio, sf.energy, sf.u + x)
                     assert value == sf.gamma_value(x)
 
@@ -126,11 +126,11 @@ class TestStructureFunction:
         x=st.fractions(max_denominator=60).filter(lambda v: abs(v) < 30),
         data=st.data(),
     )
-    def test_product_value_at_rational_arguments(self, ratio, big_n, x, data):
+    def test_phi_at_rational_arguments(self, ratio, big_n, x, data):
         m, n = ratio
         p, q = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
         sf = StructureFunction(IrrepLabel(big_n, p, q), FrequencyRatio(m, n))
-        value = sf.product_value(x)
+        value = sf(x)
         assert value == _ladder_product(sf.ratio, sf.energy, sf.u + x)
         assert value == sf.gamma_value(x)
 

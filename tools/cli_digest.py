@@ -14,8 +14,10 @@ line when their CLI output is byte-identical:
 
 The grid covers `irrep` and `angular` on every label of each ratio at N in
 {0, 1, 4}, `spectrum --count 25` and `verify --N-max 4` at each ratio, a few
-failing or out-of-reach cases, a bad label and a non-coprime ratio, each in
-the json, table and csv formats.  Needs click >= 8.2 (separate stderr).
+failing or out-of-reach cases, a bad label, a non-coprime ratio and three
+large documents (`spectrum --ratio 3:5 --count 1500`, `irrep --ratio 1:2
+--N 40`, `angular --ratio 1:1 --N 40`), each in the json, table and csv
+formats: 1095 commands.  Needs click >= 8.2 (separate stderr).
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ def grid() -> list[list[str]]:
         ["angular", "--ratio", "3:5", "--N", "60", "--p", "2", "--q", "3"],
         ["irrep", "--ratio", "2:3", "--N", "1", "--p", "3", "--q", "1"],
         ["spectrum", "--ratio", "2:4", "--count", "3"],
+        ["spectrum", "--ratio", "3:5", "--count", "1500"],
+        ["irrep", "--ratio", "1:2", "--N", "40"],
+        ["angular", "--ratio", "1:1", "--N", "40"],
     ]
     return [[*args, "--format", fmt] for args in commands for fmt in FORMATS]
 

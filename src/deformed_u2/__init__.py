@@ -3,10 +3,10 @@
 For a coprime frequency ratio m:n the oscillator's symmetry algebra is a
 deformation of u(2) whose ladder commutator closes on a degree m+n-1
 polynomial in S0.  This package constructs its spectra and irreducible
-representations exactly, realizes the generators as matrices, builds the
+representations exactly, realizes the generators as banded matrices, builds the
 "angular momentum" eigenbases that label degenerate states, and verifies
 every defining identity both in exact rational arithmetic (where possible)
-and as floating-point residuals, and checks the matrices exactly against an
+and as floating-point residuals, and checks the bands exactly against an
 independent Fock-space oracle.
 """
 

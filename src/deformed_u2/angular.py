@@ -37,7 +37,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .representation import IrrepMatrices, IrrepStack, _diag, _offdiagonals, worst_residual
+from .representation import IrrepMatrices, _diag, _offdiagonals, worst_residual
 from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
@@ -140,14 +140,15 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.
     """
-    return _eigensolve((StructureFunction(label, ratio),))[0]
+    function = StructureFunction(label, ratio)
+    return _eigensolve((function,), _offdiagonals(ratio, function.numerators)[None])[0]
 
 
-def _eigensolve(functions: Sequence[StructureFunction]) -> tuple[AngularSpectrum, ...]:
-    """`angular_eigenvalues` on the irreps of the records `functions`, all of one N
-    and one ratio, from their integer Phi tables, as one stacked eigensolve."""
+def _eigensolve(functions: Sequence[StructureFunction],
+                offdiag: np.ndarray) -> tuple[AngularSpectrum, ...]:
+    """`angular_eigenvalues` on the irreps of the records `functions`, all of one N and one
+    ratio, as one stacked eigensolve of the rows sqrt(Phi(1..N)) of `offdiag`."""
     ratio, big_n = functions[0].ratio, functions[0].label.N
-    offdiag = np.array([_offdiagonals(ratio, f.numerators) for f in functions])
     eigs, w = np.linalg.eigh(_diag(offdiag, 1) + _diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
     margin = 1e-12 * np.fmax(1.0, np.max(np.abs(eigs), axis=-1))
@@ -285,6 +286,7 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     )
 
 
-def build_l0(rep: IrrepMatrices | IrrepStack) -> np.ndarray:
-    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep (or each of the stack) `rep`."""
-    return -1j * (rep.s_plus - rep.s_minus)
+def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:
+    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep `rep`, or on each S+ band row."""
+    band = rep.s_plus_band if isinstance(rep, IrrepMatrices) else rep
+    return -1j * (_diag(band, -1) - _diag(band, 1))

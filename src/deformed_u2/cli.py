@@ -288,19 +288,12 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         "members": [
             {"k": k, "n_x": s.n_x, "n_y": s.n_y} for k, s in enumerate(members)
         ],
-        "matrices": {
-            "s0": [[_decimal(v) for v in row] for row in rep.s0],
-            "s_plus": [[_decimal(v) for v in row] for row in rep.s_plus],
-            "s_minus": [[_decimal(v) for v in row] for row in rep.s_minus],
-            "h": [[_decimal(v) for v in row] for row in rep.h],
-        },
+        "matrices": {key: [[_decimal(v) for v in row] for row in getattr(rep, key)]
+                     for key in ("s0", "s_plus", "s_minus", "h")},
         "passed": report.passed,
     }
-    rows = []
-    for k, state in enumerate(members):
-        up = rep.s_plus[k + 1, k] if k < label.N else 0.0
-        rows.append([str(k), str(state.n_x), str(state.n_y),
-                     _fmt(rep.s0[k, k]), _fmt(up)])
+    rows = [[str(k), str(s.n_x), str(s.n_y), _fmt(s0), _fmt(up)]
+            for k, (s, s0, up) in enumerate(zip(members, rep.s0_band, [*rep.s_plus_band, 0.0]))]
     lines = [
         f"irrep (N={label.N}, p={label.p}, q={label.q}) of the {ratio} oscillator",
         f"energy: {rep.energy} ({_fmt(float(rep.energy))})",
@@ -308,9 +301,8 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         f"u: {rep.u}",
         "phi: " + ", ".join(str(v) for v in rep.phi),
         "members: " + "  ".join(f"k={k} {s}" for k, s in enumerate(members)),
-        "s0 diagonal: " + ", ".join(_fmt(rep.s0[k, k]) for k in range(label.dimension)),
-        "s+ subdiagonal: "
-        + (", ".join(_fmt(rep.s_plus[k + 1, k]) for k in range(label.N)) or "(none)"),
+        "s0 diagonal: " + ", ".join(_fmt(v) for v in rep.s0_band),
+        "s+ subdiagonal: " + (", ".join(_fmt(v) for v in rep.s_plus_band) or "(none)"),
         f"h: {rep.energy} * identity",
         "",
         "residuals:",

@@ -13,7 +13,7 @@ class NonCoprimeError(DeformedU2Error):
 
 
 class ShapeMismatchError(DeformedU2Error):
-    """Representation matrices are not square matrices of one common size."""
+    """The generator bands of an irrep are not N+1, N, N and N+1 entries long."""
 
 
 class NotDivisibleError(DeformedU2Error):

@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .core import irrep_members
-from .representation import IrrepMatrices, IrrepStack, VerificationReport
+from .representation import _BANDS, IrrepMatrices, IrrepStack, VerificationReport
 
 __all__ = ["oracle_compare"]
 
@@ -50,14 +48,6 @@ def _within_one_ulp(s: float, num: int, den: int) -> bool:
     return (s_d - ulp_d) ** 2 * den < num * d * d < (s_d + ulp_d) ** 2 * den
 
 
-def _only_on(matrices: np.ndarray, dim: int, offset: int) -> np.ndarray:
-    """Per matrix of a stack: whether it is dim x dim and exactly 0 off its diagonal `offset`."""
-    if matrices.shape[-2:] != (dim, dim):
-        return np.zeros(len(matrices), dtype=bool)
-    on_diagonal = np.count_nonzero(np.diagonal(matrices, offset, -2, -1), axis=-1)
-    return np.count_nonzero(matrices, axis=(-2, -1)) == on_diagonal
-
-
 def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
     """Check `rep` against the Fock-space action on its member states, exactly.
 
@@ -67,26 +57,22 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
       weight is Phi(k+1), so the raise from k = N has weight 0;
     - `s_minus`: the lower from member k has squared weight Phi(k), so the
       lower from k = 0 has weight 0;
-    - `s0`, `h`: (U - W)/2 == u + k and U + W == E, and the diagonals of
-      `rep.s0` and `rep.h` are the float()s of those values.
+    - `s0`, `h`: (U - W)/2 == u + k and U + W == E, and the bands
+      `rep.s0_band` and `rep.h_band` are the float()s of those values.
 
     The weights and `rep.numerators` are both over m^m n^n, so Phi(k) is
-    compared as the int P_k.  Each S+ and S- entry must lie within 1 ulp of
-    the square root of its weight, and every entry off a generator's pattern
-    must be exactly 0.
+    compared as the int P_k.  Each entry of the S+ and S- bands must lie
+    within 1 ulp of the square root of its weight.  `rep` holds each
+    generator as its one band, so no entry can lie off a generator's pattern.
     """
     return _oracle_reports(IrrepStack.of(rep))[0]
 
 
 def _oracle_reports(stack: IrrepStack) -> tuple[VerificationReport, ...]:
-    """`oracle_compare` on every irrep of `stack`; the patterns and diagonals
-    are read from the stacked matrices at once, the weights per irrep."""
+    """`oracle_compare` on every irrep of `stack`: the bands read at once, the weights per irrep."""
     m, n = stack.ratio.m, stack.ratio.n
-    dim, den = stack.irreps[0].dimension, m**m * n**n
-    offsets = {"s0": 0, "s_plus": -1, "s_minus": 1, "h": 0}
-    on = {key: _only_on(getattr(stack, key), dim, k).tolist() for key, k in offsets.items()}
-    diagonals = {key: np.diagonal(getattr(stack, key), k, -2, -1).tolist()
-                 for key, k in offsets.items()}
+    den = m**m * n**n
+    s0_rows, s_plus_rows, s_minus_rows, h_rows = (getattr(stack, key).tolist() for key in _BANDS)
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
     reports = []
@@ -98,18 +84,18 @@ def _oracle_reports(stack: IrrepStack) -> tuple[VerificationReport, ...]:
         h_num = [n * (2 * s.n_x + 1) + m * (2 * s.n_y + 1) for s in members]
         checks = {
             "s0": all(_equals(v - s0_den * k, s0_den, rep.u) for k, v in enumerate(s0_num))
-            and on["s0"][i] and diagonals["s0"][i] == [v / s0_den for v in s0_num],
+            and s0_rows[i][:rep.dimension] == [v / s0_den for v in s0_num],
             "s_plus": all(
                 (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
             )
-            and raises == list(rep.numerators[1:]) and on["s_plus"][i]
+            and raises == list(rep.numerators[1:])
             and all(_within_one_ulp(s, w, den)
-                    for s, w in zip(diagonals["s_plus"][i], raises[:-1], strict=True)),
-            "s_minus": lowers == list(rep.numerators[:-1]) and on["s_minus"][i]
+                    for s, w in zip(s_plus_rows[i][:rep.label.N], raises[:-1], strict=True)),
+            "s_minus": lowers == list(rep.numerators[:-1])
             and all(_within_one_ulp(s, w, den)
-                    for s, w in zip(diagonals["s_minus"][i], lowers[1:], strict=True)),
+                    for s, w in zip(s_minus_rows[i][:rep.label.N], lowers[1:], strict=True)),
             "h": all(_equals(v, h_den, rep.energy) for v in h_num)
-            and on["h"][i] and diagonals["h"][i] == [v / h_den for v in h_num],
+            and h_rows[i][:rep.dimension] == [v / h_den for v in h_num],
         }
         reports.append(VerificationReport("oracle", {}, checks, 0.0))
     return tuple(reports)

@@ -1,4 +1,4 @@
-"""Dense matrix realizations of the deformed u(2) generators, with checks.
+"""Banded realizations of the deformed u(2) generators, with checks.
 
 On the irrep (N, p, q) the generators act on the Fock basis k = 0..N as
 
@@ -6,13 +6,13 @@ On the irrep (N, p, q) the generators act on the Fock basis k = 0..N as
     S0 = diag(k + u),
     S+ |k> = sqrt(Phi(k+1)) |k+1>,   S- = transpose(S+),
 
-so S+/S- carry the only irrational entries.  Matrices are stored in floating
-point; every identity that is rational after squaring (the Phi values, the
-ladder-product diagonals, the commutator polynomial through Phi differences)
-is additionally verified in exact rational arithmetic, and the remaining
-identities are checked as max-norm matrix residuals normalized by the
-natural scale of the identity, max(1, ||target||_inf), so a residual near
-machine epsilon means "holds to working precision" at every irrep size.
+each one band, and S+/S- carry the only irrational entries.  The bands are
+stored in floating point; every identity that is rational after squaring (the
+Phi values, the ladder-product diagonals, the commutator polynomial through Phi
+differences) is additionally verified in exact rational arithmetic, and the
+remaining identities are checked, on the bands and bit for bit as on the dense
+matrices, as max-norm matrix residuals normalized by max(1, ||target||_inf), so
+a residual near machine epsilon means "holds to working precision" at any size.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -38,22 +39,28 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-10
+_BANDS = ("s0_band", "s_plus_band", "s_minus_band", "h_band")  # the fields of one irrep's bands
 
 
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
-    """Matrices of one irrep plus the exact data they were built from; compares by identity."""
+    """The generator bands of one irrep plus the exact data they were built from; compares by
+    identity.  `s0`, `s_plus`, `s_minus` and `h` are their dense matrices, built on first read."""
 
     label: IrrepLabel
     ratio: FrequencyRatio
-    s0: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    h: np.ndarray
-    number: np.ndarray
+    s0_band: np.ndarray  # S0's diagonal, float(u + k) for k = 0..N
+    s_plus_band: np.ndarray  # S+'s sub-diagonal, sqrt(Phi(k)) for k = 1..N
+    s_minus_band: np.ndarray  # S-'s super-diagonal, the same values
+    h_band: np.ndarray  # H's diagonal, float(E) N+1 times
     numerators: tuple[int, ...]  # P_0, ..., P_{N+1}: Phi(k) = P_k / m^m n^n, exact
     u: Fraction
     energy: Fraction
+
+    s0 = cached_property(lambda self: _diag(self.s0_band))
+    s_plus = cached_property(lambda self: _diag(self.s_plus_band, -1))
+    s_minus = cached_property(lambda self: _diag(self.s_minus_band, 1))
+    h = cached_property(lambda self: _diag(self.h_band))
 
     @property
     def dimension(self) -> int:
@@ -116,59 +123,82 @@ def _offdiagonals(ratio: FrequencyRatio, numerators: Sequence[int]) -> np.ndarra
 
 
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
-    """One matrix per row of `rows`, the row on diagonal `offset` and 0.0 elsewhere."""
+    """One read-only matrix per row of `rows`, the row on diagonal `offset` and 0.0 elsewhere."""
     rows = np.asarray(rows, dtype=float)
     k, size = np.arange(rows.shape[-1]), rows.shape[-1] + abs(offset)
     matrices = np.zeros((*rows.shape[:-1], size, size))
     matrices[..., k + max(-offset, 0), k + max(offset, 0)] = rows
+    matrices.flags.writeable = False
     return matrices
 
 
 @dataclass(frozen=True, eq=False)
 class IrrepStack:
-    """Irreps of one N with their generators stacked on a leading axis, so that
-    `irreps[i].s0` is `s0[i]`; the float checks run on stacks, one irrep as a stack of one."""
+    """Irreps of one ratio, their bands stacked on a leading axis and zero-padded to the
+    widest: `irreps[i].s0_band` is `s0_band[i, :irreps[i].dimension]`.  The float checks
+    run on stacks, and map the 0.0 padding to 0.0, so each irrep's maxima are its own."""
 
     ratio: FrequencyRatio
     irreps: tuple[IrrepMatrices, ...]
-    s0: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    h: np.ndarray
+    s0_band: np.ndarray  # (irreps, width)
+    s_plus_band: np.ndarray  # (irreps, width - 1)
+    s_minus_band: np.ndarray  # (irreps, width - 1)
+    h_band: np.ndarray  # (irreps, width)
 
     @classmethod
     def of(cls, rep: IrrepMatrices) -> IrrepStack:
-        return cls(rep.ratio, (rep,), *(m[None] for m in (rep.s0, rep.s_plus, rep.s_minus, rep.h)))
+        """`rep` as a stack of one; ShapeMismatchError unless its bands are N+1, N, N, N+1 long."""
+        bands = [np.asarray(getattr(rep, key), dtype=float) for key in _BANDS]
+        dim, shapes = rep.dimension, [band.shape for band in bands]
+        if shapes != [(dim,), (dim - 1,), (dim - 1,), (dim,)]:
+            raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1}, "
+                                     f"{dim - 1} and {dim} long, got shapes {shapes}")
+        return cls(rep.ratio, (rep,), *(band[None] for band in bands))
 
 
 def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
-    """The irreps of the records `functions`, all of one N and one ratio, built at once."""
-    ratio, dim = functions[0].ratio, functions[0].label.N + 1
-    # float(u + k), with the sum taken on u's numerator
-    s0 = _diag([[(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
-                for f in functions])
-    s_plus = _diag([_offdiagonals(ratio, f.numerators) for f in functions], -1)
-    s_minus = s_plus.swapaxes(-1, -2).copy()
-    h = np.array([float(f.energy) for f in functions])[:, None, None] * np.eye(dim)
-    number = np.broadcast_to(np.diag(np.arange(dim, dtype=float)), s0.shape)  # read-only
-    irreps = tuple(IrrepMatrices(f.label, ratio, s0[i], s_plus[i], s_minus[i], h[i], number[i],
-                                 f.numerators, f.u, f.energy) for i, f in enumerate(functions))
-    return IrrepStack(ratio, irreps, s0, s_plus, s_minus, h)
+    """The irreps of the records `functions`, all of one ratio, built at once."""
+    ratio, width = functions[0].ratio, max(f.label.N for f in functions) + 1
+    s0, h = np.zeros((2, len(functions), width))
+    s_plus, s_minus = np.zeros((2, len(functions), width - 1))
+    irreps = []
+    for i, f in enumerate(functions):
+        dim = f.label.N + 1
+        # float(u + k), with the sum taken on u's numerator
+        s0[i, :dim] = [(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
+        s_plus[i, :dim - 1] = s_minus[i, :dim - 1] = _offdiagonals(ratio, f.numerators)
+        h[i, :dim] = float(f.energy)
+        irreps.append(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1],
+                                    s_minus[i, :dim - 1], h[i, :dim], f.numerators, f.u, f.energy))
+    return IrrepStack(ratio, tuple(irreps), s0, s_plus, s_minus, h)
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
-    """Construct the (N+1)-dimensional matrices of the labelled irrep."""
+    """Construct the generator bands of the labelled irrep."""
     return _build_stack((StructureFunction(label, ratio),)).irreps[0]
 
 
-def _max_abs(matrices: np.ndarray) -> np.ndarray:
-    """Max |entry| of each matrix (0.0 when empty)."""
-    return np.max(np.abs(matrices), axis=(-2, -1), initial=0.0)
+def _max_abs(bands: np.ndarray) -> np.ndarray:
+    """Max |entry| of each row (0.0 when empty)."""
+    return np.max(np.abs(bands), axis=-1, initial=0.0)
 
 
 def _residual(lhs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Max-norm difference, relative to max(1, ||target||_inf), of each matrix."""
+    """Max-norm difference, relative to max(1, ||target||_inf), of each row."""
     return _max_abs(lhs - target) / np.fmax(1.0, _max_abs(target))
+
+
+def _commutator(d: np.ndarray, band: np.ndarray, offset: int) -> np.ndarray:
+    """[diag(d), X] on the band of X, which holds `band` on diagonal `offset` (-1, 0 or 1):
+    entry (r, c) is fl(d_r x) - fl(x d_c), as the dense products form it."""
+    low, high = max(-offset, 0), max(offset, 0)
+    return d[:, low:d.shape[-1] - high] * band - band * d[:, high:d.shape[-1] - low]
+
+
+def _ladder_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The diagonal of [X, Y], for X holding `x` on the super-diagonal and Y holding `y` on
+    the sub-diagonal: fl(x_k y_k) - fl(y_{k-1} x_{k-1}), a product past either end 0.0."""
+    return np.diff(x * y, prepend=0.0, append=0.0)
 
 
 def _reports(name: str, residuals: dict[str, np.ndarray], exact_checks: Sequence[dict],
@@ -177,16 +207,6 @@ def _reports(name: str, residuals: dict[str, np.ndarray], exact_checks: Sequence
     columns = {key: values.tolist() for key, values in residuals.items()}
     return tuple(VerificationReport(name, {key: column[i] for key, column in columns.items()},
                                     checks, tolerance) for i, checks in enumerate(exact_checks))
-
-
-def _require_square(stack: IrrepStack) -> int:
-    shapes = {m.shape[1:] for m in (stack.s0, stack.s_plus, stack.s_minus, stack.h)}
-    if len(shapes) != 1:
-        raise ShapeMismatchError(f"generator matrices differ in shape: {sorted(shapes)}")
-    (shape,) = shapes
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ShapeMismatchError(f"generator matrices must be square, got {shape}")
-    return shape[0]
 
 
 def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> VerificationReport:
@@ -206,27 +226,29 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
 
 def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationReport, ...]:
     """`verify_algebra` on every irrep of `stack`."""
-    dim = _require_square(stack)
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
+    width = stack.s0_band.shape[-1]
     ladder_targets, exact_checks = [], []
     for rep in stack.irreps:
         # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
         # phi[k] / phi_den, each over one denominator, in plain ints
+        dim = rep.dimension
         ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
         phi = rep.numerators
-        ladder_targets.append([v / ladder_den for v in ladder])
+        ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
         exact_checks.append({
             "phi_boundary": phi[0] == 0 and phi[-1] == 0,
             "phi_positive": all(v > 0 for v in phi[1:-1]),
             "ladder_difference": all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
                                      for k in range(dim)),
         })
-    s0, sp, sm, h = stack.s0, stack.s_plus, stack.s_minus, stack.h
+    s0, sp, sm, h = stack.s0_band, stack.s_plus_band, stack.s_minus_band, stack.h_band
     residuals = {
-        "commutator_s0_splus": _residual(s0 @ sp - sp @ s0, sp),
-        "commutator_s0_sminus": _residual(s0 @ sm - sm @ s0, -sm),
-        "commutator_h": np.maximum.reduce([_max_abs(h @ x - x @ h) for x in (s0, sp, sm)]),
-        "commutator_sminus_splus": _residual(sm @ sp - sp @ sm, _diag(ladder_targets)),
+        "commutator_s0_splus": _residual(_commutator(s0, sp, -1), sp),
+        "commutator_s0_sminus": _residual(_commutator(s0, sm, 1), -sm),
+        "commutator_h": np.maximum.reduce([_max_abs(_commutator(h, x, offset))
+                                           for x, offset in ((s0, 0), (sp, -1), (sm, 1))]),
+        "commutator_sminus_splus": _residual(_ladder_commutator(sm, sp), np.array(ladder_targets)),
     }
     return _reports("algebra", residuals, exact_checks, tolerance)
 
@@ -234,12 +256,8 @@ def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationR
 _W32_PRODUCT = 4.0 / 3.0
 
 
-def w32_check(
-    rep: IrrepMatrices,
-    rho: float | None = None,
-    sigma: float | None = None,
-    tolerance: float = IDENTITY_TOL,
-) -> VerificationReport:
+def w32_check(rep: IrrepMatrices, rho: float | None = None, sigma: float | None = None,
+              tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Check the finite W_3^(2) relations on a 1:2 representation.
 
     The identifications are F_W = sigma S+, E_W = rho S-, H_W = -2 S0 + H/3
@@ -256,9 +274,7 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | Non
                  tolerance: float = IDENTITY_TOL) -> tuple[VerificationReport, ...]:
     """`w32_check` on every irrep of `stack`."""
     if (stack.ratio.m, stack.ratio.n) != (1, 2):
-        raise WrongRatioError(
-            f"the W_3^(2) identification requires ratio 1:2, got {stack.ratio}"
-        )
+        raise WrongRatioError(f"the W_3^(2) identification requires ratio 1:2, got {stack.ratio}")
     if rho is None and sigma is None:
         rho = sigma = 2.0 / math.sqrt(3.0)
     elif rho is None:
@@ -269,16 +285,17 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | Non
             and abs(rho * sigma - _W32_PRODUCT) <= 1e-12):
         raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
-    dim = _require_square(stack)
-    f_w = sigma * stack.s_plus
-    e_w = rho * stack.s_minus
-    h_w = -2.0 * stack.s0 + stack.h / 3.0
-    c_w = -(4.0 / 9.0) * stack.h @ stack.h + np.eye(dim) / 4.0
+    f_w, e_w = sigma * stack.s_plus_band, rho * stack.s_minus_band
+    h_w = -2.0 * stack.s0_band + stack.h_band / 3.0
+    # (-(4/9) H) H + Id/4, with no 1/4 on the padding
+    real = np.arange(stack.h_band.shape[-1]) < [[rep.dimension] for rep in stack.irreps]
+    c_w = -(4.0 / 9.0) * stack.h_band * stack.h_band + np.where(real, 0.25, 0.0)
 
     residuals = {
-        "commutator_hw_ew": _residual(h_w @ e_w - e_w @ h_w, 2.0 * e_w),
-        "commutator_hw_fw": _residual(h_w @ f_w - f_w @ h_w, -2.0 * f_w),
-        "commutator_ew_fw": _residual(e_w @ f_w - f_w @ e_w, h_w @ h_w + c_w),
-        "cw_central": np.maximum.reduce([_max_abs(c_w @ x - x @ c_w) for x in (e_w, f_w, h_w)]),
+        "commutator_hw_ew": _residual(_commutator(h_w, e_w, 1), 2.0 * e_w),
+        "commutator_hw_fw": _residual(_commutator(h_w, f_w, -1), -2.0 * f_w),
+        "commutator_ew_fw": _residual(_ladder_commutator(e_w, f_w), h_w * h_w + c_w),
+        "cw_central": np.maximum.reduce([_max_abs(_commutator(c_w, x, offset))
+                                         for x, offset in ((e_w, 1), (f_w, -1), (h_w, 0))]),
     }
     return _reports("w32", residuals, [{} for _ in stack.irreps], tolerance)

@@ -1,16 +1,16 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
-The irreps of one N all have dimension N+1.  The suite builds each one's
-record, its `StructureFunction`, once per N and hands the list to every stage.
-It runs every float check (the algebra relations, the oracle's pattern and
-diagonal reads, the tridiagonal and dense eigensolves, the Gram matrix and, for
-1:2, the W_3^(2) relations) once on the stacked (irreps, N+1, N+1) arrays, by
-the kernels the one-irrep functions run.  The exact work stays per irrep: each
-integer Phi table, computed once, feeds the ladder identity, the oracle's
-weights and ulp tests and the Sturm certificate, and each factor table the 1:n
-split.  Identity residuals are gated at the identity tolerance, the eigen class
-at 10x it, every exact check, the oracle's included, must hold, and every
-eigenvalue must be certified within the eigen tolerance.
+The suite builds each irrep's record, its `StructureFunction`, once and stacks
+the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`.  The
+algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
+run once on it, by the kernels the one-irrep functions run.  The eigensolves and
+the Gram matrix need one shape, so they run once per N, on the stack's S+ band.
+The exact work stays per irrep: each integer Phi table, computed once, feeds the
+ladder identity, the oracle's weights and ulp tests and the Sturm certificate,
+and each factor table the 1:n split.  Identity residuals are gated at the
+identity tolerance, the eigen class at 10x it, every exact check, the oracle's
+included, must hold, and every eigenvalue must be certified within the eigen
+tolerance.
 """
 
 from __future__ import annotations
@@ -116,27 +116,30 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                          f"for the {ratio} suite, got {tolerance!r}")
     eigen_tol = 10 * tolerance
 
+    functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio) for big_n in range(n_max + 1)
+                 for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
+    stack = _build_stack(functions)
+    algebras = _algebra_reports(stack, tolerance)
+    oracles = _oracle_reports(stack)
+    w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
+
     irreps = []
     for big_n in range(n_max + 1):
-        functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio)
-                     for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
-        stack = _build_stack(functions)
-        algebras = _algebra_reports(stack, tolerance)
-        oracles = _oracle_reports(stack)
-        spectra = _eigensolve(functions)
-        dense = np.sort(np.linalg.eigvalsh(build_l0(stack)), axis=-1)
+        rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
+        offdiag = stack.s_plus_band[rows, :big_n]
+        spectra = _eigensolve(functions[rows], offdiag)
+        dense = np.sort(np.linalg.eigvalsh(build_l0(offdiag)), axis=-1)
         eigenvalues = np.array([spec.eigenvalues for spec in spectra])
         agreement = np.max(np.abs(eigenvalues - dense), axis=-1).tolist()
         amplitudes = _phased(np.stack([spec.components for spec in spectra]))
         gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
         orthonormality = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1)).tolist()
-        w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
 
-        for i, (rep, spec) in enumerate(zip(stack.irreps, spectra)):
-            residuals = {**algebras[i].residuals, "method_agreement": agreement[i],
+        for j, (i, spec) in enumerate(zip(range(rows.start, rows.stop), spectra)):
+            residuals = {**algebras[i].residuals, "method_agreement": agreement[j],
                          "spectrum_symmetry": spec.symmetry_residual,
                          "eigenvector_residual": spec.max_residual,
-                         "orthonormality": orthonormality[i]}
+                         "orthonormality": orthonormality[j]}
             if w32:
                 residuals.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
 
@@ -147,7 +150,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
             if ratio.m == 1:
                 form = parafermionic_decompose(functions[i])
                 failures["parafermionic_failures"] = int(not form.positive)
-            irreps.append(IrrepReport(rep.label, rep.energy, residuals, failures))
+            irreps.append(IrrepReport(spec.label, functions[i].energy, residuals, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
                        tuple(irreps))

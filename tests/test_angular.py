@@ -391,8 +391,9 @@ class TestEigenvectors:
         functions = [StructureFunction(label, ratio) for label in labels]
         for i in (3, 9):
             functions[i].__dict__["numerators"] = (0, 0, 0, 0)
+        offdiag = np.array([angular._offdiagonals(ratio, f.numerators) for f in functions])
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
-            angular._eigensolve(functions)
+            angular._eigensolve(functions, offdiag)
 
     def test_underflowing_first_component_raises(self):
         # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them

@@ -70,8 +70,18 @@ class TestBuildIrrep:
 
     def test_number_operator(self):
         rep = build_irrep(IrrepLabel(3, 1, 1), FrequencyRatio(2, 3))
-        assert rep.number == pytest.approx(np.diag([0.0, 1.0, 2.0, 3.0]))
-        assert rep.s0 == pytest.approx(rep.number + float(rep.u) * np.eye(4))
+        assert rep.s0 == pytest.approx(np.diag(np.arange(4.0)) + float(rep.u) * np.eye(4))
+
+    @pytest.mark.parametrize("name,offset", [("s0", 0), ("s_plus", -1), ("s_minus", 1), ("h", 0)])
+    def test_dense_views_are_built_once_from_the_bands_and_read_only(self, name, offset):
+        rep = build_irrep(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        matrix = getattr(rep, name)
+        assert matrix is getattr(rep, name)
+        assert matrix.shape == (4, 4)
+        assert np.diagonal(matrix, offset).tolist() == getattr(rep, f"{name}_band").tolist()
+        assert np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix, offset))
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
     def test_records_compare_and_hash_by_identity(self):
         label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)
@@ -100,9 +110,9 @@ class TestVerifyAlgebra:
 
     def test_fault_injection_is_flagged(self):
         rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
-        corrupted = rep.s_plus.copy()
-        corrupted[1, 0] += 1e-3
-        report = verify_algebra(dataclasses.replace(rep, s_plus=corrupted))
+        corrupted = rep.s_plus_band.copy()
+        corrupted[0] += 1e-3  # S+[1, 0]
+        report = verify_algebra(dataclasses.replace(rep, s_plus_band=corrupted))
         assert report.residuals["commutator_sminus_splus"] >= 1e-4
         assert not report.passed
 
@@ -162,10 +172,10 @@ class TestVerifyAlgebra:
 
     def test_shape_mismatch_raises(self):
         rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
-        bad = dataclasses.replace(rep, s_plus=np.zeros((2, 2)))
+        bad = dataclasses.replace(rep, s_plus_band=np.zeros(1))
         with pytest.raises(ShapeMismatchError):
             verify_algebra(bad)
-        bad = dataclasses.replace(rep, h=np.zeros((3, 4)))
+        bad = dataclasses.replace(rep, h_band=np.zeros((3, 4)))
         with pytest.raises(ShapeMismatchError):
             verify_algebra(bad)
 
@@ -221,7 +231,7 @@ class TestW32Check:
 
     def test_detects_broken_representation(self):
         rep = build_irrep(IrrepLabel(3, 1, 1), FrequencyRatio(1, 2))
-        corrupted = rep.s_plus.copy()
-        corrupted[2, 1] *= 1.001
-        report = w32_check(dataclasses.replace(rep, s_plus=corrupted))
+        corrupted = rep.s_plus_band.copy()
+        corrupted[1] *= 1.001  # S+[2, 1]
+        report = w32_check(dataclasses.replace(rep, s_plus_band=corrupted))
         assert not report.passed

@@ -119,8 +119,8 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
         stack = build(functions)
         for i, f in enumerate(functions):
             if f.label == poisoned:
-                s_plus = stack.s_plus[i]
-                s_plus[1, 0] = np.nextafter(np.nextafter(s_plus[1, 0], 0.0), 0.0)
+                s_plus = stack.s_plus_band[i]  # S+[1, 0] is s_plus[0]
+                s_plus[0] = np.nextafter(np.nextafter(s_plus[0], 0.0), 0.0)
         return stack
 
     monkeypatch.setattr(suite, "_build_stack", one_entry_off)
@@ -133,7 +133,7 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
 
 
 def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch):
-    # (2, 2, 3) is the 8th of the 15 irreps in the N = 2 stack of 3:5
+    # (2, 2, 3) is the 8th of the 15 irreps of N = 2 in the sweep of 3:5
     ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(2, 2, 3)
     clean = run_suite(ratio, 2)
     build, eigensolve = suite._build_stack, suite._eigensolve
@@ -142,11 +142,11 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
         stack = build(functions)
         for i, f in enumerate(functions):
             if f.label == poisoned:
-                stack.h[i, 0, 0] = math.nan
+                stack.h_band[i, 0] = math.nan
         return stack
 
-    def swapped_pair(functions):
-        spectra = list(eigensolve(functions))
+    def swapped_pair(functions, offdiag):
+        spectra = list(eigensolve(functions, offdiag))
         for i, spec in enumerate(spectra):
             if spec.label == poisoned:
                 values = spec.eigenvalues
@@ -229,8 +229,8 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     eigensolve = suite._eigensolve
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(functions):
-        spectra = list(eigensolve(functions))
+    def swapped_pair(functions, offdiag):
+        spectra = list(eigensolve(functions, offdiag))
         for i, spec in enumerate(spectra):
             if spec.label == poisoned:
                 values = spec.eigenvalues
@@ -291,10 +291,10 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
             tables[rep.label] = rep.numerators
         return stack
 
-    def checking_eigensolve(functions):
+    def checking_eigensolve(functions, offdiag):
         for f in functions:
             assert f.numerators is tables[f.label]
-        return eigensolve(functions)
+        return eigensolve(functions, offdiag)
 
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
     monkeypatch.setattr(suite, "_build_stack", recording_build)
@@ -315,3 +315,92 @@ def test_residuals_are_derived_once():
         irrep.residuals["method_agreement"] for irrep in report.irreps
     )
     assert residuals["exact_check_failures"] == 0.0
+
+
+def test_derives_each_irreps_offdiagonals_once(monkeypatch):
+    # sqrt(Phi(1..N)) has one source: the stack's S+ band feeds the eigensolve and L0
+    calls = Counter()
+    offdiagonals = representation._offdiagonals
+
+    def counting_offdiagonals(ratio, numerators):
+        calls[numerators] += 1
+        return offdiagonals(ratio, numerators)
+
+    monkeypatch.setattr(representation, "_offdiagonals", counting_offdiagonals)
+    monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
+    ratio = FrequencyRatio(1, 2)
+    assert run_suite(ratio, 4).passed
+    labels = labels_of(ratio, 4)
+    assert sum(calls.values()) == len(labels)
+    assert calls == Counter(StructureFunction(label, ratio).numerators for label in labels)
+
+
+def test_runs_the_stacked_checks_once_per_sweep_on_the_bands(monkeypatch):
+    def refuse(rep):
+        raise AssertionError("run_suite read a dense generator")
+
+    for name in ("s0", "s_plus", "s_minus", "h"):
+        monkeypatch.setattr(representation.IrrepMatrices, name, property(refuse))
+    calls = Counter()
+    for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
+        def counting(*args, _kernel=getattr(suite, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(suite, name, counting)
+    for ratio, n_max, w32_runs in ((FrequencyRatio(1, 2), 6, 1), (FrequencyRatio(2, 3), 4, 0)):
+        calls.clear()
+        assert run_suite(ratio, n_max).passed
+        assert calls == Counter(_algebra_reports=1, _oracle_reports=1, _w32_reports=w32_runs)
+
+
+@pytest.mark.parametrize("m,n,n_max", [(1, 2, 12), (3, 5, 6)])
+def test_padding_leaves_every_irreps_stacked_results_its_own(monkeypatch, m, n, n_max):
+    # every irrep narrower than the sweep sits on zero padding in the stack
+    reports = {}
+    for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
+        def recording(stack, *args, _kernel=getattr(suite, name), _name=name, **kwargs):
+            results = _kernel(stack, *args, **kwargs)
+            reports.update({(_name, rep.label): r for rep, r in zip(stack.irreps, results)})
+            return results
+
+        monkeypatch.setattr(suite, name, recording)
+    ratio = FrequencyRatio(m, n)
+    run_suite(ratio, n_max)
+
+    def hexed(report):
+        return {key: value.hex() for key, value in report.residuals.items()}, report.exact_checks
+
+    for label in labels_of(ratio, n_max):
+        rep = build_irrep(label, ratio)
+        assert hexed(reports["_algebra_reports", label]) == hexed(verify_algebra(rep)), label
+        assert hexed(reports["_oracle_reports", label]) == hexed(oracle_compare(rep)), label
+        if (m, n) == (1, 2):
+            assert hexed(reports["_w32_reports", label]) == hexed(w32_check(rep)), label
+    assert len(reports) == len(labels_of(ratio, n_max)) * (3 if (m, n) == (1, 2) else 2)
+
+
+@pytest.mark.parametrize("band", ["s0_band", "s_plus_band", "s_minus_band", "h_band"])
+def test_inf_next_to_the_padding_fails_only_its_irrep(monkeypatch, band):
+    # (1, 2, 3) has dimension 2 in the 3:5 sweep to N = 2, whose bands are padded to 3
+    ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(1, 2, 3)
+    clean = run_suite(ratio, 2)
+    build = suite._build_stack
+
+    def inf_in_the_last_real_entry(functions):
+        stack = build(functions)
+        i = [f.label for f in functions].index(poisoned)
+        getattr(stack, band)[i, len(getattr(stack.irreps[i], band)) - 1] = math.inf
+        assert getattr(stack, band).shape[-1] > len(getattr(stack.irreps[i], band))
+        return stack
+
+    monkeypatch.setattr(suite, "_build_stack", inf_in_the_last_real_entry)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make the NaNs that fail it
+        report = run_suite(ratio, 2)
+    assert not report.passed
+    for before, after in zip(clean.irreps, report.irreps, strict=True):
+        if after.label != poisoned:
+            assert after == before
+            continue
+        assert after.failures["exact_check_failures"] == 1
+        assert not after.max_residual <= report.identity_tolerance

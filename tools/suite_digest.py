@@ -13,9 +13,13 @@ identical:
     python tools/suite_digest.py new/src
 
 The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
-1:1 and 1:2 at N <= 60, 4:7 and 2:7 at N <= 20.  4:7 at N <= 20 and 3:5 at
-N <= 40 fail (float residuals past the tolerances), so failing sweeps are
-covered too.  Nothing is written to disk.
+1:1 and 1:2 at N <= 60, 4:7 and 2:7 at N <= 20, and the sweeps of
+`perfbench`'s verify workloads (1:1 N <= 26, 1:2 and 2:1 N <= 18, 1:3 N <= 16,
+3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4, 2:7 N <= 6; 3:5 N <= 8 is already in the
+first group).  `run_suite` pads each sweep's bands to N_max + 1, so the set
+covers many padding widths.  4:7 at N <= 20 and 3:5 at N <= 40 fail (float
+residuals past the tolerances), so failing sweeps are covered too.  Nothing is
+written to disk.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 
 SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1] + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
+    (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
 ]
 
 

@@ -62,8 +62,8 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
 
     The weights and `rep.numerators` are both over m^m n^n, so Phi(k) is
     compared as the int P_k.  Each entry of the S+ and S- bands must lie
-    within 1 ulp of the square root of its weight.  `rep` holds each
-    generator as its one band, so no entry can lie off a generator's pattern.
+    within 1 ulp of the square root of its weight.  In a stack, each row
+    must also be 0.0 past its irrep's pattern, on the padding.
     """
     return _oracle_reports(IrrepStack.of(rep))[0]
 
@@ -82,20 +82,20 @@ def _oracle_reports(stack: IrrepStack) -> tuple[VerificationReport, ...]:
         lowers = [math.perm(s.n_x, m) * math.perm(s.n_y + n, n) for s in members]
         s0_num = [n * (2 * s.n_x + 1) - m * (2 * s.n_y + 1) for s in members]
         h_num = [n * (2 * s.n_x + 1) + m * (2 * s.n_y + 1) for s in members]
+        dim, big_n = rep.dimension, rep.label.N
         checks = {
             "s0": all(_equals(v - s0_den * k, s0_den, rep.u) for k, v in enumerate(s0_num))
-            and s0_rows[i][:rep.dimension] == [v / s0_den for v in s0_num],
-            "s_plus": all(
-                (a.n_x + m, a.n_y - n) == (b.n_x, b.n_y) for a, b in zip(members, members[1:])
-            )
-            and raises == list(rep.numerators[1:])
+            and s0_rows[i][:dim] == [v / s0_den for v in s0_num] and not any(s0_rows[i][dim:]),
+            "s_plus": all((a.n_x + m, a.n_y - n) == (b.n_x, b.n_y)
+                          for a, b in zip(members, members[1:]))
+            and raises == list(rep.numerators[1:]) and not any(s_plus_rows[i][big_n:])
             and all(_within_one_ulp(s, w, den)
-                    for s, w in zip(s_plus_rows[i][:rep.label.N], raises[:-1], strict=True)),
-            "s_minus": lowers == list(rep.numerators[:-1])
+                    for s, w in zip(s_plus_rows[i][:big_n], raises[:-1], strict=True)),
+            "s_minus": lowers == list(rep.numerators[:-1]) and not any(s_minus_rows[i][big_n:])
             and all(_within_one_ulp(s, w, den)
-                    for s, w in zip(s_minus_rows[i][:rep.label.N], lowers[1:], strict=True)),
+                    for s, w in zip(s_minus_rows[i][:big_n], lowers[1:], strict=True)),
             "h": all(_equals(v, h_den, rep.energy) for v in h_num)
-            and h_rows[i][:rep.dimension] == [v / h_den for v in h_num],
+            and h_rows[i][:dim] == [v / h_den for v in h_num] and not any(h_rows[i][dim:]),
         }
         reports.append(VerificationReport("oracle", {}, checks, 0.0))
     return tuple(reports)

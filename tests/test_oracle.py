@@ -16,7 +16,8 @@ from deformed_u2 import (
     irrep_members,
     oracle_compare,
 )
-from deformed_u2.oracle import _within_one_ulp
+from deformed_u2.oracle import _oracle_reports, _within_one_ulp
+from deformed_u2.representation import _BANDS, IrrepStack, _build_stack
 
 CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
 
@@ -40,19 +41,28 @@ def labels_of(ratio, n_max):
 
 
 def failed(rep):
-    return {name for name, ok in oracle_compare(rep).exact_checks.items() if not ok}
+    """The generators whose oracle check fails on an irrep, or on the first irrep of a stack."""
+    report = _oracle_reports(rep)[0] if isinstance(rep, IrrepStack) else oracle_compare(rep)
+    return {name for name, ok in report.exact_checks.items() if not ok}
 
 
 OFFSETS = {"s0": 0, "s_plus": -1, "s_minus": 1, "h": 0}
 
 
 def with_entry(rep, name, index, value):
-    """`rep` with the entry `index` of the generator `name` set to `value`, on its band."""
+    """`rep` with the entry `index` of the generator `name` set to `value`, on its band; an
+    index past `rep`'s pattern sets the zero padding of `rep` alone in a wider stack."""
     row, column = index
     assert column - row == OFFSETS[name]
-    band = getattr(rep, f"{name}_band").copy()
-    band[min(row, column)] = value
-    return dataclasses.replace(rep, **{f"{name}_band": band})
+    key, position = f"{name}_band", min(row, column)
+    if position < len(getattr(rep, key)):
+        band = getattr(rep, key).copy()
+        band[position] = value
+        return dataclasses.replace(rep, **{key: band})
+    stack = IrrepStack.of(rep)
+    bands = {k: np.pad(getattr(stack, k), ((0, 0), (0, position + 1))) for k in _BANDS}
+    bands[key][0, position] = value
+    return dataclasses.replace(stack, **bands)
 
 
 class TestConstruction:
@@ -158,6 +168,30 @@ class TestMutations:
                 moved = np.nextafter(np.nextafter(entry, direction), direction)
                 assert failed(with_entry(self.REP, "s_plus", (k + 1, k), moved)) == {"s_plus"}
 
+    @pytest.mark.parametrize("name,index", [
+        ("s_plus", (5, 4)), ("s_plus", (7, 6)), ("s_minus", (4, 5)), ("s_minus", (6, 7)),
+        ("s0", (5, 5)), ("h", (8, 8)),
+    ])
+    def test_nonzero_off_pattern_entry(self, name, index):
+        # REP is N = 4, so these entries lie past its pattern, on a stack's padding
+        for value in (1e-300, -1.0, 5e-324):
+            assert failed(with_entry(self.REP, name, index, value)) == {name}
+
+    @pytest.mark.parametrize("name,index", [
+        ("s0", (3, 3)), ("s_plus", (1, 0)), ("s_minus", (2, 3)), ("h", (1, 1)),
+    ])
+    def test_off_pattern_entry_in_a_stack_fails_only_its_irrep(self, name, index):
+        # the 8th of the 30 irreps in the N <= 3 stack of 3:5 has N = 0, so its rows are all
+        # padding past its first entry
+        ratio = FrequencyRatio(3, 5)
+        labels = [IrrepLabel(big_n, p, q) for big_n in (0, 3) for p in range(1, 4)
+                  for q in range(1, 6)]
+        stack = _build_stack([StructureFunction(label, ratio) for label in labels])
+        assert stack.irreps[7].label.N == 0 and stack.s0_band.shape == (30, 4)
+        getattr(stack, f"{name}_band")[7, min(index)] = 1e-300
+        checks = [report.exact_checks for report in _oracle_reports(stack)]
+        assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(30)]
+
     def test_sminus_entry_two_ulp_away(self):
         for k in range(self.REP.label.N):
             entry = self.REP.s_minus[k, k + 1]
@@ -184,6 +218,7 @@ class TestMutations:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,index", [
         ("s_plus", (2, 1)), ("s_minus", (1, 2)), ("s0", (3, 3)), ("h", (0, 0)),
+        ("s_plus", (6, 5)), ("s0", (7, 7)),
     ])
     def test_nan_or_inf_entry(self, name, index, value):
         assert failed(with_entry(self.REP, name, index, value)) == {name}

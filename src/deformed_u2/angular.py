@@ -289,4 +289,5 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:
     """Dense complex matrix of L0 = -i(S+ - S-) on the irrep `rep`, or on each S+ band row."""
     band = rep.s_plus_band if isinstance(rep, IrrepMatrices) else rep
-    return -1j * (_diag(band, -1) - _diag(band, 1))
+    with np.errstate(invalid="ignore"):  # -1j * inf makes a NaN, which fails the eigen checks
+        return -1j * (_diag(band, -1) - _diag(band, 1))

@@ -13,7 +13,7 @@ class NonCoprimeError(DeformedU2Error):
 
 
 class ShapeMismatchError(DeformedU2Error):
-    """The generator bands of an irrep are not N+1, N, N and N+1 entries long."""
+    """The generator bands of an irrep (S0, S+, H) are not N+1, N and N+1 entries long."""
 
 
 class NotDivisibleError(DeformedU2Error):

@@ -6,9 +6,10 @@ On the irrep (N, p, q) the generators act on the Fock basis k = 0..N as
     S0 = diag(k + u),
     S+ |k> = sqrt(Phi(k+1)) |k+1>,   S- = transpose(S+),
 
-each one band, and S+/S- carry the only irrational entries.  The bands are
-stored in floating point; every identity that is rational after squaring (the
-Phi values, the ladder-product diagonals, the commutator polynomial through Phi
+each one band, and S+/S- carry the only irrational entries.  Three bands are
+stored, in floating point: S0's, H's and S+'s, which S- reads as its
+transpose.  Every identity that is rational after squaring (the Phi values,
+the ladder-product diagonals, the commutator polynomial through Phi
 differences) is additionally verified in exact rational arithmetic, and the
 remaining identities are checked, on the bands and bit for bit as on the dense
 matrices, as max-norm matrix residuals normalized by max(1, ||target||_inf), so
@@ -39,19 +40,19 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-10
-_BANDS = ("s0_band", "s_plus_band", "s_minus_band", "h_band")  # the fields of one irrep's bands
+_BANDS = ("s0_band", "s_plus_band", "h_band")  # the fields of one irrep's bands
 
 
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
     """The generator bands of one irrep plus the exact data they were built from; compares by
-    identity.  `s0`, `s_plus`, `s_minus` and `h` are their dense matrices, built on first read."""
+    identity.  `s0`, `s_plus`, `s_minus` and `h` are their dense matrices, built on first read;
+    `s_minus` is `s_plus`'s transpose, read from the same band."""
 
     label: IrrepLabel
     ratio: FrequencyRatio
     s0_band: np.ndarray  # S0's diagonal, float(u + k) for k = 0..N
-    s_plus_band: np.ndarray  # S+'s sub-diagonal, sqrt(Phi(k)) for k = 1..N
-    s_minus_band: np.ndarray  # S-'s super-diagonal, the same values
+    s_plus_band: np.ndarray  # S+'s sub-diagonal and S-'s super-diagonal, sqrt(Phi(k)), k = 1..N
     h_band: np.ndarray  # H's diagonal, float(E) N+1 times
     numerators: tuple[int, ...]  # P_0, ..., P_{N+1}: Phi(k) = P_k / m^m n^n, exact
     u: Fraction
@@ -59,12 +60,8 @@ class IrrepMatrices:
 
     s0 = cached_property(lambda self: _diag(self.s0_band))
     s_plus = cached_property(lambda self: _diag(self.s_plus_band, -1))
-    s_minus = cached_property(lambda self: _diag(self.s_minus_band, 1))
+    s_minus = cached_property(lambda self: _diag(self.s_plus_band, 1))
     h = cached_property(lambda self: _diag(self.h_band))
-
-    @property
-    def dimension(self) -> int:
-        return self.label.N + 1
 
     @property
     def phi(self) -> tuple[Fraction, ...]:
@@ -135,24 +132,23 @@ def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class IrrepStack:
     """Irreps of one ratio, their bands stacked on a leading axis and zero-padded to the
-    widest: `irreps[i].s0_band` is `s0_band[i, :irreps[i].dimension]`.  The float checks
+    widest: `irreps[i].s0_band` is `s0_band[i, :irreps[i].label.N + 1]`.  The float checks
     run on stacks, and map the 0.0 padding to 0.0, so each irrep's maxima are its own."""
 
     ratio: FrequencyRatio
     irreps: tuple[IrrepMatrices, ...]
     s0_band: np.ndarray  # (irreps, width)
     s_plus_band: np.ndarray  # (irreps, width - 1)
-    s_minus_band: np.ndarray  # (irreps, width - 1)
     h_band: np.ndarray  # (irreps, width)
 
     @classmethod
     def of(cls, rep: IrrepMatrices) -> IrrepStack:
-        """`rep` as a stack of one; ShapeMismatchError unless its bands are N+1, N, N, N+1 long."""
+        """`rep` as a stack of one; ShapeMismatchError unless its bands are N+1, N, N+1 long."""
         bands = [np.asarray(getattr(rep, key), dtype=float) for key in _BANDS]
-        dim, shapes = rep.dimension, [band.shape for band in bands]
-        if shapes != [(dim,), (dim - 1,), (dim - 1,), (dim,)]:
-            raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1}, "
-                                     f"{dim - 1} and {dim} long, got shapes {shapes}")
+        dim, shapes = rep.label.N + 1, [band.shape for band in bands]
+        if shapes != [(dim,), (dim - 1,), (dim,)]:
+            raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1} "
+                                     f"and {dim} long, got shapes {shapes}")
         return cls(rep.ratio, (rep,), *(band[None] for band in bands))
 
 
@@ -160,17 +156,17 @@ def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
     """The irreps of the records `functions`, all of one ratio, built at once."""
     ratio, width = functions[0].ratio, max(f.label.N for f in functions) + 1
     s0, h = np.zeros((2, len(functions), width))
-    s_plus, s_minus = np.zeros((2, len(functions), width - 1))
+    s_plus = np.zeros((len(functions), width - 1))
     irreps = []
     for i, f in enumerate(functions):
         dim = f.label.N + 1
         # float(u + k), with the sum taken on u's numerator
         s0[i, :dim] = [(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
-        s_plus[i, :dim - 1] = s_minus[i, :dim - 1] = _offdiagonals(ratio, f.numerators)
+        s_plus[i, :dim - 1] = _offdiagonals(ratio, f.numerators)
         h[i, :dim] = float(f.energy)
-        irreps.append(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1],
-                                    s_minus[i, :dim - 1], h[i, :dim], f.numerators, f.u, f.energy))
-    return IrrepStack(ratio, tuple(irreps), s0, s_plus, s_minus, h)
+        irreps.append(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1], h[i, :dim],
+                                    f.numerators, f.u, f.energy))
+    return IrrepStack(ratio, tuple(irreps), s0, s_plus, h)
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
@@ -232,7 +228,7 @@ def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationR
     for rep in stack.irreps:
         # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
         # phi[k] / phi_den, each over one denominator, in plain ints
-        dim = rep.dimension
+        dim = rep.label.N + 1
         ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
         phi = rep.numerators
         ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
@@ -242,14 +238,17 @@ def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationR
             "ladder_difference": all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
                                      for k in range(dim)),
         })
-    s0, sp, sm, h = stack.s0_band, stack.s_plus_band, stack.s_minus_band, stack.h_band
-    residuals = {
-        "commutator_s0_splus": _residual(_commutator(s0, sp, -1), sp),
-        "commutator_s0_sminus": _residual(_commutator(s0, sm, 1), -sm),
-        "commutator_h": np.maximum.reduce([_max_abs(_commutator(h, x, offset))
-                                           for x, offset in ((s0, 0), (sp, -1), (sm, 1))]),
-        "commutator_sminus_splus": _residual(_ladder_commutator(sm, sp), np.array(ladder_targets)),
-    }
+    # S-'s band is S+'s; [H, S-] is -[H, S+] entry for entry, so |[H, S+]| covers both
+    s0, sp, h = stack.s0_band, stack.s_plus_band, stack.h_band
+    with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
+        residuals = {
+            "commutator_s0_splus": _residual(_commutator(s0, sp, -1), sp),
+            "commutator_s0_sminus": _residual(_commutator(s0, sp, 1), -sp),
+            "commutator_h": np.maximum(_max_abs(_commutator(h, s0, 0)),
+                                       _max_abs(_commutator(h, sp, -1))),
+            "commutator_sminus_splus": _residual(_ladder_commutator(sp, sp),
+                                                 np.array(ladder_targets)),
+        }
     return _reports("algebra", residuals, exact_checks, tolerance)
 
 
@@ -285,17 +284,17 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | Non
             and abs(rho * sigma - _W32_PRODUCT) <= 1e-12):
         raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
-    f_w, e_w = sigma * stack.s_plus_band, rho * stack.s_minus_band
-    h_w = -2.0 * stack.s0_band + stack.h_band / 3.0
     # (-(4/9) H) H + Id/4, with no 1/4 on the padding
-    real = np.arange(stack.h_band.shape[-1]) < [[rep.dimension] for rep in stack.irreps]
-    c_w = -(4.0 / 9.0) * stack.h_band * stack.h_band + np.where(real, 0.25, 0.0)
-
-    residuals = {
-        "commutator_hw_ew": _residual(_commutator(h_w, e_w, 1), 2.0 * e_w),
-        "commutator_hw_fw": _residual(_commutator(h_w, f_w, -1), -2.0 * f_w),
-        "commutator_ew_fw": _residual(_ladder_commutator(e_w, f_w), h_w * h_w + c_w),
-        "cw_central": np.maximum.reduce([_max_abs(_commutator(c_w, x, offset))
-                                         for x, offset in ((e_w, 1), (f_w, -1), (h_w, 0))]),
-    }
+    real = np.arange(stack.h_band.shape[-1]) < [[rep.label.N + 1] for rep in stack.irreps]
+    with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
+        f_w, e_w = sigma * stack.s_plus_band, rho * stack.s_plus_band
+        h_w = -2.0 * stack.s0_band + stack.h_band / 3.0
+        c_w = -(4.0 / 9.0) * stack.h_band * stack.h_band + np.where(real, 0.25, 0.0)
+        residuals = {
+            "commutator_hw_ew": _residual(_commutator(h_w, e_w, 1), 2.0 * e_w),
+            "commutator_hw_fw": _residual(_commutator(h_w, f_w, -1), -2.0 * f_w),
+            "commutator_ew_fw": _residual(_ladder_commutator(e_w, f_w), h_w * h_w + c_w),
+            "cw_central": np.maximum.reduce([_max_abs(_commutator(c_w, x, offset))
+                                             for x, offset in ((e_w, 1), (f_w, -1), (h_w, 0))]),
+        }
     return _reports("w32", residuals, [{} for _ in stack.irreps], tolerance)

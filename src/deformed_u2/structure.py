@@ -182,19 +182,6 @@ class StructureFunction:
         divisor = (4 * m * n) ** (m + n) // _phi_denominator(self.ratio)
         return tuple(self._product(k, 1) // divisor for k in range(self.label.N + 2))
 
-    def values(self) -> tuple[Fraction, ...]:
-        """Phi(0), Phi(1), ..., Phi(N+1), the `Fraction`s of `numerators`."""
-        denominator = _phi_denominator(self.ratio)
-        return tuple(Fraction(v, denominator) for v in self.numerators)
-
-    def factorials(self) -> tuple[Fraction, ...]:
-        """Deformed factorials [0]!, [1]!, ..., [N]! with [k]! = Phi(k) [k-1]!."""
-        phi = self.values()
-        facts = [Fraction(1)]
-        for k in range(1, self.label.N + 1):
-            facts.append(facts[-1] * phi[k])
-        return tuple(facts)
-
 
 def _monomial(h_power: int, s0_power: int) -> str:
     factors = [
@@ -231,10 +218,6 @@ class CommutatorPolynomial:
     @functools.cached_property
     def _degree_in_h(self) -> int:
         return max(i for i, _, _ in self.numerators)
-
-    def coefficients(self) -> dict[tuple[int, int], Fraction]:
-        """Map (H power, S0 power) -> coefficient, zero terms omitted."""
-        return dict(self.terms)
 
     def __call__(self, h: int | Fraction, s0: int | Fraction) -> Fraction:
         """Exact value at (h, s0), from the integer kernel `_scaled_values`."""

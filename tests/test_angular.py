@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import mpmath
@@ -114,14 +116,14 @@ class TestHermiteSequence:
     def test_first_polynomial_is_2x(self):
         # G_1(l) = l, the H_1(x) = 2x of the Hermite normalisation
         for m, n, big_n in [(1, 1, 0), (1, 2, 3), (2, 3, 2)]:
-            phi = StructureFunction(IrrepLabel(big_n, 1, 1), FrequencyRatio(m, n)).values()
+            phi = build_irrep(IrrepLabel(big_n, 1, 1), FrequencyRatio(m, n)).phi
             for ell in S_POINTS:
                 assert g_value(phi, 1, ell) == ell
 
     def test_recurrence_and_degree(self):
         ratio = FrequencyRatio(2, 3)
         label = IrrepLabel(4, 2, 2)
-        phi = StructureFunction(label, ratio).values()
+        phi = build_irrep(label, ratio).phi
         x = Fraction(5, 7)
         for k in range(1, label.N + 1):
             assert g_value(phi, k + 1, x) == x * g_value(phi, k, x) - phi[k] * g_value(
@@ -142,7 +144,7 @@ class TestHermiteSequence:
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
             for label in all_labels(m, n, 6):
-                phi = StructureFunction(label, ratio).values()
+                phi = build_irrep(label, ratio).phi
                 for ell in points:
                     plus, minus = g_unreduced(phi, ell), g_unreduced(phi, -ell)
                     for k, value in enumerate(plus):
@@ -153,7 +155,7 @@ class TestHermiteSequence:
         # G_{k+1}(l) = l G_k(l) - Phi(k) G_{k-1}(l), exactly
         ratio = FrequencyRatio(1, 2)
         label = IrrepLabel(5, 1, 2)
-        phi = StructureFunction(label, ratio).values()
+        phi = build_irrep(label, ratio).phi
         ell = Fraction(3, 4)
         g = [g_value(phi, k, ell) for k in range(label.N + 2)]
         for k in range(1, label.N + 1):
@@ -239,8 +241,9 @@ class TestEigenvectors:
     def test_coefficient_conventions(self):
         ratio = FrequencyRatio(2, 3)
         label = IrrepLabel(4, 2, 1)
-        sf = StructureFunction(label, ratio)
-        facts = [float(f) for f in sf.factorials()]
+        # [0]!, ..., [N]! with [k]! = Phi(k) [k-1]!
+        phi = build_irrep(label, ratio).phi
+        facts = [float(f) for f in accumulate(phi[1:-1], operator.mul, initial=Fraction(1))]
         spec = angular_eigenvalues(label, ratio)
         for coefficients, amplitudes in zip(spec.coefficients.T, spec.amplitudes.T):
             assert coefficients[0] > 0
@@ -303,7 +306,7 @@ class TestEigenvectors:
             for label in all_labels(m, n, 8):
                 spec = angular_eigenvalues(label, ratio)
                 signed = [1.0]
-                for v in StructureFunction(label, ratio).values()[1:-1]:
+                for v in build_irrep(label, ratio).phi[1:-1]:
                     signed.append(signed[-1] * -math.sqrt(float(v)))
                 for i, components in enumerate(spec.components.T.tolist()):
                     zeros += components.count(0.0)
@@ -356,7 +359,7 @@ class TestEigenvectors:
             for p in range(1, m + 1):
                 for q in range(1, n + 1):
                     label = IrrepLabel(big_n, p, q)
-                    phi = StructureFunction(label, ratio).values()
+                    phi = build_irrep(label, ratio).phi
                     t = mpmath.zeros(big_n + 1)
                     for k in range(big_n):
                         v = phi[k + 1]

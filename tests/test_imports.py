@@ -70,3 +70,17 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_removed_duplicate_names_are_gone():
+    # each was a second name for an exact view that stays: sf(k), numerators and rep.phi,
+    # dict(poly.terms), label.dimension, and the S+ band that S- reads
+    label, ratio = deformed_u2.IrrepLabel(3, 1, 2), deformed_u2.FrequencyRatio(1, 2)
+    removed = {
+        deformed_u2.StructureFunction(label, ratio): ("values", "factorials"),
+        deformed_u2.commutator_polynomial(ratio): ("coefficients",),
+        deformed_u2.build_irrep(label, ratio): ("dimension", "s_minus_band"),
+    }
+    for record, names in removed.items():
+        for name in names:
+            assert not hasattr(record, name), f"{type(record).__name__}.{name}"

@@ -46,7 +46,9 @@ def failed(rep):
     return {name for name, ok in report.exact_checks.items() if not ok}
 
 
-OFFSETS = {"s0": 0, "s_plus": -1, "s_minus": 1, "h": 0}
+# S- reads S+'s band, so no case below injects into S-; the explicit ids keep the numbers
+# the cases had while S- had a band of its own
+OFFSETS = {"s0": 0, "s_plus": -1, "h": 0}
 
 
 def with_entry(rep, name, index, value):
@@ -169,8 +171,10 @@ class TestMutations:
                 assert failed(with_entry(self.REP, "s_plus", (k + 1, k), moved)) == {"s_plus"}
 
     @pytest.mark.parametrize("name,index", [
-        ("s_plus", (5, 4)), ("s_plus", (7, 6)), ("s_minus", (4, 5)), ("s_minus", (6, 7)),
-        ("s0", (5, 5)), ("h", (8, 8)),
+        pytest.param("s_plus", (5, 4), id="s_plus-index0"),
+        pytest.param("s_plus", (7, 6), id="s_plus-index1"),
+        pytest.param("s0", (5, 5), id="s0-index4"),
+        pytest.param("h", (8, 8), id="h-index5"),
     ])
     def test_nonzero_off_pattern_entry(self, name, index):
         # REP is N = 4, so these entries lie past its pattern, on a stack's padding
@@ -178,7 +182,9 @@ class TestMutations:
             assert failed(with_entry(self.REP, name, index, value)) == {name}
 
     @pytest.mark.parametrize("name,index", [
-        ("s0", (3, 3)), ("s_plus", (1, 0)), ("s_minus", (2, 3)), ("h", (1, 1)),
+        pytest.param("s0", (3, 3), id="s0-index0"),
+        pytest.param("s_plus", (1, 0), id="s_plus-index1"),
+        pytest.param("h", (1, 1), id="h-index3"),
     ])
     def test_off_pattern_entry_in_a_stack_fails_only_its_irrep(self, name, index):
         # the 8th of the 30 irreps in the N <= 3 stack of 3:5 has N = 0, so its rows are all
@@ -191,13 +197,6 @@ class TestMutations:
         getattr(stack, f"{name}_band")[7, min(index)] = 1e-300
         checks = [report.exact_checks for report in _oracle_reports(stack)]
         assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(30)]
-
-    def test_sminus_entry_two_ulp_away(self):
-        for k in range(self.REP.label.N):
-            entry = self.REP.s_minus[k, k + 1]
-            for direction in (math.inf, -math.inf):
-                moved = np.nextafter(np.nextafter(entry, direction), direction)
-                assert failed(with_entry(self.REP, "s_minus", (k, k + 1), moved)) == {"s_minus"}
 
     def test_wrong_phi_entry(self):
         # +-1 moves Phi(k) by 1/D, the smallest representable change; -D by -1
@@ -217,8 +216,11 @@ class TestMutations:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,index", [
-        ("s_plus", (2, 1)), ("s_minus", (1, 2)), ("s0", (3, 3)), ("h", (0, 0)),
-        ("s_plus", (6, 5)), ("s0", (7, 7)),
+        pytest.param("s_plus", (2, 1), id="s_plus-index0"),
+        pytest.param("s0", (3, 3), id="s0-index2"),
+        pytest.param("h", (0, 0), id="h-index3"),
+        pytest.param("s_plus", (6, 5), id="s_plus-index4"),
+        pytest.param("s0", (7, 7), id="s0-index5"),
     ])
     def test_nan_or_inf_entry(self, name, index, value):
         assert failed(with_entry(self.REP, name, index, value)) == {name}

@@ -9,6 +9,7 @@ import pytest
 from deformed_u2 import (
     FrequencyRatio,
     IrrepLabel,
+    IrrepMatrices,
     ShapeMismatchError,
     VerificationReport,
     WrongRatioError,
@@ -18,6 +19,7 @@ from deformed_u2 import (
     w32_check,
     worst_residual,
 )
+from deformed_u2.representation import IrrepStack, _diag
 
 
 def coprime_pairs(limit):
@@ -68,7 +70,7 @@ class TestBuildIrrep:
         assert rep.s_plus[2, 1] == pytest.approx(math.sqrt(3))
         assert rep.s_minus == pytest.approx(rep.s_plus.T)
 
-    def test_number_operator(self):
+    def test_s0_is_number_plus_u(self):
         rep = build_irrep(IrrepLabel(3, 1, 1), FrequencyRatio(2, 3))
         assert rep.s0 == pytest.approx(np.diag(np.arange(4.0)) + float(rep.u) * np.eye(4))
 
@@ -78,10 +80,31 @@ class TestBuildIrrep:
         matrix = getattr(rep, name)
         assert matrix is getattr(rep, name)
         assert matrix.shape == (4, 4)
-        assert np.diagonal(matrix, offset).tolist() == getattr(rep, f"{name}_band").tolist()
+        band = getattr(rep, "s_plus_band" if name == "s_minus" else f"{name}_band")
+        assert np.diagonal(matrix, offset).tolist() == band.tolist()
         assert np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix, offset))
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1.0
+
+    def test_s_minus_is_the_transpose_of_the_s_plus_band(self):
+        rep = build_irrep(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        band = np.array([math.pi, math.e, math.sqrt(2.0)])
+        moved = dataclasses.replace(rep, s_plus_band=band)
+        assert moved.s_minus.tobytes() == _diag(band, 1).tobytes()
+        assert moved.s_minus.tobytes() == moved.s_plus.T.copy().tobytes()
+
+    def test_commutators_with_s0_read_one_ladder_band(self):
+        # [S0, S-] = -S- is [S0, S+] = S+ negated entry for entry, residual for residual
+        rep = build_irrep(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        band = np.array([math.pi, math.e, math.sqrt(2.0)])
+        residuals = verify_algebra(dataclasses.replace(rep, s_plus_band=band)).residuals
+        assert residuals["commutator_s0_splus"] > 0.0
+        assert residuals["commutator_s0_sminus"].hex() == residuals["commutator_s0_splus"].hex()
+
+    def test_three_bands_are_stored(self):
+        bands = ["s0_band", "s_plus_band", "h_band"]
+        for cls in (IrrepMatrices, IrrepStack):
+            assert [f.name for f in dataclasses.fields(cls) if f.name.endswith("_band")] == bands
 
     def test_records_compare_and_hash_by_identity(self):
         label, ratio = IrrepLabel(2, 1, 1), FrequencyRatio(1, 2)
@@ -235,3 +258,16 @@ class TestW32Check:
         corrupted[1] *= 1.001  # S+[2, 1]
         report = w32_check(dataclasses.replace(rep, s_plus_band=corrupted))
         assert not report.passed
+
+
+@pytest.mark.parametrize("check", [verify_algebra, w32_check], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("band", ["s0_band", "s_plus_band", "h_band"])
+def test_inf_in_a_band_fails_without_a_warning(band, check):
+    # pytest turns warnings into errors, so an inf - inf left unguarded would raise
+    rep = build_irrep(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+    for value in (math.inf, -math.inf):
+        entries = getattr(rep, band).copy()
+        entries[1] = value
+        report = check(dataclasses.replace(rep, **{band: entries}))
+        assert not report.passed
+        assert not report.max_residual <= report.tolerance

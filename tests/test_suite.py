@@ -380,7 +380,7 @@ def test_padding_leaves_every_irreps_stacked_results_its_own(monkeypatch, m, n, 
     assert len(reports) == len(labels_of(ratio, n_max)) * (3 if (m, n) == (1, 2) else 2)
 
 
-@pytest.mark.parametrize("band", ["s0_band", "s_plus_band", "s_minus_band", "h_band"])
+@pytest.mark.parametrize("band", ["s0_band", "s_plus_band", "h_band"])
 def test_inf_next_to_the_padding_fails_only_its_irrep(monkeypatch, band):
     # (1, 2, 3) has dimension 2 in the 3:5 sweep to N = 2, whose bands are padded to 3
     ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(1, 2, 3)
@@ -395,8 +395,7 @@ def test_inf_next_to_the_padding_fails_only_its_irrep(monkeypatch, band):
         return stack
 
     monkeypatch.setattr(suite, "_build_stack", inf_in_the_last_real_entry)
-    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make the NaNs that fail it
-        report = run_suite(ratio, 2)
+    report = run_suite(ratio, 2)
     assert not report.passed
     for before, after in zip(clean.irreps, report.irreps, strict=True):
         if after.label != poisoned:

@@ -3,11 +3,14 @@
     python tools/suite_digest.py SRC_DIR
 
 imports `deformed_u2` from SRC_DIR, runs `run_suite` on every sweep of the set
-and prints `<sweeps> <irreps> <sha256>`.  The hash covers, for each irrep, its
-label, its energy, every residual key with the `float.hex()` of its value, and
-its failure counts, and for each sweep whether it passed and its commutator.
-Two checkouts print the same line when their suite results are bitwise
-identical:
+and prints `<sweeps> <irreps> <records> <sha256>`.  The hash covers, for each
+irrep, its label, its energy, every residual key with the `float.hex()` of its
+value, and its failure counts, and for each sweep whether it passed and its
+commutator.  It also covers the one-irrep path (`IrrepStack.of`): on every irrep
+of the first group below, `build_irrep(label, ratio)` is checked by
+`verify_algebra`, `oracle_compare` and, at 1:2, `w32_check`, and each of these
+`<records>` reports adds its residuals as `float.hex()` and its exact checks.
+Two checkouts print the same line when their results are bitwise identical:
 
     python tools/suite_digest.py old/src
     python tools/suite_digest.py new/src
@@ -26,10 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from itertools import product
 from math import gcd
 from pathlib import Path
 
-SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1] + [
+ONE_IRREP_SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1]
+SWEEPS = ONE_IRREP_SWEEPS + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
     (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
 ]
@@ -41,7 +46,8 @@ def main() -> None:
     src = Path(sys.argv[1]).resolve()
     sys.path.insert(0, str(src))
     import deformed_u2
-    from deformed_u2 import FrequencyRatio
+    from deformed_u2 import FrequencyRatio, IrrepLabel, build_irrep
+    from deformed_u2 import oracle_compare, verify_algebra, w32_check
     from deformed_u2.suite import run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
@@ -57,7 +63,18 @@ def main() -> None:
                 digest.update(repr(part).encode("utf-8") + b"\0")
         irreps += len(report.irreps)
         digest.update(repr((m, n, n_max, report.passed, str(report.commutator))).encode("utf-8"))
-    print(len(SWEEPS), irreps, digest.hexdigest())
+    records = 0
+    for m, n, n_max in ONE_IRREP_SWEEPS:
+        ratio = FrequencyRatio(m, n)
+        checks = [verify_algebra, oracle_compare] + ([w32_check] if (m, n) == (1, 2) else [])
+        for big_n, p, q in product(range(n_max + 1), range(1, m + 1), range(1, n + 1)):
+            rep = build_irrep(IrrepLabel(big_n, p, q), ratio)
+            for report in (check(rep) for check in checks):
+                residuals = [(key, value.hex()) for key, value in report.residuals.items()]
+                for part in (rep.label, report.name, residuals, report.exact_checks):
+                    digest.update(repr(part).encode("utf-8") + b"\0")
+            records += len(checks)
+    print(len(SWEEPS), irreps, records, digest.hexdigest())
 
 
 if __name__ == "__main__":

@@ -10,89 +10,22 @@ and as floating-point residuals, and checks the bands exactly against an
 independent Fock-space oracle.
 """
 
-from .angular import (
-    AngularSpectrum,
-    angular_eigenvalues,
-    build_l0,
-    certify_eigenvalues,
-    exact_hints,
-)
-from .core import (
-    CartesianState,
-    FrequencyRatio,
-    IrrepLabel,
-    IrrepState,
-    Level,
-    cartesian_to_irrep,
-    energy_of_cartesian,
-    energy_of_irrep,
-    enumerate_levels,
-    irrep_members,
-    irrep_to_cartesian,
-)
-from .exceptions import (
-    DeformedU2Error,
-    NonCoprimeError,
-    NotDivisibleError,
-    ShapeMismatchError,
-    WrongRatioError,
-)
-from .oracle import oracle_compare
-from .representation import (
-    IrrepMatrices,
-    VerificationReport,
-    build_irrep,
-    verify_algebra,
-    w32_check,
-    worst_residual,
-)
-from .structure import (
-    CommutatorPolynomial,
-    ParafermionicForm,
-    StructureFunction,
-    commutator_polynomial,
-    parafermionic_decompose,
-    u_constant,
-)
+from . import angular, core, exceptions, oracle, representation, structure
+from .angular import *
+from .core import *
+from .exceptions import *
+from .oracle import *
+from .representation import *
+from .structure import *
 from .suite import run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AngularSpectrum",
-    "CartesianState",
-    "CommutatorPolynomial",
-    "DeformedU2Error",
-    "FrequencyRatio",
-    "IrrepLabel",
-    "IrrepMatrices",
-    "IrrepState",
-    "Level",
-    "NonCoprimeError",
-    "NotDivisibleError",
-    "ParafermionicForm",
-    "ShapeMismatchError",
-    "StructureFunction",
-    "VerificationReport",
-    "WrongRatioError",
-    "angular_eigenvalues",
-    "build_irrep",
-    "build_l0",
-    "cartesian_to_irrep",
-    "certify_eigenvalues",
-    "commutator_polynomial",
-    "energy_of_cartesian",
-    "energy_of_irrep",
-    "enumerate_levels",
-    "exact_hints",
-    "irrep_members",
-    "irrep_to_cartesian",
-    "oracle_compare",
-    "parafermionic_decompose",
-    "run_suite",
-    "u_constant",
-    "verify_algebra",
-    "w32_check",
-    "worst_residual",
-]
+# the public names are each layer's __all__; of `suite` only run_suite is public here
+__all__ = ["__version__", "run_suite"]
+__all__ += angular.__all__
+__all__ += core.__all__
+__all__ += exceptions.__all__
+__all__ += oracle.__all__
+__all__ += representation.__all__
+__all__ += structure.__all__

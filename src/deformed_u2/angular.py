@@ -37,7 +37,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .representation import IrrepMatrices, _diag, _offdiagonals, worst_residual
+from .representation import IrrepMatrices, _check_tolerance, _diag, _offdiagonals, worst_residual
 from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
@@ -260,8 +260,7 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     There is no float fallback; a NaN is not certified.  A tolerance that
     is not finite and > 0 raises ValueError.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"certificate tolerance must be finite and > 0, not {tolerance!r}")
+    _check_tolerance("certificate", tolerance)
     big_n = spectrum.label.N
     count_above = _sturm_counter(spectrum)
     delta_exponent = math.frexp(tolerance)[1] - 1

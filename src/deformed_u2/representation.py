@@ -197,6 +197,12 @@ def _ladder_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.diff(x * y, prepend=0.0, append=0.0)
 
 
+def _check_tolerance(check: str, tolerance: float) -> None:
+    """ValueError unless `tolerance`, the gate of `check`, is finite and > 0."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"{check} tolerance must be finite and > 0, not {tolerance!r}")
+
+
 def _reports(name: str, residuals: dict[str, np.ndarray], exact_checks: Sequence[dict],
              tolerance: float) -> tuple[VerificationReport, ...]:
     """One report per irrep of a stack, from each key's residuals over the stack."""
@@ -215,8 +221,10 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     The Phi checks read the integer table `rep.numerators`; the polynomial
     is evaluated along the irrep by its integer kernel, and the identity is
     compared cross-multiplied in ints; the diagonal target of [S-, S+] is
-    the correctly rounded quotient of the same ints.
+    the correctly rounded quotient of the same ints.  A tolerance that is
+    not finite and > 0 raises ValueError.
     """
+    _check_tolerance("algebra", tolerance)
     return _algebra_reports(IrrepStack.of(rep), tolerance)[0]
 
 
@@ -264,8 +272,10 @@ def w32_check(rep: IrrepMatrices, rho: float | None = None, sigma: float | None 
     takes the symmetric gauge rho = sigma = 2/sqrt(3).  Verified relations:
     [H_W, E_W] = 2 E_W, [H_W, F_W] = -2 F_W, [E_W, F_W] = H_W^2 + C_W, and
     centrality of C_W.  A missing factor is taken from the other; ValueError
-    unless both are finite and rho*sigma is within 1e-12 of 4/3.
+    unless both are finite and rho*sigma is within 1e-12 of 4/3, or when the
+    tolerance is not finite and > 0.
     """
+    _check_tolerance("W_3^(2)", tolerance)
     return _w32_reports(IrrepStack.of(rep), rho, sigma, tolerance)[0]
 
 

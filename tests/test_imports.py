@@ -61,6 +61,16 @@ def test_every_package_export_is_listed_where_it_is_defined():
         assert name in module.__all__, f"{module.__name__}.__all__ does not list {name!r}"
 
 
+def test_package_exports_exactly_the_layers_public_names():
+    # a layer name the package fails to re-export, or lists twice, shows up here
+    layers = ["angular", "core", "exceptions", "oracle", "representation", "structure"]
+    expected = ["__version__", "run_suite"]
+    for layer in layers:
+        expected += importlib.import_module(f"deformed_u2.{layer}").__all__
+    assert len(set(expected)) == len(expected)
+    assert sorted(deformed_u2.__all__) == sorted(expected)
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition is deleted breaks `import *`
     modules = [deformed_u2] + [

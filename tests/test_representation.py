@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -271,3 +272,14 @@ def test_inf_in_a_band_fails_without_a_warning(band, check):
         report = check(dataclasses.replace(rep, **{band: entries}))
         assert not report.passed
         assert not report.max_residual <= report.tolerance
+
+
+@pytest.mark.parametrize("check,name", [(verify_algebra, "algebra"), (w32_check, "W_3^(2)")],
+                         ids=["verify_algebra", "w32_check"])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+def test_rejects_tolerance_that_is_not_finite_and_positive(check, name, tolerance):
+    # inf would let every finite residual through the gate; nan, 0 and below fail every irrep
+    rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
+    message = f"{name} tolerance must be finite and > 0, not {tolerance!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(rep, tolerance=tolerance)

@@ -1,0 +1,60 @@
+"""Compare the library and CLI results of a git revision with the working tree.
+
+    python tools/identity.py [REF]
+
+exports REF's `src` (default `HEAD`) with `git archive` into a temporary
+directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
+on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
+the four digest lines.  Exits 1 when either pair differs.  A change that
+should keep every output bitwise is checked against its parent with
+
+    python tools/identity.py HEAD~1
+
+It takes about 20 s and needs no network.
+"""
+
+from __future__ import annotations
+
+import io
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ["suite_digest.py", "cli_digest.py"]
+
+
+def run(args: list[str]) -> bytes:
+    """The stdout of `args`, run in ROOT; their stderr passes through, and a failure exits."""
+    completed = subprocess.run(args, cwd=ROOT, stdout=subprocess.PIPE)
+    if completed.returncode:
+        sys.exit(f"{' '.join(args)} exited {completed.returncode}")
+    return completed.stdout
+
+
+def digest(tool: str, src: Path) -> str:
+    """The line `tool` prints for the package in `src`, run in a fresh interpreter."""
+    return run([sys.executable, str(ROOT / "tools" / tool), str(src)]).decode().strip()
+
+
+def main() -> None:
+    if len(sys.argv) > 2:
+        sys.exit("usage: python tools/identity.py [REF]")
+    ref = sys.argv[1] if len(sys.argv) == 2 else "HEAD"
+    archive = run(["git", "archive", ref, "src"])
+    differs = False
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        for tool in TOOLS:
+            old, new = digest(tool, Path(tmp) / "src"), digest(tool, ROOT / "src")
+            print(f"{tool} {ref}: {old}")
+            print(f"{tool} tree: {new}")
+            differs |= old != new
+    sys.exit(1 if differs else 0)
+
+
+if __name__ == "__main__":
+    main()

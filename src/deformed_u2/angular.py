@@ -20,10 +20,14 @@ forward float run of the recurrence is unstable and never builds an
 eigenvector.  The spectrum carries the irrep's integer Phi table
 (`StructureFunction.numerators`, Phi(k) = P_k / m^m n^n), and the functions
 below read it and the label and ratio of the spectrum they are given.  Its
-eigenvalues are certified by Sturm counts, the sign changes of G_0 ..
-G_{N+1} run on the recurrence in integer arithmetic at dyadic points beside
-each computed value, so no rounding can misplace a root.  The exact hints
-evaluate G_{N+1}, as P(l^2), on the same recurrence in `Fraction`s.
+eigenvalues are certified by Sturm counts at dyadic points beside each
+computed value.  A count runs the pivots r_k = G_k / G_{k-1} in float
+intervals widened outward at every rounding, so each holds the exact pivot;
+where an interval meets 0 or leaves float range, the sign changes of G_0 ..
+G_{N+1} are counted in integer arithmetic instead.  Either way no rounding
+can misplace a root, and one kernel counts the points of a whole sweep at
+once.  The exact hints evaluate G_{N+1}, as P(l^2), on the same recurrence
+in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -216,14 +220,15 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
-def _sturm_counter(spectrum: AngularSpectrum) -> Callable[[int, int], int]:
+def _sturm_counter(spectrum: AngularSpectrum | StructureFunction) -> Callable[[int, int], int]:
     """count_above(a, e) = #{eigenvalues of L0 on the irrep > a / 2^e}, exactly.
 
     It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped
     (Sturm's theorem; Barth, Martin & Wilkinson 1967).  With Phi(k) = P_k / D
     (`spectrum.numerators`), g_k = (2^e D)^k G_k(a / 2^e) obey an integer
     recurrence with weights P_k D, so the count is exact at every dyadic
-    point, e <= 0 too.
+    point, e <= 0 too.  A `StructureFunction` serves as well as a spectrum:
+    only the ratio and the integer table are read.
     """
     denominator = _phi_denominator(spectrum.ratio)
     weights = [v * denominator for v in spectrum.numerators[1:-1]]
@@ -243,46 +248,167 @@ def _sturm_counter(spectrum: AngularSpectrum) -> Callable[[int, int], int]:
     return count_above
 
 
+# the directions in which an interval's (lo, hi) rows are widened; a tuple, so
+# that importing the module builds no array
+_OUTWARD = ((-math.inf,), (math.inf,))
+
+
+def _excludes_zero(r: np.ndarray) -> np.ndarray:
+    """Whether each interval (r[0], r[1]) has finite bounds and excludes 0.
+
+    0 lies outside [lo, hi] iff |lo + hi| > hi - lo; rounding can only turn
+    that False, and an inf or NaN bound makes it False.
+    """
+    return np.abs(r[0] + r[1]) > r[1] - r[0]
+
+
+def _phi_intervals(records: Sequence[AngularSpectrum | StructureFunction],
+                   big_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float enclosures of Phi(1..N) for each record, N = `big_n[j]`, and whether each is usable.
+
+    Entry [k-1, :, j] of the (N_max, 2, records) table is the lower and upper
+    bound of Phi(k) = P_k / D of `records[j]`: the correctly rounded int
+    quotient, widened by one step each way.  Past the record's N it is 1.0.
+    A record is unusable when some Phi(k) on 1..N is <= 0 or does not convert
+    to a float.
+    """
+    values, usable = [], np.ones(len(records), dtype=bool)
+    ratio = denominator = None
+    for row, record in enumerate(records):
+        if record.ratio is not ratio:
+            ratio, denominator = record.ratio, _phi_denominator(record.ratio)
+        try:
+            values += [p / denominator for p in record.numerators[1:-1]]
+        except OverflowError:
+            usable[row] = False
+            values += [1.0] * record.label.N
+    phi = np.ones((len(records), big_n.max()))
+    phi[np.arange(phi.shape[1]) < big_n[:, None]] = values
+    usable &= np.all(phi > 0, axis=1)
+    bounds = np.empty((phi.shape[1], 2, len(records)))
+    np.nextafter(phi.T, -np.inf, out=bounds[:, 0])
+    np.nextafter(phi.T, np.inf, out=bounds[:, 1])
+    return bounds, usable
+
+
+def _dyadic(centre: float, offset: float) -> tuple[int, int]:
+    """(a, e) with a / 2^e = centre + offset exactly, e >= 0, by integer shifts."""
+    (a, b), (c, d) = centre.as_integer_ratio(), offset.as_integer_ratio()
+    e, f = b.bit_length() - 1, d.bit_length() - 1
+    shift = max(e, f)
+    return (a << (shift - e)) + (c << (shift - f)), shift
+
+
+def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps: np.ndarray,
+                 centres: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """count_above(centre + offset) on the irrep `records[irrep]` for each point, exactly.
+
+    The points, all finite, are counted together in one float-interval pass
+    of the pivot form of the Sturm count (the LDL^T inertia count; Kahan 1966):
+
+        r_1 = x,  r_{k+1} = x - Phi(k) / r_k,  count_above(x) = #{k <= N+1 : r_k < 0}.
+
+    Each r_k is run on an interval [lo, hi] whose every quotient and
+    difference, rounded to nearest, is widened by one `np.nextafter` each
+    way, from the interval of x, fl(centre + offset) widened likewise, and
+    those of Phi (`_phi_intervals`); so each interval holds the exact r_k.
+    A point whose intervals all exclude 0 and have finite bounds has no zero
+    G_k, and its count is the exact sign-change count.  Every other point is
+    counted by `_sturm_counter` at the exact dyadic point (`_dyadic`).  The
+    points are sorted by N, largest first, so step k runs on the prefix of
+    points whose irrep has N >= k, gathering each one's Phi(k).
+    """
+    counts = np.zeros(len(irreps), dtype=np.int64)
+    if not len(irreps):
+        return counts
+    sizes = np.array([record.label.N for record in records])
+    phi, usable = _phi_intervals(records, sizes)
+    big_n = sizes[irreps]
+    key = big_n.tolist()  # sorted in Python: numpy's sorts page in code verify never runs
+    order = np.array(sorted(range(len(key)), key=key.__getitem__, reverse=True), dtype=np.intp)
+    rows = irreps[order]
+    # active[k - 1] points have N >= k, the ones that take step k
+    active = np.cumsum(np.bincount(big_n, minlength=len(phi) + 1)[::-1])[::-1][1:]
+    with np.errstate(all="ignore"):
+        x = np.nextafter(centres[order] + offsets[order], _OUTWARD)  # rows: lo, hi
+        r = x
+        decided = usable[rows] & _excludes_zero(r)
+        negative = (r[1] < 0).astype(np.int64)
+        for k, n in enumerate(active.tolist()):  # Phi(k + 1)
+            if not n:
+                break
+            r, p = r[:, :n], phi[k][:, rows[:n]]
+            # Phi / r falls as r rises, on either side of 0, and its size rises
+            # with Phi: [Phi_lo / hi, Phi_hi / lo] for r > 0, [Phi_hi / hi, Phi_lo / lo] for r < 0
+            q = np.nextafter(np.where(r[0] > 0, p, p[::-1]) / r[::-1], _OUTWARD)
+            r = np.nextafter(x[:, :n] - q[::-1], _OUTWARD)  # [x_lo - q_hi, x_hi - q_lo]
+            decided[:n] &= _excludes_zero(r)
+            negative[:n] += r[1] < 0
+    counts[order] = negative
+    counters: dict[int, Callable[[int, int], int]] = {}
+    for point in order[~decided].tolist():
+        j = int(irreps[point])
+        if j not in counters:
+            counters[j] = _sturm_counter(records[j])
+        counts[point] = counters[j](*_dyadic(float(centres[point]), float(offsets[point])))
+    return counts
+
+
+def _certify(records: Sequence[AngularSpectrum | StructureFunction],
+             rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[bool, ...]]:
+    """`certify_eigenvalues` on each row of eigenvalues, those of the irrep `records[j]`.
+
+    Every count point of every row goes to one `_count_above` pass.  A value
+    at i < N/2 with l_i == -l_{N-i} takes its mirror's result, and is counted
+    itself, in a second pass, when its mirror fails.  A NaN or inf gets no point.
+    """
+    delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
+    sizes = np.array([len(row) for row in rows])
+    values = np.concatenate(rows, dtype=float)
+    irreps = np.repeat(np.arange(len(rows)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    index = np.arange(len(values)) - starts[irreps]
+    big_n = sizes[irreps] - 1
+    mirror = starts[irreps] + big_n - index  # where l_{N-i} is
+    mirrored = (2 * index < big_n) & (values == -values[mirror])
+    finite = np.isfinite(values)
+
+    def holds(points: np.ndarray) -> np.ndarray:
+        """count_above(l_i - delta) >= N+1-i and count_above(l_i + delta) <= N-i."""
+        counts = _count_above(records, np.repeat(irreps[points], 2), np.repeat(values[points], 2),
+                              np.tile([-delta, delta], len(points)))
+        upper = big_n[points] - index[points]
+        return (counts[0::2] >= upper + 1) & (counts[1::2] <= upper)
+
+    certified = np.zeros(len(values), dtype=bool)
+    counted = np.flatnonzero(finite & ~mirrored)
+    certified[counted] = holds(counted)
+    certified[mirrored] = certified[mirror[mirrored]]
+    recounted = np.flatnonzero(finite & mirrored & ~certified)
+    if recounted.size:
+        certified[recounted] = holds(recounted)
+    flags = certified.tolist()
+    return [tuple(flags[start:start + size]) for start, size in zip(starts.tolist(), sizes.tolist())]
+
+
 def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bool, ...]:
     """Whether each eigenvalue of `spectrum` is proven within `tolerance` of its own.
 
     With delta the largest power of two <= `tolerance`, the i-th value l_i
     (ascending, from 0) passes its count iff count_above(l_i - delta) >= N+1-i
-    and count_above(l_i + delta) <= N-i, counted exactly (`_sturm_counter`),
-    which proves the i-th true eigenvalue in (l_i - delta, l_i + delta].  As
-    lambda_i = -lambda_{N-i} (G_k has the parity of k), a value below the middle
-    is certified without a count when l_i == -l_{N-i} and its mirror passes;
-    so a symmetric spectrum is counted at i >= N/2 only, and each certified
-    value is proven within the closed [l_i - delta, l_i + delta].
-    Both points are dyadic: l_i = a / 2^e exactly (`float.as_integer_ratio`),
-    so l_i +- delta is (a 2^(s-e) +- 2^(s+t)) / 2^s, delta = 2^t and
-    s = max(e, -t), formed by integer shifts with no `Fraction`.
-    There is no float fallback; a NaN is not certified.  A tolerance that
-    is not finite and > 0 raises ValueError.
+    and count_above(l_i + delta) <= N-i, which proves the i-th true eigenvalue
+    in (l_i - delta, l_i + delta].  Both counts are exact: they run in
+    outward-rounded float intervals, and a point the intervals cannot decide
+    is counted in integers (`_count_above`).  As lambda_i = -lambda_{N-i}
+    (G_k has the parity of k), a value below the middle is certified without
+    a count when l_i == -l_{N-i} and its mirror passes; so a symmetric
+    spectrum is counted at i >= N/2 only, and each certified value is proven
+    within the closed [l_i - delta, l_i + delta].  A NaN or inf is not
+    certified.  `run_suite` runs the same kernel once on a whole sweep.  A
+    tolerance that is not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
-    big_n = spectrum.label.N
-    count_above = _sturm_counter(spectrum)
-    delta_exponent = math.frexp(tolerance)[1] - 1
-    values = spectrum.eigenvalues
-
-    @cache
-    def counted(i: int) -> bool:
-        value = values[i]
-        if not math.isfinite(value):
-            return False
-        numerator, denominator = value.as_integer_ratio()
-        exponent = denominator.bit_length() - 1
-        shift = max(exponent, -delta_exponent)
-        centre = numerator << (shift - exponent)
-        delta = 1 << (shift + delta_exponent)
-        return (count_above(centre - delta, shift) >= big_n + 1 - i
-                and count_above(centre + delta, shift) <= big_n - i)
-
-    return tuple(
-        (i < big_n - i and values[i] == -values[big_n - i] and counted(big_n - i)) or counted(i)
-        for i in range(big_n + 1)
-    )
+    return _certify((spectrum,), (spectrum.eigenvalues,), tolerance)[0]
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:

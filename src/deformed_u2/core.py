@@ -145,14 +145,15 @@ class Level(NamedTuple):
     degeneracy: int
 
 
+def _energy_key(ratio: FrequencyRatio, big_n: int, p: int, q: int) -> int:
+    """2mn E(N, p, q) = 2mn N + n (2p-1) + m (2q-1), the int that orders the levels."""
+    return 2 * ratio.m * ratio.n * big_n + ratio.n * (2 * p - 1) + ratio.m * (2 * q - 1)
+
+
 def energy_of_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
-    """Exact level energy N + (2p-1)/(2m) + (2q-1)/(2n)."""
+    """Exact level energy N + (2p-1)/(2m) + (2q-1)/(2n), one `Fraction` of `_energy_key`."""
     label.validate_for(ratio)
-    return (
-        label.N
-        + Fraction(2 * label.p - 1, 2 * ratio.m)
-        + Fraction(2 * label.q - 1, 2 * ratio.n)
-    )
+    return Fraction(_energy_key(ratio, label.N, label.p, label.q), 2 * ratio.m * ratio.n)
 
 
 def energy_of_cartesian(state: CartesianState, ratio: FrequencyRatio) -> Fraction:
@@ -200,9 +201,8 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     E(N, p, q) lies in (N, N + 2), the K P labels with N < K = count // P + 1,
     more than `count`, all lie below K + 1, while every label with N > K lies
     above it; the labels with N <= K therefore hold the lowest `count`
-    levels.  They are sorted on the exact integer key
-    2mn E = 2mn N + n (2p-1) + m (2q-1); labels and energies are built only
-    for the levels kept.
+    levels.  They are sorted on the exact integer key 2mn E (`_energy_key`);
+    labels and energies are built only for the levels kept.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -214,10 +214,12 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     ]
     top = count // len(pairs) + 1
     scale = 2 * m * n
+    # the key is 2mn N plus the key of (0, p, q)
+    offsets = [(_energy_key(ratio, 0, p, q), p, q) for p, q in pairs]
     keys = sorted(
-        (scale * big_n + n * (2 * p - 1) + m * (2 * q - 1), big_n, p, q)
+        (scale * big_n + offset, big_n, p, q)
         for big_n in range(top + 1)
-        for p, q in pairs
+        for offset, p, q in offsets
     )
     return [
         Level(Fraction(key, scale), IrrepLabel(big_n, p, q), big_n + 1)

@@ -47,13 +47,14 @@ __all__ = [
 
 
 def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
-    """Shift between S0 and the number operator: S0 = (number op) + u."""
+    """Shift between S0 and the number operator: S0 = (number op) + u.
+
+    u = ((2p-1)/(2m) - (2q-1)/(2n) - N) / 2, one `Fraction` of the int
+    4mn u = n (2p-1) - m (2q-1) - 2mn N.
+    """
     label.validate_for(ratio)
-    return (
-        Fraction(2 * label.p - 1, 2 * ratio.m)
-        - Fraction(2 * label.q - 1, 2 * ratio.n)
-        - label.N
-    ) / 2
+    m, n = ratio.m, ratio.n
+    return Fraction(n * (2 * label.p - 1) - m * (2 * label.q - 1) - 2 * m * n * label.N, 4 * m * n)
 
 
 @functools.cache

@@ -5,12 +5,15 @@ the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`.  The
 algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
 run once on it, by the kernels the one-irrep functions run.  The eigensolves and
 the Gram matrix need one shape, so they run once per N, on the stack's S+ band.
-The exact work stays per irrep: each integer Phi table, computed once, feeds the
-ladder identity, the oracle's weights and ulp tests and the Sturm certificate,
-and each factor table the 1:n split.  Identity residuals are gated at the
-identity tolerance, the eigen class at 10x it, every exact check, the oracle's
-included, must hold, and every eigenvalue must be certified within the eigen
-tolerance.
+The Sturm certificate runs once per sweep, after the last eigensolve: one
+float-interval pass of `certify_eigenvalues`' kernel counts every point of every
+irrep, and the points it cannot decide are counted exactly.  The sweep keeps
+each irrep's eigenvalues for it, and drops each spectrum's eigenvectors after
+its N.  Each integer Phi table, computed once, feeds the ladder identity, the
+oracle's weights and ulp tests and the certificate, and each factor table the
+1:n split.  Identity residuals are gated at the identity tolerance, the eigen
+class at 10x it, every exact check, the oracle's included, must hold, and
+every eigenvalue must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import _eigensolve, _phased, build_l0, certify_eigenvalues
+from .angular import _certify, _eigensolve, _phased, build_l0
 from .core import FrequencyRatio, IrrepLabel
 from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
@@ -123,34 +126,37 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     oracles = _oracle_reports(stack)
     w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
 
-    irreps = []
+    residuals, eigenvalues = [], []
     for big_n in range(n_max + 1):
         rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
         offdiag = stack.s_plus_band[rows, :big_n]
         spectra = _eigensolve(functions[rows], offdiag)
         dense = np.sort(np.linalg.eigvalsh(build_l0(offdiag)), axis=-1)
-        eigenvalues = np.array([spec.eigenvalues for spec in spectra])
-        agreement = np.max(np.abs(eigenvalues - dense), axis=-1).tolist()
+        values = np.array([spec.eigenvalues for spec in spectra])
+        agreement = np.max(np.abs(values - dense), axis=-1).tolist()
         amplitudes = _phased(np.stack([spec.components for spec in spectra]))
         gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
         orthonormality = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1)).tolist()
 
         for j, (i, spec) in enumerate(zip(range(rows.start, rows.stop), spectra)):
-            residuals = {**algebras[i].residuals, "method_agreement": agreement[j],
-                         "spectrum_symmetry": spec.symmetry_residual,
-                         "eigenvector_residual": spec.max_residual,
-                         "orthonormality": orthonormality[j]}
+            residual = {**algebras[i].residuals, "method_agreement": agreement[j],
+                        "spectrum_symmetry": spec.symmetry_residual,
+                        "eigenvector_residual": spec.max_residual,
+                        "orthonormality": orthonormality[j]}
             if w32:
-                residuals.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
+                residual.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
+            residuals.append(residual)
+        eigenvalues.extend(values)  # rows of one array per N, not the spectra
 
-            failures = {
-                "exact_check_failures": algebras[i].failures + oracles[i].failures,
-                "eigen_certificate_failures": certify_eigenvalues(spec, eigen_tol).count(False),
-            }
-            if ratio.m == 1:
-                form = parafermionic_decompose(functions[i])
-                failures["parafermionic_failures"] = int(not form.positive)
-            irreps.append(IrrepReport(spec.label, functions[i].energy, residuals, failures))
+    irreps = []
+    certified = _certify(functions, eigenvalues, eigen_tol)
+    for function, algebra, oracle, residual, flags in zip(functions, algebras, oracles, residuals,
+                                                          certified):
+        failures = {"exact_check_failures": algebra.failures + oracle.failures,
+                    "eigen_certificate_failures": flags.count(False)}
+        if ratio.m == 1:
+            failures["parafermionic_failures"] = int(not parafermionic_decompose(function).positive)
+        irreps.append(IrrepReport(function.label, function.energy, residual, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
                        tuple(irreps))

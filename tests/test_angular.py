@@ -10,6 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformed_u2 import (
     CartesianState,
@@ -24,7 +26,7 @@ from deformed_u2 import (
     irrep_members,
 )
 from deformed_u2 import angular
-from deformed_u2.angular import _p_value, _sturm_counter
+from deformed_u2.angular import _count_above, _p_value, _sturm_counter
 from deformed_u2.structure import _phi_denominator
 from deformed_u2.suite import EIGEN_TOL
 
@@ -523,20 +525,19 @@ class TestCertificate:
         assert certify_eigenvalues(broken, EIGEN_TOL) == (True, False, True, True)
 
     def record_count_points(self, monkeypatch):
-        """The list that collects, as Fractions, the points certify_eigenvalues counts at."""
+        """The list that collects, as Fractions, the points certify_eigenvalues counts at.
+
+        Every point goes through the kernel's point list (`_count_above`), as
+        centre + offset; only the points it cannot decide reach `_sturm_counter`.
+        """
         points = []
-        counter = angular._sturm_counter
+        count_above = angular._count_above
 
-        def recording_counter(spectrum):
-            count = counter(spectrum)
+        def recording_count_above(records, irreps, centres, offsets):
+            points.extend(Fraction(c) + Fraction(o) for c, o in zip(centres, offsets))
+            return count_above(records, irreps, centres, offsets)
 
-            def count_above(a, e):
-                points.append(Fraction(a, 2**e))
-                return count(a, e)
-
-            return count_above
-
-        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        monkeypatch.setattr(angular, "_count_above", recording_count_above)
         return points
 
     @pytest.mark.parametrize("big_n", [0, 1, 5, 6])
@@ -573,22 +574,13 @@ class TestCertificate:
 
     @pytest.mark.parametrize("tolerance", [2.0**-40, 1e-9, 3.0, 1.7e307])
     def test_counts_at_the_fraction_points(self, monkeypatch, tolerance):
-        # the integer shifts of as_integer_ratio() land on Fraction(l_i) -+ delta
+        # the points are Fraction(l_i) -+ delta, each counted as the exact counter does
         label, ratio = IrrepLabel(6, 1, 2), FrequencyRatio(1, 2)
         tiny = 5e-324
         values = (0.0, tiny, -tiny, 7e5, -7e5, math.nan, math.inf)
         spec = shifted(angular_eigenvalues(label, ratio), dict(enumerate(values)))
         count = _sturm_counter(spec)
-        points = []
-
-        def recording_counter(*args):
-            def count_above(a, e):
-                points.append(Fraction(a, 2**e))
-                return count(a, e)
-
-            return count_above
-
-        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        points = self.record_count_points(monkeypatch)
         certified = certify_eigenvalues(spec, tolerance)
 
         def count_at(x):
@@ -599,11 +591,10 @@ class TestCertificate:
         for i, value in enumerate(values):
             holds = math.isfinite(value)
             if holds:
-                expected_points.append(Fraction(value) - delta)
-                holds = count_at(Fraction(value) - delta) >= 7 - i
-            if holds:
-                expected_points.append(Fraction(value) + delta)
-                holds = count_at(Fraction(value) + delta) <= 6 - i
+                # the stacked kernel counts both points of a value in one pass
+                expected_points += [Fraction(value) - delta, Fraction(value) + delta]
+                holds = (count_at(Fraction(value) - delta) >= 7 - i
+                         and count_at(Fraction(value) + delta) <= 6 - i)
             expected.append(holds)
         assert points == expected_points
         assert certified == tuple(expected)
@@ -624,6 +615,117 @@ class TestCertificate:
         for label in all_labels(m, n, n_max):
             spec = angular_eigenvalues(label, ratio)
             assert all(certify_eigenvalues(spec, EIGEN_TOL)), label
+
+
+def exact_count(spec, centre, offset):
+    """The exact counter of `spec` at Fraction(centre) + Fraction(offset)."""
+    x = Fraction(centre) + Fraction(offset)
+    return _sturm_counter(spec)(x.numerator, x.denominator.bit_length() - 1)
+
+
+def interval_counts(specs, points):
+    """`_count_above` at the points (j, centre, offset) on the irreps of `specs`, as a list."""
+    irreps, centres, offsets = zip(*points)
+    return _count_above(specs, np.array(irreps), np.array(centres), np.array(offsets)).tolist()
+
+
+@st.composite
+def irreps_and_points(draw):
+    """1-3 irreps and points on them: their eigenvalues, points exactly at an
+    eigenvalue or at 0, tiny values and plain floats, each with an offset
+    +-2^t, t in -40..1019 (the delta of tolerances 2^-40 .. 1.7e307)."""
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 5), (4, 7)]))
+        label = IrrepLabel(draw(st.integers(0, 24)), draw(st.integers(1, m)),
+                           draw(st.integers(1, n)))
+        specs.append(angular_eigenvalues(label, FrequencyRatio(m, n)))
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        j = draw(st.integers(0, len(specs) - 1))
+        values = specs[j].eigenvalues
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        kind = draw(st.sampled_from(["value", "at value", "at zero", "tiny", "float"]))
+        if kind in ("at value", "at zero"):
+            # centre + offset is exactly the eigenvalue (integer for 1:1) or 0
+            offset = sign * 2.0 ** draw(st.integers(-3, 3))
+            target = draw(st.sampled_from(values)) if kind == "at value" else 0.0
+            centre = target - offset
+        else:
+            offset = sign * 2.0 ** draw(st.integers(-40, 1019))
+            centre = (draw(st.sampled_from(values)) if kind == "value"
+                      else draw(st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-308]))
+                      if kind == "tiny" else draw(st.floats(-1e6, 1e6)))
+        points.append((j, centre, offset))
+    return specs, points
+
+
+class TestIntervalCounts:
+    """The certificate's kernel: float-interval pivot counts, exact counts as fallback."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(irreps_and_points())
+    def test_matches_the_exact_counter(self, case):
+        specs, points = case
+        assert interval_counts(specs, points) == [
+            exact_count(specs[j], centre, offset) for j, centre, offset in points
+        ]
+
+    def record_exact_points(self, monkeypatch):
+        """The list of (N, Fraction point) of every count `_sturm_counter` makes."""
+        points = []
+        counter = angular._sturm_counter
+
+        def recording_counter(record):
+            count = counter(record)
+
+            def count_above(a, e):
+                points.append((record.label.N, Fraction(a, 2**e)))
+                return count(a, e)
+
+            return count_above
+
+        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        return points
+
+    def test_isotropic_eigenvalues_and_zero_fall_back(self, monkeypatch):
+        # at an integer root the last pivot is 0, and at 0 every odd G_k is
+        # 0; no interval decides these points, so the exact counter does
+        ratio = FrequencyRatio(1, 1)
+        specs = [angular_eigenvalues(IrrepLabel(big_n, 1, 1), ratio) for big_n in range(41)]
+        points = [(big_n, root - 1.0, 1.0) for big_n in range(41)
+                  for root in range(-big_n, big_n + 1, 2)]
+        points += [(big_n, 0.5, -0.5) for big_n in range(41)]
+        exact = self.record_exact_points(monkeypatch)
+        counts = interval_counts(specs, points)
+        assert counts[:-41] == [(big_n - root) // 2 for big_n in range(41)
+                                for root in range(-big_n, big_n + 1, 2)]
+        assert counts[-41:] == [(big_n + 1) // 2 for big_n in range(41)]
+        assert sorted(exact) == sorted((big_n, Fraction(centre) + Fraction(offset))
+                                       for big_n, centre, offset in points)
+
+    def test_decided_points_do_not_reach_the_exact_counter(self, monkeypatch):
+        points = self.record_exact_points(monkeypatch)
+        ratio = FrequencyRatio(2, 3)
+        for label in all_labels(2, 3, 12):
+            assert all(certify_eigenvalues(angular_eigenvalues(label, ratio), EIGEN_TOL))
+        assert points == []
+
+    @pytest.mark.parametrize("numerators", [(0, 10**400, 0), (0, 5, 10**400, 3, 0),
+                                            (0, 6, -4, 0), (0, 2, 0, 0)])
+    def test_phi_without_a_positive_float_falls_back(self, monkeypatch, numerators):
+        # Phi(k) beyond float range or <= 0: every point of the irrep is counted exactly
+        spec = dataclasses.replace(angular_eigenvalues(IrrepLabel(len(numerators) - 2, 1, 1),
+                                                       FrequencyRatio(1, 1)),
+                                   numerators=numerators)
+        other = angular_eigenvalues(IrrepLabel(3, 1, 2), FrequencyRatio(1, 2))
+        exact = self.record_exact_points(monkeypatch)
+        points = [(0, x, 0.25) for x in (-3.0, -1.0, 0.0, 0.5, 2.0, 1e200)]
+        points += [(1, x, -0.125) for x in (-1.0, 0.3)]
+        counts = interval_counts([spec, other], points)
+        assert counts == [exact_count([spec, other][j], c, o) for j, c, o in points]
+        assert [point for big_n, point in exact if big_n == spec.label.N][:6] == [
+            Fraction(x) + Fraction(1, 4) for _, x, _ in points[:6]]
 
 
 class TestBuildL0:

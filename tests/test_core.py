@@ -92,6 +92,15 @@ class TestEnergies:
         assert expected == Fraction(5, 12)
         assert energy_of_irrep(IrrepLabel(0, 1, 1), ratio) == expected
 
+    @given(ratio=COPRIME_RATIOS, big_n=st.integers(0, 10**6), data=st.data())
+    def test_irrep_energy_is_the_three_term_sum(self, ratio, big_n, data):
+        p, q = data.draw(st.integers(1, ratio.m)), data.draw(st.integers(1, ratio.n))
+        energy = energy_of_irrep(IrrepLabel(big_n, p, q), ratio)
+        assert energy == (big_n + Fraction(2 * p - 1, 2 * ratio.m)
+                          + Fraction(2 * q - 1, 2 * ratio.n))
+        assert str(energy) == str(big_n + Fraction(2 * p - 1, 2 * ratio.m)
+                                  + Fraction(2 * q - 1, 2 * ratio.n))
+
     def test_cartesian_energy_worked_values(self):
         ratio = FrequencyRatio(1, 2)
         assert energy_of_cartesian(CartesianState(0, 0), ratio) == Fraction(3, 4)

@@ -196,6 +196,13 @@ class TestUConstant:
         for big_n in range(6):
             assert u_constant(IrrepLabel(big_n, 1, 1), ratio) == -Fraction(big_n, 2)
 
+    @given(ratio=st.sampled_from(coprime_pairs(7)), big_n=st.integers(0, 10**6), data=st.data())
+    def test_is_the_three_fraction_form(self, ratio, big_n, data):
+        m, n = ratio
+        p, q = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
+        u = u_constant(IrrepLabel(big_n, p, q), FrequencyRatio(m, n))
+        assert u == (Fraction(2 * p - 1, 2 * m) - Fraction(2 * q - 1, 2 * n) - big_n) / 2
+
 
 class TestCommutatorPolynomial:
     def test_isotropic_is_plain_u2(self):

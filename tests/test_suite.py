@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -304,6 +306,37 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     assert report.passed
     assert products == {label: label.N + 2 for label in labels_of(ratio, 4)}
     assert tables.keys() == products.keys()
+
+
+def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
+    # one interval pass over the points of every irrep, after every eigensolve;
+    # it reads each irrep's record, and the spectra (their eigenvectors) are not kept
+    spectra, calls = [], []
+    eigensolve, count_above = suite._eigensolve, angular._count_above
+
+    def recording_eigensolve(functions, offdiag):
+        solved = eigensolve(functions, offdiag)
+        spectra.extend(weakref.ref(spec) for spec in solved)
+        return solved
+
+    def recording_count_above(records, irreps, centres, offsets):
+        gc.collect()
+        calls.append((records, len(irreps), [spec() for spec in spectra]))
+        return count_above(records, irreps, centres, offsets)
+
+    monkeypatch.setattr(suite, "_eigensolve", recording_eigensolve)
+    monkeypatch.setattr(angular, "_count_above", recording_count_above)
+    ratio = FrequencyRatio(1, 2)
+    report = run_suite(ratio, 6)
+    assert report.passed
+    [(records, points, alive)] = calls
+    assert [record.label for record in records] == labels_of(ratio, 6)
+    assert all(isinstance(record, StructureFunction) for record in records)
+    # the symmetric spectra are counted at i >= N/2, two points each
+    assert points == sum(2 * (label.N // 2 + 1) for label in labels_of(ratio, 6))
+    # only the last N's spectra, still bound to the eigensolve loop's names, live on
+    assert len(alive) == len(records)
+    assert alive[:-2] == [None] * (len(records) - 2) and None not in alive[-2:]
 
 
 def test_residuals_are_derived_once():

@@ -21,8 +21,11 @@ The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4, 2:7 N <= 6; 3:5 N <= 8 is already in the
 first group).  `run_suite` pads each sweep's bands to N_max + 1, so the set
 covers many padding widths.  4:7 at N <= 20 and 3:5 at N <= 40 fail (float
-residuals past the tolerances), so failing sweeps are covered too.  Nothing is
-written to disk.
+residuals past the tolerances), so failing sweeps are covered too.  Last come
+3:5 at N <= 12, 2:7 at N <= 10 and 4:7 at N <= 8 at the tolerance 1e-13, where
+the certificate's interval counts leave 100-250 points of each sweep to the
+exact counter, and dozens of values fail their certificate.
+Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ SWEEPS = ONE_IRREP_SWEEPS + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
     (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
 ]
+# run at TIGHT_TOL, where many certificate points fall back to exact counts
+TIGHT_SWEEPS = [(3, 5, 12), (2, 7, 10), (4, 7, 8)]
+TIGHT_TOL = 1e-13
 
 
 def main() -> None:
@@ -55,14 +61,17 @@ def main() -> None:
 
     digest = hashlib.sha256()
     irreps = 0
-    for m, n, n_max in SWEEPS:
-        report = run_suite(FrequencyRatio(m, n), n_max)
+    runs = [(sweep, {}) for sweep in SWEEPS]
+    runs += [(sweep, {"tolerance": TIGHT_TOL}) for sweep in TIGHT_SWEEPS]
+    for (m, n, n_max), options in runs:
+        report = run_suite(FrequencyRatio(m, n), n_max, **options)
         for irrep in report.irreps:
             residuals = [(key, value.hex()) for key, value in irrep.residuals.items()]
             for part in (irrep.label, str(irrep.energy), residuals, irrep.failures):
                 digest.update(repr(part).encode("utf-8") + b"\0")
         irreps += len(report.irreps)
-        digest.update(repr((m, n, n_max, report.passed, str(report.commutator))).encode("utf-8"))
+        digest.update(repr((m, n, n_max, report.identity_tolerance, report.passed,
+                            str(report.commutator))).encode("utf-8"))
     records = 0
     for m, n, n_max in ONE_IRREP_SWEEPS:
         ratio = FrequencyRatio(m, n)
@@ -74,7 +83,7 @@ def main() -> None:
                 for part in (rep.label, report.name, residuals, report.exact_checks):
                     digest.update(repr(part).encode("utf-8") + b"\0")
             records += len(checks)
-    print(len(SWEEPS), irreps, records, digest.hexdigest())
+    print(len(runs), irreps, records, digest.hexdigest())
 
 
 if __name__ == "__main__":

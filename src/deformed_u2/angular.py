@@ -109,7 +109,7 @@ class AngularSpectrum:
         column i is the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k> for
         `eigenvalues[i]`.  A sqrt([k]!) beyond float range raises ArithmeticError."""
         with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
-            signed = np.cumprod([1.0, *-_offdiagonals(self.ratio, self.numerators)])
+            signed = np.cumprod([1.0, *-_offdiagonals(self)])
         if not np.all(np.isfinite(signed)):
             k = int(np.argmin(np.isfinite(signed)))
             raise ArithmeticError(
@@ -145,7 +145,7 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     parity of G_k(0), so its odd components are set to exactly zero.
     """
     function = StructureFunction(label, ratio)
-    return _eigensolve((function,), _offdiagonals(ratio, function.numerators)[None])[0]
+    return _eigensolve((function,), _offdiagonals(function)[None])[0]
 
 
 def _eigensolve(functions: Sequence[StructureFunction],

@@ -270,7 +270,7 @@ def spectrum(ratio, count, fmt, output):
 def irrep(ratio, big_n, p, q, fmt, tol, output):
     """Report one irrep: energy, structure function, matrices, residuals."""
     label = _make_label(big_n, p, q, ratio)
-    rep = build_irrep(label, ratio)
+    rep = _reachable(build_irrep, label, ratio)
     report = verify_algebra(rep, tol)
     members = irrep_members(label, ratio)
 

@@ -184,10 +184,10 @@ def irrep_to_cartesian(state: IrrepState, ratio: FrequencyRatio) -> CartesianSta
 
 
 def irrep_members(label: IrrepLabel, ratio: FrequencyRatio) -> tuple[CartesianState, ...]:
-    """Cartesian states of one irrep, ordered by the Fock index k."""
-    return tuple(
-        irrep_to_cartesian(IrrepState(label, k), ratio) for k in range(label.N + 1)
-    )
+    """Cartesian states of one irrep, ordered by the Fock index k (see `irrep_to_cartesian`)."""
+    label.validate_for(ratio)
+    return tuple(CartesianState(k * ratio.m + label.p - 1, (label.N - k) * ratio.n + label.q - 1)
+                 for k in range(label.N + 1))
 
 
 def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:

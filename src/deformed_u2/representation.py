@@ -77,7 +77,7 @@ def worst_residual(values: Iterable[float]) -> float:
     so a NaN would otherwise vanish from the maximum.
     """
     values = list(values)
-    if any(math.isnan(v) for v in values):
+    if any(map(math.isnan, values)):
         return math.nan
     return max(values, default=0.0)
 
@@ -113,10 +113,25 @@ class VerificationReport:
         return self.max_residual <= self.tolerance and all(self.exact_checks.values())
 
 
-def _offdiagonals(ratio: FrequencyRatio, numerators: Sequence[int]) -> np.ndarray:
-    """sqrt(Phi(1)), ..., sqrt(Phi(N)), each the root of a correctly rounded P_k / D."""
-    denominator = _phi_denominator(ratio)
-    return np.array([math.sqrt(v / denominator) for v in numerators[1:-1]])
+def _offdiagonals(record: StructureFunction) -> np.ndarray:
+    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of `record`, each the root of a correctly rounded
+    P_k / D; any record with a `label`, a `ratio` and `numerators` serves.  A Phi(k) beyond
+    float range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal
+    exponent, read from the bit lengths of P_k and D."""
+    denominator, numerators = _phi_denominator(record.ratio), record.numerators
+    try:
+        return np.array([math.sqrt(v / denominator) for v in numerators[1:-1]])
+    except OverflowError:
+        for k, value in enumerate(numerators):
+            try:
+                value / denominator
+            except OverflowError:
+                break
+        exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
+        raise ArithmeticError(
+            f"Phi({k}) of {record.label} of the {record.ratio} oscillator is about 1e{exponent}, "
+            f"beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
+        ) from None
 
 
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
@@ -162,7 +177,7 @@ def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
         dim = f.label.N + 1
         # float(u + k), with the sum taken on u's numerator
         s0[i, :dim] = [(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
-        s_plus[i, :dim - 1] = _offdiagonals(ratio, f.numerators)
+        s_plus[i, :dim - 1] = _offdiagonals(f)
         h[i, :dim] = float(f.energy)
         irreps.append(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1], h[i, :dim],
                                     f.numerators, f.u, f.energy))

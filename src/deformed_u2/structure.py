@@ -318,14 +318,13 @@ class ParafermionicForm:
         return all(v > 0 for v in self.values)
 
 
-def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
-    """Split off the x (N+1-x) prefactor of a 1:n structure function.
+def _cofactor_forms(sf: StructureFunction) -> list[tuple[int, int]]:
+    """The int forms left in a 1:n irrep's factor table once x and N+1-x are split off.
 
-    The parafermionic reading of the algebra is established for frequency
-    ratios 1:n only, so any other ratio is rejected rather than silently
-    factored.  Scaled by 4n, x and N+1-x are the forms (4n, 0) and
-    (-4n, 4n(N+1)) in the irrep's factor table `_scaled_factors`; both are
-    removed, and P is the product of the forms left (none for 1:1, so P = 1).
+    Scaled by 4n, x and N+1-x are the forms (4n, 0) and (-4n, 4n(N+1)) of
+    `_scaled_factors`; the forms left multiply to (4n)^(n-1) P(x) (none for 1:1,
+    so P = 1).  The parafermionic reading holds for ratios 1:n only, so any other
+    ratio, and a table without both forms, raise NotDivisibleError.
     """
     if sf.ratio.m != 1:
         raise NotDivisibleError(
@@ -339,9 +338,15 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
                 f"x (N+1-x) does not divide the structure function of {sf.label}"
             )
         forms.remove(form)
-    denominator = scale ** len(forms)
+    return forms
+
+
+def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
+    """Split off the x (N+1-x) prefactor of a 1:n structure function (`_cofactor_forms`)."""
+    forms = _cofactor_forms(sf)
+    denominator = (4 * sf.ratio.n) ** len(forms)
     terms = _expand(forms, 1)
     coefficients = tuple(Fraction(terms.get((k,), 0), denominator) for k in range(len(forms) + 1))
     values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
-                   for x in range(1, root))
+                   for x in range(1, sf.label.N + 1))
     return ParafermionicForm(coefficients, values)

@@ -31,7 +31,7 @@ from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
 from .structure import CommutatorPolynomial, StructureFunction, commutator_polynomial
-from .structure import parafermionic_decompose
+from .structure import _cofactor_forms
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
@@ -103,6 +103,12 @@ class SuiteReport:
         return all(self.passes(key, value) for key, value in self.residuals.items())
 
 
+def _cofactor_positive(function: StructureFunction) -> bool:
+    """`parafermionic_decompose(function).positive`: each P(1..N) > 0, read in ints."""
+    forms = _cofactor_forms(function)
+    return all(math.prod(a * x + b for a, b in forms) > 0 for x in range(1, function.label.N + 1))
+
+
 def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL) -> SuiteReport:
     """Run every identity check on every irrep (N, p, q) with N <= n_max.
 
@@ -155,7 +161,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         failures = {"exact_check_failures": algebra.failures + oracle.failures,
                     "eigen_certificate_failures": flags.count(False)}
         if ratio.m == 1:
-            failures["parafermionic_failures"] = int(not parafermionic_decompose(function).positive)
+            failures["parafermionic_failures"] = int(not _cofactor_positive(function))
         irreps.append(IrrepReport(function.label, function.energy, residual, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,

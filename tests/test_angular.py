@@ -327,9 +327,9 @@ class TestEigenvectors:
         calls = Counter()
         offdiagonals = angular._offdiagonals
 
-        def counting_offdiagonals(ratio, numerators):
-            calls[ratio, numerators] += 1
-            return offdiagonals(ratio, numerators)
+        def counting_offdiagonals(record):
+            calls[record.ratio, record.numerators] += 1
+            return offdiagonals(record)
 
         monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
         label, ratio = IrrepLabel(6, 2, 3), FrequencyRatio(2, 3)
@@ -396,7 +396,7 @@ class TestEigenvectors:
         functions = [StructureFunction(label, ratio) for label in labels]
         for i in (3, 9):
             functions[i].__dict__["numerators"] = (0, 0, 0, 0)
-        offdiag = np.array([angular._offdiagonals(ratio, f.numerators) for f in functions])
+        offdiag = np.array([angular._offdiagonals(f) for f in functions])
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
             angular._eigensolve(functions, offdiag)
 

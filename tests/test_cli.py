@@ -343,6 +343,20 @@ class TestVerify:
         assert len(builds) == 1
 
 
+@pytest.mark.parametrize("args, label", [
+    pytest.param(["irrep", "--N", "20"], "(N=20, p=1, q=1)", id="irrep"),
+    pytest.param(["angular", "--N", "20"], "(N=20, p=1, q=1)", id="angular"),
+    # the sweep stops at the first irrep, in build order, whose Phi leaves float range
+    pytest.param(["verify", "--N-max", "20"], "(N=11, p=1, q=48)", id="verify"),
+])
+def test_phi_beyond_float_range_exits_2_with_label(runner, args, label):
+    result = runner.invoke(main, [args[0], "--ratio", "1:300", *args[1:]])
+    assert result.exit_code == 2
+    assert f"Phi(1) of {label} of the 1:300 oscillator is about 1e" in result.stderr
+    assert "beyond float range" in result.stderr
+    assert "Traceback" not in result.output
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("case", PINNED["spectrum"], ids=lambda c: " ".join(c["args"]))
     def test_spectrum(self, runner, case):

@@ -19,6 +19,7 @@ from deformed_u2 import (
     energy_of_cartesian,
     energy_of_irrep,
     enumerate_levels,
+    irrep_members,
     irrep_to_cartesian,
 )
 
@@ -155,6 +156,27 @@ class TestBasisMaps:
         state = CartesianState(n_x, n_y)
         irrep = cartesian_to_irrep(state, ratio)
         assert energy_of_irrep(irrep.label, ratio) == energy_of_cartesian(state, ratio)
+
+    def test_members_equal_the_irrep_state_route(self):
+        for m, n in coprime_pairs(5):
+            ratio = FrequencyRatio(m, n)
+            for label in (IrrepLabel(big_n, p, q) for big_n in range(11)
+                          for p in range(1, m + 1) for q in range(1, n + 1)):
+                assert irrep_members(label, ratio) == tuple(
+                    irrep_to_cartesian(IrrepState(label, k), ratio) for k in range(label.N + 1)
+                ), (label, ratio)
+        with pytest.raises(ValueError, match="not valid for ratio 2:3"):
+            irrep_members(IrrepLabel(1, 3, 1), FrequencyRatio(2, 3))
+
+    def test_members_step_by_the_splus_action(self):
+        # S+ = (a+)^m b^n takes member k to member k + 1, the oracle's order
+        for m, n in coprime_pairs(5):
+            ratio = FrequencyRatio(m, n)
+            for label in (IrrepLabel(big_n, p, q) for big_n in range(11)
+                          for p in range(1, m + 1) for q in range(1, n + 1)):
+                members = irrep_members(label, ratio)
+                assert all((a.n_x + m, a.n_y - n) == (b.n_x, b.n_y)
+                           for a, b in zip(members, members[1:])), (label, ratio)
 
     def test_label_to_energy_injective(self):
         for m, n in coprime_pairs(6):

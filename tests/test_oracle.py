@@ -5,6 +5,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformed_u2 import (
     CartesianState,
@@ -234,3 +236,45 @@ class TestMutations:
         assert not _within_one_ulp(math.sqrt(2.0), 3, 1)
         for value in (math.nan, math.inf, -math.inf):
             assert not _within_one_ulp(value, 1, 1)
+
+
+def within_one_ulp_over_ratios(s, num, den):
+    """The 1-ulp test over the common denominator of s and ulp(s), from `as_integer_ratio`."""
+    if not math.isfinite(s):
+        return False
+    (s_num, s_den), (u_num, u_den) = s.as_integer_ratio(), math.ulp(s).as_integer_ratio()
+    d = max(s_den, u_den)
+    s_d, ulp_d = s_num * (d // s_den), u_num * (d // u_den)
+    return (s_d - ulp_d) ** 2 * den < num * d * d < (s_d + ulp_d) ** 2 * den
+
+
+SMALLEST_NORMAL = 2.0**-1022
+ULP_ARGUMENTS = st.one_of(
+    st.floats(min_value=SMALLEST_NORMAL, allow_infinity=False),  # positive normals
+    st.floats(min_value=0.0, max_value=SMALLEST_NORMAL, exclude_max=True),  # 0 and subnormals
+    st.floats(min_value=2.0**53, allow_infinity=False),
+    st.floats(),  # negative values, NaN and inf among them
+)
+
+
+class TestOneUlpKernel:
+    @settings(deadline=None)
+    @given(s=ULP_ARGUMENTS, den=st.integers(1, 2**80), shift=st.integers(-3, 3))
+    def test_equals_the_ratio_form_near_the_square(self, s, den, shift):
+        # num / den within a few 1/den of s^2, so both outcomes occur
+        num = math.floor(Fraction(s) ** 2 * den) + shift if math.isfinite(s) else 1
+        assert _within_one_ulp(s, num, den) == within_one_ulp_over_ratios(s, num, den)
+
+    @settings(deadline=None)
+    @given(s=ULP_ARGUMENTS, side=st.sampled_from([-1, 1]), scale=st.integers(1, 2**40),
+           shift=st.integers(-1, 1))
+    def test_equals_the_ratio_form_at_the_interval_ends(self, s, side, scale, shift):
+        # num / den at exactly (s -+ ulp)^2, the open ends, and one 1/den either side
+        if math.isfinite(s):
+            end = (Fraction(s) + side * Fraction(math.ulp(s))) ** 2
+            num, den = end.numerator * scale + shift, end.denominator * scale
+        else:
+            num, den = shift, scale
+        assert _within_one_ulp(s, num, den) == within_one_ulp_over_ratios(s, num, den)
+        if math.isfinite(s) and s > 0 and shift == 0:
+            assert not _within_one_ulp(s, num, den)

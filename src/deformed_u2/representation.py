@@ -10,10 +10,11 @@ each one band, and S+/S- carry the only irrational entries.  Three bands are
 stored, in floating point: S0's, H's and S+'s, which S- reads as its
 transpose.  Every identity that is rational after squaring (the Phi values,
 the ladder-product diagonals, the commutator polynomial through Phi
-differences) is additionally verified in exact rational arithmetic, and the
-remaining identities are checked, on the bands and bit for bit as on the dense
-matrices, as max-norm matrix residuals normalized by max(1, ||target||_inf), so
-a residual near machine epsilon means "holds to working precision" at any size.
+differences, proved once per sweep for the irreps the oracle passed) is
+additionally verified in exact rational arithmetic, and the remaining
+identities are checked, on the bands and bit for bit as on the dense matrices,
+as max-norm matrix residuals normalized by max(1, ||target||_inf), so a
+residual near machine epsilon means "holds to working precision" at any size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import StructureFunction, _phi_denominator, commutator_polynomial
+from .structure import StructureFunction, _ladder_identity, _phi_denominator, commutator_polynomial
 
 __all__ = [
     "IrrepMatrices",
@@ -243,23 +244,29 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     return _algebra_reports(IrrepStack.of(rep), tolerance)[0]
 
 
-def _algebra_reports(stack: IrrepStack, tolerance: float) -> tuple[VerificationReport, ...]:
-    """`verify_algebra` on every irrep of `stack`."""
+def _algebra_reports(stack: IrrepStack, tolerance: float,
+                     proven: Sequence[bool] = ()) -> tuple[VerificationReport, ...]:
+    """`verify_algebra` on every irrep of `stack`.  Irrep i holds the ladder identity, with the
+    P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k are the Fock
+    ones) and the commutator read here is the Fock one (`_ladder_identity`); others run Horner."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
+    identity = any(proven) and polynomial.ratio == stack.ratio and _ladder_identity(polynomial)
     width = stack.s0_band.shape[-1]
     ladder_targets, exact_checks = [], []
-    for rep in stack.irreps:
+    for i, rep in enumerate(stack.irreps):
         # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
         # phi[k] / phi_den, each over one denominator, in plain ints
-        dim = rep.label.N + 1
-        ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
-        phi = rep.numerators
+        dim, phi, known = rep.label.N + 1, rep.numerators, identity and proven[i]
+        if known:
+            ladder, ladder_den = [phi[k + 1] - phi[k] for k in range(dim)], phi_den
+        else:
+            ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
         ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
         exact_checks.append({
             "phi_boundary": phi[0] == 0 and phi[-1] == 0,
             "phi_positive": all(v > 0 for v in phi[1:-1]),
-            "ladder_difference": all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
-                                     for k in range(dim)),
+            "ladder_difference": known or all((phi[k + 1] - phi[k]) * ladder_den
+                                              == ladder[k] * phi_den for k in range(dim)),
         })
     # S-'s band is S+'s; [H, S-] is -[H, S+] entry for entry, so |[H, S+]| covers both
     s0, sp, h = stack.s0_band, stack.s_plus_band, stack.h_band

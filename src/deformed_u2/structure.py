@@ -71,25 +71,24 @@ def _ladder_factors(ratio: FrequencyRatio) -> tuple[tuple[int, int], ...]:
             *((-1, (2 * l - 1) * 2 * m) for l in range(1, n + 1)))
 
 
-def _expand(forms: Iterable[tuple[int, ...]], variables: int) -> dict[tuple[int, ...], int]:
-    """Multiply out integer linear forms (a_1, ..., a_v, c) = a_1 x_1 + ... + a_v x_v + c.
+def _expand(forms: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+    """Multiply out integer linear forms (a, b, c) = a x + b y + c.
 
-    The product (1 if there are no forms) comes back as a dict from exponent
-    tuples (e_1, ..., e_v), v = `variables`, to its nonzero int coefficients.
-    Callers scale each form by a common denominator (4mn for the factors of
-    F) so the loop runs in plain ints, and divide once when they build the
+    The product (1 if there are no forms) comes back dense: after k forms,
+    row i lists the int coefficients of x^i y^j for j = 0..k-i.  Callers
+    scale each form by a common denominator (4mn for the factors of F) so
+    the loop runs in plain ints, and divide once when they build the
     `Fraction` of a returned coefficient.
     """
-    terms: dict[tuple[int, ...], int] = {(0,) * variables: 1}
-    for *slopes, constant in forms:
-        product: dict[tuple[int, ...], int] = defaultdict(int)
-        for exponents, coeff in terms.items():
-            product[exponents] += constant * coeff
-            for i, slope in enumerate(slopes):
-                raised = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1 :]
-                product[raised] += slope * coeff
-        terms = product
-    return {exponents: coeff for exponents, coeff in terms.items() if coeff}
+    rows = [[1]]
+    for a, b, c in forms:
+        above, product = [0] * (len(rows[0]) + 1), []  # above: row i-1 of the old product
+        for row in rows:
+            product.append([c * v + b * w + a * z for v, w, z in zip(row + [0], [0] + row, above)])
+            above = row
+        product.append([a * above[0]])
+        rows = product
+    return rows
 
 
 def _phi_denominator(ratio: FrequencyRatio) -> int:
@@ -292,14 +291,35 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
     scale = 4 * ratio.m * ratio.n
     half = scale // 2
     factors = _ladder_factors(ratio)
-    diff = _expand(((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors), 2)
-    at_s0 = _expand(((half, sigma * scale, offset) for sigma, offset in factors), 2)
-    for exponents, coeff in at_s0.items():
-        diff[exponents] = diff.get(exponents, 0) - coeff
+    shifted = _expand((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors)
+    at_s0 = _expand((half, sigma * scale, offset) for sigma, offset in factors)
+    diff = [(i, j, a - b) for i, (up, down) in enumerate(zip(shifted, at_s0))
+            for j, (a, b) in enumerate(zip(up, down)) if a != b]
     denominator = scale ** len(factors)
-    common = gcd(denominator, *diff.values())
-    numerators = sorted(((i, j, c // common) for (i, j), c in diff.items() if c), reverse=True)
+    common = gcd(denominator, *(c for _, _, c in diff))
+    numerators = sorted(((i, j, c // common) for i, j, c in diff), reverse=True)
     return CommutatorPolynomial(ratio, tuple(numerators), denominator // common)
+
+
+def _ladder_identity(polynomial: CommutatorPolynomial) -> bool:
+    """Whether `polynomial` is [S-, S+] = (raise - lower weight) / D of the Fock realization.
+
+    With n_x = mU - 1/2, n_y = nW - 1/2, U = H/2 + S0 and W = H/2 - S0, twice each factor of
+    (n_x+1)...(n_x+m) n_y...(n_y-n+1) and n_x...(n_x-m+1) (n_y+1)...(n_y+n) is a form
+    a H + b S0 + c; only m and n are read, not `_ladder_factors`, an independent check of F.
+    """
+    m, n = polynomial.ratio.m, polynomial.ratio.n
+    raised = _expand([*((m, 2 * m, 2 * j - 1) for j in range(1, m + 1)),
+                      *((n, -2 * n, -1 - 2 * l) for l in range(n))])
+    lowered = _expand([*((m, 2 * m, -1 - 2 * j) for j in range(m)),
+                       *((n, -2 * n, 2 * l - 1) for l in range(1, n + 1))])
+    scale, claimed = 2 ** (m + n) * _phi_denominator(polynomial.ratio), defaultdict(int)
+    for i, j, a in polynomial.numerators:
+        claimed[i, j] += scale * a
+    proven = {(i, j): (a - b) * polynomial.denominator
+              for i, (up, down) in enumerate(zip(raised, lowered))
+              for j, (a, b) in enumerate(zip(up, down)) if a != b}
+    return proven == {key: value for key, value in claimed.items() if value}
 
 
 @dataclass(frozen=True)
@@ -345,8 +365,7 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
     """Split off the x (N+1-x) prefactor of a 1:n structure function (`_cofactor_forms`)."""
     forms = _cofactor_forms(sf)
     denominator = (4 * sf.ratio.n) ** len(forms)
-    terms = _expand(forms, 1)
-    coefficients = tuple(Fraction(terms.get((k,), 0), denominator) for k in range(len(forms) + 1))
+    coefficients = tuple(Fraction(c, denominator) for c in _expand((0, a, b) for a, b in forms)[0])
     values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
                    for x in range(1, sf.label.N + 1))
     return ParafermionicForm(coefficients, values)

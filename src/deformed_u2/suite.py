@@ -3,8 +3,10 @@
 The suite builds each irrep's record, its `StructureFunction`, once and stacks
 the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`.  The
 algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
-run once on it, by the kernels the one-irrep functions run.  The eigensolves and
-the Gram matrix need one shape, so they run once per N, on the stack's S+ band.
+run once on it, by the kernels the one-irrep functions run; the oracle runs
+first, and each irrep it passes takes its ladder identity from one proof of the
+commutator per sweep.  The eigensolves and the Gram matrix need one shape, so
+they run once per N, on the stack's S+ band.
 The Sturm certificate runs once per sweep, after the last eigensolve: one
 float-interval pass of `certify_eigenvalues`' kernel counts every point of every
 irrep, and the points it cannot decide are counted exactly.  The sweep keeps
@@ -128,8 +130,8 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio) for big_n in range(n_max + 1)
                  for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
     stack = _build_stack(functions)
-    algebras = _algebra_reports(stack, tolerance)
     oracles = _oracle_reports(stack)
+    algebras = _algebra_reports(stack, tolerance, [oracle.passed for oracle in oracles])
     w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
 
     residuals, eigenvalues = [], []

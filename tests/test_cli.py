@@ -279,8 +279,8 @@ class TestVerify:
     def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
         verify = suite._algebra_reports
 
-        def nan_for_one_irrep(stack, tolerance):
-            reports = list(verify(stack, tolerance))
+        def nan_for_one_irrep(stack, tolerance, proven=()):
+            reports = list(verify(stack, tolerance, proven))
             for i, rep in enumerate(stack.irreps):
                 if rep.label == IrrepLabel(1, 1, 1):
                     report = reports[i]

@@ -26,7 +26,7 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-from deformed_u2.structure import _ladder_factors, _phi_denominator
+from deformed_u2.structure import _expand, _ladder_factors, _ladder_identity, _phi_denominator
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -270,6 +270,32 @@ class TestCommutatorPolynomial:
                 u = sf.u
                 for k in range(label.N + 1):
                     assert sf(k + 1) - sf(k) == poly(energy, u + k)
+
+    def test_ladder_identity_holds_and_fails_one_coefficient_off(self):
+        for m, n in coprime_pairs(8):
+            poly = commutator_polynomial(FrequencyRatio(m, n))
+            assert _ladder_identity(poly), (m, n)
+            for t in (0, len(poly.numerators) - 1):
+                i, j, a = poly.numerators[t]
+                for off in (a - 1, a + 1):
+                    numerators = poly.numerators[:t] + ((i, j, off),) + poly.numerators[t + 1:]
+                    mutant = CommutatorPolynomial(poly.ratio, numerators, poly.denominator)
+                    assert not _ladder_identity(mutant), (m, n, t, off)
+            extra = poly.numerators + ((m + n + 1, 0, 1),)
+            assert not _ladder_identity(CommutatorPolynomial(poly.ratio, extra, poly.denominator))
+            assert not _ladder_identity(
+                CommutatorPolynomial(poly.ratio, poly.numerators, 2 * poly.denominator))
+
+    def test_w32_relation_is_exact(self):
+        # (4/3) [S-, S+] = H_W^2 + C_W on 1:2, with H_W = -2 S0 + H/3 and
+        # C_W = -(4/9) H^2 + 1/4; times 36, the right side is (2H - 12 S0)^2 - 16 H^2 + 9
+        poly = commutator_polynomial(FrequencyRatio(1, 2))
+        rows = _expand([(2, -12, 0), (2, -12, 0)])
+        rows[2][0] -= 16
+        rows[0][0] += 9
+        right = {(i, j): c * poly.denominator
+                 for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+        assert {(i, j): 48 * a for i, j, a in poly.numerators} == right
 
 
 class TestParafermionicDecompose:

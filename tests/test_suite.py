@@ -21,6 +21,7 @@ from deformed_u2 import (
     w32_check,
 )
 from deformed_u2.exceptions import NotDivisibleError
+from deformed_u2.structure import CommutatorPolynomial
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, _cofactor_positive, run_suite
 
 
@@ -137,8 +138,8 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
     verify = suite._algebra_reports
     poisoned = IrrepLabel(1, 1, 1)
 
-    def nan_for_one_irrep(stack, tolerance):
-        reports = list(verify(stack, tolerance))
+    def nan_for_one_irrep(stack, tolerance, proven=()):
+        reports = list(verify(stack, tolerance, proven))
         for i, rep in enumerate(stack.irreps):
             if rep.label == poisoned:
                 report = reports[i]
@@ -157,6 +158,71 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
     for irrep in report.irreps:
         assert math.isnan(irrep.residuals["commutator_h"]) == (irrep.label == poisoned)
         assert math.isnan(irrep.max_residual) == (irrep.label == poisoned)
+
+
+def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
+    """Give `poisoned`'s record P_1 + 1, u + 1 or E + 1, or the commutator a first coefficient
+    one off."""
+    if mutant == "coefficient":
+        commutator = representation.commutator_polynomial
+
+        def coefficient_off(ratio):
+            poly = commutator(ratio)
+            (i, j, a), *rest = poly.numerators
+            return dataclasses.replace(poly, numerators=((i, j, a + 1), *rest))
+
+        monkeypatch.setattr(representation, "commutator_polynomial", coefficient_off)
+        return
+    field, change = {
+        "p_k": ("numerators", lambda phi: (phi[0], phi[1] + 1, *phi[2:])),
+        "u": ("u", lambda u: u + 1),
+        "energy": ("energy", lambda energy: energy + 1),
+    }[mutant]
+    build = suite._build_stack
+
+    def record_off(functions):
+        stack = build(functions)
+        return dataclasses.replace(stack, irreps=tuple(
+            dataclasses.replace(rep, **{field: change(getattr(rep, field))})
+            if rep.label == poisoned else rep for rep in stack.irreps))
+
+    monkeypatch.setattr(suite, "_build_stack", record_off)
+
+
+@pytest.mark.parametrize("mutant", ["p_k", "u", "energy", "coefficient"])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
+def test_mutants_fail_the_checks_the_horner_route_fails(monkeypatch, mutant, m, n):
+    # on 1:1 the commutator -2 S0 has no H, so E + 1 leaves the ladder identity holding
+    ratio = FrequencyRatio(m, n)
+    apply_mutant(monkeypatch, mutant)
+    report = run_suite(ratio, 3)
+    algebra = suite._algebra_reports
+    monkeypatch.setattr(suite, "_algebra_reports",
+                        lambda stack, tolerance, proven=(): algebra(stack, tolerance))
+    horner = run_suite(ratio, 3)
+    counts = [irrep.failures["exact_check_failures"] for irrep in report.irreps]
+    assert counts == [irrep.failures["exact_check_failures"] for irrep in horner.irreps]
+    assert sum(counts) > 0
+    assert [irrep.residuals for irrep in report.irreps] == [irrep.residuals
+                                                             for irrep in horner.irreps]
+
+
+def test_a_passing_sweep_evaluates_no_commutator(monkeypatch):
+    calls = Counter()
+    scaled_values = CommutatorPolynomial._scaled_values
+
+    def counting(self, *args):
+        calls[self.ratio] += 1
+        return scaled_values(self, *args)
+
+    monkeypatch.setattr(CommutatorPolynomial, "_scaled_values", counting)
+    for m, n, n_max in ((1, 1, 4), (1, 2, 4), (2, 3, 3), (3, 5, 2)):
+        assert run_suite(FrequencyRatio(m, n), n_max).passed
+    assert calls == Counter()
+    # one irrep has no oracle verdict to read, so it keeps the Horner route
+    ratio = FrequencyRatio(1, 2)
+    assert verify_algebra(build_irrep(IrrepLabel(2, 1, 1), ratio)).passed
+    assert calls == Counter({ratio: 1})
 
 
 def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):

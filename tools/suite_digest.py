@@ -24,17 +24,24 @@ covers many padding widths.  4:7 at N <= 20 and 3:5 at N <= 40 fail (float
 residuals past the tolerances), so failing sweeps are covered too.  Last come
 3:5 at N <= 12, 2:7 at N <= 10 and 4:7 at N <= 8 at the tolerance 1e-13, where
 the certificate's interval counts leave 100-250 points of each sweep to the
-exact counter, and dozens of values fail their certificate.
+exact counter, and dozens of values fail their certificate.  Then 1:1, 1:2
+and 2:3 at N <= 3 run under each of four mutants: irrep (2, 1, 1) carries
+P_1 + 1, u + 1 or E + 1 (through `suite._build_stack`), or the commutator has
+its first coefficient one off (through `representation.commutator_polynomial`),
+so the exact checks that fail, and the routes that decide them, are covered.
 Nothing is written to disk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import sys
 from itertools import product
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 ONE_IRREP_SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m, n) == 1]
 SWEEPS = ONE_IRREP_SWEEPS + [
@@ -44,6 +51,9 @@ SWEEPS = ONE_IRREP_SWEEPS + [
 # run at TIGHT_TOL, where many certificate points fall back to exact counts
 TIGHT_SWEEPS = [(3, 5, 12), (2, 7, 10), (4, 7, 8)]
 TIGHT_TOL = 1e-13
+# run under each mutant, which alters MUTANT_LABEL's record or the commutator
+MUTANT_SWEEPS = [(1, 1, 3), (1, 2, 3), (2, 3, 3)]
+MUTANT_LABEL = (2, 1, 1)
 
 
 def main() -> None:
@@ -53,18 +63,42 @@ def main() -> None:
     sys.path.insert(0, str(src))
     import deformed_u2
     from deformed_u2 import FrequencyRatio, IrrepLabel, build_irrep
-    from deformed_u2 import oracle_compare, verify_algebra, w32_check
+    from deformed_u2 import oracle_compare, representation, suite, verify_algebra, w32_check
     from deformed_u2.suite import run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
+    build, commutator = suite._build_stack, representation.commutator_polynomial
+
+    def record_off(field, change):
+        def mutated(functions):
+            stack = build(functions)
+            return dataclasses.replace(stack, irreps=tuple(
+                dataclasses.replace(rep, **{field: change(getattr(rep, field))})
+                if rep.label == IrrepLabel(*MUTANT_LABEL) else rep for rep in stack.irreps))
+        return suite, "_build_stack", mutated
+
+    def coefficient_off(ratio):
+        poly = commutator(ratio)
+        (i, j, a), *rest = poly.numerators
+        return dataclasses.replace(poly, numerators=((i, j, a + 1), *rest))
+
+    mutants = [
+        record_off("numerators", lambda phi: (phi[0], phi[1] + 1, *phi[2:])),
+        record_off("u", lambda u: u + 1),
+        record_off("energy", lambda energy: energy + 1),
+        (representation, "commutator_polynomial", coefficient_off),
+    ]
+
     digest = hashlib.sha256()
     irreps = 0
-    runs = [(sweep, {}) for sweep in SWEEPS]
-    runs += [(sweep, {"tolerance": TIGHT_TOL}) for sweep in TIGHT_SWEEPS]
-    for (m, n, n_max), options in runs:
-        report = run_suite(FrequencyRatio(m, n), n_max, **options)
+    runs = [(sweep, {}, None) for sweep in SWEEPS]
+    runs += [(sweep, {"tolerance": TIGHT_TOL}, None) for sweep in TIGHT_SWEEPS]
+    runs += [(sweep, {}, mutant) for mutant in mutants for sweep in MUTANT_SWEEPS]
+    for (m, n, n_max), options, mutant in runs:
+        with mock.patch.object(*mutant) if mutant else contextlib.nullcontext():
+            report = run_suite(FrequencyRatio(m, n), n_max, **options)
         for irrep in report.irreps:
             residuals = [(key, value.hex()) for key, value in irrep.residuals.items()]
             for part in (irrep.label, str(irrep.energy), residuals, irrep.failures):

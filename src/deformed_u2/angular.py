@@ -151,11 +151,13 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
 def _eigensolve(functions: Sequence[StructureFunction],
                 offdiag: np.ndarray) -> tuple[AngularSpectrum, ...]:
     """`angular_eigenvalues` on the irreps of the records `functions`, all of one N and one
-    ratio, as one stacked eigensolve of the rows sqrt(Phi(1..N)) of `offdiag`."""
+    ratio, as one stacked eigensolve of the rows sqrt(Phi(1..N)) of `offdiag`.  `eigh` reads
+    only T's lower band (`UPLO="L"`); its error scales with ||T||, so the separation margin,
+    1e-12 max|l| per irrep, is relative at every scale."""
     ratio, big_n = functions[0].ratio, functions[0].label.N
-    eigs, w = np.linalg.eigh(_diag(offdiag, 1) + _diag(offdiag, -1))
+    eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
-    margin = 1e-12 * np.fmax(1.0, np.max(np.abs(eigs), axis=-1))
+    margin = 1e-12 * np.max(np.abs(eigs), axis=-1)
     unseparated = np.any(np.diff(eigs, axis=-1) <= margin[:, None], axis=-1)
     signs = np.sign(w[..., 0, :])
     for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
@@ -315,8 +317,8 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     A point whose intervals all exclude 0 and have finite bounds has no zero
     G_k, and its count is the exact sign-change count.  Every other point is
     counted by `_sturm_counter` at the exact dyadic point (`_dyadic`).  The
-    points are sorted by N, largest first, so step k runs on the prefix of
-    points whose irrep has N >= k, gathering each one's Phi(k).
+    points are sorted stably by N, largest first, so step k runs on the prefix
+    of points whose irrep has N >= k, gathering each one's Phi(k).
     """
     counts = np.zeros(len(irreps), dtype=np.int64)
     if not len(irreps):
@@ -324,8 +326,7 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     sizes = np.array([record.label.N for record in records])
     phi, usable = _phi_intervals(records, sizes)
     big_n = sizes[irreps]
-    key = big_n.tolist()  # sorted in Python: numpy's sorts page in code verify never runs
-    order = np.array(sorted(range(len(key)), key=key.__getitem__, reverse=True), dtype=np.intp)
+    order = np.argsort(-big_n, kind="stable")
     rows = irreps[order]
     # active[k - 1] points have N >= k, the ones that take step k
     active = np.cumsum(np.bincount(big_n, minlength=len(phi) + 1)[::-1])[::-1][1:]

@@ -338,8 +338,8 @@ class ParafermionicForm:
         return all(v > 0 for v in self.values)
 
 
-def _cofactor_forms(sf: StructureFunction) -> list[tuple[int, int]]:
-    """The int forms left in a 1:n irrep's factor table once x and N+1-x are split off.
+def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
+    """Split off the x (N+1-x) prefactor of a 1:n structure function.
 
     Scaled by 4n, x and N+1-x are the forms (4n, 0) and (-4n, 4n(N+1)) of
     `_scaled_factors`; the forms left multiply to (4n)^(n-1) P(x) (none for 1:1,
@@ -358,13 +358,7 @@ def _cofactor_forms(sf: StructureFunction) -> list[tuple[int, int]]:
                 f"x (N+1-x) does not divide the structure function of {sf.label}"
             )
         forms.remove(form)
-    return forms
-
-
-def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
-    """Split off the x (N+1-x) prefactor of a 1:n structure function (`_cofactor_forms`)."""
-    forms = _cofactor_forms(sf)
-    denominator = (4 * sf.ratio.n) ** len(forms)
+    denominator = scale ** len(forms)
     coefficients = tuple(Fraction(c, denominator) for c in _expand((0, a, b) for a, b in forms)[0])
     values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
                    for x in range(1, sf.label.N + 1))

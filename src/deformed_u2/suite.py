@@ -33,7 +33,7 @@ from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
 from .structure import CommutatorPolynomial, StructureFunction, commutator_polynomial
-from .structure import _cofactor_forms
+from .structure import parafermionic_decompose
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
@@ -105,12 +105,6 @@ class SuiteReport:
         return all(self.passes(key, value) for key, value in self.residuals.items())
 
 
-def _cofactor_positive(function: StructureFunction) -> bool:
-    """`parafermionic_decompose(function).positive`: each P(1..N) > 0, read in ints."""
-    forms = _cofactor_forms(function)
-    return all(math.prod(a * x + b for a, b in forms) > 0 for x in range(1, function.label.N + 1))
-
-
 def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL) -> SuiteReport:
     """Run every identity check on every irrep (N, p, q) with N <= n_max.
 
@@ -139,7 +133,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
         offdiag = stack.s_plus_band[rows, :big_n]
         spectra = _eigensolve(functions[rows], offdiag)
-        dense = np.sort(np.linalg.eigvalsh(build_l0(offdiag)), axis=-1)
+        dense = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy returns it
         values = np.array([spec.eigenvalues for spec in spectra])
         agreement = np.max(np.abs(values - dense), axis=-1).tolist()
         amplitudes = _phased(np.stack([spec.components for spec in spectra]))
@@ -163,7 +157,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         failures = {"exact_check_failures": algebra.failures + oracle.failures,
                     "eigen_certificate_failures": flags.count(False)}
         if ratio.m == 1:
-            failures["parafermionic_failures"] = int(not _cofactor_positive(function))
+            failures["parafermionic_failures"] = int(not parafermionic_decompose(function).positive)
         irreps.append(IrrepReport(function.label, function.energy, residual, failures))
 
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,

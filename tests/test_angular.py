@@ -27,6 +27,7 @@ from deformed_u2 import (
 )
 from deformed_u2 import angular
 from deformed_u2.angular import _count_above, _p_value, _sturm_counter
+from deformed_u2.representation import _diag, _offdiagonals
 from deformed_u2.structure import _phi_denominator
 from deformed_u2.suite import EIGEN_TOL
 
@@ -400,6 +401,12 @@ class TestEigenvectors:
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
             angular._eigensolve(functions, offdiag)
 
+    def test_a_zero_band_is_not_separated(self):
+        # the margin is relative to max|l|, so T = 0 (both eigenvalues 0) is still refused
+        function = StructureFunction(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
+        with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=1, p=1, q=1\) not strictly"):
+            angular._eigensolve((function,), np.zeros((1, 1)))
+
     def test_underflowing_first_component_raises(self):
         # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them
         with pytest.raises(
@@ -726,6 +733,36 @@ class TestIntervalCounts:
         assert counts == [exact_count([spec, other][j], c, o) for j, c, o in points]
         assert [point for big_n, point in exact if big_n == spec.label.N][:6] == [
             Fraction(x) + Fraction(1, 4) for _, x, _ in points[:6]]
+
+
+def stacked_bands():
+    """The S+ band rows of every irrep of one N, for 1:1 N <= 8 and 3:5 N <= 6."""
+    for (m, n), n_top in (((1, 1), 8), ((3, 5), 6)):
+        ratio = FrequencyRatio(m, n)
+        for big_n in range(n_top + 1):
+            labels = [IrrepLabel(big_n, p, q) for p in range(1, m + 1) for q in range(1, n + 1)]
+            yield np.array([_offdiagonals(StructureFunction(label, ratio)) for label in labels])
+
+
+class TestNumpyFacts:
+    """What the eigen stage relies on numpy for, pinned on the bands it solves."""
+
+    def test_eigh_reads_only_the_lower_band(self):
+        for band in stacked_bands():
+            lower = np.linalg.eigh(_diag(band, -1))
+            full = np.linalg.eigh(_diag(band, 1) + _diag(band, -1))
+            assert np.array_equal(lower.eigenvalues, full.eigenvalues)
+            assert np.array_equal(lower.eigenvectors, full.eigenvectors)
+
+    def test_eigvalsh_is_ascending(self):
+        for band in stacked_bands():
+            assert np.all(np.diff(np.linalg.eigvalsh(build_l0(band)), axis=-1) >= 0)
+
+    @given(st.lists(st.integers(0, 4), max_size=40))
+    def test_stable_argsort_of_the_negation_is_the_descending_python_order(self, sizes):
+        # `_count_above` orders its points so, with ties in their order
+        order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+        assert np.argsort(-np.array(sizes, dtype=np.int64), kind="stable").tolist() == order
 
 
 class TestBuildL0:

@@ -357,6 +357,17 @@ def test_phi_beyond_float_range_exits_2_with_label(runner, args, label):
     assert "Traceback" not in result.output
 
 
+# the two eigenvalues of (N=1, p=1, q=1) are far below 1 here (+-4.1e-17 at 40:41), so
+# only a separation margin relative to their size tells them apart
+@pytest.mark.parametrize("args", [
+    pytest.param(["verify", "--ratio", "31:32", "--N-max", "1"], id="verify-31:32"),
+    pytest.param(["verify", "--ratio", "1:60", "--N-max", "1"], id="verify-1:60"),
+    pytest.param(["angular", "--ratio", "40:41", "--N", "1"], id="angular-40:41"),
+])
+def test_wide_ratios_separate_small_eigenvalues(runner, args):
+    assert invoke(runner, *args).exit_code == 0
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("case", PINNED["spectrum"], ids=lambda c: " ".join(c["args"]))
     def test_spectrum(self, runner, case):

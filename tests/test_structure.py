@@ -326,7 +326,8 @@ class TestParafermionicDecompose:
 
     def test_refuses_m_not_one(self):
         sf = StructureFunction(IrrepLabel(2, 1, 1), FrequencyRatio(2, 3))
-        with pytest.raises(NotDivisibleError):
+        with pytest.raises(NotDivisibleError, match=re.escape(
+                "parafermionic form applies to 1:n ratios only, got 2:3")):
             parafermionic_decompose(sf)
 
     # the rows of the 1:2 irrep (3, 1, 2)'s factor table that give x and
@@ -340,8 +341,39 @@ class TestParafermionicDecompose:
             (sigma, offset + 1) if (sigma, offset) == row else (sigma, offset)
             for sigma, offset in table
         )
-        with pytest.raises(NotDivisibleError, match=re.escape(str(sf.label))):
+        with pytest.raises(NotDivisibleError, match=re.escape(
+                "x (N+1-x) does not divide the structure function of (N=3, p=1, q=2)")):
             parafermionic_decompose(sf)
+
+    def test_splits_the_gamma_form_on_every_one_to_n_irrep(self):
+        # x (N+1-x) P(x) is Phi(x) of the Gamma form, which reads no factor table
+        for n in range(1, 8):
+            for label in all_labels(1, n, 12):
+                sf = StructureFunction(label, FrequencyRatio(1, n))
+                form = parafermionic_decompose(sf)
+                assert [x * (label.N + 1 - x) * value for x, value in enumerate(form.values, 1)] \
+                    == [sf.gamma_value(x) for x in range(1, label.N + 1)], label
+                assert form.positive, label
+
+    # the 1:3 irrep (6, 1, 2)'s cofactor P(x) = (20/3 - x)(22/3 - x) is read off the two rows
+    # of its factor table other than x and N+1-x; each case moves the offsets of those two rows
+    @pytest.mark.parametrize("offsets, positive", [
+        pytest.param((80, 88), True, id="unchanged"),
+        pytest.param((36, 36), False, id="zero-at-3-only"),
+        pytest.param((42, 88), False, id="negative-from-4"),
+        pytest.param((42, 42), True, id="two-negatives"),
+        pytest.param((0, 88), False, id="negative-everywhere"),
+    ])
+    def test_sign_of_a_mutated_table(self, offsets, positive):
+        sf = StructureFunction(IrrepLabel(6, 1, 2), FrequencyRatio(1, 3))
+        table = sf._scaled_factors
+        rest = [i for i, row in enumerate(table) if row not in ((1, 0), (-1, 4 * 3 * 7))]
+        assert [table[i] for i in rest] == [(-1, 80), (-1, 88)]
+        mutated = list(table)
+        for i, offset in zip(rest, offsets):
+            mutated[i] = (-1, offset)
+        sf.__dict__["_scaled_factors"] = tuple(mutated)
+        assert parafermionic_decompose(sf).positive == positive
 
     @settings(deadline=None)  # exact integer work grows with n and N; its timing is not tested
     @given(

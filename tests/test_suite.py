@@ -22,7 +22,7 @@ from deformed_u2 import (
 )
 from deformed_u2.exceptions import NotDivisibleError
 from deformed_u2.structure import CommutatorPolynomial
-from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, _cofactor_positive, run_suite
+from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 
 
 def labels_of(ratio, n_max):
@@ -91,47 +91,18 @@ def test_lists_each_irreps_members_once(monkeypatch):
     assert calls == Counter()
 
 
-def test_int_cofactor_sign_equals_the_fraction_route():
-    for n in range(1, 8):
-        ratio = FrequencyRatio(1, n)
-        for label in labels_of(ratio, 12):
-            sf = StructureFunction(label, ratio)
-            assert _cofactor_positive(sf) == parafermionic_decompose(sf).positive, label
-
-
-# the 1:3 irrep (6, 1, 2)'s cofactor P(x) = (20/3 - x)(22/3 - x) is read off the two rows of
-# its factor table other than x and N+1-x; each case moves the offsets of those two rows
-@pytest.mark.parametrize("offsets, positive", [
-    pytest.param((80, 88), True, id="unchanged"),
-    pytest.param((36, 36), False, id="zero-at-3-only"),
-    pytest.param((42, 88), False, id="negative-from-4"),
-    pytest.param((42, 42), True, id="two-negatives"),
-    pytest.param((0, 88), False, id="negative-everywhere"),
-])
-def test_int_cofactor_sign_equals_the_fraction_route_on_a_mutated_table(offsets, positive):
-    ratio, label = FrequencyRatio(1, 3), IrrepLabel(6, 1, 2)
-    sf = StructureFunction(label, ratio)
-    table = sf._scaled_factors
-    rest = [i for i, row in enumerate(table) if row not in ((1, 0), (-1, 4 * 3 * 7))]
-    assert [table[i] for i in rest] == [(-1, 80), (-1, 88)]
-    mutated = list(table)
-    for i, offset in zip(rest, offsets):
-        mutated[i] = (-1, offset)
-    sf.__dict__["_scaled_factors"] = tuple(mutated)
-    assert _cofactor_positive(sf) == parafermionic_decompose(sf).positive == positive
-
-
 def test_int_cofactor_raises_as_the_fraction_route():
+    # the suite reads each 1:n irrep's sign off parafermionic_decompose, so a table without
+    # the x factor, or a ratio that is not 1:n, raises there with the label or ratio named
     ratio = FrequencyRatio(1, 2)
     sf = StructureFunction(IrrepLabel(3, 1, 2), ratio)
     sf.__dict__["_scaled_factors"] = tuple((sigma, offset + 1) if offset == 0 else (sigma, offset)
                                             for sigma, offset in sf._scaled_factors)
-    for split in (parafermionic_decompose, _cofactor_positive):
-        with pytest.raises(NotDivisibleError, match=re.escape(f"divide the structure function "
-                                                              f"of {sf.label}")):
-            split(sf)
+    with pytest.raises(NotDivisibleError, match=re.escape(f"divide the structure function "
+                                                          f"of {sf.label}")):
+        parafermionic_decompose(sf)
     with pytest.raises(NotDivisibleError, match="1:n ratios only, got 2:3"):
-        _cofactor_positive(StructureFunction(IrrepLabel(1, 1, 1), FrequencyRatio(2, 3)))
+        parafermionic_decompose(StructureFunction(IrrepLabel(1, 1, 1), FrequencyRatio(2, 3)))
 
 
 def test_nan_residual_fails_only_its_irrep(monkeypatch):

@@ -5,7 +5,9 @@
 exports REF's `src` (default `HEAD`) with `git archive` into a temporary
 directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
-the four digest lines.  Exits 1 when either pair differs.  A change that
+the four digest lines, then, for REF and for the tree, the line count of
+`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`).  Exits 1 when
+either digest pair differs; the line counts are printed only.  A change that
 should keep every output bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
@@ -39,6 +41,11 @@ def digest(tool: str, src: Path) -> str:
     return run([sys.executable, str(ROOT / "tools" / tool), str(src)]).decode().strip()
 
 
+def src_lines(src: Path) -> int:
+    """The number of lines of the package's modules in `src`."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "deformed_u2").glob("*.py"))
+
+
 def main() -> None:
     if len(sys.argv) > 2:
         sys.exit("usage: python tools/identity.py [REF]")
@@ -53,6 +60,8 @@ def main() -> None:
             print(f"{tool} {ref}: {old}")
             print(f"{tool} tree: {new}")
             differs |= old != new
+        print(f"src lines {ref}: {src_lines(Path(tmp) / 'src')}")
+        print(f"src lines tree: {src_lines(ROOT / 'src')}")
     sys.exit(1 if differs else 0)
 
 

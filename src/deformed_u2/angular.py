@@ -13,11 +13,12 @@ symmetric about zero (G_k has the parity of k), and in the isotropic 1:1
 case they are exactly -N, -N+2, ..., N.
 
 One symmetric tridiagonal eigensolve gives every eigenpair, and the
-`AngularSpectrum` it returns is the only route to them: the eigenvalues and
-the (N+1) x (N+1) matrix of eigenvectors, one column each, whose phased,
-Cartesian and coefficient views are derived once for the whole basis.  The
-forward float run of the recurrence is unstable and never builds an
-eigenvector.  The spectrum carries the irrep's integer Phi table
+`AngularSpectrum` of `angular_eigenvalues` is the only public route to them:
+the eigenvalues and the (N+1) x (N+1) matrix of eigenvectors, one column each,
+whose phased, Cartesian and coefficient views are derived once for the whole
+basis.  `run_suite` builds none, and keeps each N's eigenvectors only until
+the next N.  The forward float run of the recurrence is unstable and never
+builds an eigenvector.  The spectrum carries the irrep's integer Phi table
 (`StructureFunction.numerators`, Phi(k) = P_k / m^m n^n), and the functions
 below read it and the label and ratio of the spectrum they are given.  Its
 eigenvalues are certified by Sturm counts at dyadic points beside each
@@ -83,11 +84,8 @@ class AngularSpectrum:
 
     @property
     def symmetry_residual(self) -> float:
-        """max |l_i + l_{N-i}|; NaN when any eigenvalue is NaN.
-
-        `angular_eigenvalues` projects its values onto l_i = -l_{N-i}, so on
-        any finite spectrum it returns this is exactly 0.0; only a NaN fails it.
-        """
+        """max |l_i + l_{N-i}|; NaN when any eigenvalue is NaN.  `angular_eigenvalues` projects
+        its values onto l_i = -l_{N-i}, so this is exactly 0.0 on every finite spectrum."""
         values = self.eigenvalues
         return worst_residual(abs(a + b) for a, b in zip(values, reversed(values)))
 
@@ -121,8 +119,7 @@ class AngularSpectrum:
 
 def _phased(components: np.ndarray) -> np.ndarray:
     """(-i)^k times row k of each matrix of `components` (the last two axes)."""
-    phases = np.array([_PHASES[k % 4] for k in range(components.shape[-2])])
-    return phases[:, None] * components
+    return np.resize(_PHASES, components.shape[-2])[:, None] * components
 
 
 def _residuals(offdiag: np.ndarray, w: np.ndarray, eigs: np.ndarray) -> np.ndarray:
@@ -142,18 +139,21 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     Each eigenvector is signed so that w_0 > 0 (T is unreduced, so
     w_0 != 0 in exact arithmetic; a w_0 that underflows to 0.0 raises
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
-    parity of G_k(0), so its odd components are set to exactly zero.
+    parity of G_k(0), so its odd components are set to exactly zero.  It is
+    the one place an `AngularSpectrum` is built; `run_suite` reads the arrays.
     """
     function = StructureFunction(label, ratio)
-    return _eigensolve((function,), _offdiagonals(function)[None])[0]
+    [values], [vectors], [errors] = _eigensolve((function,), _offdiagonals(function)[None])
+    return AngularSpectrum(label, ratio, tuple(values.tolist()), vectors, tuple(errors.tolist()),
+                           function.numerators)
 
 
 def _eigensolve(functions: Sequence[StructureFunction],
-                offdiag: np.ndarray) -> tuple[AngularSpectrum, ...]:
-    """`angular_eigenvalues` on the irreps of the records `functions`, all of one N and one
-    ratio, as one stacked eigensolve of the rows sqrt(Phi(1..N)) of `offdiag`.  `eigh` reads
-    only T's lower band (`UPLO="L"`); its error scales with ||T||, so the separation margin,
-    1e-12 max|l| per irrep, is relative at every scale."""
+                offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`angular_eigenvalues`' eigenvalues (k, N+1), signed eigenvectors (k, N+1, N+1) and
+    residuals (k, N+1) on the k irreps `functions` of one N and ratio, from one stacked `eigh` of
+    the rows sqrt(Phi(1..N)) of `offdiag`, which reads T's lower band only (`UPLO="L"`); its
+    error scales with ||T||, so the separation margin, 1e-12 max|l| per irrep, is relative."""
     ratio, big_n = functions[0].ratio, functions[0].label.N
     eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
@@ -163,7 +163,9 @@ def _eigensolve(functions: Sequence[StructureFunction],
     for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
         if unseparated[i]:
             raise ArithmeticError(
-                f"eigenvalues of {functions[i].label} not strictly separated; numerical failure")
+                f"eigenvalues of {functions[i].label} not strictly separated in the {ratio} "
+                f"oscillator (numerical failure): closest gap {np.min(np.diff(eigs[i])):.3g} "
+                f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
         raise ArithmeticError(
             f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {functions[i].label} of the "
             f"{ratio} oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
@@ -171,9 +173,7 @@ def _eigensolve(functions: Sequence[StructureFunction],
     w = w * signs[..., None, :]
     if big_n % 2 == 0:
         w[..., 1::2, big_n // 2] = 0.0
-    residuals = _residuals(offdiag, w, eigs).tolist()
-    return tuple(AngularSpectrum(f.label, ratio, tuple(row), vectors, tuple(errors), f.numerators)
-                 for f, row, vectors, errors in zip(functions, eigs.tolist(), w, residuals))
+    return eigs, w, _residuals(offdiag, w, eigs)
 
 
 def _p_value(numerators: Sequence[int], denominator: int, s: Fraction) -> Fraction:

@@ -418,7 +418,7 @@ def verify(ratio, n_max, fmt, tol, output):
         f"verification of the {ratio} oscillator algebra, N <= {n_max}",
         f"tolerances: identities {report.identity_tolerance:g}, "
         f"eigenvectors {report.eigen_tolerance:g}",
-        f"[S-, S+] = {report.commutator}",
+        f"[S-, S+] = {summary['commutator']}",
         f"irreps checked: {len(records)}",
         "",
         _render_table(headers, rows),

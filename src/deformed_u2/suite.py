@@ -6,16 +6,16 @@ algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
 run once on it, by the kernels the one-irrep functions run; the oracle runs
 first, and each irrep it passes takes its ladder identity from one proof of the
 commutator per sweep.  The eigensolves and the Gram matrix need one shape, so
-they run once per N, on the stack's S+ band.
-The Sturm certificate runs once per sweep, after the last eigensolve: one
-float-interval pass of `certify_eigenvalues`' kernel counts every point of every
-irrep, and the points it cannot decide are counted exactly.  The sweep keeps
-each irrep's eigenvalues for it, and drops each spectrum's eigenvectors after
-its N.  Each integer Phi table, computed once, feeds the ladder identity, the
-oracle's weights and ulp tests and the certificate, and each factor table the
-1:n split.  Identity residuals are gated at the identity tolerance, the eigen
-class at 10x it, every exact check, the oracle's included, must hold, and
-every eigenvalue must be certified within the eigen tolerance.
+they run once per N, on the stack's S+ band; they build no `AngularSpectrum`,
+but read each N's stacked arrays, keep the eigenvalues and drop the eigenvectors
+at the next N.  The Sturm certificate runs once per sweep, after the last
+eigensolve: one float-interval pass of `certify_eigenvalues`' kernel counts every
+point of every irrep, and the points it cannot decide are counted exactly.  Each
+integer Phi table, computed once, feeds the ladder identity, the oracle's weights
+and ulp tests and the certificate, and each factor table the 1:n split.
+Identity residuals are gated at the identity tolerance, the eigen class at 10x
+it, every exact check, the oracle's included, must hold, and every eigenvalue
+must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -132,23 +132,23 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     for big_n in range(n_max + 1):
         rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
         offdiag = stack.s_plus_band[rows, :big_n]
-        spectra = _eigensolve(functions[rows], offdiag)
+        values, vectors, errors = _eigensolve(functions[rows], offdiag)
         dense = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy returns it
-        values = np.array([spec.eigenvalues for spec in spectra])
         agreement = np.max(np.abs(values - dense), axis=-1).tolist()
-        amplitudes = _phased(np.stack([spec.components for spec in spectra]))
+        symmetry = np.max(np.abs(values + values[:, ::-1]), axis=-1).tolist()
+        worst_errors = np.max(errors, axis=-1).tolist()
+        amplitudes = _phased(vectors)
         gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
         orthonormality = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1)).tolist()
 
-        for j, (i, spec) in enumerate(zip(range(rows.start, rows.stop), spectra)):
+        for j, i in enumerate(range(rows.start, rows.stop)):
             residual = {**algebras[i].residuals, "method_agreement": agreement[j],
-                        "spectrum_symmetry": spec.symmetry_residual,
-                        "eigenvector_residual": spec.max_residual,
+                        "spectrum_symmetry": symmetry[j], "eigenvector_residual": worst_errors[j],
                         "orthonormality": orthonormality[j]}
             if w32:
                 residual.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
             residuals.append(residual)
-        eigenvalues.extend(values)  # rows of one array per N, not the spectra
+        eigenvalues.extend(values)  # its rows; the eigenvectors go with the next N
 
     irreps = []
     certified = _certify(functions, eigenvalues, eigen_tol)

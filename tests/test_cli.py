@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -330,8 +331,16 @@ class TestVerify:
             builds.append(args)
             return build(*args)
 
+        renders = []
+        render = build.__str__
+
+        def counting_render(self):
+            renders.append(self)
+            return render(self)
+
         monkeypatch.setattr(StructureFunction, "_product", counting_product)
         monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)
+        monkeypatch.setattr(build, "__str__", counting_render)
         result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
                         "--format", "json")
         assert result.exit_code == 0
@@ -341,6 +350,23 @@ class TestVerify:
         ]
         assert phi_calls == {label: label.N + 2 for label in labels}
         assert len(builds) == 1
+        assert len(renders) == 1  # the summary and the table share one rendering
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["angular", "--N", "9"], id="angular"),
+    pytest.param(["verify", "--N-max", "9"], id="verify"),
+])
+def test_unseparated_eigenvalues_exit_2_naming_ratio_and_gap(runner, args):
+    # at 1:20 N = 9 the middle pair of (9, 1, 1) is ~9.1e-4 apart, within the margin
+    # 1e-12 max|l| ~ 2.2e-3
+    result = runner.invoke(main, [args[0], "--ratio", "1:20", *args[1:]])
+    assert result.exit_code == 2
+    assert ("eigenvalues of (N=9, p=1, q=1) not strictly separated in the 1:20 oscillator"
+            in result.stderr)
+    assert re.search(r"closest gap 0\.0009\d\d <= margin 1e-12 max\|l\| = 0\.00218",
+                     result.stderr)
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("args, label", [

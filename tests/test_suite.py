@@ -231,12 +231,11 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
         return stack
 
     def swapped_pair(functions, offdiag):
-        spectra = list(eigensolve(functions, offdiag))
-        for i, spec in enumerate(spectra):
-            if spec.label == poisoned:
-                values = spec.eigenvalues
-                spectra[i] = dataclasses.replace(spec, eigenvalues=values[1::-1] + values[2:])
-        return tuple(spectra)
+        values, vectors, errors = eigensolve(functions, offdiag)
+        for i, f in enumerate(functions):
+            if f.label == poisoned:
+                values[i, [0, 1]] = values[i, [1, 0]]
+        return values, vectors, errors
 
     monkeypatch.setattr(suite, "_build_stack", nan_in_h)
     monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
@@ -315,14 +314,11 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     poisoned = IrrepLabel(3, 1, 2)
 
     def swapped_pair(functions, offdiag):
-        spectra = list(eigensolve(functions, offdiag))
-        for i, spec in enumerate(spectra):
-            if spec.label == poisoned:
-                values = spec.eigenvalues
-                spectra[i] = dataclasses.replace(
-                    spec, eigenvalues=(values[1], values[0], *values[2:])
-                )
-        return tuple(spectra)
+        values, vectors, errors = eigensolve(functions, offdiag)
+        for i, f in enumerate(functions):
+            if f.label == poisoned:
+                values[i, [0, 1]] = values[i, [1, 0]]
+        return values, vectors, errors
 
     monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
     report = run_suite(FrequencyRatio(1, 2), 3)
@@ -393,18 +389,18 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
 
 def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
     # one interval pass over the points of every irrep, after every eigensolve;
-    # it reads each irrep's record, and the spectra (their eigenvectors) are not kept
-    spectra, calls = [], []
+    # it reads each irrep's record, and each N's eigenvectors are not kept
+    vectors, calls = [], []
     eigensolve, count_above = suite._eigensolve, angular._count_above
 
     def recording_eigensolve(functions, offdiag):
         solved = eigensolve(functions, offdiag)
-        spectra.extend(weakref.ref(spec) for spec in solved)
+        vectors.append(weakref.ref(solved[1]))
         return solved
 
     def recording_count_above(records, irreps, centres, offsets):
         gc.collect()
-        calls.append((records, len(irreps), [spec() for spec in spectra]))
+        calls.append((records, len(irreps), [ref() is not None for ref in vectors]))
         return count_above(records, irreps, centres, offsets)
 
     monkeypatch.setattr(suite, "_eigensolve", recording_eigensolve)
@@ -417,9 +413,26 @@ def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
     assert all(isinstance(record, StructureFunction) for record in records)
     # the symmetric spectra are counted at i >= N/2, two points each
     assert points == sum(2 * (label.N // 2 + 1) for label in labels_of(ratio, 6))
-    # only the last N's spectra, still bound to the eigensolve loop's names, live on
-    assert len(alive) == len(records)
-    assert alive[:-2] == [None] * (len(records) - 2) and None not in alive[-2:]
+    # only the last N's eigenvectors, still bound to the eigensolve loop's names, live on
+    assert alive == [False] * 6 + [True]
+
+
+def test_the_sweep_builds_no_spectrum(monkeypatch):
+    # the eigen stage reads `_eigensolve`'s arrays; only `angular_eigenvalues` builds a spectrum
+    built = []
+    init = angular.AngularSpectrum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
+
+    monkeypatch.setattr(angular.AngularSpectrum, "__init__", counting_init)
+    assert run_suite(FrequencyRatio(1, 2), 6).passed
+    assert run_suite(FrequencyRatio(3, 5), 3).passed
+    assert built == []
+    for label in (IrrepLabel(0, 1, 1), IrrepLabel(3, 2, 4)):
+        angular_eigenvalues(label, FrequencyRatio(3, 5))
+    assert built == [IrrepLabel(0, 1, 1), IrrepLabel(3, 2, 4)]
 
 
 def test_residuals_are_derived_once():

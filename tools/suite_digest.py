@@ -19,16 +19,18 @@ The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
 1:1 and 1:2 at N <= 60, 4:7 and 2:7 at N <= 20, and the sweeps of
 `perfbench`'s verify workloads (1:1 N <= 26, 1:2 and 2:1 N <= 18, 1:3 N <= 16,
 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4, 2:7 N <= 6; 3:5 N <= 8 is already in the
-first group).  `run_suite` pads each sweep's bands to N_max + 1, so the set
-covers many padding widths.  4:7 at N <= 20 and 3:5 at N <= 40 fail (float
-residuals past the tolerances), so failing sweeps are covered too.  Last come
-3:5 at N <= 12, 2:7 at N <= 10 and 4:7 at N <= 8 at the tolerance 1e-13, where
-the certificate's interval counts leave 100-250 points of each sweep to the
-exact counter, and dozens of values fail their certificate.  Then 1:1, 1:2
-and 2:3 at N <= 3 run under each of four mutants: irrep (2, 1, 1) carries
-P_1 + 1, u + 1 or E + 1 (through `suite._build_stack`), or the commutator has
-its first coefficient one off (through `representation.commutator_polynomial`),
-so the exact checks that fail, and the routes that decide them, are covered.
+first group), and 1:20 at N <= 8.  `run_suite` pads each sweep's bands to
+N_max + 1, so the set covers many padding widths.  4:7 at N <= 20, 3:5 at
+N <= 40 and 1:20 at N <= 8 fail (float residuals past the tolerances; at 1:20
+the eigenvalues span 13 decades and 326 of them fail their certificate), so
+failing sweeps are covered too.  Last come 3:5 at N <= 12, 2:7 at N <= 10 and
+4:7 at N <= 8 at the tolerance 1e-13, where the certificate's interval counts
+leave 100-250 points of each sweep to the exact counter, and dozens of values
+fail their certificate.  Then 1:1, 1:2 and 2:3 at N <= 3 run under each of
+four mutants: irrep (2, 1, 1) carries P_1 + 1, u + 1 or E + 1 (through
+`suite._build_stack`), or the commutator has its first coefficient one off
+(through `representation.commutator_polynomial`), so the exact checks that
+fail, and the routes that decide them, are covered.
 Nothing is written to disk.
 """
 
@@ -47,6 +49,7 @@ ONE_IRREP_SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m
 SWEEPS = ONE_IRREP_SWEEPS + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
     (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
+    (1, 20, 8),
 ]
 # run at TIGHT_TOL, where many certificate points fall back to exact counts
 TIGHT_SWEEPS = [(3, 5, 12), (2, 7, 10), (4, 7, 8)]

@@ -107,7 +107,7 @@ class AngularSpectrum:
         column i is the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k> for
         `eigenvalues[i]`.  A sqrt([k]!) beyond float range raises ArithmeticError."""
         with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
-            signed = np.cumprod([1.0, *-_offdiagonals(self)])
+            signed = np.cumprod([1.0, *-_offdiagonals((self,))])
         if not np.all(np.isfinite(signed)):
             k = int(np.argmin(np.isfinite(signed)))
             raise ArithmeticError(
@@ -143,7 +143,7 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     the one place an `AngularSpectrum` is built; `run_suite` reads the arrays.
     """
     function = StructureFunction(label, ratio)
-    [values], [vectors], [errors] = _eigensolve((function,), _offdiagonals(function)[None])
+    [values], [vectors], [errors] = _eigensolve((function,), _offdiagonals((function,))[None])
     return AngularSpectrum(label, ratio, tuple(values.tolist()), vectors, tuple(errors.tolist()),
                            function.numerators)
 

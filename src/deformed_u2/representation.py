@@ -8,13 +8,16 @@ On the irrep (N, p, q) the generators act on the Fock basis k = 0..N as
 
 each one band, and S+/S- carry the only irrational entries.  Three bands are
 stored, in floating point: S0's, H's and S+'s, which S- reads as its
-transpose.  Every identity that is rational after squaring (the Phi values,
-the ladder-product diagonals, the commutator polynomial through Phi
-differences, proved once per sweep for the irreps the oracle passed) is
-additionally verified in exact rational arithmetic, and the remaining
-identities are checked, on the bands and bit for bit as on the dense matrices,
-as max-norm matrix residuals normalized by max(1, ||target||_inf), so a
-residual near machine epsilon means "holds to working precision" at any size.
+transpose.  They are built for many irreps of one ratio at once, each band in
+one pass: S0 and H as correctly rounded quotients of the ints 4mn u and
+2mn E, S+ as one sqrt over the correctly rounded P_k / D.  Every identity
+that is rational after squaring (the Phi values, the ladder-product
+diagonals, the commutator polynomial through Phi differences, proved once
+per sweep for the irreps the oracle passed) is additionally verified in
+exact rational arithmetic, and the remaining identities are checked, on the
+bands and bit for bit as on the dense matrices, as max-norm matrix residuals
+normalized by max(1, ||target||_inf), so a residual near machine epsilon
+means "holds to working precision" at any size.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FrequencyRatio, IrrepLabel
+from .core import FrequencyRatio, IrrepLabel, _energy_key
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import StructureFunction, _ladder_identity, _phi_denominator, commutator_polynomial
+from .structure import StructureFunction, _ladder_identity, _phi_denominator, _scaled_u
+from .structure import _with_shared_numerators, commutator_polynomial
 
 __all__ = [
     "IrrepMatrices",
@@ -114,25 +118,29 @@ class VerificationReport:
         return self.max_residual <= self.tolerance and all(self.exact_checks.values())
 
 
-def _offdiagonals(record: StructureFunction) -> np.ndarray:
-    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of `record`, each the root of a correctly rounded
-    P_k / D; any record with a `label`, a `ratio` and `numerators` serves.  A Phi(k) beyond
-    float range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal
-    exponent, read from the bit lengths of P_k and D."""
-    denominator, numerators = _phi_denominator(record.ratio), record.numerators
-    try:
-        return np.array([math.sqrt(v / denominator) for v in numerators[1:-1]])
-    except OverflowError:
-        for k, value in enumerate(numerators):
-            try:
-                value / denominator
-            except OverflowError:
-                break
-        exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
-        raise ArithmeticError(
-            f"Phi({k}) of {record.label} of the {record.ratio} oscillator is about 1e{exponent}, "
-            f"beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
-        ) from None
+def _offdiagonals(records: Iterable[StructureFunction]) -> np.ndarray:
+    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `records`, all of one ratio, one record after
+    another, each the root of a correctly rounded P_k / D; any record with a `label`, a `ratio`
+    and `numerators` serves.  The records are read in order, and the first Phi(k) beyond float
+    range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal exponent,
+    read from the bit lengths of P_k and D."""
+    quotients, denominator = [], None
+    for record in records:
+        denominator = denominator or _phi_denominator(record.ratio)
+        try:
+            quotients += [v / denominator for v in record.numerators[1:-1]]
+        except OverflowError:
+            for k, value in enumerate(record.numerators):
+                try:
+                    value / denominator
+                except OverflowError:
+                    break
+            exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
+            raise ArithmeticError(
+                f"Phi({k}) of {record.label} of the {record.ratio} oscillator is about "
+                f"1e{exponent}, beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
+            ) from None
+    return np.sqrt(quotients)
 
 
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
@@ -169,20 +177,25 @@ class IrrepStack:
 
 
 def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
-    """The irreps of the records `functions`, all of one ratio, built at once."""
+    """The irreps of the records `functions`, all of one ratio, built at once: their Phi
+    tables from X_p and Y_q tables shared by the sweep (`_with_shared_numerators`), and each
+    band in one pass over the sweep.  S0's entries are the correctly rounded quotients
+    (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the ints `_scaled_u` and `_energy_key`."""
     ratio, width = functions[0].ratio, max(f.label.N for f in functions) + 1
+    scale, labels = 4 * ratio.m * ratio.n, [f.label for f in functions]
+    dims = [label.N + 1 for label in labels]
+    real = np.arange(width) < np.array(dims)[:, None]  # each row's entries, before its padding
     s0, h = np.zeros((2, len(functions), width))
     s_plus = np.zeros((len(functions), width - 1))
-    irreps = []
-    for i, f in enumerate(functions):
-        dim = f.label.N + 1
-        # float(u + k), with the sum taken on u's numerator
-        s0[i, :dim] = [(f.u.numerator + k * f.u.denominator) / f.u.denominator for k in range(dim)]
-        s_plus[i, :dim - 1] = _offdiagonals(f)
-        h[i, :dim] = float(f.energy)
-        irreps.append(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1], h[i, :dim],
-                                    f.numerators, f.u, f.energy))
-    return IrrepStack(ratio, tuple(irreps), s0, s_plus, h)
+    s_plus[real[:, 1:]] = _offdiagonals(_with_shared_numerators(functions))
+    s0[real] = [(u + scale * k) / scale for label in labels
+                for u in [_scaled_u(ratio, label.N, label.p, label.q)] for k in range(label.N + 1)]
+    h[real] = np.repeat([_energy_key(ratio, label.N, label.p, label.q) / (scale // 2)
+                         for label in labels], dims)
+    irreps = tuple(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1], h[i, :dim],
+                                 f.numerators, f.u, f.energy)
+                   for i, (f, dim) in enumerate(zip(functions, dims)))
+    return IrrepStack(ratio, irreps, s0, s_plus, h)
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:

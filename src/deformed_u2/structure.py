@@ -16,24 +16,29 @@ factors with every offset scaled by 4mn to an int (`_ladder_factors`); the
 commutator and the 1:n factor P of Phi(x) = x (N+1-x) P(x), whose x and
 N+1-x are two rows of the table, are multiplied out of it in plain ints by
 one loop, `_expand`, and a `Fraction` is built only for a returned value.
-On the Fock indices the Gamma-quotient form makes P_k = m^m n^n Phi(k) an
-integer, so each irrep's Phi(0..N+1) is one table of ints over
-`_phi_denominator` (`StructureFunction.numerators`), and every exact check
-reads that table.  The Gamma-quotient form itself is expanded into
-rising/falling factorials instead of evaluating a transcendental Gamma
-function (so there are no poles and no rounding).
+On the irrep (N, p, q) the ints 4mn (E/2 + u) = 2n (2p-1) and
+4mn (E/2 - u) = 2m (2q-1) + 4mn N split F at x = k into its raised factors,
+which read p and k alone, and its lowered ones, which read q and N - k alone:
+(4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k).  On the Fock indices the Gamma-quotient
+form makes P_k = m^m n^n Phi(k) an integer, so each irrep's Phi(0..N+1) is
+one table of ints over `_phi_denominator` (`StructureFunction.numerators`),
+each P_k one product of the two tables and one exact division, and every
+exact check reads that table; a sweep builds each X_p and Y_q once for all
+of its irreps (`_phi_numerators`).  The Gamma-quotient form itself is
+expanded into rising/falling factorials instead of evaluating a
+transcendental Gamma function (so there are no poles and no rounding).
 """
 
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .core import FrequencyRatio, IrrepLabel, energy_of_irrep
+from .core import FrequencyRatio, IrrepLabel, _energy_key, energy_of_irrep
 from .exceptions import NotDivisibleError
 
 __all__ = [
@@ -49,12 +54,15 @@ __all__ = [
 def u_constant(label: IrrepLabel, ratio: FrequencyRatio) -> Fraction:
     """Shift between S0 and the number operator: S0 = (number op) + u.
 
-    u = ((2p-1)/(2m) - (2q-1)/(2n) - N) / 2, one `Fraction` of the int
-    4mn u = n (2p-1) - m (2q-1) - 2mn N.
+    u = ((2p-1)/(2m) - (2q-1)/(2n) - N) / 2, one `Fraction` of `_scaled_u`.
     """
     label.validate_for(ratio)
-    m, n = ratio.m, ratio.n
-    return Fraction(n * (2 * label.p - 1) - m * (2 * label.q - 1) - 2 * m * n * label.N, 4 * m * n)
+    return Fraction(_scaled_u(ratio, label.N, label.p, label.q), 4 * ratio.m * ratio.n)
+
+
+def _scaled_u(ratio: FrequencyRatio, big_n: int, p: int, q: int) -> int:
+    """4mn u(N, p, q) = n (2p-1) - m (2q-1) - 2mn N, an int."""
+    return ratio.n * (2 * p - 1) - ratio.m * (2 * q - 1) - 2 * ratio.m * ratio.n * big_n
 
 
 @functools.cache
@@ -96,6 +104,45 @@ def _phi_denominator(ratio: FrequencyRatio) -> int:
     return ratio.m**ratio.m * ratio.n**ratio.n
 
 
+def _phi_numerators(records: Sequence[StructureFunction]) -> Iterator[tuple[int, ...]]:
+    """P_0, ..., P_{N+1} of each of `records`, all of one ratio, in order.
+
+    At x = k the raised factors of F on (N, p, q), scaled by 4mn, are
+    2n (2p-1) + 4mn c_i + 4mn k and the lowered ones 2m (2q-1) + 4mn c_i +
+    4mn (N - k), so (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k), X_p and Y_q the
+    products of the sigma = +1 and the sigma = -1 rows of `_ladder_factors`,
+    and P_k = X_p(k) Y_q(N-k) // (4^(m+n) m^n n^m) exactly.  X_p(k), k >= 0,
+    and Y_q(j), j >= -1, are each computed once for all of `records`, when
+    the first record that reads them is reached, so a caller that stops early
+    computes no table past the records it read.
+    """
+    ratio = records[0].ratio
+    m, n, scale = ratio.m, ratio.n, 4 * ratio.m * ratio.n
+    divisor = scale ** (m + n) // _phi_denominator(ratio)
+    raised = [offset for sigma, offset in _ladder_factors(ratio) if sigma > 0]
+    lowered = [offset for sigma, offset in _ladder_factors(ratio) if sigma < 0]
+    x_tables, y_tables = defaultdict(list), defaultdict(list)  # X_p(k) at [k], Y_q(j) at [j + 1]
+    for record in records:
+        big_n, p, q = record.label.N, record.label.p, record.label.q
+        x, y = x_tables[p], y_tables[q]
+        if len(x) < big_n + 2:
+            x += [prod(2 * n * (2 * p - 1) + offset + scale * k for offset in raised)
+                  for k in range(len(x), big_n + 2)]
+        if len(y) < big_n + 2:
+            y += [prod(2 * m * (2 * q - 1) + offset + scale * j for offset in lowered)
+                  for j in range(len(y) - 1, big_n + 1)]
+        # X_p(k) Y_q(N - k) for k = 0..N+1
+        yield tuple([a * b // divisor for a, b in zip(x, y[big_n + 1::-1])])
+
+
+def _with_shared_numerators(records: Sequence[StructureFunction]) -> Iterator[StructureFunction]:
+    """Each of `records`, all of one ratio, in order, its `numerators` set as it is reached
+    (where not yet computed) from one `_phi_numerators` run over all of them."""
+    for record, numerators in zip(records, _phi_numerators(records)):
+        record.__dict__.setdefault("numerators", numerators)  # the cached property's slot
+        yield record
+
+
 @dataclass(frozen=True)
 class StructureFunction:
     """Exact evaluator for the ladder-strength function of one irrep.
@@ -109,9 +156,12 @@ class StructureFunction:
     is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
     int computed once per instance, and one `Fraction` is built from the
     product.  `numerators` holds the same products at x = 0..N+1 as the
-    ints P_k = D Phi(k), D = m^m n^n.  `u` and `energy` are computed once
-    per instance.  `gamma_value` keeps the Gamma-quotient form as an
-    independent check, expanded exactly into falling/rising factorials
+    ints P_k = D Phi(k), D = m^m n^n, each read off the split
+    (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k) of `_phi_numerators`, where
+    4mn (E/2 + u) = 2n (2p-1) and 4mn (E/2 - u) = 2m (2q-1) + 4mn N.
+    `u` and `energy` are computed once per instance.  `gamma_value` keeps
+    the Gamma-quotient form as an independent check, expanded exactly into
+    falling/rising factorials
       (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
       prod_{j=0..n-1} ((N-x) n + q + j).
     Both are exact at any rational argument and must agree everywhere.
@@ -133,15 +183,11 @@ class StructureFunction:
 
     @functools.cached_property
     def _scaled_factors(self) -> tuple[tuple[int, int], ...]:
-        """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F.
-
-        E has a denominator dividing 2mn and u one dividing 4mn, so 4mn E/2
-        and 4mn u are ints, read off their numerators and denominators.
-        """
-        scale = 4 * self.ratio.m * self.ratio.n
-        energy, u = self.energy, self.u
-        half_e = energy.numerator * (scale // (2 * energy.denominator))
-        shift = u.numerator * (scale // u.denominator)
+        """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F, from the ints
+        4mn E/2 = 2mn E (`_energy_key`) and 4mn u (`_scaled_u`)."""
+        label, ratio = self.label, self.ratio
+        half_e = _energy_key(ratio, label.N, label.p, label.q)
+        shift = _scaled_u(ratio, label.N, label.p, label.q)
         return tuple(
             (sigma, half_e + sigma * shift + offset)
             for sigma, offset in _ladder_factors(self.ratio)
@@ -163,24 +209,23 @@ class StructureFunction:
 
     def gamma_value(self, x: int | Fraction) -> Fraction:
         x = Fraction(x)
-        m, n = self.ratio.m, self.ratio.n
-        value = Fraction(1, m**m * n**n)
-        for j in range(1, m + 1):
-            value *= m * x + self.label.p - j
-        for j in range(n):
-            value *= (self.label.N - x) * n + self.label.q + j
-        return value
+        m, n, (a, b) = self.ratio.m, self.ratio.n, x.as_integer_ratio()
+        big_n, p, q = self.label.N, self.label.p, self.label.q
+        # each factor times b, in ints
+        value = (prod(m * a + (p - j) * b for j in range(1, m + 1))
+                 * prod((big_n * b - a) * n + (q + j) * b for j in range(n)))
+        return Fraction(value, _phi_denominator(self.ratio) * b ** (m + n))
 
     @functools.cached_property
     def numerators(self) -> tuple[int, ...]:
         """P_0, ..., P_{N+1} with Phi(k) = P_k / D, D = `_phi_denominator`.
 
-        F's product at x = k is Phi(k) (4mn)^(m+n), and (4mn)^(m+n) / D =
-        4^(m+n) m^n n^m is an int, so one exact integer division gives each P_k.
+        F's product at x = k is Phi(k) (4mn)^(m+n) = X_p(k) Y_q(N-k), and
+        (4mn)^(m+n) / D = 4^(m+n) m^n n^m is an int, so one exact integer
+        division gives each P_k: `_phi_numerators` on a sweep of one.
         """
-        m, n = self.ratio.m, self.ratio.n
-        divisor = (4 * m * n) ** (m + n) // _phi_denominator(self.ratio)
-        return tuple(self._product(k, 1) // divisor for k in range(self.label.N + 2))
+        [numerators] = _phi_numerators((self,))
+        return numerators
 
 
 def _monomial(h_power: int, s0_power: int) -> str:

@@ -1,7 +1,9 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
 The suite builds each irrep's record, its `StructureFunction`, once and stacks
-the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`.  The
+the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`, each
+band filled in one pass over the sweep, and every Phi table read off x-mode
+and y-mode tables built once per sweep (`representation._build_stack`).  The
 algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
 run once on it, by the kernels the one-irrep functions run; the oracle runs
 first, and each irrep it passes takes its ladder identity from one proof of the

@@ -328,9 +328,10 @@ class TestEigenvectors:
         calls = Counter()
         offdiagonals = angular._offdiagonals
 
-        def counting_offdiagonals(record):
+        def counting_offdiagonals(records):
+            [record] = records
             calls[record.ratio, record.numerators] += 1
-            return offdiagonals(record)
+            return offdiagonals(records)
 
         monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
         label, ratio = IrrepLabel(6, 2, 3), FrequencyRatio(2, 3)
@@ -397,7 +398,7 @@ class TestEigenvectors:
         functions = [StructureFunction(label, ratio) for label in labels]
         for i in (3, 9):
             functions[i].__dict__["numerators"] = (0, 0, 0, 0)
-        offdiag = np.array([angular._offdiagonals(f) for f in functions])
+        offdiag = np.array([angular._offdiagonals((f,)) for f in functions])
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
             angular._eigensolve(functions, offdiag)
 
@@ -741,7 +742,7 @@ def stacked_bands():
         ratio = FrequencyRatio(m, n)
         for big_n in range(n_top + 1):
             labels = [IrrepLabel(big_n, p, q) for p in range(1, m + 1) for q in range(1, n + 1)]
-            yield np.array([_offdiagonals(StructureFunction(label, ratio)) for label in labels])
+            yield np.array([_offdiagonals((StructureFunction(label, ratio),)) for label in labels])
 
 
 class TestNumpyFacts:

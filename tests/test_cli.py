@@ -315,13 +315,21 @@ class TestVerify:
         assert document["residuals"]["orthonormality"] <= 1e-9
 
     def test_phi_and_commutator_computed_once(self, runner, monkeypatch):
-        # each irrep's Phi table is F's product at x = 0..N+1, made once
+        # each irrep's Phi table comes from the sweep's X_p and Y_q tables, made once;
+        # no Phi value is F's m + n factor product
         structure.commutator_polynomial.cache_clear()
-        phi_calls = Counter()
+        phi_calls, products = Counter(), []
+        numerators = structure._phi_numerators
+
+        def counting_numerators(records):
+            for record, table in zip(records, numerators(records)):
+                phi_calls[record.label] += 1
+                yield table
+
         product = StructureFunction._product
 
         def counting_product(self, numerator, denominator):
-            phi_calls[self.label] += 1
+            products.append(self.label)
             return product(self, numerator, denominator)
 
         builds = []
@@ -338,6 +346,7 @@ class TestVerify:
             renders.append(self)
             return render(self)
 
+        monkeypatch.setattr(structure, "_phi_numerators", counting_numerators)
         monkeypatch.setattr(StructureFunction, "_product", counting_product)
         monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)
         monkeypatch.setattr(build, "__str__", counting_render)
@@ -348,7 +357,8 @@ class TestVerify:
             IrrepLabel(big_n, p, q)
             for big_n in range(4) for p in range(1, 3) for q in range(1, 4)
         ]
-        assert phi_calls == {label: label.N + 2 for label in labels}
+        assert phi_calls == {label: 1 for label in labels}
+        assert products == []
         assert len(builds) == 1
         assert len(renders) == 1  # the summary and the table share one rendering
 

@@ -2,6 +2,7 @@ import functools
 import gc
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 import weakref
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deformed_u2
+from deformed_u2 import representation, structure
 from deformed_u2 import (
     CommutatorPolynomial,
     FrequencyRatio,
@@ -148,22 +150,25 @@ class TestStructureFunction:
         with pytest.raises(ValueError):
             StructureFunction(IrrepLabel(2, 2, 1), FrequencyRatio(1, 2))
 
-    @pytest.mark.parametrize("ratios,n_top", [(coprime_pairs(7), 12), ([(11, 13)], 4)],
-                             ids=["m,n<=7", "11:13"])
+    @pytest.mark.parametrize("ratios,n_top", [(coprime_pairs(7), 12), ([(11, 13)], 4),
+                                              ([(40, 41)], 1), ([(1, 300)], 2)],
+                             ids=["m,n<=7", "11:13", "40:41", "1:300"])
     def test_numerators_are_an_exact_division(self, ratios, n_top):
         # P_k = D Phi(k) is F's integer product over (4mn)^(m+n) / D with no
-        # remainder, and equals the Gamma-quotient form times D
+        # remainder, and equals the Gamma-quotient form times D; the sweep's
+        # X_p(k) Y_q(N-k) split gives each record the table of a lone record
         for m, n in ratios:
             ratio = FrequencyRatio(m, n)
             denominator = _phi_denominator(ratio)
             divisor = (4 * m * n) ** (m + n) // denominator
             assert divisor * denominator == (4 * m * n) ** (m + n)
-            for label in all_labels(m, n, n_top):
-                sf = StructureFunction(label, ratio)
-                assert len(sf.numerators) == label.N + 2
+            records = [StructureFunction(label, ratio) for label in all_labels(m, n, n_top)]
+            for sf, table in zip(records, structure._phi_numerators(records), strict=True):
+                assert len(sf.numerators) == sf.label.N + 2
+                assert table == sf.numerators, sf.label
                 for k, numerator in enumerate(sf.numerators):
-                    assert divmod(sf._product(k, 1), divisor) == (numerator, 0), (label, k)
-                    assert sf.gamma_value(k) * denominator == numerator, (label, k)
+                    assert divmod(sf._product(k, 1), divisor) == (numerator, 0), (sf.label, k)
+                    assert sf.gamma_value(k) * denominator == numerator, (sf.label, k)
 
     def test_values_do_not_keep_the_instance_alive(self):
         sf = StructureFunction(IrrepLabel(5, 2, 1), FrequencyRatio(2, 3))
@@ -182,6 +187,78 @@ def test_no_class_holds_a_functools_cache():
             if inspect.isclass(cls) and cls.__module__ == module.__name__:
                 for name, attr in vars(cls).items():
                     assert not hasattr(attr, "cache_clear"), f"{cls.__qualname__}.{name}"
+
+
+def sweep_records(m, n, n_top):
+    ratio = FrequencyRatio(m, n)
+    return ratio, [StructureFunction(label, ratio) for label in all_labels(m, n, n_top)]
+
+
+class TestSweepSplit:
+    """The stack of a sweep, whose Phi tables are X_p(k) Y_q(N-k) // divisor, against lone
+    records and per-entry quotients; the tables made once, and only as far as they are read.
+    `TestStructureFunction.test_numerators_are_an_exact_division` holds each table to F's
+    product and the Gamma form."""
+
+    # every coprime m, n <= 7 at N <= 8, and two ratios whose Phi entries have 81 and 301 factors
+    @pytest.mark.parametrize("ratios,n_top", [(coprime_pairs(7), 8), ([(40, 41)], 1),
+                                              ([(1, 300)], 2)], ids=["m,n<=7", "40:41", "1:300"])
+    def test_the_stack_matches_lone_records_and_per_entry_quotients(self, ratios, n_top):
+        for m, n in ratios:
+            ratio, records = sweep_records(m, n, n_top)
+            stack = representation._build_stack(records)
+            scale, denominator = 4 * m * n, _phi_denominator(ratio)
+            for i, (record, rep) in enumerate(zip(records, stack.irreps, strict=True)):
+                lone, dim = StructureFunction(rep.label, ratio), rep.label.N + 1
+                assert rep.numerators == lone.numerators and rep.numerators is record.numerators
+                assert (rep.u, rep.energy) == (lone.u, lone.energy)
+                scaled_u = lone.u * scale
+                assert scaled_u.denominator == 1
+                rows = {
+                    "s0": [(scaled_u.numerator + scale * k) / scale for k in range(dim)],
+                    "s_plus": [math.sqrt(v / denominator) for v in lone.numerators[1:-1]],
+                    "h": [float(lone.energy)] * dim,
+                }
+                for key, expected in rows.items():
+                    row = getattr(stack, f"{key}_band")[i]
+                    expected += [0.0] * (row.shape[0] - len(expected))  # the padding
+                    assert [v.hex() for v in row] == [v.hex() for v in expected], (rep.label, key)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per `structure.prod` call: per X_p(k) or Y_q(j) computed."""
+        calls = []
+
+        def counting_prod(factors):
+            calls.append(None)
+            return math.prod(factors)
+
+        monkeypatch.setattr(structure, "prod", counting_prod)
+        return calls
+
+    def test_each_table_entry_is_computed_once(self, calls):
+        # a sweep computes X_p(k), k = 0..N_max+1, and Y_q(j), j = -1..N_max, once each;
+        # a lone record computes the N+2 entries of its one X_p and one Y_q
+        ratio, records = sweep_records(2, 3, 6)
+        tables = list(structure._phi_numerators(records))
+        assert len(calls) == (2 + 3) * (6 + 2)
+        calls.clear()
+        assert StructureFunction(IrrepLabel(6, 2, 1), ratio).numerators == tables[-3]
+        assert len(calls) == 2 * (6 + 2)
+
+    def test_the_first_overflow_stops_the_tables(self, calls):
+        # at 1:300 Phi(1) of (N=11, p=1, q=48) is the first, in sweep order, beyond float
+        # range; no table entry past that irrep's is computed: X_1(0..12), Y_q(-1..10) for
+        # every q and Y_q(11) for q <= 48
+        ratio, records = sweep_records(1, 300, 20)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "Phi(1) of (N=11, p=1, q=48) of the 1:300 oscillator is about 1e308, beyond "
+                "float range: the S+ entry sqrt(Phi(1)) cannot be a float")):
+            representation._build_stack(records)
+        assert len(calls) == 13 + 300 * 12 + 48
+        reached = 300 * 11 + 48
+        assert ["numerators" in vars(record) for record in records] == (
+            [True] * reached + [False] * (len(records) - reached))
 
 
 class TestUConstant:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from deformed_u2 import FrequencyRatio, IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import angular, core, oracle, representation, suite
+from deformed_u2 import angular, core, oracle, representation, structure, suite
 from deformed_u2 import (
     angular_eigenvalues,
     build_irrep,
@@ -355,12 +355,20 @@ def test_rejects_tolerance_that_is_not_finite_and_positive(tolerance):
 
 
 def test_computes_each_irreps_phi_table_once(monkeypatch):
-    # F's product at x = 0..N+1 once per irrep; the eigensolve gets rep's table
-    products = Counter()
+    # one table per irrep from the sweep's X_p and Y_q, none of it F's factor product;
+    # the eigensolve gets rep's table
+    computed, products = Counter(), []
+    numerators = structure._phi_numerators
+
+    def counting_numerators(records):
+        for record, table in zip(records, numerators(records)):
+            computed[record.label] += 1
+            yield table
+
     product = StructureFunction._product
 
     def counting_product(self, numerator, denominator):
-        products[self.label] += 1
+        products.append(self.label)
         return product(self, numerator, denominator)
 
     tables = {}
@@ -377,14 +385,16 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
             assert f.numerators is tables[f.label]
         return eigensolve(functions, offdiag)
 
+    monkeypatch.setattr(structure, "_phi_numerators", counting_numerators)
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
     monkeypatch.setattr(suite, "_build_stack", recording_build)
     monkeypatch.setattr(suite, "_eigensolve", checking_eigensolve)
     ratio = FrequencyRatio(1, 2)  # 1:2 also runs the 1:n split and the W_3^(2) check
     report = run_suite(ratio, 4)
     assert report.passed
-    assert products == {label: label.N + 2 for label in labels_of(ratio, 4)}
-    assert tables.keys() == products.keys()
+    assert computed == {label: 1 for label in labels_of(ratio, 4)}
+    assert products == []
+    assert tables.keys() == computed.keys()
 
 
 def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
@@ -447,19 +457,26 @@ def test_residuals_are_derived_once():
 
 
 def test_derives_each_irreps_offdiagonals_once(monkeypatch):
-    # sqrt(Phi(1..N)) has one source: the stack's S+ band feeds the eigensolve and L0
-    calls = Counter()
+    # sqrt(Phi(1..N)) has one source: one pass over the sweep makes the stack's S+ band,
+    # which feeds the eigensolve and L0, and reads each irrep's table once
+    passes, calls = [], Counter()
     offdiagonals = representation._offdiagonals
 
-    def counting_offdiagonals(record):
-        calls[record.numerators] += 1
-        return offdiagonals(record)
+    def counting_offdiagonals(records):
+        def counted():
+            for record in records:
+                calls[record.numerators] += 1
+                yield record
+
+        passes.append(records)
+        return offdiagonals(counted())
 
     monkeypatch.setattr(representation, "_offdiagonals", counting_offdiagonals)
     monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
     ratio = FrequencyRatio(1, 2)
     assert run_suite(ratio, 4).passed
     labels = labels_of(ratio, 4)
+    assert len(passes) == 1
     assert sum(calls.values()) == len(labels)
     assert calls == Counter(StructureFunction(label, ratio).numerators for label in labels)
 

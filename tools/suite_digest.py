@@ -19,7 +19,9 @@ The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
 1:1 and 1:2 at N <= 60, 4:7 and 2:7 at N <= 20, and the sweeps of
 `perfbench`'s verify workloads (1:1 N <= 26, 1:2 and 2:1 N <= 18, 1:3 N <= 16,
 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4, 2:7 N <= 6; 3:5 N <= 8 is already in the
-first group), and 1:20 at N <= 8.  `run_suite` pads each sweep's bands to
+first group), 1:20 at N <= 8, and 40:41 at N <= 1 and 13:17 at N <= 2, whose
+Phi entries are products of 81 and 30 factors, split into an x-mode table by p
+and a y-mode table by (q, N - k).  `run_suite` pads each sweep's bands to
 N_max + 1, so the set covers many padding widths.  4:7 at N <= 20, 3:5 at
 N <= 40 and 1:20 at N <= 8 fail (float residuals past the tolerances; at 1:20
 the eigenvalues span 13 decades and 326 of them fail their certificate), so
@@ -49,7 +51,7 @@ ONE_IRREP_SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m
 SWEEPS = ONE_IRREP_SWEEPS + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
     (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
-    (1, 20, 8),
+    (1, 20, 8), (40, 41, 1), (13, 17, 2),
 ]
 # run at TIGHT_TOL, where many certificate points fall back to exact counts
 TIGHT_SWEEPS = [(3, 5, 12), (2, 7, 10), (4, 7, 8)]

@@ -11,11 +11,11 @@ in S0.  On the irrep (N, p, q) the same data appears as the ladder-strength
 function Phi(x), positive on 1..N and vanishing at 0 and N + 1, which pins
 the Fock dimension to N + 1.
 
-Everything here is exact.  F is written once, as its table of linear
-factors with every offset scaled by 4mn to an int (`_ladder_factors`); the
-commutator and the 1:n factor P of Phi(x) = x (N+1-x) P(x), whose x and
-N+1-x are two rows of the table, are multiplied out of it in plain ints by
-one loop, `_expand`, and a `Fraction` is built only for a returned value.
+Everything here is exact.  F is written once, as its table of linear factors
+with every offset scaled by 4mn to an int (`_ladder_factors`).  Its x-mode
+factors read H/2 + S0 alone and its y-mode ones H/2 - S0, so the commutator and
+the 1:n factor P of Phi(x) = x (N+1-x) P(x) are one-variable int products of
+its rows (`_poly`), and a `Fraction` is built only for a returned value.
 On the irrep (N, p, q) the ints 4mn (E/2 + u) = 2n (2p-1) and
 4mn (E/2 - u) = 2m (2q-1) + 4mn N split F at x = k into its raised factors,
 which read p and k alone, and its lowered ones, which read q and N - k alone:
@@ -36,7 +36,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .core import FrequencyRatio, IrrepLabel, _energy_key, energy_of_irrep
 from .exceptions import NotDivisibleError
@@ -79,24 +79,14 @@ def _ladder_factors(ratio: FrequencyRatio) -> tuple[tuple[int, int], ...]:
             *((-1, (2 * l - 1) * 2 * m) for l in range(1, n + 1)))
 
 
-def _expand(forms: Iterable[tuple[int, int, int]]) -> list[list[int]]:
-    """Multiply out integer linear forms (a, b, c) = a x + b y + c.
+def _times(coefficients: list[int], a: int, b: int) -> list[int]:
+    """(a t + b) times the polynomial `coefficients`, as ints, lowest power first."""
+    return [b * c + a * d for c, d in zip(coefficients + [0], [0] + coefficients)]
 
-    The product (1 if there are no forms) comes back dense: after k forms,
-    row i lists the int coefficients of x^i y^j for j = 0..k-i.  Callers
-    scale each form by a common denominator (4mn for the factors of F) so
-    the loop runs in plain ints, and divide once when they build the
-    `Fraction` of a returned coefficient.
-    """
-    rows = [[1]]
-    for a, b, c in forms:
-        above, product = [0] * (len(rows[0]) + 1), []  # above: row i-1 of the old product
-        for row in rows:
-            product.append([c * v + b * w + a * z for v, w, z in zip(row + [0], [0] + row, above)])
-            above = row
-        product.append([a * above[0]])
-        rows = product
-    return rows
+
+def _poly(forms: Iterable[tuple[int, int]]) -> list[int]:
+    """The int coefficients of prod (a t + b) over the int forms (a, b), lowest power first."""
+    return functools.reduce(lambda coefficients, form: _times(coefficients, *form), forms, [1])
 
 
 def _phi_denominator(ratio: FrequencyRatio) -> int:
@@ -328,18 +318,25 @@ def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
 
     The two leading S0^(m+n) terms cancel in the difference, leaving degree
     m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
-    Both products are expanded from the integer factor table, each factor
-    scaled by 4mn, and subtracted in ints; the difference and its
-    denominator (4mn)^(m+n) are divided once by their gcd.  The result is
-    immutable, so it is built once per ratio and shared.
+    With V = H + 2 S0 and Z = H - 2 S0, the sigma = +1 and -1 rows of the factor table,
+    scaled by 4mn, multiply (`_poly`) to (4mn)^(m+n) F = A(V) B(Z), and V^a Z^b is
+    sum_j [t^j] (1+2t)^a (1-2t)^b H^(a+b-j) S0^j.  The int difference and (4mn)^(m+n)
+    are divided once by their gcd.  The result is immutable, built once per ratio and shared.
     """
-    scale = 4 * ratio.m * ratio.n
-    half = scale // 2
-    factors = _ladder_factors(ratio)
-    shifted = _expand((half, sigma * scale, offset + sigma * scale) for sigma, offset in factors)
-    at_s0 = _expand((half, sigma * scale, offset) for sigma, offset in factors)
-    diff = [(i, j, a - b) for i, (up, down) in enumerate(zip(shifted, at_s0))
-            for j, (a, b) in enumerate(zip(up, down)) if a != b]
+    scale, factors = 4 * ratio.m * ratio.n, _ladder_factors(ratio)
+    # A(V), A(V+2), B(Z) and B(Z-2): S0 + 1 moves each offset of a sigma row by sigma 4mn
+    a0, a1, b0, b1 = (_poly((scale // 2, offset + side * shift) for sigma, offset in factors
+                            if sigma == side) for side in (1, -1) for shift in (0, scale))
+    rows = [[0] * (d + 1) for d in range(len(factors) + 1)]  # rows[d][j]: H^(d-j) S0^j
+    kernel = [1]
+    for a in range(len(a0)):
+        column = kernel
+        for b in range(len(b0)):
+            weight = a1[a] * b1[b] - a0[a] * b0[b]
+            rows[a + b] = [c + weight * k for c, k in zip(rows[a + b], column)]
+            column = _times(column, -2, 1)
+        kernel = _times(kernel, 2, 1)
+    diff = [(d - j, j, c) for d, row in enumerate(rows) for j, c in enumerate(row) if c]
     denominator = scale ** len(factors)
     common = gcd(denominator, *(c for _, _, c in diff))
     numerators = sorted(((i, j, c // common) for i, j, c in diff), reverse=True)
@@ -350,20 +347,28 @@ def _ladder_identity(polynomial: CommutatorPolynomial) -> bool:
     """Whether `polynomial` is [S-, S+] = (raise - lower weight) / D of the Fock realization.
 
     With n_x = mU - 1/2, n_y = nW - 1/2, U = H/2 + S0 and W = H/2 - S0, twice each factor of
-    (n_x+1)...(n_x+m) n_y...(n_y-n+1) and n_x...(n_x-m+1) (n_y+1)...(n_y+n) is a form
-    a H + b S0 + c; only m and n are read, not `_ladder_factors`, an independent check of F.
+    (n_x+1)...(n_x+m) n_y...(n_y-n+1) and n_x...(n_x-m+1) (n_y+1)...(n_y+n) is m V +- (2j-1)
+    or n Z +- (2j-1), V = 2U, Z = 2W, read off m and n, not `_ladder_factors`: an independent
+    check of F.  The weights' difference is expanded in (H, S0) by Horner over the mode with
+    fewer factors, the other's powers written out binomially.
     """
     m, n = polynomial.ratio.m, polynomial.ratio.n
-    raised = _expand([*((m, 2 * m, 2 * j - 1) for j in range(1, m + 1)),
-                      *((n, -2 * n, -1 - 2 * l) for l in range(n))])
-    lowered = _expand([*((m, 2 * m, -1 - 2 * j) for j in range(m)),
-                       *((n, -2 * n, 2 * l - 1) for l in range(1, n + 1))])
+    x_mode = (*(_poly((m, s * (2 * j - 1)) for j in range(1, m + 1)) for s in (1, -1)), 2)
+    y_mode = (*(_poly((n, s * (2 * j - 1)) for j in range(1, n + 1)) for s in (-1, 1)), -2)
+    (h_raise, h_lower, h_slope), (b_raise, b_lower, b_slope) = (
+        (x_mode, y_mode) if m <= n else (y_mode, x_mode))  # raise, lower, S0 slope of V or Z
+    powers = [[comb(b, j) * b_slope**j for j in range(b + 1)] for b in range(len(b_raise))]
+    rows = [[0] * d for d in range(1, len(b_raise))]  # rows[d][j]: H^(d-j) S0^j
+    for a in reversed(range(len(h_raise))):
+        rows = [[0]] + [_times(row, h_slope, 1) for row in rows]
+        for b, power in enumerate(powers):
+            weight = h_raise[a] * b_raise[b] - h_lower[a] * b_lower[b]
+            rows[b] = [c + weight * k for c, k in zip(rows[b], power)]
     scale, claimed = 2 ** (m + n) * _phi_denominator(polynomial.ratio), defaultdict(int)
     for i, j, a in polynomial.numerators:
         claimed[i, j] += scale * a
-    proven = {(i, j): (a - b) * polynomial.denominator
-              for i, (up, down) in enumerate(zip(raised, lowered))
-              for j, (a, b) in enumerate(zip(up, down)) if a != b}
+    proven = {(d - j, j): c * polynomial.denominator
+              for d, row in enumerate(rows) for j, c in enumerate(row) if c}
     return proven == {key: value for key, value in claimed.items() if value}
 
 
@@ -371,12 +376,17 @@ def _ladder_identity(polynomial: CommutatorPolynomial) -> bool:
 class ParafermionicForm:
     """Factorization Phi(x) = x (N+1-x) P(x) with P positive on 1..N.
 
-    `coefficients` are those of P, lowest power first; `values` are
-    P(1), ..., P(N).
+    P(x) = prod (a x + b) / prod |a| over the int `forms` (a, b); `values` are P(1), ...,
+    P(N), and `coefficients`, P's from the lowest power, are built on first read.
     """
 
-    coefficients: tuple[Fraction, ...]
+    forms: tuple[tuple[int, int], ...]
     values: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        denominator = prod(abs(a) for a, _ in self.forms)
+        return tuple(Fraction(c, denominator) for c in _poly(self.forms))
 
     @property
     def positive(self) -> bool:
@@ -388,8 +398,8 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
 
     Scaled by 4n, x and N+1-x are the forms (4n, 0) and (-4n, 4n(N+1)) of
     `_scaled_factors`; the forms left multiply to (4n)^(n-1) P(x) (none for 1:1,
-    so P = 1).  The parafermionic reading holds for ratios 1:n only, so any other
-    ratio, and a table without both forms, raise NotDivisibleError.
+    so P = 1), each P(x) an int product.  The parafermionic reading holds for 1:n
+    only, so any other ratio, and a table without both forms, raise NotDivisibleError.
     """
     if sf.ratio.m != 1:
         raise NotDivisibleError(
@@ -404,7 +414,6 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
             )
         forms.remove(form)
     denominator = scale ** len(forms)
-    coefficients = tuple(Fraction(c, denominator) for c in _expand((0, a, b) for a, b in forms)[0])
     values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
                    for x in range(1, sf.label.N + 1))
-    return ParafermionicForm(coefficients, values)
+    return ParafermionicForm(tuple(forms), values)

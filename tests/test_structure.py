@@ -28,7 +28,7 @@ from deformed_u2 import (
     parafermionic_decompose,
     u_constant,
 )
-from deformed_u2.structure import _expand, _ladder_factors, _ladder_identity, _phi_denominator
+from deformed_u2.structure import _ladder_factors, _ladder_identity, _phi_denominator
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -349,7 +349,9 @@ class TestCommutatorPolynomial:
                     assert sf(k + 1) - sf(k) == poly(energy, u + k)
 
     def test_ladder_identity_holds_and_fails_one_coefficient_off(self):
-        for m, n in coprime_pairs(8):
+        # Horner runs over the mode with fewer factors: one x factor at 1:60, one y factor at
+        # 60:1, and 13 x factors at 13:17
+        for m, n in coprime_pairs(8) + [(1, 60), (60, 1), (13, 17)]:
             poly = commutator_polynomial(FrequencyRatio(m, n))
             assert _ladder_identity(poly), (m, n)
             for t in (0, len(poly.numerators) - 1):
@@ -365,13 +367,11 @@ class TestCommutatorPolynomial:
 
     def test_w32_relation_is_exact(self):
         # (4/3) [S-, S+] = H_W^2 + C_W on 1:2, with H_W = -2 S0 + H/3 and
-        # C_W = -(4/9) H^2 + 1/4; times 36, the right side is (2H - 12 S0)^2 - 16 H^2 + 9
+        # C_W = -(4/9) H^2 + 1/4; times 36, the right side is (2H - 12 S0)^2 - 16 H^2 + 9,
+        # that is -12 H^2 - 48 H S0 + 144 S0^2 + 9
         poly = commutator_polynomial(FrequencyRatio(1, 2))
-        rows = _expand([(2, -12, 0), (2, -12, 0)])
-        rows[2][0] -= 16
-        rows[0][0] += 9
         right = {(i, j): c * poly.denominator
-                 for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+                 for (i, j), c in {(2, 0): -12, (1, 1): -48, (0, 2): 144, (0, 0): 9}.items()}
         assert {(i, j): 48 * a for i, j, a in poly.numerators} == right
 
 
@@ -530,7 +530,8 @@ def fraction_horner(coefficients, x):
 
 
 class TestIntegerKernels:
-    @pytest.mark.parametrize("m,n", [(1, 1), (4, 7), (11, 13)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("m,n", [(1, 1), (4, 7), (11, 13), (1, 20), (13, 4)],
+                             ids=lambda v: str(v))
     def test_commutator_terms_match_the_fraction_ladder_product(self, m, n):
         # both sides have degree <= m + n in H and in S0, so agreeing on an
         # (m+n+1) x (m+n+1) grid makes them the same polynomial

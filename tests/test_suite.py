@@ -91,6 +91,37 @@ def test_lists_each_irreps_members_once(monkeypatch):
     assert calls == Counter()
 
 
+def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
+    # the commutator and the ladder identity multiply two one-variable products each per
+    # mode, once per sweep; the 1:n split reads only each irrep's signs and never builds
+    # the coefficients of P, however many irreps the sweep has
+    calls = Counter()
+    poly, coefficients = structure._poly, structure.ParafermionicForm.coefficients
+
+    def counting_poly(forms):
+        calls["_poly"] += 1
+        return poly(forms)
+
+    def counting_coefficients(form):
+        calls["coefficients"] += 1
+        return coefficients.func(form)
+
+    monkeypatch.setattr(structure, "_poly", counting_poly)
+    monkeypatch.setattr(structure.ParafermionicForm, "coefficients",
+                        property(counting_coefficients))
+    for n, n_max in ((3, 6), (60, 1)):
+        calls.clear()
+        structure.commutator_polynomial.cache_clear()
+        ratio = FrequencyRatio(1, n)
+        report = run_suite(ratio, n_max)
+        assert len(report.irreps) == n * (n_max + 1)
+        assert calls == {"_poly": 8}
+        for irrep in report.irreps:  # the sign of P(x) is that of the Gamma form's Phi(x)
+            sf = StructureFunction(irrep.label, ratio)
+            positive = all(sf.gamma_value(x) > 0 for x in range(1, irrep.label.N + 1))
+            assert irrep.failures["parafermionic_failures"] == int(not positive) == 0
+
+
 def test_int_cofactor_raises_as_the_fraction_route():
     # the suite reads each 1:n irrep's sign off parafermionic_decompose, so a table without
     # the x factor, or a ratio that is not 1:n, raises there with the label or ratio named

@@ -21,18 +21,20 @@ The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4, 2:7 N <= 6; 3:5 N <= 8 is already in the
 first group), 1:20 at N <= 8, and 40:41 at N <= 1 and 13:17 at N <= 2, whose
 Phi entries are products of 81 and 30 factors, split into an x-mode table by p
-and a y-mode table by (q, N - k).  `run_suite` pads each sweep's bands to
+and a y-mode table by (q, N - k), and 1:60, 60:1 and 1:100 at N <= 1, whose
+commutators, ladder identities and (at 1:n) splits of Phi are one-variable
+products of degree 61 to 101.  `run_suite` pads each sweep's bands to
 N_max + 1, so the set covers many padding widths.  4:7 at N <= 20, 3:5 at
 N <= 40 and 1:20 at N <= 8 fail (float residuals past the tolerances; at 1:20
-the eigenvalues span 13 decades and 326 of them fail their certificate), so
-failing sweeps are covered too.  Last come 3:5 at N <= 12, 2:7 at N <= 10 and
-4:7 at N <= 8 at the tolerance 1e-13, where the certificate's interval counts
-leave 100-250 points of each sweep to the exact counter, and dozens of values
-fail their certificate.  Then 1:1, 1:2 and 2:3 at N <= 3 run under each of
-four mutants: irrep (2, 1, 1) carries P_1 + 1, u + 1 or E + 1 (through
-`suite._build_stack`), or the commutator has its first coefficient one off
-(through `representation.commutator_polynomial`), so the exact checks that
-fail, and the routes that decide them, are covered.
+the eigenvalues span 13 decades and 326 of them fail their certificate), and
+1:100 at N <= 1 fails its certificate, so failing sweeps are covered too.  Last
+come 3:5 at N <= 12, 2:7 at N <= 10 and 4:7 at N <= 8 at the tolerance 1e-13,
+where the certificate's interval counts leave 100-250 points of each sweep to
+the exact counter, and dozens of values fail their certificate.  Then 1:1, 1:2
+and 2:3 at N <= 3 run under each of four mutants: irrep (2, 1, 1) carries
+P_1 + 1, u + 1 or E + 1 (through `suite._build_stack`), or the commutator has
+its first coefficient one off (through `representation.commutator_polynomial`),
+so the exact checks that fail, and the routes that decide them, are covered.
 Nothing is written to disk.
 """
 
@@ -51,7 +53,7 @@ ONE_IRREP_SWEEPS = [(m, n, 8) for m in range(1, 8) for n in range(1, 8) if gcd(m
 SWEEPS = ONE_IRREP_SWEEPS + [
     (3, 5, 40), (1, 1, 60), (1, 2, 60), (4, 7, 20), (2, 7, 20),
     (1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16), (4, 7, 5), (5, 7, 4), (2, 7, 6),
-    (1, 20, 8), (40, 41, 1), (13, 17, 2),
+    (1, 20, 8), (40, 41, 1), (13, 17, 2), (1, 60, 1), (60, 1, 1), (1, 100, 1),
 ]
 # run at TIGHT_TOL, where many certificate points fall back to exact counts
 TIGHT_SWEEPS = [(3, 5, 12), (2, 7, 10), (4, 7, 8)]

@@ -27,17 +27,18 @@ intervals widened outward at every rounding, so each holds the exact pivot;
 where an interval meets 0 or leaves float range, the sign changes of G_0 ..
 G_{N+1} are counted in integer arithmetic instead.  Either way no rounding
 can misplace a root, and one kernel counts the points of a whole sweep at
-once.  The exact hints evaluate G_{N+1}, as P(l^2), on the same recurrence
-in `Fraction`s.
+once.  That integer count and the exact hints' root test run one integer
+recurrence, `_even_part`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import cycle
 
 import numpy as np
 
@@ -176,18 +177,20 @@ def _eigensolve(functions: Sequence[StructureFunction],
     return eigs, w, _residuals(offdiag, w, eigs)
 
 
-def _p_value(numerators: Sequence[int], denominator: int, s: Fraction) -> Fraction:
-    """P(s), where G_{N+1}(l) = l^((N+1) mod 2) P(l^2), from Phi(k) = P_k / D.
+def _even_part(numerators: Sequence[int], a: int, shift: int) -> Iterator[int]:
+    """r_0 .. r_{N+1}: G_k(x) = x^(k mod 2) r_k / (D 2^shift)^floor(k/2) at D x^2 = a / 2^shift.
 
-    G_k(l) = l^(k mod 2) R_k(l^2), and P = R_{N+1} is run exactly on
+    sqrt(D) T has off-diagonals sqrt(P_k) (`numerators`, Phi(k) = P_k / D), so
+    its characteristic polynomials l^(k mod 2) R_k(D l^2) have R_k monic in
+    ZZ[t]; r_k = 2^(shift floor(k/2)) R_k(a / 2^shift) is their even part in ints:
 
-        R_{k+1}(s) = (s if k odd else 1) R_k(s) - Phi(k) R_{k-1}(s),
-        R_{-1} = 0,  R_0 = 1.
+        r_{k+1} = (a if k odd else 1) r_k - (P_k r_{k-1} << shift),   r_{-1} = 0,  r_0 = 1.
     """
-    previous, current = Fraction(0), Fraction(1)
-    for k, p in enumerate(numerators[:-1]):
-        previous, current = current, (s if k % 2 else 1) * current - previous * p / denominator
-    return current
+    previous, current = 0, 1
+    yield current
+    for odd, p in zip(cycle((False, True)), numerators[:-1]):  # k = 0, 1, ..., N
+        previous, current = current, (a * current if odd else current) - ((p * previous) << shift)
+        yield current
 
 
 def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
@@ -195,10 +198,11 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
 
     A candidate is the rational with denominator <= 1000 nearest l (or l^2)
     and within 1e-10 of it; it is kept only when it is an exact root.  With
-    G_{N+1}(l) = l^((N+1) mod 2) P(l^2) over the rationals, a rational r is
-    a root iff P(r^2) = 0, sqrt(s) iff P(s) = 0, and 0 iff N is even; P is
-    evaluated exactly on the recurrence (`_p_value`).  Eigenvalues without a
-    confirmed closed form get None.
+    G_{N+1}(l) = l^((N+1) mod 2) R_{N+1}(D l^2), R_{N+1} monic in ZZ[t]
+    (`_even_part`), a rational r is a root iff t = D r^2 is, sqrt(s) iff
+    t = D s is, and 0 iff N is even; by the rational root theorem such a t is
+    an integer, and R_{N+1}(t) = 0 is then tested in ints.  Eigenvalues
+    without a confirmed closed form get None.
     """
     label, numerators = spectrum.label, spectrum.numerators
     denominator = _phi_denominator(spectrum.ratio)
@@ -208,46 +212,41 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
         close = abs(value - candidate) <= 1e-10 * max(1.0, abs(value))
         return candidate if candidate and close else None
 
+    def is_root(s: Fraction) -> bool:
+        t, remainder = divmod(s.numerator * denominator, s.denominator)
+        return not remainder and [*_even_part(numerators, t, 0)][-1] == 0
+
     def hint(value: float) -> str | None:
         if value == 0.0:
             return "0" if label.N % 2 == 0 else None
         rational = near_rational(value)
-        if rational is not None and _p_value(numerators, denominator, rational**2) == 0:
+        if rational is not None and is_root(rational**2):
             return str(rational)
         square = near_rational(value * value)
-        if square is not None and _p_value(numerators, denominator, square) == 0:
+        if square is not None and is_root(square):
             return f"{'-' if value < 0 else ''}sqrt({square})"
         return None
 
     return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
-def _sturm_counter(spectrum: AngularSpectrum | StructureFunction) -> Callable[[int, int], int]:
-    """count_above(a, e) = #{eigenvalues of L0 on the irrep > a / 2^e}, exactly.
+def _exact_count(record: AngularSpectrum | StructureFunction, a: int, e: int) -> int:
+    """count_above(x) = #{eigenvalues of L0 on the irrep of `record` > x}, x = a / 2^e, exactly.
 
-    It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped
-    (Sturm's theorem; Barth, Martin & Wilkinson 1967).  With Phi(k) = P_k / D
-    (`spectrum.numerators`), g_k = (2^e D)^k G_k(a / 2^e) obey an integer
-    recurrence with weights P_k D, so the count is exact at every dyadic
-    point, e <= 0 too.  A `StructureFunction` serves as well as a spectrum:
-    only the ratio and the integer table are read.
+    It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped (Sturm's
+    theorem; Barth, Martin & Wilkinson 1967), whose signs are those of x^(k mod 2) r_k
+    (`_even_part` at D a^2 and shift 2e, e <= 0 too).  Only the ratio and the table are read.
     """
-    denominator = _phi_denominator(spectrum.ratio)
-    weights = [v * denominator for v in spectrum.numerators[1:-1]]
-
-    def count_above(a: int, e: int) -> int:
-        if e < 0:
-            a, e = a << -e, 0
-        ad = a * denominator
-        previous, current = 0, 1  # g_{-1}, g_0; then g_1 = aD
-        changes, positive = 0, True
-        for weight in (0, *weights):
-            previous, current = current, ad * current - ((weight * previous) << (2 * e))
-            if current and (current > 0) != positive:
-                changes, positive = changes + 1, not positive
-        return changes
-
-    return count_above
+    if e < 0:
+        a, e = a << -e, 0
+    terms = _even_part(record.numerators, _phi_denominator(record.ratio) * a * a, 2 * e)
+    if a <= 0:  # an odd G_k(x) has the sign of x r_k
+        terms = (r if k % 2 == 0 else -r if a else 0 for k, r in enumerate(terms))
+    changes, positive = 0, True
+    for r in terms:
+        if r and (r > 0) != positive:
+            changes, positive = changes + 1, not positive
+    return changes
 
 
 # the directions in which an interval's (lo, hi) rows are widened; a tuple, so
@@ -316,7 +315,7 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     those of Phi (`_phi_intervals`); so each interval holds the exact r_k.
     A point whose intervals all exclude 0 and have finite bounds has no zero
     G_k, and its count is the exact sign-change count.  Every other point is
-    counted by `_sturm_counter` at the exact dyadic point (`_dyadic`).  The
+    counted in ints by `_exact_count` at the exact dyadic point (`_dyadic`).  The
     points are sorted stably by N, largest first, so step k runs on the prefix
     of points whose irrep has N >= k, gathering each one's Phi(k).
     """
@@ -346,12 +345,9 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
             decided[:n] &= _excludes_zero(r)
             negative[:n] += r[1] < 0
     counts[order] = negative
-    counters: dict[int, Callable[[int, int], int]] = {}
     for point in order[~decided].tolist():
-        j = int(irreps[point])
-        if j not in counters:
-            counters[j] = _sturm_counter(records[j])
-        counts[point] = counters[j](*_dyadic(float(centres[point]), float(offsets[point])))
+        counts[point] = _exact_count(records[int(irreps[point])],
+                                     *_dyadic(float(centres[point]), float(offsets[point])))
     return counts
 
 

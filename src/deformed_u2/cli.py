@@ -195,6 +195,16 @@ _ratio_option = click.option(
     callback=_parse_ratio,
     help="Frequency ratio M:N with coprime positive integers, e.g. 1:2.",
 )
+
+
+def _label_options(command):
+    """--N, --p and --q, the label (N, p, q) of one irrep."""
+    for name, text in (("--q", "Sublabel q in 1..n."), ("--p", "Sublabel p in 1..m.")):
+        command = click.option(name, type=int, default=1, show_default=True, help=text)(command)
+    return click.option("--N", "big_n", type=click.IntRange(min=0), required=True,
+                        help="Representation index N (dimension N+1).")(command)
+
+
 _format_option = click.option(
     "--format",
     "fmt",
@@ -260,10 +270,7 @@ def spectrum(ratio, count, fmt, output):
 
 @main.command()
 @_ratio_option
-@click.option("--N", "big_n", type=click.IntRange(min=0), required=True,
-              help="Representation index N (dimension N+1).")
-@click.option("--p", type=int, default=1, show_default=True, help="Sublabel p in 1..m.")
-@click.option("--q", type=int, default=1, show_default=True, help="Sublabel q in 1..n.")
+@_label_options
 @_format_option
 @_tol_option
 @_output_option
@@ -318,10 +325,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
 
 @main.command()
 @_ratio_option
-@click.option("--N", "big_n", type=click.IntRange(min=0), required=True,
-              help="Representation index N (dimension N+1).")
-@click.option("--p", type=int, default=1, show_default=True, help="Sublabel p in 1..m.")
-@click.option("--q", type=int, default=1, show_default=True, help="Sublabel q in 1..n.")
+@_label_options
 @_format_option
 @_output_option
 def angular(ratio, big_n, p, q, fmt, output):

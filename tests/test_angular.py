@@ -3,6 +3,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import gcd
 
@@ -26,7 +27,7 @@ from deformed_u2 import (
     irrep_members,
 )
 from deformed_u2 import angular
-from deformed_u2.angular import _count_above, _p_value, _sturm_counter
+from deformed_u2.angular import _count_above, _even_part, _exact_count
 from deformed_u2.representation import _diag, _offdiagonals
 from deformed_u2.structure import _phi_denominator
 from deformed_u2.suite import EIGEN_TOL
@@ -48,9 +49,26 @@ def all_labels(m, n, n_top):
                 yield IrrepLabel(big_n, p, q)
 
 
+def fraction_p(numerators, denominator, s):
+    """P(s), where G_{N+1}(l) = l^((N+1) mod 2) P(l^2), from Phi(k) = P_k / D, in `Fraction`s.
+
+    G_k(l) = l^(k mod 2) R_k(l^2), and P = R_{N+1} is run on
+
+        R_{k+1}(s) = (s if k odd else 1) R_k(s) - Phi(k) R_{k-1}(s),
+        R_{-1} = 0,  R_0 = 1,
+
+    the rational recurrence the integer kernel `_even_part` scales; it is the
+    tests' independent reference.
+    """
+    previous, current = Fraction(0), Fraction(1)
+    for k, p in enumerate(numerators[:-1]):
+        previous, current = current, (s if k % 2 else 1) * current - previous * p / denominator
+    return current
+
+
 def p_value(label, ratio, s):
     numerators = StructureFunction(label, ratio).numerators
-    return _p_value(numerators, _phi_denominator(ratio), Fraction(s))
+    return fraction_p(numerators, _phi_denominator(ratio), Fraction(s))
 
 
 S_POINTS = [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(5, 7), Fraction(4)]
@@ -73,26 +91,24 @@ class TestCharacteristicP:
             assert p_value(IrrepLabel(1, 1, 2), ratio, s) == s - Fraction(3, 2)
 
     def test_matches_sympy_charpoly(self):
-        # The rational tridiagonal with superdiagonal 1 and subdiagonal Phi(k)
-        # has the characteristic polynomial of T, with no surds.  Agreement
-        # at N + 2 points pins the whole polynomial of degree N + 1.
-        ell = sympy.Symbol("l")
+        # The integer tridiagonal with superdiagonal 1 and subdiagonal P_k has
+        # the characteristic polynomial of sqrt(D) T, monic in ZZ[mu], whose
+        # even part the kernel runs at t = mu^2.  Agreement at N + 2 integer
+        # points pins the whole polynomial of degree N + 1.
+        mu = sympy.Symbol("mu")
         for m, n in coprime_pairs(4):
             ratio = FrequencyRatio(m, n)
-            denominator = _phi_denominator(ratio)
             for label in all_labels(m, n, 6):
                 numerators = StructureFunction(label, ratio).numerators
                 size = label.N + 1
                 t = sympy.zeros(size, size)
                 for k in range(1, size):
                     t[k - 1, k] = 1
-                    t[k, k - 1] = sympy.Rational(numerators[k], denominator)
-                charpoly = t.charpoly(ell)
-                for j in range(size + 1):
-                    point = Fraction(j, 3) - 1
-                    expected = charpoly.eval(sympy.Rational(point.numerator, point.denominator))
-                    value = point ** (size % 2) * _p_value(numerators, denominator, point**2)
-                    assert value == Fraction(int(expected.p), int(expected.q)), (label, point)
+                    t[k, k - 1] = numerators[k]
+                charpoly = t.charpoly(mu)
+                for point in range(-1, size + 1):
+                    *_, r = _even_part(numerators, point**2, 0)
+                    assert point ** (size % 2) * r == int(charpoly.eval(point)), (label, point)
 
 
 def g_value(phi, k, ell):
@@ -100,7 +116,7 @@ def g_value(phi, k, ell):
 
     The `Fraction`s of Phi are passed as numerators over the denominator 1.
     """
-    return ell ** (k % 2) * _p_value(phi[: k + 1], 1, ell**2)
+    return ell ** (k % 2) * fraction_p(phi[: k + 1], 1, ell**2)
 
 
 def g_unreduced(phi, ell):
@@ -455,6 +471,45 @@ class TestExactHints:
             spec = angular_eigenvalues(IrrepLabel(big_n, 1, 2), ratio)
             assert ("0" in exact_hints(spec)) == (big_n % 2 == 0)
 
+    def test_a_candidate_whose_t_is_not_an_integer_is_no_root(self):
+        # at 1:1 (D = 1) and N = 2, R(t) = t - 4; sqrt(9/2) gives t = 9/2, which
+        # floors to the root 4, and the rational root theorem refuses it
+        spec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 1))
+        assert exact_hints(shifted(spec, {2: math.sqrt(4.5)})) == ("-2", "0", None)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_the_fraction_route(self, data):
+        m, n = data.draw(st.sampled_from(coprime_pairs(7)))
+        label = IrrepLabel(data.draw(st.integers(0, 40)), data.draw(st.integers(1, m)),
+                           data.draw(st.integers(1, n)))
+        spec = angular_eigenvalues(label, FrequencyRatio(m, n))
+        assert exact_hints(spec) == fraction_hints(spec)
+
+
+def fraction_hints(spectrum):
+    """`exact_hints` by the route the integer kernel replaced: the same
+    `near_rational` candidates, each kept when P(s) = 0 in `Fraction`s."""
+    numerators, denominator = spectrum.numerators, _phi_denominator(spectrum.ratio)
+
+    def near_rational(value):
+        candidate = Fraction(value).limit_denominator(1000)
+        close = abs(value - candidate) <= 1e-10 * max(1.0, abs(value))
+        return candidate if candidate and close else None
+
+    def hint(value):
+        if value == 0.0:
+            return "0" if spectrum.label.N % 2 == 0 else None
+        rational = near_rational(value)
+        if rational is not None and fraction_p(numerators, denominator, rational**2) == 0:
+            return str(rational)
+        square = near_rational(value * value)
+        if square is not None and fraction_p(numerators, denominator, square) == 0:
+            return f"{'-' if value < 0 else ''}sqrt({square})"
+        return None
+
+    return tuple(hint(value) for value in spectrum.eigenvalues)
+
 
 def shifted(spec, changes):
     """`spec` with the eigenvalues at the given indices replaced."""
@@ -476,9 +531,8 @@ class TestCertificate:
         assert certify_eigenvalues(spec, 1e-12) == (True,) * (big_n + 1)
         # -N, -N+2, ..., N are integers, so G_{N+1} vanishes exactly at each
         # count point, and a root is not counted above itself
-        count_above = _sturm_counter(spec)
         roots = range(-big_n, big_n + 1, 2)
-        assert [count_above(root, 0) for root in roots] == list(range(big_n, -1, -1))
+        assert [_exact_count(spec, root, 0) for root in roots] == list(range(big_n, -1, -1))
 
     @pytest.mark.parametrize("big_n,q", [(2, 1), (10, 2), (40, 1)])
     def test_even_n_zero_is_certified(self, big_n, q):
@@ -486,7 +540,7 @@ class TestCertificate:
         spec = angular_eigenvalues(label, ratio)
         assert spec.eigenvalues[big_n // 2] == 0.0
         assert all(certify_eigenvalues(spec, 1e-12))
-        assert _sturm_counter(spec)(0, 0) == big_n // 2
+        assert _exact_count(spec, 0, 0) == big_n // 2
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_certifies_n60(self, q):
@@ -496,7 +550,7 @@ class TestCertificate:
     def test_counts_at_any_dyadic_point(self):
         # a / 2^e is the same point for every (a 2^j, e + j), with e <= 0 too
         spec = angular_eigenvalues(IrrepLabel(12, 2, 3), FrequencyRatio(2, 3))
-        count_above = _sturm_counter(spec)
+        count_above = partial(_exact_count, spec)
         for a in (-37, -4, 0, 3, 52):
             counts = {count_above(a << j, j - 2) for j in range(6)}
             assert len(counts) == 1
@@ -536,7 +590,7 @@ class TestCertificate:
         """The list that collects, as Fractions, the points certify_eigenvalues counts at.
 
         Every point goes through the kernel's point list (`_count_above`), as
-        centre + offset; only the points it cannot decide reach `_sturm_counter`.
+        centre + offset; only the points it cannot decide reach `_exact_count`.
         """
         points = []
         count_above = angular._count_above
@@ -587,12 +641,11 @@ class TestCertificate:
         tiny = 5e-324
         values = (0.0, tiny, -tiny, 7e5, -7e5, math.nan, math.inf)
         spec = shifted(angular_eigenvalues(label, ratio), dict(enumerate(values)))
-        count = _sturm_counter(spec)
         points = self.record_count_points(monkeypatch)
         certified = certify_eigenvalues(spec, tolerance)
 
         def count_at(x):
-            return count(x.numerator, x.denominator.bit_length() - 1)
+            return _exact_count(spec, x.numerator, x.denominator.bit_length() - 1)
 
         delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
         expected_points, expected = [], []
@@ -628,7 +681,7 @@ class TestCertificate:
 def exact_count(spec, centre, offset):
     """The exact counter of `spec` at Fraction(centre) + Fraction(offset)."""
     x = Fraction(centre) + Fraction(offset)
-    return _sturm_counter(spec)(x.numerator, x.denominator.bit_length() - 1)
+    return _exact_count(spec, x.numerator, x.denominator.bit_length() - 1)
 
 
 def interval_counts(specs, points):
@@ -679,21 +732,34 @@ class TestIntervalCounts:
             exact_count(specs[j], centre, offset) for j, centre, offset in points
         ]
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(coprime_pairs(5)), st.data())
+    def test_exact_count_is_the_sign_changes_of_g(self, ratio, data):
+        # at a / 2^e, a < 0, a = 0 and e < 0 among them, and at the eigenvalues' floats
+        m, n = ratio
+        label = IrrepLabel(data.draw(st.integers(0, 16)), data.draw(st.integers(1, m)),
+                           data.draw(st.integers(1, n)))
+        spec = angular_eigenvalues(label, FrequencyRatio(m, n))
+        if data.draw(st.booleans()):
+            a, scale = data.draw(st.sampled_from(spec.eigenvalues)).as_integer_ratio()
+            e = scale.bit_length() - 1
+        else:
+            a = data.draw(st.one_of(st.just(0), st.integers(-(2**40), 2**40)))
+            e = data.draw(st.integers(-8, 48))
+        phi = [Fraction(v, _phi_denominator(spec.ratio)) for v in spec.numerators]
+        signs = [g > 0 for g in g_unreduced(phi, Fraction(a) / Fraction(2) ** e) if g]
+        assert _exact_count(spec, a, e) == sum(s != t for s, t in zip(signs, signs[1:]))
+
     def record_exact_points(self, monkeypatch):
-        """The list of (N, Fraction point) of every count `_sturm_counter` makes."""
+        """The list of (N, Fraction point) of every count `_exact_count` makes."""
         points = []
-        counter = angular._sturm_counter
+        count = angular._exact_count
 
-        def recording_counter(record):
-            count = counter(record)
+        def recording_count(record, a, e):
+            points.append((record.label.N, Fraction(a, 2**e)))
+            return count(record, a, e)
 
-            def count_above(a, e):
-                points.append((record.label.N, Fraction(a, 2**e)))
-                return count(a, e)
-
-            return count_above
-
-        monkeypatch.setattr(angular, "_sturm_counter", recording_counter)
+        monkeypatch.setattr(angular, "_exact_count", recording_count)
         return points
 
     def test_isotropic_eigenvalues_and_zero_fall_back(self, monkeypatch):

@@ -12,7 +12,7 @@ should keep every output bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
 
-It takes about 20 s and needs no network.
+It takes about 45 s and needs no network.
 """
 
 from __future__ import annotations

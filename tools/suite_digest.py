@@ -3,13 +3,17 @@
     python tools/suite_digest.py SRC_DIR
 
 imports `deformed_u2` from SRC_DIR, runs `run_suite` on every sweep of the set
-and prints `<sweeps> <irreps> <records> <sha256>`.  The hash covers, for each
-irrep, its label, its energy, every residual key with the `float.hex()` of its
-value, and its failure counts, and for each sweep whether it passed and its
-commutator.  It also covers the one-irrep path (`IrrepStack.of`): on every irrep
+and prints `<sweeps> <irreps> <records> <spectra> <sha256>`.  The hash covers,
+for each irrep, its label, its energy, every residual key with the
+`float.hex()` of its value, and its failure counts, and for each sweep whether
+it passed and its commutator.  It also covers the one-irrep path (`IrrepStack.of`): on every irrep
 of the first group below, `build_irrep(label, ratio)` is checked by
 `verify_algebra`, `oracle_compare` and, at 1:2, `w32_check`, and each of these
 `<records>` reports adds its residuals as `float.hex()` and its exact checks.
+Last, `exact_hints(angular_eigenvalues(label, ratio))` of `<spectra>` irreps
+adds each eigenvalue's hint: every irrep of that first group, and every label
+of 1:1 at N = 150, 1:2 at N = 90, 2:3 at N = 60 and 3:5 at N = 56
+(`HINT_LEVELS`), whose spectra hold many closed forms and many near misses.
 Two checkouts print the same line when their results are bitwise identical:
 
     python tools/suite_digest.py old/src
@@ -61,6 +65,8 @@ TIGHT_TOL = 1e-13
 # run under each mutant, which alters MUTANT_LABEL's record or the commutator
 MUTANT_SWEEPS = [(1, 1, 3), (1, 2, 3), (2, 3, 3)]
 MUTANT_LABEL = (2, 1, 1)
+# every label of one N, hinted beside the irreps of ONE_IRREP_SWEEPS
+HINT_LEVELS = [(1, 1, 150), (1, 2, 90), (2, 3, 60), (3, 5, 56)]
 
 
 def main() -> None:
@@ -69,8 +75,9 @@ def main() -> None:
     src = Path(sys.argv[1]).resolve()
     sys.path.insert(0, str(src))
     import deformed_u2
-    from deformed_u2 import FrequencyRatio, IrrepLabel, build_irrep
-    from deformed_u2 import oracle_compare, representation, suite, verify_algebra, w32_check
+    from deformed_u2 import FrequencyRatio, IrrepLabel, angular_eigenvalues, build_irrep
+    from deformed_u2 import exact_hints, oracle_compare, representation, suite, verify_algebra
+    from deformed_u2 import w32_check
     from deformed_u2.suite import run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
@@ -124,7 +131,16 @@ def main() -> None:
                 for part in (rep.label, report.name, residuals, report.exact_checks):
                     digest.update(repr(part).encode("utf-8") + b"\0")
             records += len(checks)
-    print(len(runs), irreps, records, digest.hexdigest())
+    spectra = 0
+    hinted = [(m, n, range(n_max + 1)) for m, n, n_max in ONE_IRREP_SWEEPS]
+    for m, n, sizes in hinted + [(m, n, [big_n]) for m, n, big_n in HINT_LEVELS]:
+        ratio = FrequencyRatio(m, n)
+        for big_n, p, q in product(sizes, range(1, m + 1), range(1, n + 1)):
+            label = IrrepLabel(big_n, p, q)
+            hints = exact_hints(angular_eigenvalues(label, ratio))
+            digest.update(repr((m, n, label, hints)).encode("utf-8") + b"\0")
+            spectra += 1
+    print(len(runs), irreps, records, spectra, digest.hexdigest())
 
 
 if __name__ == "__main__":

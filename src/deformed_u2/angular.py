@@ -301,8 +301,9 @@ def _dyadic(centre: float, offset: float) -> tuple[int, int]:
 
 
 def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps: np.ndarray,
-                 centres: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """count_above(centre + offset) on the irrep `records[irrep]` for each point, exactly.
+                 centres: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """count_above(centre + offset) on the irrep `records[irrep]` for each point it can decide,
+    and the indices, ascending, of the points it cannot.
 
     The points, all finite, are counted together in one float-interval pass
     of the pivot form of the Sturm count (the LDL^T inertia count; Kahan 1966):
@@ -315,13 +316,14 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     those of Phi (`_phi_intervals`); so each interval holds the exact r_k.
     A point whose intervals all exclude 0 and have finite bounds has no zero
     G_k, and its count is the exact sign-change count.  Every other point is
-    counted in ints by `_exact_count` at the exact dyadic point (`_dyadic`).  The
-    points are sorted stably by N, largest first, so step k runs on the prefix
-    of points whose irrep has N >= k, gathering each one's Phi(k).
+    left to the caller, to count in ints by `_exact_count` at the exact dyadic
+    point (`_dyadic`) where it needs the count.  The points are sorted stably
+    by N, largest first, so step k runs on the prefix of points whose irrep has
+    N >= k, gathering each one's Phi(k).
     """
     counts = np.zeros(len(irreps), dtype=np.int64)
     if not len(irreps):
-        return counts
+        return counts, np.arange(0)
     sizes = np.array([record.label.N for record in records])
     phi, usable = _phi_intervals(records, sizes)
     big_n = sizes[irreps]
@@ -345,19 +347,18 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
             decided[:n] &= _excludes_zero(r)
             negative[:n] += r[1] < 0
     counts[order] = negative
-    for point in order[~decided].tolist():
-        counts[point] = _exact_count(records[int(irreps[point])],
-                                     *_dyadic(float(centres[point]), float(offsets[point])))
-    return counts
+    return counts, np.sort(order[~decided])
 
 
 def _certify(records: Sequence[AngularSpectrum | StructureFunction],
              rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[bool, ...]]:
     """`certify_eigenvalues` on each row of eigenvalues, those of the irrep `records[j]`.
 
-    Every count point of every row goes to one `_count_above` pass.  A value
-    at i < N/2 with l_i == -l_{N-i} takes its mirror's result, and is counted
-    itself, in a second pass, when its mirror fails.  A NaN or inf gets no point.
+    Every count point of every row goes to one `_count_above` pass.  Of the
+    points it leaves undecided, the - points are counted exactly first, and a
+    + point only where its value's - point held.  A value at i < N/2 with
+    l_i == -l_{N-i} takes its mirror's result, and is counted itself, in a
+    second pass, when its mirror fails.  A NaN or inf gets no point.
     """
     delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
     sizes = np.array([len(row) for row in rows])
@@ -372,9 +373,15 @@ def _certify(records: Sequence[AngularSpectrum | StructureFunction],
 
     def holds(points: np.ndarray) -> np.ndarray:
         """count_above(l_i - delta) >= N+1-i and count_above(l_i + delta) <= N-i."""
-        counts = _count_above(records, np.repeat(irreps[points], 2), np.repeat(values[points], 2),
-                              np.tile([-delta, delta], len(points)))
+        owners, centres = np.repeat(irreps[points], 2), np.repeat(values[points], 2)
+        offsets = np.tile([-delta, delta], len(points))
+        counts, undecided = _count_above(records, owners, centres, offsets)
         upper = big_n[points] - index[points]
+        for plus in (0, 1):  # point 2j is l_j - delta, point 2j + 1 is l_j + delta
+            for j in undecided[undecided % 2 == plus].tolist():
+                if not plus or counts[j - 1] >= upper[j // 2] + 1:
+                    counts[j] = _exact_count(records[owners[j]],
+                                             *_dyadic(float(centres[j]), float(offsets[j])))
         return (counts[0::2] >= upper + 1) & (counts[1::2] <= upper)
 
     certified = np.zeros(len(values), dtype=bool)
@@ -409,7 +416,8 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:
-    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep `rep`, or on each S+ band row."""
-    band = rep.s_plus_band if isinstance(rep, IrrepMatrices) else rep
+    """Dense complex matrix of L0 = -i(S+ - S-) on the irrep `rep`, or on each S+ band row;
+    S- is S+'s transpose."""
+    s_plus = _diag(rep.s_plus_band if isinstance(rep, IrrepMatrices) else rep, -1)
     with np.errstate(invalid="ignore"):  # -1j * inf makes a NaN, which fails the eigen checks
-        return -1j * (_diag(band, -1) - _diag(band, 1))
+        return -1j * (s_plus - s_plus.swapaxes(-1, -2))

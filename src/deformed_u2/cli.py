@@ -394,14 +394,16 @@ def verify(ratio, n_max, fmt, tol, output):
     records = [
         {
             "kind": "irrep",
-            "N": irrep.label.N,
-            "p": irrep.label.p,
-            "q": irrep.label.q,
-            "energy": str(irrep.energy),
-            "max_residual": _decimal(irrep.max_residual),
-            "exact_check_failures": irrep.failures["exact_check_failures"],
+            "N": label.N,
+            "p": label.p,
+            "q": label.q,
+            "energy": str(energy),
+            "max_residual": _decimal(worst),
+            "exact_check_failures": failures,
         }
-        for irrep in report.irreps
+        for label, energy, worst, failures in zip(
+            report.labels, report.energies, report.max_residuals.tolist(),
+            report.failure_columns["exact_check_failures"].tolist())
     ]
     summary = {
         "kind": "summary",

@@ -15,19 +15,25 @@ The lower from member k + 1 undoes the raise from member k with the same
 weight, so S- = transpose(S+) on the irrep: `build_irrep` stores one ladder
 band, and the oracle tests S-'s weights exactly and S+'s band entries to 1 ulp.
 
-Member k of (N, p, q) is |p - 1 + k m, (N - k) n + q - 1>, read off the label as
-two int ranges, along which S+ steps by construction.  Every quantity is a
-plain integer over a known denominator, so the oracle needs no truncated basis
-and no tolerance, and no structure function enters: its comparison with
-`build_irrep` is a set of exact checks.
+Member k of (N, p, q) is |p - 1 + k m, (N - k) n + q - 1>, read off the label,
+along which S+ steps by construction.  Every quantity is a plain integer over
+a known denominator, so the oracle needs no truncated basis and no tolerance,
+and no structure function enters: its comparison with `build_irrep` is a set
+of exact checks.  On a stack the members of every irrep are two int64 tables,
+the S0 and H checks run once on them and on the stack's bands, and the weights
+are products of per-mode tables built once per stack.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat, starmap
+from itertools import repeat
+from operator import mul
 
-from .representation import _BANDS, IrrepMatrices, IrrepStack, VerificationReport
+import numpy as np
+
+from .representation import IrrepMatrices, IrrepStack, VerificationReport, _Columns
+from .representation import _first_report
 
 __all__ = ["oracle_compare"]
 
@@ -67,38 +73,57 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
     1 ulp of the square root of its weight.  In a stack, each row
     must also be 0.0 past its irrep's pattern, on the padding.
     """
-    return _oracle_reports(IrrepStack.of(rep))[0]
+    return _first_report("oracle", _oracle_reports(IrrepStack.of(rep)), 0.0)
 
 
-def _oracle_reports(stack: IrrepStack) -> tuple[VerificationReport, ...]:
-    """`oracle_compare` on every irrep of `stack`: the bands read at once, the weights per irrep."""
-    m, n = stack.ratio.m, stack.ratio.n
-    den = m**m * n**n
-    s0_rows, s_plus_rows, h_rows = (getattr(stack, key).tolist() for key in _BANDS)
+def _oracle_reports(stack: IrrepStack) -> _Columns:
+    """`oracle_compare`'s exact checks on every irrep of `stack`, one list per check.
+
+    S0 and H are checked on the whole stack at once: member k of row i is
+    (n_x, n_y) = (p - 1 + k m, (N - k) n + q - 1), one int64 table each, and so
+    are 4mn S0 and 2mn H on the members.  Their entries stay below 4mn (N_max + 2),
+    at most 8 times the mn (N_max + 1) irreps of a sweep, so far below 2^53: each
+    is exact, and each quotient numpy forms is the correctly rounded one.  A band
+    entry must equal its quotient (a NaN fails, -0.0 passes 0.0) and the padding
+    must be 0.0.  The raise and lower weights, per irrep, multiply x-mode tables
+    by p and y-mode tables by q, each built once per stack.
+    """
+    ratio, labels = stack.ratio, [rep.label for rep in stack.irreps]
+    m, n, den = ratio.m, ratio.n, ratio.m**ratio.m * ratio.n**ratio.n
+    for label in labels:
+        label.validate_for(ratio)
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
-    reports = []
-    for i, rep in enumerate(stack.irreps):
-        rep.label.validate_for(stack.ratio)
-        big_n, p, q = rep.label.N, rep.label.p, rep.label.q
-        dim = big_n + 1
-        members = list(zip(range(p - 1, p + big_n * m, m), range(big_n * n + q - 1, q - 2, -n)))
-        raises = [math.perm(x + m, m) * math.perm(y, n) for x, y in members]
-        lowers = [math.perm(x, m) * math.perm(y + n, n) for x, y in members]
-        s0_num = [n * (2 * x + 1) - m * (2 * y + 1) for x, y in members]
-        h_num = [n * (2 * x + 1) + m * (2 * y + 1) for x, y in members]
-        # 4mn u and 2mn E, ints with no remainder unless `rep` carries a wrong u or E
-        u, u_rest = divmod(s0_den * rep.u.numerator, rep.u.denominator)
-        energy, energy_rest = divmod(h_den * rep.energy.numerator, rep.energy.denominator)
-        checks = {
-            "s0": not u_rest and s0_num == list(range(u, u + dim * s0_den, s0_den))
-            and s0_rows[i][:dim] == [v / s0_den for v in s0_num] and not any(s0_rows[i][dim:]),
-            "s_plus": raises == list(rep.numerators[1:]) and not any(s_plus_rows[i][big_n:])
-            and all(starmap(_within_one_ulp, zip(s_plus_rows[i][:big_n], raises[:-1],
-                                                 repeat(den, big_n), strict=True))),
-            "s_minus": lowers == list(rep.numerators[:-1]),
-            "h": not energy_rest and h_num == [energy] * dim
-            and h_rows[i][:dim] == [v / h_den for v in h_num] and not any(h_rows[i][dim:]),
-        }
-        reports.append(VerificationReport("oracle", {}, checks, 0.0))
-    return tuple(reports)
+    big_n, p, q = np.array([(label.N, label.p, label.q) for label in labels]).T[..., None]
+    k = np.arange(stack.s0_band.shape[-1])
+    real = k <= big_n  # each row's members, before its padding
+    n_x, n_y = p - 1 + k * m, (big_n - k) * n + q - 1
+    s0_num = n * (2 * n_x + 1) - m * (2 * n_y + 1)
+    h_num = n * (2 * n_x + 1) + m * (2 * n_y + 1)
+    # along a row 4mn S0 steps by 4mn, as 4mn (u + k) does, and 2mn H by 0, as 2mn E does, so
+    # each holds its int equality iff it does at member 0, compared cross-multiplied with u, E
+    s0_ok = np.array([a * rep.u.denominator == s0_den * rep.u.numerator
+                      for a, rep in zip(s0_num[:, 0].tolist(), stack.irreps)])
+    h_ok = np.array([a * rep.energy.denominator == h_den * rep.energy.numerator
+                     for a, rep in zip(h_num[:, 0].tolist(), stack.irreps)])
+    s0, h, s_plus = stack.s0_band, stack.h_band, stack.s_plus_band
+    s0_ok &= np.all(np.where(real, s0 == s0_num / s0_den, s0 == 0), axis=-1)
+    h_ok &= np.all(np.where(real, h == h_num / h_den, h == 0), axis=-1)
+    padded = np.any((s_plus != 0) & ~real[:, 1:], axis=-1).tolist()
+
+    # X(k) = (n_x + 1)...(n_x + m) and n_x ... (n_x - m + 1) at n_x = p - 1 + k m, by p;
+    # Y(j) = n_y ... (n_y - n + 1) and (n_y + 1)...(n_y + n) at n_y = j n + q - 1, by q
+    steps = range(len(k))
+    x_raise, x_lower = ({v: [math.perm(v - 1 + j * m + shift, m) for j in steps]
+                         for v in range(1, m + 1)} for shift in (m, 0))
+    y_raise, y_lower = ({v: [math.perm(j * n + v - 1 + shift, n) for j in steps]
+                         for v in range(1, n + 1)} for shift in (0, n))
+    plus, minus = [], []
+    for row, rep, pad in zip(s_plus.tolist(), stack.irreps, padded):
+        label = rep.label
+        raises = [*map(mul, x_raise[label.p][:label.N + 1], y_raise[label.q][label.N::-1])]
+        lowers = [*map(mul, x_lower[label.p][:label.N + 1], y_lower[label.q][label.N::-1])]
+        plus.append(raises == [*rep.numerators[1:]] and not pad
+                    and all(map(_within_one_ulp, row[:label.N], raises, repeat(den))))
+        minus.append(lowers == [*rep.numerators[:-1]])
+    return {}, {"s0": s0_ok.tolist(), "s_plus": plus, "s_minus": minus, "h": h_ok.tolist()}

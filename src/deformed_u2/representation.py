@@ -232,12 +232,16 @@ def _check_tolerance(check: str, tolerance: float) -> None:
         raise ValueError(f"{check} tolerance must be finite and > 0, not {tolerance!r}")
 
 
-def _reports(name: str, residuals: dict[str, np.ndarray], exact_checks: Sequence[dict],
-             tolerance: float) -> tuple[VerificationReport, ...]:
-    """One report per irrep of a stack, from each key's residuals over the stack."""
-    columns = {key: values.tolist() for key, values in residuals.items()}
-    return tuple(VerificationReport(name, {key: column[i] for key, column in columns.items()},
-                                    checks, tolerance) for i, checks in enumerate(exact_checks))
+# a check kernel's outcome on a stack: one residual array and one list of exact outcomes per
+# key, each over the stack's irreps
+_Columns = tuple[dict[str, np.ndarray], dict[str, list[bool]]]
+
+
+def _first_report(name: str, columns: _Columns, tolerance: float) -> VerificationReport:
+    """Row 0 of a kernel's `columns` as a report, for the one-irrep functions."""
+    residuals, exact_checks = columns
+    return VerificationReport(name, {key: float(values[0]) for key, values in residuals.items()},
+                              {key: values[0] for key, values in exact_checks.items()}, tolerance)
 
 
 def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> VerificationReport:
@@ -254,18 +258,18 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     not finite and > 0 raises ValueError.
     """
     _check_tolerance("algebra", tolerance)
-    return _algebra_reports(IrrepStack.of(rep), tolerance)[0]
+    return _first_report("algebra", _algebra_reports(IrrepStack.of(rep)), tolerance)
 
 
-def _algebra_reports(stack: IrrepStack, tolerance: float,
-                     proven: Sequence[bool] = ()) -> tuple[VerificationReport, ...]:
-    """`verify_algebra` on every irrep of `stack`.  Irrep i holds the ladder identity, with the
-    P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k are the Fock
-    ones) and the commutator read here is the Fock one (`_ladder_identity`); others run Horner."""
+def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns:
+    """`verify_algebra`'s columns on every irrep of `stack`.  Irrep i holds the ladder identity,
+    with the P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k
+    are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
+    others run Horner."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and _ladder_identity(polynomial)
     width = stack.s0_band.shape[-1]
-    ladder_targets, exact_checks = [], []
+    ladder_targets, boundary, positive, difference = [], [], [], []
     for i, rep in enumerate(stack.irreps):
         # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
         # phi[k] / phi_den, each over one denominator, in plain ints
@@ -275,12 +279,10 @@ def _algebra_reports(stack: IrrepStack, tolerance: float,
         else:
             ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
         ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
-        exact_checks.append({
-            "phi_boundary": phi[0] == 0 and phi[-1] == 0,
-            "phi_positive": all(v > 0 for v in phi[1:-1]),
-            "ladder_difference": known or all((phi[k + 1] - phi[k]) * ladder_den
-                                              == ladder[k] * phi_den for k in range(dim)),
-        })
+        boundary.append(phi[0] == 0 and phi[-1] == 0)
+        positive.append(all(v > 0 for v in phi[1:-1]))
+        difference.append(known or all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
+                                       for k in range(dim)))
     # S-'s band is S+'s; [H, S-] is -[H, S+] entry for entry, so |[H, S+]| covers both
     s0, sp, h = stack.s0_band, stack.s_plus_band, stack.h_band
     with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
@@ -292,7 +294,8 @@ def _algebra_reports(stack: IrrepStack, tolerance: float,
             "commutator_sminus_splus": _residual(_ladder_commutator(sp, sp),
                                                  np.array(ladder_targets)),
         }
-    return _reports("algebra", residuals, exact_checks, tolerance)
+    return residuals, {"phi_boundary": boundary, "phi_positive": positive,
+                       "ladder_difference": difference}
 
 
 _W32_PRODUCT = 4.0 / 3.0
@@ -311,12 +314,12 @@ def w32_check(rep: IrrepMatrices, rho: float | None = None, sigma: float | None 
     tolerance is not finite and > 0.
     """
     _check_tolerance("W_3^(2)", tolerance)
-    return _w32_reports(IrrepStack.of(rep), rho, sigma, tolerance)[0]
+    return _first_report("w32", _w32_reports(IrrepStack.of(rep), rho, sigma), tolerance)
 
 
-def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | None = None,
-                 tolerance: float = IDENTITY_TOL) -> tuple[VerificationReport, ...]:
-    """`w32_check` on every irrep of `stack`."""
+def _w32_reports(stack: IrrepStack, rho: float | None = None,
+                 sigma: float | None = None) -> _Columns:
+    """`w32_check`'s columns on every irrep of `stack`."""
     if (stack.ratio.m, stack.ratio.n) != (1, 2):
         raise WrongRatioError(f"the W_3^(2) identification requires ratio 1:2, got {stack.ratio}")
     if rho is None and sigma is None:
@@ -342,4 +345,4 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None, sigma: float | Non
             "cw_central": np.maximum.reduce([_max_abs(_commutator(c_w, x, offset))
                                              for x, offset in ((e_w, 1), (f_w, -1), (h_w, 0))]),
         }
-    return _reports("w32", residuals, [{} for _ in stack.irreps], tolerance)
+    return residuals, {}

@@ -376,21 +376,29 @@ def _ladder_identity(polynomial: CommutatorPolynomial) -> bool:
 class ParafermionicForm:
     """Factorization Phi(x) = x (N+1-x) P(x) with P positive on 1..N.
 
-    P(x) = prod (a x + b) / prod |a| over the int `forms` (a, b); `values` are P(1), ...,
-    P(N), and `coefficients`, P's from the lowest power, are built on first read.
+    P(x) = prod (a x + b) / prod |a| over the int `forms` (a, b), and `products` are the
+    ints prod (a x + b) at x = 1..N.  `values`, P(1), ..., P(N), and `coefficients`, P's
+    from the lowest power, are built on first read.
     """
 
     forms: tuple[tuple[int, int], ...]
-    values: tuple[Fraction, ...]
+    products: tuple[int, ...]
+
+    @property
+    def denominator(self) -> int:
+        return prod(abs(a) for a, _ in self.forms)
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.products)
 
     @functools.cached_property
     def coefficients(self) -> tuple[Fraction, ...]:
-        denominator = prod(abs(a) for a, _ in self.forms)
-        return tuple(Fraction(c, denominator) for c in _poly(self.forms))
+        return tuple(Fraction(c, self.denominator) for c in _poly(self.forms))
 
     @property
     def positive(self) -> bool:
-        return all(v > 0 for v in self.values)
+        return all(v > 0 for v in self.products)
 
 
 def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
@@ -413,7 +421,5 @@ def parafermionic_decompose(sf: StructureFunction) -> ParafermionicForm:
                 f"x (N+1-x) does not divide the structure function of {sf.label}"
             )
         forms.remove(form)
-    denominator = scale ** len(forms)
-    values = tuple(Fraction(prod(slope * x + offset for slope, offset in forms), denominator)
-                   for x in range(1, sf.label.N + 1))
-    return ParafermionicForm(tuple(forms), values)
+    return ParafermionicForm(tuple(forms), tuple(prod(slope * x + offset for slope, offset in forms)
+                                                 for x in range(1, sf.label.N + 1)))

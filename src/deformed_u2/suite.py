@@ -5,8 +5,9 @@ the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`, each
 band filled in one pass over the sweep, and every Phi table read off x-mode
 and y-mode tables built once per sweep (`representation._build_stack`).  The
 algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
-run once on it, by the kernels the one-irrep functions run; the oracle runs
-first, and each irrep it passes takes its ladder identity from one proof of the
+run once on it, by the kernels the one-irrep functions run, and each kernel
+returns one column per check over the sweep's irreps; the oracle runs first,
+and each irrep it passes takes its ladder identity from one proof of the
 commutator per sweep.  The eigensolves and the Gram matrix need one shape, so
 they run once per N, on the stack's S+ band; they build no `AngularSpectrum`,
 but read each N's stacked arrays, keep the eigenvalues and drop the eigenvectors
@@ -15,6 +16,8 @@ eigensolve: one float-interval pass of `certify_eigenvalues`' kernel counts ever
 point of every irrep, and the points it cannot decide are counted exactly.  Each
 integer Phi table, computed once, feeds the ladder identity, the oracle's weights
 and ulp tests and the certificate, and each factor table the 1:n split.
+The `SuiteReport` holds those columns, the eigen residuals and failure counts
+among them; it builds no per-irrep record unless its `irreps` is read.
 Identity residuals are gated at the identity tolerance, the eigen class at 10x
 it, every exact check, the oracle's included, must hold, and every eigenvalue
 must be certified within the eigen tolerance.
@@ -58,47 +61,54 @@ class IrrepReport:
         return worst_residual(self.residuals.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteReport:
-    """Outcome of the identity suite on every irrep with N <= n_max."""
+    """Outcome of the identity suite on every irrep with N <= n_max; compares by identity.
+
+    Each check is one column over the irreps, in `labels` order: `residual_columns`
+    holds the float residuals, the algebra keys, then the eigen keys, then any `w32_*`
+    keys, and `failure_columns` the failure counts.  `irreps`, one `IrrepReport` per
+    irrep, is built from the columns on first read."""
 
     ratio: FrequencyRatio
     n_max: int
     commutator: CommutatorPolynomial
     identity_tolerance: float
     eigen_tolerance: float
-    irreps: tuple[IrrepReport, ...]
+    labels: tuple[IrrepLabel, ...]
+    energies: tuple[Fraction, ...]
+    residual_columns: dict[str, np.ndarray]
+    failure_columns: dict[str, np.ndarray]
 
     @cached_property
-    def _columns(self) -> dict[str, tuple[float, ...]]:
-        """Each key's values over the irreps, in irrep order: the residual keys
-        sorted by name, then the failure keys in `IrrepReport.failures` order."""
-        keys = sorted({key for irrep in self.irreps for key in irrep.residuals})
-        columns = {key: tuple(irrep.residuals[key] for irrep in self.irreps) for key in keys}
-        for key in self.irreps[0].failures:
-            columns[key] = tuple(irrep.failures[key] for irrep in self.irreps)
-        return columns
+    def irreps(self) -> tuple[IrrepReport, ...]:
+        def rows(columns: dict[str, np.ndarray]) -> list[dict]:
+            return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+        return tuple(map(IrrepReport, self.labels, self.energies, rows(self.residual_columns),
+                         rows(self.failure_columns)))
 
     @cached_property
     def residuals(self) -> dict[str, float]:
         """Worst value of each check over all irreps, sorted by name, then the
-        failure counts summed over all irreps, in `IrrepReport.failures` order."""
-        failure_keys = self.irreps[0].failures
-        return {
-            key: float(sum(values)) if key in failure_keys else worst_residual(values)
-            for key, values in self._columns.items()
-        }
+        failure counts summed over all irreps, in `failure_columns` order."""
+        worst = {key: float(np.max(self.residual_columns[key]))  # NaN iff some value is NaN
+                 for key in sorted(self.residual_columns)}
+        return worst | {key: float(np.sum(counts)) for key, counts in self.failure_columns.items()}
+
+    @property
+    def max_residuals(self) -> np.ndarray:
+        """Each irrep's largest residual, or NaN when any of its residuals is NaN."""
+        return np.max(list(self.residual_columns.values()), axis=0)
 
     def worst_irrep(self, key: str) -> IrrepLabel:
         """The first irrep holding the worst value of `key`; a NaN is the worst."""
-        values = self._columns[key]
-        worst = worst_residual(values)  # NaN iff some value is NaN
-        return next(irrep.label for irrep, value in zip(self.irreps, values)
-                    if value == worst or math.isnan(value))
+        column = self.residual_columns.get(key)
+        return self.labels[int(np.argmax(self.failure_columns[key] if column is None else column))]
 
     def passes(self, key: str, value: float) -> bool:
         """Whether the entry `key` of `residuals` holding `value` is within its gate."""
-        if key in self.irreps[0].failures:
+        if key in self.failure_columns:
             return value == 0.0
         return value <= (self.eigen_tolerance if key in EIGEN_KEYS else self.identity_tolerance)
 
@@ -126,41 +136,36 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio) for big_n in range(n_max + 1)
                  for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
     stack = _build_stack(functions)
-    oracles = _oracle_reports(stack)
-    algebras = _algebra_reports(stack, tolerance, [oracle.passed for oracle in oracles])
-    w32 = _w32_reports(stack, tolerance=tolerance) if (ratio.m, ratio.n) == (1, 2) else ()
+    _, oracle_checks = _oracle_reports(stack)
+    oracle_passed = [all(checks) for checks in zip(*oracle_checks.values())]  # irrep by irrep
+    residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
+    w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
 
-    residuals, eigenvalues = [], []
+    agreement, symmetry, worst_errors, orthonormality = np.empty((4, len(functions)))
+    eigenvalues = []
     for big_n in range(n_max + 1):
         rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
         offdiag = stack.s_plus_band[rows, :big_n]
         values, vectors, errors = _eigensolve(functions[rows], offdiag)
         dense = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy returns it
-        agreement = np.max(np.abs(values - dense), axis=-1).tolist()
-        symmetry = np.max(np.abs(values + values[:, ::-1]), axis=-1).tolist()
-        worst_errors = np.max(errors, axis=-1).tolist()
+        agreement[rows] = np.max(np.abs(values - dense), axis=-1)
+        symmetry[rows] = np.max(np.abs(values + values[:, ::-1]), axis=-1)
+        worst_errors[rows] = np.max(errors, axis=-1)
         amplitudes = _phased(vectors)
         gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
-        orthonormality = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1)).tolist()
-
-        for j, i in enumerate(range(rows.start, rows.stop)):
-            residual = {**algebras[i].residuals, "method_agreement": agreement[j],
-                        "spectrum_symmetry": symmetry[j], "eigenvector_residual": worst_errors[j],
-                        "orthonormality": orthonormality[j]}
-            if w32:
-                residual.update({f"w32_{key}": value for key, value in w32[i].residuals.items()})
-            residuals.append(residual)
+        orthonormality[rows] = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1))
         eigenvalues.extend(values)  # its rows; the eigenvectors go with the next N
+    residuals |= {"method_agreement": agreement, "spectrum_symmetry": symmetry,
+                  "eigenvector_residual": worst_errors, "orthonormality": orthonormality}
+    residuals |= {f"w32_{key}": values for key, values in w32.items()}
 
-    irreps = []
-    certified = _certify(functions, eigenvalues, eigen_tol)
-    for function, algebra, oracle, residual, flags in zip(functions, algebras, oracles, residuals,
-                                                          certified):
-        failures = {"exact_check_failures": algebra.failures + oracle.failures,
-                    "eigen_certificate_failures": flags.count(False)}
-        if ratio.m == 1:
-            failures["parafermionic_failures"] = int(not parafermionic_decompose(function).positive)
-        irreps.append(IrrepReport(function.label, function.energy, residual, failures))
-
+    exact = [*algebra_checks.values(), *oracle_checks.values()]
+    failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
+                "eigen_certificate_failures": np.array(
+                    [flags.count(False) for flags in _certify(functions, eigenvalues, eigen_tol)])}
+    if ratio.m == 1:
+        failures["parafermionic_failures"] = np.array(
+            [not parafermionic_decompose(function).positive for function in functions], dtype=int)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
-                       tuple(irreps))
+                       tuple(f.label for f in functions), tuple(f.energy for f in functions),
+                       residuals, failures)

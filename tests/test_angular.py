@@ -27,7 +27,7 @@ from deformed_u2 import (
     irrep_members,
 )
 from deformed_u2 import angular
-from deformed_u2.angular import _count_above, _even_part, _exact_count
+from deformed_u2.angular import _count_above, _dyadic, _even_part, _exact_count
 from deformed_u2.representation import _diag, _offdiagonals
 from deformed_u2.structure import _phi_denominator
 from deformed_u2.suite import EIGEN_TOL
@@ -685,9 +685,14 @@ def exact_count(spec, centre, offset):
 
 
 def interval_counts(specs, points):
-    """`_count_above` at the points (j, centre, offset) on the irreps of `specs`, as a list."""
+    """`_count_above` at the points (j, centre, offset) on the irreps of `specs`, as a list, each
+    point it leaves undecided counted by the exact counter, as the certificate counts it."""
     irreps, centres, offsets = zip(*points)
-    return _count_above(specs, np.array(irreps), np.array(centres), np.array(offsets)).tolist()
+    counts, undecided = _count_above(specs, np.array(irreps), np.array(centres),
+                                     np.array(offsets))
+    for j in undecided.tolist():
+        counts[j] = angular._exact_count(specs[irreps[j]], *_dyadic(centres[j], offsets[j]))
+    return counts.tolist()
 
 
 @st.composite
@@ -777,6 +782,18 @@ class TestIntervalCounts:
         assert counts[-41:] == [(big_n + 1) // 2 for big_n in range(41)]
         assert sorted(exact) == sorted((big_n, Fraction(centre) + Fraction(offset))
                                        for big_n, centre, offset in points)
+
+    def test_upper_point_is_counted_only_where_its_lower_point_held(self, monkeypatch):
+        # at delta = 2^-1074 each point of the exact 1:1 eigenvalues rounds onto a root and
+        # falls back; with l_1 and l_2 swapped, l_2 = -1 fails its upper count and its mirror
+        # l_1 = 1 then fails its lower count, so 1 + delta is not counted
+        spec = angular_eigenvalues(IrrepLabel(3, 1, 1), FrequencyRatio(1, 1))
+        swapped = shifted(spec, {0: -3.0, 1: 1.0, 2: -1.0, 3: 3.0})
+        exact = self.record_exact_points(monkeypatch)
+        assert certify_eigenvalues(swapped, 5e-324) == (True, False, False, True)
+        delta = Fraction(2) ** -1074
+        assert sorted(point for _, point in exact) == sorted(
+            [3 - delta, 3 + delta, -1 - delta, -1 + delta, 1 - delta])
 
     def test_decided_points_do_not_reach_the_exact_counter(self, monkeypatch):
         points = self.record_exact_points(monkeypatch)

@@ -280,16 +280,12 @@ class TestVerify:
     def test_nan_residual_fails_the_sweep(self, runner, monkeypatch):
         verify = suite._algebra_reports
 
-        def nan_for_one_irrep(stack, tolerance, proven=()):
-            reports = list(verify(stack, tolerance, proven))
+        def nan_for_one_irrep(stack, proven=()):
+            residuals, exact_checks = verify(stack, proven)
             for i, rep in enumerate(stack.irreps):
                 if rep.label == IrrepLabel(1, 1, 1):
-                    report = reports[i]
-                    reports[i] = VerificationReport(
-                        report.name, {**report.residuals, "commutator_h": math.nan},
-                        report.exact_checks, tolerance,
-                    )
-            return tuple(reports)
+                    residuals["commutator_h"][i] = math.nan
+            return residuals, exact_checks
 
         monkeypatch.setattr(suite, "_algebra_reports", nan_for_one_irrep)
         result = invoke(runner, "verify", "--ratio", "1:1", "--N-max", "2",
@@ -303,6 +299,28 @@ class TestVerify:
         assert not any(math.isnan(v) for key, v in worst.items() if key != (1, 1, 1))
         named = document["records"][0]["worst_irreps"]
         assert named["commutator_h"] == {"N": 1, "p": 1, "q": 1}
+
+    def test_builds_no_report_object_per_irrep(self, runner, monkeypatch):
+        # the sweep keeps each check as one column over its irreps, and verify renders the
+        # columns: no check builds a report per irrep, and no per-irrep record is derived
+        built = Counter()
+        for cls in (VerificationReport, suite.IrrepReport):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        def refuse(report):
+            raise AssertionError("verify read SuiteReport.irreps")
+
+        monkeypatch.setattr(suite.SuiteReport, "irreps", property(refuse))
+        for ratio, n_max in (("1:2", "6"), ("3:5", "3")):
+            for fmt in ("json", "table", "csv"):
+                result = invoke(runner, "verify", "--ratio", ratio, "--N-max", n_max,
+                                "--format", fmt)
+                assert result.exit_code == 0, result.output
+        assert built == Counter()
 
     @pytest.mark.parametrize("ratio,n_max", [("1:2", "20"), ("3:5", "8")])
     def test_passes_at_larger_n(self, runner, ratio, n_max):

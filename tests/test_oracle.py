@@ -44,8 +44,9 @@ def labels_of(ratio, n_max):
 
 def failed(rep):
     """The generators whose oracle check fails on an irrep, or on the first irrep of a stack."""
-    report = _oracle_reports(rep)[0] if isinstance(rep, IrrepStack) else oracle_compare(rep)
-    return {name for name, ok in report.exact_checks.items() if not ok}
+    if isinstance(rep, IrrepStack):
+        return {name for name, column in _oracle_reports(rep)[1].items() if not column[0]}
+    return {name for name, ok in oracle_compare(rep).exact_checks.items() if not ok}
 
 
 # S- reads S+'s band, so no case below injects into S-; the explicit ids keep the numbers
@@ -197,7 +198,8 @@ class TestMutations:
         stack = _build_stack([StructureFunction(label, ratio) for label in labels])
         assert stack.irreps[7].label.N == 0 and stack.s0_band.shape == (30, 4)
         getattr(stack, f"{name}_band")[7, min(index)] = 1e-300
-        checks = [report.exact_checks for report in _oracle_reports(stack)]
+        columns = _oracle_reports(stack)[1]
+        checks = [dict(zip(columns, row)) for row in zip(*columns.values())]
         assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(30)]
 
     def test_wrong_phi_entry(self):
@@ -278,3 +280,62 @@ class TestOneUlpKernel:
         assert _within_one_ulp(s, num, den) == within_one_ulp_over_ratios(s, num, den)
         if math.isfinite(s) and s > 0 and shift == 0:
             assert not _within_one_ulp(s, num, den)
+
+
+def list_reference(stack):
+    """The oracle's checks on `stack` in plain Python lists, one irrep at a time: the reference
+    for the stacked kernel, whose S0 and H checks run on int64 tables and the stack's arrays."""
+    m, n = stack.ratio.m, stack.ratio.n
+    den, s0_den, h_den = m**m * n**n, 4 * m * n, 2 * m * n
+    s0_rows, s_plus_rows, h_rows = (getattr(stack, key).tolist() for key in _BANDS)
+    columns = {"s0": [], "s_plus": [], "s_minus": [], "h": []}
+    for i, rep in enumerate(stack.irreps):
+        big_n, p, q = rep.label.N, rep.label.p, rep.label.q
+        dim = big_n + 1
+        members = list(zip(range(p - 1, p + big_n * m, m), range(big_n * n + q - 1, q - 2, -n)))
+        raises = [math.perm(x + m, m) * math.perm(y, n) for x, y in members]
+        lowers = [math.perm(x, m) * math.perm(y + n, n) for x, y in members]
+        s0_num = [n * (2 * x + 1) - m * (2 * y + 1) for x, y in members]
+        h_num = [n * (2 * x + 1) + m * (2 * y + 1) for x, y in members]
+        u, u_rest = divmod(s0_den * rep.u.numerator, rep.u.denominator)
+        energy, energy_rest = divmod(h_den * rep.energy.numerator, rep.energy.denominator)
+        columns["s0"].append(
+            not u_rest and s0_num == list(range(u, u + dim * s0_den, s0_den))
+            and s0_rows[i][:dim] == [v / s0_den for v in s0_num] and not any(s0_rows[i][dim:]))
+        columns["s_plus"].append(
+            raises == list(rep.numerators[1:]) and not any(s_plus_rows[i][big_n:])
+            and all(_within_one_ulp(s, w, den) for s, w in zip(s_plus_rows[i], raises[:-1])))
+        columns["s_minus"].append(lowers == list(rep.numerators[:-1]))
+        columns["h"].append(
+            not energy_rest and h_num == [energy] * dim
+            and h_rows[i][:dim] == [v / h_den for v in h_num] and not any(h_rows[i][dim:]))
+    return columns
+
+
+ENTRY_VALUES = st.sampled_from([math.nan, math.inf, -0.0, 0.0, 1e-300, -1.0, "up", "down"])
+
+
+class TestStackedKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(ratio=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 5)]), n_max=st.integers(0, 4),
+           data=st.data())
+    def test_equals_the_list_reference(self, ratio, n_max, data):
+        # NaN, inf, -0.0 and one-ulp moves on real entries and on the padding, and u or E off
+        ratio = FrequencyRatio(*ratio)
+        stack = _build_stack([StructureFunction(label, ratio) for label in labels_of(ratio, n_max)])
+        for _ in range(data.draw(st.integers(0, 6))):
+            band = getattr(stack, data.draw(st.sampled_from(_BANDS)))
+            if band.shape[-1]:
+                i = data.draw(st.integers(0, band.shape[0] - 1))
+                j = data.draw(st.integers(0, band.shape[1] - 1))
+                value = data.draw(ENTRY_VALUES)
+                if value in ("up", "down"):
+                    value = np.nextafter(band[i, j], math.inf if value == "up" else -math.inf)
+                band[i, j] = value
+        moved = data.draw(st.sets(st.integers(0, len(stack.irreps) - 1), max_size=2))
+        field = data.draw(st.sampled_from(["u", "energy"]))
+        off = data.draw(st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(-1, 3)]))
+        stack = dataclasses.replace(stack, irreps=tuple(
+            dataclasses.replace(rep, **{field: getattr(rep, field) + off}) if i in moved else rep
+            for i, rep in enumerate(stack.irreps)))
+        assert _oracle_reports(stack) == ({}, list_reference(stack))

@@ -140,16 +140,12 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
     verify = suite._algebra_reports
     poisoned = IrrepLabel(1, 1, 1)
 
-    def nan_for_one_irrep(stack, tolerance, proven=()):
-        reports = list(verify(stack, tolerance, proven))
+    def nan_for_one_irrep(stack, proven=()):
+        residuals, exact_checks = verify(stack, proven)
         for i, rep in enumerate(stack.irreps):
             if rep.label == poisoned:
-                report = reports[i]
-                reports[i] = VerificationReport(
-                    report.name, {**report.residuals, "commutator_h": math.nan},
-                    report.exact_checks, tolerance,
-                )
-        return tuple(reports)
+                residuals["commutator_h"][i] = math.nan
+        return residuals, exact_checks
 
     monkeypatch.setattr(suite, "_algebra_reports", nan_for_one_irrep)
     report = run_suite(FrequencyRatio(1, 1), 2)
@@ -199,8 +195,7 @@ def test_mutants_fail_the_checks_the_horner_route_fails(monkeypatch, mutant, m, 
     apply_mutant(monkeypatch, mutant)
     report = run_suite(ratio, 3)
     algebra = suite._algebra_reports
-    monkeypatch.setattr(suite, "_algebra_reports",
-                        lambda stack, tolerance, proven=(): algebra(stack, tolerance))
+    monkeypatch.setattr(suite, "_algebra_reports", lambda stack, proven=(): algebra(stack))
     horner = run_suite(ratio, 3)
     counts = [irrep.failures["exact_check_failures"] for irrep in report.irreps]
     assert counts == [irrep.failures["exact_check_failures"] for irrep in horner.irreps]
@@ -537,8 +532,11 @@ def test_padding_leaves_every_irreps_stacked_results_its_own(monkeypatch, m, n, 
     reports = {}
     for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
         def recording(stack, *args, _kernel=getattr(suite, name), _name=name, **kwargs):
-            results = _kernel(stack, *args, **kwargs)
-            reports.update({(_name, rep.label): r for rep, r in zip(stack.irreps, results)})
+            results = residuals, exact_checks = _kernel(stack, *args, **kwargs)
+            for i, rep in enumerate(stack.irreps):  # each irrep's row of the kernel's columns
+                reports[_name, rep.label] = VerificationReport(
+                    _name, {key: float(values[i]) for key, values in residuals.items()},
+                    {key: values[i] for key, values in exact_checks.items()}, 0.0)
             return results
 
         monkeypatch.setattr(suite, name, recording)

@@ -6,13 +6,15 @@ exports REF's `src` (default `HEAD`) with `git archive` into a temporary
 directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
-`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`).  Exits 1 when
-either digest pair differs; the line counts are printed only.  A change that
-should keep every output bitwise is checked against its parent with
+`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`) and the best-of-5
+in-process `run_suite` time over perfbench's 8 verify sweeps
+(`tools/suite_time.py`).  Exits 1 when either digest pair differs; the line
+counts and times are printed only.  A change that should keep every output
+bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
 
-It takes about 45 s and needs no network.
+It takes about a minute and needs no network.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def main() -> None:
             differs |= old != new
         print(f"src lines {ref}: {src_lines(Path(tmp) / 'src')}")
         print(f"src lines tree: {src_lines(ROOT / 'src')}")
+        print(f"run_suite {ref}: {digest('suite_time.py', Path(tmp) / 'src')}")
+        print(f"run_suite tree: {digest('suite_time.py', ROOT / 'src')}")
     sys.exit(1 if differs else 0)
 
 

@@ -19,16 +19,15 @@ whose phased, Cartesian and coefficient views are derived once for the whole
 basis.  `run_suite` builds none, and keeps each N's eigenvectors only until
 the next N.  The forward float run of the recurrence is unstable and never
 builds an eigenvector.  The spectrum carries the irrep's integer Phi table
-(`StructureFunction.numerators`, Phi(k) = P_k / m^m n^n), and the functions
-below read it and the label and ratio of the spectrum they are given.  Its
+(`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  Its
 eigenvalues are certified by Sturm counts at dyadic points beside each
 computed value.  A count runs the pivots r_k = G_k / G_{k-1} in float
 intervals widened outward at every rounding, so each holds the exact pivot;
 where an interval meets 0 or leaves float range, the sign changes of G_0 ..
-G_{N+1} are counted in integer arithmetic instead.  Either way no rounding
-can misplace a root, and one kernel counts the points of a whole sweep at
-once.  That integer count and the exact hints' root test run one integer
-recurrence, `_even_part`.
+G_{N+1} are counted in integer arithmetic instead.  Either way no rounding can
+misplace a root.  The certificate kernels read only each irrep's table and the
+ratio's D, so one kernel counts a whole sweep's points at once.  That integer count and
+the exact hints' root test run one integer recurrence, `_even_part`.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from itertools import cycle
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
+from .exceptions import ShapeMismatchError
 from .representation import IrrepMatrices, _check_tolerance, _diag, _offdiagonals, worst_residual
 from .structure import StructureFunction, _phi_denominator
 
@@ -107,8 +107,9 @@ class AngularSpectrum:
         """The real recurrence coefficients c_k = (-1)^k sqrt([k]!) w_k (c_0 > 0):
         column i is the state sum_k i^k c_k / sqrt([k]!) |N, (p, q), k> for
         `eigenvalues[i]`.  A sqrt([k]!) beyond float range raises ArithmeticError."""
+        offdiag = _offdiagonals(self.ratio, (self.label,), (self.numerators,))
         with np.errstate(over="ignore"):  # (-1)^k sqrt([k]!)
-            signed = np.cumprod([1.0, *-_offdiagonals((self,))])
+            signed = np.cumprod([1.0, *-offdiag])
         if not np.all(np.isfinite(signed)):
             k = int(np.argmin(np.isfinite(signed)))
             raise ArithmeticError(
@@ -143,19 +144,20 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     parity of G_k(0), so its odd components are set to exactly zero.  It is
     the one place an `AngularSpectrum` is built; `run_suite` reads the arrays.
     """
-    function = StructureFunction(label, ratio)
-    [values], [vectors], [errors] = _eigensolve((function,), _offdiagonals((function,))[None])
+    numerators = StructureFunction(label, ratio).numerators
+    offdiag = _offdiagonals(ratio, (label,), (numerators,))
+    [values], [vectors], [errors] = _eigensolve(ratio, (label,), offdiag[None])
     return AngularSpectrum(label, ratio, tuple(values.tolist()), vectors, tuple(errors.tolist()),
-                           function.numerators)
+                           numerators)
 
 
-def _eigensolve(functions: Sequence[StructureFunction],
+def _eigensolve(ratio: FrequencyRatio, labels: Sequence[IrrepLabel],
                 offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`angular_eigenvalues`' eigenvalues (k, N+1), signed eigenvectors (k, N+1, N+1) and
-    residuals (k, N+1) on the k irreps `functions` of one N and ratio, from one stacked `eigh` of
-    the rows sqrt(Phi(1..N)) of `offdiag`, which reads T's lower band only (`UPLO="L"`); its
+    residuals (k, N+1) on the k irreps `labels` of one N and of `ratio`, from one stacked `eigh`
+    of the rows sqrt(Phi(1..N)) of `offdiag`, which reads T's lower band only (`UPLO="L"`); its
     error scales with ||T||, so the separation margin, 1e-12 max|l| per irrep, is relative."""
-    ratio, big_n = functions[0].ratio, functions[0].label.N
+    big_n = labels[0].N
     eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
     margin = 1e-12 * np.max(np.abs(eigs), axis=-1)
@@ -164,11 +166,11 @@ def _eigensolve(functions: Sequence[StructureFunction],
     for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
         if unseparated[i]:
             raise ArithmeticError(
-                f"eigenvalues of {functions[i].label} not strictly separated in the {ratio} "
+                f"eigenvalues of {labels[i]} not strictly separated in the {ratio} "
                 f"oscillator (numerical failure): closest gap {np.min(np.diff(eigs[i])):.3g} "
                 f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
         raise ArithmeticError(
-            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {functions[i].label} of the "
+            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {labels[i]} of the "
             f"{ratio} oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
         )
     w = w * signs[..., None, :]
@@ -230,16 +232,16 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     return tuple(hint(value) for value in spectrum.eigenvalues)
 
 
-def _exact_count(record: AngularSpectrum | StructureFunction, a: int, e: int) -> int:
-    """count_above(x) = #{eigenvalues of L0 on the irrep of `record` > x}, x = a / 2^e, exactly.
+def _exact_count(numerators: Sequence[int], denominator: int, a: int, e: int) -> int:
+    """count_above(x) = #{eigenvalues of L0 > x}, x = a / 2^e, exactly, at Phi(k) = P_k / D.
 
     It is the number of sign changes in G_0(x) .. G_{N+1}(x), zeros dropped (Sturm's
     theorem; Barth, Martin & Wilkinson 1967), whose signs are those of x^(k mod 2) r_k
-    (`_even_part` at D a^2 and shift 2e, e <= 0 too).  Only the ratio and the table are read.
+    (`_even_part` at D a^2 and shift 2e, e <= 0 too); P_k, D = `numerators[k]`, `denominator`.
     """
     if e < 0:
         a, e = a << -e, 0
-    terms = _even_part(record.numerators, _phi_denominator(record.ratio) * a * a, 2 * e)
+    terms = _even_part(numerators, denominator * a * a, 2 * e)
     if a <= 0:  # an odd G_k(x) has the sign of x r_k
         terms = (r if k % 2 == 0 else -r if a else 0 for k, r in enumerate(terms))
     changes, positive = 0, True
@@ -263,30 +265,27 @@ def _excludes_zero(r: np.ndarray) -> np.ndarray:
     return np.abs(r[0] + r[1]) > r[1] - r[0]
 
 
-def _phi_intervals(records: Sequence[AngularSpectrum | StructureFunction],
+def _phi_intervals(tables: Sequence[Sequence[int]], denominator: int,
                    big_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float enclosures of Phi(1..N) for each record, N = `big_n[j]`, and whether each is usable.
+    """Float enclosures of Phi(1..N) for each irrep, N = `big_n[j]`, and whether each is usable.
 
-    Entry [k-1, :, j] of the (N_max, 2, records) table is the lower and upper
-    bound of Phi(k) = P_k / D of `records[j]`: the correctly rounded int
-    quotient, widened by one step each way.  Past the record's N it is 1.0.
-    A record is unusable when some Phi(k) on 1..N is <= 0 or does not convert
-    to a float.
+    Entry [k-1, :, j] of the (N_max, 2, irreps) table is the lower and upper
+    bound of Phi(k) = P_k / D of irrep j, P_k = `tables[j][k]` and D =
+    `denominator`: the correctly rounded int quotient, widened by one step
+    each way.  Past the irrep's N it is 1.0.  An irrep is unusable when some
+    Phi(k) on 1..N is <= 0 or does not convert to a float.
     """
-    values, usable = [], np.ones(len(records), dtype=bool)
-    ratio = denominator = None
-    for row, record in enumerate(records):
-        if record.ratio is not ratio:
-            ratio, denominator = record.ratio, _phi_denominator(record.ratio)
+    values, usable = [], np.ones(len(tables), dtype=bool)
+    for row, table in enumerate(tables):
         try:
-            values += [p / denominator for p in record.numerators[1:-1]]
+            values += [p / denominator for p in table[1:-1]]
         except OverflowError:
             usable[row] = False
-            values += [1.0] * record.label.N
-    phi = np.ones((len(records), big_n.max()))
+            values += [1.0] * (len(table) - 2)
+    phi = np.ones((len(tables), big_n.max()))
     phi[np.arange(phi.shape[1]) < big_n[:, None]] = values
     usable &= np.all(phi > 0, axis=1)
-    bounds = np.empty((phi.shape[1], 2, len(records)))
+    bounds = np.empty((phi.shape[1], 2, len(tables)))
     np.nextafter(phi.T, -np.inf, out=bounds[:, 0])
     np.nextafter(phi.T, np.inf, out=bounds[:, 1])
     return bounds, usable
@@ -300,10 +299,10 @@ def _dyadic(centre: float, offset: float) -> tuple[int, int]:
     return (a << (shift - e)) + (c << (shift - f)), shift
 
 
-def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps: np.ndarray,
+def _count_above(tables: Sequence[Sequence[int]], denominator: int, irreps: np.ndarray,
                  centres: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """count_above(centre + offset) on the irrep `records[irrep]` for each point it can decide,
-    and the indices, ascending, of the points it cannot.
+    """count_above(centre + offset) of each point j it can decide, on irrep i = `irreps[j]`
+    (Phi(k) = `tables[i][k]` / `denominator`), and the indices, ascending, of the rest.
 
     The points, all finite, are counted together in one float-interval pass
     of the pivot form of the Sturm count (the LDL^T inertia count; Kahan 1966):
@@ -324,8 +323,8 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     counts = np.zeros(len(irreps), dtype=np.int64)
     if not len(irreps):
         return counts, np.arange(0)
-    sizes = np.array([record.label.N for record in records])
-    phi, usable = _phi_intervals(records, sizes)
+    sizes = np.array([len(table) - 2 for table in tables])
+    phi, usable = _phi_intervals(tables, denominator, sizes)
     big_n = sizes[irreps]
     order = np.argsort(-big_n, kind="stable")
     rows = irreps[order]
@@ -350,9 +349,9 @@ def _count_above(records: Sequence[AngularSpectrum | StructureFunction], irreps:
     return counts, np.sort(order[~decided])
 
 
-def _certify(records: Sequence[AngularSpectrum | StructureFunction],
+def _certify(tables: Sequence[Sequence[int]], denominator: int,
              rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[bool, ...]]:
-    """`certify_eigenvalues` on each row of eigenvalues, those of the irrep `records[j]`.
+    """`certify_eigenvalues` on row j of `rows`, at Phi(k) = `tables[j][k]` / `denominator`.
 
     Every count point of every row goes to one `_count_above` pass.  Of the
     points it leaves undecided, the - points are counted exactly first, and a
@@ -375,12 +374,12 @@ def _certify(records: Sequence[AngularSpectrum | StructureFunction],
         """count_above(l_i - delta) >= N+1-i and count_above(l_i + delta) <= N-i."""
         owners, centres = np.repeat(irreps[points], 2), np.repeat(values[points], 2)
         offsets = np.tile([-delta, delta], len(points))
-        counts, undecided = _count_above(records, owners, centres, offsets)
+        counts, undecided = _count_above(tables, denominator, owners, centres, offsets)
         upper = big_n[points] - index[points]
         for plus in (0, 1):  # point 2j is l_j - delta, point 2j + 1 is l_j + delta
             for j in undecided[undecided % 2 == plus].tolist():
                 if not plus or counts[j - 1] >= upper[j // 2] + 1:
-                    counts[j] = _exact_count(records[owners[j]],
+                    counts[j] = _exact_count(tables[owners[j]], denominator,
                                              *_dyadic(float(centres[j]), float(offsets[j])))
         return (counts[0::2] >= upper + 1) & (counts[1::2] <= upper)
 
@@ -412,7 +411,12 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     tolerance that is not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
-    return _certify((spectrum,), (spectrum.eigenvalues,), tolerance)[0]
+    table, size = spectrum.numerators, spectrum.label.N + 2
+    if len(table) != size:
+        raise ShapeMismatchError(f"the Phi table of {spectrum.label} must be {size} long, "
+                                 f"got {len(table)}")
+    return _certify((table,), _phi_denominator(spectrum.ratio), (spectrum.eigenvalues,),
+                    tolerance)[0]
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:

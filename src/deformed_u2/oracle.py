@@ -73,6 +73,7 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
     1 ulp of the square root of its weight.  In a stack, each row
     must also be 0.0 past its irrep's pattern, on the padding.
     """
+    rep.label.validate_for(rep.ratio)
     return _first_report("oracle", _oracle_reports(IrrepStack.of(rep)), 0.0)
 
 
@@ -88,10 +89,8 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     must be 0.0.  The raise and lower weights, per irrep, multiply x-mode tables
     by p and y-mode tables by q, each built once per stack.
     """
-    ratio, labels = stack.ratio, [rep.label for rep in stack.irreps]
+    ratio, labels = stack.ratio, stack.labels
     m, n, den = ratio.m, ratio.n, ratio.m**ratio.m * ratio.n**ratio.n
-    for label in labels:
-        label.validate_for(ratio)
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
     big_n, p, q = np.array([(label.N, label.p, label.q) for label in labels]).T[..., None]
@@ -101,11 +100,9 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     s0_num = n * (2 * n_x + 1) - m * (2 * n_y + 1)
     h_num = n * (2 * n_x + 1) + m * (2 * n_y + 1)
     # along a row 4mn S0 steps by 4mn, as 4mn (u + k) does, and 2mn H by 0, as 2mn E does, so
-    # each holds its int equality iff it does at member 0, compared cross-multiplied with u, E
-    s0_ok = np.array([a * rep.u.denominator == s0_den * rep.u.numerator
-                      for a, rep in zip(s0_num[:, 0].tolist(), stack.irreps)])
-    h_ok = np.array([a * rep.energy.denominator == h_den * rep.energy.numerator
-                     for a, rep in zip(h_num[:, 0].tolist(), stack.irreps)])
+    # each holds its int equality iff it does at member 0, against the 4mn u and 2mn E columns
+    s0_ok = np.array([a == b for a, b in zip(s0_num[:, 0].tolist(), stack.scaled_u)])
+    h_ok = np.array([a == b for a, b in zip(h_num[:, 0].tolist(), stack.energy_keys)])
     s0, h, s_plus = stack.s0_band, stack.h_band, stack.s_plus_band
     s0_ok &= np.all(np.where(real, s0 == s0_num / s0_den, s0 == 0), axis=-1)
     h_ok &= np.all(np.where(real, h == h_num / h_den, h == 0), axis=-1)
@@ -119,11 +116,10 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     y_raise, y_lower = ({v: [math.perm(j * n + v - 1 + shift, n) for j in steps]
                          for v in range(1, n + 1)} for shift in (0, n))
     plus, minus = [], []
-    for row, rep, pad in zip(s_plus.tolist(), stack.irreps, padded):
-        label = rep.label
+    for row, label, phi, pad in zip(s_plus.tolist(), labels, stack.numerators, padded):
         raises = [*map(mul, x_raise[label.p][:label.N + 1], y_raise[label.q][label.N::-1])]
         lowers = [*map(mul, x_lower[label.p][:label.N + 1], y_lower[label.q][label.N::-1])]
-        plus.append(raises == [*rep.numerators[1:]] and not pad
+        plus.append(raises == [*phi[1:]] and not pad
                     and all(map(_within_one_ulp, row[:label.N], raises, repeat(den))))
-        minus.append(lowers == [*rep.numerators[:-1]])
+        minus.append(lowers == [*phi[:-1]])
     return {}, {"s0": s0_ok.tolist(), "s_plus": plus, "s_minus": minus, "h": h_ok.tolist()}

@@ -10,14 +10,15 @@ each one band, and S+/S- carry the only irrational entries.  Three bands are
 stored, in floating point: S0's, H's and S+'s, which S- reads as its
 transpose.  They are built for many irreps of one ratio at once, each band in
 one pass: S0 and H as correctly rounded quotients of the ints 4mn u and
-2mn E, S+ as one sqrt over the correctly rounded P_k / D.  Every identity
-that is rational after squaring (the Phi values, the ladder-product
-diagonals, the commutator polynomial through Phi differences, proved once
-per sweep for the irreps the oracle passed) is additionally verified in
-exact rational arithmetic, and the remaining identities are checked, on the
-bands and bit for bit as on the dense matrices, as max-norm matrix residuals
-normalized by max(1, ||target||_inf), so a residual near machine epsilon
-means "holds to working precision" at any size.
+2mn E, S+ as one sqrt over the correctly rounded P_k / D, in an `IrrepStack`
+beside each irrep's label, Phi table and those ints.  Every identity that is
+rational after squaring (the Phi values, the ladder-product diagonals, the
+commutator polynomial through Phi differences, proved once per sweep for the
+irreps the oracle passed) is additionally verified in exact rational
+arithmetic, and the remaining identities are checked, on the bands and bit
+for bit as on the dense matrices, as max-norm matrix residuals normalized by
+max(1, ||target||_inf), so a residual near machine epsilon means "holds to
+working precision" at any size.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import tee
 
 import numpy as np
 
 from .core import FrequencyRatio, IrrepLabel, _energy_key
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import StructureFunction, _ladder_identity, _phi_denominator, _scaled_u
-from .structure import _with_shared_numerators, commutator_polynomial
+from .structure import _ladder_identity, _phi_denominator, _phi_numerators, _scaled_u
+from .structure import commutator_polynomial
 
 __all__ = [
     "IrrepMatrices",
@@ -118,26 +120,26 @@ class VerificationReport:
         return self.max_residual <= self.tolerance and all(self.exact_checks.values())
 
 
-def _offdiagonals(records: Iterable[StructureFunction]) -> np.ndarray:
-    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `records`, all of one ratio, one record after
-    another, each the root of a correctly rounded P_k / D; any record with a `label`, a `ratio`
-    and `numerators` serves.  The records are read in order, and the first Phi(k) beyond float
-    range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal exponent,
-    read from the bit lengths of P_k and D."""
-    quotients, denominator = [], None
-    for record in records:
-        denominator = denominator or _phi_denominator(record.ratio)
+def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
+                  tables: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `labels`, irreps of `ratio`, one after
+    another, each the root of a correctly rounded P_k / D of its table P_0..P_{N+1} in
+    `tables`.  The tables are read in order, one per label, and the first Phi(k) beyond
+    float range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal
+    exponent, read from the bit lengths of P_k and D."""
+    quotients, denominator = [], _phi_denominator(ratio)
+    for label, table in zip(labels, tables):
         try:
-            quotients += [v / denominator for v in record.numerators[1:-1]]
+            quotients += [v / denominator for v in table[1:-1]]
         except OverflowError:
-            for k, value in enumerate(record.numerators):
+            for k, value in enumerate(table):
                 try:
                     value / denominator
                 except OverflowError:
                     break
             exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
             raise ArithmeticError(
-                f"Phi({k}) of {record.label} of the {record.ratio} oscillator is about "
+                f"Phi({k}) of {label} of the {ratio} oscillator is about "
                 f"1e{exponent}, beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
             ) from None
     return np.sqrt(quotients)
@@ -155,52 +157,64 @@ def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepStack:
-    """Irreps of one ratio, their bands stacked on a leading axis and zero-padded to the
-    widest: `irreps[i].s0_band` is `s0_band[i, :irreps[i].label.N + 1]`.  The float checks
-    run on stacks, and map the 0.0 padding to 0.0, so each irrep's maxima are its own."""
+    """Irreps of one ratio as columns: each irrep's label, Phi table, 4mn u and 2mn E, and its
+    bands stacked on a leading axis and zero-padded to the widest, so irrep i's S0 band is
+    `s0_band[i, :labels[i].N + 1]`.  The float checks run on stacks, and map the 0.0 padding
+    to 0.0, so each irrep's maxima are its own."""
 
     ratio: FrequencyRatio
-    irreps: tuple[IrrepMatrices, ...]
+    labels: tuple[IrrepLabel, ...]
+    numerators: tuple[tuple[int, ...], ...]  # P_0, ..., P_{N+1}: Phi(k) = P_k / m^m n^n
+    scaled_u: tuple[int | Fraction, ...]  # 4mn u (`_scaled_u`); `Fraction`s from `of`
+    energy_keys: tuple[int | Fraction, ...]  # 2mn E (`_energy_key`); likewise
     s0_band: np.ndarray  # (irreps, width)
     s_plus_band: np.ndarray  # (irreps, width - 1)
     h_band: np.ndarray  # (irreps, width)
 
     @classmethod
     def of(cls, rep: IrrepMatrices) -> IrrepStack:
-        """`rep` as a stack of one; ShapeMismatchError unless its bands are N+1, N, N+1 long."""
+        """`rep` as a stack of one, 4mn u and 2mn E as `Fraction`s (a value off the grid fails
+        the oracle); ShapeMismatchError unless its bands are N+1, N, N+1 and its table N+2 long."""
         bands = [np.asarray(getattr(rep, key), dtype=float) for key in _BANDS]
         dim, shapes = rep.label.N + 1, [band.shape for band in bands]
         if shapes != [(dim,), (dim - 1,), (dim,)]:
             raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1} "
                                      f"and {dim} long, got shapes {shapes}")
-        return cls(rep.ratio, (rep,), *(band[None] for band in bands))
+        if len(rep.numerators) != dim + 1:
+            raise ShapeMismatchError(f"the Phi table of {rep.label} must be {dim + 1} long, "
+                                     f"got {len(rep.numerators)}")
+        scale = 4 * rep.ratio.m * rep.ratio.n
+        return cls(rep.ratio, (rep.label,), (rep.numerators,), (rep.u * scale,),
+                   (rep.energy * (scale // 2),), *(band[None] for band in bands))
 
 
-def _build_stack(functions: Sequence[StructureFunction]) -> IrrepStack:
-    """The irreps of the records `functions`, all of one ratio, built at once: their Phi
-    tables from X_p and Y_q tables shared by the sweep (`_with_shared_numerators`), and each
-    band in one pass over the sweep.  S0's entries are the correctly rounded quotients
-    (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the ints `_scaled_u` and `_energy_key`."""
-    ratio, width = functions[0].ratio, max(f.label.N for f in functions) + 1
-    scale, labels = 4 * ratio.m * ratio.n, [f.label for f in functions]
+def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepStack:
+    """The irreps `labels` of `ratio` built at once: their Phi tables from the sweep's X_p and
+    Y_q tables (`_phi_numerators`), none past the first Phi beyond float range, and each band
+    in one pass.  S0's entries are the correctly rounded quotients (4mn u + 4mn k) / 4mn and
+    H's 2mn E / 2mn, of the ints `_scaled_u` and `_energy_key`, its u and E columns."""
+    scale, width = 4 * ratio.m * ratio.n, max(label.N for label in labels) + 1
     dims = [label.N + 1 for label in labels]
     real = np.arange(width) < np.array(dims)[:, None]  # each row's entries, before its padding
-    s0, h = np.zeros((2, len(functions), width))
-    s_plus = np.zeros((len(functions), width - 1))
-    s_plus[real[:, 1:]] = _offdiagonals(_with_shared_numerators(functions))
-    s0[real] = [(u + scale * k) / scale for label in labels
-                for u in [_scaled_u(ratio, label.N, label.p, label.q)] for k in range(label.N + 1)]
-    h[real] = np.repeat([_energy_key(ratio, label.N, label.p, label.q) / (scale // 2)
-                         for label in labels], dims)
-    irreps = tuple(IrrepMatrices(f.label, ratio, s0[i, :dim], s_plus[i, :dim - 1], h[i, :dim],
-                                 f.numerators, f.u, f.energy)
-                   for i, (f, dim) in enumerate(zip(functions, dims)))
-    return IrrepStack(ratio, irreps, s0, s_plus, h)
+    s0, h = np.zeros((2, len(labels), width))
+    s_plus = np.zeros((len(labels), width - 1))
+    tables, numerators = tee(_phi_numerators(ratio, labels))
+    s_plus[real[:, 1:]] = _offdiagonals(ratio, labels, tables)
+    scaled_u = [_scaled_u(ratio, label.N, label.p, label.q) for label in labels]
+    energy_keys = [_energy_key(ratio, label.N, label.p, label.q) for label in labels]
+    s0[real] = [(u + scale * k) / scale for u, dim in zip(scaled_u, dims) for k in range(dim)]
+    h[real] = np.repeat([key / (scale // 2) for key in energy_keys], dims)
+    return IrrepStack(ratio, tuple(labels), tuple(numerators), tuple(scaled_u),
+                      tuple(energy_keys), s0, s_plus, h)
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
-    """Construct the generator bands of the labelled irrep."""
-    return _build_stack((StructureFunction(label, ratio),)).irreps[0]
+    """Construct the generator bands of the labelled irrep: row 0 of a stack of one."""
+    label.validate_for(ratio)
+    stack, scale = _build_stack(ratio, (label,)), 4 * ratio.m * ratio.n
+    return IrrepMatrices(label, ratio, stack.s0_band[0], stack.s_plus_band[0], stack.h_band[0],
+                         stack.numerators[0], Fraction(stack.scaled_u[0], scale),
+                         Fraction(stack.energy_keys[0], scale // 2))
 
 
 def _max_abs(bands: np.ndarray) -> np.ndarray:
@@ -265,19 +279,20 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns
     """`verify_algebra`'s columns on every irrep of `stack`.  Irrep i holds the ladder identity,
     with the P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k
     are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
-    others run Horner."""
+    others run Horner, on `Fraction`s of the u and E columns."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and _ladder_identity(polynomial)
-    width = stack.s0_band.shape[-1]
+    width, scale = stack.s0_band.shape[-1], 4 * stack.ratio.m * stack.ratio.n
     ladder_targets, boundary, positive, difference = [], [], [], []
-    for i, rep in enumerate(stack.irreps):
+    for i, (label, phi) in enumerate(zip(stack.labels, stack.numerators)):
         # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
         # phi[k] / phi_den, each over one denominator, in plain ints
-        dim, phi, known = rep.label.N + 1, rep.numerators, identity and proven[i]
+        dim, known = label.N + 1, identity and proven[i]
         if known:
             ladder, ladder_den = [phi[k + 1] - phi[k] for k in range(dim)], phi_den
         else:
-            ladder, ladder_den = polynomial._scaled_values(rep.energy, rep.u, dim)
+            ladder, ladder_den = polynomial._scaled_values(
+                Fraction(stack.energy_keys[i], scale // 2), Fraction(stack.scaled_u[i], scale), dim)
         ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
         boundary.append(phi[0] == 0 and phi[-1] == 0)
         positive.append(all(v > 0 for v in phi[1:-1]))
@@ -333,7 +348,7 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None,
         raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
     # (-(4/9) H) H + Id/4, with no 1/4 on the padding
-    real = np.arange(stack.h_band.shape[-1]) < [[rep.label.N + 1] for rep in stack.irreps]
+    real = np.arange(stack.h_band.shape[-1]) < [[label.N + 1] for label in stack.labels]
     with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
         f_w, e_w = sigma * stack.s_plus_band, rho * stack.s_plus_band
         h_w = -2.0 * stack.s0_band + stack.h_band / 3.0

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -94,26 +94,26 @@ def _phi_denominator(ratio: FrequencyRatio) -> int:
     return ratio.m**ratio.m * ratio.n**ratio.n
 
 
-def _phi_numerators(records: Sequence[StructureFunction]) -> Iterator[tuple[int, ...]]:
-    """P_0, ..., P_{N+1} of each of `records`, all of one ratio, in order.
+def _phi_numerators(ratio: FrequencyRatio,
+                    labels: Iterable[IrrepLabel]) -> Iterator[tuple[int, ...]]:
+    """P_0, ..., P_{N+1} of each of `labels`, irreps of `ratio`, in order.
 
     At x = k the raised factors of F on (N, p, q), scaled by 4mn, are
     2n (2p-1) + 4mn c_i + 4mn k and the lowered ones 2m (2q-1) + 4mn c_i +
     4mn (N - k), so (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k), X_p and Y_q the
     products of the sigma = +1 and the sigma = -1 rows of `_ladder_factors`,
     and P_k = X_p(k) Y_q(N-k) // (4^(m+n) m^n n^m) exactly.  X_p(k), k >= 0,
-    and Y_q(j), j >= -1, are each computed once for all of `records`, when
-    the first record that reads them is reached, so a caller that stops early
-    computes no table past the records it read.
+    and Y_q(j), j >= -1, are each computed once for all of `labels`, when
+    the first label that reads them is reached, so a caller that stops early
+    computes no table past the labels it read.
     """
-    ratio = records[0].ratio
     m, n, scale = ratio.m, ratio.n, 4 * ratio.m * ratio.n
     divisor = scale ** (m + n) // _phi_denominator(ratio)
     raised = [offset for sigma, offset in _ladder_factors(ratio) if sigma > 0]
     lowered = [offset for sigma, offset in _ladder_factors(ratio) if sigma < 0]
     x_tables, y_tables = defaultdict(list), defaultdict(list)  # X_p(k) at [k], Y_q(j) at [j + 1]
-    for record in records:
-        big_n, p, q = record.label.N, record.label.p, record.label.q
+    for label in labels:
+        big_n, p, q = label.N, label.p, label.q
         x, y = x_tables[p], y_tables[q]
         if len(x) < big_n + 2:
             x += [prod(2 * n * (2 * p - 1) + offset + scale * k for offset in raised)
@@ -123,14 +123,6 @@ def _phi_numerators(records: Sequence[StructureFunction]) -> Iterator[tuple[int,
                   for j in range(len(y) - 1, big_n + 1)]
         # X_p(k) Y_q(N - k) for k = 0..N+1
         yield tuple([a * b // divisor for a, b in zip(x, y[big_n + 1::-1])])
-
-
-def _with_shared_numerators(records: Sequence[StructureFunction]) -> Iterator[StructureFunction]:
-    """Each of `records`, all of one ratio, in order, its `numerators` set as it is reached
-    (where not yet computed) from one `_phi_numerators` run over all of them."""
-    for record, numerators in zip(records, _phi_numerators(records)):
-        record.__dict__.setdefault("numerators", numerators)  # the cached property's slot
-        yield record
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ class StructureFunction:
         (4mn)^(m+n) / D = 4^(m+n) m^n n^m is an int, so one exact integer
         division gives each P_k: `_phi_numerators` on a sweep of one.
         """
-        [numerators] = _phi_numerators((self,))
+        [numerators] = _phi_numerators(self.ratio, (self.label,))
         return numerators
 
 

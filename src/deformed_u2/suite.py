@@ -1,26 +1,24 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
-The suite builds each irrep's record, its `StructureFunction`, once and stacks
-the bands of every irrep of the sweep, zero-padded, in one `IrrepStack`, each
-band filled in one pass over the sweep, and every Phi table read off x-mode
-and y-mode tables built once per sweep (`representation._build_stack`).  The
-algebra relations, the oracle's band reads and, for 1:2, the W_3^(2) relations
-run once on it, by the kernels the one-irrep functions run, and each kernel
-returns one column per check over the sweep's irreps; the oracle runs first,
-and each irrep it passes takes its ladder identity from one proof of the
-commutator per sweep.  The eigensolves and the Gram matrix need one shape, so
-they run once per N, on the stack's S+ band; they build no `AngularSpectrum`,
-but read each N's stacked arrays, keep the eigenvalues and drop the eigenvectors
-at the next N.  The Sturm certificate runs once per sweep, after the last
-eigensolve: one float-interval pass of `certify_eigenvalues`' kernel counts every
-point of every irrep, and the points it cannot decide are counted exactly.  Each
-integer Phi table, computed once, feeds the ladder identity, the oracle's weights
-and ulp tests and the certificate, and each factor table the 1:n split.
-The `SuiteReport` holds those columns, the eigen residuals and failure counts
-among them; it builds no per-irrep record unless its `irreps` is read.
-Identity residuals are gated at the identity tolerance, the eigen class at 10x
-it, every exact check, the oracle's included, must hold, and every eigenvalue
-must be certified within the eigen tolerance.
+A sweep's one record is an `IrrepStack` (`representation._build_stack`): each
+irrep's label, integer Phi table, 4mn u and 2mn E as ints, and zero-padded
+bands, each band filled in one pass and every Phi table read off x-mode and
+y-mode tables built once per sweep.  Only the 1:n split builds a per-irrep
+object, each irrep's `StructureFunction`.  The algebra relations, the oracle's
+band reads and, for 1:2, the W_3^(2) relations run once on the stack, by the
+kernels the one-irrep functions run, each returning one column per check; the
+oracle runs first, and each irrep it passes takes its ladder identity from one
+proof of the commutator per sweep.  The eigensolves and the Gram matrix need
+one shape, so they run once per N, on the stack's S+ band, build no
+`AngularSpectrum`, and drop each N's eigenvectors at the next N.  The Sturm
+certificate runs once per sweep, after the last eigensolve, on the stack's Phi
+tables: one float-interval pass counts every point of every irrep, and the
+points it cannot decide are counted exactly.  The `SuiteReport` holds the
+columns, the eigen residuals and failure counts among them, and each energy as
+a `Fraction` of the E column; it builds no per-irrep report unless its
+`irreps` is read.  Identity residuals are gated at the identity tolerance, the
+eigen class at 10x it, every exact check, the oracle's included, must hold,
+and every eigenvalue must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from .core import FrequencyRatio, IrrepLabel
 from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
-from .structure import CommutatorPolynomial, StructureFunction, commutator_polynomial
-from .structure import parafermionic_decompose
+from .structure import CommutatorPolynomial, StructureFunction, _phi_denominator
+from .structure import commutator_polynomial, parafermionic_decompose
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
@@ -133,20 +131,20 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                          f"for the {ratio} suite, got {tolerance!r}")
     eigen_tol = 10 * tolerance
 
-    functions = [StructureFunction(IrrepLabel(big_n, p, q), ratio) for big_n in range(n_max + 1)
-                 for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
-    stack = _build_stack(functions)
+    labels = [IrrepLabel(big_n, p, q) for big_n in range(n_max + 1)
+              for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
+    stack = _build_stack(ratio, labels)
     _, oracle_checks = _oracle_reports(stack)
     oracle_passed = [all(checks) for checks in zip(*oracle_checks.values())]  # irrep by irrep
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
 
-    agreement, symmetry, worst_errors, orthonormality = np.empty((4, len(functions)))
+    agreement, symmetry, worst_errors, orthonormality = np.empty((4, len(labels)))
     eigenvalues = []
     for big_n in range(n_max + 1):
         rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
         offdiag = stack.s_plus_band[rows, :big_n]
-        values, vectors, errors = _eigensolve(functions[rows], offdiag)
+        values, vectors, errors = _eigensolve(ratio, labels[rows], offdiag)
         dense = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy returns it
         agreement[rows] = np.max(np.abs(values - dense), axis=-1)
         symmetry[rows] = np.max(np.abs(values + values[:, ::-1]), axis=-1)
@@ -160,12 +158,13 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     residuals |= {f"w32_{key}": values for key, values in w32.items()}
 
     exact = [*algebra_checks.values(), *oracle_checks.values()]
+    certified = _certify(stack.numerators, _phi_denominator(ratio), eigenvalues, eigen_tol)
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
-                "eigen_certificate_failures": np.array(
-                    [flags.count(False) for flags in _certify(functions, eigenvalues, eigen_tol)])}
+                "eigen_certificate_failures": np.array([flags.count(False) for flags in certified])}
     if ratio.m == 1:
         failures["parafermionic_failures"] = np.array(
-            [not parafermionic_decompose(function).positive for function in functions], dtype=int)
+            [not parafermionic_decompose(StructureFunction(label, ratio)).positive
+             for label in labels], dtype=int)
+    energies = tuple(Fraction(key, 2 * ratio.m * ratio.n) for key in stack.energy_keys)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
-                       tuple(f.label for f in functions), tuple(f.energy for f in functions),
-                       residuals, failures)
+                       stack.labels, energies, residuals, failures)

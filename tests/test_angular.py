@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -18,6 +19,7 @@ from deformed_u2 import (
     CartesianState,
     FrequencyRatio,
     IrrepLabel,
+    ShapeMismatchError,
     StructureFunction,
     angular_eigenvalues,
     build_irrep,
@@ -29,7 +31,7 @@ from deformed_u2 import (
 from deformed_u2 import angular
 from deformed_u2.angular import _count_above, _dyadic, _even_part, _exact_count
 from deformed_u2.representation import _diag, _offdiagonals
-from deformed_u2.structure import _phi_denominator
+from deformed_u2.structure import _phi_denominator, _phi_numerators
 from deformed_u2.suite import EIGEN_TOL
 
 
@@ -344,10 +346,10 @@ class TestEigenvectors:
         calls = Counter()
         offdiagonals = angular._offdiagonals
 
-        def counting_offdiagonals(records):
-            [record] = records
-            calls[record.ratio, record.numerators] += 1
-            return offdiagonals(records)
+        def counting_offdiagonals(ratio, labels, tables):
+            [table] = tables
+            calls[ratio, table] += 1
+            return offdiagonals(ratio, labels, tables)
 
         monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
         label, ratio = IrrepLabel(6, 2, 3), FrequencyRatio(2, 3)
@@ -411,18 +413,18 @@ class TestEigenvectors:
         # an all-zero Phi table gives T = 0, whose eigenvalues are not separated
         ratio = FrequencyRatio(3, 5)
         labels = [IrrepLabel(2, p, q) for p in range(1, 4) for q in range(1, 6)]
-        functions = [StructureFunction(label, ratio) for label in labels]
+        tables = [StructureFunction(label, ratio).numerators for label in labels]
         for i in (3, 9):
-            functions[i].__dict__["numerators"] = (0, 0, 0, 0)
-        offdiag = np.array([angular._offdiagonals((f,)) for f in functions])
+            tables[i] = (0, 0, 0, 0)
+        offdiag = np.array([angular._offdiagonals(ratio, (label,), (table,))
+                            for label, table in zip(labels, tables)])
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=2, p=1, q=4\) not"):
-            angular._eigensolve(functions, offdiag)
+            angular._eigensolve(ratio, labels, offdiag)
 
     def test_a_zero_band_is_not_separated(self):
         # the margin is relative to max|l|, so T = 0 (both eigenvalues 0) is still refused
-        function = StructureFunction(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
         with pytest.raises(ArithmeticError, match=r"eigenvalues of \(N=1, p=1, q=1\) not strictly"):
-            angular._eigensolve((function,), np.zeros((1, 1)))
+            angular._eigensolve(FrequencyRatio(1, 1), (IrrepLabel(1, 1, 1),), np.zeros((1, 1)))
 
     def test_underflowing_first_component_raises(self):
         # w_0 of two eigenvectors underflows to 0.0, so w_0 > 0 cannot sign them
@@ -519,6 +521,11 @@ def shifted(spec, changes):
     return dataclasses.replace(spec, eigenvalues=tuple(values))
 
 
+def count_of(spec):
+    """The exact counter `count(a, e)` on the irrep of `spec`: its Phi table and D."""
+    return partial(_exact_count, spec.numerators, _phi_denominator(spec.ratio))
+
+
 class TestCertificate:
     """Exact Sturm counts at l_i +- delta, delta = 2^-30 for the tolerance 1e-9."""
 
@@ -532,7 +539,7 @@ class TestCertificate:
         # -N, -N+2, ..., N are integers, so G_{N+1} vanishes exactly at each
         # count point, and a root is not counted above itself
         roots = range(-big_n, big_n + 1, 2)
-        assert [_exact_count(spec, root, 0) for root in roots] == list(range(big_n, -1, -1))
+        assert [count_of(spec)(root, 0) for root in roots] == list(range(big_n, -1, -1))
 
     @pytest.mark.parametrize("big_n,q", [(2, 1), (10, 2), (40, 1)])
     def test_even_n_zero_is_certified(self, big_n, q):
@@ -540,7 +547,7 @@ class TestCertificate:
         spec = angular_eigenvalues(label, ratio)
         assert spec.eigenvalues[big_n // 2] == 0.0
         assert all(certify_eigenvalues(spec, 1e-12))
-        assert _exact_count(spec, 0, 0) == big_n // 2
+        assert count_of(spec)(0, 0) == big_n // 2
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_certifies_n60(self, q):
@@ -550,7 +557,7 @@ class TestCertificate:
     def test_counts_at_any_dyadic_point(self):
         # a / 2^e is the same point for every (a 2^j, e + j), with e <= 0 too
         spec = angular_eigenvalues(IrrepLabel(12, 2, 3), FrequencyRatio(2, 3))
-        count_above = partial(_exact_count, spec)
+        count_above = count_of(spec)
         for a in (-37, -4, 0, 3, 52):
             counts = {count_above(a << j, j - 2) for j in range(6)}
             assert len(counts) == 1
@@ -595,9 +602,9 @@ class TestCertificate:
         points = []
         count_above = angular._count_above
 
-        def recording_count_above(records, irreps, centres, offsets):
+        def recording_count_above(tables, denominator, irreps, centres, offsets):
             points.extend(Fraction(c) + Fraction(o) for c, o in zip(centres, offsets))
-            return count_above(records, irreps, centres, offsets)
+            return count_above(tables, denominator, irreps, centres, offsets)
 
         monkeypatch.setattr(angular, "_count_above", recording_count_above)
         return points
@@ -645,7 +652,7 @@ class TestCertificate:
         certified = certify_eigenvalues(spec, tolerance)
 
         def count_at(x):
-            return _exact_count(spec, x.numerator, x.denominator.bit_length() - 1)
+            return count_of(spec)(x.numerator, x.denominator.bit_length() - 1)
 
         delta = Fraction(2) ** (math.frexp(tolerance)[1] - 1)
         expected_points, expected = [], []
@@ -668,6 +675,15 @@ class TestCertificate:
         with pytest.raises(ValueError, match="tolerance"):
             certify_eigenvalues(spec, tolerance)
 
+    def test_a_phi_table_of_the_wrong_length_is_a_shape_mismatch(self):
+        # the certificate reads N off the table, so one entry short or long is refused
+        spec = angular_eigenvalues(IrrepLabel(3, 1, 2), FrequencyRatio(2, 3))
+        for numerators in (spec.numerators[:-1], spec.numerators + (0,)):
+            bad = dataclasses.replace(spec, numerators=numerators)
+            message = f"the Phi table of (N=3, p=1, q=2) must be 5 long, got {len(numerators)}"
+            with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+                certify_eigenvalues(bad, EIGEN_TOL)
+
     @pytest.mark.parametrize("m,n,n_max", [(4, 7, 20), (5, 7, 15), (2, 7, 25)])
     def test_certifies_where_float_values_outgrow_the_tolerance(self, m, n, n_max):
         # |l| reaches 1.1e6 here; with delta = EIGEN_TOL / 8 instead of the
@@ -681,18 +697,30 @@ class TestCertificate:
 def exact_count(spec, centre, offset):
     """The exact counter of `spec` at Fraction(centre) + Fraction(offset)."""
     x = Fraction(centre) + Fraction(offset)
-    return _exact_count(spec, x.numerator, x.denominator.bit_length() - 1)
+    return count_of(spec)(x.numerator, x.denominator.bit_length() - 1)
 
 
 def interval_counts(specs, points):
     """`_count_above` at the points (j, centre, offset) on the irreps of `specs`, as a list, each
-    point it leaves undecided counted by the exact counter, as the certificate counts it."""
-    irreps, centres, offsets = zip(*points)
-    counts, undecided = _count_above(specs, np.array(irreps), np.array(centres),
-                                     np.array(offsets))
-    for j in undecided.tolist():
-        counts[j] = angular._exact_count(specs[irreps[j]], *_dyadic(centres[j], offsets[j]))
-    return counts.tolist()
+    point it leaves undecided counted by the exact counter, as the certificate counts it.  The
+    kernel takes one ratio's D, so it runs once per ratio, on that ratio's irreps and points."""
+    counts = [None] * len(points)
+    for ratio in {spec.ratio for spec in specs}:
+        members = [j for j, spec in enumerate(specs) if spec.ratio == ratio]
+        chosen = [i for i, (j, _, _) in enumerate(points) if j in members]
+        if not chosen:
+            continue
+        tables = [specs[j].numerators for j in members]
+        denominator = _phi_denominator(ratio)
+        irreps = np.array([members.index(points[i][0]) for i in chosen])
+        centres, offsets = (np.array([points[i][c] for i in chosen]) for c in (1, 2))
+        found, undecided = _count_above(tables, denominator, irreps, centres, offsets)
+        for j in undecided.tolist():
+            found[j] = angular._exact_count(tables[irreps[j]], denominator,
+                                            *_dyadic(centres[j], offsets[j]))
+        for i, count in zip(chosen, found.tolist()):
+            counts[i] = count
+    return counts
 
 
 @st.composite
@@ -753,16 +781,16 @@ class TestIntervalCounts:
             e = data.draw(st.integers(-8, 48))
         phi = [Fraction(v, _phi_denominator(spec.ratio)) for v in spec.numerators]
         signs = [g > 0 for g in g_unreduced(phi, Fraction(a) / Fraction(2) ** e) if g]
-        assert _exact_count(spec, a, e) == sum(s != t for s, t in zip(signs, signs[1:]))
+        assert count_of(spec)(a, e) == sum(s != t for s, t in zip(signs, signs[1:]))
 
     def record_exact_points(self, monkeypatch):
         """The list of (N, Fraction point) of every count `_exact_count` makes."""
         points = []
         count = angular._exact_count
 
-        def recording_count(record, a, e):
-            points.append((record.label.N, Fraction(a, 2**e)))
-            return count(record, a, e)
+        def recording_count(numerators, denominator, a, e):
+            points.append((len(numerators) - 2, Fraction(a, 2**e)))
+            return count(numerators, denominator, a, e)
 
         monkeypatch.setattr(angular, "_exact_count", recording_count)
         return points
@@ -825,7 +853,8 @@ def stacked_bands():
         ratio = FrequencyRatio(m, n)
         for big_n in range(n_top + 1):
             labels = [IrrepLabel(big_n, p, q) for p in range(1, m + 1) for q in range(1, n + 1)]
-            yield np.array([_offdiagonals((StructureFunction(label, ratio),)) for label in labels])
+            yield np.array([_offdiagonals(ratio, (label,), _phi_numerators(ratio, (label,)))
+                            for label in labels])
 
 
 class TestNumpyFacts:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import angular, cli, structure, suite
+from deformed_u2 import angular, cli, representation, structure, suite
 from deformed_u2.cli import main
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
@@ -282,8 +282,8 @@ class TestVerify:
 
         def nan_for_one_irrep(stack, proven=()):
             residuals, exact_checks = verify(stack, proven)
-            for i, rep in enumerate(stack.irreps):
-                if rep.label == IrrepLabel(1, 1, 1):
+            for i, label in enumerate(stack.labels):
+                if label == IrrepLabel(1, 1, 1):
                     residuals["commutator_h"][i] = math.nan
             return residuals, exact_checks
 
@@ -339,9 +339,9 @@ class TestVerify:
         phi_calls, products = Counter(), []
         numerators = structure._phi_numerators
 
-        def counting_numerators(records):
-            for record, table in zip(records, numerators(records)):
-                phi_calls[record.label] += 1
+        def counting_numerators(ratio, labels):
+            for label, table in zip(labels, numerators(ratio, labels)):
+                phi_calls[label] += 1
                 yield table
 
         product = StructureFunction._product
@@ -364,6 +364,7 @@ class TestVerify:
             renders.append(self)
             return render(self)
 
+        monkeypatch.setattr(representation, "_phi_numerators", counting_numerators)
         monkeypatch.setattr(structure, "_phi_numerators", counting_numerators)
         monkeypatch.setattr(StructureFunction, "_product", counting_product)
         monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)

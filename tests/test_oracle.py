@@ -195,8 +195,8 @@ class TestMutations:
         ratio = FrequencyRatio(3, 5)
         labels = [IrrepLabel(big_n, p, q) for big_n in (0, 3) for p in range(1, 4)
                   for q in range(1, 6)]
-        stack = _build_stack([StructureFunction(label, ratio) for label in labels])
-        assert stack.irreps[7].label.N == 0 and stack.s0_band.shape == (30, 4)
+        stack = _build_stack(ratio, labels)
+        assert stack.labels[7].N == 0 and stack.s0_band.shape == (30, 4)
         getattr(stack, f"{name}_band")[7, min(index)] = 1e-300
         columns = _oracle_reports(stack)[1]
         checks = [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -289,23 +289,24 @@ def list_reference(stack):
     den, s0_den, h_den = m**m * n**n, 4 * m * n, 2 * m * n
     s0_rows, s_plus_rows, h_rows = (getattr(stack, key).tolist() for key in _BANDS)
     columns = {"s0": [], "s_plus": [], "s_minus": [], "h": []}
-    for i, rep in enumerate(stack.irreps):
-        big_n, p, q = rep.label.N, rep.label.p, rep.label.q
+    for i, (label, phi) in enumerate(zip(stack.labels, stack.numerators)):
+        big_n, p, q = label.N, label.p, label.q
         dim = big_n + 1
         members = list(zip(range(p - 1, p + big_n * m, m), range(big_n * n + q - 1, q - 2, -n)))
         raises = [math.perm(x + m, m) * math.perm(y, n) for x, y in members]
         lowers = [math.perm(x, m) * math.perm(y + n, n) for x, y in members]
         s0_num = [n * (2 * x + 1) - m * (2 * y + 1) for x, y in members]
         h_num = [n * (2 * x + 1) + m * (2 * y + 1) for x, y in members]
-        u, u_rest = divmod(s0_den * rep.u.numerator, rep.u.denominator)
-        energy, energy_rest = divmod(h_den * rep.energy.numerator, rep.energy.denominator)
+        scaled_u, energy_key = Fraction(stack.scaled_u[i]), Fraction(stack.energy_keys[i])
+        u, u_rest = divmod(scaled_u.numerator, scaled_u.denominator)
+        energy, energy_rest = divmod(energy_key.numerator, energy_key.denominator)
         columns["s0"].append(
             not u_rest and s0_num == list(range(u, u + dim * s0_den, s0_den))
             and s0_rows[i][:dim] == [v / s0_den for v in s0_num] and not any(s0_rows[i][dim:]))
         columns["s_plus"].append(
-            raises == list(rep.numerators[1:]) and not any(s_plus_rows[i][big_n:])
+            raises == list(phi[1:]) and not any(s_plus_rows[i][big_n:])
             and all(_within_one_ulp(s, w, den) for s, w in zip(s_plus_rows[i], raises[:-1])))
-        columns["s_minus"].append(lowers == list(rep.numerators[:-1]))
+        columns["s_minus"].append(lowers == list(phi[:-1]))
         columns["h"].append(
             not energy_rest and h_num == [energy] * dim
             and h_rows[i][:dim] == [v / h_den for v in h_num] and not any(h_rows[i][dim:]))
@@ -322,7 +323,7 @@ class TestStackedKernel:
     def test_equals_the_list_reference(self, ratio, n_max, data):
         # NaN, inf, -0.0 and one-ulp moves on real entries and on the padding, and u or E off
         ratio = FrequencyRatio(*ratio)
-        stack = _build_stack([StructureFunction(label, ratio) for label in labels_of(ratio, n_max)])
+        stack = _build_stack(ratio, labels_of(ratio, n_max))
         for _ in range(data.draw(st.integers(0, 6))):
             band = getattr(stack, data.draw(st.sampled_from(_BANDS)))
             if band.shape[-1]:
@@ -332,10 +333,11 @@ class TestStackedKernel:
                 if value in ("up", "down"):
                     value = np.nextafter(band[i, j], math.inf if value == "up" else -math.inf)
                 band[i, j] = value
-        moved = data.draw(st.sets(st.integers(0, len(stack.irreps) - 1), max_size=2))
-        field = data.draw(st.sampled_from(["u", "energy"]))
+        moved = data.draw(st.sets(st.integers(0, len(stack.labels) - 1), max_size=2))
+        # u or E moved by `off`: their columns 4mn u and 2mn E by 4mn off and 2mn off
+        field, scale = data.draw(st.sampled_from([("scaled_u", 4), ("energy_keys", 2)]))
         off = data.draw(st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(-1, 3)]))
-        stack = dataclasses.replace(stack, irreps=tuple(
-            dataclasses.replace(rep, **{field: getattr(rep, field) + off}) if i in moved else rep
-            for i, rep in enumerate(stack.irreps)))
+        stack = dataclasses.replace(stack, **{field: tuple(
+            value + off * scale * ratio.m * ratio.n if i in moved else value
+            for i, value in enumerate(getattr(stack, field)))})
         assert _oracle_reports(stack) == ({}, list_reference(stack))

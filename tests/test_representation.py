@@ -202,6 +202,14 @@ class TestVerifyAlgebra:
         bad = dataclasses.replace(rep, h_band=np.zeros((3, 4)))
         with pytest.raises(ShapeMismatchError):
             verify_algebra(bad)
+        # a Phi table one entry short or long, named by its label
+        rep = build_irrep(IrrepLabel(3, 1, 2), FrequencyRatio(2, 3))
+        for numerators in (rep.numerators[:-1], rep.numerators + (0,)):
+            bad = dataclasses.replace(rep, numerators=numerators)
+            message = f"the Phi table of (N=3, p=1, q=2) must be 5 long, got {len(numerators)}"
+            for check in (verify_algebra, oracle_compare):
+                with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+                    check(bad)
 
     def test_report_shape(self):
         report = verify_algebra(build_irrep(IrrepLabel(1, 1, 1), FrequencyRatio(1, 2)))

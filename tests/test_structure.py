@@ -163,7 +163,8 @@ class TestStructureFunction:
             divisor = (4 * m * n) ** (m + n) // denominator
             assert divisor * denominator == (4 * m * n) ** (m + n)
             records = [StructureFunction(label, ratio) for label in all_labels(m, n, n_top)]
-            for sf, table in zip(records, structure._phi_numerators(records), strict=True):
+            tables = structure._phi_numerators(ratio, [sf.label for sf in records])
+            for sf, table in zip(records, tables, strict=True):
                 assert len(sf.numerators) == sf.label.N + 2
                 assert table == sf.numerators, sf.label
                 for k, numerator in enumerate(sf.numerators):
@@ -189,9 +190,8 @@ def test_no_class_holds_a_functools_cache():
                     assert not hasattr(attr, "cache_clear"), f"{cls.__qualname__}.{name}"
 
 
-def sweep_records(m, n, n_top):
-    ratio = FrequencyRatio(m, n)
-    return ratio, [StructureFunction(label, ratio) for label in all_labels(m, n, n_top)]
+def sweep_labels(m, n, n_top):
+    return FrequencyRatio(m, n), list(all_labels(m, n, n_top))
 
 
 class TestSweepSplit:
@@ -205,13 +205,16 @@ class TestSweepSplit:
                                               ([(1, 300)], 2)], ids=["m,n<=7", "40:41", "1:300"])
     def test_the_stack_matches_lone_records_and_per_entry_quotients(self, ratios, n_top):
         for m, n in ratios:
-            ratio, records = sweep_records(m, n, n_top)
-            stack = representation._build_stack(records)
+            ratio, labels = sweep_labels(m, n, n_top)
+            stack = representation._build_stack(ratio, labels)
             scale, denominator = 4 * m * n, _phi_denominator(ratio)
-            for i, (record, rep) in enumerate(zip(records, stack.irreps, strict=True)):
-                lone, dim = StructureFunction(rep.label, ratio), rep.label.N + 1
-                assert rep.numerators == lone.numerators and rep.numerators is record.numerators
-                assert (rep.u, rep.energy) == (lone.u, lone.energy)
+            assert stack.labels == tuple(labels)
+            for i, label in enumerate(labels):
+                lone, dim = StructureFunction(label, ratio), label.N + 1
+                assert stack.numerators[i] == lone.numerators
+                assert (stack.scaled_u[i], stack.energy_keys[i]) == (lone.u * scale,
+                                                                     lone.energy * scale // 2)
+                assert all(type(v) is int for v in (stack.scaled_u[i], stack.energy_keys[i]))
                 scaled_u = lone.u * scale
                 assert scaled_u.denominator == 1
                 rows = {
@@ -222,7 +225,7 @@ class TestSweepSplit:
                 for key, expected in rows.items():
                     row = getattr(stack, f"{key}_band")[i]
                     expected += [0.0] * (row.shape[0] - len(expected))  # the padding
-                    assert [v.hex() for v in row] == [v.hex() for v in expected], (rep.label, key)
+                    assert [v.hex() for v in row] == [v.hex() for v in expected], (label, key)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -239,26 +242,33 @@ class TestSweepSplit:
     def test_each_table_entry_is_computed_once(self, calls):
         # a sweep computes X_p(k), k = 0..N_max+1, and Y_q(j), j = -1..N_max, once each;
         # a lone record computes the N+2 entries of its one X_p and one Y_q
-        ratio, records = sweep_records(2, 3, 6)
-        tables = list(structure._phi_numerators(records))
+        ratio, labels = sweep_labels(2, 3, 6)
+        tables = list(structure._phi_numerators(ratio, labels))
         assert len(calls) == (2 + 3) * (6 + 2)
         calls.clear()
         assert StructureFunction(IrrepLabel(6, 2, 1), ratio).numerators == tables[-3]
         assert len(calls) == 2 * (6 + 2)
 
-    def test_the_first_overflow_stops_the_tables(self, calls):
+    def test_the_first_overflow_stops_the_tables(self, calls, monkeypatch):
         # at 1:300 Phi(1) of (N=11, p=1, q=48) is the first, in sweep order, beyond float
         # range; no table entry past that irrep's is computed: X_1(0..12), Y_q(-1..10) for
         # every q and Y_q(11) for q <= 48
-        ratio, records = sweep_records(1, 300, 20)
+        ratio, labels = sweep_labels(1, 300, 20)
+        yielded, numerators = [], representation._phi_numerators
+
+        def recording_numerators(ratio, labels):
+            for label, table in zip(labels, numerators(ratio, labels)):
+                yielded.append(label)
+                yield table
+
+        monkeypatch.setattr(representation, "_phi_numerators", recording_numerators)
         with pytest.raises(ArithmeticError, match=re.escape(
                 "Phi(1) of (N=11, p=1, q=48) of the 1:300 oscillator is about 1e308, beyond "
                 "float range: the S+ entry sqrt(Phi(1)) cannot be a float")):
-            representation._build_stack(records)
+            representation._build_stack(ratio, labels)
         assert len(calls) == 13 + 300 * 12 + 48
         reached = 300 * 11 + 48
-        assert ["numerators" in vars(record) for record in records] == (
-            [True] * reached + [False] * (len(records) - reached))
+        assert yielded == labels[:reached]
 
 
 class TestUConstant:

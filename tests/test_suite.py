@@ -35,14 +35,16 @@ def labels_of(ratio, n_max):
 
 
 def test_builds_each_irrep_once(monkeypatch):
+    # the sweep's one record is its stack: no `IrrepMatrices`, no u or E `Fraction`, and a
+    # `StructureFunction` only for the 1:n split
     builds = Counter()
     build = suite._build_stack
 
-    def counting_build(functions):
-        builds.update(f.label for f in functions)
-        return build(functions)
+    def counting_build(ratio, labels):
+        builds.update(labels)
+        return build(ratio, labels)
 
-    # every construction of a record, by whichever caller, goes through this class
+    # every construction of an irrep's matrices, by whichever caller, goes through this class
     made = Counter()
     matrices = representation.IrrepMatrices
 
@@ -58,17 +60,30 @@ def test_builds_each_irrep_once(monkeypatch):
         functions[self.label] += 1
         post_init(self)
 
+    # and of u and E as `Fraction`s, wherever the two functions were imported
+    fractions = Counter()
+    for name, function in (("u_constant", structure.u_constant),
+                           ("energy_of_irrep", core.energy_of_irrep)):
+        def counting_fraction(label, ratio, _name=name, _function=function):
+            fractions[_name] += 1
+            return _function(label, ratio)
+
+        for module in (core, structure, representation, oracle, angular, suite):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting_fraction)
+
     monkeypatch.setattr(suite, "_build_stack", counting_build)
     monkeypatch.setattr(representation, "IrrepMatrices", counting_matrices)
     monkeypatch.setattr(StructureFunction, "__post_init__", counting_post_init)
     for ratio, n_max in ((FrequencyRatio(2, 3), 3), (FrequencyRatio(1, 2), 4)):
-        for counter in (builds, made, functions):
+        for counter in (builds, made, functions, fractions):
             counter.clear()
         report = run_suite(ratio, n_max)
         labels = labels_of(ratio, n_max)
         assert builds == {label: 1 for label in labels}
-        assert made == builds
-        assert functions == builds
+        assert made == Counter()
+        assert functions == (builds if ratio.m == 1 else Counter())
+        assert fractions == Counter()
         assert [irrep.label for irrep in report.irreps] == labels
         assert report.passed
 
@@ -142,8 +157,8 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
     def nan_for_one_irrep(stack, proven=()):
         residuals, exact_checks = verify(stack, proven)
-        for i, rep in enumerate(stack.irreps):
-            if rep.label == poisoned:
+        for i, label in enumerate(stack.labels):
+            if label == poisoned:
                 residuals["commutator_h"][i] = math.nan
         return residuals, exact_checks
 
@@ -159,8 +174,8 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
 
 def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
-    """Give `poisoned`'s record P_1 + 1, u + 1 or E + 1, or the commutator a first coefficient
-    one off."""
+    """Give `poisoned` P_1 + 1, u + 1 or E + 1 in the stack's columns (4mn u + 4mn and
+    2mn E + 2mn for the last two), or the commutator a first coefficient one off."""
     if mutant == "coefficient":
         commutator = representation.commutator_polynomial
 
@@ -171,18 +186,18 @@ def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
 
         monkeypatch.setattr(representation, "commutator_polynomial", coefficient_off)
         return
-    field, change = {
-        "p_k": ("numerators", lambda phi: (phi[0], phi[1] + 1, *phi[2:])),
-        "u": ("u", lambda u: u + 1),
-        "energy": ("energy", lambda energy: energy + 1),
+    column, change = {
+        "p_k": ("numerators", lambda phi, ratio: (phi[0], phi[1] + 1, *phi[2:])),
+        "u": ("scaled_u", lambda u, ratio: u + 4 * ratio.m * ratio.n),
+        "energy": ("energy_keys", lambda key, ratio: key + 2 * ratio.m * ratio.n),
     }[mutant]
     build = suite._build_stack
 
-    def record_off(functions):
-        stack = build(functions)
-        return dataclasses.replace(stack, irreps=tuple(
-            dataclasses.replace(rep, **{field: change(getattr(rep, field))})
-            if rep.label == poisoned else rep for rep in stack.irreps))
+    def record_off(ratio, labels):
+        stack = build(ratio, labels)
+        return dataclasses.replace(stack, **{column: tuple(
+            change(value, ratio) if label == poisoned else value
+            for label, value in zip(stack.labels, getattr(stack, column)))})
 
     monkeypatch.setattr(suite, "_build_stack", record_off)
 
@@ -226,10 +241,10 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
     build = suite._build_stack
     poisoned = IrrepLabel(2, 1, 2)
 
-    def one_entry_off(functions):
-        stack = build(functions)
-        for i, f in enumerate(functions):
-            if f.label == poisoned:
+    def one_entry_off(ratio, labels):
+        stack = build(ratio, labels)
+        for i, label in enumerate(labels):
+            if label == poisoned:
                 s_plus = stack.s_plus_band[i]  # S+[1, 0] is s_plus[0]
                 s_plus[0] = np.nextafter(np.nextafter(s_plus[0], 0.0), 0.0)
         return stack
@@ -249,17 +264,17 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
     clean = run_suite(ratio, 2)
     build, eigensolve = suite._build_stack, suite._eigensolve
 
-    def nan_in_h(functions):
-        stack = build(functions)
-        for i, f in enumerate(functions):
-            if f.label == poisoned:
+    def nan_in_h(ratio, labels):
+        stack = build(ratio, labels)
+        for i, label in enumerate(labels):
+            if label == poisoned:
                 stack.h_band[i, 0] = math.nan
         return stack
 
-    def swapped_pair(functions, offdiag):
-        values, vectors, errors = eigensolve(functions, offdiag)
-        for i, f in enumerate(functions):
-            if f.label == poisoned:
+    def swapped_pair(ratio, labels, offdiag):
+        values, vectors, errors = eigensolve(ratio, labels, offdiag)
+        for i, label in enumerate(labels):
+            if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
         return values, vectors, errors
 
@@ -307,7 +322,8 @@ def one_irrep_report(label, ratio, tolerance=IDENTITY_TOL):
     return residuals, failures
 
 
-@pytest.mark.parametrize("m,n,n_max", [(1, 1, 6), (1, 2, 8), (3, 5, 4), (2, 7, 3)])
+@pytest.mark.parametrize("m,n,n_max", [(1, 1, 6), (1, 2, 8), (3, 5, 4), (2, 7, 3), (40, 41, 1),
+                                       (1, 60, 1)])
 def test_stacked_suite_equals_the_one_irrep_functions_bitwise(m, n, n_max):
     ratio = FrequencyRatio(m, n)
     report = run_suite(ratio, n_max)
@@ -339,10 +355,10 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     eigensolve = suite._eigensolve
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(functions, offdiag):
-        values, vectors, errors = eigensolve(functions, offdiag)
-        for i, f in enumerate(functions):
-            if f.label == poisoned:
+    def swapped_pair(ratio, labels, offdiag):
+        values, vectors, errors = eigensolve(ratio, labels, offdiag)
+        for i, label in enumerate(labels):
+            if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
         return values, vectors, errors
 
@@ -382,13 +398,13 @@ def test_rejects_tolerance_that_is_not_finite_and_positive(tolerance):
 
 def test_computes_each_irreps_phi_table_once(monkeypatch):
     # one table per irrep from the sweep's X_p and Y_q, none of it F's factor product;
-    # the eigensolve gets rep's table
+    # the certificate gets the stack's table
     computed, products = Counter(), []
     numerators = structure._phi_numerators
 
-    def counting_numerators(records):
-        for record, table in zip(records, numerators(records)):
-            computed[record.label] += 1
+    def counting_numerators(ratio, labels):
+        for label, table in zip(labels, numerators(ratio, labels)):
+            computed[label] += 1
             yield table
 
     product = StructureFunction._product
@@ -398,23 +414,25 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
         return product(self, numerator, denominator)
 
     tables = {}
-    build, eigensolve = suite._build_stack, suite._eigensolve
+    build, certify = suite._build_stack, suite._certify
 
-    def recording_build(functions):
-        stack = build(functions)
-        for rep in stack.irreps:
-            tables[rep.label] = rep.numerators
+    def recording_build(ratio, labels):
+        stack = build(ratio, labels)
+        for label, table in zip(stack.labels, stack.numerators):
+            tables[label] = table
         return stack
 
-    def checking_eigensolve(functions, offdiag):
-        for f in functions:
-            assert f.numerators is tables[f.label]
-        return eigensolve(functions, offdiag)
+    def checking_certify(numerators, denominator, rows, tolerance):
+        for label, table in zip(labels_of(ratio, 4), numerators, strict=True):
+            assert table is tables[label]
+        return certify(numerators, denominator, rows, tolerance)
 
+    # the stack's route and `StructureFunction.numerators`' route are both counted
+    monkeypatch.setattr(representation, "_phi_numerators", counting_numerators)
     monkeypatch.setattr(structure, "_phi_numerators", counting_numerators)
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
     monkeypatch.setattr(suite, "_build_stack", recording_build)
-    monkeypatch.setattr(suite, "_eigensolve", checking_eigensolve)
+    monkeypatch.setattr(suite, "_certify", checking_certify)
     ratio = FrequencyRatio(1, 2)  # 1:2 also runs the 1:n split and the W_3^(2) check
     report = run_suite(ratio, 4)
     assert report.passed
@@ -425,28 +443,30 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
 
 def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
     # one interval pass over the points of every irrep, after every eigensolve;
-    # it reads each irrep's record, and each N's eigenvectors are not kept
+    # it reads each irrep's Phi table and D, and each N's eigenvectors are not kept
     vectors, calls = [], []
     eigensolve, count_above = suite._eigensolve, angular._count_above
 
-    def recording_eigensolve(functions, offdiag):
-        solved = eigensolve(functions, offdiag)
+    def recording_eigensolve(ratio, labels, offdiag):
+        solved = eigensolve(ratio, labels, offdiag)
         vectors.append(weakref.ref(solved[1]))
         return solved
 
-    def recording_count_above(records, irreps, centres, offsets):
+    def recording_count_above(tables, denominator, irreps, centres, offsets):
         gc.collect()
-        calls.append((records, len(irreps), [ref() is not None for ref in vectors]))
-        return count_above(records, irreps, centres, offsets)
+        calls.append(((tables, denominator), len(irreps),
+                      [ref() is not None for ref in vectors]))
+        return count_above(tables, denominator, irreps, centres, offsets)
 
     monkeypatch.setattr(suite, "_eigensolve", recording_eigensolve)
     monkeypatch.setattr(angular, "_count_above", recording_count_above)
     ratio = FrequencyRatio(1, 2)
     report = run_suite(ratio, 6)
     assert report.passed
-    [(records, points, alive)] = calls
-    assert [record.label for record in records] == labels_of(ratio, 6)
-    assert all(isinstance(record, StructureFunction) for record in records)
+    [((tables, denominator), points, alive)] = calls
+    assert list(tables) == [StructureFunction(label, ratio).numerators
+                            for label in labels_of(ratio, 6)]
+    assert denominator == structure._phi_denominator(ratio)
     # the symmetric spectra are counted at i >= N/2, two points each
     assert points == sum(2 * (label.N // 2 + 1) for label in labels_of(ratio, 6))
     # only the last N's eigenvectors, still bound to the eigensolve loop's names, live on
@@ -488,14 +508,14 @@ def test_derives_each_irreps_offdiagonals_once(monkeypatch):
     passes, calls = [], Counter()
     offdiagonals = representation._offdiagonals
 
-    def counting_offdiagonals(records):
+    def counting_offdiagonals(ratio, labels, tables):
         def counted():
-            for record in records:
-                calls[record.numerators] += 1
-                yield record
+            for table in tables:
+                calls[table] += 1
+                yield table
 
-        passes.append(records)
-        return offdiagonals(counted())
+        passes.append(labels)
+        return offdiagonals(ratio, labels, counted())
 
     monkeypatch.setattr(representation, "_offdiagonals", counting_offdiagonals)
     monkeypatch.setattr(angular, "_offdiagonals", counting_offdiagonals)
@@ -533,8 +553,8 @@ def test_padding_leaves_every_irreps_stacked_results_its_own(monkeypatch, m, n, 
     for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
         def recording(stack, *args, _kernel=getattr(suite, name), _name=name, **kwargs):
             results = residuals, exact_checks = _kernel(stack, *args, **kwargs)
-            for i, rep in enumerate(stack.irreps):  # each irrep's row of the kernel's columns
-                reports[_name, rep.label] = VerificationReport(
+            for i, label in enumerate(stack.labels):  # each irrep's row of the kernel's columns
+                reports[_name, label] = VerificationReport(
                     _name, {key: float(values[i]) for key, values in residuals.items()},
                     {key: values[i] for key, values in exact_checks.items()}, 0.0)
             return results
@@ -562,11 +582,11 @@ def test_inf_next_to_the_padding_fails_only_its_irrep(monkeypatch, band):
     clean = run_suite(ratio, 2)
     build = suite._build_stack
 
-    def inf_in_the_last_real_entry(functions):
-        stack = build(functions)
-        i = [f.label for f in functions].index(poisoned)
-        getattr(stack, band)[i, len(getattr(stack.irreps[i], band)) - 1] = math.inf
-        assert getattr(stack, band).shape[-1] > len(getattr(stack.irreps[i], band))
+    def inf_in_the_last_real_entry(ratio, labels):
+        stack = build(ratio, labels)
+        i, size = list(labels).index(poisoned), poisoned.N + (band != "s_plus_band")
+        getattr(stack, band)[i, size - 1] = math.inf
+        assert getattr(stack, band).shape[-1] > size
         return stack
 
     monkeypatch.setattr(suite, "_build_stack", inf_in_the_last_real_entry)

@@ -18,8 +18,8 @@ import io
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
-from itertools import repeat
+from fractions import Fraction
+from itertools import groupby, repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import click
 
 from . import __version__
 from .angular import angular_eigenvalues, exact_hints
-from .core import FrequencyRatio, IrrepLabel, enumerate_levels, irrep_members
+from .core import FrequencyRatio, IrrepLabel, _level_keys, irrep_members
 from .exceptions import NonCoprimeError
 from .representation import build_irrep, verify_algebra
 from .suite import IDENTITY_TOL, run_suite
@@ -130,13 +130,46 @@ def _flat_encoder(depth: int):
                           ": ", ",\n" + "  " * (depth + 1), False, False, True)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _is_record(value) -> bool:
+    """Whether value is a non-empty dict whose values all have exact scalar types.
+
+    A record goes to the C encoder in a run (`_records_text`); anything else,
+    dict and scalar subclasses included, takes the item-by-item path.
+    """
+    return type(value) is dict and bool(value) and _SCALARS.issuperset(map(type, value.values()))
+
+
+# records per C-encoder call; one call over a long list would hold all its encoded
+# chunks at once and raise the peak memory
+_RUN = 128
+
+
+def _records_text(records: list[dict], depth: int) -> str:
+    """The records, each at depth, joined by their list's item separator: one encoder call.
+
+    The records are encoded as one list whose item separator is their own, so
+    the layout inside each record is already right.  An encoded string never
+    holds a raw newline and a record's values are scalars, so `}` followed by
+    that separator only ever ends a record; one replace re-indents those
+    boundaries to the list's level.
+    """
+    outer, inner = "  " * depth, "  " * (depth + 1)
+    text = "".join(_flat_encoder(depth)(records, depth))
+    body = text[2:-2].replace(f"}},\n{inner}{{", f"\n{outer}}},\n{outer}{{\n{inner}")
+    return f"{{\n{inner}{body}\n{outer}}}"
+
+
 def _json_text(value, depth: int = 0) -> str:
     """json.dumps(value, indent=2), byte for byte, for documents with str keys.
 
     The C encoder serves only indent=None, so the indented layout is written
     here.  Every scalar, and every container whose values are all scalars, is
-    encoded in one call to the C encoder; nested containers are written item
-    by item.
+    encoded in one call to the C encoder.  Inside a list, each run of
+    consecutive records (`_is_record`) is encoded `_RUN` records per call
+    (`_records_text`); other nested containers are written item by item.
     """
     encode = _flat_encoder(depth)
     if not isinstance(value, _CONTAINERS) or not value:
@@ -147,7 +180,14 @@ def _json_text(value, depth: int = 0) -> str:
             items = [f"{encode_basestring_ascii(key)}: {_json_text(child, depth + 1)}"
                      for key, child in value.items()]
         else:
-            items = [_json_text(child, depth + 1) for child in value]
+            items = []
+            for flat, run in groupby(value, _is_record):
+                if flat:
+                    run = list(run)
+                    items += [_records_text(run[i:i + _RUN], depth + 1)
+                              for i in range(0, len(run), _RUN)]
+                else:
+                    items += [_json_text(child, depth + 1) for child in run]
         opening, closing = ("{", "}") if is_dict else ("[", "]")
         body = (",\n" + "  " * (depth + 1)).join(items)
     else:
@@ -248,17 +288,18 @@ def main():
 @_output_option
 def spectrum(ratio, count, fmt, output):
     """List the lowest COUNT energy levels with labels and degeneracies."""
-    levels = enumerate_levels(ratio, count)
+    scale = 2 * ratio.m * ratio.n
+    # int true division is correctly rounded: the same float as float(Fraction)
     records = [
         {
-            "energy": str(level.energy),
-            "decimal": _decimal(float(level.energy)),
-            "N": level.label.N,
-            "p": level.label.p,
-            "q": level.label.q,
-            "degeneracy": level.degeneracy,
+            "energy": str(Fraction(key, scale)),
+            "decimal": _decimal(key / scale),
+            "N": big_n,
+            "p": p,
+            "q": q,
+            "degeneracy": big_n + 1,
         }
-        for level in levels
+        for key, big_n, p, q in _level_keys(ratio, count)
     ]
     headers = ["energy", "decimal", "N", "p", "q", "degeneracy"]
     rows = (
@@ -413,7 +454,8 @@ def verify(ratio, n_max, fmt, tol, output):
         "identity_tolerance": report.identity_tolerance,
         "eigen_tolerance": report.eigen_tolerance,
         "passed": report.passed,
-        "worst_irreps": {key: asdict(report.worst_irrep(key)) for key in residuals},
+        "worst_irreps": {key: {"N": label.N, "p": label.p, "q": label.q}
+                         for key, label in zip(residuals, map(report.worst_irrep, residuals))},
     }
     headers = ["check", "worst residual", "status"]
     rows = [

@@ -190,19 +190,19 @@ def irrep_members(label: IrrepLabel, ratio: FrequencyRatio) -> tuple[CartesianSt
                  for k in range(label.N + 1))
 
 
-def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
-    """First `count` energy levels in strictly ascending exact order.
+def _level_keys(ratio: FrequencyRatio, count: int) -> list[tuple[int, int, int, int]]:
+    """The lowest `count` labels as ints `(2mn E, N, p, q)`, in strictly ascending energy.
 
-    Each level carries exactly one irrep label, so the levels are the label
-    energies in ascending order.  E(N, p, q) rises with p and with q, so a
-    label with p q > count lies above the p q - 1 > count - 1 labels
-    (N, p', q') with p' <= p, q' <= q and is never kept: only the pairs with
-    p <= count and q <= count // p are listed.  With P such pairs, since
-    E(N, p, q) lies in (N, N + 2), the K P labels with N < K = count // P + 1,
-    more than `count`, all lie below K + 1, while every label with N > K lies
-    above it; the labels with N <= K therefore hold the lowest `count`
-    levels.  They are sorted on the exact integer key 2mn E (`_energy_key`);
-    labels and energies are built only for the levels kept.
+    This is the one source of the level order.  Each level carries exactly one
+    irrep label, so the levels are the label energies in ascending order.
+    E(N, p, q) rises with p and with q, so a label with p q > count lies above
+    the p q - 1 > count - 1 labels (N, p', q') with p' <= p, q' <= q and is
+    never kept: only the pairs with p <= count and q <= count // p are listed.
+    With P such pairs, since E(N, p, q) lies in (N, N + 2), the K P labels with
+    N < K = count // P + 1, more than `count`, all lie below K + 1, while every
+    label with N > K lies above it; the labels with N <= K therefore hold the
+    lowest `count` levels.  They are sorted on the exact integer key 2mn E
+    (`_energy_key`), which no two labels of a coprime ratio share.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -221,7 +221,17 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
         for big_n in range(top + 1)
         for offset, p, q in offsets
     )
+    del keys[count:]
+    return keys
+
+
+def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
+    """First `count` energy levels in strictly ascending exact order (`_level_keys`).
+
+    Labels and energies are built only for the levels kept.
+    """
+    scale = 2 * ratio.m * ratio.n
     return [
         Level(Fraction(key, scale), IrrepLabel(big_n, p, q), big_n + 1)
-        for key, big_n, p, q in keys[:count]
+        for key, big_n, p, q in _level_keys(ratio, count)
     ]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
-from deformed_u2 import angular, cli, representation, structure, suite
+from deformed_u2 import angular, cli, core, representation, structure, suite
 from deformed_u2.cli import main
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
@@ -83,6 +83,28 @@ class TestSpectrum:
         assert calls["fmt"] == 0
         invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500", "--format", "csv")
         assert calls["fmt"] == 1500
+
+    def test_json_builds_no_label_or_level(self, runner, monkeypatch):
+        calls = Counter()
+        post_init, level_new = core.IrrepLabel.__post_init__, core.Level.__new__
+
+        def counting_post_init(label):
+            calls["IrrepLabel"] += 1
+            post_init(label)
+
+        def counting_new(cls, *args):
+            calls["Level"] += 1
+            return level_new(cls, *args)
+
+        monkeypatch.setattr(core.IrrepLabel, "__post_init__", counting_post_init)
+        monkeypatch.setattr(core.Level, "__new__", counting_new)
+        result = invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500",
+                        "--format", "json")
+        assert len(json.loads(result.output)["records"]) == 1500
+        assert calls == Counter()
+        # the counters see what the library route builds
+        core.enumerate_levels(core.FrequencyRatio(3, 5), 7)
+        assert calls == Counter(IrrepLabel=7, Level=7)
 
 
 class TestIrrep:
@@ -535,6 +557,35 @@ class TestJsonText:
     @example(document={"a": {}, "b": [[], ()], "c": [{}, [-0.0, math.nan]]})
     def test_matches_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("document", [
+        # more than two full encoder runs of records, at several depths
+        [{"k": i, "v": str(i)} for i in range(2 * cli._RUN + 3)],
+        {"a": {"b": [{"x": i / 3, "y": None, "z": True} for i in range(2 * cli._RUN + 1)]}},
+        # runs broken by nested items, empty dicts, scalars and tuples
+        [{"a": 1}, {"b": [1, 2]}, {"c": 3}, {"d": 4}, {}, {"e": 5}, 6, {"f": 7},
+         ({"g": 8}, {"h": 9}), {"i": 10}, [], (), {"j": {"k": 11}}, {"l": 12}],
+        [{"r": i} if i % 5 else {"s": {}} for i in range(300)],
+        # keys and values that look like record boundaries
+        [{"}": "{", "},\n": "},\n    {"}, {"\n": "\n}"}, {"a": "}", "b": "{"},
+         {"}},\n  {{": 1}, {"x": "},\n      {"}],
+        [{"k": "}" * i + ",\n" + " " * i + "{"} for i in range(200)],
+    ])
+    def test_record_runs_match_json_dumps(self, document):
+        assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    def test_no_encoder_call_takes_more_than_a_run(self, monkeypatch):
+        sizes = []
+        records_text = cli._records_text
+
+        def counting(records, depth):
+            sizes.append(len(records))
+            return records_text(records, depth)
+
+        monkeypatch.setattr(cli, "_records_text", counting)
+        document = {"records": [{"k": i} for i in range(2 * cli._RUN + 1)]}
+        assert cli._json_text(document) == json.dumps(document, indent=2)
+        assert sizes == [cli._RUN, cli._RUN, 1]
 
     def test_spectrum_bypasses_the_python_encoder(self, runner, monkeypatch):
         def refuse(*args, **kwargs):

@@ -22,6 +22,7 @@ from deformed_u2 import (
     irrep_members,
     irrep_to_cartesian,
 )
+from deformed_u2.core import _level_keys
 
 
 def coprime_pairs(limit):
@@ -238,6 +239,25 @@ class TestEnumerateLevels:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             enumerate_levels(FrequencyRatio(1, 2), 0)
+        with pytest.raises(ValueError):
+            _level_keys(FrequencyRatio(1, 2), 0)
+
+    @pytest.mark.parametrize("m,n", coprime_pairs(7))
+    def test_level_keys_agree_with_enumerate_levels(self, m, n):
+        ratio = FrequencyRatio(m, n)
+        for count in (1, 7, 50, 333):
+            keys = _level_keys(ratio, count)
+            assert all(type(part) is int for key in keys for part in key)
+            # every label with N < count, none pruned: E(count - 1, 1, 1) <= count < E(count, ...)
+            assert keys == sorted(
+                (2 * m * n * big_n + n * (2 * p - 1) + m * (2 * q - 1), big_n, p, q)
+                for big_n in range(count) for p in range(1, m + 1) for q in range(1, n + 1)
+            )[:count]
+            assert len({key for key, *_ in keys}) == count
+            assert [
+                Level(Fraction(key, 2 * m * n), IrrepLabel(big_n, p, q), big_n + 1)
+                for key, big_n, p, q in keys
+            ] == enumerate_levels(ratio, count)
 
     def test_multiset_of_energies_matches_label_enumeration(self):
         # both sides built here, independently of enumerate_levels internals

@@ -16,8 +16,10 @@ The grid covers `irrep` and `angular` on every label of each ratio at N in
 {0, 1, 4}, `spectrum --count 25` and `verify --N-max 4` at each ratio, a few
 failing or out-of-reach cases, a bad label, a non-coprime ratio and three
 large documents (`spectrum --ratio 3:5 --count 1500`, `irrep --ratio 1:2
---N 40`, `angular --ratio 1:1 --N 40`), each in the json, table and csv
-formats: 1095 commands.  Needs click >= 8.2 (separate stderr).
+--N 40`, `angular --ratio 1:1 --N 40`), and `spectrum --count` 128, 129 and
+257 at 1:1 and 2:3, at the edges of the JSON writer's 128-record encoder runs,
+each in the json, table and csv formats: 1113 commands.  Needs click >= 8.2
+(separate stderr).
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def grid() -> list[list[str]]:
         ["irrep", "--ratio", "1:2", "--N", "40"],
         ["angular", "--ratio", "1:1", "--N", "40"],
     ]
+    # one full 128-record encoder run of the JSON writer, one record past it, two and one
+    commands += [["spectrum", "--ratio", ratio, "--count", count]
+                 for ratio in ("1:1", "2:3") for count in ("128", "129", "257")]
     return [[*args, "--format", fmt] for args in commands for fmt in FORMATS]
 
 

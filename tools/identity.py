@@ -6,8 +6,9 @@ exports REF's `src` (default `HEAD`) with `git archive` into a temporary
 directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
-`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`) and the best-of-5
-in-process `run_suite` time over perfbench's 8 verify sweeps
+`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`), the best-of-5
+in-process `run_suite` time over perfbench's 8 verify sweeps and the best-of-5
+in-process time of perfbench's 4 `spectrum --format json` commands
 (`tools/suite_time.py`).  Exits 1 when either digest pair differs; the line
 counts and times are printed only.  A change that should keep every output
 bitwise is checked against its parent with
@@ -64,8 +65,8 @@ def main() -> None:
             differs |= old != new
         print(f"src lines {ref}: {src_lines(Path(tmp) / 'src')}")
         print(f"src lines tree: {src_lines(ROOT / 'src')}")
-        print(f"run_suite {ref}: {digest('suite_time.py', Path(tmp) / 'src')}")
-        print(f"run_suite tree: {digest('suite_time.py', ROOT / 'src')}")
+        print(f"times {ref}: {digest('suite_time.py', Path(tmp) / 'src')}")
+        print(f"times tree: {digest('suite_time.py', ROOT / 'src')}")
     sys.exit(1 if differs else 0)
 
 

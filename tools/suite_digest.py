@@ -41,10 +41,7 @@ P_1 + 1, u + 1 or E + 1 in the sweep's `IrrepStack` (through
 columns, so the oracle, the algebra checks, the certificate and the report's
 energy all read the changed value), or the commutator has its first
 coefficient one off (through `representation.commutator_polynomial`), so the
-exact checks that fail, and the routes that decide them, are covered.  The
-record mutants also reach a stack of `IrrepMatrices` records, the layout the
-stack had before its columns, with the same meaning (see `record_off`), so
-that `tools/identity.py` can compare against a revision of that layout.
+exact checks that fail, and the routes that decide them, are covered.
 Nothing is written to disk.
 """
 
@@ -91,29 +88,15 @@ def main() -> None:
 
     build, commutator = suite._build_stack, representation.commutator_polynomial
 
-    def record_off(field, column, scale, change):
-        """MUTANT_LABEL's `field` (numerators, u or E) moved by `change(value, 1)`: on a
-        columnar stack its `column`, `scale(ratio)` times the field, by `change(value,
-        scale(ratio))`; on a stack of `IrrepMatrices` records (`irreps`, the layout before
-        the columns) the record's field and the slot of its `StructureFunction`, which that
-        layout's certificate and energies read, so every stage sees the same value on both.
-        The `irreps` branch can go in the change after this one."""
+    def record_off(column, change):
+        """MUTANT_LABEL's entry of the stack's `column` replaced by `change(entry, ratio)`."""
         label = IrrepLabel(*MUTANT_LABEL)
 
         def mutated(*args):
             stack = build(*args)
-            if not hasattr(stack, "irreps"):
-                one = scale(stack.ratio)
-                return dataclasses.replace(stack, **{column: tuple(
-                    change(value, one) if each == label else value
-                    for each, value in zip(stack.labels, getattr(stack, column)))})
-            [functions] = args
-            for function in functions:
-                if function.label == label:
-                    function.__dict__[field] = change(getattr(function, field), 1)
-            return dataclasses.replace(stack, irreps=tuple(
-                dataclasses.replace(rep, **{field: change(getattr(rep, field), 1)})
-                if rep.label == label else rep for rep in stack.irreps))
+            return dataclasses.replace(stack, **{column: tuple(
+                change(value, stack.ratio) if each == label else value
+                for each, value in zip(stack.labels, getattr(stack, column)))})
         return suite, "_build_stack", mutated
 
     def coefficient_off(ratio):
@@ -122,11 +105,9 @@ def main() -> None:
         return dataclasses.replace(poly, numerators=((i, j, a + 1), *rest))
 
     mutants = [
-        record_off("numerators", "numerators", lambda ratio: 1,
-                   lambda phi, one: (phi[0], phi[1] + one, *phi[2:])),
-        record_off("u", "scaled_u", lambda ratio: 4 * ratio.m * ratio.n, lambda u, one: u + one),
-        record_off("energy", "energy_keys", lambda ratio: 2 * ratio.m * ratio.n,
-                   lambda energy, one: energy + one),
+        record_off("numerators", lambda phi, ratio: (phi[0], phi[1] + 1, *phi[2:])),
+        record_off("scaled_u", lambda u, ratio: u + 4 * ratio.m * ratio.n),
+        record_off("energy_keys", lambda energy, ratio: energy + 2 * ratio.m * ratio.n),
         (representation, "commutator_polynomial", coefficient_off),
     ]
 

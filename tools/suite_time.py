@@ -1,4 +1,4 @@
-"""Best-of-5 in-process time of `run_suite` over the sweeps of perfbench's verify workloads.
+"""Best-of-5 in-process times of perfbench's verify sweeps and spectrum commands.
 
     python tools/suite_time.py SRC_DIR
 
@@ -6,18 +6,37 @@ imports `deformed_u2` from SRC_DIR, runs `run_suite` once on every sweep of
 `perfbench`'s verify_deep and verify_wide rounds (1:1 N <= 26, 1:2 and 2:1
 N <= 18, 1:3 N <= 16, 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4 and 2:7 N <= 6) as a
 warm-up, then five times more, and prints the shortest of those five totals
-in seconds.  It times the library alone: no interpreter start, import, CLI
-rendering or JSON, so it moves with the suite's own work.
+in seconds.  That time is the library alone: no interpreter start, import, CLI
+rendering or JSON, so it moves with the suite's own work.  Then it does the
+same for the four commands of perfbench's spectrum_levels round (`spectrum
+--format json` at 1:1 x600, 1:2 x1000, 2:3 x1200 and 3:5 x1500) through
+`cli.main`, click parsing and JSON rendering included, with their stdout
+captured, and prints that total too:
+
+    run_suite 0.0648 s  spectrum 0.0205 s
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import time
 from pathlib import Path
 
 SWEEPS = [(1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16),
           (3, 5, 8), (4, 7, 5), (5, 7, 4), (2, 7, 6)]
+SPECTRA = [(1, 1, 600), (1, 2, 1000), (2, 3, 1200), (3, 5, 1500)]
+
+
+def best_of_five(run) -> float:
+    """The shortest of five timed calls of `run`, after one warm-up call."""
+    totals = []
+    for _ in range(6):
+        start = time.perf_counter()
+        run()
+        totals.append(time.perf_counter() - start)
+    return min(totals[1:])
 
 
 def main() -> None:
@@ -26,19 +45,26 @@ def main() -> None:
     src = Path(sys.argv[1]).resolve()
     sys.path.insert(0, str(src))
     import deformed_u2
-    from deformed_u2 import FrequencyRatio, run_suite
+    from deformed_u2 import FrequencyRatio, cli, run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
     sweeps = [(FrequencyRatio(m, n), n_max) for m, n, n_max in SWEEPS]
-    totals = []
-    for _ in range(6):
-        start = time.perf_counter()
+    commands = [["spectrum", "--ratio", f"{m}:{n}", "--count", str(count), "--format", "json"]
+                for m, n, count in SPECTRA]
+
+    def suite_round():
         for ratio, n_max in sweeps:
             run_suite(ratio, n_max)
-        totals.append(time.perf_counter() - start)
-    print(f"{min(totals[1:]):.4f} s")
+
+    def spectrum_round():
+        for args in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+                cli.main(args, prog_name="deformed-u2")
+
+    print(f"run_suite {best_of_five(suite_round):.4f} s  "
+          f"spectrum {best_of_five(spectrum_round):.4f} s")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ import io
 import math
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -131,15 +130,19 @@ def _flat_encoder(depth: int):
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_DICT = frozenset((dict,))
 
 
-def _is_record(value) -> bool:
-    """Whether value is a non-empty dict whose values all have exact scalar types.
+def _all_records(items) -> bool:
+    """Whether every item is a record: a non-empty dict whose values have exact scalar types.
 
-    A record goes to the C encoder in a run (`_records_text`); anything else,
-    dict and scalar subclasses included, takes the item-by-item path.
+    Records go to the C encoder in runs (`_records_text`); anything else, dict
+    and scalar subclasses included, takes the item-by-item path.  Each check
+    runs in C over all the items, with no Python call per item: their exact
+    types, their truth (no dict is empty), then the exact types of all values.
     """
-    return type(value) is dict and bool(value) and _SCALARS.issuperset(map(type, value.values()))
+    return (_DICT.issuperset(map(type, items)) and all(items)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items)))))
 
 
 # records per C-encoder call; one call over a long list would hold all its encoded
@@ -162,14 +165,20 @@ def _records_text(records: list[dict], depth: int) -> str:
     return f"{{\n{inner}{body}\n{outer}}}"
 
 
+def _runs_text(records, depth: int) -> list[str]:
+    """The texts of the records at depth, `_RUN` records per `_records_text` call."""
+    return [_records_text(records[i:i + _RUN], depth) for i in range(0, len(records), _RUN)]
+
+
 def _json_text(value, depth: int = 0) -> str:
     """json.dumps(value, indent=2), byte for byte, for documents with str keys.
 
     The C encoder serves only indent=None, so the indented layout is written
     here.  Every scalar, and every container whose values are all scalars, is
-    encoded in one call to the C encoder.  Inside a list, each run of
-    consecutive records (`_is_record`) is encoded `_RUN` records per call
-    (`_records_text`); other nested containers are written item by item.
+    encoded in one call to the C encoder.  A list of records only
+    (`_all_records`) is encoded `_RUN` records per call (`_records_text`);
+    in any other list each run of consecutive records, found item by item, is
+    encoded the same way, and other nested containers are written item by item.
     """
     encode = _flat_encoder(depth)
     if not isinstance(value, _CONTAINERS) or not value:
@@ -179,15 +188,13 @@ def _json_text(value, depth: int = 0) -> str:
         if is_dict:
             items = [f"{encode_basestring_ascii(key)}: {_json_text(child, depth + 1)}"
                      for key, child in value.items()]
+        elif _all_records(value):
+            items = _runs_text(value, depth + 1)
         else:
             items = []
-            for flat, run in groupby(value, _is_record):
-                if flat:
-                    run = list(run)
-                    items += [_records_text(run[i:i + _RUN], depth + 1)
-                              for i in range(0, len(run), _RUN)]
-                else:
-                    items += [_json_text(child, depth + 1) for child in run]
+            for flat, run in groupby(value, lambda item: _all_records((item,))):
+                items += (_runs_text(list(run), depth + 1) if flat
+                          else [_json_text(child, depth + 1) for child in run])
         opening, closing = ("{", "}") if is_dict else ("[", "]")
         body = (",\n" + "  " * (depth + 1)).join(items)
     else:
@@ -289,10 +296,11 @@ def main():
 def spectrum(ratio, count, fmt, output):
     """List the lowest COUNT energy levels with labels and degeneracies."""
     scale = 2 * ratio.m * ratio.n
-    # int true division is correctly rounded: the same float as float(Fraction)
+    # E = key / scale in lowest terms, as str(Fraction(key, scale)) writes it; int
+    # true division is correctly rounded, so the decimal is the float of that E
     records = [
         {
-            "energy": str(Fraction(key, scale)),
+            "energy": f"{key // g}/{scale // g}" if g != scale else str(key // g),
             "decimal": _decimal(key / scale),
             "N": big_n,
             "p": p,
@@ -300,6 +308,7 @@ def spectrum(ratio, count, fmt, output):
             "degeneracy": big_n + 1,
         }
         for key, big_n, p, q in _level_keys(ratio, count)
+        for g in (math.gcd(key, scale),)
     ]
     headers = ["energy", "decimal", "N", "p", "q", "degeneracy"]
     rows = (

@@ -251,29 +251,48 @@ class CommutatorPolynomial:
         (numerator,), denominator = self._scaled_values(Fraction(h), Fraction(s0), 1)
         return Fraction(numerator, denominator)
 
+    @functools.cached_property
+    def _columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(I - t, (a_t, ..., a_0)) of each S0 power, from the top S0 power down.
+
+        I is the H degree and t the column's top H power; an H power with no
+        term holds 0, and a column with no term is (0, (0, ..., 0)).
+        """
+        h_top, s0_top = self._degree_in_h, self.degree_in_s0
+        columns = [[0] * (h_top + 1) for _ in range(s0_top + 1)]
+        for i, j, a in self.numerators:
+            columns[s0_top - j][h_top - i] = a
+        return tuple(
+            (skip, tuple(column[skip:]))
+            for column in columns
+            for skip in (next((k for k, a in enumerate(column) if a), 0),)
+        )
+
     def _scaled_values(self, h: Fraction, s0: Fraction, count: int) -> tuple[list[int], int]:
         """Numerators of poly(h, s0 + k), k = 0..count-1, over one common denominator.
 
-        The H powers are collected once, into one int coefficient b_j per S0
-        power.  With s0 + k = y / d, each value is then sum_j b_j y^j
-        d^(J-j), J the S0 degree, run by integer Horner in y; no `Fraction`
-        is built.
+        With h = x / e and I the H degree, each S0 power j's coefficient
+        sum_i a_ij x^i e^(I-i) is one int b_j, run by homogeneous Horner in x
+        from the column's top H power t and then times e^(I-t).  With
+        s0 + k = y / d, each value is sum_j b_j y^j d^(J-j), J the S0 degree,
+        run by integer Horner in y; no `Fraction` is built.
         """
-        h_top, s0_top = self._degree_in_h, self.degree_in_s0
-        h_powers = _scaled_powers(h.numerator, h.denominator, h_top)
-        d_powers = _scaled_powers(1, s0.denominator, s0_top)
-        weights = [0] * (s0_top + 1)
-        for i, j, a in self.numerators:
-            weights[j] += a * h_powers[i] * d_powers[j]
-        weights.reverse()
+        x, e, d = h.numerator, h.denominator, s0.denominator
+        e_powers = [e**k for k in range(self._degree_in_h + 1)]
+        d_powers = [d**k for k in range(self.degree_in_s0 + 1)]
+        weights = []
+        for (skip, column), d_power in zip(self._columns, d_powers):
+            weight = 0
+            for a, e_power in zip(column, e_powers):
+                weight = weight * x + a * e_power
+            weights.append(weight * e_powers[skip] * d_power)
         numerators = []
-        for y in range(s0.numerator, s0.numerator + count * s0.denominator, s0.denominator):
+        for y in range(s0.numerator, s0.numerator + count * d, d):
             value = 0
             for weight in weights:
                 value = value * y + weight
             numerators.append(value)
-        denominator = self.denominator * h.denominator**h_top * s0.denominator**s0_top
-        return numerators, denominator
+        return numerators, self.denominator * e_powers[-1] * d_powers[-1]
 
     def __str__(self) -> str:
         """The polynomial as sympy prints it, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
@@ -292,16 +311,6 @@ class CommutatorPolynomial:
             else:
                 text += (" - " if coeff < 0 else " + ") + body
         return text
-
-
-def _scaled_powers(numerator: int, denominator: int, top: int) -> list[int]:
-    """numerator**k * denominator**(top - k) for k = 0..top."""
-    up = [1]
-    down = [1]
-    for _ in range(top):
-        up.append(up[-1] * numerator)
-        down.append(down[-1] * denominator)
-    return [up[k] * down[top - k] for k in range(top + 1)]
 
 
 @functools.cache

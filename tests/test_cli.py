@@ -4,6 +4,7 @@ import json
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,20 @@ class TestSpectrum:
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert [row["energy"] for row in rows] == ["1", "2", "3", "4"]
         assert [row["degeneracy"] for row in rows] == ["1", "2", "3", "4"]
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 10) for n in range(1, 10)
+                                     if math.gcd(m, n) == 1])
+    def test_energy_text_is_the_fraction_text(self, runner, m, n):
+        # the energy is written from the int key 2mn E, never through a Fraction
+        result = invoke(runner, "spectrum", "--ratio", f"{m}:{n}", "--count", "300",
+                        "--format", "json")
+        energies = [record["energy"] for record in json.loads(result.output)["records"]]
+        keys = core._level_keys(core.FrequencyRatio(m, n), 300)
+        assert energies == [str(Fraction(key, 2 * m * n)) for key, *_ in keys]
+        if (m, n) in ((1, 1), (3, 5)):
+            # integer energies (every level of 1:1; p = 2, q = 3 at 3:5) have no "/"
+            whole = [energy for energy, (key, *_) in zip(energies, keys) if key % (2 * m * n) == 0]
+            assert whole and all("/" not in energy for energy in whole)
 
     def test_json_builds_no_rows(self, runner, monkeypatch):
         calls = Counter()
@@ -551,6 +566,14 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
+class _Dict(dict):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 class TestJsonText:
     @settings(max_examples=300)
     @given(document=JSON_DOCUMENTS)
@@ -570,9 +593,36 @@ class TestJsonText:
         [{"}": "{", "},\n": "},\n    {"}, {"\n": "\n}"}, {"a": "}", "b": "{"},
          {"}},\n  {{": 1}, {"x": "},\n      {"}],
         [{"k": "}" * i + ",\n" + " " * i + "{"} for i in range(200)],
+        # more than two runs of records, then a record holding a container
+        [{"k": i} for i in range(2 * cli._RUN + 5)] + [{"k": [1, {"x": 2}]}],
+        {"records": [{"k": i} for i in range(2 * cli._RUN + 5)] + [{"k": {}}]},
+        # a tuple of records, and records holding bools
+        tuple({"k": i, "v": i / 7} for i in range(cli._RUN + 2)),
+        {"a": [{"b": i % 2 == 0, "c": False, "d": True} for i in range(cli._RUN + 2)]},
+        # a dict subclass or an int subclass is no record
+        [_Dict(k=i) for i in range(3)] + [{"k": i} for i in range(cli._RUN + 1)],
+        [{"k": i} for i in range(cli._RUN + 1)] + [_Dict(k=1), {"k": 2}],
+        [{"k": _Int(i), "v": "x"} for i in range(cli._RUN + 1)],
+        [{"k": i} for i in range(cli._RUN + 1)] + [{"k": _Int(7)}, {"k": 8}],
     ])
     def test_record_runs_match_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("record", [_Dict(k=1), {"k": _Int(1)}, {"k": 1, "v": _Int(2)}, {}])
+    def test_subclasses_and_empty_dicts_take_the_item_path(self, record, monkeypatch):
+        runs = []
+        records_text = cli._records_text
+
+        def recording(records, depth):
+            runs.append(list(records))
+            return records_text(records, depth)
+
+        monkeypatch.setattr(cli, "_records_text", recording)
+        for document in ([record] * 3, [{"a": 0}, record, {"b": 1}]):
+            runs.clear()
+            assert cli._json_text(document) == json.dumps(document, indent=2)
+            assert all(item is not record for run in runs for item in run)
+            assert sum(map(len, runs)) == len(document) - document.count(record)
 
     def test_no_encoder_call_takes_more_than_a_run(self, monkeypatch):
         sizes = []

@@ -7,9 +7,10 @@ directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
 `src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`), the best-of-5
-in-process `run_suite` time over perfbench's 8 verify sweeps and the best-of-5
-in-process time of perfbench's 4 `spectrum --format json` commands
-(`tools/suite_time.py`).  Exits 1 when either digest pair differs; the line
+in-process `run_suite` time over perfbench's 8 verify sweeps, the best-of-5
+in-process time of perfbench's 4 `spectrum --format json` commands and the
+best-of-5 `compile()` time of the package's sources (`tools/suite_time.py`).
+Exits 1 when either digest pair differs; the line
 counts and times are printed only.  A change that should keep every output
 bitwise is checked against its parent with
 

@@ -11,9 +11,12 @@ rendering or JSON, so it moves with the suite's own work.  Then it does the
 same for the four commands of perfbench's spectrum_levels round (`spectrum
 --format json` at 1:1 x600, 1:2 x1000, 2:3 x1200 and 3:5 x1500) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
-captured, and prints that total too:
+captured, and prints that total too.  Last comes the best-of-5 time of
+`compile()` over the sources of `SRC_DIR/deformed_u2/*.py`: an interpreter
+that writes no bytecode (`PYTHONDONTWRITEBYTECODE=1`) pays it at every import
+of the package, so it grows with the source, docstrings included:
 
-    run_suite 0.0648 s  spectrum 0.0205 s
+    run_suite 0.0648 s  spectrum 0.0205 s  compile 0.0150 s
 """
 
 from __future__ import annotations
@@ -63,8 +66,16 @@ def main() -> None:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
                 cli.main(args, prog_name="deformed-u2")
 
+    sources = [(path.read_text(encoding="utf-8"), str(path))
+               for path in sorted((src / "deformed_u2").glob("*.py"))]
+
+    def compile_round():
+        for source, filename in sources:
+            compile(source, filename, "exec")
+
     print(f"run_suite {best_of_five(suite_round):.4f} s  "
-          f"spectrum {best_of_five(spectrum_round):.4f} s")
+          f"spectrum {best_of_five(spectrum_round):.4f} s  "
+          f"compile {best_of_five(compile_round):.4f} s")
 
 
 if __name__ == "__main__":

@@ -199,7 +199,8 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     """Closed forms like '2', '-sqrt(8)' or 'sqrt(3/2)' of the eigenvalues.
 
     A candidate is the rational with denominator <= 1000 nearest l (or l^2)
-    and within 1e-10 of it; it is kept only when it is an exact root.  With
+    and within 1e-10 of it; it is kept only when it is an exact root.  A NaN or
+    inf, and a square past the float range, has no candidate.  With
     G_{N+1}(l) = l^((N+1) mod 2) R_{N+1}(D l^2), R_{N+1} monic in ZZ[t]
     (`_even_part`), a rational r is a root iff t = D r^2 is, sqrt(s) iff
     t = D s is, and 0 iff N is even; by the rational root theorem such a t is
@@ -210,6 +211,8 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     denominator = _phi_denominator(spectrum.ratio)
 
     def near_rational(value: float) -> Fraction | None:
+        if not math.isfinite(value):
+            return None
         candidate = Fraction(value).limit_denominator(1000)
         close = abs(value - candidate) <= 1e-10 * max(1.0, abs(value))
         return candidate if candidate and close else None

@@ -24,9 +24,8 @@ form makes P_k = m^m n^n Phi(k) an integer, so each irrep's Phi(0..N+1) is
 one table of ints over `_phi_denominator` (`StructureFunction.numerators`),
 each P_k one product of the two tables and one exact division, and every
 exact check reads that table; a sweep builds each X_p and Y_q once for all
-of its irreps (`_phi_numerators`).  The Gamma-quotient form itself is
-expanded into rising/falling factorials instead of evaluating a
-transcendental Gamma function (so there are no poles and no rounding).
+of its irreps (`_phi_numerators`).  The Gamma-quotient form itself, expanded
+into rising/falling factorials, is kept in the tests as an independent check.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
-from .core import FrequencyRatio, IrrepLabel, _energy_key, energy_of_irrep
+from .core import FrequencyRatio, IrrepLabel
 from .exceptions import NotDivisibleError
 
 __all__ = [
@@ -130,23 +129,18 @@ class StructureFunction:
     """Exact evaluator for the ladder-strength function of one irrep.
 
     Phi(x) = F(E, u + x), the ladder product on the irrep's energy E and
-    S0 shift u; expanded, that is the product of m + n linear factors
+    S0 shift u (`energy_of_irrep`, `u_constant`); expanded, that is the
+    product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
       prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
     `sf(x)` evaluates F's integer factor table (see
     `_ladder_factors`) in plain ints: each factor E/2 + sigma_i (u + x) + c_i
     is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
-    int computed once per instance, and one `Fraction` is built from the
-    product.  `numerators` holds the same products at x = 0..N+1 as the
-    ints P_k = D Phi(k), D = m^m n^n, each read off the split
-    (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k) of `_phi_numerators`, where
-    4mn (E/2 + u) = 2n (2p-1) and 4mn (E/2 - u) = 2m (2q-1) + 4mn N.
-    `u` and `energy` are computed once per instance.  `gamma_value` keeps
-    the Gamma-quotient form as an independent check, expanded exactly into
-    falling/rising factorials
-      (1/(m^m n^n)) * prod_{j=1..m} (m x + p - j) *
-      prod_{j=0..n-1} ((N-x) n + q + j).
-    Both are exact at any rational argument and must agree everywhere.
+    int read off the label once per instance, since
+    4mn (E/2 + u) = 2n (2p-1) and 4mn (E/2 - u) = 2m (2q-1) + 4mn N, and one
+    `Fraction` is built from the product.  `numerators` holds the same
+    products at x = 0..N+1 as the ints P_k = D Phi(k), D = m^m n^n, each read
+    off the split (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k) of `_phi_numerators`.
     """
 
     label: IrrepLabel
@@ -156,24 +150,14 @@ class StructureFunction:
         self.label.validate_for(self.ratio)
 
     @functools.cached_property
-    def u(self) -> Fraction:
-        return u_constant(self.label, self.ratio)
-
-    @functools.cached_property
-    def energy(self) -> Fraction:
-        return energy_of_irrep(self.label, self.ratio)
-
-    @functools.cached_property
     def _scaled_factors(self) -> tuple[tuple[int, int], ...]:
-        """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F, from the ints
-        4mn E/2 = 2mn E (`_energy_key`) and 4mn u (`_scaled_u`)."""
-        label, ratio = self.label, self.ratio
-        half_e = _energy_key(ratio, label.N, label.p, label.q)
-        shift = _scaled_u(ratio, label.N, label.p, label.q)
-        return tuple(
-            (sigma, half_e + sigma * shift + offset)
-            for sigma, offset in _ladder_factors(self.ratio)
-        )
+        """(sigma_i, 4mn (E/2 + sigma_i u + c_i)) for each factor of F: 4mn (E/2 +- u)
+        read off the label, plus the row's offset 4mn c_i."""
+        m, n, label = self.ratio.m, self.ratio.n, self.label
+        raised = 2 * n * (2 * label.p - 1)  # 4mn (E/2 + u)
+        lowered = 2 * m * (2 * label.q - 1) + 4 * m * n * label.N  # 4mn (E/2 - u)
+        return tuple((sigma, (raised if sigma > 0 else lowered) + offset)
+                     for sigma, offset in _ladder_factors(self.ratio))
 
     def _product(self, numerator: int, denominator: int) -> int:
         """F's integer product at x = numerator / denominator: Phi(x) (4mn den)^(m+n)."""
@@ -188,15 +172,6 @@ class StructureFunction:
         scale = 4 * self.ratio.m * self.ratio.n * x.denominator
         return Fraction(self._product(x.numerator, x.denominator),
                         scale ** len(self._scaled_factors))
-
-    def gamma_value(self, x: int | Fraction) -> Fraction:
-        x = Fraction(x)
-        m, n, (a, b) = self.ratio.m, self.ratio.n, x.as_integer_ratio()
-        big_n, p, q = self.label.N, self.label.p, self.label.q
-        # each factor times b, in ints
-        value = (prod(m * a + (p - j) * b for j in range(1, m + 1))
-                 * prod((big_n * b - a) * n + (q + j) * b for j in range(n)))
-        return Fraction(value, _phi_denominator(self.ratio) * b ** (m + n))
 
     @functools.cached_property
     def numerators(self) -> tuple[int, ...]:

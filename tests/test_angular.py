@@ -479,6 +479,12 @@ class TestExactHints:
         spec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 1))
         assert exact_hints(shifted(spec, {2: math.sqrt(4.5)})) == ("-2", "0", None)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e154, -2e154])
+    def test_no_hint_for_a_value_it_cannot_square(self, value):
+        # NaN and inf have no rational near them, and past ~1.34e154 the square is inf
+        spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
+        assert exact_hints(shifted(spec, {0: -value, 1: value})) == (None, None)
+
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_matches_the_fraction_route(self, data):

@@ -84,10 +84,12 @@ def test_every_exported_name_resolves():
 
 def test_removed_duplicate_names_are_gone():
     # each was a second name for an exact view that stays: sf(k), numerators and rep.phi,
-    # dict(poly.terms), label.dimension, and the S+ band that S- reads
+    # u_constant and energy_of_irrep, dict(poly.terms), label.dimension, and the S+ band
+    # that S- reads; the Gamma form of Phi is the tests' own reference (tests/gamma_form.py)
     label, ratio = deformed_u2.IrrepLabel(3, 1, 2), deformed_u2.FrequencyRatio(1, 2)
     removed = {
-        deformed_u2.StructureFunction(label, ratio): ("values", "factorials"),
+        deformed_u2.StructureFunction(label, ratio): ("values", "factorials", "u", "energy",
+                                                      "gamma_value"),
         deformed_u2.commutator_polynomial(ratio): ("coefficients",),
         deformed_u2.build_irrep(label, ratio): ("dimension", "s_minus_band"),
     }

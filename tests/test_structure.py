@@ -29,6 +29,7 @@ from deformed_u2 import (
     u_constant,
 )
 from deformed_u2.structure import _ladder_factors, _ladder_identity, _phi_denominator
+from gamma_form import gamma_value
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -105,7 +106,7 @@ class TestStructureFunction:
         for big_n in range(9):
             label = IrrepLabel(big_n, 1, q)
             sf = StructureFunction(label, ratio)
-            assert sf.energy == energy_closed(big_n)
+            assert energy_of_irrep(label, ratio) == energy_closed(big_n)
             for x in range(big_n + 2):
                 assert sf(x) == phi_closed(big_n, Fraction(x))
 
@@ -117,10 +118,11 @@ class TestStructureFunction:
             ratio = FrequencyRatio(m, n)
             for label in all_labels(m, n, 6):
                 sf = StructureFunction(label, ratio)
+                energy, u = energy_of_irrep(label, ratio), u_constant(label, ratio)
                 for x in [*range(-3, 12), *rationals]:
                     value = sf(x)
-                    assert value == _ladder_product(ratio, sf.energy, sf.u + x)
-                    assert value == sf.gamma_value(x)
+                    assert value == _ladder_product(ratio, energy, u + x)
+                    assert value == gamma_value(label, ratio, x)
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -132,10 +134,11 @@ class TestStructureFunction:
     def test_phi_at_rational_arguments(self, ratio, big_n, x, data):
         m, n = ratio
         p, q = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
-        sf = StructureFunction(IrrepLabel(big_n, p, q), FrequencyRatio(m, n))
-        value = sf(x)
-        assert value == _ladder_product(sf.ratio, sf.energy, sf.u + x)
-        assert value == sf.gamma_value(x)
+        label, ratio = IrrepLabel(big_n, p, q), FrequencyRatio(m, n)
+        value = StructureFunction(label, ratio)(x)
+        energy, u = energy_of_irrep(label, ratio), u_constant(label, ratio)
+        assert value == _ladder_product(ratio, energy, u + x)
+        assert value == gamma_value(label, ratio, x)
 
     def test_boundary_and_positivity(self):
         for m, n in coprime_pairs(5):
@@ -169,7 +172,7 @@ class TestStructureFunction:
                 assert table == sf.numerators, sf.label
                 for k, numerator in enumerate(sf.numerators):
                     assert divmod(sf._product(k, 1), divisor) == (numerator, 0), (sf.label, k)
-                    assert sf.gamma_value(k) * denominator == numerator, (sf.label, k)
+                    assert gamma_value(sf.label, ratio, k) * denominator == numerator, (sf.label, k)
 
     def test_values_do_not_keep_the_instance_alive(self):
         sf = StructureFunction(IrrepLabel(5, 2, 1), FrequencyRatio(2, 3))
@@ -212,15 +215,16 @@ class TestSweepSplit:
             for i, label in enumerate(labels):
                 lone, dim = StructureFunction(label, ratio), label.N + 1
                 assert stack.numerators[i] == lone.numerators
-                assert (stack.scaled_u[i], stack.energy_keys[i]) == (lone.u * scale,
-                                                                     lone.energy * scale // 2)
+                u, energy = u_constant(label, ratio), energy_of_irrep(label, ratio)
+                assert (stack.scaled_u[i], stack.energy_keys[i]) == (u * scale,
+                                                                     energy * scale // 2)
                 assert all(type(v) is int for v in (stack.scaled_u[i], stack.energy_keys[i]))
-                scaled_u = lone.u * scale
+                scaled_u = u * scale
                 assert scaled_u.denominator == 1
                 rows = {
                     "s0": [(scaled_u.numerator + scale * k) / scale for k in range(dim)],
                     "s_plus": [math.sqrt(v / denominator) for v in lone.numerators[1:-1]],
-                    "h": [float(lone.energy)] * dim,
+                    "h": [float(energy)] * dim,
                 }
                 for key, expected in rows.items():
                     row = getattr(stack, f"{key}_band")[i]
@@ -354,7 +358,7 @@ class TestCommutatorPolynomial:
             for label in all_labels(m, n, 5):
                 sf = StructureFunction(label, ratio)
                 energy = energy_of_irrep(label, ratio)
-                u = sf.u
+                u = u_constant(label, ratio)
                 for k in range(label.N + 1):
                     assert sf(k + 1) - sf(k) == poly(energy, u + k)
 
@@ -439,7 +443,7 @@ class TestParafermionicDecompose:
                 sf = StructureFunction(label, FrequencyRatio(1, n))
                 form = parafermionic_decompose(sf)
                 assert [x * (label.N + 1 - x) * value for x, value in enumerate(form.values, 1)] \
-                    == [sf.gamma_value(x) for x in range(1, label.N + 1)], label
+                    == [gamma_value(label, sf.ratio, x) for x in range(1, label.N + 1)], label
                 assert form.positive, label
 
     # the 1:3 irrep (6, 1, 2)'s cofactor P(x) = (20/3 - x)(22/3 - x) is read off the two rows
@@ -517,7 +521,8 @@ class TestAgainstSympy:
         ratio = FrequencyRatio(1, n)
         for label in all_labels(1, n, 14):
             sf = StructureFunction(label, ratio)
-            phi = sympy.expand(_ladder_product(ratio, sf.energy, sf.u + X))
+            energy, u = energy_of_irrep(label, ratio), u_constant(label, ratio)
+            phi = sympy.expand(_ladder_product(ratio, energy, u + X))
             base = sympy.Poly(X * (label.N + 1 - X), X, domain="QQ")
             quotient, remainder = sympy.div(sympy.Poly(phi, X, domain="QQ"), base)
             assert remainder.is_zero

@@ -23,6 +23,7 @@ from deformed_u2 import (
 from deformed_u2.exceptions import NotDivisibleError
 from deformed_u2.structure import CommutatorPolynomial
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
+from gamma_form import gamma_value
 
 
 def labels_of(ratio, n_max):
@@ -132,8 +133,8 @@ def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
         assert len(report.irreps) == n * (n_max + 1)
         assert calls == {"_poly": 8}
         for irrep in report.irreps:  # the sign of P(x) is that of the Gamma form's Phi(x)
-            sf = StructureFunction(irrep.label, ratio)
-            positive = all(sf.gamma_value(x) > 0 for x in range(1, irrep.label.N + 1))
+            positive = all(gamma_value(irrep.label, ratio, x) > 0
+                           for x in range(1, irrep.label.N + 1))
             assert irrep.failures["parafermionic_failures"] == int(not positive) == 0
 
 

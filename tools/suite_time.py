@@ -3,13 +3,13 @@
     python tools/suite_time.py SRC_DIR
 
 imports `deformed_u2` from SRC_DIR, runs `run_suite` once on every sweep of
-`perfbench`'s verify_deep and verify_wide rounds (1:1 N <= 26, 1:2 and 2:1
-N <= 18, 1:3 N <= 16, 3:5 N <= 8, 4:7 N <= 5, 5:7 N <= 4 and 2:7 N <= 6) as a
-warm-up, then five times more, and prints the shortest of those five totals
-in seconds.  That time is the library alone: no interpreter start, import, CLI
-rendering or JSON, so it moves with the suite's own work.  Then it does the
+`perfbench`'s verify_deep and verify_wide rounds (`VERIFY_DEEP + VERIFY_WIDE`,
+read from `perfbench/workloads.py`) as a warm-up, then five times more, and
+prints the shortest of those five totals in seconds.  That time is the library
+alone: no interpreter start, import, CLI rendering or JSON, so it moves with
+the suite's own work.  Then it does the
 same for the four commands of perfbench's spectrum_levels round (`spectrum
---format json` at 1:1 x600, 1:2 x1000, 2:3 x1200 and 3:5 x1500) through
+--format json` at each ratio and count of `SPECTRUM_LEVELS`) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
 captured, and prints that total too.  Last comes the best-of-5 time of
 `compile()` over the sources of `SRC_DIR/deformed_u2/*.py`: an interpreter
@@ -27,10 +27,6 @@ import sys
 import time
 from pathlib import Path
 
-SWEEPS = [(1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16),
-          (3, 5, 8), (4, 7, 5), (5, 7, 4), (2, 7, 6)]
-SPECTRA = [(1, 1, 600), (1, 2, 1000), (2, 3, 1200), (3, 5, 1500)]
-
 
 def best_of_five(run) -> float:
     """The shortest of five timed calls of `run`, after one warm-up call."""
@@ -46,16 +42,19 @@ def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/suite_time.py SRC_DIR")
     src = Path(sys.argv[1]).resolve()
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     sys.path.insert(0, str(src))
+    from workloads import SPECTRUM_LEVELS, VERIFY_DEEP, VERIFY_WIDE
+
     import deformed_u2
     from deformed_u2 import FrequencyRatio, cli, run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
-    sweeps = [(FrequencyRatio(m, n), n_max) for m, n, n_max in SWEEPS]
+    sweeps = [(FrequencyRatio(m, n), n_max) for m, n, n_max in VERIFY_DEEP + VERIFY_WIDE]
     commands = [["spectrum", "--ratio", f"{m}:{n}", "--count", str(count), "--format", "json"]
-                for m, n, count in SPECTRA]
+                for m, n, count in SPECTRUM_LEVELS]
 
     def suite_round():
         for ratio, n_max in sweeps:

@@ -16,9 +16,12 @@ One symmetric tridiagonal eigensolve gives every eigenpair, and the
 `AngularSpectrum` of `angular_eigenvalues` is the only public route to them:
 the eigenvalues and the (N+1) x (N+1) matrix of eigenvectors, one column each,
 whose phased, Cartesian and coefficient views are derived once for the whole
-basis.  `run_suite` builds none, and keeps each N's eigenvectors only until
-the next N.  The forward float run of the recurrence is unstable and never
-builds an eigenvector.  The spectrum carries the irrep's integer Phi table
+basis.  The kernel has two halves: `_eigensolve`, which needs T's shape and
+so runs once per N, and `_refuse`, the separation and w_0 checks, which reads
+zero-padded columns and so runs once on any number of N.  `run_suite` runs
+both on a sweep, builds no spectrum, and keeps each N's eigenvectors only
+until the next N.  The forward float run of the recurrence is unstable and
+never builds an eigenvector.  The spectrum carries the irrep's integer Phi table
 (`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  Its
 eigenvalues are certified by Sturm counts at dyadic points beside each
 computed value.  A count runs the pivots r_k = G_k / G_{k-1} in float
@@ -95,7 +98,7 @@ class AngularSpectrum:
         """(-i)^k w_k: column i is the eigenvector of L0 for `eigenvalues[i]`,
         with its alternating phases explicit (a complex multiply, so the
         signs of zero parts are those of `_PHASES[k % 4] * w_k`)."""
-        return _phased(self.components)
+        return _phases(len(self.components)) * self.components
 
     @cached_property
     def cartesian(self) -> tuple[CartesianState, ...]:
@@ -119,17 +122,18 @@ class AngularSpectrum:
         return signed[:, None] * self.components
 
 
-def _phased(components: np.ndarray) -> np.ndarray:
-    """(-i)^k times row k of each matrix of `components` (the last two axes)."""
-    return np.resize(_PHASES, components.shape[-2])[:, None] * components
+def _phases(size: int) -> np.ndarray:
+    """The column (-i)^k, k = 0 .. size-1, which phases row k of a matrix of eigenvectors."""
+    return np.resize(_PHASES, size)[:, None]
 
 
 def _residuals(offdiag: np.ndarray, w: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """||T w_i - l_i w_i||_inf for each column w_i of each matrix of `w`."""
     tw = np.zeros_like(w)
-    tw[..., 1:, :] += offdiag[..., :, None] * w[..., :-1, :]
+    tw[..., 1:, :] = offdiag[..., :, None] * w[..., :-1, :]
     tw[..., :-1, :] += offdiag[..., :, None] * w[..., 1:, :]
-    return np.max(np.abs(tw - w * eigs[..., None, :]), axis=-2)
+    tw -= w * eigs[..., None, :]
+    return np.abs(tw, out=tw).max(axis=-2)
 
 
 def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpectrum:
@@ -142,41 +146,63 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     w_0 != 0 in exact arithmetic; a w_0 that underflows to 0.0 raises
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.  It is
-    the one place an `AngularSpectrum` is built; `run_suite` reads the arrays.
+    the one place an `AngularSpectrum` is built; `run_suite` runs the same
+    kernel, `_eigensolve` per N and `_refuse` once on its whole sweep.
     """
     numerators = StructureFunction(label, ratio).numerators
-    offdiag = _offdiagonals(ratio, (label,), (numerators,))
-    [values], [vectors], [errors] = _eigensolve(ratio, (label,), offdiag[None])
-    return AngularSpectrum(label, ratio, tuple(values.tolist()), vectors, tuple(errors.tolist()),
-                           numerators)
+    offdiag = _offdiagonals(ratio, (label,), (numerators,))[None]
+    values, vectors = _eigensolve(offdiag, signed=True)
+    _refuse(ratio, (label,), values, vectors[:, 0])
+    errors = _residuals(offdiag, vectors, values)
+    return AngularSpectrum(label, ratio, tuple(values[0].tolist()), vectors[0],
+                           tuple(errors[0].tolist()), numerators)
 
 
-def _eigensolve(ratio: FrequencyRatio, labels: Sequence[IrrepLabel],
-                offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`angular_eigenvalues`' eigenvalues (k, N+1), signed eigenvectors (k, N+1, N+1) and
-    residuals (k, N+1) on the k irreps `labels` of one N and of `ratio`, from one stacked `eigh`
-    of the rows sqrt(Phi(1..N)) of `offdiag`, which reads T's lower band only (`UPLO="L"`); its
-    error scales with ||T||, so the separation margin, 1e-12 max|l| per irrep, is relative."""
-    big_n = labels[0].N
+def _eigensolve(offdiag: np.ndarray, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (k, N+1), ascending and projected onto l_i = -l_{N-i}, and eigenvectors
+    (k, N+1, N+1) of the k tridiagonals T of one N with rows sqrt(Phi(1..N)) of `offdiag`, from
+    one stacked `eigh`, which reads T's lower band only (`UPLO="L"`).  `signed` turns each
+    vector so that w_0 >= 0; the odd components of an even N's zero-eigenvalue vector are set
+    to exactly 0.0.  Nothing here is checked: `_refuse` does that, on any number of N at once.
+
+    It needs T's shape, so a sweep runs it once per N.  `_residuals` and the Gram matrix are
+    bitwise the same on unsigned vectors, so `run_suite` skips the sign."""
+    big_n = offdiag.shape[-1]
     eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
-    margin = 1e-12 * np.max(np.abs(eigs), axis=-1)
-    unseparated = np.any(np.diff(eigs, axis=-1) <= margin[:, None], axis=-1)
-    signs = np.sign(w[..., 0, :])
-    for i in np.flatnonzero(unseparated | ~np.all(signs, axis=-1))[:1]:  # the first failure
+    if signed:
+        w = w * np.sign(w[..., :1, :])
+    if big_n % 2 == 0:
+        w[..., 1::2, big_n // 2] = 0.0
+    return eigs, w
+
+
+def _refuse(ratio: FrequencyRatio, labels: Sequence[IrrepLabel], values: np.ndarray,
+            firsts: np.ndarray) -> None:
+    """Raise ArithmeticError on the first irrep of `labels` whose `_eigensolve` is not sound.
+
+    Row i of `values` and of `firsts` holds the eigenvalues and the components w_0 of the
+    eigenvectors of irrep `labels[i]` in its first N+1 entries; what follows is padding, 0.0 in
+    `values`, so one call checks a whole sweep.  The eigenvalues must be strictly separated
+    by a margin of 1e-12 max|l|, relative because `eigh`'s error scales with ||T||, and no
+    w_0 may be 0.0 (an underflow), since w_0 > 0 is what signs an eigenvector.
+    """
+    big_n = np.array([label.N for label in labels])[:, None]
+    gaps = np.diff(values, axis=-1)
+    margin = 1e-12 * np.max(np.abs(values), axis=-1)  # padding 0.0 moves no max of |l|
+    unseparated = np.any((gaps <= margin[:, None]) & (np.arange(gaps.shape[-1]) < big_n), axis=-1)
+    zero = np.any((firsts == 0.0) & (np.arange(firsts.shape[-1]) <= big_n), axis=-1)
+    for i in np.flatnonzero(unseparated | zero)[:1]:  # the first failure
+        size = labels[i].N + 1
         if unseparated[i]:
             raise ArithmeticError(
                 f"eigenvalues of {labels[i]} not strictly separated in the {ratio} "
-                f"oscillator (numerical failure): closest gap {np.min(np.diff(eigs[i])):.3g} "
+                f"oscillator (numerical failure): closest gap {np.min(gaps[i, :size - 1]):.3g} "
                 f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
         raise ArithmeticError(
-            f"eigenvector {np.argmin(np.abs(signs[i]))} of L0 on {labels[i]} of the "
+            f"eigenvector {np.argmin(np.abs(firsts[i, :size]))} of L0 on {labels[i]} of the "
             f"{ratio} oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
         )
-    w = w * signs[..., None, :]
-    if big_n % 2 == 0:
-        w[..., 1::2, big_n // 2] = 0.0
-    return eigs, w, _residuals(offdiag, w, eigs)
 
 
 def _even_part(numerators: Sequence[int], a: int, shift: int) -> Iterator[int]:

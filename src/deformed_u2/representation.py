@@ -148,9 +148,12 @@ def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
     """One read-only matrix per row of `rows`, the row on diagonal `offset` and 0.0 elsewhere."""
     rows = np.asarray(rows, dtype=float)
-    k, size = np.arange(rows.shape[-1]), rows.shape[-1] + abs(offset)
-    matrices = np.zeros((*rows.shape[:-1], size, size))
-    matrices[..., k + max(-offset, 0), k + max(offset, 0)] = rows
+    length = rows.shape[-1]
+    size = length + abs(offset)
+    flat = np.zeros((*rows.shape[:-1], size * size))
+    start = offset if offset > 0 else -offset * size  # the diagonal's first entry, row-major
+    flat[..., start:start + length * (size + 1):size + 1] = rows  # one strided slice
+    matrices = flat.reshape(*rows.shape[:-1], size, size)
     matrices.flags.writeable = False
     return matrices
 

@@ -8,12 +8,17 @@ object, each irrep's `StructureFunction`.  The algebra relations, the oracle's
 band reads and, for 1:2, the W_3^(2) relations run once on the stack, by the
 kernels the one-irrep functions run, each returning one column per check; the
 oracle runs first, and each irrep it passes takes its ladder identity from one
-proof of the commutator per sweep.  The eigensolves and the Gram matrix need
-one shape, so they run once per N, on the stack's S+ band, build no
-`AngularSpectrum`, and drop each N's eigenvectors at the next N.  The Sturm
-certificate runs once per sweep, after the last eigensolve, on the stack's Phi
-tables: one float-interval pass counts every point of every irrep, and the
-points it cannot decide are counted exactly.  The `SuiteReport` holds the
+proof of the commutator per sweep.  Of the eigen stage, only the work that
+needs one N's shape runs once per N, on the stack's S+ band: `eigh`, the
+eigenvector residuals, the dense `eigvalsh` and the Gram matrix.  It fills
+(irreps, N_max+1) columns, zero-padded past each irrep's N+1 entries, of the
+eigenvalues, the dense eigenvalues, the w_0 components and the residuals, and
+drops each N's eigenvectors at the next N.  The refusals and the reductions to
+`method_agreement`, `spectrum_symmetry` and `eigenvector_residual` run once,
+on those columns, and build no `AngularSpectrum`.  The Sturm certificate runs
+once per sweep, after the last eigensolve, on the stack's Phi tables: one
+float-interval pass counts every point of every irrep, and the points it
+cannot decide are counted exactly.  The `SuiteReport` holds the
 columns, the eigen residuals and failure counts among them, and each energy as
 a `Fraction` of the E column; it builds no per-irrep report unless its
 `irreps` is read.  Identity residuals are gated at the identity tolerance, the
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import _certify, _eigensolve, _phased, build_l0
+from .angular import _certify, _eigensolve, _phases, _refuse, _residuals, build_l0
 from .core import FrequencyRatio, IrrepLabel
 from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
@@ -100,9 +105,13 @@ class SuiteReport:
         return np.max(list(self.residual_columns.values()), axis=0)
 
     def worst_irrep(self, key: str) -> IrrepLabel:
-        """The first irrep holding the worst value of `key`; a NaN is the worst."""
-        column = self.residual_columns.get(key)
-        return self.labels[int(np.argmax(self.failure_columns[key] if column is None else column))]
+        """The first irrep holding the worst value of `key`; a NaN is the worst.  A `key`
+        that names no column raises KeyError naming it, the ratio and the known keys."""
+        column = self.residual_columns.get(key, self.failure_columns.get(key))
+        if column is None:
+            known = ", ".join([*self.residual_columns, *self.failure_columns])
+            raise KeyError(f"no check {key!r} in the {self.ratio} suite; its keys are {known}")
+        return self.labels[int(np.argmax(column))]
 
     def passes(self, key: str, value: float) -> bool:
         """Whether the entry `key` of `residuals` holding `value` is within its gate."""
@@ -120,9 +129,11 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
 
     `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the
     eigen class, and the certificate of each eigenvalue, are gated at 10x
-    it, so at `EIGEN_TOL` by default.  An `ArithmeticError` from the
-    eigensolve propagates; an `n_max` below 0, or a `tolerance` that is not
-    finite and > 0 with 10x it finite, raises ValueError.
+    it, so at `EIGEN_TOL` by default.  The eigen kernel runs `_eigensolve`
+    once per N and `_refuse` once, after the last N, on the whole sweep: its
+    `ArithmeticError` names the first refused irrep in label order, and it
+    wins over any error of a later N.  An `n_max` below 0, or a `tolerance`
+    that is not finite and > 0 with 10x it finite, raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 for the {ratio} suite, got {n_max}")
@@ -139,25 +150,39 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
 
-    agreement, symmetry, worst_errors, orthonormality = np.empty((4, len(labels)))
-    eigenvalues = []
-    for big_n in range(n_max + 1):
-        rows = slice(big_n * ratio.m * ratio.n, (big_n + 1) * ratio.m * ratio.n)
-        offdiag = stack.s_plus_band[rows, :big_n]
-        values, vectors, errors = _eigensolve(ratio, labels[rows], offdiag)
-        dense = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy returns it
-        agreement[rows] = np.max(np.abs(values - dense), axis=-1)
-        symmetry[rows] = np.max(np.abs(values + values[:, ::-1]), axis=-1)
-        worst_errors[rows] = np.max(errors, axis=-1)
-        amplitudes = _phased(vectors)
-        gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
-        orthonormality[rows] = np.max(np.abs(gram - np.eye(big_n + 1)), axis=(-2, -1))
-        eigenvalues.extend(values)  # its rows; the eigenvectors go with the next N
-    residuals |= {"method_agreement": agreement, "spectrum_symmetry": symmetry,
-                  "eigenvector_residual": worst_errors, "orthonormality": orthonormality}
-    residuals |= {f"w32_{key}": values for key, values in w32.items()}
+    # each irrep's row of these (irreps, N_max+1) columns holds its N+1 entries, then 0.0
+    values = np.zeros((len(labels), n_max + 1))
+    dense, firsts, errors = np.zeros((3, len(labels), n_max + 1))
+    orthonormality = np.empty(len(labels))
+    phases, identity = _phases(n_max + 1), np.eye(n_max + 1)  # each N reads its corner
+    solved, mn = 0, ratio.m * ratio.n  # solved: the irreps whose eigh has run
+    try:
+        for big_n in range(n_max + 1):
+            rows, size = slice(big_n * mn, (big_n + 1) * mn), big_n + 1
+            offdiag = stack.s_plus_band[rows, :big_n]
+            eigs, vectors = _eigensolve(offdiag)
+            values[rows, :size], firsts[rows, :size] = eigs, vectors[:, 0]
+            solved = rows.stop
+            errors[rows, :size] = _residuals(offdiag, vectors, eigs)
+            dense[rows, :size] = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy has it
+            amplitudes = phases[:size] * vectors
+            gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
+            orthonormality[rows] = np.abs(gram - identity[:size, :size]).max(axis=(-2, -1))
+    finally:  # the first refused irrep, in label order, wins over a later N's failure
+        _refuse(ratio, labels[:solved], values[:solved], firsts[:solved])
+    sizes = np.array([label.N + 1 for label in labels])
+    index = np.arange(n_max + 1)
+    mirror = np.where(index < sizes[:, None], sizes[:, None] - 1 - index, index)  # i -> N-i
+    mirrored = np.take_along_axis(values, mirror, axis=-1)  # l_{N-i}, and 0.0 past N
+    residuals |= {"method_agreement": np.max(np.abs(values - dense), axis=-1),
+                  "spectrum_symmetry": np.max(np.abs(values + mirrored), axis=-1),
+                  "eigenvector_residual": np.max(errors, axis=-1),
+                  "orthonormality": orthonormality}
+    residuals |= {f"w32_{key}": column for key, column in w32.items()}
+    del dense, firsts, errors, mirror, mirrored  # the certificate sets the peak: keep only values
 
     exact = [*algebra_checks.values(), *oracle_checks.values()]
+    eigenvalues = [row[:size] for row, size in zip(values, sizes.tolist())]
     certified = _certify(stack.numerators, _phi_denominator(ratio), eigenvalues, eigen_tol)
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
                 "eigen_certificate_failures": np.array([flags.count(False) for flags in certified])}

@@ -263,7 +263,7 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
     # (2, 2, 3) is the 8th of the 15 irreps of N = 2 in the sweep of 3:5
     ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(2, 2, 3)
     clean = run_suite(ratio, 2)
-    build, eigensolve = suite._build_stack, suite._eigensolve
+    build, refuse = suite._build_stack, suite._refuse
 
     def nan_in_h(ratio, labels):
         stack = build(ratio, labels)
@@ -272,15 +272,14 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
                 stack.h_band[i, 0] = math.nan
         return stack
 
-    def swapped_pair(ratio, labels, offdiag):
-        values, vectors, errors = eigensolve(ratio, labels, offdiag)
+    def swapped_pair(ratio, labels, values, firsts):  # past the refusals and the residuals
+        refuse(ratio, labels, values, firsts)
         for i, label in enumerate(labels):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
-        return values, vectors, errors
 
     monkeypatch.setattr(suite, "_build_stack", nan_in_h)
-    monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
+    monkeypatch.setattr(suite, "_refuse", swapped_pair)
     report = run_suite(ratio, 2)
     assert [irrep.label for irrep in report.irreps].index(poisoned) == 30 + 7
     assert not report.passed
@@ -324,7 +323,7 @@ def one_irrep_report(label, ratio, tolerance=IDENTITY_TOL):
 
 
 @pytest.mark.parametrize("m,n,n_max", [(1, 1, 6), (1, 2, 8), (3, 5, 4), (2, 7, 3), (40, 41, 1),
-                                       (1, 60, 1)])
+                                       (1, 60, 1), (1, 1, 26), (1, 3, 16)])
 def test_stacked_suite_equals_the_one_irrep_functions_bitwise(m, n, n_max):
     ratio = FrequencyRatio(m, n)
     report = run_suite(ratio, n_max)
@@ -353,17 +352,16 @@ def test_tolerances_and_gate_rule():
 
 
 def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
-    eigensolve = suite._eigensolve
+    refuse = suite._refuse
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(ratio, labels, offdiag):
-        values, vectors, errors = eigensolve(ratio, labels, offdiag)
+    def swapped_pair(ratio, labels, values, firsts):  # past the refusals and the residuals
+        refuse(ratio, labels, values, firsts)
         for i, label in enumerate(labels):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
-        return values, vectors, errors
 
-    monkeypatch.setattr(suite, "_eigensolve", swapped_pair)
+    monkeypatch.setattr(suite, "_refuse", swapped_pair)
     report = run_suite(FrequencyRatio(1, 2), 3)
     assert not report.passed
     assert report.residuals["eigen_certificate_failures"] == 2.0
@@ -382,6 +380,61 @@ def test_worst_irrep_is_the_first_holding_the_worst_value():
     assert report.worst_irrep("method_agreement") == report.irreps[first_worst].label
     # every irrep holds the worst count, 0
     assert report.worst_irrep("exact_check_failures") == IrrepLabel(0, 1, 1)
+
+
+def test_worst_irrep_of_an_unknown_key_names_it_the_ratio_and_the_known_keys():
+    report = run_suite(FrequencyRatio(2, 3), 1)
+    with pytest.raises(KeyError, match=r"no check 'nope' in the 2:3 suite; its keys are ") as error:
+        report.worst_irrep("nope")
+    known = error.value.args[0].split("its keys are ")[1].split(", ")
+    assert known == [*report.residual_columns, *report.failure_columns]
+
+
+def zero_s_plus_bands(monkeypatch, zeroed):
+    """Give the irreps `zeroed` an all-zero S+ band, so T = 0, whose eigenvalues are not
+    separated."""
+    build = suite._build_stack
+
+    def zero_bands(ratio, labels):
+        stack = build(ratio, labels)
+        for i, label in enumerate(labels):
+            if label in zeroed:
+                stack.s_plus_band[i] = 0.0
+        return stack
+
+    monkeypatch.setattr(suite, "_build_stack", zero_bands)
+
+
+@pytest.mark.parametrize("zeroed,named", [
+    ((IrrepLabel(2, 2, 1), IrrepLabel(4, 1, 3)), IrrepLabel(2, 2, 1)),
+    ((IrrepLabel(4, 1, 3),), IrrepLabel(4, 1, 3)),
+])
+def test_names_the_first_refused_irrep_in_label_order(monkeypatch, zeroed, named):
+    zero_s_plus_bands(monkeypatch, zeroed)
+    with pytest.raises(ArithmeticError, match=re.escape(f"eigenvalues of {named} not strictly "
+                                                        f"separated in the 2:3 oscillator")):
+        run_suite(FrequencyRatio(2, 3), 5)
+
+
+def test_a_later_failure_does_not_pre_empt_a_refusal(monkeypatch):
+    # the refusals run once, after the last N; a later N's failing LAPACK call must not win
+    eigensolve, solved = suite._eigensolve, []
+
+    def failing_at_n_4(offdiag):
+        solved.append(offdiag.shape[-1])
+        if offdiag.shape[-1] == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigensolve(offdiag)
+
+    monkeypatch.setattr(suite, "_eigensolve", failing_at_n_4)
+    zero_s_plus_bands(monkeypatch, (IrrepLabel(2, 2, 1),))
+    with pytest.raises(ArithmeticError, match=re.escape("eigenvalues of (N=2, p=2, q=1) not")):
+        run_suite(FrequencyRatio(2, 3), 5)
+    assert solved == [0, 1, 2, 3, 4]
+    # without an earlier refusal, the failure itself propagates
+    monkeypatch.setattr(suite, "_build_stack", representation._build_stack)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        run_suite(FrequencyRatio(2, 3), 5)
 
 
 def test_rejects_negative_n_max():
@@ -448,8 +501,8 @@ def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
     vectors, calls = [], []
     eigensolve, count_above = suite._eigensolve, angular._count_above
 
-    def recording_eigensolve(ratio, labels, offdiag):
-        solved = eigensolve(ratio, labels, offdiag)
+    def recording_eigensolve(offdiag):
+        solved = eigensolve(offdiag)
         vectors.append(weakref.ref(solved[1]))
         return solved
 

@@ -14,11 +14,14 @@ line when their CLI output is byte-identical:
 
 The grid covers `irrep` and `angular` on every label of each ratio at N in
 {0, 1, 4}, `spectrum --count 25` and `verify --N-max 4` at each ratio, a few
-failing or out-of-reach cases, a bad label, a non-coprime ratio and three
+failing or out-of-reach cases, a bad label, a non-coprime ratio, the eigen
+refusals (1:20, whose eigenvalues at N = 9 are not separated, by `verify
+--N-max` 9 and 12, the second with later N after the refused one, and by
+`angular --N 9`; `angular --ratio 1:2 --N 1000`, whose w_0 underflows), three
 large documents (`spectrum --ratio 3:5 --count 1500`, `irrep --ratio 1:2
 --N 40`, `angular --ratio 1:1 --N 40`), and `spectrum --count` 128, 129 and
 257 at 1:1 and 2:3, at the edges of the JSON writer's 128-record encoder runs,
-each in the json, table and csv formats: 1113 commands.  Needs click >= 8.2
+each in the json, table and csv formats: 1125 commands.  Needs click >= 8.2
 (separate stderr).
 """
 
@@ -51,6 +54,10 @@ def grid() -> list[list[str]]:
         ["verify", "--ratio", "4:7", "--N-max", "20"],
         ["irrep", "--ratio", "1:2", "--N", "2", "--tol", "1e-30"],
         ["angular", "--ratio", "3:5", "--N", "60", "--p", "2", "--q", "3"],
+        ["verify", "--ratio", "1:20", "--N-max", "9"],
+        ["verify", "--ratio", "1:20", "--N-max", "12"],
+        ["angular", "--ratio", "1:20", "--N", "9"],
+        ["angular", "--ratio", "1:2", "--N", "1000"],
         ["irrep", "--ratio", "2:3", "--N", "1", "--p", "3", "--q", "1"],
         ["spectrum", "--ratio", "2:4", "--count", "3"],
         ["spectrum", "--ratio", "3:5", "--count", "1500"],

@@ -28,15 +28,15 @@ computed value.  A count runs the pivots r_k = G_k / G_{k-1} in float
 intervals widened outward at every rounding, so each holds the exact pivot;
 where an interval meets 0 or leaves float range, the sign changes of G_0 ..
 G_{N+1} are counted in integer arithmetic instead.  Either way no rounding can
-misplace a root.  The certificate kernels read only each irrep's table and the
-ratio's D, so one kernel counts a whole sweep's points at once.  That integer count and
-the exact hints' root test run one integer recurrence, `_even_part`.
+misplace a root.  The certificate kernels read only each irrep's table and the ratio's D,
+so one kernel counts a whole sweep's points at once.  The integer count and the exact hints,
+each an integer root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -222,43 +222,41 @@ def _even_part(numerators: Sequence[int], a: int, shift: int) -> Iterator[int]:
 
 
 def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
-    """Closed forms like '2', '-sqrt(8)' or 'sqrt(3/2)' of the eigenvalues.
+    """Closed forms like '2', '-sqrt(8)' or 'sqrt(3/2)' of the eigenvalues, each proven.
 
-    A candidate is the rational with denominator <= 1000 nearest l (or l^2)
-    and within 1e-10 of it; it is kept only when it is an exact root.  A NaN or
-    inf, and a square past the float range, has no candidate.  With
-    G_{N+1}(l) = l^((N+1) mod 2) R_{N+1}(D l^2), R_{N+1} monic in ZZ[t]
-    (`_even_part`), a rational r is a root iff t = D r^2 is, sqrt(s) iff
-    t = D s is, and 0 iff N is even; by the rational root theorem such a t is
-    an integer, and R_{N+1}(t) = 0 is then tested in ints.  Eigenvalues
-    without a confirmed closed form get None.
+    G_{N+1}(l) = l^((N+1) mod 2) R(D l^2) with R monic in ZZ[t] (`_even_part`), so a closed
+    form of lambda_i != 0 is an integer root t = D lambda_i^2 (the rational root theorem).
+    l_i only picks t = round(D l_i^2): one run of the recurrence at t proves lambda_i =
+    +-sqrt(t / D) when its last term R(t) is 0 and its sign changes, the count of eigenvalues
+    above sqrt(t / D), are N-i for l_i > 0 or i for l_i < 0.  A zero is '0' iff N is even,
+    NaN, inf and an unproven value get None, and a Phi table not N+2 long is a ShapeMismatchError.
     """
-    label, numerators = spectrum.label, spectrum.numerators
+    big_n, numerators = spectrum.label.N, _phi_table(spectrum)
     denominator = _phi_denominator(spectrum.ratio)
 
-    def near_rational(value: float) -> Fraction | None:
+    def hint(i: int, value: float) -> str | None:
+        if value == 0.0:
+            return "0" if big_n % 2 == 0 else None
         if not math.isfinite(value):
             return None
-        candidate = Fraction(value).limit_denominator(1000)
-        close = abs(value - candidate) <= 1e-10 * max(1.0, abs(value))
-        return candidate if candidate and close else None
+        t = round(denominator * Fraction(value) ** 2)
+        terms = [*_even_part(numerators, t, 0)]
+        if terms[-1] or _sign_changes(terms) != (big_n - i if value > 0 else i):
+            return None
+        square, sign = Fraction(t, denominator), "-" if value < 0 else ""
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        return f"{sign}{root}" if root * root == square else f"{sign}sqrt({square})"
 
-    def is_root(s: Fraction) -> bool:
-        t, remainder = divmod(s.numerator * denominator, s.denominator)
-        return not remainder and [*_even_part(numerators, t, 0)][-1] == 0
+    return tuple(hint(i, value) for i, value in enumerate(spectrum.eigenvalues))
 
-    def hint(value: float) -> str | None:
-        if value == 0.0:
-            return "0" if label.N % 2 == 0 else None
-        rational = near_rational(value)
-        if rational is not None and is_root(rational**2):
-            return str(rational)
-        square = near_rational(value * value)
-        if square is not None and is_root(square):
-            return f"{'-' if value < 0 else ''}sqrt({square})"
-        return None
 
-    return tuple(hint(value) for value in spectrum.eigenvalues)
+def _sign_changes(terms: Iterable[int]) -> int:
+    """The number of sign changes in `terms`, zeros dropped, from a positive start."""
+    changes, positive = 0, True
+    for r in terms:
+        if r and (r > 0) != positive:
+            changes, positive = changes + 1, not positive
+    return changes
 
 
 def _exact_count(numerators: Sequence[int], denominator: int, a: int, e: int) -> int:
@@ -273,11 +271,7 @@ def _exact_count(numerators: Sequence[int], denominator: int, a: int, e: int) ->
     terms = _even_part(numerators, denominator * a * a, 2 * e)
     if a <= 0:  # an odd G_k(x) has the sign of x r_k
         terms = (r if k % 2 == 0 else -r if a else 0 for k, r in enumerate(terms))
-    changes, positive = 0, True
-    for r in terms:
-        if r and (r > 0) != positive:
-            changes, positive = changes + 1, not positive
-    return changes
+    return _sign_changes(terms)
 
 
 # the directions in which an interval's (lo, hi) rows are widened; a tuple, so
@@ -440,12 +434,17 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     tolerance that is not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
+    return _certify((_phi_table(spectrum),), _phi_denominator(spectrum.ratio),
+                    (spectrum.eigenvalues,), tolerance)[0]
+
+
+def _phi_table(spectrum: AngularSpectrum) -> tuple[int, ...]:
+    """`spectrum.numerators`, checked to be N+2 long: ShapeMismatchError otherwise."""
     table, size = spectrum.numerators, spectrum.label.N + 2
     if len(table) != size:
         raise ShapeMismatchError(f"the Phi table of {spectrum.label} must be {size} long, "
                                  f"got {len(table)}")
-    return _certify((table,), _phi_denominator(spectrum.ratio), (spectrum.eigenvalues,),
-                    tolerance)[0]
+    return table
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:

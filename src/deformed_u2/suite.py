@@ -179,7 +179,8 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                   "eigenvector_residual": np.max(errors, axis=-1),
                   "orthonormality": orthonormality}
     residuals |= {f"w32_{key}": column for key, column in w32.items()}
-    del dense, firsts, errors, mirror, mirrored  # the certificate sets the peak: keep only values
+    # the certificate sets the peak: keep only values
+    del offdiag, eigs, vectors, amplitudes, gram, dense, firsts, errors, mirror, mirrored
 
     exact = [*algebra_checks.values(), *oracle_checks.values()]
     eigenvalues = [row[:size] for row, size in zip(values, sizes.tolist())]

@@ -479,15 +479,38 @@ class TestExactHints:
             spec = angular_eigenvalues(IrrepLabel(big_n, 1, 2), ratio)
             assert ("0" in exact_hints(spec)) == (big_n % 2 == 0)
 
-    def test_a_candidate_whose_t_is_not_an_integer_is_no_root(self):
-        # at 1:1 (D = 1) and N = 2, R(t) = t - 4; sqrt(9/2) gives t = 9/2, which
-        # floors to the root 4, and the rational root theorem refuses it
+    def test_a_value_off_its_eigenvalue_still_names_it(self):
+        # at 1:1 (D = 1) and N = 2, R(t) = t - 4; sqrt(9/2) squares just below 9/2, rounds to
+        # the root t = 4, and one eigenvalue lies above 2, as at index 2: the hint names 2
         spec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 1))
-        assert exact_hints(shifted(spec, {2: math.sqrt(4.5)})) == ("-2", "0", None)
+        assert exact_hints(shifted(spec, {2: math.sqrt(4.5)})) == ("-2", "0", "2")
+
+    def test_a_root_at_another_index_is_refused(self):
+        # 2 is a root, but it is the top eigenvalue: at index 0 the count above 2 is 0, not N
+        spec = angular_eigenvalues(IrrepLabel(2, 1, 1), FrequencyRatio(1, 1))
+        assert exact_hints(shifted(spec, {0: 2.0})) == (None, "0", "2")
+
+    @pytest.mark.parametrize(
+        "m,n,square",
+        [(3, 5, "16/1875"), (1, 7, "720/117649"), (4, 7, "135/235298")],
+    )
+    def test_roots_whose_square_has_a_large_denominator(self, m, n, square):
+        # D l^2 is an integer root whatever the denominator of l^2 = t / D
+        spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(m, n))
+        assert exact_hints(spec) == (f"-sqrt({square})", f"sqrt({square})")
+
+    def test_a_phi_table_of_the_wrong_length_is_a_shape_mismatch(self):
+        # the hints read N's polynomial off the table, so one entry short or long is refused
+        spec = angular_eigenvalues(IrrepLabel(3, 1, 2), FrequencyRatio(2, 3))
+        for numerators in (spec.numerators[:-1], spec.numerators + (0,)):
+            bad = dataclasses.replace(spec, numerators=numerators)
+            message = f"the Phi table of (N=3, p=1, q=2) must be 5 long, got {len(numerators)}"
+            with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+                exact_hints(bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e154, -2e154])
     def test_no_hint_for_a_value_it_cannot_square(self, value):
-        # NaN and inf have no rational near them, and past ~1.34e154 the square is inf
+        # NaN and inf have no square, and +-2e154 squares to a t = D l^2 far from every root
         spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
         assert exact_hints(shifted(spec, {0: -value, 1: value})) == (None, None)
 
@@ -498,12 +521,33 @@ class TestExactHints:
         label = IrrepLabel(data.draw(st.integers(0, 40)), data.draw(st.integers(1, m)),
                            data.draw(st.integers(1, n)))
         spec = angular_eigenvalues(label, FrequencyRatio(m, n))
-        assert exact_hints(spec) == fraction_hints(spec)
+        hints = exact_hints(spec)
+        # every hint of the denominator-1000 route is kept verbatim
+        assert all(old is None or new == old for old, new in zip(fraction_hints(spec), hints))
+        # and every hint is a root of G_{N+1}, nearest to the value at its own index
+        numerators, denominator = spec.numerators, _phi_denominator(spec.ratio)
+        for i, hint in enumerate(hints):
+            if hint == "0":
+                assert 2 * i == label.N
+            elif hint is not None:
+                sign, square = hint_square(hint)
+                assert fraction_p(numerators, denominator, square) == 0
+                root = sign * math.sqrt(square)
+                assert min(range(label.N + 1),
+                           key=lambda j: abs(spec.eigenvalues[j] - root)) == i
+
+
+def hint_square(hint):
+    """The sign and the exact square of the value a hint like '-3/2' or 'sqrt(8)' names."""
+    sign, body = (-1, hint[1:]) if hint.startswith("-") else (1, hint)
+    if body.startswith("sqrt("):
+        return sign, Fraction(body[5:-1])
+    return sign, Fraction(body) ** 2
 
 
 def fraction_hints(spectrum):
-    """`exact_hints` by the route the integer kernel replaced: the same
-    `near_rational` candidates, each kept when P(s) = 0 in `Fraction`s."""
+    """The hints of the route `exact_hints` replaced: the rational with denominator <= 1000
+    within 1e-10 of l, or of l^2, each kept when P(s) = 0 in `Fraction`s."""
     numerators, denominator = spectrum.numerators, _phi_denominator(spectrum.ratio)
 
     def near_rational(value):

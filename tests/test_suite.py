@@ -523,8 +523,8 @@ def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
     assert denominator == structure._phi_denominator(ratio)
     # the symmetric spectra are counted at i >= N/2, two points each
     assert points == sum(2 * (label.N // 2 + 1) for label in labels_of(ratio, 6))
-    # only the last N's eigenvectors, still bound to the eigensolve loop's names, live on
-    assert alive == [False] * 6 + [True]
+    # no N's eigenvectors live on into the certificate, not even the last N's
+    assert alive == [False] * 7
 
 
 def test_the_sweep_builds_no_spectrum(monkeypatch):

@@ -4,10 +4,12 @@
 
 imports `deformed_u2` from SRC_DIR, runs every command of the grid in-process
 with click's CliRunner, once to stdout and once with --output FILE in a
-temporary directory, and prints `<commands> <sha256>`.  The hash covers each
-command's arguments, exit code, stdout, stderr, any exception other than
-SystemExit, and the text of the --output file.  Two checkouts print the same
-line when their CLI output is byte-identical:
+temporary directory, and prints `<commands>`, then `<subcommand> <commands>
+<sha256>` for each of `irrep`, `angular`, `spectrum` and `verify`.  Each hash
+covers its commands' arguments, exit code, stdout, stderr, any exception other
+than SystemExit, and the text of the --output file, so a change to one
+subcommand's output moves its hash alone.  Two checkouts print the same line
+when their CLI output is byte-identical:
 
     python tools/cli_digest.py old/src
     python tools/cli_digest.py new/src
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 RATIOS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 5), (4, 7)]
@@ -84,11 +87,13 @@ def main() -> None:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
     runner = CliRunner()
-    digest = hashlib.sha256()
     commands = grid()
+    counts = Counter(args[0] for args in commands)
+    digests = {name: hashlib.sha256() for name in counts}
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "report.out"
         for args in commands:
+            digest = digests[args[0]]
             for to_file in (False, True):
                 target.unlink(missing_ok=True)
                 result = runner.invoke(cli, [*args, "--output", str(target)] if to_file else args)
@@ -99,7 +104,8 @@ def main() -> None:
                 for part in (args, to_file, result.exit_code, result.stdout, result.stderr,
                              repr(exception), written):
                     digest.update(repr(part).encode("utf-8") + b"\0")
-    print(len(commands), digest.hexdigest())
+    print(len(commands), *(f"{name} {counts[name]} {digest.hexdigest()}"
+                           for name, digest in digests.items()))
 
 
 if __name__ == "__main__":

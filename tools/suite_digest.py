@@ -3,18 +3,21 @@
     python tools/suite_digest.py SRC_DIR
 
 imports `deformed_u2` from SRC_DIR, runs `run_suite` on every sweep of the set
-and prints `<sweeps> <irreps> <records> <spectra> <sha256>`.  The hash covers,
-for each irrep, its label, its energy, every residual key with the
-`float.hex()` of its value, and its failure counts, and for each sweep whether
-it passed and its commutator.  It also covers the one-irrep path (`IrrepStack.of`): on every irrep
+and prints `<sweeps> <irreps> <records> <sha256> <spectra> <hints> <sha256>`.
+The first hash covers the sweeps and reports: for each irrep, its label, its
+energy, every residual key with the `float.hex()` of its value, and its failure
+counts, and for each sweep whether it passed and its commutator.  It also
+covers the one-irrep path (`IrrepStack.of`): on every irrep
 of the first group below, `build_irrep(label, ratio)` is checked by
 `verify_algebra`, `oracle_compare` and, at 1:2, `w32_check`, and each of these
 `<records>` reports adds its residuals as `float.hex()` and its exact checks.
 Last, `exact_hints(angular_eigenvalues(label, ratio))` of `<spectra>` irreps
-adds each eigenvalue's hint: every irrep of that first group, and every label
-of 1:1 at N = 150, 1:2 at N = 90, 2:3 at N = 60 and 3:5 at N = 56
-(`HINT_LEVELS`), whose spectra hold many closed forms and many near misses.
-Two checkouts print the same line when their results are bitwise identical:
+gives each eigenvalue's hint, `<hints>` of them not None, to the second hash:
+every irrep of that first group, and every label of 1:1 at N = 150, 1:2 at
+N = 90, 2:3 at N = 60 and 3:5 at N = 56 (`HINT_LEVELS`), whose spectra hold
+many closed forms and many near misses.  So a change to the hints alone moves
+the second hash alone.  Two checkouts print the same line when their results
+are bitwise identical:
 
     python tools/suite_digest.py old/src
     python tools/suite_digest.py new/src
@@ -137,16 +140,18 @@ def main() -> None:
                 for part in (rep.label, report.name, residuals, report.exact_checks):
                     digest.update(repr(part).encode("utf-8") + b"\0")
             records += len(checks)
-    spectra = 0
+    spectra, hinted_values, hint_digest = 0, 0, hashlib.sha256()
     hinted = [(m, n, range(n_max + 1)) for m, n, n_max in ONE_IRREP_SWEEPS]
     for m, n, sizes in hinted + [(m, n, [big_n]) for m, n, big_n in HINT_LEVELS]:
         ratio = FrequencyRatio(m, n)
         for big_n, p, q in product(sizes, range(1, m + 1), range(1, n + 1)):
             label = IrrepLabel(big_n, p, q)
             hints = exact_hints(angular_eigenvalues(label, ratio))
-            digest.update(repr((m, n, label, hints)).encode("utf-8") + b"\0")
+            hint_digest.update(repr((m, n, label, hints)).encode("utf-8") + b"\0")
+            hinted_values += sum(hint is not None for hint in hints)
             spectra += 1
-    print(len(runs), irreps, records, spectra, digest.hexdigest())
+    print(len(runs), irreps, records, digest.hexdigest(), spectra, hinted_values,
+          hint_digest.hexdigest())
 
 
 if __name__ == "__main__":

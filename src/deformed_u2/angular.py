@@ -39,7 +39,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import cycle
 
 import numpy as np
@@ -234,14 +234,19 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     big_n, numerators = spectrum.label.N, _phi_table(spectrum)
     denominator = _phi_denominator(spectrum.ratio)
 
+    @cache  # l_i = -l_{N-i} share their t, so a symmetric spectrum runs each t once
+    def run(t: int) -> tuple[int, int]:
+        terms = [*_even_part(numerators, t, 0)]
+        return terms[-1], _sign_changes(terms)
+
     def hint(i: int, value: float) -> str | None:
         if value == 0.0:
             return "0" if big_n % 2 == 0 else None
         if not math.isfinite(value):
             return None
         t = round(denominator * Fraction(value) ** 2)
-        terms = [*_even_part(numerators, t, 0)]
-        if terms[-1] or _sign_changes(terms) != (big_n - i if value > 0 else i):
+        last, changes = run(t)
+        if last or changes != (big_n - i if value > 0 else i):
             return None
         square, sign = Fraction(t, denominator), "-" if value < 0 else ""
         root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))

@@ -5,9 +5,10 @@ Four subcommands cover the toolkit: `spectrum` (level tables), `irrep`
 of one irrep) and `verify` (the whole identity suite up to a given N).
 Output formats are table (default), json and csv; exact rationals are
 serialized as "num/den" strings and decimals are 12-significant-digit
-renderings only.  Every command writes its report through `_report`.
-Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-including an --output that cannot be written.
+renderings only.  Every command writes its report through `_report`, each
+flat list of records as a `_Table` of columns, whose rows the JSON writer
+fills into one `%` template.  Exit codes: 0 success, 1 verification failure,
+2 usage/input error, including an --output that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import functools
 import io
 import math
 import sys
-from collections.abc import Iterable
-from itertools import chain, groupby, repeat
+from collections.abc import Iterable, Sequence
+from itertools import repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from operator import truediv
 from pathlib import Path
 
 import click
@@ -62,9 +64,9 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _decimal(value: float) -> float:
-    """Fixed 12-significant-digit rendering, for deterministic output."""
-    return float(f"{value:.12g}")
+def _decimals(values: Iterable[float]) -> list[float]:
+    """Fixed 12-significant-digit renderings of the values, for deterministic output."""
+    return list(map(float, map(format, values, repeat(".12g"))))
 
 
 def _reachable(compute, *args):
@@ -119,7 +121,18 @@ def _render_csv(headers: list[str], rows: Iterable[list[str]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-_CONTAINERS = (dict, list, tuple)
+class _Table:
+    """Flat records held as columns: `columns` maps each key, in record order, to the
+    values of that key in all the records.  `_json_text` writes it as the list of its
+    records, and splices those records into a list that holds the table as an item."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+
+_CONTAINERS = (dict, list, tuple, _Table)
 
 
 @functools.cache
@@ -129,57 +142,52 @@ def _flat_encoder(depth: int):
                           ": ", ",\n" + "  " * (depth + 1), False, False, True)
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_DICT = frozenset((dict,))
+def _column(column: Sequence, depth: int) -> tuple[str, Iterable]:
+    """The template field of a column of records at depth - 1 and the values it takes,
+    encoded in C when all have one exact type: `%r` for ints and finite floats, one map
+    of `encode_basestring_ascii` for strs.  Any other column (bool, None, NaN, +-inf,
+    mixed types, subclasses) goes value by value through `_json_text`."""
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int or kind is float and all(map(math.isfinite, column)):
+        return "%r", column
+    if kind is str:
+        return "%s", map(encode_basestring_ascii, column)
+    return "%s", [_json_text(value, depth) for value in column]
 
 
-def _all_records(items) -> bool:
-    """Whether every item is a record: a non-empty dict whose values have exact scalar types.
-
-    Records go to the C encoder in runs (`_records_text`); anything else, dict
-    and scalar subclasses included, takes the item-by-item path.  Each check
-    runs in C over all the items, with no Python call per item: their exact
-    types, their truth (no dict is empty), then the exact types of all values.
-    """
-    return (_DICT.issuperset(map(type, items)) and all(items)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items)))))
+# records per text of `_records`; a chunk's record texts are all held at once
+_CHUNK = 256
 
 
-# records per C-encoder call; one call over a long list would hold all its encoded
-# chunks at once and raise the peak memory
-_RUN = 128
-
-
-def _records_text(records: list[dict], depth: int) -> str:
-    """The records, each at depth, joined by their list's item separator: one encoder call.
-
-    The records are encoded as one list whose item separator is their own, so
-    the layout inside each record is already right.  An encoded string never
-    holds a raw newline and a record's values are scalars, so `}` followed by
-    that separator only ever ends a record; one replace re-indents those
-    boundaries to the list's level.
-    """
+def _records(table: _Table, depth: int) -> list[str]:
+    """The texts of the table's records at depth, each `_CHUNK` records joined by their
+    list's item separator.  Each chunk builds one `%` template of a record from the keys
+    and its columns' fields (`_column`), and fills it with each row of its columns."""
     outer, inner = "  " * depth, "  " * (depth + 1)
-    text = "".join(_flat_encoder(depth)(records, depth))
-    body = text[2:-2].replace(f"}},\n{inner}{{", f"\n{outer}}},\n{outer}{{\n{inner}")
-    return f"{{\n{inner}{body}\n{outer}}}"
-
-
-def _runs_text(records, depth: int) -> list[str]:
-    """The texts of the records at depth, `_RUN` records per `_records_text` call."""
-    return [_records_text(records[i:i + _RUN], depth) for i in range(0, len(records), _RUN)]
+    keys = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in table.columns]
+    columns = table.columns.values()
+    texts = []
+    for start in range(0, min(map(len, columns), default=0), _CHUNK):
+        fields, values = zip(*[_column(column[start:start + _CHUNK], depth + 1)
+                               for column in columns])
+        members = (",\n" + inner).join(map(str.__add__, keys, fields))
+        template = f"{{\n{inner}{members}\n{outer}}}"
+        texts.append((",\n" + outer).join(map(template.__mod__, zip(*values))))
+    return texts
 
 
 def _json_text(value, depth: int = 0) -> str:
-    """json.dumps(value, indent=2), byte for byte, for documents with str keys.
+    """json.dumps(value, indent=2), byte for byte, for documents with str keys, where a
+    `_Table` stands for the list of its records.
 
     The C encoder serves only indent=None, so the indented layout is written
     here.  Every scalar, and every container whose values are all scalars, is
-    encoded in one call to the C encoder.  A list of records only
-    (`_all_records`) is encoded `_RUN` records per call (`_records_text`);
-    in any other list each run of consecutive records, found item by item, is
-    encoded the same way, and other nested containers are written item by item.
+    encoded in one call to the C encoder; a table's records are written by
+    `_records`, and other nested containers item by item.
     """
+    if isinstance(value, _Table):
+        value = [value]
     encode = _flat_encoder(depth)
     if not isinstance(value, _CONTAINERS) or not value:
         return "".join(encode(value, depth))
@@ -188,13 +196,15 @@ def _json_text(value, depth: int = 0) -> str:
         if is_dict:
             items = [f"{encode_basestring_ascii(key)}: {_json_text(child, depth + 1)}"
                      for key, child in value.items()]
-        elif _all_records(value):
-            items = _runs_text(value, depth + 1)
         else:
             items = []
-            for flat, run in groupby(value, lambda item: _all_records((item,))):
-                items += (_runs_text(list(run), depth + 1) if flat
-                          else [_json_text(child, depth + 1) for child in run])
+            for child in value:
+                if isinstance(child, _Table):
+                    items += _records(child, depth + 1)
+                else:
+                    items.append(_json_text(child, depth + 1))
+            if not items:
+                return "[]"
         opening, closing = ("{", "}") if is_dict else ("[", "]")
         body = (",\n" + "  " * (depth + 1)).join(items)
     else:
@@ -296,26 +306,21 @@ def main():
 def spectrum(ratio, count, fmt, output):
     """List the lowest COUNT energy levels with labels and degeneracies."""
     scale = 2 * ratio.m * ratio.n
+    keys, big_ns, ps, qs = zip(*_level_keys(ratio, count))
     # E = key / scale in lowest terms, as str(Fraction(key, scale)) writes it; int
-    # true division is correctly rounded, so the decimal is the float of that E
-    records = [
-        {
-            "energy": f"{key // g}/{scale // g}" if g != scale else str(key // g),
-            "decimal": _decimal(key / scale),
-            "N": big_n,
-            "p": p,
-            "q": q,
-            "degeneracy": big_n + 1,
-        }
-        for key, big_n, p, q in _level_keys(ratio, count)
-        for g in (math.gcd(key, scale),)
-    ]
-    headers = ["energy", "decimal", "N", "p", "q", "degeneracy"]
-    rows = (
-        [r["energy"], _fmt(r["decimal"]), str(r["N"]), str(r["p"]), str(r["q"]), str(r["degeneracy"])]
-        for r in records
-    )
-    _report(ratio, "spectrum", fmt, output, records, {}, headers, rows)
+    # true division is correctly rounded, so each decimal rounds the float of its E
+    columns = {
+        "energy": [f"{key // g}/{scale // g}" if g != scale else str(key // g)
+                   for key, g in zip(keys, map(math.gcd, keys, repeat(scale)))],
+        "decimal": _decimals(map(truediv, keys, repeat(scale))),
+        "N": big_ns,
+        "p": ps,
+        "q": qs,
+        "degeneracy": [big_n + 1 for big_n in big_ns],
+    }
+    rows = zip(columns["energy"], map(_fmt, columns["decimal"]),
+               *(map(str, columns[key]) for key in ("N", "p", "q", "degeneracy")))
+    _report(ratio, "spectrum", fmt, output, _Table(columns), {}, list(columns), rows)
 
 
 @main.command()
@@ -331,7 +336,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
     report = verify_algebra(rep, tol)
     members = irrep_members(label, ratio)
 
-    residuals = {key: _decimal(value) for key, value in report.residuals.items()}
+    residuals = dict(zip(report.residuals, _decimals(report.residuals.values())))
     residuals["exact_check_failures"] = float(report.failures)
     record = {
         "N": label.N,
@@ -339,13 +344,12 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         "q": label.q,
         "dimension": label.dimension,
         "energy": str(rep.energy),
-        "energy_decimal": _decimal(float(rep.energy)),
+        "energy_decimal": _decimals([float(rep.energy)])[0],
         "u": str(rep.u),
         "phi": [str(v) for v in rep.phi],
-        "members": [
-            {"k": k, "n_x": s.n_x, "n_y": s.n_y} for k, s in enumerate(members)
-        ],
-        "matrices": {key: [[_decimal(v) for v in row] for row in getattr(rep, key)]
+        "members": _Table({"k": range(len(members)), "n_x": [s.n_x for s in members],
+                           "n_y": [s.n_y for s in members]}),
+        "matrices": {key: list(map(_decimals, getattr(rep, key).tolist()))
                      for key in ("s0", "s_plus", "s_minus", "h")},
         "passed": report.passed,
     }
@@ -384,35 +388,27 @@ def angular(ratio, big_n, p, q, fmt, output):
     spec = _reachable(angular_eigenvalues, label, ratio)
     coefficients = _reachable(lambda: spec.coefficients)  # c_k may overflow
 
+    n_x, n_y = [s.n_x for s in spec.cartesian], [s.n_y for s in spec.cartesian]
+    vectors = spec.amplitudes.T
     records = []
-    for marker, value, hint, column, amplitudes in zip(
-        spec.markers, spec.eigenvalues, exact_hints(spec),
-        coefficients.T.tolist(), spec.amplitudes.T.tolist(),
+    for marker, value, hint, column, amplitudes, re, im in zip(
+        spec.markers, _decimals(spec.eigenvalues), exact_hints(spec),
+        map(_decimals, coefficients.T.tolist()), vectors.tolist(),
+        map(_decimals, vectors.real.tolist()), map(_decimals, vectors.imag.tolist()),
     ):
-        pairs = list(zip(spec.cartesian, amplitudes))
         records.append(
             {
                 "marker": marker,
-                "eigenvalue": _decimal(value),
+                "eigenvalue": value,
                 "exact_hint": hint,
-                "coefficients": [_decimal(c) for c in column],
-                "amplitudes": [
-                    {
-                        "n_x": state.n_x,
-                        "n_y": state.n_y,
-                        "re": _decimal(amp.real),
-                        "im": _decimal(amp.imag),
-                        "text": _amplitude_text(amp),
-                    }
-                    for state, amp in pairs
-                ],
-                "state": _state_text(pairs),
+                "coefficients": column,
+                "amplitudes": _Table({"n_x": n_x, "n_y": n_y, "re": re, "im": im,
+                                      "text": list(map(_amplitude_text, amplitudes))}),
+                "state": _state_text(zip(spec.cartesian, amplitudes)),
             }
         )
-    residuals = {
-        "eigenvector_residual": _decimal(spec.max_residual),
-        "spectrum_symmetry": _decimal(spec.symmetry_residual),
-    }
+    residuals = dict(zip(("eigenvector_residual", "spectrum_symmetry"),
+                         _decimals((spec.max_residual, spec.symmetry_residual))))
     headers = ["m", "eigenvalue", "exact", "state"]
     rows = (
         [
@@ -440,25 +436,21 @@ def verify(ratio, n_max, fmt, tol, output):
     check holds, 1 otherwise (the report is still emitted).
     """
     report = _reachable(run_suite, ratio, n_max, tol)
-    residuals = {key: _decimal(value) for key, value in report.residuals.items()}
-    records = [
-        {
-            "kind": "irrep",
-            "N": label.N,
-            "p": label.p,
-            "q": label.q,
-            "energy": str(energy),
-            "max_residual": _decimal(worst),
-            "exact_check_failures": failures,
-        }
-        for label, energy, worst, failures in zip(
-            report.labels, report.energies, report.max_residuals.tolist(),
-            report.failure_columns["exact_check_failures"].tolist())
-    ]
+    residuals = dict(zip(report.residuals, _decimals(report.residuals.values())))
+    labels = report.labels
+    irreps = _Table({
+        "kind": ["irrep"] * len(labels),
+        "N": [label.N for label in labels],
+        "p": [label.p for label in labels],
+        "q": [label.q for label in labels],
+        "energy": list(map(str, report.energies)),
+        "max_residual": _decimals(report.max_residuals.tolist()),
+        "exact_check_failures": report.failure_columns["exact_check_failures"].tolist(),
+    })
     summary = {
         "kind": "summary",
         "n_max": n_max,
-        "irreps_checked": len(records),
+        "irreps_checked": len(labels),
         "commutator": str(report.commutator),
         "identity_tolerance": report.identity_tolerance,
         "eigen_tolerance": report.eigen_tolerance,
@@ -476,13 +468,13 @@ def verify(ratio, n_max, fmt, tol, output):
         f"tolerances: identities {report.identity_tolerance:g}, "
         f"eigenvectors {report.eigen_tolerance:g}",
         f"[S-, S+] = {summary['commutator']}",
-        f"irreps checked: {len(records)}",
+        f"irreps checked: {len(labels)}",
         "",
         _render_table(headers, rows),
         "",
         f"result: {'PASS' if report.passed else 'FAIL'}",
     ])
-    _report(ratio, "verify", fmt, output, [summary] + records, residuals, headers, rows,
+    _report(ratio, "verify", fmt, output, [summary, irreps], residuals, headers, rows,
             table, report.passed)
 
 

@@ -514,6 +514,26 @@ class TestExactHints:
         spec = angular_eigenvalues(IrrepLabel(1, 1, 1), FrequencyRatio(1, 1))
         assert exact_hints(shifted(spec, {0: -value, 1: value})) == (None, None)
 
+    def test_runs_the_recurrence_once_per_distinct_t(self, monkeypatch):
+        # l_i = -l_{N-i} square to one t, so a symmetric spectrum needs at most ceil((N+1)/2)
+        # runs; the hints are those of one run per value, on every irrep of the grid
+        runs = []
+
+        def counting(numerators, a, shift):
+            runs.append(a)
+            return _even_part(numerators, a, shift)
+
+        monkeypatch.setattr(angular, "_even_part", counting)
+        for m, n in coprime_pairs(5):
+            ratio = FrequencyRatio(m, n)
+            for label in (IrrepLabel(big_n, p, q) for big_n in range(13)
+                          for p in range(1, m + 1) for q in range(1, n + 1)):
+                spec = angular_eigenvalues(label, ratio)
+                runs.clear()
+                hints = exact_hints(spec)
+                assert len(runs) <= (label.N + 2) // 2
+                assert hints == per_value_hints(spec)
+
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_matches_the_fraction_route(self, data):
@@ -567,6 +587,28 @@ def fraction_hints(spectrum):
         return None
 
     return tuple(hint(value) for value in spectrum.eigenvalues)
+
+
+def per_value_hints(spectrum):
+    """The hints with one recurrence run per nonzero finite value l_i: t = round(D l_i^2) is
+    kept when R(t) = 0 and the sign changes at t are N-i for l_i > 0, i for l_i < 0."""
+    big_n, numerators = spectrum.label.N, spectrum.numerators
+    denominator = _phi_denominator(spectrum.ratio)
+
+    def hint(i, value):
+        if value == 0.0:
+            return "0" if big_n % 2 == 0 else None
+        if not math.isfinite(value):
+            return None
+        t = round(denominator * Fraction(value) ** 2)
+        terms = list(_even_part(numerators, t, 0))
+        if terms[-1] or angular._sign_changes(terms) != (big_n - i if value > 0 else i):
+            return None
+        square, sign = Fraction(t, denominator), "-" if value < 0 else ""
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        return f"{sign}{root}" if root * root == square else f"{sign}sqrt({square})"
+
+    return tuple(hint(i, value) for i, value in enumerate(spectrum.eigenvalues))
 
 
 def shifted(spec, changes):

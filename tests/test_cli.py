@@ -566,12 +566,82 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
-class _Dict(dict):
-    pass
-
-
 class _Int(int):
     pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# a column repeats a short pattern of one kind of value to the table's size, and may end
+# in any value, so a type change can fall in the last chunk alone
+COLUMN_VALUES = [
+    st.integers() | st.integers(min_value=2**64, max_value=2**200),
+    st.text() | st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "%", "é", "😀"])),
+    st.floats(allow_nan=False, allow_infinity=False),  # -0.0 and subnormals included
+    JSON_SCALARS | st.integers().map(_Int) | st.text().map(_Str) | st.floats().map(_Float),
+]
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(st.text(st.sampled_from('ab%"}{,\\\né'), max_size=4),
+                         min_size=1, max_size=4, unique=True))
+    size = draw(st.sampled_from([0, 1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1])
+                | st.integers(0, 5))
+    columns = {}
+    for key in keys:
+        pattern = draw(st.lists(draw(st.sampled_from(COLUMN_VALUES)), min_size=1, max_size=3))
+        columns[key] = [pattern[i % len(pattern)] for i in range(size)]
+        if size and draw(st.booleans()):
+            columns[key][-1] = draw(COLUMN_VALUES[-1])
+    return columns
+
+
+JSON_TEXT = cli._json_text
+
+
+@pytest.fixture()
+def item_path(monkeypatch):
+    """The values that `_json_text` is called on, value by value, from here on."""
+    values = []
+
+    def recording(value, depth=0):
+        values.append(value)
+        return JSON_TEXT(value, depth)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    return values
+
+
+def table(records):
+    """The records, dicts with one key order, as a `_Table` of columns."""
+    records = list(records)
+    return cli._Table({key: [record[key] for record in records] for key in records[0]}
+                      if records else {})
+
+
+def expanded(document):
+    """The document `_json_text` writes for one that holds `_Table`s: each table replaced
+    by the list of its records, spliced into a list (or tuple) that holds it."""
+    if isinstance(document, cli._Table):
+        return [dict(zip(document.columns, row)) for row in zip(*document.columns.values())]
+    if isinstance(document, dict):
+        return {key: expanded(value) for key, value in document.items()}
+    if isinstance(document, (list, tuple)):
+        items = []
+        for item in document:
+            if isinstance(item, cli._Table):
+                items += expanded(item)
+            else:
+                items.append(expanded(item))
+        return items
+    return document
 
 
 class TestJsonText:
@@ -581,61 +651,99 @@ class TestJsonText:
     def test_matches_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(columns=tables())
+    @example(columns={})
+    @example(columns={"%s": [1, 2], '"%%"': ["%d", "%"], "}": [-0.0, 0.5], "{": [None, True]})
+    def test_table_matches_json_dumps(self, columns):
+        # bare, as a dict's value, and spliced after a dict into a list, as verify writes
+        # its summary and irreps
+        rows = cli._Table(columns)
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert cli._json_text(rows) == json.dumps(records, indent=2)
+        assert cli._json_text({"records": rows}) == json.dumps({"records": records}, indent=2)
+        head = {"kind": "summary", "n": [1, 2]}
+        assert (cli._json_text([head, rows, rows])
+                == json.dumps([head, *records, *records], indent=2))
+
     @pytest.mark.parametrize("document", [
-        # more than two full encoder runs of records, at several depths
-        [{"k": i, "v": str(i)} for i in range(2 * cli._RUN + 3)],
-        {"a": {"b": [{"x": i / 3, "y": None, "z": True} for i in range(2 * cli._RUN + 1)]}},
-        # runs broken by nested items, empty dicts, scalars and tuples
-        [{"a": 1}, {"b": [1, 2]}, {"c": 3}, {"d": 4}, {}, {"e": 5}, 6, {"f": 7},
-         ({"g": 8}, {"h": 9}), {"i": 10}, [], (), {"j": {"k": 11}}, {"l": 12}],
-        [{"r": i} if i % 5 else {"s": {}} for i in range(300)],
-        # keys and values that look like record boundaries
-        [{"}": "{", "},\n": "},\n    {"}, {"\n": "\n}"}, {"a": "}", "b": "{"},
-         {"}},\n  {{": 1}, {"x": "},\n      {"}],
-        [{"k": "}" * i + ",\n" + " " * i + "{"} for i in range(200)],
-        # more than two runs of records, then a record holding a container
-        [{"k": i} for i in range(2 * cli._RUN + 5)] + [{"k": [1, {"x": 2}]}],
-        {"records": [{"k": i} for i in range(2 * cli._RUN + 5)] + [{"k": {}}]},
-        # a tuple of records, and records holding bools
-        tuple({"k": i, "v": i / 7} for i in range(cli._RUN + 2)),
-        {"a": [{"b": i % 2 == 0, "c": False, "d": True} for i in range(cli._RUN + 2)]},
-        # a dict subclass or an int subclass is no record
-        [_Dict(k=i) for i in range(3)] + [{"k": i} for i in range(cli._RUN + 1)],
-        [{"k": i} for i in range(cli._RUN + 1)] + [_Dict(k=1), {"k": 2}],
-        [{"k": _Int(i), "v": "x"} for i in range(cli._RUN + 1)],
-        [{"k": i} for i in range(cli._RUN + 1)] + [{"k": _Int(7)}, {"k": 8}],
+        # more than two chunks of records, at several depths
+        table({"k": i, "v": str(i)} for i in range(2 * cli._CHUNK + 3)),
+        {"a": {"b": table({"x": i / 3, "y": None, "z": True} for i in range(2 * cli._CHUNK + 1))}},
+        # tables spliced among nested items, scalars, tuples and empty tables
+        [{"a": 1}, table({"c": i} for i in range(3)), {"b": [1, 2]}, 6, table(()),
+         ({"g": 8}, table([{"h": 9}])), [], (), {"j": {"k": 11}}, table([{"l": 12}])],
+        [table(()), table(())],
+        {"a": table(()), "b": [table(()), 1]},
+        # keys and values that look like record boundaries or template fields
+        table({"}": "{", "},\n": "},\n    {", "%s": "%d", "%%": i} for i in range(5)),
+        table({"k": "}" * i + ",\n" + " " * i + "{", '"': "%(k)s"} for i in range(200)),
+        # chunk edges, then a record holding a container
+        [table({"k": i} for i in range(size)) for size in (cli._CHUNK - 1, cli._CHUNK + 1)]
+        + [{"k": [1, {"x": 2}]}],
+        {"records": [table({"k": i} for i in range(cli._CHUNK)), {"k": {}}]},
+        # bools, None and the floats no template field takes
+        {"a": table({"b": i % 2 == 0, "c": None, "d": i / 7} for i in range(cli._CHUNK + 2))},
+        table({"x": x, "n": -0.0} for x in (0.5, math.nan, math.inf, -math.inf, 5e-324)),
+        # a type change in the last chunk alone
+        table({"k": i if i < cli._CHUNK else True} for i in range(cli._CHUNK + 1)),
+        table({"k": str(i) if i < cli._CHUNK else None} for i in range(cli._CHUNK + 1)),
+        # ints beyond 64 bits, and strings that need escapes
+        table({"k": -(2**70) * i, "s": "\u2603\x00\"\\" * i} for i in range(4)),
     ])
     def test_record_runs_match_json_dumps(self, document):
-        assert cli._json_text(document) == json.dumps(document, indent=2)
+        # a table in a list is spliced in as its records, elsewhere it is their list
+        assert cli._json_text(document) == json.dumps(expanded(document), indent=2)
 
-    @pytest.mark.parametrize("record", [_Dict(k=1), {"k": _Int(1)}, {"k": 1, "v": _Int(2)}, {}])
-    def test_subclasses_and_empty_dicts_take_the_item_path(self, record, monkeypatch):
-        runs = []
-        records_text = cli._records_text
+    @pytest.mark.parametrize("record", [
+        {"k": _Int(1)}, {"k": _Str("s"), "v": 1}, {"k": 1.5, "v": _Float(2.0)}, {}])
+    def test_subclasses_and_empty_dicts_take_the_item_path(self, record, item_path):
+        # a column of subclass values is written value by value; a table of empty
+        # records has no columns and so no rows: it writes [] and splices in nothing
+        rows = table([record] * 3)
+        cli._records(rows, 1)
+        assert item_path == [v for v in record.values() if type(v) not in (int, str, float)] * 3
+        records = [record] * 3 if record else []
+        assert JSON_TEXT(rows) == json.dumps(records, indent=2)
+        assert JSON_TEXT([{"a": 0}, rows]) == json.dumps([{"a": 0}, *records], indent=2)
 
-        def recording(records, depth):
-            runs.append(list(records))
-            return records_text(records, depth)
-
-        monkeypatch.setattr(cli, "_records_text", recording)
-        for document in ([record] * 3, [{"a": 0}, record, {"b": 1}]):
-            runs.clear()
-            assert cli._json_text(document) == json.dumps(document, indent=2)
-            assert all(item is not record for run in runs for item in run)
-            assert sum(map(len, runs)) == len(document) - document.count(record)
+    @pytest.mark.parametrize("column, by_value", [
+        ([1, -2, 2**70], False),
+        (["a", '"\\%', "\u2603"], False),
+        ([0.5, -0.0, 5e-324, 1e308], False),
+        ([True, False], True),
+        ([None, None], True),
+        ([1.0, math.nan], True),
+        ([math.inf, -1.0], True),
+        ([1, 1.0], True),
+        ([1, "1"], True),
+    ])
+    def test_only_exact_int_str_and_finite_float_columns_skip_the_item_path(
+            self, column, by_value, item_path):
+        rows = cli._Table({"k": column, "v": list(range(len(column)))})
+        text = "[\n  " + ",\n  ".join(cli._records(rows, 1)) + "\n]"
+        records = [{"k": k, "v": v} for v, k in enumerate(column)]
+        assert text == json.dumps(records, indent=2)
+        assert item_path == (column if by_value else [])
 
     def test_no_encoder_call_takes_more_than_a_run(self, monkeypatch):
+        # each column is encoded `_CHUNK` records at a time (`_column`), and each chunk
+        # is one text
         sizes = []
-        records_text = cli._records_text
+        column = cli._column
 
-        def counting(records, depth):
-            sizes.append(len(records))
-            return records_text(records, depth)
+        def counting(values, depth):
+            sizes.append(len(values))
+            return column(values, depth)
 
-        monkeypatch.setattr(cli, "_records_text", counting)
-        document = {"records": [{"k": i} for i in range(2 * cli._RUN + 1)]}
-        assert cli._json_text(document) == json.dumps(document, indent=2)
-        assert sizes == [cli._RUN, cli._RUN, 1]
+        monkeypatch.setattr(cli, "_column", counting)
+        size = 2 * cli._CHUNK + 1
+        rows = cli._Table({"k": list(range(size)), "v": [str(i) for i in range(size)]})
+        records = [{"k": i, "v": str(i)} for i in range(size)]
+        assert len(cli._records(rows, 1)) == 3
+        sizes.clear()
+        assert cli._json_text({"records": rows}) == json.dumps({"records": records}, indent=2)
+        assert sizes == [cli._CHUNK] * 4 + [1, 1]
 
     def test_spectrum_bypasses_the_python_encoder(self, runner, monkeypatch):
         def refuse(*args, **kwargs):

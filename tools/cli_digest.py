@@ -21,9 +21,10 @@ refusals (1:20, whose eigenvalues at N = 9 are not separated, by `verify
 --N-max` 9 and 12, the second with later N after the refused one, and by
 `angular --N 9`; `angular --ratio 1:2 --N 1000`, whose w_0 underflows), three
 large documents (`spectrum --ratio 3:5 --count 1500`, `irrep --ratio 1:2
---N 40`, `angular --ratio 1:1 --N 40`), and `spectrum --count` 128, 129 and
-257 at 1:1 and 2:3, at the edges of the JSON writer's 128-record encoder runs,
-each in the json, table and csv formats: 1125 commands.  Needs click >= 8.2
+--N 40`, `angular --ratio 1:1 --N 40`), and `spectrum --count` 128, 129, 255, 256, 257
+and 513 at 1:1 and 2:3, at the edges of an earlier JSON writer's 128-record
+encoder runs and of the table writer's 256-record chunks (`cli._CHUNK`), each
+in the json, table and csv formats: 1143 commands.  Needs click >= 8.2
 (separate stderr).
 """
 
@@ -67,9 +68,11 @@ def grid() -> list[list[str]]:
         ["irrep", "--ratio", "1:2", "--N", "40"],
         ["angular", "--ratio", "1:1", "--N", "40"],
     ]
-    # one full 128-record encoder run of the JSON writer, one record past it, two and one
+    # one 128-record encoder run, one record past it, two and one; a 256-record chunk
+    # less one record, one chunk, one and one record, two and one record
     commands += [["spectrum", "--ratio", ratio, "--count", count]
-                 for ratio in ("1:1", "2:3") for count in ("128", "129", "257")]
+                 for ratio in ("1:1", "2:3")
+                 for count in ("128", "129", "255", "256", "257", "513")]
     return [[*args, "--format", fmt] for args in commands for fmt in FORMATS]
 
 

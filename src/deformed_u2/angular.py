@@ -40,7 +40,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import cycle
+from itertools import cycle, repeat
+from operator import truediv
 
 import numpy as np
 
@@ -305,8 +306,8 @@ def _phi_intervals(tables: Sequence[Sequence[int]], denominator: int,
     """
     values, usable = [], np.ones(len(tables), dtype=bool)
     for row, table in enumerate(tables):
-        try:
-            values += [p / denominator for p in table[1:-1]]
+        try:  # the row is a whole list before `values` takes it: an overflow adds no part
+            values += [*map(truediv, table[1:-1], repeat(denominator))]
         except OverflowError:
             usable[row] = False
             values += [1.0] * (len(table) - 2)

@@ -473,7 +473,7 @@ def verify(ratio, n_max, fmt, tol, output):
         _render_table(headers, rows),
         "",
         f"result: {'PASS' if report.passed else 'FAIL'}",
-    ])
+    ]) if fmt == "table" else None
     _report(ratio, "verify", fmt, output, [summary, irreps], residuals, headers, rows,
             table, report.passed)
 

@@ -21,19 +21,26 @@ a known denominator, so the oracle needs no truncated basis and no tolerance,
 and no structure function enters: its comparison with `build_irrep` is a set
 of exact checks.  On a stack the members of every irrep are two int64 tables,
 the S0 and H checks run once on them and on the stack's bands, and the weights
-are products of per-mode tables built once per stack.
+are products of per-mode tables built once per stack.  The S+ entries' 1-ulp
+test has two routes with one outcome.  Lemma: if t = w / D, correctly rounded
+as Python's int division is, is finite and normal (t >= 2^-1022), RN(sqrt(t))
+is within 1 ulp of sqrt(w / D).  Rounding the quotient moves the root by at
+most ulp(t) / (4 sqrt(t)): 0.36 ulp of the root in the upper of the two binades
+of t that map to its binade, 0.25 ulp in the lower; rounding the root adds 0.5
+ulp.  So an entry equal to `np.sqrt(t)` of a normal t passes; the rest (NaN,
+inf, a subnormal t, every entry if a quotient overflows) take `_within_one_ulp`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul
+from operator import eq, mul, truediv
 
 import numpy as np
 
 from .representation import IrrepMatrices, IrrepStack, VerificationReport, _Columns
-from .representation import _first_report
+from .representation import _LABEL, _first_report
 
 __all__ = ["oracle_compare"]
 
@@ -70,8 +77,8 @@ def oracle_compare(rep: IrrepMatrices) -> VerificationReport:
 
     The weights and `rep.numerators` are both over m^m n^n, so Phi(k) is
     compared as the int P_k.  Each entry of the S+ band must lie within
-    1 ulp of the square root of its weight.  In a stack, each row
-    must also be 0.0 past its irrep's pattern, on the padding.
+    1 ulp of the square root of its weight (two routes, one outcome: see the
+    module).  In a stack, each row must also be 0.0 past its irrep's pattern.
     """
     rep.label.validate_for(rep.ratio)
     return _first_report("oracle", _oracle_reports(IrrepStack.of(rep)), 0.0)
@@ -93,7 +100,7 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     m, n, den = ratio.m, ratio.n, ratio.m**ratio.m * ratio.n**ratio.n
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
-    big_n, p, q = np.array([(label.N, label.p, label.q) for label in labels]).T[..., None]
+    big_n, p, q = np.array([*map(_LABEL, labels)]).T[..., None]
     k = np.arange(stack.s0_band.shape[-1])
     real = k <= big_n  # each row's members, before its padding
     n_x, n_y = p - 1 + k * m, (big_n - k) * n + q - 1
@@ -101,25 +108,37 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     h_num = n * (2 * n_x + 1) + m * (2 * n_y + 1)
     # along a row 4mn S0 steps by 4mn, as 4mn (u + k) does, and 2mn H by 0, as 2mn E does, so
     # each holds its int equality iff it does at member 0, against the 4mn u and 2mn E columns
-    s0_ok = np.array([a == b for a, b in zip(s0_num[:, 0].tolist(), stack.scaled_u)])
-    h_ok = np.array([a == b for a, b in zip(h_num[:, 0].tolist(), stack.energy_keys)])
+    s0_ok = np.array([*map(eq, s0_num[:, 0].tolist(), stack.scaled_u)], dtype=bool)
+    h_ok = np.array([*map(eq, h_num[:, 0].tolist(), stack.energy_keys)], dtype=bool)
     s0, h, s_plus = stack.s0_band, stack.h_band, stack.s_plus_band
     s0_ok &= np.all(np.where(real, s0 == s0_num / s0_den, s0 == 0), axis=-1)
     h_ok &= np.all(np.where(real, h == h_num / h_den, h == 0), axis=-1)
-    padded = np.any((s_plus != 0) & ~real[:, 1:], axis=-1).tolist()
 
     # X(k) = (n_x + 1)...(n_x + m) and n_x ... (n_x - m + 1) at n_x = p - 1 + k m, by p;
     # Y(j) = n_y ... (n_y - n + 1) and (n_y + 1)...(n_y + n) at n_y = j n + q - 1, by q
     steps = range(len(k))
     x_raise, x_lower = ({v: [math.perm(v - 1 + j * m + shift, m) for j in steps]
-                         for v in range(1, m + 1)} for shift in (m, 0))
+                         for v in set(p.ravel().tolist())} for shift in (m, 0))
     y_raise, y_lower = ({v: [math.perm(j * n + v - 1 + shift, n) for j in steps]
-                         for v in range(1, n + 1)} for shift in (0, n))
-    plus, minus = [], []
-    for row, label, phi, pad in zip(s_plus.tolist(), labels, stack.numerators, padded):
+                         for v in set(q.ravel().tolist())} for shift in (0, n))
+    plus, minus, weights = [], [], []  # weights: the Fock P_1..P_N of each irrep, back to back
+    for label, phi in zip(labels, stack.numerators):
         raises = [*map(mul, x_raise[label.p][:label.N + 1], y_raise[label.q][label.N::-1])]
         lowers = [*map(mul, x_lower[label.p][:label.N + 1], y_lower[label.q][label.N::-1])]
-        plus.append(raises == [*phi[1:]] and not pad
-                    and all(map(_within_one_ulp, row[:label.N], raises, repeat(den))))
+        plus.append(raises == [*phi[1:]])
         minus.append(lowers == [*phi[:-1]])
-    return {}, {"s0": s0_ok.tolist(), "s_plus": plus, "s_minus": minus, "h": h_ok.tolist()}
+        weights += raises[:-1]
+    # the real S+ entries in row order, one per weight: the module's lemma passes most of them
+    band, plus = s_plus[real[:, 1:]], np.array(plus, dtype=bool)
+    try:
+        t = np.array([*map(truediv, weights, repeat(den))], dtype=float)
+    except OverflowError:
+        t = np.full(len(weights), math.nan)
+    inside = (t >= 2.0**-1022) & (band == np.sqrt(t))
+    for j in np.flatnonzero(~inside).tolist():
+        inside[j] = _within_one_ulp(float(band[j]), weights[j], den)
+    outside = np.bincount(np.repeat(np.arange(len(labels)), big_n.ravel())[~inside],
+                          minlength=len(labels))  # entries outside 1 ulp, per irrep
+    plus &= (outside == 0) & ~np.any((s_plus != 0) & ~real[:, 1:], axis=-1)
+    return {}, {"s0": s0_ok.tolist(), "s_plus": plus.tolist(), "s_minus": minus,
+                "h": h_ok.tolist()}

@@ -28,13 +28,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import tee
+from itertools import chain, compress, repeat, tee
+from operator import attrgetter, itemgetter, le, not_, sub, truediv
 
 import numpy as np
 
 from .core import FrequencyRatio, IrrepLabel, _energy_key
 from .exceptions import ShapeMismatchError, WrongRatioError
-from .structure import _ladder_identity, _phi_denominator, _phi_numerators, _scaled_u
+from .structure import _phi_denominator, _phi_numerators, _scaled_u
 from .structure import commutator_polynomial
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
 
 IDENTITY_TOL = 1e-10
 _BANDS = ("s0_band", "s_plus_band", "h_band")  # the fields of one irrep's bands
+_LABEL = attrgetter("N", "p", "q")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +129,21 @@ def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
     `tables`.  The tables are read in order, one per label, and the first Phi(k) beyond
     float range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal
     exponent, read from the bit lengths of P_k and D."""
-    quotients, denominator = [], _phi_denominator(ratio)
-    for label, table in zip(labels, tables):
-        try:
-            quotients += [v / denominator for v in table[1:-1]]
-        except OverflowError:
-            for k, value in enumerate(table):
+    denominator, (tables, read) = _phi_denominator(ratio), tee(tables)
+    try:
+        return np.sqrt([*map(truediv, chain.from_iterable(map(itemgetter(slice(1, -1)), tables)),
+                             repeat(denominator))])
+    except OverflowError:
+        for label, table in zip(labels, read):  # only the tables the map reached
+            for k, value in enumerate(table[1:-1], 1):
                 try:
                     value / denominator
                 except OverflowError:
-                    break
-            exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
-            raise ArithmeticError(
-                f"Phi({k}) of {label} of the {ratio} oscillator is about "
-                f"1e{exponent}, beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
-            ) from None
-    return np.sqrt(quotients)
+                    exponent = int((value.bit_length() - denominator.bit_length()) * math.log10(2))
+                    raise ArithmeticError(
+                        f"Phi({k}) of {label} of the {ratio} oscillator is about 1e{exponent}, "
+                        f"beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
+                    ) from None
 
 
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
@@ -194,21 +195,19 @@ class IrrepStack:
 def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepStack:
     """The irreps `labels` of `ratio` built at once: their Phi tables from the sweep's X_p and
     Y_q tables (`_phi_numerators`), none past the first Phi beyond float range, and each band
-    in one pass.  S0's entries are the correctly rounded quotients (4mn u + 4mn k) / 4mn and
-    H's 2mn E / 2mn, of the ints `_scaled_u` and `_energy_key`, its u and E columns."""
-    scale, width = 4 * ratio.m * ratio.n, max(label.N for label in labels) + 1
-    dims = [label.N + 1 for label in labels]
-    real = np.arange(width) < np.array(dims)[:, None]  # each row's entries, before its padding
-    s0, h = np.zeros((2, len(labels), width))
-    s_plus = np.zeros((len(labels), width - 1))
+    in one pass.  S0's entries (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the int columns
+    `_scaled_u` and `_energy_key`, are numpy quotients of ints at most 6mn (N+1) in size, far
+    below 2^53, so each is correctly rounded."""
+    scale, (big_n, p, q) = 4 * ratio.m * ratio.n, np.array([*map(_LABEL, labels)]).T
+    real = np.arange(big_n.max() + 1) <= big_n[:, None]  # each row's entries, before its padding
+    s_plus = np.zeros((len(labels), real.shape[-1] - 1))
     tables, numerators = tee(_phi_numerators(ratio, labels))
     s_plus[real[:, 1:]] = _offdiagonals(ratio, labels, tables)
-    scaled_u = [_scaled_u(ratio, label.N, label.p, label.q) for label in labels]
-    energy_keys = [_energy_key(ratio, label.N, label.p, label.q) for label in labels]
-    s0[real] = [(u + scale * k) / scale for u, dim in zip(scaled_u, dims) for k in range(dim)]
-    h[real] = np.repeat([key / (scale // 2) for key in energy_keys], dims)
-    return IrrepStack(ratio, tuple(labels), tuple(numerators), tuple(scaled_u),
-                      tuple(energy_keys), s0, s_plus, h)
+    scaled_u, energy_keys = _scaled_u(ratio, big_n, p, q), _energy_key(ratio, big_n, p, q)
+    s0 = np.where(real, (scaled_u[:, None] + scale * np.arange(real.shape[-1])) / scale, 0.0)
+    h = np.where(real, energy_keys[:, None] / (scale // 2), 0.0)
+    return IrrepStack(ratio, tuple(labels), tuple(numerators), tuple(scaled_u.tolist()),
+                      tuple(energy_keys.tolist()), s0, s_plus, h)
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
@@ -268,14 +267,17 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     [S-, S+] against the commutator polynomial evaluated on the diagonal.
     Exact checks: Phi boundary (Phi(0) = Phi(N+1) = 0), Phi positivity on
     1..N, and the rational identity Phi(k+1) - Phi(k) = poly(E, u + k).
-    The Phi checks read the integer table `rep.numerators`; the polynomial
-    is evaluated along the irrep by its integer kernel, and the identity is
-    compared cross-multiplied in ints; the diagonal target of [S-, S+] is
-    the correctly rounded quotient of the same ints.  A tolerance that is
-    not finite and > 0 raises ValueError.
+    The Phi checks read the integer table `rep.numerators`.  An irrep the oracle passes
+    takes the identity off the commutator's one proof, as in `run_suite`; others compare
+    the polynomial's integer kernel along the irrep, cross-multiplied in ints.  The target
+    of [S-, S+] is the correctly rounded quotient of the same rationals.  A tolerance that
+    is not finite and > 0 raises ValueError.
     """
     _check_tolerance("algebra", tolerance)
-    return _first_report("algebra", _algebra_reports(IrrepStack.of(rep)), tolerance)
+    from .oracle import _oracle_reports  # the oracle module imports this one
+    stack = IrrepStack.of(rep)
+    proven = [all(checks) for checks in zip(*_oracle_reports(stack)[1].values())]
+    return _first_report("algebra", _algebra_reports(stack, proven), tolerance)
 
 
 def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns:
@@ -284,23 +286,29 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns
     are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
     others run Horner, on `Fraction`s of the u and E columns."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
-    identity = any(proven) and polynomial.ratio == stack.ratio and _ladder_identity(polynomial)
+    identity = any(proven) and polynomial.ratio == stack.ratio and polynomial._proven
+    known = np.array(proven if identity else [False] * len(stack.labels), dtype=bool)
     width, scale = stack.s0_band.shape[-1], 4 * stack.ratio.m * stack.ratio.n
-    ladder_targets, boundary, positive, difference = [], [], [], []
-    for i, (label, phi) in enumerate(zip(stack.labels, stack.numerators)):
-        # poly(E, u + k) = ladder[k] / ladder_den for k = 0..N and Phi(k) =
-        # phi[k] / phi_den, each over one denominator, in plain ints
-        dim, known = label.N + 1, identity and proven[i]
-        if known:
-            ladder, ladder_den = [phi[k + 1] - phi[k] for k in range(dim)], phi_den
-        else:
-            ladder, ladder_den = polynomial._scaled_values(
-                Fraction(stack.energy_keys[i], scale // 2), Fraction(stack.scaled_u[i], scale), dim)
-        ladder_targets.append([v / ladder_den for v in ladder] + [0.0] * (width - dim))
-        boundary.append(phi[0] == 0 and phi[-1] == 0)
-        positive.append(all(v > 0 for v in phi[1:-1]))
-        difference.append(known or all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
-                                       for k in range(dim)))
+    column = [*chain.from_iterable(stack.numerators)]  # table i: column[starts[i]:ends[i] + 1]
+    lengths = np.fromiter(map(len, stack.numerators), int, len(stack.labels))
+    ends = np.cumsum(lengths) - 1
+    starts, zero = ends + 1 - lengths, np.fromiter(map(not_, column), bool, len(column))
+    low = np.cumsum([0, *map(le, column, repeat(0))])  # low[j]: the entries <= 0 before j
+    boundary, positive = zero[starts] & zero[ends], low[ends] == low[starts + 1]
+    # poly(E, u + k) = (P_{k+1} - P_k) / D, k = 0..N, read off the column on proven irreps
+    ladder_targets, taken = np.zeros((len(lengths), width)), np.repeat(known, lengths)
+    taken[ends] = False  # the step from one table's P_{N+1} to the next one's P_0
+    targets = map(truediv, compress(map(sub, column[1:], column), taken.tolist()), repeat(phi_den))
+    ladder_targets[(np.arange(width) < lengths[:, None] - 1) & known[:, None]] = [*targets]
+    difference = known.copy()
+    for i in np.flatnonzero(~known).tolist():
+        # poly(E, u + k) = ladder[k] / ladder_den, k = 0..N, and Phi(k) = phi[k] / phi_den
+        phi, dim = stack.numerators[i], stack.labels[i].N + 1
+        ladder, ladder_den = polynomial._scaled_values(
+            Fraction(stack.energy_keys[i], scale // 2), Fraction(stack.scaled_u[i], scale), dim)
+        ladder_targets[i, :dim] = [v / ladder_den for v in ladder]
+        difference[i] = all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den
+                            for k in range(dim))
     # S-'s band is S+'s; [H, S-] is -[H, S+] entry for entry, so |[H, S+]| covers both
     s0, sp, h = stack.s0_band, stack.s_plus_band, stack.h_band
     with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
@@ -309,11 +317,10 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns
             "commutator_s0_sminus": _residual(_commutator(s0, sp, 1), -sp),
             "commutator_h": np.maximum(_max_abs(_commutator(h, s0, 0)),
                                        _max_abs(_commutator(h, sp, -1))),
-            "commutator_sminus_splus": _residual(_ladder_commutator(sp, sp),
-                                                 np.array(ladder_targets)),
+            "commutator_sminus_splus": _residual(_ladder_commutator(sp, sp), ladder_targets),
         }
-    return residuals, {"phi_boundary": boundary, "phi_positive": positive,
-                       "ladder_difference": difference}
+    return residuals, {"phi_boundary": boundary.tolist(), "phi_positive": positive.tolist(),
+                       "ladder_difference": difference.tolist()}
 
 
 _W32_PRODUCT = 4.0 / 3.0

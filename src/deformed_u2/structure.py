@@ -35,7 +35,9 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, prod
+from operator import floordiv, mul
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import NotDivisibleError
@@ -121,7 +123,7 @@ def _phi_numerators(ratio: FrequencyRatio,
             y += [prod(2 * m * (2 * q - 1) + offset + scale * j for offset in lowered)
                   for j in range(len(y) - 1, big_n + 1)]
         # X_p(k) Y_q(N - k) for k = 0..N+1
-        yield tuple([a * b // divisor for a, b in zip(x, y[big_n + 1::-1])])
+        yield tuple(map(floordiv, map(mul, x, y[big_n + 1::-1]), repeat(divisor)))
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,7 @@ class CommutatorPolynomial:
     ratio: FrequencyRatio
     numerators: tuple[tuple[int, int, int], ...]
     denominator: int
+    _proven = functools.cached_property(lambda self: _ladder_identity(self))  # once per object
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -272,19 +275,19 @@ class CommutatorPolynomial:
     def __str__(self) -> str:
         """The polynomial as sympy prints it, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
         text = ""
-        for (h_power, s0_power), coeff in self.terms:
-            body = _monomial(h_power, s0_power)
-            numerator = abs(coeff.numerator)
+        for h_power, s0_power, a in self.numerators:  # a / denominator in lowest terms, by gcd
+            common = gcd(a, self.denominator)
+            body, numerator = _monomial(h_power, s0_power), abs(a) // common
             if not body:
                 body = str(numerator)
             elif numerator != 1:
                 body = f"{numerator}*{body}"
-            if coeff.denominator != 1:
-                body += f"/{coeff.denominator}"
+            if common != self.denominator:
+                body += f"/{self.denominator // common}"
             if not text:
-                text = "-" + body if coeff < 0 else body
+                text = "-" + body if a < 0 else body
             else:
-                text += (" - " if coeff < 0 else " + ") + body
+                text += (" - " if a < 0 else " + ") + body
         return text
 
 

@@ -18,8 +18,10 @@ from deformed_u2 import (
     irrep_members,
     oracle_compare,
 )
+from deformed_u2 import oracle
 from deformed_u2.oracle import _oracle_reports, _within_one_ulp
 from deformed_u2.representation import _BANDS, IrrepStack, _build_stack
+from deformed_u2.suite import run_suite
 
 CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
 
@@ -313,26 +315,42 @@ def list_reference(stack):
     return columns
 
 
-ENTRY_VALUES = st.sampled_from([math.nan, math.inf, -0.0, 0.0, 1e-300, -1.0, "up", "down"])
+# a move of a band entry: a value, or steps of one ulp up or down
+ENTRY_VALUES = st.sampled_from([math.nan, math.inf, -0.0, 0.0, 1e-300, -1.0, "up", "down",
+                                "up2", "down2"])
+# at 1:720 Phi(N) of (N, 1, q) is subnormal for q = 1 and N = 1..3 (about 1.4e-311 to
+# 4.1e-311) and for q = 2 and N = 1, 2 (9.9e-309, 2.0e-308), and normal otherwise, up to 7e284
+SUBNORMAL_RATIO = (1, 720)
+
+
+def subnormal_labels(n_max):
+    """The labels (N, 1, q), q <= 3, of each N <= min(n_max, 3) of SUBNORMAL_RATIO; at N = 4
+    Phi(1) is beyond float range."""
+    return [IrrepLabel(big_n, 1, q) for big_n in range(min(n_max, 3) + 1) for q in (1, 2, 3)]
 
 
 class TestStackedKernel:
     @settings(deadline=None, max_examples=150)
-    @given(ratio=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 5)]), n_max=st.integers(0, 4),
-           data=st.data())
+    @given(ratio=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 5), SUBNORMAL_RATIO]),
+           n_max=st.integers(0, 4), data=st.data())
     def test_equals_the_list_reference(self, ratio, n_max, data):
-        # NaN, inf, -0.0 and one-ulp moves on real entries and on the padding, and u or E off
+        # NaN, inf, -0.0, subnormal quotients and one- and two-ulp moves on real entries and
+        # on the padding, and u or E off
+        labels = subnormal_labels(n_max) if ratio == SUBNORMAL_RATIO else None
         ratio = FrequencyRatio(*ratio)
-        stack = _build_stack(ratio, labels_of(ratio, n_max))
+        stack = _build_stack(ratio, labels or labels_of(ratio, n_max))
         for _ in range(data.draw(st.integers(0, 6))):
             band = getattr(stack, data.draw(st.sampled_from(_BANDS)))
             if band.shape[-1]:
                 i = data.draw(st.integers(0, band.shape[0] - 1))
                 j = data.draw(st.integers(0, band.shape[1] - 1))
                 value = data.draw(ENTRY_VALUES)
-                if value in ("up", "down"):
-                    value = np.nextafter(band[i, j], math.inf if value == "up" else -math.inf)
-                band[i, j] = value
+                if isinstance(value, str):
+                    for _ in range(2 if value.endswith("2") else 1):
+                        band[i, j] = np.nextafter(
+                            band[i, j], math.inf if value.startswith("up") else -math.inf)
+                else:
+                    band[i, j] = value
         moved = data.draw(st.sets(st.integers(0, len(stack.labels) - 1), max_size=2))
         # u or E moved by `off`: their columns 4mn u and 2mn E by 4mn off and 2mn off
         field, scale = data.draw(st.sampled_from([("scaled_u", 4), ("energy_keys", 2)]))
@@ -341,3 +359,98 @@ class TestStackedKernel:
             value + off * scale * ratio.m * ratio.n if i in moved else value
             for i, value in enumerate(getattr(stack, field)))})
         assert _oracle_reports(stack) == ({}, list_reference(stack))
+
+    def test_a_subnormal_quotient_takes_the_exact_test(self, monkeypatch):
+        # sqrt of a subnormal P_1 / D is not proven by the lemma: only those entries are
+        # decided in ints, and the kernel's columns are the reference's
+        calls = count_exact_tests(monkeypatch)
+        ratio = FrequencyRatio(*SUBNORMAL_RATIO)
+        stack = _build_stack(ratio, subnormal_labels(3))
+        weights = [w for label in stack.labels for w in fock_weights(label, ratio)[:label.N]]
+        subnormal = [w for w in weights if w / m_m_n_n(ratio) < 2.0**-1022]
+        assert subnormal
+        assert _oracle_reports(stack) == ({}, list_reference(stack))
+        assert len(calls) == len(subnormal)
+
+
+def count_exact_tests(monkeypatch):
+    """The arguments of every `_within_one_ulp` call the oracle makes, as a list."""
+    calls = []
+
+    def counting(s, num, den):
+        calls.append((s, num, den))
+        return _within_one_ulp(s, num, den)
+
+    monkeypatch.setattr(oracle, "_within_one_ulp", counting)
+    return calls
+
+
+def m_m_n_n(ratio):
+    return ratio.m**ratio.m * ratio.n**ratio.n
+
+
+def fock_weights(label, ratio):
+    """The raise weights of the irrep's members, times m^m n^n, read off the Fock states."""
+    m, n = ratio.m, ratio.n
+    return [math.perm(s.n_x + m, m) * math.perm(s.n_y, n) for s in irrep_members(label, ratio)]
+
+
+# perfbench's verify rounds, verify_deep then verify_wide: (m, n, N_max)
+BENCHMARK_SWEEPS = [(1, 1, 26), (1, 2, 18), (2, 1, 18), (1, 3, 16),
+                    (3, 5, 8), (4, 7, 5), (5, 7, 4), (2, 7, 6)]
+
+
+class TestProvenRoute:
+    @settings(deadline=None, max_examples=400)
+    @given(w=st.integers(1, 2**1100), den=st.integers(1, 2**1100))
+    def test_the_lemma_on_any_quotient(self, w, den):
+        self.check_lemma(w, den)
+
+    @settings(deadline=None, max_examples=400)
+    @given(e=st.integers(-1022, 1023), steps=st.integers(-4, 4), scale=st.integers(1, 2**64),
+           shift=st.integers(-3, 3))
+    def test_the_lemma_near_powers_of_two_and_four(self, e, steps, scale, shift):
+        # w / D within a few ulps of 2^e (of 4^(e/2) for even e), where the binades of the
+        # quotient and of its root change
+        near = Fraction(2) ** e * (1 + Fraction(steps, 2**53))
+        w, den = near.numerator * scale + shift, near.denominator * scale
+        if w > 0:
+            self.check_lemma(w, den)
+
+    @staticmethod
+    def check_lemma(w, den):
+        """A correctly rounded root of a finite, normal, correctly rounded w / D is within
+        1 ulp of sqrt(w / D), as `_within_one_ulp` decides in ints."""
+        try:
+            t = w / den
+        except OverflowError:
+            return
+        if t >= 2.0**-1022:
+            assert _within_one_ulp(math.sqrt(t), w, den), (w, den)
+
+    def test_the_benchmark_sweeps_make_no_exact_test(self, monkeypatch):
+        calls = count_exact_tests(monkeypatch)
+        for m, n, n_max in BENCHMARK_SWEEPS:
+            report = run_suite(FrequencyRatio(m, n), n_max)
+            assert report.residuals["exact_check_failures"] == 0.0, (m, n)
+        assert calls == []
+
+    @pytest.mark.parametrize("m,n,n_max", BENCHMARK_SWEEPS[4:])
+    def test_each_moved_entry_makes_one_exact_test(self, monkeypatch, m, n, n_max):
+        calls = count_exact_tests(monkeypatch)
+        ratio = FrequencyRatio(m, n)
+        stack = _build_stack(ratio, labels_of(ratio, n_max))
+        rows, columns = np.nonzero(stack.s_plus_band)  # the real entries, in row order
+        poisoned = [(2, math.nan), (7, math.inf), (11, "up2"), (len(rows) - 1, "down2")]
+        for index, value in poisoned:
+            i, j = rows[index], columns[index]
+            if value in ("up2", "down2"):
+                direction = math.inf if value == "up2" else -math.inf
+                value = np.nextafter(np.nextafter(stack.s_plus_band[i, j], direction), direction)
+            stack.s_plus_band[i, j] = value
+        reports = _oracle_reports(stack)
+        assert reports == ({}, list_reference(stack))
+        assert [s.hex() for s, _, _ in calls] == [  # in row order, NaN included
+            float(stack.s_plus_band[rows[k], columns[k]]).hex() for k, _ in poisoned]
+        failing = [i for i, ok in enumerate(reports[1]["s_plus"]) if not ok]
+        assert failing == sorted({rows[k] for k, _ in poisoned})

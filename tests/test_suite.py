@@ -232,9 +232,16 @@ def test_a_passing_sweep_evaluates_no_commutator(monkeypatch):
     for m, n, n_max in ((1, 1, 4), (1, 2, 4), (2, 3, 3), (3, 5, 2)):
         assert run_suite(FrequencyRatio(m, n), n_max).passed
     assert calls == Counter()
-    # one irrep has no oracle verdict to read, so it keeps the Horner route
+    # one irrep takes the same route off its own oracle verdict; one the oracle rejects, with
+    # its S+ entries two steps off, keeps the Horner route
     ratio = FrequencyRatio(1, 2)
-    assert verify_algebra(build_irrep(IrrepLabel(2, 1, 1), ratio)).passed
+    rep = build_irrep(IrrepLabel(2, 1, 1), ratio)
+    assert verify_algebra(rep).passed
+    assert calls == Counter()
+    band = np.nextafter(np.nextafter(rep.s_plus_band, 0.0), 0.0)
+    moved = dataclasses.replace(rep, s_plus_band=band)
+    assert not oracle_compare(moved).passed
+    assert verify_algebra(moved).exact_checks["ladder_difference"]
     assert calls == Counter({ratio: 1})
 
 

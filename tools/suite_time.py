@@ -7,7 +7,13 @@ imports `deformed_u2` from SRC_DIR, runs `run_suite` once on every sweep of
 read from `perfbench/workloads.py`) as a warm-up, then five times more, and
 prints the shortest of those five totals in seconds.  That time is the library
 alone: no interpreter start, import, CLI rendering or JSON, so it moves with
-the suite's own work.  Then it does the
+the suite's own work.  Six more rounds, the first a warm-up, run with
+`suite`'s private stages wrapped in timers, and for each stage the shortest of
+its last five round totals is printed in milliseconds: `_build_stack` (build), `_oracle_reports` (oracle),
+`_algebra_reports` (algebra), the eigen loop, from the end of the last check
+kernel to the end of `_refuse` (eigen), `_certify` (certify) and the rest of
+`run_suite` (rest), which holds `_w32_reports`, the reductions and the report.
+A stage that a `src` lacks is timed as 0.  Then it does the
 same for the four commands of perfbench's spectrum_levels round (`spectrum
 --format json` at each ratio and count of `SPECTRUM_LEVELS`) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
@@ -16,7 +22,10 @@ captured, and prints that total too.  Last comes the best-of-5 time of
 that writes no bytecode (`PYTHONDONTWRITEBYTECODE=1`) pays it at every import
 of the package, so it grows with the source, docstrings included:
 
-    run_suite 0.0648 s  spectrum 0.0205 s  compile 0.0150 s
+    run_suite 0.0648 s (build 9.1 oracle 6.0 algebra 6.2 eigen 27.1 certify 9.6 rest 5.2 ms)
+    spectrum 0.0205 s  compile 0.0150 s
+
+all on one line.
 """
 
 from __future__ import annotations
@@ -38,6 +47,58 @@ def best_of_five(run) -> float:
     return min(totals[1:])
 
 
+STAGES = ("_build_stack", "_oracle_reports", "_algebra_reports", "_w32_reports", "_refuse",
+          "_certify")
+
+
+def stage_split(suite, run) -> dict[str, float]:
+    """The best-of-5 time, in ms, of each stage of `suite.run_suite` over the rounds of `run`."""
+    spans = []  # (stage, start, end) of every wrapped call, in call order
+
+    def timed(name, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spans.append((name, start, time.perf_counter()))
+        return wrapper
+
+    originals = {name: getattr(suite, name) for name in ("run_suite", *STAGES)
+                 if hasattr(suite, name)}
+    for name, function in originals.items():
+        setattr(suite, name, timed(name, function))
+    rounds = []
+    try:
+        for _ in range(6):
+            spans.clear()
+            run()
+            rounds.append(split(spans))
+    finally:
+        for name, function in originals.items():
+            setattr(suite, name, function)
+    return {key: 1e3 * min(totals[key] for totals in rounds[1:]) for key in rounds[0]}
+
+
+def split(spans) -> dict[str, float]:
+    """One round's stage totals, in s, from its `(stage, start, end)` spans."""
+    totals = dict.fromkeys(("build", "oracle", "algebra", "eigen", "certify", "rest"), 0.0)
+    names = {"_build_stack": "build", "_oracle_reports": "oracle", "_algebra_reports": "algebra",
+             "_certify": "certify"}
+    kernels_end = 0.0  # the end of the last check kernel of the current run_suite
+    for name, start, end in spans:
+        if name == "run_suite":
+            totals["rest"] += end - start
+        elif name in names:
+            totals[names[name]] += end - start
+        if name in ("_algebra_reports", "_w32_reports"):
+            kernels_end = end
+        elif name == "_refuse":
+            totals["eigen"] += end - kernels_end
+    totals["rest"] -= sum(value for key, value in totals.items() if key != "rest")
+    return totals
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/suite_time.py SRC_DIR")
@@ -47,7 +108,7 @@ def main() -> None:
     from workloads import SPECTRUM_LEVELS, VERIFY_DEEP, VERIFY_WIDE
 
     import deformed_u2
-    from deformed_u2 import FrequencyRatio, cli, run_suite
+    from deformed_u2 import FrequencyRatio, cli, run_suite, suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
@@ -72,7 +133,13 @@ def main() -> None:
         for source, filename in sources:
             compile(source, filename, "exec")
 
-    print(f"run_suite {best_of_five(suite_round):.4f} s  "
+    def stage_round():
+        for ratio, n_max in sweeps:
+            suite.run_suite(ratio, n_max)
+
+    total = best_of_five(suite_round)
+    stages = " ".join(f"{key} {ms:.1f}" for key, ms in stage_split(suite, stage_round).items())
+    print(f"run_suite {total:.4f} s ({stages} ms)  "
           f"spectrum {best_of_five(spectrum_round):.4f} s  "
           f"compile {best_of_five(compile_round):.4f} s")
 

@@ -16,21 +16,22 @@ One symmetric tridiagonal eigensolve gives every eigenpair, and the
 `AngularSpectrum` of `angular_eigenvalues` is the only public route to them:
 the eigenvalues and the (N+1) x (N+1) matrix of eigenvectors, one column each,
 whose phased, Cartesian and coefficient views are derived once for the whole
-basis.  The kernel has two halves: `_eigensolve`, which needs T's shape and
-so runs once per N, and `_refuse`, the separation and w_0 checks, which reads
-zero-padded columns and so runs once on any number of N.  `run_suite` runs
-both on a sweep, builds no spectrum, and keeps each N's eigenvectors only
-until the next N.  The forward float run of the recurrence is unstable and
-never builds an eigenvector.  The spectrum carries the irrep's integer Phi table
-(`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  Its
-eigenvalues are certified by Sturm counts at dyadic points beside each
-computed value.  A count runs the pivots r_k = G_k / G_{k-1} in float
-intervals widened outward at every rounding, so each holds the exact pivot;
-where an interval meets 0 or leaves float range, the sign changes of G_0 ..
-G_{N+1} are counted in integer arithmetic instead.  Either way no rounding can
-misplace a root.  The certificate kernels read only each irrep's table and the ratio's D,
-so one kernel counts a whole sweep's points at once.  The integer count and the exact hints,
-each an integer root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
+basis.  The kernel has two halves: `_eigensolve`, which needs T's shape and so
+runs once per N, and `_refuse`, the separation check, which reads zero-padded
+rows beside an N column and so runs once on any number of N.  Only
+`angular_eigenvalues` signs its eigenvectors, by w_0 > 0, and so only it
+refuses a w_0 that underflows to 0.0; `run_suite` runs both halves unsigned
+and builds no spectrum.  The forward float run of the recurrence is unstable
+and never builds an eigenvector.  The eigenvalues are certified by Sturm counts
+at dyadic points beside each computed value, on the integer Phi table
+(`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  A count runs
+the pivots r_k = G_k / G_{k-1} in float intervals widened outward at every
+rounding, so each holds the exact pivot; where an interval meets 0 or leaves
+float range, the sign changes of G_0 .. G_{N+1} are counted in integer
+arithmetic instead, so no rounding can misplace a root.  The certificate reads
+padded rows, an N column, the tables and D, so one kernel counts a whole
+sweep's points at once.  The integer count and the exact hints, each an
+integer root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from operator import truediv
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .exceptions import ShapeMismatchError
-from .representation import IrrepMatrices, _check_tolerance, _diag, _offdiagonals, worst_residual
+from .representation import IrrepMatrices, _check_tolerance, _diag, _offdiagonals, _phi_table
+from .representation import worst_residual
 from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
@@ -153,7 +154,11 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     numerators = StructureFunction(label, ratio).numerators
     offdiag = _offdiagonals(ratio, (label,), (numerators,))[None]
     values, vectors = _eigensolve(offdiag, signed=True)
-    _refuse(ratio, (label,), values, vectors[:, 0])
+    _refuse(ratio, (label,), np.array([label.N]), values)
+    if np.any(vectors[0, 0] == 0.0):  # w_0 > 0 is what signs an eigenvector
+        raise ArithmeticError(f"eigenvector {np.argmin(np.abs(vectors[0, 0]))} of L0 on {label} of "
+                              f"the {ratio} oscillator has w_0 == 0.0 (underflow), so its sign "
+                              f"cannot be fixed by w_0 > 0")
     errors = _residuals(offdiag, vectors, values)
     return AngularSpectrum(label, ratio, tuple(values[0].tolist()), vectors[0],
                            tuple(errors[0].tolist()), numerators)
@@ -164,10 +169,11 @@ def _eigensolve(offdiag: np.ndarray, signed: bool = False) -> tuple[np.ndarray, 
     (k, N+1, N+1) of the k tridiagonals T of one N with rows sqrt(Phi(1..N)) of `offdiag`, from
     one stacked `eigh`, which reads T's lower band only (`UPLO="L"`).  `signed` turns each
     vector so that w_0 >= 0; the odd components of an even N's zero-eigenvalue vector are set
-    to exactly 0.0.  Nothing here is checked: `_refuse` does that, on any number of N at once.
+    to exactly 0.0.  Nothing here is checked: `_refuse` checks separation, on any number of N
+    at once, and `angular_eigenvalues` checks the w_0 that signs its vectors.
 
     It needs T's shape, so a sweep runs it once per N.  `_residuals` and the Gram matrix are
-    bitwise the same on unsigned vectors, so `run_suite` skips the sign."""
+    bitwise the same on unsigned vectors, so `run_suite` skips the sign, and with it w_0."""
     big_n = offdiag.shape[-1]
     eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
@@ -178,32 +184,20 @@ def _eigensolve(offdiag: np.ndarray, signed: bool = False) -> tuple[np.ndarray, 
     return eigs, w
 
 
-def _refuse(ratio: FrequencyRatio, labels: Sequence[IrrepLabel], values: np.ndarray,
-            firsts: np.ndarray) -> None:
-    """Raise ArithmeticError on the first irrep of `labels` whose `_eigensolve` is not sound.
-
-    Row i of `values` and of `firsts` holds the eigenvalues and the components w_0 of the
-    eigenvectors of irrep `labels[i]` in its first N+1 entries; what follows is padding, 0.0 in
-    `values`, so one call checks a whole sweep.  The eigenvalues must be strictly separated
-    by a margin of 1e-12 max|l|, relative because `eigh`'s error scales with ||T||, and no
-    w_0 may be 0.0 (an underflow), since w_0 > 0 is what signs an eigenvector.
-    """
-    big_n = np.array([label.N for label in labels])[:, None]
+def _refuse(ratio: FrequencyRatio, labels: Sequence[IrrepLabel], big_n: np.ndarray,
+            values: np.ndarray) -> None:
+    """ArithmeticError on the first irrep of `labels` whose eigenvalues, row i of `values` for
+    irrep i (its N+1 entries, N = `big_n[i]`, then 0.0 padding), are not strictly separated by
+    a margin of 1e-12 max|l|, relative because `eigh`'s error scales with ||T||."""
     gaps = np.diff(values, axis=-1)
     margin = 1e-12 * np.max(np.abs(values), axis=-1)  # padding 0.0 moves no max of |l|
-    unseparated = np.any((gaps <= margin[:, None]) & (np.arange(gaps.shape[-1]) < big_n), axis=-1)
-    zero = np.any((firsts == 0.0) & (np.arange(firsts.shape[-1]) <= big_n), axis=-1)
-    for i in np.flatnonzero(unseparated | zero)[:1]:  # the first failure
-        size = labels[i].N + 1
-        if unseparated[i]:
-            raise ArithmeticError(
-                f"eigenvalues of {labels[i]} not strictly separated in the {ratio} "
-                f"oscillator (numerical failure): closest gap {np.min(gaps[i, :size - 1]):.3g} "
-                f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
+    unseparated = np.any((gaps <= margin[:, None])
+                         & (np.arange(gaps.shape[-1]) < big_n[:, None]), axis=-1)
+    for i in np.flatnonzero(unseparated)[:1]:  # the first failure
         raise ArithmeticError(
-            f"eigenvector {np.argmin(np.abs(firsts[i, :size]))} of L0 on {labels[i]} of the "
-            f"{ratio} oscillator has w_0 == 0.0 (underflow), so its sign cannot be fixed by w_0 > 0"
-        )
+            f"eigenvalues of {labels[i]} not strictly separated in the {ratio} "
+            f"oscillator (numerical failure): closest gap {np.min(gaps[i, :big_n[i]]):.3g} "
+            f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
 
 
 def _even_part(numerators: Sequence[int], a: int, shift: int) -> Iterator[int]:
@@ -232,7 +226,7 @@ def exact_hints(spectrum: AngularSpectrum) -> tuple[str | None, ...]:
     above sqrt(t / D), are N-i for l_i > 0 or i for l_i < 0.  A zero is '0' iff N is even,
     NaN, inf and an unproven value get None, and a Phi table not N+2 long is a ShapeMismatchError.
     """
-    big_n, numerators = spectrum.label.N, _phi_table(spectrum)
+    big_n, numerators = spectrum.label.N, _phi_table(spectrum.label, spectrum.numerators)
     denominator = _phi_denominator(spectrum.ratio)
 
     @cache  # l_i = -l_{N-i} share their t, so a symmetric spectrum runs each t once
@@ -378,10 +372,12 @@ def _count_above(tables: Sequence[Sequence[int]], denominator: int, irreps: np.n
     return counts, np.sort(order[~decided])
 
 
-def _certify(tables: Sequence[Sequence[int]], denominator: int,
-             rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[bool, ...]]:
-    """`certify_eigenvalues` on row j of `rows`, at Phi(k) = `tables[j][k]` / `denominator`.
+def _certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarray,
+             rows: np.ndarray, tolerance: float) -> np.ndarray:
+    """`certify_eigenvalues` on each row of `rows`, at Phi(k) = `tables[j][k]` / `denominator`.
 
+    Row j holds the values of irrep j, N = `big_n[j]`, in its first N+1 entries, then
+    padding, and its flags are True only where a value is certified, so never on the padding.
     Every count point of every row goes to one `_count_above` pass.  Of the
     points it leaves undecided, the - points are counted exactly first, and a
     + point only where its value's - point held.  A value at i < N/2 with
@@ -389,22 +385,17 @@ def _certify(tables: Sequence[Sequence[int]], denominator: int,
     second pass, when its mirror fails.  A NaN or inf gets no point.
     """
     delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
-    sizes = np.array([len(row) for row in rows])
-    values = np.concatenate(rows, dtype=float)
-    irreps = np.repeat(np.arange(len(rows)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    index = np.arange(len(values)) - starts[irreps]
-    big_n = sizes[irreps] - 1
-    mirror = starts[irreps] + big_n - index  # where l_{N-i} is
-    mirrored = (2 * index < big_n) & (values == -values[mirror])
-    finite = np.isfinite(values)
+    width, values, index = rows.shape[-1], rows.ravel(), np.arange(rows.shape[-1])
+    mirror = np.arange(len(values)) + (big_n[:, None] - 2 * index).ravel()  # where l_{N-i} is
+    mirrored = (2 * index < big_n[:, None]).ravel() & (values == -values[mirror])
+    finite = np.isfinite(values) & (index <= big_n[:, None]).ravel()
 
     def holds(points: np.ndarray) -> np.ndarray:
         """count_above(l_i - delta) >= N+1-i and count_above(l_i + delta) <= N-i."""
-        owners, centres = np.repeat(irreps[points], 2), np.repeat(values[points], 2)
+        owners, centres = np.repeat(points // width, 2), np.repeat(values[points], 2)
         offsets = np.tile([-delta, delta], len(points))
         counts, undecided = _count_above(tables, denominator, owners, centres, offsets)
-        upper = big_n[points] - index[points]
+        upper = big_n[points // width] - points % width
         for plus in (0, 1):  # point 2j is l_j - delta, point 2j + 1 is l_j + delta
             for j in undecided[undecided % 2 == plus].tolist():
                 if not plus or counts[j - 1] >= upper[j // 2] + 1:
@@ -419,8 +410,7 @@ def _certify(tables: Sequence[Sequence[int]], denominator: int,
     recounted = np.flatnonzero(finite & mirrored & ~certified)
     if recounted.size:
         certified[recounted] = holds(recounted)
-    flags = certified.tolist()
-    return [tuple(flags[start:start + size]) for start, size in zip(starts.tolist(), sizes.tolist())]
+    return certified.reshape(rows.shape)
 
 
 def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bool, ...]:
@@ -440,17 +430,10 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     tolerance that is not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
-    return _certify((_phi_table(spectrum),), _phi_denominator(spectrum.ratio),
-                    (spectrum.eigenvalues,), tolerance)[0]
-
-
-def _phi_table(spectrum: AngularSpectrum) -> tuple[int, ...]:
-    """`spectrum.numerators`, checked to be N+2 long: ShapeMismatchError otherwise."""
-    table, size = spectrum.numerators, spectrum.label.N + 2
-    if len(table) != size:
-        raise ShapeMismatchError(f"the Phi table of {spectrum.label} must be {size} long, "
-                                 f"got {len(table)}")
-    return table
+    row = np.array([spectrum.eigenvalues], dtype=float)
+    return tuple(_certify((_phi_table(spectrum.label, spectrum.numerators),),
+                          _phi_denominator(spectrum.ratio), np.array([row.shape[-1] - 1]), row,
+                          tolerance)[0].tolist())
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from operator import eq, mul, truediv
 import numpy as np
 
 from .representation import IrrepMatrices, IrrepStack, VerificationReport, _Columns
-from .representation import _LABEL, _first_report
+from .representation import _first_report
 
 __all__ = ["oracle_compare"]
 
@@ -96,13 +96,12 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     must be 0.0.  The raise and lower weights, per irrep, multiply x-mode tables
     by p and y-mode tables by q, each built once per stack.
     """
-    ratio, labels = stack.ratio, stack.labels
+    ratio = stack.ratio
     m, n, den = ratio.m, ratio.n, ratio.m**ratio.m * ratio.n**ratio.n
     # 4mn S0 = 2mn (U - W) and 2mn H = 2mn (U + W) are integers on every state
     s0_den, h_den = 4 * m * n, 2 * m * n
-    big_n, p, q = np.array([*map(_LABEL, labels)]).T[..., None]
-    k = np.arange(stack.s0_band.shape[-1])
-    real = k <= big_n  # each row's members, before its padding
+    big_n, p, q, real = stack.big_n[:, None], stack.p[:, None], stack.q[:, None], stack.real
+    k = np.arange(real.shape[-1])
     n_x, n_y = p - 1 + k * m, (big_n - k) * n + q - 1
     s0_num = n * (2 * n_x + 1) - m * (2 * n_y + 1)
     h_num = n * (2 * n_x + 1) + m * (2 * n_y + 1)
@@ -118,13 +117,14 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     # Y(j) = n_y ... (n_y - n + 1) and (n_y + 1)...(n_y + n) at n_y = j n + q - 1, by q
     steps = range(len(k))
     x_raise, x_lower = ({v: [math.perm(v - 1 + j * m + shift, m) for j in steps]
-                         for v in set(p.ravel().tolist())} for shift in (m, 0))
+                         for v in set(stack.p.tolist())} for shift in (m, 0))
     y_raise, y_lower = ({v: [math.perm(j * n + v - 1 + shift, n) for j in steps]
-                         for v in set(q.ravel().tolist())} for shift in (0, n))
+                         for v in set(stack.q.tolist())} for shift in (0, n))
     plus, minus, weights = [], [], []  # weights: the Fock P_1..P_N of each irrep, back to back
-    for label, phi in zip(labels, stack.numerators):
-        raises = [*map(mul, x_raise[label.p][:label.N + 1], y_raise[label.q][label.N::-1])]
-        lowers = [*map(mul, x_lower[label.p][:label.N + 1], y_lower[label.q][label.N::-1])]
+    for last, p_i, q_i, phi in zip(stack.big_n.tolist(), stack.p.tolist(), stack.q.tolist(),
+                                   stack.numerators):  # last: the irrep's N
+        raises = [*map(mul, x_raise[p_i][:last + 1], y_raise[q_i][last::-1])]
+        lowers = [*map(mul, x_lower[p_i][:last + 1], y_lower[q_i][last::-1])]
         plus.append(raises == [*phi[1:]])
         minus.append(lowers == [*phi[:-1]])
         weights += raises[:-1]
@@ -137,8 +137,9 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     inside = (t >= 2.0**-1022) & (band == np.sqrt(t))
     for j in np.flatnonzero(~inside).tolist():
         inside[j] = _within_one_ulp(float(band[j]), weights[j], den)
-    outside = np.bincount(np.repeat(np.arange(len(labels)), big_n.ravel())[~inside],
-                          minlength=len(labels))  # entries outside 1 ulp, per irrep
+    irreps = len(stack.big_n)
+    outside = np.bincount(np.repeat(np.arange(irreps), stack.big_n)[~inside],
+                          minlength=irreps)  # entries outside 1 ulp, per irrep
     plus &= (outside == 0) & ~np.any((s_plus != 0) & ~real[:, 1:], axis=-1)
     return {}, {"s0": s0_ok.tolist(), "s_plus": plus.tolist(), "s_minus": minus,
                 "h": h_ok.tolist()}

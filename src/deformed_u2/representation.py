@@ -49,7 +49,6 @@ __all__ = [
 
 IDENTITY_TOL = 1e-10
 _BANDS = ("s0_band", "s_plus_band", "h_band")  # the fields of one irrep's bands
-_LABEL = attrgetter("N", "p", "q")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +125,14 @@ def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
                   tables: Iterable[tuple[int, ...]]) -> np.ndarray:
     """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `labels`, irreps of `ratio`, one after
     another, each the root of a correctly rounded P_k / D of its table P_0..P_{N+1} in
-    `tables`.  The tables are read in order, one per label, and the first Phi(k) beyond
-    float range raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal
-    exponent, read from the bit lengths of P_k and D."""
+    `tables`, or, if that quotient is below 2^-1022, 2^-j times the root of a normal P_k 4^j / D.
+    The tables are read in order, one per label, and the first Phi(k) beyond float range
+    raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal exponent, read
+    from the bit lengths of P_k and D."""
     denominator, (tables, read) = _phi_denominator(ratio), tee(tables)
     try:
-        return np.sqrt([*map(truediv, chain.from_iterable(map(itemgetter(slice(1, -1)), tables)),
-                             repeat(denominator))])
+        quotients = np.array([*map(truediv, chain.from_iterable(
+            map(itemgetter(slice(1, -1)), tables)), repeat(denominator))])
     except OverflowError:
         for label, table in zip(labels, read):  # only the tables the map reached
             for k, value in enumerate(table[1:-1], 1):
@@ -144,6 +144,12 @@ def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
                         f"Phi({k}) of {label} of the {ratio} oscillator is about 1e{exponent}, "
                         f"beyond float range: the S+ entry sqrt(Phi({k})) cannot be a float"
                     ) from None
+    roots, tiny = np.sqrt(quotients), np.flatnonzero(quotients < 2.0**-1022).tolist()
+    values = [*chain.from_iterable(map(itemgetter(slice(1, -1)), read))] if tiny else []
+    for j in (j for j in tiny if values[j] > 0):  # P_k 4^j / D is near 1, so normal
+        shift = (denominator.bit_length() - values[j].bit_length() + 1) // 2
+        roots[j] = math.ldexp(math.sqrt((values[j] << 2 * shift) / denominator), -shift)
+    return roots
 
 
 def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
@@ -161,19 +167,29 @@ def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepStack:
-    """Irreps of one ratio as columns: each irrep's label, Phi table, 4mn u and 2mn E, and its
-    bands stacked on a leading axis and zero-padded to the widest, so irrep i's S0 band is
-    `s0_band[i, :labels[i].N + 1]`.  The float checks run on stacks, and map the 0.0 padding
+    """Irreps of one ratio as columns: each irrep's label, N, p, q, Phi table, 4mn u and 2mn E,
+    and its bands stacked on a leading axis and zero-padded to the widest.  The kernels read
+    each irrep's shape off `big_n` and the row mask `real` alone, so irrep i's S0 band is
+    `s0_band[i, real[i]]`; `labels` only names irreps.  The float checks map the 0.0 padding
     to 0.0, so each irrep's maxima are its own."""
 
     ratio: FrequencyRatio
     labels: tuple[IrrepLabel, ...]
+    big_n: np.ndarray  # (irreps,) ints: each irrep's N
+    p: np.ndarray  # (irreps,) ints
+    q: np.ndarray  # (irreps,) ints
     numerators: tuple[tuple[int, ...], ...]  # P_0, ..., P_{N+1}: Phi(k) = P_k / m^m n^n
     scaled_u: tuple[int | Fraction, ...]  # 4mn u (`_scaled_u`); `Fraction`s from `of`
     energy_keys: tuple[int | Fraction, ...]  # 2mn E (`_energy_key`); likewise
     s0_band: np.ndarray  # (irreps, width)
     s_plus_band: np.ndarray  # (irreps, width - 1)
     h_band: np.ndarray  # (irreps, width)
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        """Whether entry k of each S0 or H row is its irrep's (k <= N), not padding; `real[:, 1:]`
+        is S+'s."""
+        return np.arange(self.s0_band.shape[-1]) <= self.big_n[:, None]
 
     @classmethod
     def of(cls, rep: IrrepMatrices) -> IrrepStack:
@@ -184,12 +200,18 @@ class IrrepStack:
         if shapes != [(dim,), (dim - 1,), (dim,)]:
             raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1} "
                                      f"and {dim} long, got shapes {shapes}")
-        if len(rep.numerators) != dim + 1:
-            raise ShapeMismatchError(f"the Phi table of {rep.label} must be {dim + 1} long, "
-                                     f"got {len(rep.numerators)}")
-        scale = 4 * rep.ratio.m * rep.ratio.n
-        return cls(rep.ratio, (rep.label,), (rep.numerators,), (rep.u * scale,),
+        scale, label = 4 * rep.ratio.m * rep.ratio.n, rep.label
+        return cls(rep.ratio, (label,), *np.array([[label.N], [label.p], [label.q]]),
+                   (_phi_table(label, rep.numerators),), (rep.u * scale,),
                    (rep.energy * (scale // 2),), *(band[None] for band in bands))
+
+
+def _phi_table(label: IrrepLabel, table: Sequence[int]) -> Sequence[int]:
+    """`table`, the Phi table of `label`, checked to be N+2 long: ShapeMismatchError otherwise."""
+    if len(table) != label.N + 2:
+        raise ShapeMismatchError(f"the Phi table of {label} must be {label.N + 2} long, "
+                                 f"got {len(table)}")
+    return table
 
 
 def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepStack:
@@ -198,16 +220,18 @@ def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepSt
     in one pass.  S0's entries (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the int columns
     `_scaled_u` and `_energy_key`, are numpy quotients of ints at most 6mn (N+1) in size, far
     below 2^53, so each is correctly rounded."""
-    scale, (big_n, p, q) = 4 * ratio.m * ratio.n, np.array([*map(_LABEL, labels)]).T
-    real = np.arange(big_n.max() + 1) <= big_n[:, None]  # each row's entries, before its padding
-    s_plus = np.zeros((len(labels), real.shape[-1] - 1))
+    scale = 4 * ratio.m * ratio.n
+    big_n, p, q = np.array([*map(attrgetter("N", "p", "q"), labels)]).T
     tables, numerators = tee(_phi_numerators(ratio, labels))
-    s_plus[real[:, 1:]] = _offdiagonals(ratio, labels, tables)
+    offdiagonals = _offdiagonals(ratio, labels, tables)
     scaled_u, energy_keys = _scaled_u(ratio, big_n, p, q), _energy_key(ratio, big_n, p, q)
-    s0 = np.where(real, (scaled_u[:, None] + scale * np.arange(real.shape[-1])) / scale, 0.0)
-    h = np.where(real, energy_keys[:, None] / (scale // 2), 0.0)
-    return IrrepStack(ratio, tuple(labels), tuple(numerators), tuple(scaled_u.tolist()),
-                      tuple(energy_keys.tolist()), s0, s_plus, h)
+    s0, s_plus, h = np.zeros((3, len(labels), big_n.max() + 1))  # S+'s rows are one shorter
+    stack = IrrepStack(ratio, tuple(labels), big_n, p, q, tuple(numerators),
+                       tuple(scaled_u.tolist()), tuple(energy_keys.tolist()), s0, s_plus[:, 1:], h)
+    stack.s_plus_band[stack.real[:, 1:]] = offdiagonals
+    np.divide(scaled_u[:, None] + scale * np.arange(s0.shape[-1]), scale, out=s0, where=stack.real)
+    np.divide(energy_keys[:, None], scale // 2, out=h, where=stack.real)
+    return stack
 
 
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
@@ -280,7 +304,7 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     return _first_report("algebra", _algebra_reports(stack, proven), tolerance)
 
 
-def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns:
+def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
     """`verify_algebra`'s columns on every irrep of `stack`.  Irrep i holds the ladder identity,
     with the P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k
     are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
@@ -288,22 +312,21 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool] = ()) -> _Columns
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and polynomial._proven
     known = np.array(proven if identity else [False] * len(stack.labels), dtype=bool)
-    width, scale = stack.s0_band.shape[-1], 4 * stack.ratio.m * stack.ratio.n
+    scale, lengths = 4 * stack.ratio.m * stack.ratio.n, stack.big_n + 2
     column = [*chain.from_iterable(stack.numerators)]  # table i: column[starts[i]:ends[i] + 1]
-    lengths = np.fromiter(map(len, stack.numerators), int, len(stack.labels))
     ends = np.cumsum(lengths) - 1
     starts, zero = ends + 1 - lengths, np.fromiter(map(not_, column), bool, len(column))
     low = np.cumsum([0, *map(le, column, repeat(0))])  # low[j]: the entries <= 0 before j
     boundary, positive = zero[starts] & zero[ends], low[ends] == low[starts + 1]
     # poly(E, u + k) = (P_{k+1} - P_k) / D, k = 0..N, read off the column on proven irreps
-    ladder_targets, taken = np.zeros((len(lengths), width)), np.repeat(known, lengths)
+    ladder_targets, taken = np.zeros(stack.s0_band.shape), np.repeat(known, lengths)
     taken[ends] = False  # the step from one table's P_{N+1} to the next one's P_0
     targets = map(truediv, compress(map(sub, column[1:], column), taken.tolist()), repeat(phi_den))
-    ladder_targets[(np.arange(width) < lengths[:, None] - 1) & known[:, None]] = [*targets]
-    difference = known.copy()
+    ladder_targets[stack.real & known[:, None]] = [*targets]
+    difference, sizes = known.copy(), (stack.big_n + 1).tolist()
     for i in np.flatnonzero(~known).tolist():
         # poly(E, u + k) = ladder[k] / ladder_den, k = 0..N, and Phi(k) = phi[k] / phi_den
-        phi, dim = stack.numerators[i], stack.labels[i].N + 1
+        phi, dim = stack.numerators[i], sizes[i]
         ladder, ladder_den = polynomial._scaled_values(
             Fraction(stack.energy_keys[i], scale // 2), Fraction(stack.scaled_u[i], scale), dim)
         ladder_targets[i, :dim] = [v / ladder_den for v in ladder]
@@ -358,11 +381,10 @@ def _w32_reports(stack: IrrepStack, rho: float | None = None,
         raise ValueError(f"need finite rho, sigma with rho*sigma = 4/3, got {rho}, {sigma}")
 
     # (-(4/9) H) H + Id/4, with no 1/4 on the padding
-    real = np.arange(stack.h_band.shape[-1]) < [[label.N + 1] for label in stack.labels]
     with np.errstate(invalid="ignore"):  # an inf in a band makes a NaN, which fails the gate
         f_w, e_w = sigma * stack.s_plus_band, rho * stack.s_plus_band
         h_w = -2.0 * stack.s0_band + stack.h_band / 3.0
-        c_w = -(4.0 / 9.0) * stack.h_band * stack.h_band + np.where(real, 0.25, 0.0)
+        c_w = -(4.0 / 9.0) * stack.h_band * stack.h_band + np.where(stack.real, 0.25, 0.0)
         residuals = {
             "commutator_hw_ew": _residual(_commutator(h_w, e_w, 1), 2.0 * e_w),
             "commutator_hw_fw": _residual(_commutator(h_w, f_w, -1), -2.0 * f_w),

@@ -1,29 +1,23 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
-A sweep's one record is an `IrrepStack` (`representation._build_stack`): each
-irrep's label, integer Phi table, 4mn u and 2mn E as ints, and zero-padded
-bands, each band filled in one pass and every Phi table read off x-mode and
-y-mode tables built once per sweep.  Only the 1:n split builds a per-irrep
-object, each irrep's `StructureFunction`.  The algebra relations, the oracle's
-band reads and, for 1:2, the W_3^(2) relations run once on the stack, by the
-kernels the one-irrep functions run, each returning one column per check; the
-oracle runs first, and each irrep it passes takes its ladder identity from one
-proof of the commutator per sweep.  Of the eigen stage, only the work that
-needs one N's shape runs once per N, on the stack's S+ band: `eigh`, the
-eigenvector residuals, the dense `eigvalsh` and the Gram matrix.  It fills
-(irreps, N_max+1) columns, zero-padded past each irrep's N+1 entries, of the
-eigenvalues, the dense eigenvalues, the w_0 components and the residuals, and
-drops each N's eigenvectors at the next N.  The refusals and the reductions to
-`method_agreement`, `spectrum_symmetry` and `eigenvector_residual` run once,
-on those columns, and build no `AngularSpectrum`.  The Sturm certificate runs
-once per sweep, after the last eigensolve, on the stack's Phi tables: one
-float-interval pass counts every point of every irrep, and the points it
-cannot decide are counted exactly.  The `SuiteReport` holds the
-columns, the eigen residuals and failure counts among them, and each energy as
-a `Fraction` of the E column; it builds no per-irrep report unless its
-`irreps` is read.  Identity residuals are gated at the identity tolerance, the
-eigen class at 10x it, every exact check, the oracle's included, must hold,
-and every eigenvalue must be certified within the eigen tolerance.
+A sweep's one record is an `IrrepStack` (`representation._build_stack`): the
+irreps' labels, N, p and q columns, integer Phi tables, 4mn u and 2mn E, and
+bands zero-padded to N_max+1, each filled in one pass.  Padded rows beside the
+N column and its row mask are the one row format every kernel of the sweep
+reads.  The oracle, the algebra relations and, for 1:2, the W_3^(2) relations
+run once on the stack, each returning one column per check; each irrep the
+oracle passes takes its ladder identity from one proof of the commutator per
+sweep.  Only the eigen work that needs one N's shape runs once per N, on the
+stack's S+ band: `eigh`, the eigenvector residuals, the dense `eigvalsh` and
+the Gram matrix, whose eigenvectors are never signed and go at the next N.  It
+fills padded (irreps, N_max+1) columns, and the separation refusal, the
+reductions and the Sturm certificate run once on them: one float-interval pass
+counts every point of the sweep, and the points it cannot decide are counted
+exactly.  Only the 1:n split builds a per-irrep object.  The `SuiteReport`
+holds the columns, and each energy as a `Fraction` of the E column.  Identity
+residuals are gated at the identity tolerance, the eigen class at 10x it,
+every exact check, the oracle's included, must hold, and every eigenvalue must
+be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -152,7 +146,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
 
     # each irrep's row of these (irreps, N_max+1) columns holds its N+1 entries, then 0.0
     values = np.zeros((len(labels), n_max + 1))
-    dense, firsts, errors = np.zeros((3, len(labels), n_max + 1))
+    dense, errors = np.zeros((2, len(labels), n_max + 1))
     orthonormality = np.empty(len(labels))
     phases, identity = _phases(n_max + 1), np.eye(n_max + 1)  # each N reads its corner
     solved, mn = 0, ratio.m * ratio.n  # solved: the irreps whose eigh has run
@@ -161,7 +155,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
             rows, size = slice(big_n * mn, (big_n + 1) * mn), big_n + 1
             offdiag = stack.s_plus_band[rows, :big_n]
             eigs, vectors = _eigensolve(offdiag)
-            values[rows, :size], firsts[rows, :size] = eigs, vectors[:, 0]
+            values[rows, :size] = eigs
             solved = rows.stop
             errors[rows, :size] = _residuals(offdiag, vectors, eigs)
             dense[rows, :size] = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy has it
@@ -169,10 +163,9 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
             gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
             orthonormality[rows] = np.abs(gram - identity[:size, :size]).max(axis=(-2, -1))
     finally:  # the first refused irrep, in label order, wins over a later N's failure
-        _refuse(ratio, labels[:solved], values[:solved], firsts[:solved])
-    sizes = np.array([label.N + 1 for label in labels])
+        _refuse(ratio, stack.labels[:solved], stack.big_n[:solved], values[:solved])
     index = np.arange(n_max + 1)
-    mirror = np.where(index < sizes[:, None], sizes[:, None] - 1 - index, index)  # i -> N-i
+    mirror = np.where(stack.real, stack.big_n[:, None] - index, index)  # i -> N-i
     mirrored = np.take_along_axis(values, mirror, axis=-1)  # l_{N-i}, and 0.0 past N
     residuals |= {"method_agreement": np.max(np.abs(values - dense), axis=-1),
                   "spectrum_symmetry": np.max(np.abs(values + mirrored), axis=-1),
@@ -180,13 +173,12 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                   "orthonormality": orthonormality}
     residuals |= {f"w32_{key}": column for key, column in w32.items()}
     # the certificate sets the peak: keep only values
-    del offdiag, eigs, vectors, amplitudes, gram, dense, firsts, errors, mirror, mirrored
+    del offdiag, eigs, vectors, amplitudes, gram, dense, errors, mirror, mirrored
 
     exact = [*algebra_checks.values(), *oracle_checks.values()]
-    eigenvalues = [row[:size] for row, size in zip(values, sizes.tolist())]
-    certified = _certify(stack.numerators, _phi_denominator(ratio), eigenvalues, eigen_tol)
+    certified = _certify(stack.numerators, _phi_denominator(ratio), stack.big_n, values, eigen_tol)
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
-                "eigen_certificate_failures": np.array([flags.count(False) for flags in certified])}
+                "eigen_certificate_failures": np.sum(stack.real & ~certified, axis=-1)}
     if ratio.m == 1:
         failures["parafermionic_failures"] = np.array(
             [not parafermionic_decompose(StructureFunction(label, ratio)).positive

@@ -226,7 +226,7 @@ class TestEigenvalues:
 def solve_and_refuse(ratio, labels, offdiag):
     """The eigen kernel on the irreps `labels` of one N: its solve, then its refusals."""
     values, vectors = angular._eigensolve(offdiag)
-    angular._refuse(ratio, labels, values, vectors[:, 0])
+    angular._refuse(ratio, labels, np.array([label.N for label in labels]), values)
 
 
 class TestEigenvectors:

@@ -372,6 +372,13 @@ class TestStackedKernel:
         assert _oracle_reports(stack) == ({}, list_reference(stack))
         assert len(calls) == len(subnormal)
 
+    def test_a_subnormal_quotient_still_builds_an_entry_within_one_ulp(self):
+        # Phi(1) of (1, 1, 1) is 1.4e-311: its S+ entry is the root of P_1 4^j / D, scaled back
+        ratio = FrequencyRatio(*SUBNORMAL_RATIO)
+        assert oracle_compare(build_irrep(IrrepLabel(1, 1, 1), ratio)).passed
+        checks = _oracle_reports(_build_stack(ratio, subnormal_labels(3)))[1]
+        assert all(all(column) for column in checks.values())
+
 
 def count_exact_tests(monkeypatch):
     """The arguments of every `_within_one_ulp` call the oracle makes, as a list."""

@@ -211,7 +211,7 @@ def test_mutants_fail_the_checks_the_horner_route_fails(monkeypatch, mutant, m, 
     apply_mutant(monkeypatch, mutant)
     report = run_suite(ratio, 3)
     algebra = suite._algebra_reports
-    monkeypatch.setattr(suite, "_algebra_reports", lambda stack, proven=(): algebra(stack))
+    monkeypatch.setattr(suite, "_algebra_reports", lambda stack, proven: algebra(stack, ()))
     horner = run_suite(ratio, 3)
     counts = [irrep.failures["exact_check_failures"] for irrep in report.irreps]
     assert counts == [irrep.failures["exact_check_failures"] for irrep in horner.irreps]
@@ -279,8 +279,8 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
                 stack.h_band[i, 0] = math.nan
         return stack
 
-    def swapped_pair(ratio, labels, values, firsts):  # past the refusals and the residuals
-        refuse(ratio, labels, values, firsts)
+    def swapped_pair(ratio, labels, big_n, values):  # past the refusals and the residuals
+        refuse(ratio, labels, big_n, values)
         for i, label in enumerate(labels):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
@@ -362,8 +362,8 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     refuse = suite._refuse
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(ratio, labels, values, firsts):  # past the refusals and the residuals
-        refuse(ratio, labels, values, firsts)
+    def swapped_pair(ratio, labels, big_n, values):  # past the refusals and the residuals
+        refuse(ratio, labels, big_n, values)
         for i, label in enumerate(labels):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
@@ -444,6 +444,21 @@ def test_a_later_failure_does_not_pre_empt_a_refusal(monkeypatch):
         run_suite(FrequencyRatio(2, 3), 5)
 
 
+def test_an_underflowed_w_0_is_not_refused(monkeypatch):
+    # the sweep never signs its eigenvectors, so a w_0 of 0.0 decides nothing in it
+    eigensolve = suite._eigensolve
+
+    def zero_w_0(offdiag):
+        values, vectors = eigensolve(offdiag)
+        if offdiag.shape[-1] == 2:
+            vectors[0, 0, 1] = 0.0  # irrep (2, 1, 1), eigenvector 1
+        return values, vectors
+
+    monkeypatch.setattr(suite, "_eigensolve", zero_w_0)
+    report = run_suite(FrequencyRatio(2, 3), 3)
+    assert report.worst_irrep("eigenvector_residual") == IrrepLabel(2, 1, 1)
+
+
 def test_rejects_negative_n_max():
     with pytest.raises(ValueError, match="n_max"):
         run_suite(FrequencyRatio(1, 2), -1)
@@ -483,10 +498,10 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
             tables[label] = table
         return stack
 
-    def checking_certify(numerators, denominator, rows, tolerance):
+    def checking_certify(numerators, denominator, big_n, rows, tolerance):
         for label, table in zip(labels_of(ratio, 4), numerators, strict=True):
             assert table is tables[label]
-        return certify(numerators, denominator, rows, tolerance)
+        return certify(numerators, denominator, big_n, rows, tolerance)
 
     # the stack's route and `StructureFunction.numerators`' route are both counted
     monkeypatch.setattr(representation, "_phi_numerators", counting_numerators)

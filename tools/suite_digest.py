@@ -3,7 +3,8 @@
     python tools/suite_digest.py SRC_DIR
 
 imports `deformed_u2` from SRC_DIR, runs `run_suite` on every sweep of the set
-and prints `<sweeps> <irreps> <records> <sha256> <spectra> <hints> <sha256>`.
+and prints `<sweeps> <irreps> <records> <sha256> <spectra> <hints> <sha256>
+<sha256>`.
 The first hash covers the sweeps and reports: for each irrep, its label, its
 energy, every residual key with the `float.hex()` of its value, and its failure
 counts, and for each sweep whether it passed and its commutator.  It also
@@ -16,8 +17,11 @@ gives each eigenvalue's hint, `<hints>` of them not None, to the second hash:
 every irrep of that first group, and every label of 1:1 at N = 150, 1:2 at
 N = 90, 2:3 at N = 60 and 3:5 at N = 56 (`HINT_LEVELS`), whose spectra hold
 many closed forms and many near misses.  So a change to the hints alone moves
-the second hash alone.  Two checkouts print the same line when their results
-are bitwise identical:
+the second hash alone.  The third hash holds `certify_eigenvalues` on each of
+those spectra at 1e-9 and at TIGHT_TOL (`CERTIFY_TOLS`), the public route to
+the certificate kernel that `run_suite` runs on whole sweeps; at TIGHT_TOL
+thousands of values fail, so uncertified flags are covered too.  Two checkouts
+print the same line when their results are bitwise identical:
 
     python tools/suite_digest.py old/src
     python tools/suite_digest.py new/src
@@ -73,6 +77,8 @@ MUTANT_SWEEPS = [(1, 1, 3), (1, 2, 3), (2, 3, 3)]
 MUTANT_LABEL = (2, 1, 1)
 # every label of one N, hinted beside the irreps of ONE_IRREP_SWEEPS
 HINT_LEVELS = [(1, 1, 150), (1, 2, 90), (2, 3, 60), (3, 5, 56)]
+# the tolerances at which every hinted spectrum is certified
+CERTIFY_TOLS = (1e-9, TIGHT_TOL)
 
 
 def main() -> None:
@@ -82,8 +88,8 @@ def main() -> None:
     sys.path.insert(0, str(src))
     import deformed_u2
     from deformed_u2 import FrequencyRatio, IrrepLabel, angular_eigenvalues, build_irrep
-    from deformed_u2 import exact_hints, oracle_compare, representation, suite, verify_algebra
-    from deformed_u2 import w32_check
+    from deformed_u2 import certify_eigenvalues, exact_hints, oracle_compare, representation
+    from deformed_u2 import suite, verify_algebra, w32_check
     from deformed_u2.suite import run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
@@ -140,18 +146,21 @@ def main() -> None:
                 for part in (rep.label, report.name, residuals, report.exact_checks):
                     digest.update(repr(part).encode("utf-8") + b"\0")
             records += len(checks)
-    spectra, hinted_values, hint_digest = 0, 0, hashlib.sha256()
+    spectra, hinted_values, hint_digest, flag_digest = 0, 0, hashlib.sha256(), hashlib.sha256()
     hinted = [(m, n, range(n_max + 1)) for m, n, n_max in ONE_IRREP_SWEEPS]
     for m, n, sizes in hinted + [(m, n, [big_n]) for m, n, big_n in HINT_LEVELS]:
         ratio = FrequencyRatio(m, n)
         for big_n, p, q in product(sizes, range(1, m + 1), range(1, n + 1)):
             label = IrrepLabel(big_n, p, q)
-            hints = exact_hints(angular_eigenvalues(label, ratio))
+            spectrum = angular_eigenvalues(label, ratio)
+            hints = exact_hints(spectrum)
             hint_digest.update(repr((m, n, label, hints)).encode("utf-8") + b"\0")
+            flags = [certify_eigenvalues(spectrum, tolerance) for tolerance in CERTIFY_TOLS]
+            flag_digest.update(repr((m, n, label, flags)).encode("utf-8") + b"\0")
             hinted_values += sum(hint is not None for hint in hints)
             spectra += 1
     print(len(runs), irreps, records, digest.hexdigest(), spectra, hinted_values,
-          hint_digest.hexdigest())
+          hint_digest.hexdigest(), flag_digest.hexdigest())
 
 
 if __name__ == "__main__":

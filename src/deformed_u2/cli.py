@@ -4,11 +4,14 @@ Four subcommands cover the toolkit: `spectrum` (level tables), `irrep`
 (one representation in full), `angular` (the angular-momentum eigenbasis
 of one irrep) and `verify` (the whole identity suite up to a given N).
 Output formats are table (default), json and csv; exact rationals are
-serialized as "num/den" strings and decimals are 12-significant-digit
-renderings only.  Every command writes its report through `_report`, each
-flat list of records as a `_Table` of columns, whose rows the JSON writer
-fills into one `%` template.  Exit codes: 0 success, 1 verification failure,
-2 usage/input error, including an --output that cannot be written.
+serialized as "num/den" strings, energies straight from their int keys 2mn E
+(`_energy_texts`), and decimals are 12-significant-digit renderings only: the
+cell `format(v, ".12g")` in a table or csv, its float in JSON.  Every command
+writes its report through `_report`, each flat list of records as a `_Table`
+of columns, whose rows the JSON writer fills into one `%` template; a column
+of decimals goes in as the JSON texts of its cells (`_Numbers`).  Exit codes:
+0 success, 1 verification failure, 2 usage/input error, including an
+--output that cannot be written.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from operator import truediv
+from operator import mod, truediv
 from pathlib import Path
 
 import click
@@ -64,9 +67,47 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _cells(values: Iterable[float]) -> list[str]:
+    """The 12-significant-digit text of each value, as `_fmt` writes it: one table or csv
+    cell.  One `%` call writes them all, each followed by a comma, which no cell holds."""
+    values = tuple(values)
+    return (("%.12g," * len(values)) % values).split(",")[:-1]
+
+
 def _decimals(values: Iterable[float]) -> list[float]:
-    """Fixed 12-significant-digit renderings of the values, for deterministic output."""
-    return list(map(float, map(format, values, repeat(".12g"))))
+    """The float of each value's cell (`_cells`), for the dicts and lists of a document."""
+    return list(map(float, _cells(values)))
+
+
+# json.dumps' texts of the non-finite floats, by their cells
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Numbers(list):
+    """A `_Table` column of JSON number texts, which its records hold as they are."""
+
+    __slots__ = ()
+
+
+def _numbers(cells: Iterable[str]) -> _Numbers:
+    """The JSON text json.dumps(float(t)) of each cell t (`_cells`): t when it holds "."
+    and no "e", repr(float(t)) for an exponent form, t + ".0" for a signed digit string,
+    and NaN, Infinity or -Infinity for a non-finite value."""
+    return _Numbers([
+        t if "." in t and "e" not in t
+        else _NON_FINITE.get(t) or (repr(float(t)) if "e" in t else t + ".0")
+        for t in cells])
+
+
+def _energy_texts(keys: Sequence[int], scale: int) -> list[str]:
+    """str(Fraction(key, scale)) of each int key: key / scale in lowest terms, or the
+    numerator alone when that denominator is 1.  g = gcd(key, scale) is gcd(key mod
+    scale, scale), so it is found once per residue class."""
+    classes = {}
+    for residue in set(map(mod, keys, repeat(scale))):
+        g = math.gcd(residue, scale)
+        classes[residue] = g, "" if g == scale else f"/{scale // g}"
+    return [f"{key // g}{tail}" for key in keys for g, tail in [classes[key % scale]]]
 
 
 def _reachable(compute, *args):
@@ -146,7 +187,8 @@ def _column(column: Sequence, depth: int) -> tuple[str, Iterable]:
     """The template field of a column of records at depth - 1 and the values it takes,
     encoded in C when all have one exact type: `%r` for ints and finite floats, one map
     of `encode_basestring_ascii` for strs.  Any other column (bool, None, NaN, +-inf,
-    mixed types, subclasses) goes value by value through `_json_text`."""
+    mixed types, subclasses) goes value by value through `_json_text`.  `_records`
+    writes a `_Numbers` column itself."""
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is int or kind is float and all(map(math.isfinite, column)):
@@ -163,14 +205,17 @@ _CHUNK = 256
 def _records(table: _Table, depth: int) -> list[str]:
     """The texts of the table's records at depth, each `_CHUNK` records joined by their
     list's item separator.  Each chunk builds one `%` template of a record from the keys
-    and its columns' fields (`_column`), and fills it with each row of its columns."""
+    and its columns' fields, `%s` for a `_Numbers` column's texts and `_column`'s for any
+    other, and fills it with each row of its columns."""
     outer, inner = "  " * depth, "  " * (depth + 1)
     keys = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in table.columns]
     columns = table.columns.values()
+    numbers = [type(column) is _Numbers for column in columns]
     texts = []
     for start in range(0, min(map(len, columns), default=0), _CHUNK):
-        fields, values = zip(*[_column(column[start:start + _CHUNK], depth + 1)
-                               for column in columns])
+        chunks = [column[start:start + _CHUNK] for column in columns]
+        fields, values = zip(*[("%s", chunk) if is_numbers else _column(chunk, depth + 1)
+                               for is_numbers, chunk in zip(numbers, chunks)])
         members = (",\n" + inner).join(map(str.__add__, keys, fields))
         template = f"{{\n{inner}{members}\n{outer}}}"
         texts.append((",\n" + outer).join(map(template.__mod__, zip(*values))))
@@ -306,19 +351,18 @@ def main():
 def spectrum(ratio, count, fmt, output):
     """List the lowest COUNT energy levels with labels and degeneracies."""
     scale = 2 * ratio.m * ratio.n
-    keys, big_ns, ps, qs = zip(*_level_keys(ratio, count))
-    # E = key / scale in lowest terms, as str(Fraction(key, scale)) writes it; int
-    # true division is correctly rounded, so each decimal rounds the float of its E
+    keys, big_ns, ps, qs = _level_keys(ratio, count)
+    # int true division is correctly rounded, so each decimal rounds the float of its E
+    cells = _cells(map(truediv, keys, repeat(scale)))
     columns = {
-        "energy": [f"{key // g}/{scale // g}" if g != scale else str(key // g)
-                   for key, g in zip(keys, map(math.gcd, keys, repeat(scale)))],
-        "decimal": _decimals(map(truediv, keys, repeat(scale))),
+        "energy": _energy_texts(keys, scale),
+        "decimal": _numbers(cells),
         "N": big_ns,
         "p": ps,
         "q": qs,
         "degeneracy": [big_n + 1 for big_n in big_ns],
     }
-    rows = zip(columns["energy"], map(_fmt, columns["decimal"]),
+    rows = zip(columns["energy"], cells,
                *(map(str, columns[key]) for key in ("N", "p", "q", "degeneracy")))
     _report(ratio, "spectrum", fmt, output, _Table(columns), {}, list(columns), rows)
 
@@ -394,7 +438,8 @@ def angular(ratio, big_n, p, q, fmt, output):
     for marker, value, hint, column, amplitudes, re, im in zip(
         spec.markers, _decimals(spec.eigenvalues), exact_hints(spec),
         map(_decimals, coefficients.T.tolist()), vectors.tolist(),
-        map(_decimals, vectors.real.tolist()), map(_decimals, vectors.imag.tolist()),
+        map(_numbers, map(_cells, vectors.real.tolist())),
+        map(_numbers, map(_cells, vectors.imag.tolist())),
     ):
         records.append(
             {
@@ -443,8 +488,8 @@ def verify(ratio, n_max, fmt, tol, output):
         "N": [label.N for label in labels],
         "p": [label.p for label in labels],
         "q": [label.q for label in labels],
-        "energy": list(map(str, report.energies)),
-        "max_residual": _decimals(report.max_residuals.tolist()),
+        "energy": _energy_texts(report.energy_keys, 2 * ratio.m * ratio.n),
+        "max_residual": _numbers(_cells(report.max_residuals.tolist())),
         "exact_check_failures": report.failure_columns["exact_check_failures"].tolist(),
     })
     summary = {

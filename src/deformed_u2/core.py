@@ -190,8 +190,9 @@ def irrep_members(label: IrrepLabel, ratio: FrequencyRatio) -> tuple[CartesianSt
                  for k in range(label.N + 1))
 
 
-def _level_keys(ratio: FrequencyRatio, count: int) -> list[tuple[int, int, int, int]]:
-    """The lowest `count` labels as ints `(2mn E, N, p, q)`, in strictly ascending energy.
+def _level_keys(ratio: FrequencyRatio, count: int) -> tuple[list[int], ...]:
+    """The lowest `count` labels as four int columns `(2mn E, N, p, q)`, in strictly
+    ascending energy.
 
     This is the one source of the level order.  Each level carries exactly one
     irrep label, so the levels are the label energies in ascending order.
@@ -201,8 +202,10 @@ def _level_keys(ratio: FrequencyRatio, count: int) -> list[tuple[int, int, int, 
     With P such pairs, since E(N, p, q) lies in (N, N + 2), the K P labels with
     N < K = count // P + 1, more than `count`, all lie below K + 1, while every
     label with N > K lies above it; the labels with N <= K therefore hold the
-    lowest `count` levels.  They are sorted on the exact integer key 2mn E
-    (`_energy_key`), which no two labels of a coprime ratio share.
+    lowest `count` levels.  Their keys 2mn E = 2mn N + o(p, q) (`_energy_key`,
+    o(p, q) its value at N = 0) are sorted as plain ints.  No two labels of a
+    coprime ratio share a key, so no two pairs share o(p, q) mod 2mn: a key's
+    residue mod 2mn names its pair (p, q), and N = (key - o(p, q)) / 2mn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -214,15 +217,12 @@ def _level_keys(ratio: FrequencyRatio, count: int) -> list[tuple[int, int, int, 
     ]
     top = count // len(pairs) + 1
     scale = 2 * m * n
-    # the key is 2mn N plus the key of (0, p, q)
-    offsets = [(_energy_key(ratio, 0, p, q), p, q) for p, q in pairs]
-    keys = sorted(
-        (scale * big_n + offset, big_n, p, q)
-        for big_n in range(top + 1)
-        for offset, p, q in offsets
-    )
+    offsets = [_energy_key(ratio, 0, p, q) for p, q in pairs]
+    keys = sorted([scale * big_n + offset for big_n in range(top + 1) for offset in offsets])
     del keys[count:]
-    return keys
+    classes = {offset % scale: (offset, p, q) for offset, (p, q) in zip(offsets, pairs)}
+    offset, ps, qs = zip(*[classes[key % scale] for key in keys])
+    return keys, [(key - o) // scale for key, o in zip(keys, offset)], list(ps), list(qs)
 
 
 def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
@@ -233,5 +233,5 @@ def enumerate_levels(ratio: FrequencyRatio, count: int) -> list[Level]:
     scale = 2 * ratio.m * ratio.n
     return [
         Level(Fraction(key, scale), IrrepLabel(big_n, p, q), big_n + 1)
-        for key, big_n, p, q in _level_keys(ratio, count)
+        for key, big_n, p, q in zip(*_level_keys(ratio, count))
     ]

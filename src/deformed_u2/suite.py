@@ -14,10 +14,11 @@ fills padded (irreps, N_max+1) columns, and the separation refusal, the
 reductions and the Sturm certificate run once on them: one float-interval pass
 counts every point of the sweep, and the points it cannot decide are counted
 exactly.  Only the 1:n split builds a per-irrep object.  The `SuiteReport`
-holds the columns, and each energy as a `Fraction` of the E column.  Identity
-residuals are gated at the identity tolerance, the eigen class at 10x it,
-every exact check, the oracle's included, must hold, and every eigenvalue must
-be certified within the eigen tolerance.
+holds the columns, the 2mn E column included, and builds each energy's
+`Fraction` only when it is read.  Identity residuals are gated at the identity
+tolerance, the eigen class at 10x it, every exact check, the oracle's
+included, must hold, and every eigenvalue must be certified within the eigen
+tolerance.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class SuiteReport:
 
     Each check is one column over the irreps, in `labels` order: `residual_columns`
     holds the float residuals, the algebra keys, then the eigen keys, then any `w32_*`
-    keys, and `failure_columns` the failure counts.  `irreps`, one `IrrepReport` per
-    irrep, is built from the columns on first read."""
+    keys, and `failure_columns` the failure counts.  `energy_keys` holds each irrep's
+    2mn E as an int.  `energies`, its `Fraction`s, and `irreps`, one `IrrepReport` per
+    irrep, are built from the columns on first read."""
 
     ratio: FrequencyRatio
     n_max: int
@@ -73,9 +75,15 @@ class SuiteReport:
     identity_tolerance: float
     eigen_tolerance: float
     labels: tuple[IrrepLabel, ...]
-    energies: tuple[Fraction, ...]
+    energy_keys: tuple[int, ...]
     residual_columns: dict[str, np.ndarray]
     failure_columns: dict[str, np.ndarray]
+
+    @cached_property
+    def energies(self) -> tuple[Fraction, ...]:
+        """Each irrep's exact energy E, its 2mn E over 2mn."""
+        scale = 2 * self.ratio.m * self.ratio.n
+        return tuple(Fraction(key, scale) for key in self.energy_keys)
 
     @cached_property
     def irreps(self) -> tuple[IrrepReport, ...]:
@@ -183,6 +191,5 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         failures["parafermionic_failures"] = np.array(
             [not parafermionic_decompose(StructureFunction(label, ratio)).positive
              for label in labels], dtype=int)
-    energies = tuple(Fraction(key, 2 * ratio.m * ratio.n) for key in stack.energy_keys)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
-                       stack.labels, energies, residuals, failures)
+                       stack.labels, stack.energy_keys, residuals, failures)

@@ -76,28 +76,40 @@ class TestSpectrum:
         result = invoke(runner, "spectrum", "--ratio", f"{m}:{n}", "--count", "300",
                         "--format", "json")
         energies = [record["energy"] for record in json.loads(result.output)["records"]]
-        keys = core._level_keys(core.FrequencyRatio(m, n), 300)
-        assert energies == [str(Fraction(key, 2 * m * n)) for key, *_ in keys]
+        keys = core._level_keys(core.FrequencyRatio(m, n), 300)[0]
+        assert energies == [str(Fraction(key, 2 * m * n)) for key in keys]
         if (m, n) in ((1, 1), (3, 5)):
             # integer energies (every level of 1:1; p = 2, q = 3 at 3:5) have no "/"
-            whole = [energy for energy, (key, *_) in zip(energies, keys) if key % (2 * m * n) == 0]
+            whole = [energy for energy, key in zip(energies, keys) if key % (2 * m * n) == 0]
             assert whole and all("/" not in energy for energy in whole)
 
     def test_json_builds_no_rows(self, runner, monkeypatch):
         calls = Counter()
-        fmt = cli._fmt
+        fmt, report = cli._fmt, cli._report
 
         def counting_fmt(value):
             calls["fmt"] += 1
             return fmt(value)
 
+        def counting_report(*args):  # spectrum passes its csv and table rows last
+            *head, rows = args
+
+            def counted():
+                for row in rows:
+                    calls["row"] += 1
+                    yield row
+
+            report(*head, counted())
+
         monkeypatch.setattr(cli, "_fmt", counting_fmt)
+        monkeypatch.setattr(cli, "_report", counting_report)
         result = invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500",
                         "--format", "json")
         assert len(json.loads(result.output)["records"]) == 1500
         assert calls["fmt"] == 0
+        assert calls["row"] == 0
         invoke(runner, "spectrum", "--ratio", "3:5", "--count", "1500", "--format", "csv")
-        assert calls["fmt"] == 1500
+        assert calls["row"] == 1500
 
     def test_json_builds_no_label_or_level(self, runner, monkeypatch):
         calls = Counter()
@@ -339,7 +351,8 @@ class TestVerify:
 
     def test_builds_no_report_object_per_irrep(self, runner, monkeypatch):
         # the sweep keeps each check as one column over its irreps, and verify renders the
-        # columns: no check builds a report per irrep, and no per-irrep record is derived
+        # columns: no check builds a report per irrep, and no per-irrep record or energy
+        # `Fraction` is derived
         built = Counter()
         for cls in (VerificationReport, suite.IrrepReport):
             def counting_init(self, *args, _init=cls.__init__, **kwargs):
@@ -348,16 +361,31 @@ class TestVerify:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
 
-        def refuse(report):
-            raise AssertionError("verify read SuiteReport.irreps")
+        def refuse(name):
+            def read(report):
+                raise AssertionError(f"verify read SuiteReport.{name}")
+            return property(read)
 
-        monkeypatch.setattr(suite.SuiteReport, "irreps", property(refuse))
+        for name in ("irreps", "energies"):
+            monkeypatch.setattr(suite.SuiteReport, name, refuse(name))
         for ratio, n_max in (("1:2", "6"), ("3:5", "3")):
             for fmt in ("json", "table", "csv"):
                 result = invoke(runner, "verify", "--ratio", ratio, "--N-max", n_max,
                                 "--format", fmt)
                 assert result.exit_code == 0, result.output
         assert built == Counter()
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)
+                                     if math.gcd(m, n) == 1])
+    def test_energy_text_is_the_fraction_text(self, runner, m, n):
+        # the energy is written from the sweep's int keys 2mn E, never through a Fraction
+        result = invoke(runner, "verify", "--ratio", f"{m}:{n}", "--N-max", "4",
+                        "--format", "json")
+        irreps = json.loads(result.output)["records"][1:]
+        assert len(irreps) == 5 * m * n
+        assert [irrep["energy"] for irrep in irreps] == [
+            str(Fraction(2 * m * n * irrep["N"] + n * (2 * irrep["p"] - 1)
+                         + m * (2 * irrep["q"] - 1), 2 * m * n)) for irrep in irreps]
 
     @pytest.mark.parametrize("ratio,n_max", [("1:2", "20"), ("3:5", "8")])
     def test_passes_at_larger_n(self, runner, ratio, n_max):
@@ -587,20 +615,33 @@ COLUMN_VALUES = [
     JSON_SCALARS | st.integers().map(_Int) | st.text().map(_Str) | st.floats().map(_Float),
 ]
 
+# the floats of a column written as their number texts (`cli._numbers`)
+NUMBER_TEXTS = st.floats()
+
 
 @st.composite
 def tables(draw):
+    """Columns of a table; a column of floats may be drawn as their number texts."""
     keys = draw(st.lists(st.text(st.sampled_from('ab%"}{,\\\né'), max_size=4),
                          min_size=1, max_size=4, unique=True))
     size = draw(st.sampled_from([0, 1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1])
                 | st.integers(0, 5))
     columns = {}
     for key in keys:
-        pattern = draw(st.lists(draw(st.sampled_from(COLUMN_VALUES)), min_size=1, max_size=3))
+        values = draw(st.sampled_from([*COLUMN_VALUES, NUMBER_TEXTS]))
+        pattern = draw(st.lists(values, min_size=1, max_size=3))
         columns[key] = [pattern[i % len(pattern)] for i in range(size)]
-        if size and draw(st.booleans()):
+        if values is NUMBER_TEXTS:
+            columns[key] = cli._numbers(cli._cells(columns[key]))
+        elif size and draw(st.booleans()):
             columns[key][-1] = draw(COLUMN_VALUES[-1])
     return columns
+
+
+def plain(columns):
+    """The columns, each column of number texts as the floats its texts stand for."""
+    return {key: list(map(float, column)) if type(column) is cli._Numbers else column
+            for key, column in columns.items()}
 
 
 JSON_TEXT = cli._json_text
@@ -655,11 +696,13 @@ class TestJsonText:
     @given(columns=tables())
     @example(columns={})
     @example(columns={"%s": [1, 2], '"%%"': ["%d", "%"], "}": [-0.0, 0.5], "{": [None, True]})
+    @example(columns={"%": cli._numbers(cli._cells([0.5, math.nan, -math.inf, 5e-5, 1e12, -0.0])),
+                      "k": [1] * 6})
     def test_table_matches_json_dumps(self, columns):
         # bare, as a dict's value, and spliced after a dict into a list, as verify writes
         # its summary and irreps
         rows = cli._Table(columns)
-        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        records = [dict(zip(columns, row)) for row in zip(*plain(columns).values())]
         assert cli._json_text(rows) == json.dumps(records, indent=2)
         assert cli._json_text({"records": rows}) == json.dumps({"records": records}, indent=2)
         head = {"kind": "summary", "n": [1, 2]}
@@ -756,3 +799,33 @@ class TestJsonText:
         assert result.exit_code == 0
         text = result.output.rstrip("\n")
         assert text == json.dumps(json.loads(text), indent=2)
+
+
+# floats within a few 1e-12 of the magnitudes where `.12g` or repr switches between
+# fixed and exponent form
+NEAR_SWITCHES = st.sampled_from([1e-4, 1e12, 1e16]).flatmap(
+    lambda x: st.floats(x * (1 - 4e-12), x * (1 + 4e-12)))
+
+
+class TestTextRules:
+    @settings(max_examples=500)
+    @given(value=st.floats() | NEAR_SWITCHES | NEAR_SWITCHES.map(lambda x: -x))
+    @example(value=-0.0)
+    @example(value=5e-324)
+    @example(value=math.nan)
+    @example(value=-math.inf)
+    @example(value=999999999999.5)
+    @example(value=9.99999999999995e-05)
+    def test_decimal_text_is_the_cell_and_json_text_of_the_decimal(self, value):
+        # the decimal of a value is the float of its 12-digit cell
+        decimal = float(format(value, ".12g"))
+        cells = cli._cells([value])
+        assert cells == [format(decimal, ".12g")]
+        assert cli._numbers(cells) == [json.dumps(decimal)]
+
+    @given(scale=st.integers(1, 300), big_n=st.integers(0, 10**4) | st.integers(2**64, 2**80),
+           keys=st.lists(st.integers(min_value=0), max_size=20))
+    def test_energy_text_is_the_fraction_text_in_every_residue_class(self, scale, big_n, keys):
+        # multiples of the scale included, with the classes met in any order
+        keys = [*keys, *(big_n * scale + residue for residue in reversed(range(scale)))]
+        assert cli._energy_texts(keys, scale) == [str(Fraction(key, scale)) for key in keys]

@@ -246,8 +246,9 @@ class TestEnumerateLevels:
     def test_level_keys_agree_with_enumerate_levels(self, m, n):
         ratio = FrequencyRatio(m, n)
         for count in (1, 7, 50, 333):
-            keys = _level_keys(ratio, count)
-            assert all(type(part) is int for key in keys for part in key)
+            columns = _level_keys(ratio, count)
+            assert all(type(part) is int for column in columns for part in column)
+            keys = list(zip(*columns))
             # every label with N < count, none pruned: E(count - 1, 1, 1) <= count < E(count, ...)
             assert keys == sorted(
                 (2 * m * n * big_n + n * (2 * p - 1) + m * (2 * q - 1), big_n, p, q)

@@ -1,4 +1,4 @@
-"""Best-of-5 in-process times of perfbench's verify sweeps and spectrum commands.
+"""Best-of-5 in-process times of perfbench's verify sweeps and its spectrum and verify commands.
 
     python tools/suite_time.py SRC_DIR
 
@@ -17,13 +17,15 @@ A stage that a `src` lacks is timed as 0.  Then it does the
 same for the four commands of perfbench's spectrum_levels round (`spectrum
 --format json` at each ratio and count of `SPECTRUM_LEVELS`) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
-captured, and prints that total too.  Last comes the best-of-5 time of
+captured, and prints that total too, and the same total of the eight `verify
+--format json` commands of those verify_deep and verify_wide rounds, which
+adds `verify`'s rendering to the sweeps.  Last comes the best-of-5 time of
 `compile()` over the sources of `SRC_DIR/deformed_u2/*.py`: an interpreter
 that writes no bytecode (`PYTHONDONTWRITEBYTECODE=1`) pays it at every import
 of the package, so it grows with the source, docstrings included:
 
-    run_suite 0.0648 s (build 9.1 oracle 6.0 algebra 6.2 eigen 27.1 certify 9.6 rest 5.2 ms)
-    spectrum 0.0205 s  compile 0.0150 s
+    run_suite 0.0335 s (build 3.4 oracle 3.3 algebra 3.1 eigen 14.9 certify 6.7 rest 3.2 ms)
+    spectrum 0.0096 s  verify 0.0432 s  compile 0.0197 s
 
 all on one line.
 """
@@ -114,14 +116,16 @@ def main() -> None:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
     sweeps = [(FrequencyRatio(m, n), n_max) for m, n, n_max in VERIFY_DEEP + VERIFY_WIDE]
-    commands = [["spectrum", "--ratio", f"{m}:{n}", "--count", str(count), "--format", "json"]
-                for m, n, count in SPECTRUM_LEVELS]
+    spectra = [["spectrum", "--ratio", f"{m}:{n}", "--count", str(count), "--format", "json"]
+               for m, n, count in SPECTRUM_LEVELS]
+    verifies = [["verify", "--ratio", f"{m}:{n}", "--N-max", str(n_max), "--format", "json"]
+                for m, n, n_max in VERIFY_DEEP + VERIFY_WIDE]
 
     def suite_round():
         for ratio, n_max in sweeps:
             run_suite(ratio, n_max)
 
-    def spectrum_round():
+    def command_round(commands):
         for args in commands:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
                 cli.main(args, prog_name="deformed-u2")
@@ -140,7 +144,8 @@ def main() -> None:
     total = best_of_five(suite_round)
     stages = " ".join(f"{key} {ms:.1f}" for key, ms in stage_split(suite, stage_round).items())
     print(f"run_suite {total:.4f} s ({stages} ms)  "
-          f"spectrum {best_of_five(spectrum_round):.4f} s  "
+          f"spectrum {best_of_five(lambda: command_round(spectra)):.4f} s  "
+          f"verify {best_of_five(lambda: command_round(verifies)):.4f} s  "
           f"compile {best_of_five(compile_round):.4f} s")
 
 

@@ -18,7 +18,7 @@ the eigenvalues and the (N+1) x (N+1) matrix of eigenvectors, one column each,
 whose phased, Cartesian and coefficient views are derived once for the whole
 basis.  The kernel has two halves: `_eigensolve`, which needs T's shape and so
 runs once per N, and `_refuse`, the separation check, which reads zero-padded
-rows beside an N column and so runs once on any number of N.  Only
+rows beside the N, p and q columns and so runs once on any number of N.  Only
 `angular_eigenvalues` signs its eigenvectors, by w_0 > 0, and so only it
 refuses a w_0 that underflows to 0.0; `run_suite` runs both halves unsigned
 and builds no spectrum.  The forward float run of the recurrence is unstable
@@ -154,7 +154,7 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     numerators = StructureFunction(label, ratio).numerators
     offdiag = _offdiagonals(ratio, (label,), (numerators,))[None]
     values, vectors = _eigensolve(offdiag, signed=True)
-    _refuse(ratio, (label,), np.array([label.N]), values)
+    _refuse(ratio, *np.array([[label.N], [label.p], [label.q]]), values)
     if np.any(vectors[0, 0] == 0.0):  # w_0 > 0 is what signs an eigenvector
         raise ArithmeticError(f"eigenvector {np.argmin(np.abs(vectors[0, 0]))} of L0 on {label} of "
                               f"the {ratio} oscillator has w_0 == 0.0 (underflow), so its sign "
@@ -184,20 +184,20 @@ def _eigensolve(offdiag: np.ndarray, signed: bool = False) -> tuple[np.ndarray, 
     return eigs, w
 
 
-def _refuse(ratio: FrequencyRatio, labels: Sequence[IrrepLabel], big_n: np.ndarray,
+def _refuse(ratio: FrequencyRatio, big_n: np.ndarray, p: np.ndarray, q: np.ndarray,
             values: np.ndarray) -> None:
-    """ArithmeticError on the first irrep of `labels` whose eigenvalues, row i of `values` for
-    irrep i (its N+1 entries, N = `big_n[i]`, then 0.0 padding), are not strictly separated by
-    a margin of 1e-12 max|l|, relative because `eigh`'s error scales with ||T||."""
+    """ArithmeticError naming the first irrep of the columns `big_n`, `p`, `q` whose values,
+    row i for irrep i (N+1 entries, N = `big_n[i]`, then 0.0 padding), are not strictly
+    separated by a margin of 1e-12 max|l|, relative because `eigh`'s error scales with ||T||."""
     gaps = np.diff(values, axis=-1)
     margin = 1e-12 * np.max(np.abs(values), axis=-1)  # padding 0.0 moves no max of |l|
     unseparated = np.any((gaps <= margin[:, None])
                          & (np.arange(gaps.shape[-1]) < big_n[:, None]), axis=-1)
-    for i in np.flatnonzero(unseparated)[:1]:  # the first failure
+    for i in np.flatnonzero(unseparated)[:1]:  # the first failure, the one label built
         raise ArithmeticError(
-            f"eigenvalues of {labels[i]} not strictly separated in the {ratio} "
-            f"oscillator (numerical failure): closest gap {np.min(gaps[i, :big_n[i]]):.3g} "
-            f"<= margin 1e-12 max|l| = {margin[i]:.3g}")
+            f"eigenvalues of {IrrepLabel(int(big_n[i]), int(p[i]), int(q[i]))} not strictly "
+            f"separated in the {ratio} oscillator (numerical failure): closest gap "
+            f"{np.min(gaps[i, :big_n[i]]):.3g} <= margin 1e-12 max|l| = {margin[i]:.3g}")
 
 
 def _even_part(numerators: Sequence[int], a: int, shift: int) -> Iterator[int]:

@@ -482,12 +482,11 @@ def verify(ratio, n_max, fmt, tol, output):
     """
     report = _reachable(run_suite, ratio, n_max, tol)
     residuals = dict(zip(report.residuals, _decimals(report.residuals.values())))
-    labels = report.labels
     irreps = _Table({
-        "kind": ["irrep"] * len(labels),
-        "N": [label.N for label in labels],
-        "p": [label.p for label in labels],
-        "q": [label.q for label in labels],
+        "kind": ["irrep"] * len(report.big_n),
+        "N": report.big_n.tolist(),
+        "p": report.p.tolist(),
+        "q": report.q.tolist(),
         "energy": _energy_texts(report.energy_keys, 2 * ratio.m * ratio.n),
         "max_residual": _numbers(_cells(report.max_residuals.tolist())),
         "exact_check_failures": report.failure_columns["exact_check_failures"].tolist(),
@@ -495,7 +494,7 @@ def verify(ratio, n_max, fmt, tol, output):
     summary = {
         "kind": "summary",
         "n_max": n_max,
-        "irreps_checked": len(labels),
+        "irreps_checked": len(report.big_n),
         "commutator": str(report.commutator),
         "identity_tolerance": report.identity_tolerance,
         "eigen_tolerance": report.eigen_tolerance,
@@ -513,7 +512,7 @@ def verify(ratio, n_max, fmt, tol, output):
         f"tolerances: identities {report.identity_tolerance:g}, "
         f"eigenvectors {report.eigen_tolerance:g}",
         f"[S-, S+] = {summary['commutator']}",
-        f"irreps checked: {len(labels)}",
+        f"irreps checked: {len(report.big_n)}",
         "",
         _render_table(headers, rows),
         "",

@@ -9,9 +9,9 @@ On the irrep (N, p, q) the generators act on the Fock basis k = 0..N as
 each one band, and S+/S- carry the only irrational entries.  Three bands are
 stored, in floating point: S0's, H's and S+'s, which S- reads as its
 transpose.  They are built for many irreps of one ratio at once, each band in
-one pass: S0 and H as correctly rounded quotients of the ints 4mn u and
-2mn E, S+ as one sqrt over the correctly rounded P_k / D, in an `IrrepStack`
-beside each irrep's label, Phi table and those ints.  Every identity that is
+one pass: S0 and H as correctly rounded quotients of the ints 4mn u and 2mn E,
+S+ as one sqrt over the correctly rounded P_k / D, in an `IrrepStack` beside
+each irrep's N, p and q, Phi table and those ints.  Every identity that is
 rational after squaring (the Phi values, the ladder-product diagonals, the
 commutator polynomial through Phi differences, proved once per sweep for the
 irreps the oracle passed) is additionally verified in exact rational
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat, tee
-from operator import attrgetter, itemgetter, le, not_, sub, truediv
+from operator import itemgetter, le, not_, sub, truediv
 
 import numpy as np
 
@@ -123,12 +123,11 @@ class VerificationReport:
 
 def _offdiagonals(ratio: FrequencyRatio, labels: Iterable[IrrepLabel],
                   tables: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `labels`, irreps of `ratio`, one after
-    another, each the root of a correctly rounded P_k / D of its table P_0..P_{N+1} in
-    `tables`, or, if that quotient is below 2^-1022, 2^-j times the root of a normal P_k 4^j / D.
-    The tables are read in order, one per label, and the first Phi(k) beyond float range
-    raises ArithmeticError naming the ratio, the label, k and Phi(k)'s decimal exponent, read
-    from the bit lengths of P_k and D."""
+    """sqrt(Phi(1)), ..., sqrt(Phi(N)) of each of `labels`, irreps of `ratio`, one after another:
+    the root of a correctly rounded P_k / D of its table P_0..P_{N+1} in `tables`, or, if that
+    quotient is below 2^-1022, 2^-j times the root of a normal P_k 4^j / D.  The first Phi(k)
+    beyond float range raises ArithmeticError naming the ratio, k, Phi(k)'s decimal exponent
+    (from the bit lengths of P_k and D) and the label: only then are `labels` read, one a table."""
     denominator, (tables, read) = _phi_denominator(ratio), tee(tables)
     try:
         quotients = np.array([*map(truediv, chain.from_iterable(
@@ -167,14 +166,13 @@ def _diag(rows: Sequence[Sequence[float]], offset: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepStack:
-    """Irreps of one ratio as columns: each irrep's label, N, p, q, Phi table, 4mn u and 2mn E,
-    and its bands stacked on a leading axis and zero-padded to the widest.  The kernels read
-    each irrep's shape off `big_n` and the row mask `real` alone, so irrep i's S0 band is
-    `s0_band[i, real[i]]`; `labels` only names irreps.  The float checks map the 0.0 padding
-    to 0.0, so each irrep's maxima are its own."""
+    """Irreps of one ratio as columns: each irrep's N, p, q (the one record of the irreps; a
+    label is built only to name one), Phi table, 4mn u and 2mn E, and its bands stacked on a
+    leading axis and zero-padded to the widest.  The kernels read each irrep's shape off
+    `big_n` and the row mask `real` alone, so irrep i's S0 band is `s0_band[i, real[i]]`.  The
+    float checks map the 0.0 padding to 0.0, so each irrep's maxima are its own."""
 
     ratio: FrequencyRatio
-    labels: tuple[IrrepLabel, ...]
     big_n: np.ndarray  # (irreps,) ints: each irrep's N
     p: np.ndarray  # (irreps,) ints
     q: np.ndarray  # (irreps,) ints
@@ -201,7 +199,7 @@ class IrrepStack:
             raise ShapeMismatchError(f"the bands of {rep.label} must be {dim}, {dim - 1} "
                                      f"and {dim} long, got shapes {shapes}")
         scale, label = 4 * rep.ratio.m * rep.ratio.n, rep.label
-        return cls(rep.ratio, (label,), *np.array([[label.N], [label.p], [label.q]]),
+        return cls(rep.ratio, *np.array([[label.N], [label.p], [label.q]]),
                    (_phi_table(label, rep.numerators),), (rep.u * scale,),
                    (rep.energy * (scale // 2),), *(band[None] for band in bands))
 
@@ -214,19 +212,21 @@ def _phi_table(label: IrrepLabel, table: Sequence[int]) -> Sequence[int]:
     return table
 
 
-def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepStack:
-    """The irreps `labels` of `ratio` built at once: their Phi tables from the sweep's X_p and
-    Y_q tables (`_phi_numerators`), none past the first Phi beyond float range, and each band
-    in one pass.  S0's entries (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the int columns
-    `_scaled_u` and `_energy_key`, are numpy quotients of ints at most 6mn (N+1) in size, far
-    below 2^53, so each is correctly rounded."""
+def _build_stack(ratio: FrequencyRatio, big_n: Sequence[int], p: Sequence[int],
+                 q: Sequence[int]) -> IrrepStack:
+    """The irreps (N, p, q) of `ratio` in the int columns `big_n`, `p`, `q` built at once: Phi
+    tables from the sweep's X_p and Y_q (`_phi_numerators`), none past the first Phi beyond
+    float range, whose error alone builds labels, to name its irrep; each band in one pass.  S0's
+    (4mn u + 4mn k) / 4mn and H's 2mn E / 2mn, of the int columns `_scaled_u` and `_energy_key`,
+    are numpy quotients of ints at most 6mn (N+1), far below 2^53, so each is correctly rounded."""
     scale = 4 * ratio.m * ratio.n
-    big_n, p, q = np.array([*map(attrgetter("N", "p", "q"), labels)]).T
-    tables, numerators = tee(_phi_numerators(ratio, labels))
-    offdiagonals = _offdiagonals(ratio, labels, tables)
+    big_n, p, q = columns = np.array([big_n, p, q])
+    ints = columns.tolist()  # numpy's int64 would wrap in the Phi products
+    tables, numerators = tee(_phi_numerators(ratio, *ints))
+    offdiagonals = _offdiagonals(ratio, map(IrrepLabel, *ints), tables)
     scaled_u, energy_keys = _scaled_u(ratio, big_n, p, q), _energy_key(ratio, big_n, p, q)
-    s0, s_plus, h = np.zeros((3, len(labels), big_n.max() + 1))  # S+'s rows are one shorter
-    stack = IrrepStack(ratio, tuple(labels), big_n, p, q, tuple(numerators),
+    s0, s_plus, h = np.zeros((3, len(big_n), big_n.max() + 1))  # S+'s rows are one shorter
+    stack = IrrepStack(ratio, big_n, p, q, tuple(numerators),
                        tuple(scaled_u.tolist()), tuple(energy_keys.tolist()), s0, s_plus[:, 1:], h)
     stack.s_plus_band[stack.real[:, 1:]] = offdiagonals
     np.divide(scaled_u[:, None] + scale * np.arange(s0.shape[-1]), scale, out=s0, where=stack.real)
@@ -237,7 +237,7 @@ def _build_stack(ratio: FrequencyRatio, labels: Sequence[IrrepLabel]) -> IrrepSt
 def build_irrep(label: IrrepLabel, ratio: FrequencyRatio) -> IrrepMatrices:
     """Construct the generator bands of the labelled irrep: row 0 of a stack of one."""
     label.validate_for(ratio)
-    stack, scale = _build_stack(ratio, (label,)), 4 * ratio.m * ratio.n
+    stack, scale = _build_stack(ratio, [label.N], [label.p], [label.q]), 4 * ratio.m * ratio.n
     return IrrepMatrices(label, ratio, stack.s0_band[0], stack.s_plus_band[0], stack.h_band[0],
                          stack.numerators[0], Fraction(stack.scaled_u[0], scale),
                          Fraction(stack.energy_keys[0], scale // 2))
@@ -311,7 +311,7 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
     others run Horner, on `Fraction`s of the u and E columns."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and polynomial._proven
-    known = np.array(proven if identity else [False] * len(stack.labels), dtype=bool)
+    known = np.array(proven if identity else [False] * len(stack.big_n), dtype=bool)
     scale, lengths = 4 * stack.ratio.m * stack.ratio.n, stack.big_n + 2
     column = [*chain.from_iterable(stack.numerators)]  # table i: column[starts[i]:ends[i] + 1]
     ends = np.cumsum(lengths) - 1

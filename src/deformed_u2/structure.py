@@ -95,26 +95,25 @@ def _phi_denominator(ratio: FrequencyRatio) -> int:
     return ratio.m**ratio.m * ratio.n**ratio.n
 
 
-def _phi_numerators(ratio: FrequencyRatio,
-                    labels: Iterable[IrrepLabel]) -> Iterator[tuple[int, ...]]:
-    """P_0, ..., P_{N+1} of each of `labels`, irreps of `ratio`, in order.
+def _phi_numerators(ratio: FrequencyRatio, big_ns: Iterable[int], ps: Iterable[int],
+                    qs: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """P_0, ..., P_{N+1} of each irrep of `ratio` in the Python-int columns `big_ns`, `ps`, `qs`.
 
     At x = k the raised factors of F on (N, p, q), scaled by 4mn, are
     2n (2p-1) + 4mn c_i + 4mn k and the lowered ones 2m (2q-1) + 4mn c_i +
     4mn (N - k), so (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k), X_p and Y_q the
     products of the sigma = +1 and the sigma = -1 rows of `_ladder_factors`,
     and P_k = X_p(k) Y_q(N-k) // (4^(m+n) m^n n^m) exactly.  X_p(k), k >= 0,
-    and Y_q(j), j >= -1, are each computed once for all of `labels`, when
-    the first label that reads them is reached, so a caller that stops early
-    computes no table past the labels it read.
+    and Y_q(j), j >= -1, are each computed once for all of the irreps, when
+    the first irrep that reads them is reached, so a caller that stops early
+    computes no table past the irreps it read.
     """
     m, n, scale = ratio.m, ratio.n, 4 * ratio.m * ratio.n
     divisor = scale ** (m + n) // _phi_denominator(ratio)
     raised = [offset for sigma, offset in _ladder_factors(ratio) if sigma > 0]
     lowered = [offset for sigma, offset in _ladder_factors(ratio) if sigma < 0]
     x_tables, y_tables = defaultdict(list), defaultdict(list)  # X_p(k) at [k], Y_q(j) at [j + 1]
-    for label in labels:
-        big_n, p, q = label.N, label.p, label.q
+    for big_n, p, q in zip(big_ns, ps, qs):
         x, y = x_tables[p], y_tables[q]
         if len(x) < big_n + 2:
             x += [prod(2 * n * (2 * p - 1) + offset + scale * k for offset in raised)
@@ -135,14 +134,13 @@ class StructureFunction:
     product of m + n linear factors
       prod_k (x + (2p-1)/(2m) - (2k-1)/(2m)) *
       prod_l (N - x + (2q-1)/(2n) + (2l-1)/(2n)).
-    `sf(x)` evaluates F's integer factor table (see
-    `_ladder_factors`) in plain ints: each factor E/2 + sigma_i (u + x) + c_i
-    is scaled by 4mn den(x), its offset 4mn (E/2 + sigma_i u + c_i) is an
-    int read off the label once per instance, since
-    4mn (E/2 + u) = 2n (2p-1) and 4mn (E/2 - u) = 2m (2q-1) + 4mn N, and one
-    `Fraction` is built from the product.  `numerators` holds the same
-    products at x = 0..N+1 as the ints P_k = D Phi(k), D = m^m n^n, each read
-    off the split (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k) of `_phi_numerators`.
+    `sf(x)` evaluates F's integer factor table (`_ladder_factors`) in plain
+    ints: each factor E/2 + sigma_i (u + x) + c_i is scaled by 4mn den(x), its
+    offset 4mn (E/2 + sigma_i u + c_i) is an int read off the label once per
+    instance, since 4mn (E/2 + u) = 2n (2p-1) and 4mn (E/2 - u) =
+    2m (2q-1) + 4mn N, and one `Fraction` is built from the product.
+    `numerators` holds the same products at x = 0..N+1 as the ints
+    P_k = D Phi(k), D = m^m n^n, of `_phi_numerators`.
     """
 
     label: IrrepLabel
@@ -177,13 +175,10 @@ class StructureFunction:
 
     @functools.cached_property
     def numerators(self) -> tuple[int, ...]:
-        """P_0, ..., P_{N+1} with Phi(k) = P_k / D, D = `_phi_denominator`.
-
-        F's product at x = k is Phi(k) (4mn)^(m+n) = X_p(k) Y_q(N-k), and
-        (4mn)^(m+n) / D = 4^(m+n) m^n n^m is an int, so one exact integer
-        division gives each P_k: `_phi_numerators` on a sweep of one.
-        """
-        [numerators] = _phi_numerators(self.ratio, (self.label,))
+        """P_0, ..., P_{N+1} with Phi(k) = P_k / D, D = `_phi_denominator`: `_phi_numerators`,
+        one exact integer division of X_p(k) Y_q(N-k) per P_k, on a sweep of one."""
+        label = self.label
+        [numerators] = _phi_numerators(self.ratio, (label.N,), (label.p,), (label.q,))
         return numerators
 
 

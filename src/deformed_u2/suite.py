@@ -1,24 +1,24 @@
 """The identity suite over every irrep up to N_max; `verify` renders its report.
 
 A sweep's one record is an `IrrepStack` (`representation._build_stack`): the
-irreps' labels, N, p and q columns, integer Phi tables, 4mn u and 2mn E, and
-bands zero-padded to N_max+1, each filled in one pass.  Padded rows beside the
-N column and its row mask are the one row format every kernel of the sweep
-reads.  The oracle, the algebra relations and, for 1:2, the W_3^(2) relations
-run once on the stack, each returning one column per check; each irrep the
-oracle passes takes its ladder identity from one proof of the commutator per
-sweep.  Only the eigen work that needs one N's shape runs once per N, on the
-stack's S+ band: `eigh`, the eigenvector residuals, the dense `eigvalsh` and
-the Gram matrix, whose eigenvectors are never signed and go at the next N.  It
-fills padded (irreps, N_max+1) columns, and the separation refusal, the
-reductions and the Sturm certificate run once on them: one float-interval pass
-counts every point of the sweep, and the points it cannot decide are counted
-exactly.  Only the 1:n split builds a per-irrep object.  The `SuiteReport`
-holds the columns, the 2mn E column included, and builds each energy's
-`Fraction` only when it is read.  Identity residuals are gated at the identity
-tolerance, the eigen class at 10x it, every exact check, the oracle's
-included, must hold, and every eigenvalue must be certified within the eigen
-tolerance.
+irreps' N, p and q columns, integer Phi tables, 4mn u and 2mn E, and bands
+zero-padded to N_max+1, each filled in one pass; an `IrrepLabel` is built only
+to name an irrep.  Padded rows beside the N column and its row mask are the one
+row format every kernel of the sweep reads.  The oracle, the algebra relations
+and, for 1:2, the W_3^(2) relations run once on the stack, each returning one
+column per check; each irrep the oracle passes takes its ladder identity from
+one proof of the commutator per sweep.  Only the eigen work that needs one N's
+shape runs once per N, on the stack's S+ band: `eigh`, the eigenvector
+residuals, the dense `eigvalsh` and the Gram matrix, whose eigenvectors are
+never signed and go at the next N.  It fills padded (irreps, N_max+1) columns,
+and the separation refusal, the reductions and the Sturm certificate run once
+on them: one float-interval pass counts every point of the sweep, and the
+points it cannot decide are counted exactly.  Only the 1:n split builds a
+per-irrep object.  The `SuiteReport` holds the columns, N, p, q and 2mn E
+included, and builds the labels and the energies' `Fraction`s only when they
+are read.  Identity residuals are gated at the identity tolerance, the eigen
+class at 10x it, every exact check, the oracle's included, must hold, and every
+eigenvalue must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -63,21 +63,27 @@ class IrrepReport:
 class SuiteReport:
     """Outcome of the identity suite on every irrep with N <= n_max; compares by identity.
 
-    Each check is one column over the irreps, in `labels` order: `residual_columns`
+    Each check is one column over the irreps, in label order: `residual_columns`
     holds the float residuals, the algebra keys, then the eigen keys, then any `w32_*`
-    keys, and `failure_columns` the failure counts.  `energy_keys` holds each irrep's
-    2mn E as an int.  `energies`, its `Fraction`s, and `irreps`, one `IrrepReport` per
-    irrep, are built from the columns on first read."""
+    keys, and `failure_columns` the failure counts.  The int columns `big_n`, `p`, `q`
+    and `energy_keys` (2mn E) are the one record of the irreps; `labels`, `energies`
+    and `irreps`, one `IrrepReport` per irrep, are built from them on first read."""
 
     ratio: FrequencyRatio
     n_max: int
     commutator: CommutatorPolynomial
     identity_tolerance: float
     eigen_tolerance: float
-    labels: tuple[IrrepLabel, ...]
+    big_n: np.ndarray  # (irreps,) ints: each irrep's N
+    p: np.ndarray  # (irreps,) ints
+    q: np.ndarray  # (irreps,) ints
     energy_keys: tuple[int, ...]
     residual_columns: dict[str, np.ndarray]
     failure_columns: dict[str, np.ndarray]
+
+    @cached_property
+    def labels(self) -> tuple[IrrepLabel, ...]:
+        return tuple(map(IrrepLabel, self.big_n.tolist(), self.p.tolist(), self.q.tolist()))
 
     @cached_property
     def energies(self) -> tuple[Fraction, ...]:
@@ -113,7 +119,8 @@ class SuiteReport:
         if column is None:
             known = ", ".join([*self.residual_columns, *self.failure_columns])
             raise KeyError(f"no check {key!r} in the {self.ratio} suite; its keys are {known}")
-        return self.labels[int(np.argmax(column))]
+        i = int(np.argmax(column))
+        return IrrepLabel(int(self.big_n[i]), int(self.p[i]), int(self.q[i]))
 
     def passes(self, key: str, value: float) -> bool:
         """Whether the entry `key` of `residuals` holding `value` is within its gate."""
@@ -144,18 +151,17 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                          f"for the {ratio} suite, got {tolerance!r}")
     eigen_tol = 10 * tolerance
 
-    labels = [IrrepLabel(big_n, p, q) for big_n in range(n_max + 1)
-              for p in range(1, ratio.m + 1) for q in range(1, ratio.n + 1)]
-    stack = _build_stack(ratio, labels)
+    columns = np.indices((n_max + 1, ratio.m, ratio.n)).reshape(3, -1) + [[0], [1], [1]]
+    stack = _build_stack(ratio, *columns)  # label order: N, then p in 1..m, then q in 1..n
     _, oracle_checks = _oracle_reports(stack)
     oracle_passed = [all(checks) for checks in zip(*oracle_checks.values())]  # irrep by irrep
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
 
     # each irrep's row of these (irreps, N_max+1) columns holds its N+1 entries, then 0.0
-    values = np.zeros((len(labels), n_max + 1))
-    dense, errors = np.zeros((2, len(labels), n_max + 1))
-    orthonormality = np.empty(len(labels))
+    values = np.zeros((len(stack.big_n), n_max + 1))
+    dense, errors = np.zeros((2, len(stack.big_n), n_max + 1))
+    orthonormality = np.empty(len(stack.big_n))
     phases, identity = _phases(n_max + 1), np.eye(n_max + 1)  # each N reads its corner
     solved, mn = 0, ratio.m * ratio.n  # solved: the irreps whose eigh has run
     try:
@@ -171,7 +177,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
             gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
             orthonormality[rows] = np.abs(gram - identity[:size, :size]).max(axis=(-2, -1))
     finally:  # the first refused irrep, in label order, wins over a later N's failure
-        _refuse(ratio, stack.labels[:solved], stack.big_n[:solved], values[:solved])
+        _refuse(ratio, stack.big_n[:solved], stack.p[:solved], stack.q[:solved], values[:solved])
     index = np.arange(n_max + 1)
     mirror = np.where(stack.real, stack.big_n[:, None] - index, index)  # i -> N-i
     mirrored = np.take_along_axis(values, mirror, axis=-1)  # l_{N-i}, and 0.0 past N
@@ -190,6 +196,6 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     if ratio.m == 1:
         failures["parafermionic_failures"] = np.array(
             [not parafermionic_decompose(StructureFunction(label, ratio)).positive
-             for label in labels], dtype=int)
+             for label in map(IrrepLabel, *columns.tolist())], dtype=int)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
-                       stack.labels, stack.energy_keys, residuals, failures)
+                       stack.big_n, stack.p, stack.q, stack.energy_keys, residuals, failures)

@@ -33,6 +33,7 @@ from deformed_u2.angular import _count_above, _dyadic, _even_part, _exact_count
 from deformed_u2.representation import _diag, _offdiagonals
 from deformed_u2.structure import _phi_denominator, _phi_numerators
 from deformed_u2.suite import EIGEN_TOL
+from irrep_columns import columns_of
 
 
 def coprime_pairs(limit):
@@ -226,7 +227,7 @@ class TestEigenvalues:
 def solve_and_refuse(ratio, labels, offdiag):
     """The eigen kernel on the irreps `labels` of one N: its solve, then its refusals."""
     values, vectors = angular._eigensolve(offdiag)
-    angular._refuse(ratio, labels, np.array([label.N for label in labels]), values)
+    angular._refuse(ratio, *map(np.array, columns_of(labels)), values)
 
 
 class TestEigenvectors:
@@ -951,8 +952,9 @@ def stacked_bands():
         ratio = FrequencyRatio(m, n)
         for big_n in range(n_top + 1):
             labels = [IrrepLabel(big_n, p, q) for p in range(1, m + 1) for q in range(1, n + 1)]
-            yield np.array([_offdiagonals(ratio, (label,), _phi_numerators(ratio, (label,)))
-                            for label in labels])
+            tables = _phi_numerators(ratio, *columns_of(labels))
+            yield np.array([_offdiagonals(ratio, (label,), (table,))
+                            for label, table in zip(labels, tables)])
 
 
 class TestNumpyFacts:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
 from deformed_u2 import angular, cli, core, representation, structure, suite
 from deformed_u2.cli import main
+from irrep_columns import built_labels, column_labels, stack_labels
 
 # exact fields of reference JSON outputs; float residuals vary by platform and stay out
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_output.json").read_text())
@@ -331,7 +332,7 @@ class TestVerify:
 
         def nan_for_one_irrep(stack, proven=()):
             residuals, exact_checks = verify(stack, proven)
-            for i, label in enumerate(stack.labels):
+            for i, label in enumerate(stack_labels(stack)):
                 if label == IrrepLabel(1, 1, 1):
                     residuals["commutator_h"][i] = math.nan
             return residuals, exact_checks
@@ -375,6 +376,20 @@ class TestVerify:
                 assert result.exit_code == 0, result.output
         assert built == Counter()
 
+    def test_builds_a_label_only_to_name_a_worst_irrep(self, runner, monkeypatch):
+        # N, p and q are written from the report's columns; each worst irrep builds its label
+        built = built_labels(monkeypatch)
+        result = invoke(runner, "verify", "--ratio", "3:5", "--N-max", "4", "--format", "json")
+        assert result.exit_code == 0, result.output
+        document = json.loads(result.output)
+        worst = document["records"][0]["worst_irreps"]
+        assert len(worst) == 10
+        assert 0 < len(built) <= len(worst)
+        assert {(label.N, label.p, label.q) for label in built} == {
+            (irrep["N"], irrep["p"], irrep["q"]) for irrep in worst.values()}
+        assert [(irrep["N"], irrep["p"], irrep["q"]) for irrep in document["records"][1:]] == [
+            (big_n, p, q) for big_n in range(5) for p in range(1, 4) for q in range(1, 6)]
+
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)
                                      if math.gcd(m, n) == 1])
     def test_energy_text_is_the_fraction_text(self, runner, m, n):
@@ -404,8 +419,8 @@ class TestVerify:
         phi_calls, products = Counter(), []
         numerators = structure._phi_numerators
 
-        def counting_numerators(ratio, labels):
-            for label, table in zip(labels, numerators(ratio, labels)):
+        def counting_numerators(ratio, *columns):
+            for label, table in zip(column_labels(*columns), numerators(ratio, *columns)):
                 phi_calls[label] += 1
                 yield table
 

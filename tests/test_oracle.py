@@ -22,6 +22,7 @@ from deformed_u2 import oracle
 from deformed_u2.oracle import _oracle_reports, _within_one_ulp
 from deformed_u2.representation import _BANDS, IrrepStack, _build_stack
 from deformed_u2.suite import run_suite
+from irrep_columns import columns_of, stack_labels
 
 CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
 
@@ -197,8 +198,8 @@ class TestMutations:
         ratio = FrequencyRatio(3, 5)
         labels = [IrrepLabel(big_n, p, q) for big_n in (0, 3) for p in range(1, 4)
                   for q in range(1, 6)]
-        stack = _build_stack(ratio, labels)
-        assert stack.labels[7].N == 0 and stack.s0_band.shape == (30, 4)
+        stack = _build_stack(ratio, *columns_of(labels))
+        assert stack_labels(stack)[7].N == 0 and stack.s0_band.shape == (30, 4)
         getattr(stack, f"{name}_band")[7, min(index)] = 1e-300
         columns = _oracle_reports(stack)[1]
         checks = [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -291,7 +292,7 @@ def list_reference(stack):
     den, s0_den, h_den = m**m * n**n, 4 * m * n, 2 * m * n
     s0_rows, s_plus_rows, h_rows = (getattr(stack, key).tolist() for key in _BANDS)
     columns = {"s0": [], "s_plus": [], "s_minus": [], "h": []}
-    for i, (label, phi) in enumerate(zip(stack.labels, stack.numerators)):
+    for i, (label, phi) in enumerate(zip(stack_labels(stack), stack.numerators)):
         big_n, p, q = label.N, label.p, label.q
         dim = big_n + 1
         members = list(zip(range(p - 1, p + big_n * m, m), range(big_n * n + q - 1, q - 2, -n)))
@@ -338,7 +339,7 @@ class TestStackedKernel:
         # on the padding, and u or E off
         labels = subnormal_labels(n_max) if ratio == SUBNORMAL_RATIO else None
         ratio = FrequencyRatio(*ratio)
-        stack = _build_stack(ratio, labels or labels_of(ratio, n_max))
+        stack = _build_stack(ratio, *columns_of(labels or labels_of(ratio, n_max)))
         for _ in range(data.draw(st.integers(0, 6))):
             band = getattr(stack, data.draw(st.sampled_from(_BANDS)))
             if band.shape[-1]:
@@ -351,7 +352,7 @@ class TestStackedKernel:
                             band[i, j], math.inf if value.startswith("up") else -math.inf)
                 else:
                     band[i, j] = value
-        moved = data.draw(st.sets(st.integers(0, len(stack.labels) - 1), max_size=2))
+        moved = data.draw(st.sets(st.integers(0, len(stack.big_n) - 1), max_size=2))
         # u or E moved by `off`: their columns 4mn u and 2mn E by 4mn off and 2mn off
         field, scale = data.draw(st.sampled_from([("scaled_u", 4), ("energy_keys", 2)]))
         off = data.draw(st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(-1, 3)]))
@@ -365,8 +366,8 @@ class TestStackedKernel:
         # decided in ints, and the kernel's columns are the reference's
         calls = count_exact_tests(monkeypatch)
         ratio = FrequencyRatio(*SUBNORMAL_RATIO)
-        stack = _build_stack(ratio, subnormal_labels(3))
-        weights = [w for label in stack.labels for w in fock_weights(label, ratio)[:label.N]]
+        stack = _build_stack(ratio, *columns_of(subnormal_labels(3)))
+        weights = [w for label in stack_labels(stack) for w in fock_weights(label, ratio)[:label.N]]
         subnormal = [w for w in weights if w / m_m_n_n(ratio) < 2.0**-1022]
         assert subnormal
         assert _oracle_reports(stack) == ({}, list_reference(stack))
@@ -376,7 +377,7 @@ class TestStackedKernel:
         # Phi(1) of (1, 1, 1) is 1.4e-311: its S+ entry is the root of P_1 4^j / D, scaled back
         ratio = FrequencyRatio(*SUBNORMAL_RATIO)
         assert oracle_compare(build_irrep(IrrepLabel(1, 1, 1), ratio)).passed
-        checks = _oracle_reports(_build_stack(ratio, subnormal_labels(3)))[1]
+        checks = _oracle_reports(_build_stack(ratio, *columns_of(subnormal_labels(3))))[1]
         assert all(all(column) for column in checks.values())
 
 
@@ -446,7 +447,7 @@ class TestProvenRoute:
     def test_each_moved_entry_makes_one_exact_test(self, monkeypatch, m, n, n_max):
         calls = count_exact_tests(monkeypatch)
         ratio = FrequencyRatio(m, n)
-        stack = _build_stack(ratio, labels_of(ratio, n_max))
+        stack = _build_stack(ratio, *columns_of(labels_of(ratio, n_max)))
         rows, columns = np.nonzero(stack.s_plus_band)  # the real entries, in row order
         poisoned = [(2, math.nan), (7, math.inf), (11, "up2"), (len(rows) - 1, "down2")]
         for index, value in poisoned:

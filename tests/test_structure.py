@@ -30,6 +30,7 @@ from deformed_u2 import (
 )
 from deformed_u2.structure import _ladder_factors, _ladder_identity, _phi_denominator
 from gamma_form import gamma_value
+from irrep_columns import column_labels, columns_of, stack_labels
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -166,7 +167,7 @@ class TestStructureFunction:
             divisor = (4 * m * n) ** (m + n) // denominator
             assert divisor * denominator == (4 * m * n) ** (m + n)
             records = [StructureFunction(label, ratio) for label in all_labels(m, n, n_top)]
-            tables = structure._phi_numerators(ratio, [sf.label for sf in records])
+            tables = structure._phi_numerators(ratio, *columns_of(sf.label for sf in records))
             for sf, table in zip(records, tables, strict=True):
                 assert len(sf.numerators) == sf.label.N + 2
                 assert table == sf.numerators, sf.label
@@ -209,9 +210,9 @@ class TestSweepSplit:
     def test_the_stack_matches_lone_records_and_per_entry_quotients(self, ratios, n_top):
         for m, n in ratios:
             ratio, labels = sweep_labels(m, n, n_top)
-            stack = representation._build_stack(ratio, labels)
+            stack = representation._build_stack(ratio, *columns_of(labels))
             scale, denominator = 4 * m * n, _phi_denominator(ratio)
-            assert stack.labels == tuple(labels)
+            assert stack_labels(stack) == labels
             for i, label in enumerate(labels):
                 lone, dim = StructureFunction(label, ratio), label.N + 1
                 assert stack.numerators[i] == lone.numerators
@@ -247,7 +248,7 @@ class TestSweepSplit:
         # a sweep computes X_p(k), k = 0..N_max+1, and Y_q(j), j = -1..N_max, once each;
         # a lone record computes the N+2 entries of its one X_p and one Y_q
         ratio, labels = sweep_labels(2, 3, 6)
-        tables = list(structure._phi_numerators(ratio, labels))
+        tables = list(structure._phi_numerators(ratio, *columns_of(labels)))
         assert len(calls) == (2 + 3) * (6 + 2)
         calls.clear()
         assert StructureFunction(IrrepLabel(6, 2, 1), ratio).numerators == tables[-3]
@@ -260,8 +261,8 @@ class TestSweepSplit:
         ratio, labels = sweep_labels(1, 300, 20)
         yielded, numerators = [], representation._phi_numerators
 
-        def recording_numerators(ratio, labels):
-            for label, table in zip(labels, numerators(ratio, labels)):
+        def recording_numerators(ratio, *columns):
+            for label, table in zip(column_labels(*columns), numerators(ratio, *columns)):
                 yielded.append(label)
                 yield table
 
@@ -269,7 +270,7 @@ class TestSweepSplit:
         with pytest.raises(ArithmeticError, match=re.escape(
                 "Phi(1) of (N=11, p=1, q=48) of the 1:300 oscillator is about 1e308, beyond "
                 "float range: the S+ entry sqrt(Phi(1)) cannot be a float")):
-            representation._build_stack(ratio, labels)
+            representation._build_stack(ratio, *columns_of(labels))
         assert len(calls) == 13 + 300 * 12 + 48
         reached = 300 * 11 + 48
         assert yielded == labels[:reached]

@@ -24,6 +24,7 @@ from deformed_u2.exceptions import NotDivisibleError
 from deformed_u2.structure import CommutatorPolynomial
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 from gamma_form import gamma_value
+from irrep_columns import built_labels, column_labels, stack_labels
 
 
 def labels_of(ratio, n_max):
@@ -41,9 +42,9 @@ def test_builds_each_irrep_once(monkeypatch):
     builds = Counter()
     build = suite._build_stack
 
-    def counting_build(ratio, labels):
-        builds.update(labels)
-        return build(ratio, labels)
+    def counting_build(ratio, *columns):
+        builds.update(column_labels(*columns))
+        return build(ratio, *columns)
 
     # every construction of an irrep's matrices, by whichever caller, goes through this class
     made = Counter()
@@ -87,6 +88,21 @@ def test_builds_each_irrep_once(monkeypatch):
         assert fractions == Counter()
         assert [irrep.label for irrep in report.irreps] == labels
         assert report.passed
+
+
+def test_a_sweep_builds_no_label(monkeypatch):
+    # the stack's N, p and q columns are the sweep's one record of its irreps; a label is
+    # built only when one is named, as the report's worst irrep or its derived `labels`
+    built = built_labels(monkeypatch)
+    report = run_suite(FrequencyRatio(3, 5), 4)
+    assert built == []
+    worst = report.worst_irrep("method_agreement")
+    assert built == [worst]
+    labels = report.labels
+    assert len(built) == 1 + 75 and report.labels is labels
+    assert labels == tuple(labels_of(FrequencyRatio(3, 5), 4)) and worst in labels
+    assert {type(value) for label in labels for value in (label.N, label.p, label.q)} == {int}
+    assert report.passed
 
 
 def test_lists_each_irreps_members_once(monkeypatch):
@@ -158,7 +174,7 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
     def nan_for_one_irrep(stack, proven=()):
         residuals, exact_checks = verify(stack, proven)
-        for i, label in enumerate(stack.labels):
+        for i, label in enumerate(stack_labels(stack)):
             if label == poisoned:
                 residuals["commutator_h"][i] = math.nan
         return residuals, exact_checks
@@ -194,11 +210,11 @@ def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
     }[mutant]
     build = suite._build_stack
 
-    def record_off(ratio, labels):
-        stack = build(ratio, labels)
+    def record_off(ratio, *columns):
+        stack = build(ratio, *columns)
         return dataclasses.replace(stack, **{column: tuple(
             change(value, ratio) if label == poisoned else value
-            for label, value in zip(stack.labels, getattr(stack, column)))})
+            for label, value in zip(stack_labels(stack), getattr(stack, column)))})
 
     monkeypatch.setattr(suite, "_build_stack", record_off)
 
@@ -249,9 +265,9 @@ def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):
     build = suite._build_stack
     poisoned = IrrepLabel(2, 1, 2)
 
-    def one_entry_off(ratio, labels):
-        stack = build(ratio, labels)
-        for i, label in enumerate(labels):
+    def one_entry_off(ratio, *columns):
+        stack = build(ratio, *columns)
+        for i, label in enumerate(column_labels(*columns)):
             if label == poisoned:
                 s_plus = stack.s_plus_band[i]  # S+[1, 0] is s_plus[0]
                 s_plus[0] = np.nextafter(np.nextafter(s_plus[0], 0.0), 0.0)
@@ -272,16 +288,16 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
     clean = run_suite(ratio, 2)
     build, refuse = suite._build_stack, suite._refuse
 
-    def nan_in_h(ratio, labels):
-        stack = build(ratio, labels)
-        for i, label in enumerate(labels):
+    def nan_in_h(ratio, *columns):
+        stack = build(ratio, *columns)
+        for i, label in enumerate(column_labels(*columns)):
             if label == poisoned:
                 stack.h_band[i, 0] = math.nan
         return stack
 
-    def swapped_pair(ratio, labels, big_n, values):  # past the refusals and the residuals
-        refuse(ratio, labels, big_n, values)
-        for i, label in enumerate(labels):
+    def swapped_pair(ratio, big_n, p, q, values):  # past the refusals and the residuals
+        refuse(ratio, big_n, p, q, values)
+        for i, label in enumerate(column_labels(big_n, p, q)):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
 
@@ -362,9 +378,9 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
     refuse = suite._refuse
     poisoned = IrrepLabel(3, 1, 2)
 
-    def swapped_pair(ratio, labels, big_n, values):  # past the refusals and the residuals
-        refuse(ratio, labels, big_n, values)
-        for i, label in enumerate(labels):
+    def swapped_pair(ratio, big_n, p, q, values):  # past the refusals and the residuals
+        refuse(ratio, big_n, p, q, values)
+        for i, label in enumerate(column_labels(big_n, p, q)):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
 
@@ -402,9 +418,9 @@ def zero_s_plus_bands(monkeypatch, zeroed):
     separated."""
     build = suite._build_stack
 
-    def zero_bands(ratio, labels):
-        stack = build(ratio, labels)
-        for i, label in enumerate(labels):
+    def zero_bands(ratio, *columns):
+        stack = build(ratio, *columns)
+        for i, label in enumerate(column_labels(*columns)):
             if label in zeroed:
                 stack.s_plus_band[i] = 0.0
         return stack
@@ -478,8 +494,8 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     computed, products = Counter(), []
     numerators = structure._phi_numerators
 
-    def counting_numerators(ratio, labels):
-        for label, table in zip(labels, numerators(ratio, labels)):
+    def counting_numerators(ratio, *columns):
+        for label, table in zip(column_labels(*columns), numerators(ratio, *columns)):
             computed[label] += 1
             yield table
 
@@ -492,9 +508,9 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     tables = {}
     build, certify = suite._build_stack, suite._certify
 
-    def recording_build(ratio, labels):
-        stack = build(ratio, labels)
-        for label, table in zip(stack.labels, stack.numerators):
+    def recording_build(ratio, *columns):
+        stack = build(ratio, *columns)
+        for label, table in zip(stack_labels(stack), stack.numerators):
             tables[label] = table
         return stack
 
@@ -629,7 +645,7 @@ def test_padding_leaves_every_irreps_stacked_results_its_own(monkeypatch, m, n, 
     for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
         def recording(stack, *args, _kernel=getattr(suite, name), _name=name, **kwargs):
             results = residuals, exact_checks = _kernel(stack, *args, **kwargs)
-            for i, label in enumerate(stack.labels):  # each irrep's row of the kernel's columns
+            for i, label in enumerate(stack_labels(stack)):  # irrep i's row of each column
                 reports[_name, label] = VerificationReport(
                     _name, {key: float(values[i]) for key, values in residuals.items()},
                     {key: values[i] for key, values in exact_checks.items()}, 0.0)
@@ -658,9 +674,9 @@ def test_inf_next_to_the_padding_fails_only_its_irrep(monkeypatch, band):
     clean = run_suite(ratio, 2)
     build = suite._build_stack
 
-    def inf_in_the_last_real_entry(ratio, labels):
-        stack = build(ratio, labels)
-        i, size = list(labels).index(poisoned), poisoned.N + (band != "s_plus_band")
+    def inf_in_the_last_real_entry(ratio, *columns):
+        stack = build(ratio, *columns)
+        i, size = column_labels(*columns).index(poisoned), poisoned.N + (band != "s_plus_band")
         getattr(stack, band)[i, size - 1] = math.inf
         assert getattr(stack, band).shape[-1] > size
         return stack

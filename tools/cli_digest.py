@@ -19,14 +19,16 @@ The grid covers `irrep` and `angular` on every label of each ratio at N in
 failing or out-of-reach cases, a bad label, a non-coprime ratio, the eigen
 refusals (1:20, whose eigenvalues at N = 9 are not separated, by `verify
 --N-max` 9 and 12, the second with later N after the refused one, and by
-`angular --N 9`; `angular --ratio 1:2 --N 1000`, whose w_0 underflows),
+`angular --N 9`; `angular --ratio 1:2 --N 1000`, whose w_0 underflows), the
+Phi overflow at 1:300 (`verify --N-max 20` and `irrep --N 11 --p 1 --q 48`,
+both refusing (N=11, p=1, q=48), whose Phi(1) is about 1e308),
 `spectrum --ratio 20000:20001 --count 3`, whose decimals (about 5e-5) take
 the exponent form, three large documents (`spectrum --ratio 3:5 --count
 1500`, `irrep --ratio 1:2 --N 40`, `angular --ratio 1:1 --N 40`), and
 `spectrum --count` 128, 129, 255, 256, 257 and 513 at 1:1 and 2:3, at the
 edges of an earlier JSON writer's 128-record encoder runs and of the table
 writer's 256-record chunks (`cli._CHUNK`), each in the json, table and csv
-formats: 1146 commands.  Needs click >= 8.2
+formats: 1152 commands.  Needs click >= 8.2
 (separate stderr).
 """
 
@@ -64,6 +66,8 @@ def grid() -> list[list[str]]:
         ["verify", "--ratio", "1:20", "--N-max", "12"],
         ["angular", "--ratio", "1:20", "--N", "9"],
         ["angular", "--ratio", "1:2", "--N", "1000"],
+        ["verify", "--ratio", "1:300", "--N-max", "20"],
+        ["irrep", "--ratio", "1:300", "--N", "11", "--p", "1", "--q", "48"],
         ["irrep", "--ratio", "2:3", "--N", "1", "--p", "3", "--q", "1"],
         ["spectrum", "--ratio", "2:4", "--count", "3"],
         ["spectrum", "--ratio", "20000:20001", "--count", "3"],

@@ -9,8 +9,9 @@ the four digest lines, then, for REF and for the tree, the line count of
 `src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`), the best-of-5
 in-process `run_suite` time over perfbench's 8 verify sweeps, the best-of-5
 in-process times of perfbench's 4 `spectrum --format json` commands and of its
-8 `verify --format json` commands, and the
-best-of-5 `compile()` time of the package's sources (`tools/suite_time.py`).
+8 `verify --format json` commands, the
+best-of-5 `compile()` time of the package's sources, and the median cold time of
+those 12 commands, each in a fresh interpreter (`tools/suite_time.py`).
 Exits 1 when either digest pair differs; the line
 counts and times are printed only.  A change that should keep every output
 bitwise is checked against its parent with

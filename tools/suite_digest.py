@@ -98,14 +98,15 @@ def main() -> None:
     build, commutator = suite._build_stack, representation.commutator_polynomial
 
     def record_off(column, change):
-        """MUTANT_LABEL's entry of the stack's `column` replaced by `change(entry, ratio)`."""
-        label = IrrepLabel(*MUTANT_LABEL)
+        """MUTANT_LABEL's entry of the stack's `column` replaced by `change(entry, ratio)`; the
+        irrep is found by the stack's N, p and q columns."""
 
         def mutated(*args):
             stack = build(*args)
+            irreps = zip(stack.big_n.tolist(), stack.p.tolist(), stack.q.tolist())
             return dataclasses.replace(stack, **{column: tuple(
-                change(value, stack.ratio) if each == label else value
-                for each, value in zip(stack.labels, getattr(stack, column)))})
+                change(value, stack.ratio) if each == MUTANT_LABEL else value
+                for each, value in zip(irreps, getattr(stack, column)))})
         return suite, "_build_stack", mutated
 
     def coefficient_off(ratio):

@@ -1,4 +1,5 @@
-"""Best-of-5 in-process times of perfbench's verify sweeps and its spectrum and verify commands.
+"""Best-of-5 in-process times of perfbench's verify sweeps and its spectrum and verify commands,
+and the median cold time of those commands.
 
     python tools/suite_time.py SRC_DIR
 
@@ -19,24 +20,40 @@ same for the four commands of perfbench's spectrum_levels round (`spectrum
 `cli.main`, click parsing and JSON rendering included, with their stdout
 captured, and prints that total too, and the same total of the eight `verify
 --format json` commands of those verify_deep and verify_wide rounds, which
-adds `verify`'s rendering to the sweeps.  Last comes the best-of-5 time of
+adds `verify`'s rendering to the sweeps.  Then comes the best-of-5 time of
 `compile()` over the sources of `SRC_DIR/deformed_u2/*.py`: an interpreter
 that writes no bytecode (`PYTHONDONTWRITEBYTECODE=1`) pays it at every import
-of the package, so it grows with the source, docstrings included:
+of the package, so it grows with the source, docstrings included.  Last, cold:
+the median over 5 rounds of the summed command time (`command_s`) of those 12
+`spectrum` and `verify` commands, each run in a fresh interpreter by
+`perfbench/child.py RECORD plain ...` with `PYTHONDONTWRITEBYTECODE=1`, one BLAS
+thread and stdout to /dev/null, as perfbench runs its ops.  Warm in-process
+times can mislead about these: a cold command also pays for first calls, cold
+caches and the work the import left undone.
 
     run_suite 0.0335 s (build 3.4 oracle 3.3 algebra 3.1 eigen 14.9 certify 6.7 rest 3.2 ms)
-    spectrum 0.0096 s  verify 0.0432 s  compile 0.0197 s
+    spectrum 0.0096 s  verify 0.0432 s  compile 0.0197 s  cold 0.0633 s
 
-all on one line.
+all on one line; about 15 s of the run is the cold rounds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the BLAS thread limits perfbench sets for its children
+THREAD_LIMITS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def best_of_five(run) -> float:
@@ -101,11 +118,27 @@ def split(spans) -> dict[str, float]:
     return totals
 
 
+def cold_round(src: Path, commands: list[list[str]]) -> float:
+    """The summed `command_s` of `commands`, each run in a fresh interpreter by perfbench's
+    `child.py` in `plain` mode; a child that writes no record raises FileNotFoundError."""
+    env = {**os.environ, **dict.fromkeys(THREAD_LIMITS, "1"), "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    total = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        record = Path(tmp) / "record.json"
+        for args in commands:
+            record.unlink(missing_ok=True)
+            subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(record), "plain",
+                            *args], env=env, stdout=subprocess.DEVNULL)
+            total += json.loads(record.read_text(encoding="utf-8"))["command_s"]
+    return total
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/suite_time.py SRC_DIR")
     src = Path(sys.argv[1]).resolve()
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.path.insert(0, str(PERFBENCH))
     sys.path.insert(0, str(src))
     from workloads import SPECTRUM_LEVELS, VERIFY_DEEP, VERIFY_WIDE
 
@@ -146,7 +179,8 @@ def main() -> None:
     print(f"run_suite {total:.4f} s ({stages} ms)  "
           f"spectrum {best_of_five(lambda: command_round(spectra)):.4f} s  "
           f"verify {best_of_five(lambda: command_round(verifies)):.4f} s  "
-          f"compile {best_of_five(compile_round):.4f} s")
+          f"compile {best_of_five(compile_round):.4f} s  "
+          f"cold {statistics.median(cold_round(src, spectra + verifies) for _ in range(5)):.4f} s")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,17 @@ writes its report through `_report`, each flat list of records as a `_Table`
 of columns, whose rows the JSON writer fills into one `%` template; a column
 of decimals goes in as the JSON texts of its cells (`_Numbers`).  Exit codes:
 0 success, 1 verification failure, 2 usage/input error, including an
---output that cannot be written.
+--output that cannot be written.  The module's last statement, `gc.freeze()`, moves
+every object its import made into the permanent generation, so neither a later
+collection nor the collections at interpreter exit scan that heap (numpy, click and
+this package, none of it garbage); objects a command builds are collected as before.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import gc
 import io
 import math
 import sys
@@ -521,6 +525,8 @@ def verify(ratio, n_max, fmt, tol, output):
     _report(ratio, "verify", fmt, output, [summary, irreps], residuals, headers, rows,
             table, report.passed)
 
+
+gc.freeze()
 
 if __name__ == "__main__":
     main()

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deformed_u2
 from deformed_u2 import IrrepLabel, StructureFunction, VerificationReport
 from deformed_u2 import angular, cli, core, representation, structure, suite
 from deformed_u2.cli import main
@@ -586,6 +590,47 @@ class TestOutputFile:
         assert f"cannot write {target}: " in result.stderr
         assert "Traceback" not in result.output
         assert not target.parent.exists()
+
+
+def run_module(*args):
+    """`python -m deformed_u2.cli ARGS` in a fresh interpreter, with this package's src first
+    on PYTHONPATH and stdout block-buffered, as in a pipe: its output has to be whole when
+    the process exits, whatever the collections at interpreter exit do."""
+    src = str(Path(deformed_u2.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "deformed_u2.cli", *args], env=env,
+                          capture_output=True, text=True)
+
+
+class TestFreshProcess:
+    def test_output_file_is_whole(self, runner, tmp_path):
+        args = ["verify", "--ratio", "1:2", "--N-max", "2", "--format", "json"]
+        target = tmp_path / "report.json"
+        completed = run_module(*args, "--output", str(target))
+        assert completed.returncode == 0
+        assert completed.stdout == ""
+        assert target.read_bytes() == invoke(runner, *args).stdout_bytes
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["spectrum", "--ratio", "2:3", "--count", "10", "--format", "csv"], 0),
+        (["verify", "--ratio", "1:2", "--N-max", "2", "--tol", "1e-30", "--format", "json"], 1),
+    ])
+    def test_stdout_is_whole(self, runner, args, exit_code):
+        completed = run_module(*args)
+        assert completed.returncode == exit_code
+        assert completed.stdout == invoke(runner, *args).stdout
+
+    def test_usage_error_reaches_stderr(self, runner):
+        args = ["irrep", "--ratio", "2:4", "--N", "1"]
+        completed = run_module(*args)
+        expected = runner.invoke(main, args)
+        assert completed.returncode == expected.exit_code == 2
+        assert completed.stdout == ""
+        assert "coprime" in completed.stderr
+        # the usage lines name the program, which differs; the error line does not
+        assert completed.stderr.splitlines()[-1] == expected.stderr.splitlines()[-1]
 
 
 JSON_SCALARS = st.one_of(

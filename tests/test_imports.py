@@ -35,21 +35,48 @@ COMMANDS = [
 ]
 
 
-def test_cli_and_commands_never_load_sympy_or_scipy():
+def run_fresh(script, *argv):
+    """The last stdout line of `python -c SCRIPT ARGV`, parsed as JSON: one fresh interpreter
+    with this package's src first on PYTHONPATH."""
     src = str(Path(deformed_u2.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     completed = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(COMMANDS)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
     )
-    steps = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_cli_and_commands_never_load_sympy_or_scipy():
+    steps = run_fresh(SCRIPT, json.dumps(COMMANDS))
     assert [step for step, _, _ in steps] == ["run_suite 1:2 N<=2", "import deformed_u2.cli"] + [
         " ".join(args) for args in COMMANDS
     ]
     for step, exit_code, loaded in steps:
         assert exit_code == 0, step
         assert loaded == [], f"{step} loaded {loaded}"
+
+
+# the library import freezes nothing; the CLI's import moves its heap into the permanent
+# generation once, and collection stays enabled through a command
+FREEZE_SCRIPT = """
+import gc, json
+import deformed_u2
+steps = [["import deformed_u2", gc.get_freeze_count(), gc.isenabled()]]
+import deformed_u2.cli
+steps.append(["import deformed_u2.cli", gc.get_freeze_count(), gc.isenabled()])
+from click.testing import CliRunner
+result = CliRunner().invoke(deformed_u2.cli.main, ["verify", "--ratio", "1:2", "--N-max", "2"])
+steps.append(["verify", result.exit_code, gc.isenabled()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_the_cli_import_freezes_the_heap():
+    library, cli, command = run_fresh(FREEZE_SCRIPT)
+    assert library == ["import deformed_u2", 0, True]
+    assert cli[0] == "import deformed_u2.cli" and cli[1] > 0 and cli[2] is True
+    assert command == ["verify", 0, True]
 
 
 def test_every_package_export_is_listed_where_it_is_defined():

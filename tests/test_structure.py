@@ -35,6 +35,18 @@ from irrep_columns import column_labels, columns_of, stack_labels
 H, S0, X = sympy.symbols("H S0 x")
 
 
+def small_fractions(bound, max_denominator):
+    """Fractions v with |v| < bound and a denominator <= max_denominator.  The draw is
+    bounded to [-bound, bound], so the filter rejects only the two endpoints; filtering an
+    unbounded draw to |v| < bound rejects so many that hypothesis can fail its health check."""
+    return st.fractions(-bound, bound, max_denominator=max_denominator).filter(
+        lambda v: abs(v) < bound
+    )
+
+
+SMALL_FRACTIONS = small_fractions(40, 50)
+
+
 def sympy_poly(coefficients, *symbols):
     """sympy `Poly` over QQ from a dict of exponent tuples to `Fraction`s."""
     return sympy.Poly.from_dict(
@@ -129,7 +141,7 @@ class TestStructureFunction:
     @given(
         ratio=st.sampled_from(coprime_pairs(6)),
         big_n=st.integers(0, 6),
-        x=st.fractions(max_denominator=60).filter(lambda v: abs(v) < 30),
+        x=small_fractions(30, 60),
         data=st.data(),
     )
     def test_phi_at_rational_arguments(self, ratio, big_n, x, data):
@@ -506,8 +518,8 @@ class TestAgainstSympy:
     @settings(deadline=None, max_examples=60)
     @given(
         ratio=st.sampled_from(coprime_pairs(5) + [(4, 7)]),
-        h=st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40),
-        s0=st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40),
+        h=SMALL_FRACTIONS,
+        s0=SMALL_FRACTIONS,
     )
     def test_evaluation_matches_sympy_eval(self, ratio, h, s0):
         expected_poly = sympy.Poly(sympy_commutator(*ratio), H, S0, domain="QQ")
@@ -535,9 +547,6 @@ class TestAgainstSympy:
 
 
 # every integer kernel against the `Fraction` expression it replaced
-SMALL_FRACTIONS = st.fractions(max_denominator=50).filter(lambda v: abs(v) < 40)
-
-
 def fraction_horner(coefficients, x):
     value = Fraction(0)
     for c in reversed(coefficients):

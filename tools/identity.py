@@ -6,24 +6,29 @@ exports REF's `src` (default `HEAD`) with `git archive` into a temporary
 directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
-`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`), the best-of-5
-in-process `run_suite` time over perfbench's 8 verify sweeps, the best-of-5
-in-process times of perfbench's 4 `spectrum --format json` commands and of its
-8 `verify --format json` commands, the
-best-of-5 `compile()` time of the package's sources, and the median cold time of
-those 12 commands, each in a fresh interpreter (`tools/suite_time.py`).
-Exits 1 when either digest pair differs; the line
-counts and times are printed only.  A change that should keep every output
-bitwise is checked against its parent with
+`src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`) and one `times`
+line from `tools/suite_time.py`: the best-of-5 in-process `run_suite` time over
+perfbench's 8 verify sweeps and its stages, the best-of-5 in-process times of
+perfbench's 4 `spectrum --format json` commands and of its 8 `verify --format
+json` commands, the best-of-5 `compile()` time of the package's sources, and
+the median command time (cold) and spawn-to-exit time (wall) of those 12
+commands, each in a fresh interpreter.  `suite_time.py` runs 3 times per side,
+REF and tree alternating and each taking the lead in turn, since run order
+alone moved a time by 45% on identical code; each number of a `times` line is
+the median of that field over the side's runs.  Exits 1 when either digest pair
+differs; the line counts and times are printed only.  A change that should keep
+every output bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
 
-It takes about a minute and needs no network.
+It takes about a minute and a half and needs no network.
 """
 
 from __future__ import annotations
 
 import io
+import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -32,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ["suite_digest.py", "cli_digest.py"]
+TIME_RUNS = 3  # suite_time.py runs per side
+NUMBER = re.compile(r"(\d+\.\d+)")
 
 
 def run(args: list[str]) -> bytes:
@@ -52,6 +59,19 @@ def src_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "deformed_u2").glob("*.py"))
 
 
+def median_line(lines: list[str]) -> str:
+    """The text that `lines` share, each of its numbers the median of that field over
+    `lines`, printed to as many decimals as the first line gives it."""
+    fields = [NUMBER.split(line) for line in lines]
+    if any(parts[::2] != fields[0][::2] for parts in fields):
+        sys.exit(f"suite_time.py lines differ in more than their numbers: {lines}")
+    merged = fields[0]
+    for i in range(1, len(merged), 2):
+        decimals = len(merged[i].partition(".")[2])
+        merged[i] = f"{statistics.median(float(parts[i]) for parts in fields):.{decimals}f}"
+    return "".join(merged)
+
+
 def main() -> None:
     if len(sys.argv) > 2:
         sys.exit("usage: python tools/identity.py [REF]")
@@ -68,8 +88,13 @@ def main() -> None:
             differs |= old != new
         print(f"src lines {ref}: {src_lines(Path(tmp) / 'src')}")
         print(f"src lines tree: {src_lines(ROOT / 'src')}")
-        print(f"times {ref}: {digest('suite_time.py', Path(tmp) / 'src')}")
-        print(f"times tree: {digest('suite_time.py', ROOT / 'src')}")
+        sides = {ref: Path(tmp) / "src", "tree": ROOT / "src"}
+        times = {side: [] for side in sides}
+        for turn in range(TIME_RUNS):
+            for side in list(sides)[::-1 if turn % 2 else 1]:
+                times[side].append(digest("suite_time.py", sides[side]))
+        for side, lines in times.items():
+            print(f"times {side}: {median_line(lines)}")
     sys.exit(1 if differs else 0)
 
 

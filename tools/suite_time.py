@@ -1,5 +1,5 @@
 """Best-of-5 in-process times of perfbench's verify sweeps and its spectrum and verify commands,
-and the median cold time of those commands.
+and the median cold command and process times of those commands.
 
     python tools/suite_time.py SRC_DIR
 
@@ -27,14 +27,16 @@ of the package, so it grows with the source, docstrings included.  Last, cold:
 the median over 5 rounds of the summed command time (`command_s`) of those 12
 `spectrum` and `verify` commands, each run in a fresh interpreter by
 `perfbench/child.py RECORD plain ...` with `PYTHONDONTWRITEBYTECODE=1`, one BLAS
-thread and stdout to /dev/null, as perfbench runs its ops.  Warm in-process
-times can mislead about these: a cold command also pays for first calls, cold
-caches and the work the import left undone.
+thread and stdout to /dev/null, as perfbench runs its ops, and wall: the median
+over the same 5 rounds of the summed time of those 12 processes from spawn to
+exit, so interpreter start, the import and interpreter exit included.  Warm
+in-process times can mislead about these: a cold command also pays for first
+calls, cold caches and the work the import left undone.
 
-    run_suite 0.0335 s (build 3.4 oracle 3.3 algebra 3.1 eigen 14.9 certify 6.7 rest 3.2 ms)
-    spectrum 0.0096 s  verify 0.0432 s  compile 0.0197 s  cold 0.0633 s
+    run_suite 0.0283 s (build 2.8 oracle 2.8 algebra 2.7 eigen 12.3 certify 5.6 rest 2.5 ms)
+    spectrum 0.0082 s  verify 0.0358 s  compile 0.0180 s  cold 0.0597 s  wall 1.6766 s
 
-all on one line; about 15 s of the run is the cold rounds.
+all on one line; the cold rounds take about 8 s of the run's 10 s (2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -118,20 +120,23 @@ def split(spans) -> dict[str, float]:
     return totals
 
 
-def cold_round(src: Path, commands: list[list[str]]) -> float:
+def cold_round(src: Path, commands: list[list[str]]) -> tuple[float, float]:
     """The summed `command_s` of `commands`, each run in a fresh interpreter by perfbench's
-    `child.py` in `plain` mode; a child that writes no record raises FileNotFoundError."""
+    `child.py` in `plain` mode, and the summed wall time of those processes from spawn to
+    exit; a child that writes no record raises FileNotFoundError."""
     env = {**os.environ, **dict.fromkeys(THREAD_LIMITS, "1"), "PYTHONPATH": str(src),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    total = 0.0
+    command = wall = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         record = Path(tmp) / "record.json"
         for args in commands:
             record.unlink(missing_ok=True)
+            start = time.perf_counter()
             subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(record), "plain",
                             *args], env=env, stdout=subprocess.DEVNULL)
-            total += json.loads(record.read_text(encoding="utf-8"))["command_s"]
-    return total
+            wall += time.perf_counter() - start
+            command += json.loads(record.read_text(encoding="utf-8"))["command_s"]
+    return command, wall
 
 
 def main() -> None:
@@ -176,11 +181,13 @@ def main() -> None:
 
     total = best_of_five(suite_round)
     stages = " ".join(f"{key} {ms:.1f}" for key, ms in stage_split(suite, stage_round).items())
-    print(f"run_suite {total:.4f} s ({stages} ms)  "
-          f"spectrum {best_of_five(lambda: command_round(spectra)):.4f} s  "
-          f"verify {best_of_five(lambda: command_round(verifies)):.4f} s  "
-          f"compile {best_of_five(compile_round):.4f} s  "
-          f"cold {statistics.median(cold_round(src, spectra + verifies) for _ in range(5)):.4f} s")
+    spectrum = best_of_five(lambda: command_round(spectra))
+    verify = best_of_five(lambda: command_round(verifies))
+    compiled = best_of_five(compile_round)
+    cold, wall = zip(*(cold_round(src, spectra + verifies) for _ in range(5)))
+    print(f"run_suite {total:.4f} s ({stages} ms)  spectrum {spectrum:.4f} s  "
+          f"verify {verify:.4f} s  compile {compiled:.4f} s  "
+          f"cold {statistics.median(cold):.4f} s  wall {statistics.median(wall):.4f} s")
 
 
 if __name__ == "__main__":

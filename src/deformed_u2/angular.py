@@ -22,8 +22,16 @@ rows beside the N, p and q columns and so runs once on any number of N.  Only
 `angular_eigenvalues` signs its eigenvectors, by w_0 > 0, and so only it
 refuses a w_0 that underflows to 0.0; `run_suite` runs both halves unsigned
 and builds no spectrum.  The forward float run of the recurrence is unstable
-and never builds an eigenvector.  The eigenvalues are certified by Sturm counts
-at dyadic points beside each computed value, on the integer Phi table
+and never builds an eigenvector.  The certificate decides, for each computed
+value l_i, whether the i-th true eigenvalue lies within delta of it, in two
+stages with one outcome.  A sweep first encloses whole irreps from columns its
+eigen loop already holds: the residuals, the orthonormality and the S+ band the
+oracle proved to 1 ulp give, by the residual bound and Weyl's theorem with every
+step rounded upward, one radius about all the values of an irrep (`_certify`
+gives the proof).
+An enclosure only proves, so the flags stay those of the second stage, which
+decides every irrep left, and every spectrum of `certify_eigenvalues`: Sturm
+counts at dyadic points beside each value, on the integer Phi table
 (`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  A count runs
 the pivots r_k = G_k / G_{k-1} in float intervals widened outward at every
 rounding, so each holds the exact pivot; where an interval meets 0 or leaves
@@ -372,19 +380,110 @@ def _count_above(tables: Sequence[Sequence[int]], denominator: int, irreps: np.n
     return counts, np.sort(order[~decided])
 
 
+# the unit roundoff of a float, and a bound of the underflow of a residual entry: each of its
+# three products rounds by at most 2^-1075 below 2^-1022, and the sums add no underflow
+_UNIT = 2.0**-53
+_UNDERFLOW = 2.0**-1072
+
+
+def _up(x: np.ndarray) -> np.ndarray:
+    """The float above each x: at or above the exact result that rounds to nearest to x."""
+    return np.nextafter(x, math.inf)
+
+
+def _down(x: np.ndarray) -> np.ndarray:
+    """The float below each x: at or below the exact result that rounds to nearest to x."""
+    return np.nextafter(x, -math.inf)
+
+
+def _gamma(n: int) -> float:
+    """An upper bound of Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return math.nextafter(n * _UNIT / math.nextafter(1 - n * _UNIT, 0), math.inf)
+
+
+def _radii(values: np.ndarray, big_n: np.ndarray, residuals: np.ndarray,
+           orthonormality: np.ndarray, bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per irrep, rho, an upper bound of ||T~ w_i - l_i w_i||_2 / ||w_i||_2 over the values
+    l_i of its row of `values`, and 2 ulp(max s), from the columns of the eigen loop that
+    computed them; `_certify` proves the bound, which holds on an ascending row whose
+    orthonormality is < 1/2."""
+    gram = _gamma(2 * values.shape[-1])  # the real part of a Gram entry sums 2(N+1) products
+    norm = math.nextafter(1.5 / math.nextafter(1 - gram, 0), math.inf)  # >= ||w_i||_inf
+    top = np.max(bands, axis=-1, initial=0.0)
+    largest = np.maximum(-values[:, 0], values[np.arange(len(values)), big_n])  # max |l_i|
+    terms = _up(_up(2 * top + largest) * math.nextafter(_gamma(3) * norm, math.inf))
+    residual = _up(residuals + _up(terms + _UNDERFLOW))  # >= max_i ||r_i||_inf
+    # sqrt(N+1) / ||w_i||_2 <= sqrt((N+1) (1 + gamma_{2N+2}) / (1 - o))
+    growth = math.nextafter(1 + gram, math.inf)
+    factor = _up(np.sqrt(_up(_up((big_n + 1) * growth) / _down(1 - orthonormality))))
+    return _up(residual * factor), 2 * np.spacing(top)
+
+
 def _certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarray,
-             rows: np.ndarray, tolerance: float) -> np.ndarray:
+             rows: np.ndarray, tolerance: float,
+             evidence: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """`certify_eigenvalues` on each row of `rows`, at Phi(k) = `tables[j][k]` / `denominator`.
 
     Row j holds the values of irrep j, N = `big_n[j]`, in its first N+1 entries, then
     padding, and its flags are True only where a value is certified, so never on the padding.
+    The flags are those of the exact counts (`_count_certify`) on every row.  `evidence`,
+    when given, holds each irrep's residual, orthonormality, S+ band and oracle verdict from
+    the eigen loop that computed the values (`run_suite`), and a first stage encloses whole
+    irreps from them; only the irreps it leaves are counted.  For irrep j, with N its N,
+    l_i its values, w_i the computed vectors, e = residual[j] the largest computed
+    ||T~ w_i - l_i w_i||_inf, o = orthonormality[j] (max |Gram - I| of the phased vectors),
+    s = band[j] its S+ band, T~ the float tridiagonal `eigh` solved, T the exact one and
+    u = 2^-53:
+
+    - an entry of a residual is three rounded products summed, so each exact
+      ||r_i||_inf <= e + gamma_3 (2 max s + max |l|) ||w_i||_inf + 2^-1072 (underflow),
+      with Higham's gamma_n = n u / (1 - n u), and ||r_i||_2 <= sqrt(N+1) ||r_i||_inf;
+    - the phases (-i)^k are exact, the real part of a Gram entry sums at most 2(N+1)
+      rounded products, and o < 1/2 makes G_ii - 1 exact, so (1 - o) / (1 + gamma_{2N+2})
+      <= ||w_i||_2^2 <= 1.5 / (1 - gamma_{2N+2}), which also bounds ||w_i||_inf;
+    - so rho >= ||r_i||_2 / ||w_i||_2 for every i, and [l_i - rho, l_i + rho] holds an
+      eigenvalue of T~ (the residual bound; Parlett, The Symmetric Eigenvalue Problem);
+    - if every gap l_{i+1} - l_i exceeds 2 rho, those N+1 intervals are disjoint, each
+      holds one of the N+1 eigenvalues, and interval i holds lambda_i(T~);
+    - `trusted[j]`, the irrep's oracle, proves each entry of s within 1 ulp of sqrt(P_k / D),
+      so ||T - T~||_2 <= 2 ulp(max s), and Weyl's theorem moves lambda_i by no more;
+    - so rho + 2 ulp(max s) < delta proves each lambda_i(T) in (l_i - delta, l_i + delta).
+
+    Each operation of the bound is rounded upward, and each lower bound downward, by one
+    nextafter (`_radii`; N+1 is taken as the rows' width in gamma), so a True is a proof.
+    A NaN or inf, an unsorted or too close pair, an o >= 1/2 or an untrusted irrep leaves
+    the irrep to the counts, so the stage never refutes.  Its flags are the counts' flags:
+    the counts decide the same predicate exactly, and a strict enclosure passes both a
+    value's own counts and its mirror's.
+    """
+    delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
+    real = np.arange(rows.shape[-1]) <= big_n[:, None]
+    enclosed = np.zeros(len(rows), dtype=bool)
+    if evidence is not None:
+        residual, orthonormality, bands, trusted = evidence
+        with np.errstate(all="ignore"):  # a NaN compares False, and so is unproven
+            rho, shift = _radii(rows, big_n, residual, orthonormality, bands)
+            gaps = np.min(rows[:, 1:] - rows[:, :-1], axis=-1, where=real[:, 1:], initial=math.inf)
+            enclosed = (trusted & (orthonormality < 0.5) & (rho < _down(delta - shift))
+                        & (2 * rho < _down(gaps)))
+    certified = real & enclosed[:, None]
+    counted = np.flatnonzero(~enclosed)
+    if counted.size:
+        certified[counted] = _count_certify([tables[j] for j in counted.tolist()], denominator,
+                                            big_n[counted], rows[counted], delta)
+    return certified
+
+
+def _count_certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarray,
+                   rows: np.ndarray, delta: float) -> np.ndarray:
+    """`_certify`'s flags on each row of `rows` by exact Sturm counts at l_i -+ `delta`.
+
     Every count point of every row goes to one `_count_above` pass.  Of the
     points it leaves undecided, the - points are counted exactly first, and a
     + point only where its value's - point held.  A value at i < N/2 with
     l_i == -l_{N-i} takes its mirror's result, and is counted itself, in a
     second pass, when its mirror fails.  A NaN or inf gets no point.
     """
-    delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
     width, values, index = rows.shape[-1], rows.ravel(), np.arange(rows.shape[-1])
     mirror = np.arange(len(values)) + (big_n[:, None] - 2 * index).ravel()  # where l_{N-i} is
     mirrored = (2 * index < big_n[:, None]).ravel() & (values == -values[mirror])
@@ -426,8 +525,10 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     a count when l_i == -l_{N-i} and its mirror passes; so a symmetric
     spectrum is counted at i >= N/2 only, and each certified value is proven
     within the closed [l_i - delta, l_i + delta].  A NaN or inf is not
-    certified.  `run_suite` runs the same kernel once on a whole sweep.  A
-    tolerance that is not finite and > 0 raises ValueError.
+    certified.  A spectrum's values may come with residuals not computed from
+    them, so every value here is counted; `run_suite` runs the same kernel once
+    on a whole sweep, after an enclosure that spares the counts of the irreps it
+    proves.  A tolerance that is not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
     row = np.array([spectrum.eigenvalues], dtype=float)

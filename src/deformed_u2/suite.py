@@ -11,14 +11,18 @@ one proof of the commutator per sweep.  Only the eigen work that needs one N's
 shape runs once per N, on the stack's S+ band: `eigh`, the eigenvector
 residuals, the dense `eigvalsh` and the Gram matrix, whose eigenvectors are
 never signed and go at the next N.  It fills padded (irreps, N_max+1) columns,
-and the separation refusal, the reductions and the Sturm certificate run once
-on them: one float-interval pass counts every point of the sweep, and the
-points it cannot decide are counted exactly.  Only the 1:n split builds a
-per-irrep object.  The `SuiteReport` holds the columns, N, p, q and 2mn E
-included, and builds the labels and the energies' `Fraction`s only when they
-are read.  Identity residuals are gated at the identity tolerance, the eigen
-class at 10x it, every exact check, the oracle's included, must hold, and every
-eigenvalue must be certified within the eigen tolerance.
+and the separation refusal, the reductions and the certificate run once on
+them.  The certificate first encloses each irrep the oracle passed from the
+values, residuals, orthonormality and S+ band alone, a few array operations
+that prove every value of a passing sweep; only the irreps it leaves take the
+Sturm counts, one float-interval pass over their points, and the points it
+cannot decide are counted exactly.  The flags are the counts' flags either way.
+Only the 1:n split builds a per-irrep object.  The `SuiteReport` holds the
+columns, N, p, q and 2mn E included, and builds the labels and the energies'
+`Fraction`s only when they are read.  Identity residuals are gated at the
+identity tolerance, the eigen class at 10x it, every exact check, the oracle's
+included, must hold, and every eigenvalue must be certified within the eigen
+tolerance.
 """
 
 from __future__ import annotations
@@ -186,11 +190,14 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                   "eigenvector_residual": np.max(errors, axis=-1),
                   "orthonormality": orthonormality}
     residuals |= {f"w32_{key}": column for key, column in w32.items()}
-    # the certificate sets the peak: keep only values
+    # the certificate reads the values and per-irrep columns
     del offdiag, eigs, vectors, amplitudes, gram, dense, errors, mirror, mirrored
 
     exact = [*algebra_checks.values(), *oracle_checks.values()]
-    certified = _certify(stack.numerators, _phi_denominator(ratio), stack.big_n, values, eigen_tol)
+    evidence = (residuals["eigenvector_residual"], orthonormality, stack.s_plus_band,
+                np.array(oracle_passed))
+    certified = _certify(stack.numerators, _phi_denominator(ratio), stack.big_n, values, eigen_tol,
+                         evidence)
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
                 "eigen_certificate_failures": np.sum(stack.real & ~certified, axis=-1)}
     if ratio.m == 1:

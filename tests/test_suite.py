@@ -514,10 +514,10 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
             tables[label] = table
         return stack
 
-    def checking_certify(numerators, denominator, big_n, rows, tolerance):
+    def checking_certify(numerators, denominator, big_n, rows, tolerance, evidence):
         for label, table in zip(labels_of(ratio, 4), numerators, strict=True):
             assert table is tables[label]
-        return certify(numerators, denominator, big_n, rows, tolerance)
+        return certify(numerators, denominator, big_n, rows, tolerance, evidence)
 
     # the stack's route and `StructureFunction.numerators`' route are both counted
     monkeypatch.setattr(representation, "_phi_numerators", counting_numerators)
@@ -533,36 +533,168 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     assert tables.keys() == computed.keys()
 
 
-def test_certifies_the_sweep_in_one_kernel_pass(monkeypatch):
-    # one interval pass over the points of every irrep, after every eigensolve;
-    # it reads each irrep's Phi table and D, and each N's eigenvectors are not kept
-    vectors, calls = [], []
-    eigensolve, count_above = suite._eigensolve, angular._count_above
+def record_certificate(monkeypatch):
+    """The arguments of each `_certify` and each `_count_above` call of a sweep, each with
+    whether each N's eigenvectors were alive at the call."""
+    vectors, calls = [], {"certify": [], "count": []}
+    eigensolve, certify, count_above = suite._eigensolve, suite._certify, angular._count_above
+
+    def alive():
+        gc.collect()
+        return [ref() is not None for ref in vectors]
 
     def recording_eigensolve(offdiag):
         solved = eigensolve(offdiag)
         vectors.append(weakref.ref(solved[1]))
         return solved
 
-    def recording_count_above(tables, denominator, irreps, centres, offsets):
-        gc.collect()
-        calls.append(((tables, denominator), len(irreps),
-                      [ref() is not None for ref in vectors]))
-        return count_above(tables, denominator, irreps, centres, offsets)
+    def recording_certify(*args):
+        calls["certify"].append((args, alive()))
+        return certify(*args)
+
+    def recording_count_above(*args):
+        calls["count"].append((args, alive()))
+        return count_above(*args)
 
     monkeypatch.setattr(suite, "_eigensolve", recording_eigensolve)
+    monkeypatch.setattr(suite, "_certify", recording_certify)
     monkeypatch.setattr(angular, "_count_above", recording_count_above)
+    return calls
+
+
+def test_a_passing_sweep_is_certified_without_a_count(monkeypatch):
+    # the enclosure proves every irrep from the eigen loop's columns, after every eigensolve;
+    # it reads each irrep's Phi table and D, and each N's eigenvectors are not kept
+    calls = record_certificate(monkeypatch)
     ratio = FrequencyRatio(1, 2)
     report = run_suite(ratio, 6)
     assert report.passed
-    [((tables, denominator), points, alive)] = calls
+    [((tables, denominator, *_), alive)] = calls["certify"]
     assert list(tables) == [StructureFunction(label, ratio).numerators
                             for label in labels_of(ratio, 6)]
     assert denominator == structure._phi_denominator(ratio)
-    # the symmetric spectra are counted at i >= N/2, two points each
-    assert points == sum(2 * (label.N // 2 + 1) for label in labels_of(ratio, 6))
     # no N's eigenvectors live on into the certificate, not even the last N's
     assert alive == [False] * 7
+    assert calls["count"] == []
+
+
+@pytest.mark.parametrize("m, n, n_max, tolerance", [(4, 7, 20, IDENTITY_TOL), (3, 5, 8, 1e-13)])
+def test_counts_the_irreps_the_enclosure_leaves_in_one_kernel_pass(monkeypatch, m, n, n_max,
+                                                                   tolerance):
+    calls = record_certificate(monkeypatch)
+    ratio = FrequencyRatio(m, n)
+    report = run_suite(ratio, n_max, tolerance)
+    labels = labels_of(ratio, n_max)
+    [((every_table, denominator, *_), _)] = calls["certify"]
+    [((tables, count_denominator, irreps, *_), alive)] = calls["count"]
+    counted = [next(i for i, table in enumerate(every_table) if table is counted_table)
+               for counted_table in tables]
+    assert 0 < len(counted) < len(labels)
+    assert counted == sorted(set(counted))
+    assert count_denominator == denominator == structure._phi_denominator(ratio)
+    # the symmetric spectra are counted at i >= N/2, two points each
+    assert np.bincount(irreps).tolist() == [2 * (labels[i].N // 2 + 1) for i in counted]
+    assert alive == [False] * (n_max + 1)
+    # every uncertified value is on a counted irrep
+    failing = np.flatnonzero(report.failure_columns["eigen_certificate_failures"])
+    assert set(failing.tolist()) <= set(counted)
+
+
+@pytest.mark.parametrize("m, n, n_max, tolerance", [
+    (4, 7, 20, IDENTITY_TOL), (7, 6, 14, IDENTITY_TOL), (1, 20, 8, IDENTITY_TOL),
+    (1, 60, 1, IDENTITY_TOL), (3, 5, 8, 1e-13)])
+def test_the_enclosure_keeps_the_count_only_flags(monkeypatch, m, n, n_max, tolerance):
+    calls = record_certificate(monkeypatch)
+    run_suite(FrequencyRatio(m, n), n_max, tolerance)
+    [((*args, evidence), _)] = calls["certify"]
+    assert np.array_equal(angular._certify(*args, evidence), angular._certify(*args))
+
+
+def test_the_radii_cover_the_isotropic_spectrum(monkeypatch):
+    # at 1:1 lambda_i = -N + 2i exactly: each radius plus the band term reaches it
+    calls = record_certificate(monkeypatch)
+    run_suite(FrequencyRatio(1, 1), 170)
+    [((_, _, big_n, rows, _, (residual, orthonormality, bands, trusted)), _)] = calls["certify"]
+    rho, shift = angular._radii(rows, big_n, residual, orthonormality, bands)
+    real = np.arange(rows.shape[-1]) <= big_n[:, None]
+    distance = np.max(np.abs(rows - (2 * np.arange(rows.shape[-1]) - big_n[:, None])),
+                      axis=-1, where=real, initial=0.0)
+    assert np.all(trusted)
+    assert np.all(distance <= rho + shift)
+    assert 0 < np.max(distance) and np.max(rho) < 1e-11
+
+
+def test_a_zero_residual_leaves_the_rounding_radius():
+    # the computed residual cannot see an error below the rounding of l_i w_i, so a
+    # residual column of 0.0 still leaves a radius of at least u max |l|
+    values = np.array([[-3.0, 0.0, 3.0]])
+    rho, shift = angular._radii(values, np.array([2]), np.zeros(1), np.zeros(1),
+                                np.array([[math.sqrt(4.5)] * 2]))
+    assert rho[0] >= 2.0**-53 * 3.0
+    assert shift[0] == 2 * math.ulp(math.sqrt(4.5))
+
+
+@pytest.mark.parametrize("shift, counted", [(0.5, True), (0.25, False)])
+def test_the_band_term_counts_toward_delta(monkeypatch, shift, counted):
+    # an irrep is enclosed only when its radius plus its band term is below delta
+    calls = record_certificate(monkeypatch)
+    run_suite(FrequencyRatio(1, 2), 6)
+    [((tables, denominator, big_n, rows, tolerance, evidence), _)] = calls["certify"]
+    delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
+    radii = (np.full(len(rows), delta / 2), np.full(len(rows), shift * delta))
+    monkeypatch.setattr(angular, "_radii", lambda *args: radii)
+    flags = angular._certify(tables, denominator, big_n, rows, tolerance, evidence)
+    assert [len(args[0]) for args, _ in calls["count"]] == ([len(rows)] if counted else [])
+    assert np.array_equal(flags, angular._certify(tables, denominator, big_n, rows, tolerance))
+
+
+def move_an_s_plus_entry(monkeypatch, poisoned):
+    build = suite._build_stack
+
+    def moved_entry(ratio, *columns):
+        stack = build(ratio, *columns)
+        i = stack_labels(stack).index(poisoned)
+        stack.s_plus_band[i, 1] = np.nextafter(np.nextafter(stack.s_plus_band[i, 1], 9), 9)
+        return stack
+
+    monkeypatch.setattr(suite, "_build_stack", moved_entry)
+
+
+def poison_values(monkeypatch, poisoned, change):
+    refuse = suite._refuse
+
+    def poisoned_values(ratio, big_n, p, q, values):  # past the refusals and the residuals
+        refuse(ratio, big_n, p, q, values)
+        i = column_labels(big_n, p, q).index(poisoned)
+        change(values[i])
+
+    monkeypatch.setattr(suite, "_refuse", poisoned_values)
+
+
+def swap_a_pair(row):
+    row[[1, 2]] = row[[2, 1]]
+
+
+def nan_value(row):
+    row[2] = math.nan
+
+
+@pytest.mark.parametrize("control", ["s_plus", "swap", "nan"])
+def test_negative_controls_are_counted_and_never_enclosed(monkeypatch, control):
+    ratio, poisoned = FrequencyRatio(1, 2), IrrepLabel(3, 1, 2)
+    if control == "s_plus":  # 2 ulps: the oracle fails
+        move_an_s_plus_entry(monkeypatch, poisoned)
+    else:
+        poison_values(monkeypatch, poisoned, swap_a_pair if control == "swap" else nan_value)
+    calls = record_certificate(monkeypatch)
+    report = run_suite(ratio, 3)
+    # a swapped pair fails a mirror, so its irrep is counted again at i < N/2
+    assert [args[0] for args, _ in calls["count"]] == (
+        [[StructureFunction(poisoned, ratio).numerators]] * (2 if control == "swap" else 1))
+    [((*args, evidence), _)] = calls["certify"]
+    assert np.array_equal(angular._certify(*args, evidence), angular._certify(*args))
+    assert report.irreps[labels_of(ratio, 3).index(poisoned)].failures[
+        "exact_check_failures" if control == "s_plus" else "eigen_certificate_failures"] > 0
 
 
 def test_the_sweep_builds_no_spectrum(monkeypatch):

@@ -12,8 +12,9 @@ the suite's own work.  Six more rounds, the first a warm-up, run with
 `suite`'s private stages wrapped in timers, and for each stage the shortest of
 its last five round totals is printed in milliseconds: `_build_stack` (build), `_oracle_reports` (oracle),
 `_algebra_reports` (algebra), the eigen loop, from the end of the last check
-kernel to the end of `_refuse` (eigen), `_certify` (certify) and the rest of
-`run_suite` (rest), which holds `_w32_reports`, the reductions and the report.
+kernel to the end of `_refuse` (eigen), `_certify`, the enclosure and any counts
+(certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
+reductions and the report.
 A stage that a `src` lacks is timed as 0.  Then it does the
 same for the four commands of perfbench's spectrum_levels round (`spectrum
 --format json` at each ratio and count of `SPECTRUM_LEVELS`) through
@@ -33,8 +34,8 @@ exit, so interpreter start, the import and interpreter exit included.  Warm
 in-process times can mislead about these: a cold command also pays for first
 calls, cold caches and the work the import left undone.
 
-    run_suite 0.0283 s (build 2.8 oracle 2.8 algebra 2.7 eigen 12.3 certify 5.6 rest 2.5 ms)
-    spectrum 0.0082 s  verify 0.0358 s  compile 0.0180 s  cold 0.0597 s  wall 1.6766 s
+    run_suite 0.0268 s (build 3.1 oracle 3.2 algebra 3.0 eigen 13.8 certify 0.8 rest 2.8 ms)
+    spectrum 0.0090 s  verify 0.0352 s  compile 0.0207 s  cold 0.0623 s  wall 1.9006 s
 
 all on one line; the cold rounds take about 8 s of the run's 10 s (2 vCPUs, Python 3.11.7).
 """

@@ -20,26 +20,20 @@ basis.  The kernel has two halves: `_eigensolve`, which needs T's shape and so
 runs once per N, and `_refuse`, the separation check, which reads zero-padded
 rows beside the N, p and q columns and so runs once on any number of N.  Only
 `angular_eigenvalues` signs its eigenvectors, by w_0 > 0, and so only it
-refuses a w_0 that underflows to 0.0; `run_suite` runs both halves unsigned
-and builds no spectrum.  The forward float run of the recurrence is unstable
-and never builds an eigenvector.  The certificate decides, for each computed
-value l_i, whether the i-th true eigenvalue lies within delta of it, in two
-stages with one outcome.  A sweep first encloses whole irreps from columns its
-eigen loop already holds: the residuals, the orthonormality and the S+ band the
-oracle proved to 1 ulp give, by the residual bound and Weyl's theorem with every
-step rounded upward, one radius about all the values of an irrep (`_certify`
-gives the proof).
-An enclosure only proves, so the flags stay those of the second stage, which
-decides every irrep left, and every spectrum of `certify_eigenvalues`: Sturm
-counts at dyadic points beside each value, on the integer Phi table
-(`StructureFunction.numerators`, Phi(k) = P_k / D, D = m^m n^n).  A count runs
-the pivots r_k = G_k / G_{k-1} in float intervals widened outward at every
-rounding, so each holds the exact pivot; where an interval meets 0 or leaves
-float range, the sign changes of G_0 .. G_{N+1} are counted in integer
-arithmetic instead, so no rounding can misplace a root.  The certificate reads
-padded rows, an N column, the tables and D, so one kernel counts a whole
-sweep's points at once.  The integer count and the exact hints, each an
-integer root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
+refuses a w_0 that underflows to 0.0; `_sweep_eigen`, a sweep's whole eigen
+pass, runs both halves unsigned and builds no spectrum.  The forward float run
+of the recurrence is unstable and never builds an eigenvector.  The certificate
+decides, for each computed value l_i, whether the i-th true eigenvalue lies
+within delta of it: a sweep's enclosure (`_certify`) only proves, so its flags
+are those of the Sturm counts, which decide every irrep it leaves and every
+spectrum of `certify_eigenvalues`.  They count at dyadic points beside each
+value, on the integer Phi table (`StructureFunction.numerators`, Phi(k) = P_k /
+D, D = m^m n^n), running the pivots r_k = G_k / G_{k-1} in float intervals
+widened outward at every rounding; where an interval meets 0 or leaves float
+range, the sign changes of G_0 .. G_{N+1} are counted in integer arithmetic
+instead, so no rounding can misplace a root.  One kernel counts a whole sweep's
+padded rows at once.  The integer count and the exact hints, each an integer
+root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
 """
 
 from __future__ import annotations
@@ -55,8 +49,8 @@ from operator import truediv
 import numpy as np
 
 from .core import CartesianState, FrequencyRatio, IrrepLabel, irrep_members
-from .representation import IrrepMatrices, _check_tolerance, _diag, _offdiagonals, _phi_table
-from .representation import worst_residual
+from .representation import IrrepMatrices, IrrepStack, _check_tolerance, _diag, _offdiagonals
+from .representation import _phi_table, worst_residual
 from .structure import StructureFunction, _phi_denominator
 
 __all__ = ["AngularSpectrum", "angular_eigenvalues", "certify_eigenvalues",
@@ -156,8 +150,7 @@ def angular_eigenvalues(label: IrrepLabel, ratio: FrequencyRatio) -> AngularSpec
     w_0 != 0 in exact arithmetic; a w_0 that underflows to 0.0 raises
     ArithmeticError); the zero-eigenvalue vector of an even-N irrep has the
     parity of G_k(0), so its odd components are set to exactly zero.  It is
-    the one place an `AngularSpectrum` is built; `run_suite` runs the same
-    kernel, `_eigensolve` per N and `_refuse` once on its whole sweep.
+    the one place an `AngularSpectrum` is built.
     """
     numerators = StructureFunction(label, ratio).numerators
     offdiag = _offdiagonals(ratio, (label,), (numerators,))[None]
@@ -178,10 +171,9 @@ def _eigensolve(offdiag: np.ndarray, signed: bool = False) -> tuple[np.ndarray, 
     one stacked `eigh`, which reads T's lower band only (`UPLO="L"`).  `signed` turns each
     vector so that w_0 >= 0; the odd components of an even N's zero-eigenvalue vector are set
     to exactly 0.0.  Nothing here is checked: `_refuse` checks separation, on any number of N
-    at once, and `angular_eigenvalues` checks the w_0 that signs its vectors.
-
-    It needs T's shape, so a sweep runs it once per N.  `_residuals` and the Gram matrix are
-    bitwise the same on unsigned vectors, so `run_suite` skips the sign, and with it w_0."""
+    at once, and `angular_eigenvalues` checks the w_0 that signs its vectors.  `_residuals`
+    and the Gram matrix are bitwise the same on unsigned vectors, so `_sweep_eigen` skips the
+    sign, and with it w_0."""
     big_n = offdiag.shape[-1]
     eigs, w = np.linalg.eigh(_diag(offdiag, -1))
     eigs = (eigs - eigs[..., ::-1]) / 2.0
@@ -404,9 +396,8 @@ def _gamma(n: int) -> float:
 def _radii(values: np.ndarray, big_n: np.ndarray, residuals: np.ndarray,
            orthonormality: np.ndarray, bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per irrep, rho, an upper bound of ||T~ w_i - l_i w_i||_2 / ||w_i||_2 over the values
-    l_i of its row of `values`, and 2 ulp(max s), from the columns of the eigen loop that
-    computed them; `_certify` proves the bound, which holds on an ascending row whose
-    orthonormality is < 1/2."""
+    l_i of its row of `values`, and 2 ulp(max s), from its eigen columns; `_certify` proves
+    the bound, which holds on an ascending row whose orthonormality is < 1/2."""
     gram = _gamma(2 * values.shape[-1])  # the real part of a Gram entry sums 2(N+1) products
     norm = math.nextafter(1.5 / math.nextafter(1 - gram, 0), math.inf)  # >= ||w_i||_inf
     top = np.max(bands, axis=-1, initial=0.0)
@@ -420,20 +411,18 @@ def _radii(values: np.ndarray, big_n: np.ndarray, residuals: np.ndarray,
 
 
 def _certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarray,
-             rows: np.ndarray, tolerance: float,
-             evidence: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+             rows: np.ndarray, tolerance: float, evidence: tuple[np.ndarray, ...]) -> np.ndarray:
     """`certify_eigenvalues` on each row of `rows`, at Phi(k) = `tables[j][k]` / `denominator`.
 
     Row j holds the values of irrep j, N = `big_n[j]`, in its first N+1 entries, then
     padding, and its flags are True only where a value is certified, so never on the padding.
-    The flags are those of the exact counts (`_count_certify`) on every row.  `evidence`,
-    when given, holds each irrep's residual, orthonormality, S+ band and oracle verdict from
-    the eigen loop that computed the values (`run_suite`), and a first stage encloses whole
-    irreps from them; only the irreps it leaves are counted.  For irrep j, with N its N,
-    l_i its values, w_i the computed vectors, e = residual[j] the largest computed
-    ||T~ w_i - l_i w_i||_inf, o = orthonormality[j] (max |Gram - I| of the phased vectors),
-    s = band[j] its S+ band, T~ the float tridiagonal `eigh` solved, T the exact one and
-    u = 2^-53:
+    The flags are those of the exact counts (`_count_certify`) on every row.  `evidence`
+    holds each irrep's residual, orthonormality, S+ band and oracle verdict (`_sweep_eigen`),
+    a first stage encloses whole irreps from them, and only the irreps it leaves are counted.
+    For irrep j, with N its N, l_i its values, w_i the computed vectors, e = residual[j] the
+    largest computed ||T~ w_i - l_i w_i||_inf, o = orthonormality[j] (max |Gram - I| of the
+    phased vectors), s = band[j] its S+ band, T~ the float tridiagonal `eigh` solved, T the
+    exact one and u = 2^-53:
 
     - an entry of a residual is three rounded products summed, so each exact
       ||r_i||_inf <= e + gamma_3 (2 max s + max |l|) ||w_i||_inf + 2^-1072 (underflow),
@@ -456,27 +445,29 @@ def _certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarra
     the counts decide the same predicate exactly, and a strict enclosure passes both a
     value's own counts and its mirror's.
     """
-    delta = math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
+    residual, orthonormality, bands, trusted = evidence
     real = np.arange(rows.shape[-1]) <= big_n[:, None]
-    enclosed = np.zeros(len(rows), dtype=bool)
-    if evidence is not None:
-        residual, orthonormality, bands, trusted = evidence
-        with np.errstate(all="ignore"):  # a NaN compares False, and so is unproven
-            rho, shift = _radii(rows, big_n, residual, orthonormality, bands)
-            gaps = np.min(rows[:, 1:] - rows[:, :-1], axis=-1, where=real[:, 1:], initial=math.inf)
-            enclosed = (trusted & (orthonormality < 0.5) & (rho < _down(delta - shift))
-                        & (2 * rho < _down(gaps)))
+    with np.errstate(all="ignore"):  # a NaN compares False, and so is unproven
+        rho, shift = _radii(rows, big_n, residual, orthonormality, bands)
+        gaps = np.min(rows[:, 1:] - rows[:, :-1], axis=-1, where=real[:, 1:], initial=math.inf)
+        enclosed = (trusted & (orthonormality < 0.5) & (rho < _down(_delta(tolerance) - shift))
+                    & (2 * rho < _down(gaps)))
     certified = real & enclosed[:, None]
     counted = np.flatnonzero(~enclosed)
     if counted.size:
         certified[counted] = _count_certify([tables[j] for j in counted.tolist()], denominator,
-                                            big_n[counted], rows[counted], delta)
+                                            big_n[counted], rows[counted], tolerance)
     return certified
 
 
+def _delta(tolerance: float) -> float:
+    """The largest power of two <= `tolerance`, the certificate's radius."""
+    return math.ldexp(1.0, math.frexp(tolerance)[1] - 1)
+
+
 def _count_certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.ndarray,
-                   rows: np.ndarray, delta: float) -> np.ndarray:
-    """`_certify`'s flags on each row of `rows` by exact Sturm counts at l_i -+ `delta`.
+                   rows: np.ndarray, tolerance: float) -> np.ndarray:
+    """`_certify`'s flags on each row of `rows` by exact Sturm counts at l_i -+ `_delta(tolerance)`.
 
     Every count point of every row goes to one `_count_above` pass.  Of the
     points it leaves undecided, the - points are counted exactly first, and a
@@ -484,7 +475,8 @@ def _count_certify(tables: Sequence[Sequence[int]], denominator: int, big_n: np.
     l_i == -l_{N-i} takes its mirror's result, and is counted itself, in a
     second pass, when its mirror fails.  A NaN or inf gets no point.
     """
-    width, values, index = rows.shape[-1], rows.ravel(), np.arange(rows.shape[-1])
+    delta, width = _delta(tolerance), rows.shape[-1]
+    values, index = rows.ravel(), np.arange(width)
     mirror = np.arange(len(values)) + (big_n[:, None] - 2 * index).ravel()  # where l_{N-i} is
     mirrored = (2 * index < big_n[:, None]).ravel() & (values == -values[mirror])
     finite = np.isfinite(values) & (index <= big_n[:, None]).ravel()
@@ -525,16 +517,64 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
     a count when l_i == -l_{N-i} and its mirror passes; so a symmetric
     spectrum is counted at i >= N/2 only, and each certified value is proven
     within the closed [l_i - delta, l_i + delta].  A NaN or inf is not
-    certified.  A spectrum's values may come with residuals not computed from
-    them, so every value here is counted; `run_suite` runs the same kernel once
-    on a whole sweep, after an enclosure that spares the counts of the irreps it
-    proves.  A tolerance that is not finite and > 0 raises ValueError.
+    certified.  Every value is counted (`_count_certify`), since a spectrum may
+    pair its values with residuals not computed from them.  A tolerance that is
+    not finite and > 0 raises ValueError.
     """
     _check_tolerance("certificate", tolerance)
     row = np.array([spectrum.eigenvalues], dtype=float)
-    return tuple(_certify((_phi_table(spectrum.label, spectrum.numerators),),
-                          _phi_denominator(spectrum.ratio), np.array([row.shape[-1] - 1]), row,
-                          tolerance)[0].tolist())
+    return tuple(_count_certify((_phi_table(spectrum.label, spectrum.numerators),),
+                                _phi_denominator(spectrum.ratio), np.array([row.shape[-1] - 1]),
+                                row, tolerance)[0].tolist())
+
+
+def _sweep_eigen(stack: IrrepStack, trusted: np.ndarray,
+                 tolerance: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """A sweep's eigen pass: the eigen columns and the certificate's flags at `tolerance` of
+    every irrep of `stack`, in label order (N ascending).  Only the work that needs one N's
+    shape runs once per N, on the S+ band: an unsigned `_eigensolve`, the residuals, the dense
+    `eigvalsh` of `build_l0` and the Gram matrix of the phased vectors, into padded (irreps,
+    N_max+1) rows.  `_refuse` runs once, on the rows solved, after the last N or the first
+    error, so the first refused irrep in label order wins over any error of a later N.  The
+    padded rows reduce to the columns `method_agreement`, `spectrum_symmetry`,
+    `eigenvector_residual` and `orthonormality`, in that order.  Then, with no N's vectors
+    alive, `_certify` proves the values, reading `trusted[j]`, irrep j's oracle verdict.
+    """
+    values, columns = _eigen_columns(stack)
+    evidence = (columns["eigenvector_residual"], columns["orthonormality"], stack.s_plus_band,
+                trusted)
+    return columns, _certify(stack.numerators, _phi_denominator(stack.ratio), stack.big_n, values,
+                             tolerance, evidence)
+
+
+def _eigen_columns(stack: IrrepStack) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """`_sweep_eigen`'s padded values and its four columns; each N's vectors die with the call."""
+    irreps, width = len(stack.big_n), stack.s0_band.shape[-1]
+    values, orthonormality = np.zeros((irreps, width)), np.empty(irreps)
+    dense, errors = np.zeros((2, irreps, width))  # not `values`' buffer: they die with the call
+    phases, identity, index = _phases(width), np.eye(width), np.arange(width)  # N reads a corner
+    starts = np.searchsorted(stack.big_n, range(width + 1)).tolist()  # N's rows: starts[N:N+2]
+    solved = slice(0)  # the rows whose eigh has run
+    try:
+        for big_n in range(width):
+            rows, size = slice(starts[big_n], starts[big_n + 1]), big_n + 1
+            offdiag = stack.s_plus_band[rows, :big_n]
+            eigs, vectors = _eigensolve(offdiag)
+            values[rows, :size] = eigs
+            solved = slice(rows.stop)
+            errors[rows, :size] = _residuals(offdiag, vectors, eigs)
+            dense[rows, :size] = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy has it
+            amplitudes = phases[:size] * vectors
+            gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
+            orthonormality[rows] = np.abs(gram - identity[:size, :size]).max(axis=(-2, -1))
+    finally:  # the first refused irrep, in label order, wins over a later N's failure
+        _refuse(stack.ratio, stack.big_n[solved], stack.p[solved], stack.q[solved], values[solved])
+    mirror = np.where(stack.real, stack.big_n[:, None] - index, index)  # i -> N-i
+    mirrored = np.take_along_axis(values, mirror, axis=-1)  # l_{N-i}, and 0.0 past N
+    return values, {"method_agreement": np.max(np.abs(values - dense), axis=-1),
+                    "spectrum_symmetry": np.max(np.abs(values + mirrored), axis=-1),
+                    "eigenvector_residual": np.max(errors, axis=-1),
+                    "orthonormality": orthonormality}
 
 
 def build_l0(rep: IrrepMatrices | np.ndarray) -> np.ndarray:

@@ -386,7 +386,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
 
     residuals = dict(zip(report.residuals, _decimals(report.residuals.values())))
     residuals["exact_check_failures"] = float(report.failures)
-    record = {
+    records = [{  # for JSON alone: the dense matrices' decimals are its own
         "N": label.N,
         "p": label.p,
         "q": label.q,
@@ -400,7 +400,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         "matrices": {key: list(map(_decimals, getattr(rep, key).tolist()))
                      for key in ("s0", "s_plus", "s_minus", "h")},
         "passed": report.passed,
-    }
+    }] if fmt == "json" else None
     rows = [[str(k), str(s.n_x), str(s.n_y), _fmt(s0), _fmt(up)]
             for k, (s, s0, up) in enumerate(zip(members, rep.s0_band, [*rep.s_plus_band, 0.0]))]
     lines = [
@@ -420,7 +420,7 @@ def irrep(ratio, big_n, p, q, fmt, tol, output):
         lines.append(f"  {key:<28}{_fmt(value)}")
     lines.append(f"verification: {'PASS' if report.passed else 'FAIL'} "
                  f"(tolerance {tol:g})")
-    _report(ratio, "irrep", fmt, output, [record], residuals,
+    _report(ratio, "irrep", fmt, output, records, residuals,
             ["k", "n_x", "n_y", "s0_diagonal", "splus_next"], rows, "\n".join(lines),
             report.passed)
 

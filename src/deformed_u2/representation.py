@@ -298,9 +298,9 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     is not finite and > 0 raises ValueError.
     """
     _check_tolerance("algebra", tolerance)
-    from .oracle import _oracle_reports  # the oracle module imports this one
+    from .oracle import _oracle_reports, _oracle_verdicts  # the oracle module imports this one
     stack = IrrepStack.of(rep)
-    proven = [all(checks) for checks in zip(*_oracle_reports(stack)[1].values())]
+    proven = _oracle_verdicts(_oracle_reports(stack)[1])
     return _first_report("algebra", _algebra_reports(stack, proven), tolerance)
 
 

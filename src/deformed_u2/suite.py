@@ -7,22 +7,13 @@ to name an irrep.  Padded rows beside the N column and its row mask are the one
 row format every kernel of the sweep reads.  The oracle, the algebra relations
 and, for 1:2, the W_3^(2) relations run once on the stack, each returning one
 column per check; each irrep the oracle passes takes its ladder identity from
-one proof of the commutator per sweep.  Only the eigen work that needs one N's
-shape runs once per N, on the stack's S+ band: `eigh`, the eigenvector
-residuals, the dense `eigvalsh` and the Gram matrix, whose eigenvectors are
-never signed and go at the next N.  It fills padded (irreps, N_max+1) columns,
-and the separation refusal, the reductions and the certificate run once on
-them.  The certificate first encloses each irrep the oracle passed from the
-values, residuals, orthonormality and S+ band alone, a few array operations
-that prove every value of a passing sweep; only the irreps it leaves take the
-Sturm counts, one float-interval pass over their points, and the points it
-cannot decide are counted exactly.  The flags are the counts' flags either way.
-Only the 1:n split builds a per-irrep object.  The `SuiteReport` holds the
-columns, N, p, q and 2mn E included, and builds the labels and the energies'
-`Fraction`s only when they are read.  Identity residuals are gated at the
-identity tolerance, the eigen class at 10x it, every exact check, the oracle's
-included, must hold, and every eigenvalue must be certified within the eigen
-tolerance.
+one proof of the commutator per sweep.  One call, `angular._sweep_eigen`, runs
+the eigen pass and its certificate.  Only the 1:n split builds a per-irrep
+object.  The `SuiteReport` holds the columns, N, p, q and 2mn E included, and
+builds the labels and the energies' `Fraction`s only when they are read.
+Identity residuals are gated at the identity tolerance, the eigen class at 10x
+it, every exact check, the oracle's included, must hold, and every eigenvalue
+must be certified within the eigen tolerance.
 """
 
 from __future__ import annotations
@@ -34,12 +25,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import _certify, _eigensolve, _phases, _refuse, _residuals, build_l0
+from .angular import _sweep_eigen
 from .core import FrequencyRatio, IrrepLabel
-from .oracle import _oracle_reports
+from .oracle import _oracle_reports, _oracle_verdicts
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
-from .structure import CommutatorPolynomial, StructureFunction, _phi_denominator
+from .structure import CommutatorPolynomial, StructureFunction
 from .structure import commutator_polynomial, parafermionic_decompose
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
@@ -140,13 +131,11 @@ class SuiteReport:
 def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL) -> SuiteReport:
     """Run every identity check on every irrep (N, p, q) with N <= n_max.
 
-    `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the
-    eigen class, and the certificate of each eigenvalue, are gated at 10x
-    it, so at `EIGEN_TOL` by default.  The eigen kernel runs `_eigensolve`
-    once per N and `_refuse` once, after the last N, on the whole sweep: its
-    `ArithmeticError` names the first refused irrep in label order, and it
-    wins over any error of a later N.  An `n_max` below 0, or a `tolerance`
-    that is not finite and > 0 with 10x it finite, raises ValueError.
+    `tolerance` is the identity tolerance, `IDENTITY_TOL` by default; the eigen class, and the
+    certificate of each eigenvalue, are gated at 10x it, so at `EIGEN_TOL` by default.  The
+    eigen pass (`_sweep_eigen`) raises ArithmeticError naming the first irrep, in label order,
+    whose eigenvalues are not separated.  An `n_max` below 0, or a `tolerance` that is not
+    finite and > 0 with 10x it finite, raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 for the {ratio} suite, got {n_max}")
@@ -158,46 +147,12 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     columns = np.indices((n_max + 1, ratio.m, ratio.n)).reshape(3, -1) + [[0], [1], [1]]
     stack = _build_stack(ratio, *columns)  # label order: N, then p in 1..m, then q in 1..n
     _, oracle_checks = _oracle_reports(stack)
-    oracle_passed = [all(checks) for checks in zip(*oracle_checks.values())]  # irrep by irrep
+    oracle_passed = _oracle_verdicts(oracle_checks)
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
-
-    # each irrep's row of these (irreps, N_max+1) columns holds its N+1 entries, then 0.0
-    values = np.zeros((len(stack.big_n), n_max + 1))
-    dense, errors = np.zeros((2, len(stack.big_n), n_max + 1))
-    orthonormality = np.empty(len(stack.big_n))
-    phases, identity = _phases(n_max + 1), np.eye(n_max + 1)  # each N reads its corner
-    solved, mn = 0, ratio.m * ratio.n  # solved: the irreps whose eigh has run
-    try:
-        for big_n in range(n_max + 1):
-            rows, size = slice(big_n * mn, (big_n + 1) * mn), big_n + 1
-            offdiag = stack.s_plus_band[rows, :big_n]
-            eigs, vectors = _eigensolve(offdiag)
-            values[rows, :size] = eigs
-            solved = rows.stop
-            errors[rows, :size] = _residuals(offdiag, vectors, eigs)
-            dense[rows, :size] = np.linalg.eigvalsh(build_l0(offdiag))  # ascending, as numpy has it
-            amplitudes = phases[:size] * vectors
-            gram = amplitudes.conj().swapaxes(-1, -2) @ amplitudes
-            orthonormality[rows] = np.abs(gram - identity[:size, :size]).max(axis=(-2, -1))
-    finally:  # the first refused irrep, in label order, wins over a later N's failure
-        _refuse(ratio, stack.big_n[:solved], stack.p[:solved], stack.q[:solved], values[:solved])
-    index = np.arange(n_max + 1)
-    mirror = np.where(stack.real, stack.big_n[:, None] - index, index)  # i -> N-i
-    mirrored = np.take_along_axis(values, mirror, axis=-1)  # l_{N-i}, and 0.0 past N
-    residuals |= {"method_agreement": np.max(np.abs(values - dense), axis=-1),
-                  "spectrum_symmetry": np.max(np.abs(values + mirrored), axis=-1),
-                  "eigenvector_residual": np.max(errors, axis=-1),
-                  "orthonormality": orthonormality}
-    residuals |= {f"w32_{key}": column for key, column in w32.items()}
-    # the certificate reads the values and per-irrep columns
-    del offdiag, eigs, vectors, amplitudes, gram, dense, errors, mirror, mirrored
-
+    eigen, certified = _sweep_eigen(stack, oracle_passed, eigen_tol)
+    residuals |= eigen | {f"w32_{key}": column for key, column in w32.items()}
     exact = [*algebra_checks.values(), *oracle_checks.values()]
-    evidence = (residuals["eigenvector_residual"], orthonormality, stack.s_plus_band,
-                np.array(oracle_passed))
-    certified = _certify(stack.numerators, _phi_denominator(ratio), stack.big_n, values, eigen_tol,
-                         evidence)
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
                 "eigen_certificate_failures": np.sum(stack.real & ~certified, axis=-1)}
     if ratio.m == 1:

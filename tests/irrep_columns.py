@@ -1,8 +1,27 @@
-"""Irrep labels to and from the N, p and q int columns that stacks and reports keep."""
+"""The tests' irrep labels: the coprime ratios and every label of a sweep, and labels to and
+from the N, p and q int columns that stacks and reports keep."""
+
+from math import gcd
 
 import numpy as np
 
 from deformed_u2 import IrrepLabel
+
+
+def coprime_pairs(limit):
+    """Every coprime (m, n) with m, n <= limit, m ascending, then n."""
+    return [(m, n) for m in range(1, limit + 1) for n in range(1, limit + 1) if gcd(m, n) == 1]
+
+
+def all_labels(m, n, n_top):
+    """Every label (N, p, q) of the m:n ratio with N <= n_top, in label order: N, then p, then q."""
+    return [IrrepLabel(big_n, p, q)
+            for big_n in range(n_top + 1) for p in range(1, m + 1) for q in range(1, n + 1)]
+
+
+def labels_of(ratio, n_max):
+    """`all_labels` of `ratio` up to N = n_max."""
+    return all_labels(ratio.m, ratio.n, n_max)
 
 
 def columns_of(labels):

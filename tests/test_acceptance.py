@@ -9,7 +9,6 @@ import contextlib
 import math
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from deformed_u2 import (
 )
 from deformed_u2.cli import main as cli_main
 from gamma_form import gamma_value
+from irrep_columns import all_labels, coprime_pairs
 
 
 @contextlib.contextmanager
@@ -46,22 +46,6 @@ def criterion(number, description):
         print(f"criterion {number:2d}: FAIL  {description}")
         raise
     print(f"criterion {number:2d}: PASS  {description}")
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
-
-
-def all_labels(m, n, n_top):
-    for big_n in range(n_top + 1):
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                yield IrrepLabel(big_n, p, q)
 
 
 def test_criterion_01_degeneracy_patterns():

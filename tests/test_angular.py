@@ -6,7 +6,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import gcd
 
 import mpmath
 import numpy as np
@@ -33,23 +32,7 @@ from deformed_u2.angular import _count_above, _dyadic, _even_part, _exact_count
 from deformed_u2.representation import _diag, _offdiagonals
 from deformed_u2.structure import _phi_denominator, _phi_numerators
 from deformed_u2.suite import EIGEN_TOL
-from irrep_columns import columns_of
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
-
-
-def all_labels(m, n, n_top):
-    for big_n in range(n_top + 1):
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                yield IrrepLabel(big_n, p, q)
+from irrep_columns import all_labels, columns_of, coprime_pairs
 
 
 def fraction_p(numerators, denominator, s):

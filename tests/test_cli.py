@@ -171,6 +171,21 @@ class TestIrrep:
         assert record["matrices"]["s0"][0][0] == pytest.approx(-0.375)
         assert document["residuals"]["exact_check_failures"] == 0.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_reads_no_dense_matrix_outside_json(self, runner, monkeypatch, fmt):
+        # the dense generators' decimals are written only into the JSON record
+        args = ["irrep", "--ratio", "1:2", "--N", "6", "--q", "2", "--format"]
+        expected = invoke(runner, *args, fmt).output
+
+        def refuse(rep):
+            raise AssertionError("irrep read a dense generator")
+
+        for name in ("s0", "s_plus", "s_minus", "h"):
+            monkeypatch.setattr(representation.IrrepMatrices, name, property(refuse))
+        assert invoke(runner, *args, fmt).output == expected
+        with pytest.raises(AssertionError, match="dense generator"):
+            invoke(runner, *args, "json")
+
 
 class TestAngular:
     def test_1_2_n2_table(self, runner):

@@ -2,7 +2,6 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -23,15 +22,7 @@ from deformed_u2 import (
     irrep_to_cartesian,
 )
 from deformed_u2.core import _level_keys
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
+from irrep_columns import coprime_pairs
 
 
 COPRIME_RATIOS = st.sampled_from([FrequencyRatio(m, n) for m, n in coprime_pairs(6)])

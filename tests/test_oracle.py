@@ -1,7 +1,6 @@
 import dataclasses
 import math
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -22,27 +21,9 @@ from deformed_u2 import oracle
 from deformed_u2.oracle import _oracle_reports, _within_one_ulp
 from deformed_u2.representation import _BANDS, IrrepStack, _build_stack
 from deformed_u2.suite import run_suite
-from irrep_columns import columns_of, stack_labels
+from irrep_columns import columns_of, coprime_pairs, labels_of, stack_labels
 
 CHECKS = {"s0": True, "s_plus": True, "s_minus": True, "h": True}
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
-
-
-def labels_of(ratio, n_max):
-    return [
-        IrrepLabel(big_n, p, q)
-        for big_n in range(n_max + 1)
-        for p in range(1, ratio.m + 1)
-        for q in range(1, ratio.n + 1)
-    ]
 
 
 def failed(rep):

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -21,22 +20,7 @@ from deformed_u2 import (
     worst_residual,
 )
 from deformed_u2.representation import IrrepStack, _diag
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
-
-
-def all_labels(m, n, n_top):
-    for big_n in range(n_top + 1):
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                yield IrrepLabel(big_n, p, q)
+from irrep_columns import all_labels, coprime_pairs
 
 
 class TestBuildIrrep:

@@ -7,7 +7,6 @@ import pkgutil
 import re
 import weakref
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
@@ -30,7 +29,7 @@ from deformed_u2 import (
 )
 from deformed_u2.structure import _ladder_factors, _ladder_identity, _phi_denominator
 from gamma_form import gamma_value
-from irrep_columns import column_labels, columns_of, stack_labels
+from irrep_columns import all_labels, column_labels, columns_of, coprime_pairs, stack_labels
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -78,22 +77,6 @@ def _ladder_product(ratio: FrequencyRatio, h, s0):
     for sigma, offset in _ladder_factors(ratio):
         value *= half_h + sigma * s0 + Fraction(offset, scale)
     return value
-
-
-def coprime_pairs(limit):
-    return [
-        (m, n)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        if gcd(m, n) == 1
-    ]
-
-
-def all_labels(m, n, n_top):
-    for big_n in range(n_top + 1):
-        for p in range(1, m + 1):
-            for q in range(1, n + 1):
-                yield IrrepLabel(big_n, p, q)
 
 
 # printed closed forms of the 1:1, 1:2 and 1:3 families, as plain lambdas

@@ -24,16 +24,7 @@ from deformed_u2.exceptions import NotDivisibleError
 from deformed_u2.structure import CommutatorPolynomial
 from deformed_u2.suite import EIGEN_TOL, IDENTITY_TOL, run_suite
 from gamma_form import gamma_value
-from irrep_columns import built_labels, column_labels, stack_labels
-
-
-def labels_of(ratio, n_max):
-    return [
-        IrrepLabel(big_n, p, q)
-        for big_n in range(n_max + 1)
-        for p in range(1, ratio.m + 1)
-        for q in range(1, ratio.n + 1)
-    ]
+from irrep_columns import built_labels, column_labels, labels_of, stack_labels
 
 
 def test_builds_each_irrep_once(monkeypatch):
@@ -286,7 +277,7 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
     # (2, 2, 3) is the 8th of the 15 irreps of N = 2 in the sweep of 3:5
     ratio, poisoned = FrequencyRatio(3, 5), IrrepLabel(2, 2, 3)
     clean = run_suite(ratio, 2)
-    build, refuse = suite._build_stack, suite._refuse
+    build, refuse = suite._build_stack, angular._refuse
 
     def nan_in_h(ratio, *columns):
         stack = build(ratio, *columns)
@@ -302,7 +293,7 @@ def test_poison_in_the_middle_of_a_wide_stack_fails_only_that_irrep(monkeypatch)
                 values[i, [0, 1]] = values[i, [1, 0]]
 
     monkeypatch.setattr(suite, "_build_stack", nan_in_h)
-    monkeypatch.setattr(suite, "_refuse", swapped_pair)
+    monkeypatch.setattr(angular, "_refuse", swapped_pair)
     report = run_suite(ratio, 2)
     assert [irrep.label for irrep in report.irreps].index(poisoned) == 30 + 7
     assert not report.passed
@@ -375,7 +366,7 @@ def test_tolerances_and_gate_rule():
 
 
 def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
-    refuse = suite._refuse
+    refuse = angular._refuse
     poisoned = IrrepLabel(3, 1, 2)
 
     def swapped_pair(ratio, big_n, p, q, values):  # past the refusals and the residuals
@@ -384,7 +375,7 @@ def test_uncertified_eigenvalues_count_per_irrep(monkeypatch):
             if label == poisoned:
                 values[i, [0, 1]] = values[i, [1, 0]]
 
-    monkeypatch.setattr(suite, "_refuse", swapped_pair)
+    monkeypatch.setattr(angular, "_refuse", swapped_pair)
     report = run_suite(FrequencyRatio(1, 2), 3)
     assert not report.passed
     assert report.residuals["eigen_certificate_failures"] == 2.0
@@ -441,7 +432,7 @@ def test_names_the_first_refused_irrep_in_label_order(monkeypatch, zeroed, named
 
 def test_a_later_failure_does_not_pre_empt_a_refusal(monkeypatch):
     # the refusals run once, after the last N; a later N's failing LAPACK call must not win
-    eigensolve, solved = suite._eigensolve, []
+    eigensolve, solved = angular._eigensolve, []
 
     def failing_at_n_4(offdiag):
         solved.append(offdiag.shape[-1])
@@ -449,7 +440,7 @@ def test_a_later_failure_does_not_pre_empt_a_refusal(monkeypatch):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigensolve(offdiag)
 
-    monkeypatch.setattr(suite, "_eigensolve", failing_at_n_4)
+    monkeypatch.setattr(angular, "_eigensolve", failing_at_n_4)
     zero_s_plus_bands(monkeypatch, (IrrepLabel(2, 2, 1),))
     with pytest.raises(ArithmeticError, match=re.escape("eigenvalues of (N=2, p=2, q=1) not")):
         run_suite(FrequencyRatio(2, 3), 5)
@@ -462,7 +453,7 @@ def test_a_later_failure_does_not_pre_empt_a_refusal(monkeypatch):
 
 def test_an_underflowed_w_0_is_not_refused(monkeypatch):
     # the sweep never signs its eigenvectors, so a w_0 of 0.0 decides nothing in it
-    eigensolve = suite._eigensolve
+    eigensolve = angular._eigensolve
 
     def zero_w_0(offdiag):
         values, vectors = eigensolve(offdiag)
@@ -470,7 +461,7 @@ def test_an_underflowed_w_0_is_not_refused(monkeypatch):
             vectors[0, 0, 1] = 0.0  # irrep (2, 1, 1), eigenvector 1
         return values, vectors
 
-    monkeypatch.setattr(suite, "_eigensolve", zero_w_0)
+    monkeypatch.setattr(angular, "_eigensolve", zero_w_0)
     report = run_suite(FrequencyRatio(2, 3), 3)
     assert report.worst_irrep("eigenvector_residual") == IrrepLabel(2, 1, 1)
 
@@ -506,7 +497,7 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
         return product(self, numerator, denominator)
 
     tables = {}
-    build, certify = suite._build_stack, suite._certify
+    build, certify = suite._build_stack, angular._certify
 
     def recording_build(ratio, *columns):
         stack = build(ratio, *columns)
@@ -524,7 +515,7 @@ def test_computes_each_irreps_phi_table_once(monkeypatch):
     monkeypatch.setattr(structure, "_phi_numerators", counting_numerators)
     monkeypatch.setattr(StructureFunction, "_product", counting_product)
     monkeypatch.setattr(suite, "_build_stack", recording_build)
-    monkeypatch.setattr(suite, "_certify", checking_certify)
+    monkeypatch.setattr(angular, "_certify", checking_certify)
     ratio = FrequencyRatio(1, 2)  # 1:2 also runs the 1:n split and the W_3^(2) check
     report = run_suite(ratio, 4)
     assert report.passed
@@ -537,7 +528,7 @@ def record_certificate(monkeypatch):
     """The arguments of each `_certify` and each `_count_above` call of a sweep, each with
     whether each N's eigenvectors were alive at the call."""
     vectors, calls = [], {"certify": [], "count": []}
-    eigensolve, certify, count_above = suite._eigensolve, suite._certify, angular._count_above
+    eigensolve, certify, count_above = angular._eigensolve, angular._certify, angular._count_above
 
     def alive():
         gc.collect()
@@ -556,8 +547,8 @@ def record_certificate(monkeypatch):
         calls["count"].append((args, alive()))
         return count_above(*args)
 
-    monkeypatch.setattr(suite, "_eigensolve", recording_eigensolve)
-    monkeypatch.setattr(suite, "_certify", recording_certify)
+    monkeypatch.setattr(angular, "_eigensolve", recording_eigensolve)
+    monkeypatch.setattr(angular, "_certify", recording_certify)
     monkeypatch.setattr(angular, "_count_above", recording_count_above)
     return calls
 
@@ -607,7 +598,7 @@ def test_the_enclosure_keeps_the_count_only_flags(monkeypatch, m, n, n_max, tole
     calls = record_certificate(monkeypatch)
     run_suite(FrequencyRatio(m, n), n_max, tolerance)
     [((*args, evidence), _)] = calls["certify"]
-    assert np.array_equal(angular._certify(*args, evidence), angular._certify(*args))
+    assert np.array_equal(angular._certify(*args, evidence), angular._count_certify(*args))
 
 
 def test_the_radii_cover_the_isotropic_spectrum(monkeypatch):
@@ -645,7 +636,8 @@ def test_the_band_term_counts_toward_delta(monkeypatch, shift, counted):
     monkeypatch.setattr(angular, "_radii", lambda *args: radii)
     flags = angular._certify(tables, denominator, big_n, rows, tolerance, evidence)
     assert [len(args[0]) for args, _ in calls["count"]] == ([len(rows)] if counted else [])
-    assert np.array_equal(flags, angular._certify(tables, denominator, big_n, rows, tolerance))
+    assert np.array_equal(flags,
+                          angular._count_certify(tables, denominator, big_n, rows, tolerance))
 
 
 def move_an_s_plus_entry(monkeypatch, poisoned):
@@ -661,14 +653,14 @@ def move_an_s_plus_entry(monkeypatch, poisoned):
 
 
 def poison_values(monkeypatch, poisoned, change):
-    refuse = suite._refuse
+    refuse = angular._refuse
 
     def poisoned_values(ratio, big_n, p, q, values):  # past the refusals and the residuals
         refuse(ratio, big_n, p, q, values)
         i = column_labels(big_n, p, q).index(poisoned)
         change(values[i])
 
-    monkeypatch.setattr(suite, "_refuse", poisoned_values)
+    monkeypatch.setattr(angular, "_refuse", poisoned_values)
 
 
 def swap_a_pair(row):
@@ -692,7 +684,7 @@ def test_negative_controls_are_counted_and_never_enclosed(monkeypatch, control):
     assert [args[0] for args, _ in calls["count"]] == (
         [[StructureFunction(poisoned, ratio).numerators]] * (2 if control == "swap" else 1))
     [((*args, evidence), _)] = calls["certify"]
-    assert np.array_equal(angular._certify(*args, evidence), angular._certify(*args))
+    assert np.array_equal(angular._certify(*args, evidence), angular._count_certify(*args))
     assert report.irreps[labels_of(ratio, 3).index(poisoned)].failures[
         "exact_check_failures" if control == "s_plus" else "eigen_certificate_failures"] > 0
 
@@ -758,7 +750,7 @@ def test_runs_the_stacked_checks_once_per_sweep_on_the_bands(monkeypatch):
     for name in ("s0", "s_plus", "s_minus", "h"):
         monkeypatch.setattr(representation.IrrepMatrices, name, property(refuse))
     calls = Counter()
-    for name in ("_algebra_reports", "_oracle_reports", "_w32_reports"):
+    for name in ("_algebra_reports", "_oracle_reports", "_w32_reports", "_sweep_eigen"):
         def counting(*args, _kernel=getattr(suite, name), _name=name, **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
@@ -767,7 +759,8 @@ def test_runs_the_stacked_checks_once_per_sweep_on_the_bands(monkeypatch):
     for ratio, n_max, w32_runs in ((FrequencyRatio(1, 2), 6, 1), (FrequencyRatio(2, 3), 4, 0)):
         calls.clear()
         assert run_suite(ratio, n_max).passed
-        assert calls == Counter(_algebra_reports=1, _oracle_reports=1, _w32_reports=w32_runs)
+        assert calls == Counter(_algebra_reports=1, _oracle_reports=1, _w32_reports=w32_runs,
+                                _sweep_eigen=1)
 
 
 @pytest.mark.parametrize("m,n,n_max", [(1, 2, 12), (3, 5, 6)])

@@ -9,15 +9,15 @@ read from `perfbench/workloads.py`) as a warm-up, then five times more, and
 prints the shortest of those five totals in seconds.  That time is the library
 alone: no interpreter start, import, CLI rendering or JSON, so it moves with
 the suite's own work.  Six more rounds, the first a warm-up, run with
-`suite`'s private stages wrapped in timers, and for each stage the shortest of
-its last five round totals is printed in milliseconds: `_build_stack` (build), `_oracle_reports` (oracle),
-`_algebra_reports` (algebra), the eigen loop, from the end of the last check
-kernel to the end of `_refuse` (eigen), `_certify`, the enclosure and any counts
-(certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
-reductions and the report.
-A stage that a `src` lacks is timed as 0.  Then it does the
-same for the four commands of perfbench's spectrum_levels round (`spectrum
---format json` at each ratio and count of `SPECTRUM_LEVELS`) through
+`run_suite`'s private stages wrapped in timers, and for each stage the shortest
+of its last five round totals is printed in milliseconds: `_build_stack`
+(build), `_oracle_reports` (oracle), `_algebra_reports` (algebra),
+`_sweep_eigen` less its nested `angular._certify` (eigen), `_certify`, the
+enclosure and any counts (certify), and the rest of `run_suite` (rest), which
+holds `_w32_reports`, the 1:n split and the report.  A stage that a `src` lacks
+is timed as 0, and its time goes to rest.  Then it does the same for the four
+commands of perfbench's spectrum_levels round (`spectrum --format json` at each
+ratio and count of `SPECTRUM_LEVELS`) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
 captured, and prints that total too, and the same total of the eight `verify
 --format json` commands of those verify_deep and verify_wide rounds, which
@@ -34,8 +34,8 @@ exit, so interpreter start, the import and interpreter exit included.  Warm
 in-process times can mislead about these: a cold command also pays for first
 calls, cold caches and the work the import left undone.
 
-    run_suite 0.0268 s (build 3.1 oracle 3.2 algebra 3.0 eigen 13.8 certify 0.8 rest 2.8 ms)
-    spectrum 0.0090 s  verify 0.0352 s  compile 0.0207 s  cold 0.0623 s  wall 1.9006 s
+    run_suite 0.0238 s (build 3.0 oracle 3.1 algebra 2.9 eigen 14.0 certify 0.8 rest 2.3 ms)
+    spectrum 0.0096 s  verify 0.0320 s  compile 0.0186 s  cold 0.0610 s  wall 1.8486 s
 
 all on one line; the cold rounds take about 8 s of the run's 10 s (2 vCPUs, Python 3.11.7).
 """
@@ -69,27 +69,31 @@ def best_of_five(run) -> float:
     return min(totals[1:])
 
 
-STAGES = ("_build_stack", "_oracle_reports", "_algebra_reports", "_w32_reports", "_refuse",
-          "_certify")
+# each timed function, as the module it is called through, its name and its stage
+STAGES = (("suite", "run_suite", "rest"), ("suite", "_build_stack", "build"),
+          ("suite", "_oracle_reports", "oracle"), ("suite", "_algebra_reports", "algebra"),
+          ("suite", "_sweep_eigen", "eigen"), ("angular", "_certify", "certify"))
 
 
-def stage_split(suite, run) -> dict[str, float]:
-    """The best-of-5 time, in ms, of each stage of `suite.run_suite` over the rounds of `run`."""
+def stage_split(package, run) -> dict[str, float]:
+    """The best-of-5 time, in ms, of each stage of `run_suite` over the rounds of `run`."""
     spans = []  # (stage, start, end) of every wrapped call, in call order
 
-    def timed(name, function):
+    def timed(stage, function):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
                 return function(*args, **kwargs)
             finally:
-                spans.append((name, start, time.perf_counter()))
+                spans.append((stage, start, time.perf_counter()))
         return wrapper
 
-    originals = {name: getattr(suite, name) for name in ("run_suite", *STAGES)
-                 if hasattr(suite, name)}
-    for name, function in originals.items():
-        setattr(suite, name, timed(name, function))
+    originals = []  # (module, name, function) of each wrapped function
+    for module, name, stage in STAGES:
+        module = getattr(package, module)
+        if hasattr(module, name):
+            originals.append((module, name, getattr(module, name)))
+            setattr(module, name, timed(stage, originals[-1][-1]))
     rounds = []
     try:
         for _ in range(6):
@@ -97,26 +101,17 @@ def stage_split(suite, run) -> dict[str, float]:
             run()
             rounds.append(split(spans))
     finally:
-        for name, function in originals.items():
-            setattr(suite, name, function)
+        for module, name, function in originals:
+            setattr(module, name, function)
     return {key: 1e3 * min(totals[key] for totals in rounds[1:]) for key in rounds[0]}
 
 
 def split(spans) -> dict[str, float]:
     """One round's stage totals, in s, from its `(stage, start, end)` spans."""
     totals = dict.fromkeys(("build", "oracle", "algebra", "eigen", "certify", "rest"), 0.0)
-    names = {"_build_stack": "build", "_oracle_reports": "oracle", "_algebra_reports": "algebra",
-             "_certify": "certify"}
-    kernels_end = 0.0  # the end of the last check kernel of the current run_suite
-    for name, start, end in spans:
-        if name == "run_suite":
-            totals["rest"] += end - start
-        elif name in names:
-            totals[names[name]] += end - start
-        if name in ("_algebra_reports", "_w32_reports"):
-            kernels_end = end
-        elif name == "_refuse":
-            totals["eigen"] += end - kernels_end
+    for stage, start, end in spans:
+        totals[stage] += end - start
+    totals["eigen"] -= totals["certify"]  # `_certify` runs inside `_sweep_eigen`
     totals["rest"] -= sum(value for key, value in totals.items() if key != "rest")
     return totals
 
@@ -181,7 +176,8 @@ def main() -> None:
             suite.run_suite(ratio, n_max)
 
     total = best_of_five(suite_round)
-    stages = " ".join(f"{key} {ms:.1f}" for key, ms in stage_split(suite, stage_round).items())
+    stages = " ".join(f"{key} {ms:.1f}"
+                      for key, ms in stage_split(deformed_u2, stage_round).items())
     spectrum = best_of_five(lambda: command_round(spectra))
     verify = best_of_five(lambda: command_round(verifies))
     compiled = best_of_five(compile_round)

@@ -308,7 +308,8 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
     """`verify_algebra`'s columns on every irrep of `stack`.  Irrep i holds the ladder identity,
     with the P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k
     are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
-    others run Horner, on `Fraction`s of the u and E columns."""
+    others evaluate the commutator's factor table along the irrep (`_differences`), on
+    `Fraction`s of the u and E columns."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and polynomial._proven
     known = np.array(proven if identity else [False] * len(stack.big_n), dtype=bool)
@@ -327,7 +328,7 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
     for i in np.flatnonzero(~known).tolist():
         # poly(E, u + k) = ladder[k] / ladder_den, k = 0..N, and Phi(k) = phi[k] / phi_den
         phi, dim = stack.numerators[i], sizes[i]
-        ladder, ladder_den = polynomial._scaled_values(
+        ladder, ladder_den = polynomial._differences(
             Fraction(stack.energy_keys[i], scale // 2), Fraction(stack.scaled_u[i], scale), dim)
         ladder_targets[i, :dim] = [v / ladder_den for v in ladder]
         difference[i] = all((phi[k + 1] - phi[k]) * ladder_den == ladder[k] * phi_den

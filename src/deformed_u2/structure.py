@@ -12,10 +12,14 @@ function Phi(x), positive on 1..N and vanishing at 0 and N + 1, which pins
 the Fock dimension to N + 1.
 
 Everything here is exact.  F is written once, as its table of linear factors
-with every offset scaled by 4mn to an int (`_ladder_factors`).  Its x-mode
-factors read H/2 + S0 alone and its y-mode ones H/2 - S0, so the commutator and
-the 1:n factor P of Phi(x) = x (N+1-x) P(x) are one-variable int products of
-its rows (`_poly`), and a `Fraction` is built only for a returned value.
+with every offset scaled by 4mn to an int (`_ladder_factors`), and the
+commutator is held as that table (`CommutatorPolynomial`): it is proven by
+comparing the table's factors with the Fock weights' (`_ladder_identity`),
+evaluated as the difference of two int products of its rows, and expanded in
+(H, S0) only when its terms or its text are read.  The x-mode factors read
+H/2 + S0 alone and the y-mode ones H/2 - S0, so that expansion and the 1:n
+factor P of Phi(x) = x (N+1-x) P(x) are one-variable int products of its rows
+(`_poly`), and a `Fraction` is built only for a returned value.
 On the irrep (N, p, q) the ints 4mn (E/2 + u) = 2n (2p-1) and
 4mn (E/2 - u) = 2m (2q-1) + 4mn N split F at x = k into its raised factors,
 which read p and k alone, and its lowered ones, which read q and N - k alone:
@@ -36,8 +40,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb, gcd, prod
-from operator import floordiv, mul
+from math import gcd, prod
+from operator import floordiv, mul, sub
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import NotDivisibleError
@@ -193,79 +197,89 @@ def _monomial(h_power: int, s0_power: int) -> str:
 
 @dataclass(frozen=True)
 class CommutatorPolynomial:
-    """[S-, S+] as an exact bivariate polynomial in (H, S0) over QQ.
+    """[S-, S+] = F(H, S0+1) - F(H, S0), held as F's factor table.
 
-    The polynomial is sum(a * H**i * S0**j) / `denominator` over the
-    `numerators` (i, j, a), in lowest terms: the a and the denominator share
-    no factor.  Zero terms are omitted, and the order is lex-descending in
+    `factors` is the table (sigma_i, 4mn c_i) the polynomial was built from
+    (`_ladder_factors`), and it is the record: the proof (`_ladder_identity`)
+    compares its rows with the Fock weights' factors, and a value is the
+    difference of two int products of its rows.  The expansion,
+    sum(a * H**i * S0**j) / `denominator` over the `numerators` (i, j, a) in
+    lowest terms, is built on first read of `numerators`, `denominator`, `terms`
+    or `str`.  Zero terms are omitted, and the order is lex-descending in
     (H power, S0 power), the order sympy prints.
     """
 
     ratio: FrequencyRatio
-    numerators: tuple[tuple[int, int, int], ...]
-    denominator: int
+    factors: tuple[tuple[int, int], ...]
     _proven = functools.cached_property(lambda self: _ladder_identity(self))  # once per object
+
+    @functools.cached_property
+    def _expansion(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
+        """(numerators, denominator) of the polynomial in (H, S0).
+
+        With V = H + 2 S0 and Z = H - 2 S0, the sigma = +1 and -1 rows of the table, scaled
+        by 4mn, multiply (`_poly`) to (4mn)^(m+n) F = A(V) B(Z), and V^a Z^b is
+        sum_j [t^j] (1+2t)^a (1-2t)^b H^(a+b-j) S0^j.  The int difference and (4mn)^(m+n)
+        are divided once by their gcd.
+        """
+        scale, factors = 4 * self.ratio.m * self.ratio.n, self.factors
+        # A(V), A(V+2), B(Z) and B(Z-2): S0 + 1 moves each offset of a sigma row by sigma 4mn
+        a0, a1, b0, b1 = (_poly((scale // 2, offset + side * shift) for sigma, offset in factors
+                                if sigma == side) for side in (1, -1) for shift in (0, scale))
+        rows = [[0] * (d + 1) for d in range(len(factors) + 1)]  # rows[d][j]: H^(d-j) S0^j
+        kernel = [1]
+        for a in range(len(a0)):
+            column = kernel
+            for b in range(len(b0)):
+                weight = a1[a] * b1[b] - a0[a] * b0[b]
+                rows[a + b] = [c + weight * k for c, k in zip(rows[a + b], column)]
+                column = _times(column, -2, 1)
+            kernel = _times(kernel, 2, 1)
+        diff = [(d - j, j, c) for d, row in enumerate(rows) for j, c in enumerate(row) if c]
+        denominator = scale ** len(factors)
+        common = gcd(denominator, *(c for _, _, c in diff))
+        numerators = sorted(((i, j, c // common) for i, j, c in diff), reverse=True)
+        return tuple(numerators), denominator // common
+
+    @property
+    def numerators(self) -> tuple[tuple[int, int, int], ...]:
+        return self._expansion[0]
+
+    @property
+    def denominator(self) -> int:
+        return self._expansion[1]
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         """((H power, S0 power), coefficient) pairs, in the order of `numerators`."""
         return tuple(((i, j), Fraction(a, self.denominator)) for i, j, a in self.numerators)
 
-    @functools.cached_property
+    @property
     def degree_in_s0(self) -> int:
-        return max(j for _, j, _ in self.numerators)
-
-    @functools.cached_property
-    def _degree_in_h(self) -> int:
-        return max(i for i, _, _ in self.numerators)
+        """m + n - 1, read off the table: the S0^(m+n) terms of F(H, S0+1) and F(H, S0)
+        cancel, and the difference's S0^(m+n-1) coefficient is (m+n) prod(sigma_i), never 0."""
+        return len(self.factors) - 1
 
     def __call__(self, h: int | Fraction, s0: int | Fraction) -> Fraction:
-        """Exact value at (h, s0), from the integer kernel `_scaled_values`."""
-        (numerator,), denominator = self._scaled_values(Fraction(h), Fraction(s0), 1)
+        """Exact value at (h, s0), from the integer kernel `_differences`."""
+        (numerator,), denominator = self._differences(Fraction(h), Fraction(s0), 1)
         return Fraction(numerator, denominator)
 
-    @functools.cached_property
-    def _columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(I - t, (a_t, ..., a_0)) of each S0 power, from the top S0 power down.
-
-        I is the H degree and t the column's top H power; an H power with no
-        term holds 0, and a column with no term is (0, (0, ..., 0)).
-        """
-        h_top, s0_top = self._degree_in_h, self.degree_in_s0
-        columns = [[0] * (h_top + 1) for _ in range(s0_top + 1)]
-        for i, j, a in self.numerators:
-            columns[s0_top - j][h_top - i] = a
-        return tuple(
-            (skip, tuple(column[skip:]))
-            for column in columns
-            for skip in (next((k for k, a in enumerate(column) if a), 0),)
-        )
-
-    def _scaled_values(self, h: Fraction, s0: Fraction, count: int) -> tuple[list[int], int]:
+    def _differences(self, h: Fraction, s0: Fraction, count: int) -> tuple[list[int], int]:
         """Numerators of poly(h, s0 + k), k = 0..count-1, over one common denominator.
 
-        With h = x / e and I the H degree, each S0 power j's coefficient
-        sum_i a_ij x^i e^(I-i) is one int b_j, run by homogeneous Horner in x
-        from the column's top H power t and then times e^(I-t).  With
-        s0 + k = y / d, each value is sum_j b_j y^j d^(J-j), J the S0 degree,
-        run by integer Horner in y; no `Fraction` is built.
+        With h = x / e and s0 = y / d, each factor h/2 + sigma_i (s0 + k) + c_i of the
+        table, times 4mn e d, is the int 2mn x d + sigma_i 4mn e (y + k d) + 4mn c_i e d,
+        so F(h, s0 + k) is the product of those ints over (4mn e d)^(m+n), and
+        poly(h, s0 + k) is the difference of two neighbouring products.  Nothing is
+        expanded and no `Fraction` is built.
         """
-        x, e, d = h.numerator, h.denominator, s0.denominator
-        e_powers = [e**k for k in range(self._degree_in_h + 1)]
-        d_powers = [d**k for k in range(self.degree_in_s0 + 1)]
-        weights = []
-        for (skip, column), d_power in zip(self._columns, d_powers):
-            weight = 0
-            for a, e_power in zip(column, e_powers):
-                weight = weight * x + a * e_power
-            weights.append(weight * e_powers[skip] * d_power)
-        numerators = []
-        for y in range(s0.numerator, s0.numerator + count * d, d):
-            value = 0
-            for weight in weights:
-                value = value * y + weight
-            numerators.append(value)
-        return numerators, self.denominator * e_powers[-1] * d_powers[-1]
+        x, e, y, d = h.numerator, h.denominator, s0.numerator, s0.denominator
+        scale = 4 * self.ratio.m * self.ratio.n
+        rows = [(sigma * scale * e * d, scale // 2 * x * d + sigma * scale * e * y + offset * e * d)
+                for sigma, offset in self.factors]
+        products = [prod(slope * k + base for slope, base in rows) for k in range(count + 1)]
+        return [*map(sub, products[1:], products)], (scale * e * d) ** len(rows)
 
     def __str__(self) -> str:
         """The polynomial as sympy prints it, e.g. `-H**2/4 - H*S0 + 3*S0**2 + 3/16`."""
@@ -288,62 +302,44 @@ class CommutatorPolynomial:
 
 @functools.cache
 def commutator_polynomial(ratio: FrequencyRatio) -> CommutatorPolynomial:
-    """Build [S-, S+] = F(H, S0+1) - F(H, S0) for the given ratio.
+    """[S-, S+] = F(H, S0+1) - F(H, S0) for the given ratio, held as F's factor table.
 
     The two leading S0^(m+n) terms cancel in the difference, leaving degree
-    m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.
-    With V = H + 2 S0 and Z = H - 2 S0, the sigma = +1 and -1 rows of the factor table,
-    scaled by 4mn, multiply (`_poly`) to (4mn)^(m+n) F = A(V) B(Z), and V^a Z^b is
-    sum_j [t^j] (1+2t)^a (1-2t)^b H^(a+b-j) S0^j.  The int difference and (4mn)^(m+n)
-    are divided once by their gcd.  The result is immutable, built once per ratio and shared.
+    m + n - 1 in S0; for 1:1 the result is the plain u(2) value -2*S0.  Nothing
+    is expanded here.  The result is immutable, built once per ratio and shared.
     """
-    scale, factors = 4 * ratio.m * ratio.n, _ladder_factors(ratio)
-    # A(V), A(V+2), B(Z) and B(Z-2): S0 + 1 moves each offset of a sigma row by sigma 4mn
-    a0, a1, b0, b1 = (_poly((scale // 2, offset + side * shift) for sigma, offset in factors
-                            if sigma == side) for side in (1, -1) for shift in (0, scale))
-    rows = [[0] * (d + 1) for d in range(len(factors) + 1)]  # rows[d][j]: H^(d-j) S0^j
-    kernel = [1]
-    for a in range(len(a0)):
-        column = kernel
-        for b in range(len(b0)):
-            weight = a1[a] * b1[b] - a0[a] * b0[b]
-            rows[a + b] = [c + weight * k for c, k in zip(rows[a + b], column)]
-            column = _times(column, -2, 1)
-        kernel = _times(kernel, 2, 1)
-    diff = [(d - j, j, c) for d, row in enumerate(rows) for j, c in enumerate(row) if c]
-    denominator = scale ** len(factors)
-    common = gcd(denominator, *(c for _, _, c in diff))
-    numerators = sorted(((i, j, c // common) for i, j, c in diff), reverse=True)
-    return CommutatorPolynomial(ratio, tuple(numerators), denominator // common)
+    return CommutatorPolynomial(ratio, _ladder_factors(ratio))
 
 
 def _ladder_identity(polynomial: CommutatorPolynomial) -> bool:
     """Whether `polynomial` is [S-, S+] = (raise - lower weight) / D of the Fock realization.
 
     With n_x = mU - 1/2, n_y = nW - 1/2, U = H/2 + S0 and W = H/2 - S0, twice each factor of
-    (n_x+1)...(n_x+m) n_y...(n_y-n+1) and n_x...(n_x-m+1) (n_y+1)...(n_y+n) is m V +- (2j-1)
-    or n Z +- (2j-1), V = 2U, Z = 2W, read off m and n, not `_ladder_factors`: an independent
-    check of F.  The weights' difference is expanded in (H, S0) by Horner over the mode with
-    fewer factors, the other's powers written out binomially.
+    the raise weight (n_x+1)...(n_x+m) n_y...(n_y-n+1) is m V + (2j-1) or n Z - (2j-1), and
+    of the lower weight n_x...(n_x-m+1) (n_y+1)...(n_y+n) m V - (2j-1) or n Z + (2j-1),
+    V = 2U, Z = 2W, read off m and n, not `_ladder_factors`: an independent check of F.
+    Times 2n and 2m, each is a form 2mn H + s S0 + c, as is each row (sigma, 4mn c_i) of
+    the table, scaled by 4mn, with (s, c) = (4mn sigma, 4mn c_i) at S0 and
+    (4mn sigma, 4mn (c_i + sigma)) at S0 + 1.  When the raise weight's forms are the
+    table's at S0 + 1 and the lower weight's the table's at S0, as multisets, the two
+    products agree, so F(H, S0 + 1) = raise / D and F(H, S0) = lower / D, D = m^m n^n, and
+    the commutator is (raise - lower) / D with nothing expanded.  Q[H, S0] factors
+    uniquely and every form has H coefficient 2mn, so a table that fails has an F other
+    than the Fock one; its difference can still be the Fock one when the two F differ by
+    a function of H alone, and such a table takes the caller's evaluation route.
     """
     m, n = polynomial.ratio.m, polynomial.ratio.n
-    x_mode = (*(_poly((m, s * (2 * j - 1)) for j in range(1, m + 1)) for s in (1, -1)), 2)
-    y_mode = (*(_poly((n, s * (2 * j - 1)) for j in range(1, n + 1)) for s in (-1, 1)), -2)
-    (h_raise, h_lower, h_slope), (b_raise, b_lower, b_slope) = (
-        (x_mode, y_mode) if m <= n else (y_mode, x_mode))  # raise, lower, S0 slope of V or Z
-    powers = [[comb(b, j) * b_slope**j for j in range(b + 1)] for b in range(len(b_raise))]
-    rows = [[0] * d for d in range(1, len(b_raise))]  # rows[d][j]: H^(d-j) S0^j
-    for a in reversed(range(len(h_raise))):
-        rows = [[0]] + [_times(row, h_slope, 1) for row in rows]
-        for b, power in enumerate(powers):
-            weight = h_raise[a] * b_raise[b] - h_lower[a] * b_lower[b]
-            rows[b] = [c + weight * k for c, k in zip(rows[b], power)]
-    scale, claimed = 2 ** (m + n) * _phi_denominator(polynomial.ratio), defaultdict(int)
-    for i, j, a in polynomial.numerators:
-        claimed[i, j] += scale * a
-    proven = {(d - j, j): c * polynomial.denominator
-              for d, row in enumerate(rows) for j, c in enumerate(row) if c}
-    return proven == {key: value for key, value in claimed.items() if value}
+    scale = 4 * m * n
+
+    def weight(sign: int) -> list[tuple[int, int]]:  # sign +1: raise, -1: lower
+        return sorted([*((scale, 2 * n * sign * (2 * j - 1)) for j in range(1, m + 1)),
+                       *((-scale, -2 * m * sign * (2 * j - 1)) for j in range(1, n + 1))])
+
+    def table(shift: int) -> list[tuple[int, int]]:
+        return sorted((sigma * scale, offset + sigma * scale * shift)
+                      for sigma, offset in polynomial.factors)
+
+    return table(1) == weight(1) and table(0) == weight(-1)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from deformed_u2 import (
 from deformed_u2.structure import _ladder_factors, _ladder_identity, _phi_denominator
 from gamma_form import gamma_value
 from irrep_columns import all_labels, column_labels, columns_of, coprime_pairs, stack_labels
+from ladder_reference import expanded_ladder_identity
 
 H, S0, X = sympy.symbols("H S0 x")
 
@@ -319,26 +320,24 @@ class TestCommutatorPolynomial:
         for m, n in coprime_pairs(5):
             assert commutator_polynomial(FrequencyRatio(m, n)).degree_in_s0 == m + n - 1
 
-    def test_degrees_are_read_once(self):
-        # after the first call no evaluation walks the terms: the H and S0
-        # degrees and the coefficient columns are kept on the instance
-        class CountingTerms(tuple):
-            iterations = 0
-
-            def __iter__(self):
-                self.iterations += 1
-                return super().__iter__()
-
+    def test_degrees_are_read_once(self, monkeypatch):
+        # no degree or value reads the expansion: each is read off the factor table, and the
+        # factor kernel's values are those of the expanded terms
         source = commutator_polynomial(FrequencyRatio(2, 3))
-        terms = CountingTerms(source.numerators)
-        poly = CommutatorPolynomial(source.ratio, terms, source.denominator)
         h, s0 = Fraction(7, 2), Fraction(-1, 3)
-        first = poly._scaled_values(h, s0, 4)
-        assert first == source._scaled_values(h, s0, 4)
-        for _ in range(3):
-            before = terms.iterations
-            assert poly._scaled_values(h, s0, 4) == first
-            assert terms.iterations == before
+        expected = [sum(c * h**i * (s0 + k) ** j for (i, j), c in source.terms) for k in range(4)]
+
+        def no_expansion(poly):
+            raise AssertionError("the commutator was expanded")
+
+        monkeypatch.setattr(CommutatorPolynomial, "_expansion", property(no_expansion))
+        poly = CommutatorPolynomial(source.ratio, source.factors)
+        numerators, denominator = poly._differences(h, s0, 4)
+        assert [Fraction(v, denominator) for v in numerators] == expected
+        assert poly(h, s0) == expected[0]
+        assert poly.degree_in_s0 == 4
+        with pytest.raises(AssertionError, match="expanded"):
+            str(poly)
 
     def test_exact_evaluation(self):
         poly = commutator_polynomial(FrequencyRatio(1, 2))
@@ -359,21 +358,39 @@ class TestCommutatorPolynomial:
                     assert sf(k + 1) - sf(k) == poly(energy, u + k)
 
     def test_ladder_identity_holds_and_fails_one_coefficient_off(self):
-        # Horner runs over the mode with fewer factors: one x factor at 1:60, one y factor at
-        # 60:1, and 13 x factors at 13:17
-        for m, n in coprime_pairs(8) + [(1, 60), (60, 1), (13, 17)]:
+        # the factor-list proof holds on every table `commutator_polynomial` builds, and its
+        # verdict on each mutant of the first and last rows (one offset off, the sigma
+        # flipped, the row dropped or duplicated) is the expanded identity's: false.  40:41
+        # is not mutated: each mutant's two expansions of 81 factors take 70 ms
+        wide = commutator_polynomial(FrequencyRatio(40, 41))
+        assert _ladder_identity(wide)
+        assert expanded_ladder_identity(wide.ratio, wide.numerators, wide.denominator)
+        for m, n in coprime_pairs(7) + [(1, 60), (60, 1), (13, 17)]:
             poly = commutator_polynomial(FrequencyRatio(m, n))
             assert _ladder_identity(poly), (m, n)
-            for t in (0, len(poly.numerators) - 1):
-                i, j, a = poly.numerators[t]
-                for off in (a - 1, a + 1):
-                    numerators = poly.numerators[:t] + ((i, j, off),) + poly.numerators[t + 1:]
-                    mutant = CommutatorPolynomial(poly.ratio, numerators, poly.denominator)
-                    assert not _ladder_identity(mutant), (m, n, t, off)
-            extra = poly.numerators + ((m + n + 1, 0, 1),)
-            assert not _ladder_identity(CommutatorPolynomial(poly.ratio, extra, poly.denominator))
-            assert not _ladder_identity(
-                CommutatorPolynomial(poly.ratio, poly.numerators, 2 * poly.denominator))
+            assert expanded_ladder_identity(poly.ratio, poly.numerators, poly.denominator)
+            table = list(poly.factors)
+            for t in (0, len(table) - 1):
+                (sigma, offset), before, after = table[t], table[:t], table[t + 1:]
+                mutants = [before + [row] + after
+                           for row in ((sigma, offset - 1), (sigma, offset + 1), (-sigma, offset))]
+                mutants += [before + after, table + [table[t]]]
+                for factors in mutants:
+                    mutant = CommutatorPolynomial(poly.ratio, tuple(factors))
+                    assert not _ladder_identity(mutant), (m, n, factors)
+                    assert not expanded_ladder_identity(mutant.ratio, mutant.numerators,
+                                                        mutant.denominator), (m, n, factors)
+
+    def test_ladder_identity_is_sufficient_not_necessary(self):
+        # at 1:1 both offsets moved by one change F by H/2 + a constant and leave the
+        # difference -2 S0: the expanded identity holds, the factor lists differ, so the
+        # proof refuses and a sweep takes the evaluation route, which passes
+        ratio = FrequencyRatio(1, 1)
+        moved = CommutatorPolynomial(ratio, tuple((sigma, offset + 1)
+                                                  for sigma, offset in _ladder_factors(ratio)))
+        assert str(moved) == "-2*S0"
+        assert expanded_ladder_identity(ratio, moved.numerators, moved.denominator)
+        assert not _ladder_identity(moved)
 
     def test_w32_relation_is_exact(self):
         # (4/3) [S-, S+] = H_W^2 + C_W on 1:2, with H_W = -2 S0 + H/3 and
@@ -564,7 +581,7 @@ class TestIntegerKernels:
     def test_values_along_the_irrep_match_call(self, ratio, h, s0, count):
         ratio = FrequencyRatio(*ratio)
         poly = commutator_polynomial(ratio)
-        numerators, denominator = poly._scaled_values(h, s0, count)
+        numerators, denominator = poly._differences(h, s0, count)
         values = [Fraction(v, denominator) for v in numerators]
         assert values == [poly(h, s0 + k) for k in range(count)]
         assert values == [

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import re
 import weakref
@@ -115,9 +116,9 @@ def test_lists_each_irreps_members_once(monkeypatch):
 
 
 def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
-    # the commutator and the ladder identity multiply two one-variable products each per
-    # mode, once per sweep; the 1:n split reads only each irrep's signs and never builds
-    # the coefficients of P, however many irreps the sweep has
+    # the sweep multiplies out no one-variable product: the commutator is proven and read as
+    # its factor table, and the 1:n split reads only each irrep's signs and never builds the
+    # coefficients of P, however many irreps the sweep has
     calls = Counter()
     poly, coefficients = structure._poly, structure.ParafermionicForm.coefficients
 
@@ -138,7 +139,7 @@ def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
         ratio = FrequencyRatio(1, n)
         report = run_suite(ratio, n_max)
         assert len(report.irreps) == n * (n_max + 1)
-        assert calls == {"_poly": 8}
+        assert calls == Counter()
         for irrep in report.irreps:  # the sign of P(x) is that of the Gamma form's Phi(x)
             positive = all(gamma_value(irrep.label, ratio, x) > 0
                            for x in range(1, irrep.label.N + 1))
@@ -183,16 +184,14 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
 def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
     """Give `poisoned` P_1 + 1, u + 1 or E + 1 in the stack's columns (4mn u + 4mn and
-    2mn E + 2mn for the last two), or the commutator a first coefficient one off."""
+    2mn E + 2mn for the last two), or the commutator built from a factor table with its
+    first offset one off."""
     if mutant == "coefficient":
-        commutator = representation.commutator_polynomial
+        def offset_off(ratio):
+            (sigma, offset), *rest = structure._ladder_factors(ratio)
+            return CommutatorPolynomial(ratio, ((sigma, offset + 1), *rest))
 
-        def coefficient_off(ratio):
-            poly = commutator(ratio)
-            (i, j, a), *rest = poly.numerators
-            return dataclasses.replace(poly, numerators=((i, j, a + 1), *rest))
-
-        monkeypatch.setattr(representation, "commutator_polynomial", coefficient_off)
+        monkeypatch.setattr(representation, "commutator_polynomial", offset_off)
         return
     column, change = {
         "p_k": ("numerators", lambda phi, ratio: (phi[0], phi[1] + 1, *phi[2:])),
@@ -213,34 +212,36 @@ def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
 @pytest.mark.parametrize("mutant", ["p_k", "u", "energy", "coefficient"])
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3)])
 def test_mutants_fail_the_checks_the_horner_route_fails(monkeypatch, mutant, m, n):
-    # on 1:1 the commutator -2 S0 has no H, so E + 1 leaves the ladder identity holding
+    # with no irrep proven, `_algebra_reports` evaluates the commutator's factor table along
+    # every irrep; on 1:1 the commutator -2 S0 has no H, so E + 1 leaves the ladder identity
+    # holding
     ratio = FrequencyRatio(m, n)
     apply_mutant(monkeypatch, mutant)
     report = run_suite(ratio, 3)
     algebra = suite._algebra_reports
     monkeypatch.setattr(suite, "_algebra_reports", lambda stack, proven: algebra(stack, ()))
-    horner = run_suite(ratio, 3)
+    evaluated = run_suite(ratio, 3)
     counts = [irrep.failures["exact_check_failures"] for irrep in report.irreps]
-    assert counts == [irrep.failures["exact_check_failures"] for irrep in horner.irreps]
+    assert counts == [irrep.failures["exact_check_failures"] for irrep in evaluated.irreps]
     assert sum(counts) > 0
     assert [irrep.residuals for irrep in report.irreps] == [irrep.residuals
-                                                             for irrep in horner.irreps]
+                                                             for irrep in evaluated.irreps]
 
 
 def test_a_passing_sweep_evaluates_no_commutator(monkeypatch):
     calls = Counter()
-    scaled_values = CommutatorPolynomial._scaled_values
+    differences = CommutatorPolynomial._differences
 
     def counting(self, *args):
         calls[self.ratio] += 1
-        return scaled_values(self, *args)
+        return differences(self, *args)
 
-    monkeypatch.setattr(CommutatorPolynomial, "_scaled_values", counting)
+    monkeypatch.setattr(CommutatorPolynomial, "_differences", counting)
     for m, n, n_max in ((1, 1, 4), (1, 2, 4), (2, 3, 3), (3, 5, 2)):
         assert run_suite(FrequencyRatio(m, n), n_max).passed
     assert calls == Counter()
     # one irrep takes the same route off its own oracle verdict; one the oracle rejects, with
-    # its S+ entries two steps off, keeps the Horner route
+    # its S+ entries two steps off, evaluates the factor table
     ratio = FrequencyRatio(1, 2)
     rep = build_irrep(IrrepLabel(2, 1, 1), ratio)
     assert verify_algebra(rep).passed
@@ -250,6 +251,26 @@ def test_a_passing_sweep_evaluates_no_commutator(monkeypatch):
     assert not oracle_compare(moved).passed
     assert verify_algebra(moved).exact_checks["ladder_difference"]
     assert calls == Counter({ratio: 1})
+
+
+# the length and sha256 of the commutator's text at 1:180, as `verify --ratio 1:180` prints it
+WIDE_TEXT = (3061895, "46503be93d86b157fe99f4b9733c592516d6b84e7cdfa646e049dd3702c03b84")
+
+
+def test_a_wide_sweep_builds_no_expansion(monkeypatch):
+    # the sweep proves and reads the commutator as its factor table; the expansion is built
+    # only when the text is read afterwards
+    def no_expansion(poly):
+        raise AssertionError("the commutator was expanded")
+
+    structure.commutator_polynomial.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(CommutatorPolynomial, "_expansion", property(no_expansion))
+        report = run_suite(FrequencyRatio(1, 180), 1)
+    assert not report.failure_columns["exact_check_failures"].any()  # the ladder identity too
+    text = str(report.commutator)
+    structure.commutator_polynomial.cache_clear()
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == WIDE_TEXT
 
 
 def test_failed_oracle_checks_count_as_exact_failures(monkeypatch):

@@ -7,12 +7,13 @@ directory, runs this tree's `tools/suite_digest.py` and `tools/cli_digest.py`
 on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
 `src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`) and one `times`
-line from `tools/suite_time.py`: the best-of-5 in-process `run_suite` time over
-perfbench's 8 verify sweeps and its stages, the best-of-5 in-process times of
-perfbench's 4 `spectrum --format json` commands and of its 8 `verify --format
-json` commands, the best-of-5 `compile()` time of the package's sources, and
-the median command time (cold) and spawn-to-exit time (wall) of those 12
-commands, each in a fresh interpreter.  `suite_time.py` runs 3 times per side,
+line from `tools/suite_time.py`: the in-process `run_suite` time over
+perfbench's 8 verify sweeps and its stages, from the fastest of 5 rounds, the
+best-of-5 `run_suite(1:180, 1)` with a fresh commutator each call (wide), the
+best-of-5 in-process times of perfbench's 4 `spectrum --format json` commands
+and of its 8 `verify --format json` commands, the best-of-5 `compile()` time
+of the package's sources, and the median command time (cold) and spawn-to-exit
+time (wall) of those 12 commands, each in a fresh interpreter.  `suite_time.py` runs 3 times per side,
 REF and tree alternating and each taking the lead in turn, since run order
 alone moved a time by 45% on identical code; each number of a `times` line is
 the median of that field over the side's runs.  Exits 1 when either digest pair

@@ -46,9 +46,15 @@ and 2:3 at N <= 3 run under each of four mutants: irrep (2, 1, 1) carries
 P_1 + 1, u + 1 or E + 1 in the sweep's `IrrepStack` (through
 `suite._build_stack`: its Phi table, 4mn u + 4mn or 2mn E + 2mn in the
 columns, so the oracle, the algebra checks, the certificate and the report's
-energy all read the changed value), or the commutator has its first
-coefficient one off (through `representation.commutator_polynomial`), so the
-exact checks that fail, and the routes that decide them, are covered.
+energy all read the changed value), or the commutator is built from a factor
+table whose first offset is one off (through
+`representation.commutator_polynomial`, whose build alone sees the changed
+`structure._ladder_factors`, so Phi, the oracle and the 1:n split read the true
+table), so the exact checks that fail, and the routes that decide them, are
+covered.  The mutant reads only `structure._ladder_factors` and the cached
+builder's `__wrapped__`, which a package that keeps the commutator expanded and
+one that keeps it as its factor table both have, so it runs unchanged on
+either.
 Nothing is written to disk.
 """
 
@@ -89,13 +95,14 @@ def main() -> None:
     import deformed_u2
     from deformed_u2 import FrequencyRatio, IrrepLabel, angular_eigenvalues, build_irrep
     from deformed_u2 import certify_eigenvalues, exact_hints, oracle_compare, representation
-    from deformed_u2 import suite, verify_algebra, w32_check
+    from deformed_u2 import structure, suite, verify_algebra, w32_check
     from deformed_u2.suite import run_suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
 
-    build, commutator = suite._build_stack, representation.commutator_polynomial
+    build, commutator, table = (suite._build_stack, representation.commutator_polynomial,
+                                structure._ladder_factors)
 
     def record_off(column, change):
         """MUTANT_LABEL's entry of the stack's `column` replaced by `change(entry, ratio)`; the
@@ -109,16 +116,19 @@ def main() -> None:
                 for each, value in zip(irreps, getattr(stack, column)))})
         return suite, "_build_stack", mutated
 
-    def coefficient_off(ratio):
-        poly = commutator(ratio)
-        (i, j, a), *rest = poly.numerators
-        return dataclasses.replace(poly, numerators=((i, j, a + 1), *rest))
+    def offset_off(ratio):
+        """The commutator built, past its cache, from the table with its first offset one
+        more."""
+        (sigma, offset), *rest = table(ratio)
+        with mock.patch.object(structure, "_ladder_factors",
+                               lambda ratio: ((sigma, offset + 1), *rest)):
+            return commutator.__wrapped__(ratio)
 
     mutants = [
         record_off("numerators", lambda phi, ratio: (phi[0], phi[1] + 1, *phi[2:])),
         record_off("scaled_u", lambda u, ratio: u + 4 * ratio.m * ratio.n),
         record_off("energy_keys", lambda energy, ratio: energy + 2 * ratio.m * ratio.n),
-        (representation, "commutator_polynomial", coefficient_off),
+        (representation, "commutator_polynomial", offset_off),
     ]
 
     digest = hashlib.sha256()

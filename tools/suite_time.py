@@ -3,19 +3,23 @@ and the median cold command and process times of those commands.
 
     python tools/suite_time.py SRC_DIR
 
-imports `deformed_u2` from SRC_DIR, runs `run_suite` once on every sweep of
-`perfbench`'s verify_deep and verify_wide rounds (`VERIFY_DEEP + VERIFY_WIDE`,
-read from `perfbench/workloads.py`) as a warm-up, then five times more, and
-prints the shortest of those five totals in seconds.  That time is the library
+imports `deformed_u2` from SRC_DIR and runs `run_suite` once on every sweep
+of `perfbench`'s verify_deep and verify_wide rounds (`VERIFY_DEEP +
+VERIFY_WIDE`, read from `perfbench/workloads.py`) as a warm-up, then five times
+more, with `run_suite`'s private stages wrapped in timers.  Of those five
+rounds, the one with the shortest total gives the total, printed in seconds,
+and its stages, printed in milliseconds, so the stages sum to the total and
+one load spike cannot move the one without the other: `_build_stack` (build),
+`_oracle_reports` (oracle), `_algebra_reports` (algebra), `_sweep_eigen` less
+its nested `angular._certify` (eigen), `_certify`, the enclosure and any counts
+(certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
+1:n split, the report and the timers themselves.  That time is the library
 alone: no interpreter start, import, CLI rendering or JSON, so it moves with
-the suite's own work.  Six more rounds, the first a warm-up, run with
-`run_suite`'s private stages wrapped in timers, and for each stage the shortest
-of its last five round totals is printed in milliseconds: `_build_stack`
-(build), `_oracle_reports` (oracle), `_algebra_reports` (algebra),
-`_sweep_eigen` less its nested `angular._certify` (eigen), `_certify`, the
-enclosure and any counts (certify), and the rest of `run_suite` (rest), which
-holds `_w32_reports`, the 1:n split and the report.  A stage that a `src` lacks
-is timed as 0, and its time goes to rest.  Then it does the same for the four
+the suite's own work.  A stage that a `src` lacks is timed as 0, and its time
+goes to rest.  Next comes wide: the best-of-5 time of `run_suite(1:180, 1)`,
+its commutator cache cleared before each call, so every call builds and proves
+the commutator of a ratio with 181 factors, as a `verify` command does once.
+Then it does the same for the four
 commands of perfbench's spectrum_levels round (`spectrum --format json` at each
 ratio and count of `SPECTRUM_LEVELS`) through
 `cli.main`, click parsing and JSON rendering included, with their stdout
@@ -35,7 +39,8 @@ in-process times can mislead about these: a cold command also pays for first
 calls, cold caches and the work the import left undone.
 
     run_suite 0.0238 s (build 3.0 oracle 3.1 algebra 2.9 eigen 14.0 certify 0.8 rest 2.3 ms)
-    spectrum 0.0096 s  verify 0.0320 s  compile 0.0186 s  cold 0.0610 s  wall 1.8486 s
+    wide 0.0390 s  spectrum 0.0096 s  verify 0.0320 s  compile 0.0186 s  cold 0.0610 s
+    wall 1.8486 s
 
 all on one line; the cold rounds take about 8 s of the run's 10 s (2 vCPUs, Python 3.11.7).
 """
@@ -75,8 +80,9 @@ STAGES = (("suite", "run_suite", "rest"), ("suite", "_build_stack", "build"),
           ("suite", "_sweep_eigen", "eigen"), ("angular", "_certify", "certify"))
 
 
-def stage_split(package, run) -> dict[str, float]:
-    """The best-of-5 time, in ms, of each stage of `run_suite` over the rounds of `run`."""
+def stage_split(package, run) -> tuple[float, dict[str, float]]:
+    """The shortest total, in s, of five rounds of `run` after a warm-up, and that round's
+    time, in ms, of each stage of `run_suite`."""
     spans = []  # (stage, start, end) of every wrapped call, in call order
 
     def timed(stage, function):
@@ -103,7 +109,8 @@ def stage_split(package, run) -> dict[str, float]:
     finally:
         for module, name, function in originals:
             setattr(module, name, function)
-    return {key: 1e3 * min(totals[key] for totals in rounds[1:]) for key in rounds[0]}
+    fastest = min(rounds[1:], key=lambda totals: sum(totals.values()))
+    return sum(fastest.values()), {key: 1e3 * value for key, value in fastest.items()}
 
 
 def split(spans) -> dict[str, float]:
@@ -144,7 +151,7 @@ def main() -> None:
     from workloads import SPECTRUM_LEVELS, VERIFY_DEEP, VERIFY_WIDE
 
     import deformed_u2
-    from deformed_u2 import FrequencyRatio, cli, run_suite, suite
+    from deformed_u2 import FrequencyRatio, cli, run_suite, structure, suite
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
@@ -155,9 +162,9 @@ def main() -> None:
     verifies = [["verify", "--ratio", f"{m}:{n}", "--N-max", str(n_max), "--format", "json"]
                 for m, n, n_max in VERIFY_DEEP + VERIFY_WIDE]
 
-    def suite_round():
-        for ratio, n_max in sweeps:
-            run_suite(ratio, n_max)
+    def wide_round():
+        structure.commutator_polynomial.cache_clear()
+        run_suite(FrequencyRatio(1, 180), 1)
 
     def command_round(commands):
         for args in commands:
@@ -175,14 +182,14 @@ def main() -> None:
         for ratio, n_max in sweeps:
             suite.run_suite(ratio, n_max)
 
-    total = best_of_five(suite_round)
-    stages = " ".join(f"{key} {ms:.1f}"
-                      for key, ms in stage_split(deformed_u2, stage_round).items())
+    total, split_ms = stage_split(deformed_u2, stage_round)
+    stages = " ".join(f"{key} {ms:.1f}" for key, ms in split_ms.items())
+    wide = best_of_five(wide_round)
     spectrum = best_of_five(lambda: command_round(spectra))
     verify = best_of_five(lambda: command_round(verifies))
     compiled = best_of_five(compile_round)
     cold, wall = zip(*(cold_round(src, spectra + verifies) for _ in range(5)))
-    print(f"run_suite {total:.4f} s ({stages} ms)  spectrum {spectrum:.4f} s  "
+    print(f"run_suite {total:.4f} s ({stages} ms)  wide {wide:.4f} s  spectrum {spectrum:.4f} s  "
           f"verify {verify:.4f} s  compile {compiled:.4f} s  "
           f"cold {statistics.median(cold):.4f} s  wall {statistics.median(wall):.4f} s")
 

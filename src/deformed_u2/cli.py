@@ -486,16 +486,7 @@ def verify(ratio, n_max, fmt, tol, output):
     """
     report = _reachable(run_suite, ratio, n_max, tol)
     residuals = dict(zip(report.residuals, _decimals(report.residuals.values())))
-    irreps = _Table({
-        "kind": ["irrep"] * len(report.big_n),
-        "N": report.big_n.tolist(),
-        "p": report.p.tolist(),
-        "q": report.q.tolist(),
-        "energy": _energy_texts(report.energy_keys, 2 * ratio.m * ratio.n),
-        "max_residual": _numbers(_cells(report.max_residuals.tolist())),
-        "exact_check_failures": report.failure_columns["exact_check_failures"].tolist(),
-    })
-    summary = {
+    records = [{  # for JSON alone: the commutator's text, and the per-irrep records
         "kind": "summary",
         "n_max": n_max,
         "irreps_checked": len(report.big_n),
@@ -505,7 +496,15 @@ def verify(ratio, n_max, fmt, tol, output):
         "passed": report.passed,
         "worst_irreps": {key: {"N": label.N, "p": label.p, "q": label.q}
                          for key, label in zip(residuals, map(report.worst_irrep, residuals))},
-    }
+    }, _Table({
+        "kind": ["irrep"] * len(report.big_n),
+        "N": report.big_n.tolist(),
+        "p": report.p.tolist(),
+        "q": report.q.tolist(),
+        "energy": _energy_texts(report.energy_keys, 2 * ratio.m * ratio.n),
+        "max_residual": _numbers(_cells(report.max_residuals.tolist())),
+        "exact_check_failures": report.failure_columns["exact_check_failures"].tolist(),
+    })] if fmt == "json" else None
     headers = ["check", "worst residual", "status"]
     rows = [
         [key, _fmt(residuals[key]), "pass" if report.passes(key, value) else "FAIL"]
@@ -515,15 +514,15 @@ def verify(ratio, n_max, fmt, tol, output):
         f"verification of the {ratio} oscillator algebra, N <= {n_max}",
         f"tolerances: identities {report.identity_tolerance:g}, "
         f"eigenvectors {report.eigen_tolerance:g}",
-        f"[S-, S+] = {summary['commutator']}",
+        f"[S-, S+] = {report.commutator}",
         f"irreps checked: {len(report.big_n)}",
         "",
         _render_table(headers, rows),
         "",
         f"result: {'PASS' if report.passed else 'FAIL'}",
     ]) if fmt == "table" else None
-    _report(ratio, "verify", fmt, output, [summary, irreps], residuals, headers, rows,
-            table, report.passed)
+    _report(ratio, "verify", fmt, output, records, residuals, headers, rows, table,
+            report.passed)
 
 
 gc.freeze()

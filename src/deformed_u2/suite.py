@@ -8,9 +8,10 @@ row format every kernel of the sweep reads.  The oracle, the algebra relations
 and, for 1:2, the W_3^(2) relations run once on the stack, each returning one
 column per check; each irrep the oracle passes takes its ladder identity from
 one proof of the commutator per sweep.  One call, `angular._sweep_eigen`, runs
-the eigen pass and its certificate.  Only the 1:n split builds a per-irrep
-object.  The `SuiteReport` holds the columns, N, p, q and 2mn E included, and
-builds the labels and the energies' `Fraction`s only when they are read.
+the eigen pass and its certificate.  The 1:n split is read off the algebra's
+`phi_positive` column, so no per-irrep object is built.  The `SuiteReport`
+holds the columns, N, p, q and 2mn E included, and builds the labels and the
+energies' `Fraction`s only when they are read.
 Identity residuals are gated at the identity tolerance, the eigen class at 10x
 it, every exact check, the oracle's included, must hold, and every eigenvalue
 must be certified within the eigen tolerance.
@@ -30,8 +31,7 @@ from .core import FrequencyRatio, IrrepLabel
 from .oracle import _oracle_reports, _oracle_verdicts
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
-from .structure import CommutatorPolynomial, StructureFunction
-from .structure import commutator_polynomial, parafermionic_decompose
+from .structure import CommutatorPolynomial, commutator_polynomial
 
 __all__ = ["IDENTITY_TOL", "EIGEN_TOL", "EIGEN_KEYS", "IrrepReport", "SuiteReport", "run_suite"]
 
@@ -155,9 +155,9 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     exact = [*algebra_checks.values(), *oracle_checks.values()]
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
                 "eigen_certificate_failures": np.sum(stack.real & ~certified, axis=-1)}
-    if ratio.m == 1:
-        failures["parafermionic_failures"] = np.array(
-            [not parafermionic_decompose(StructureFunction(label, ratio)).positive
-             for label in map(IrrepLabel, *columns.tolist())], dtype=int)
+    if ratio.m == 1:  # the split's forms are F's table less x and N+1-x, both > 0 on 1..N, so
+        # P(x) > 0 iff P_x > 0; p = 1 gives the offset-0 row, l = n+1-q the 4n(N+1) row
+        positive = algebra_checks["phi_positive"]
+        failures["parafermionic_failures"] = np.logical_not(positive).astype(int)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
                        stack.big_n, stack.p, stack.q, stack.energy_keys, residuals, failures)

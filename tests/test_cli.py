@@ -433,8 +433,8 @@ class TestVerify:
 
     def test_phi_and_commutator_computed_once(self, runner, monkeypatch):
         # each irrep's Phi table comes from the sweep's X_p and Y_q tables, made once;
-        # no Phi value is F's m + n factor product
-        structure.commutator_polynomial.cache_clear()
+        # no Phi value is F's m + n factor product; the commutator's text is written once
+        # by the formats that print it, json and table, and never by csv
         phi_calls, products = Counter(), []
         numerators = structure._phi_numerators
 
@@ -468,17 +468,21 @@ class TestVerify:
         monkeypatch.setattr(StructureFunction, "_product", counting_product)
         monkeypatch.setattr(structure, "CommutatorPolynomial", counting_build)
         monkeypatch.setattr(build, "__str__", counting_render)
-        result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
-                        "--format", "json")
-        assert result.exit_code == 0
         labels = [
             IrrepLabel(big_n, p, q)
             for big_n in range(4) for p in range(1, 3) for q in range(1, 4)
         ]
-        assert phi_calls == {label: 1 for label in labels}
-        assert products == []
-        assert len(builds) == 1
-        assert len(renders) == 1  # the summary and the table share one rendering
+        for fmt, rendered in (("json", 1), ("table", 1), ("csv", 0)):
+            structure.commutator_polynomial.cache_clear()
+            for calls in (phi_calls, products, builds, renders):
+                calls.clear()
+            result = invoke(runner, "verify", "--ratio", "2:3", "--N-max", "3",
+                            "--format", fmt)
+            assert result.exit_code == 0
+            assert phi_calls == {label: 1 for label in labels}
+            assert products == []
+            assert len(builds) == 1
+            assert len(renders) == rendered, fmt
 
 
 @pytest.mark.parametrize("args", [

@@ -29,8 +29,8 @@ from irrep_columns import built_labels, column_labels, labels_of, stack_labels
 
 
 def test_builds_each_irrep_once(monkeypatch):
-    # the sweep's one record is its stack: no `IrrepMatrices`, no u or E `Fraction`, and a
-    # `StructureFunction` only for the 1:n split
+    # the sweep's one record is its stack: no `IrrepMatrices`, no u or E `Fraction` and no
+    # `StructureFunction`, the 1:n split included
     builds = Counter()
     build = suite._build_stack
 
@@ -46,7 +46,7 @@ def test_builds_each_irrep_once(monkeypatch):
         made[label] += 1
         return matrices(label, *args)
 
-    # and of a structure function through its __post_init__; 1:n also runs the split
+    # and of a structure function through its __post_init__
     functions = Counter()
     post_init = StructureFunction.__post_init__
 
@@ -76,7 +76,7 @@ def test_builds_each_irrep_once(monkeypatch):
         labels = labels_of(ratio, n_max)
         assert builds == {label: 1 for label in labels}
         assert made == Counter()
-        assert functions == (builds if ratio.m == 1 else Counter())
+        assert functions == Counter()
         assert fractions == Counter()
         assert [irrep.label for irrep in report.irreps] == labels
         assert report.passed
@@ -117,8 +117,8 @@ def test_lists_each_irreps_members_once(monkeypatch):
 
 def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
     # the sweep multiplies out no one-variable product: the commutator is proven and read as
-    # its factor table, and the 1:n split reads only each irrep's signs and never builds the
-    # coefficients of P, however many irreps the sweep has
+    # its factor table, and the 1:n split is the signs of the Phi tables, so no coefficient
+    # of P is built, however many irreps the sweep has
     calls = Counter()
     poly, coefficients = structure._poly, structure.ParafermionicForm.coefficients
 
@@ -147,8 +147,8 @@ def test_one_to_n_sweep_multiplies_a_fixed_number_of_products(monkeypatch):
 
 
 def test_int_cofactor_raises_as_the_fraction_route():
-    # the suite reads each 1:n irrep's sign off parafermionic_decompose, so a table without
-    # the x factor, or a ratio that is not 1:n, raises there with the label or ratio named
+    # the public split of one irrep: a table without the x factor, or a ratio that is not
+    # 1:n, raises with the label or ratio named
     ratio = FrequencyRatio(1, 2)
     sf = StructureFunction(IrrepLabel(3, 1, 2), ratio)
     sf.__dict__["_scaled_factors"] = tuple((sigma, offset + 1) if offset == 0 else (sigma, offset)
@@ -158,6 +158,49 @@ def test_int_cofactor_raises_as_the_fraction_route():
         parafermionic_decompose(sf)
     with pytest.raises(NotDivisibleError, match="1:n ratios only, got 2:3"):
         parafermionic_decompose(StructureFunction(IrrepLabel(1, 1, 1), FrequencyRatio(2, 3)))
+
+
+def test_a_one_to_n_sweep_builds_no_structure_function_or_label(monkeypatch):
+    # the 1:n split is read off the stack's `phi_positive` column, so it builds no per-irrep
+    # object, however wide the ratio
+    built, functions = built_labels(monkeypatch), []
+    post_init = StructureFunction.__post_init__
+
+    def recording_post_init(self):
+        functions.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(StructureFunction, "__post_init__", recording_post_init)
+    for n, n_max in ((3, 6), (60, 1)):
+        report = run_suite(FrequencyRatio(1, n), n_max)
+        assert report.failure_columns["parafermionic_failures"].tolist() == [0] * n * (n_max + 1)
+        assert built == functions == []
+
+
+def test_a_negated_phi_entry_fails_the_split_of_its_irrep_alone(monkeypatch):
+    # (2, 1, 1) with P_1 negated in the sweep's stack fails the 1:n split and the exact checks;
+    # the split fails exactly where some P_x, x = 1..N, is not positive: not phi_positive
+    ratio, poisoned = FrequencyRatio(1, 2), IrrepLabel(2, 1, 1)
+    apply_mutant(monkeypatch, "p_1_negated", poisoned)
+    stacks, build = [], suite._build_stack
+
+    def recording_build(*args):
+        stacks.append(build(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(suite, "_build_stack", recording_build)
+    report = run_suite(ratio, 3)
+    [stack] = stacks
+    positive = [all(value > 0 for value in phi[1:-1]) for phi in stack.numerators]
+    assert positive == representation._algebra_reports(stack, ())[1]["phi_positive"]
+    split = report.failure_columns["parafermionic_failures"]
+    assert split.dtype == np.int64 and split.tolist() == [int(not each) for each in positive]
+    failing = {irrep.label: irrep.failures for irrep in report.irreps
+               if any(irrep.failures.values())}
+    assert list(failing) == [poisoned]
+    assert failing[poisoned]["parafermionic_failures"] == 1
+    assert failing[poisoned]["exact_check_failures"] == 4
+    assert not report.passed
 
 
 def test_nan_residual_fails_only_its_irrep(monkeypatch):
@@ -183,8 +226,8 @@ def test_nan_residual_fails_only_its_irrep(monkeypatch):
 
 
 def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
-    """Give `poisoned` P_1 + 1, u + 1 or E + 1 in the stack's columns (4mn u + 4mn and
-    2mn E + 2mn for the last two), or the commutator built from a factor table with its
+    """Give `poisoned` P_1 + 1, -P_1, u + 1 or E + 1 in the stack's columns (4mn u + 4mn
+    and 2mn E + 2mn for the last two), or the commutator built from a factor table with its
     first offset one off."""
     if mutant == "coefficient":
         def offset_off(ratio):
@@ -195,6 +238,7 @@ def apply_mutant(monkeypatch, mutant, poisoned=IrrepLabel(2, 1, 1)):
         return
     column, change = {
         "p_k": ("numerators", lambda phi, ratio: (phi[0], phi[1] + 1, *phi[2:])),
+        "p_1_negated": ("numerators", lambda phi, ratio: (phi[0], -phi[1], *phi[2:])),
         "u": ("scaled_u", lambda u, ratio: u + 4 * ratio.m * ratio.n),
         "energy": ("energy_keys", lambda key, ratio: key + 2 * ratio.m * ratio.n),
     }[mutant]

@@ -24,11 +24,12 @@ Phi overflow at 1:300 (`verify --N-max 20` and `irrep --N 11 --p 1 --q 48`,
 both refusing (N=11, p=1, q=48), whose Phi(1) is about 1e308),
 `spectrum --ratio 20000:20001 --count 3`, whose decimals (about 5e-5) take
 the exponent form, three large documents (`spectrum --ratio 3:5 --count
-1500`, `irrep --ratio 1:2 --N 40`, `angular --ratio 1:1 --N 40`), and
-`spectrum --count` 128, 129, 255, 256, 257 and 513 at 1:1 and 2:3, at the
-edges of an earlier JSON writer's 128-record encoder runs and of the table
-writer's 256-record chunks (`cli._CHUNK`), each in the json, table and csv
-formats: 1152 commands.  Needs click >= 8.2
+1500`, `irrep --ratio 1:2 --N 40`, `angular --ratio 1:1 --N 40`), `verify
+--ratio 1:180 --N-max 0`, whose 8281-term commutator json and table print
+and csv does not, and `spectrum --count` 128, 129, 255, 256, 257 and
+513 at 1:1 and 2:3, at the edges of an earlier JSON writer's 128-record
+encoder runs and of the table writer's 256-record chunks (`cli._CHUNK`), each
+in the json, table and csv formats: 1155 commands.  Needs click >= 8.2
 (separate stderr).
 """
 
@@ -74,6 +75,7 @@ def grid() -> list[list[str]]:
         ["spectrum", "--ratio", "3:5", "--count", "1500"],
         ["irrep", "--ratio", "1:2", "--N", "40"],
         ["angular", "--ratio", "1:1", "--N", "40"],
+        ["verify", "--ratio", "1:180", "--N-max", "0"],
     ]
     # one 128-record encoder run, one record past it, two and one; a 256-record chunk
     # less one record, one chunk, one and one record, two and one record

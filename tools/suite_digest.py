@@ -33,11 +33,12 @@ The set is every coprime m:n with m, n <= 7 at N <= 8, and 3:5 at N <= 40,
 first group), 1:20 at N <= 8, and 40:41 at N <= 1 and 13:17 at N <= 2, whose
 Phi entries are products of 81 and 30 factors, split into an x-mode table by p
 and a y-mode table by (q, N - k), and 1:60, 60:1 and 1:100 at N <= 1, whose
-commutators, ladder identities and (at 1:n) splits of Phi are one-variable
-products of degree 61 to 101.  `run_suite` pads each sweep's bands to
-N_max + 1, so the set covers many padding widths.  4:7 at N <= 20, 3:5 at
-N <= 40 and 1:20 at N <= 8 fail (float residuals past the tolerances; at 1:20
-the eigenvalues span 13 decades and 326 of them fail their certificate), and
+commutators and ladder identities are one-variable products of degree 61 to
+101, and whose Phi tables, at 1:n, give the split of Phi its signs.
+`run_suite` pads each sweep's bands to N_max + 1, so the set covers many
+padding widths.  4:7 at N <= 20, 3:5 at N <= 40 and 1:20 at N <= 8 fail
+(float residuals past the tolerances; at 1:20 the eigenvalues span 13 decades
+and 326 of them fail their certificate), and
 1:100 at N <= 1 fails its certificate, so failing sweeps are covered too.  Last
 come 3:5 at N <= 12, 2:7 at N <= 10 and 4:7 at N <= 8 at the tolerance 1e-13,
 where the certificate's interval counts leave 100-250 points of each sweep to
@@ -45,16 +46,16 @@ the exact counter, and dozens of values fail their certificate.  Then 1:1, 1:2
 and 2:3 at N <= 3 run under each of four mutants: irrep (2, 1, 1) carries
 P_1 + 1, u + 1 or E + 1 in the sweep's `IrrepStack` (through
 `suite._build_stack`: its Phi table, 4mn u + 4mn or 2mn E + 2mn in the
-columns, so the oracle, the algebra checks, the certificate and the report's
-energy all read the changed value), or the commutator is built from a factor
-table whose first offset is one off (through
+columns, so the oracle, the algebra checks, the 1:n split, the certificate and
+the report's energy all read the changed value), or the commutator is built
+from a factor table whose first offset is one off (through
 `representation.commutator_polynomial`, whose build alone sees the changed
-`structure._ladder_factors`, so Phi, the oracle and the 1:n split read the true
-table), so the exact checks that fail, and the routes that decide them, are
-covered.  The mutant reads only `structure._ladder_factors` and the cached
-builder's `__wrapped__`, which a package that keeps the commutator expanded and
-one that keeps it as its factor table both have, so it runs unchanged on
-either.
+`structure._ladder_factors`, so Phi, and with it the oracle and the 1:n split,
+reads the true table), so the exact checks that fail, and the routes that
+decide them, are covered.  The mutant reads only `structure._ladder_factors`
+and the cached builder's `__wrapped__`, which a package that keeps the
+commutator expanded and one that keeps it as its factor table both have, so it
+runs unchanged on either.
 Nothing is written to disk.
 """
 

@@ -13,7 +13,7 @@ one load spike cannot move the one without the other: `_build_stack` (build),
 `_oracle_reports` (oracle), `_algebra_reports` (algebra), `_sweep_eigen` less
 its nested `angular._certify` (eigen), `_certify`, the enclosure and any counts
 (certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
-1:n split, the report and the timers themselves.  That time is the library
+1:n split's column, the report and the timers.  That time is the library
 alone: no interpreter start, import, CLI rendering or JSON, so it moves with
 the suite's own work.  A stage that a `src` lacks is timed as 0, and its time
 goes to rest.  Next comes wide: the best-of-5 time of `run_suite(1:180, 1)`,

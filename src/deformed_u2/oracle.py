@@ -143,8 +143,3 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     plus &= (outside == 0) & ~np.any((s_plus != 0) & ~real[:, 1:], axis=-1)
     return {}, {"s0": s0_ok.tolist(), "s_plus": plus.tolist(), "s_minus": minus,
                 "h": h_ok.tolist()}
-
-
-def _oracle_verdicts(exact_checks: dict[str, list[bool]]) -> np.ndarray:
-    """Whether each irrep passed every check of `_oracle_reports`' `exact_checks`."""
-    return np.all([*exact_checks.values()], axis=0)

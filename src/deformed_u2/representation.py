@@ -291,17 +291,14 @@ def verify_algebra(rep: IrrepMatrices, tolerance: float = IDENTITY_TOL) -> Verif
     [S-, S+] against the commutator polynomial evaluated on the diagonal.
     Exact checks: Phi boundary (Phi(0) = Phi(N+1) = 0), Phi positivity on
     1..N, and the rational identity Phi(k+1) - Phi(k) = poly(E, u + k).
-    The Phi checks read the integer table `rep.numerators`.  An irrep the oracle passes
-    takes the identity off the commutator's one proof, as in `run_suite`; others compare
-    the polynomial's integer kernel along the irrep, cross-multiplied in ints.  The target
-    of [S-, S+] is the correctly rounded quotient of the same rationals.  A tolerance that
-    is not finite and > 0 raises ValueError.
+    The Phi checks read the integer table `rep.numerators`.  The identity evaluates the
+    commutator's factor table once along the irrep and compares it with the Phi
+    differences, cross-multiplied in ints; the target of [S-, S+] is the correctly rounded
+    quotient of the same rationals, as `run_suite`'s proof gives it.  A tolerance that is
+    not finite and > 0 raises ValueError.
     """
     _check_tolerance("algebra", tolerance)
-    from .oracle import _oracle_reports, _oracle_verdicts  # the oracle module imports this one
-    stack = IrrepStack.of(rep)
-    proven = _oracle_verdicts(_oracle_reports(stack)[1])
-    return _first_report("algebra", _algebra_reports(stack, proven), tolerance)
+    return _first_report("algebra", _algebra_reports(IrrepStack.of(rep), [False]), tolerance)
 
 
 def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
@@ -309,7 +306,8 @@ def _algebra_reports(stack: IrrepStack, proven: Sequence[bool]) -> _Columns:
     with the P_k differences as its values, when `proven[i]` (its oracle passed: u, E and P_k
     are the Fock ones) and the commutator read here is the Fock one (`_ladder_identity`);
     others evaluate the commutator's factor table along the irrep (`_differences`), on
-    `Fraction`s of the u and E columns."""
+    `Fraction`s of the u and E columns.  Only `run_suite` passes a proof; `verify_algebra`
+    passes none."""
     polynomial, phi_den = commutator_polynomial(stack.ratio), _phi_denominator(stack.ratio)
     identity = any(proven) and polynomial.ratio == stack.ratio and polynomial._proven
     known = np.array(proven if identity else [False] * len(stack.big_n), dtype=bool)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular import _sweep_eigen
 from .core import FrequencyRatio, IrrepLabel
-from .oracle import _oracle_reports, _oracle_verdicts
+from .oracle import _oracle_reports
 from .representation import IDENTITY_TOL, _algebra_reports, _build_stack, _w32_reports
 from .representation import worst_residual
 from .structure import CommutatorPolynomial, commutator_polynomial
@@ -147,7 +147,7 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
     columns = np.indices((n_max + 1, ratio.m, ratio.n)).reshape(3, -1) + [[0], [1], [1]]
     stack = _build_stack(ratio, *columns)  # label order: N, then p in 1..m, then q in 1..n
     _, oracle_checks = _oracle_reports(stack)
-    oracle_passed = _oracle_verdicts(oracle_checks)
+    oracle_passed = np.all([*oracle_checks.values()], axis=0)
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
     eigen, certified = _sweep_eigen(stack, oracle_passed, eigen_tol)

@@ -19,7 +19,9 @@ from deformed_u2 import (
     w32_check,
     worst_residual,
 )
+from deformed_u2 import oracle
 from deformed_u2.representation import IrrepStack, _diag
+from deformed_u2.structure import CommutatorPolynomial
 from irrep_columns import all_labels, coprime_pairs
 
 
@@ -115,6 +117,24 @@ class TestVerifyAlgebra:
     def test_one_dimensional_irrep_is_exact(self):
         report = verify_algebra(build_irrep(IrrepLabel(0, 1, 2), FrequencyRatio(1, 3)))
         assert report.max_residual == 0.0
+
+    def test_one_irrep_evaluates_the_factor_table_once_and_runs_no_oracle(self, monkeypatch):
+        def refuse(stack):
+            raise AssertionError("verify_algebra ran the oracle")
+
+        calls = []
+        differences = CommutatorPolynomial._differences
+
+        def counting(self, *args):
+            calls.append(args)
+            return differences(self, *args)
+
+        monkeypatch.setattr(oracle, "_oracle_reports", refuse)
+        monkeypatch.setattr(CommutatorPolynomial, "_differences", counting)
+        rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))
+        report = verify_algebra(rep)
+        assert report.passed and report.exact_checks["ladder_difference"]
+        assert calls == [(rep.energy, rep.u, 3)]
 
     def test_fault_injection_is_flagged(self):
         rep = build_irrep(IrrepLabel(2, 1, 1), FrequencyRatio(1, 2))

@@ -15,10 +15,11 @@ its nested `angular._certify` (eigen), `_certify`, the enclosure and any counts
 (certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
 1:n split's column, the report and the timers.  That time is the library
 alone: no interpreter start, import, CLI rendering or JSON, so it moves with
-the suite's own work.  A stage that a `src` lacks is timed as 0, and its time
-goes to rest.  Next comes wide: the best-of-5 time of `run_suite(1:180, 1)`,
-its commutator cache cleared before each call, so every call builds and proves
-the commutator of a ratio with 181 factors, as a `verify` command does once.
+the suite's own work.  A stage with no timed call, as when a `src` lacks its
+function, prints `n/a`, and its time goes to rest.  Next comes wide: the
+best-of-5 time of `run_suite(1:180, 1)`, its commutator cache cleared before
+each call, so every call builds and proves the commutator of a ratio with 181
+factors, as a `verify` command does once.
 Then it does the same for the four
 commands of perfbench's spectrum_levels round (`spectrum --format json` at each
 ratio and count of `SPECTRUM_LEVELS`) through
@@ -80,7 +81,7 @@ STAGES = (("suite", "run_suite", "rest"), ("suite", "_build_stack", "build"),
           ("suite", "_sweep_eigen", "eigen"), ("angular", "_certify", "certify"))
 
 
-def stage_split(package, run) -> tuple[float, dict[str, float]]:
+def stage_split(package, run) -> tuple[float, dict[str, float | None]]:
     """The shortest total, in s, of five rounds of `run` after a warm-up, and that round's
     time, in ms, of each stage of `run_suite`."""
     spans = []  # (stage, start, end) of every wrapped call, in call order
@@ -109,18 +110,22 @@ def stage_split(package, run) -> tuple[float, dict[str, float]]:
     finally:
         for module, name, function in originals:
             setattr(module, name, function)
-    fastest = min(rounds[1:], key=lambda totals: sum(totals.values()))
-    return sum(fastest.values()), {key: 1e3 * value for key, value in fastest.items()}
+    fastest = min(rounds[1:], key=lambda totals: sum(filter(None, totals.values())))
+    return sum(filter(None, fastest.values())), {
+        key: None if value is None else 1e3 * value for key, value in fastest.items()}
 
 
-def split(spans) -> dict[str, float]:
-    """One round's stage totals, in s, from its `(stage, start, end)` spans."""
+def split(spans) -> dict[str, float | None]:
+    """One round's stage totals, in s, from its `(stage, start, end)` spans; None for a stage
+    with no span."""
     totals = dict.fromkeys(("build", "oracle", "algebra", "eigen", "certify", "rest"), 0.0)
     for stage, start, end in spans:
         totals[stage] += end - start
-    totals["eigen"] -= totals["certify"]  # `_certify` runs inside `_sweep_eigen`
+    timed = {stage for stage, _, _ in spans}
+    if "eigen" in timed:  # `_certify` runs inside `_sweep_eigen`
+        totals["eigen"] -= totals["certify"]
     totals["rest"] -= sum(value for key, value in totals.items() if key != "rest")
-    return totals
+    return {key: value if key in timed else None for key, value in totals.items()}
 
 
 def cold_round(src: Path, commands: list[list[str]]) -> tuple[float, float]:
@@ -183,7 +188,8 @@ def main() -> None:
             suite.run_suite(ratio, n_max)
 
     total, split_ms = stage_split(deformed_u2, stage_round)
-    stages = " ".join(f"{key} {ms:.1f}" for key, ms in split_ms.items())
+    stages = " ".join(f"{key} {'n/a' if ms is None else f'{ms:.1f}'}"
+                      for key, ms in split_ms.items())
     wide = best_of_five(wide_round)
     spectrum = best_of_five(lambda: command_round(spectra))
     verify = best_of_five(lambda: command_round(verifies))

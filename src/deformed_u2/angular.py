@@ -39,6 +39,7 @@ root t = round(D l^2) proven at its index, run one recurrence, `_even_part`.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -528,10 +529,11 @@ def certify_eigenvalues(spectrum: AngularSpectrum, tolerance: float) -> tuple[bo
                                 row, tolerance)[0].tolist())
 
 
-def _sweep_eigen(stack: IrrepStack, trusted: np.ndarray,
-                 tolerance: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _sweep_eigen(stack: IrrepStack, trusted: np.ndarray, tolerance: float
+                 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, float]]:
     """A sweep's eigen pass: the eigen columns and the certificate's flags at `tolerance` of
-    every irrep of `stack`, in label order (N ascending).  Only the work that needs one N's
+    every irrep of `stack`, in label order (N ascending), and the seconds of its two calls,
+    `eigen` (`_eigen_columns`) and `certify` (`_certify`).  Only the work that needs one N's
     shape runs once per N, on the S+ band: an unsigned `_eigensolve`, the residuals, the dense
     `eigvalsh` of `build_l0` and the Gram matrix of the phased vectors, into padded (irreps,
     N_max+1) rows.  `_refuse` runs once, on the rows solved, after the last N or the first
@@ -540,11 +542,14 @@ def _sweep_eigen(stack: IrrepStack, trusted: np.ndarray,
     `eigenvector_residual` and `orthonormality`, in that order.  Then, with no N's vectors
     alive, `_certify` proves the values, reading `trusted[j]`, irrep j's oracle verdict.
     """
+    start = time.perf_counter()
     values, columns = _eigen_columns(stack)
+    solved = time.perf_counter()
     evidence = (columns["eigenvector_residual"], columns["orthonormality"], stack.s_plus_band,
                 trusted)
-    return columns, _certify(stack.numerators, _phi_denominator(stack.ratio), stack.big_n, values,
-                             tolerance, evidence)
+    certified = _certify(stack.numerators, _phi_denominator(stack.ratio), stack.big_n, values,
+                         tolerance, evidence)
+    return columns, certified, {"eigen": solved - start, "certify": time.perf_counter() - solved}
 
 
 def _eigen_columns(stack: IrrepStack) -> tuple[np.ndarray, dict[str, np.ndarray]]:

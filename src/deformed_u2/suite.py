@@ -8,7 +8,8 @@ row format every kernel of the sweep reads.  The oracle, the algebra relations
 and, for 1:2, the W_3^(2) relations run once on the stack, each returning one
 column per check; each irrep the oracle passes takes its ladder identity from
 one proof of the commutator per sweep.  One call, `angular._sweep_eigen`, runs
-the eigen pass and its certificate.  The 1:n split is read off the algebra's
+the eigen pass and its certificate.  These are the six stages `run_suite` times
+(`SuiteReport.stage_seconds`).  The 1:n split is read off the algebra's
 `phi_positive` column, so no per-irrep object is built.  The `SuiteReport`
 holds the columns, N, p, q and 2mn E included, and builds the labels and the
 energies' `Fraction`s only when they are read.
@@ -20,6 +21,7 @@ must be certified within the eigen tolerance.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -62,7 +64,12 @@ class SuiteReport:
     holds the float residuals, the algebra keys, then the eigen keys, then any `w32_*`
     keys, and `failure_columns` the failure counts.  The int columns `big_n`, `p`, `q`
     and `energy_keys` (2mn E) are the one record of the irreps; `labels`, `energies`
-    and `irreps`, one `IrrepReport` per irrep, are built from them on first read."""
+    and `irreps`, one `IrrepReport` per irrep, are built from them on first read.
+
+    `stage_seconds` holds the seconds of `run_suite`'s stages, in order: `build` (the label
+    columns and the stack), `oracle` (its checks and pass flags), `algebra`, `w32` (only at
+    1:2), `eigen` (the eigen loop and its separation check) and `certify` (the certificate).
+    Input checks and building the report are outside them."""
 
     ratio: FrequencyRatio
     n_max: int
@@ -75,6 +82,7 @@ class SuiteReport:
     energy_keys: tuple[int, ...]
     residual_columns: dict[str, np.ndarray]
     failure_columns: dict[str, np.ndarray]
+    stage_seconds: dict[str, float]
 
     @cached_property
     def labels(self) -> tuple[IrrepLabel, ...]:
@@ -144,13 +152,19 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
                          f"for the {ratio} suite, got {tolerance!r}")
     eigen_tol = 10 * tolerance
 
+    marks = [time.perf_counter()]  # one after each stage: build, oracle, algebra, w32
     columns = np.indices((n_max + 1, ratio.m, ratio.n)).reshape(3, -1) + [[0], [1], [1]]
     stack = _build_stack(ratio, *columns)  # label order: N, then p in 1..m, then q in 1..n
+    marks.append(time.perf_counter())
     _, oracle_checks = _oracle_reports(stack)
     oracle_passed = np.all([*oracle_checks.values()], axis=0)
+    marks.append(time.perf_counter())
     residuals, algebra_checks = _algebra_reports(stack, oracle_passed)
+    marks.append(time.perf_counter())
     w32 = _w32_reports(stack)[0] if (ratio.m, ratio.n) == (1, 2) else {}
-    eigen, certified = _sweep_eigen(stack, oracle_passed, eigen_tol)
+    marks.append(time.perf_counter())
+    eigen, certified, eigen_seconds = _sweep_eigen(stack, oracle_passed, eigen_tol)
+    seconds = dict(zip(("build", "oracle", "algebra", "w32"), np.diff(marks).tolist()))
     residuals |= eigen | {f"w32_{key}": column for key, column in w32.items()}
     exact = [*algebra_checks.values(), *oracle_checks.values()]
     failures = {"exact_check_failures": np.sum(np.logical_not(exact), axis=0),
@@ -160,4 +174,5 @@ def run_suite(ratio: FrequencyRatio, n_max: int, tolerance: float = IDENTITY_TOL
         positive = algebra_checks["phi_positive"]
         failures["parafermionic_failures"] = np.logical_not(positive).astype(int)
     return SuiteReport(ratio, n_max, commutator_polynomial(ratio), tolerance, eigen_tol,
-                       stack.big_n, stack.p, stack.q, stack.energy_keys, residuals, failures)
+                       stack.big_n, stack.p, stack.q, stack.energy_keys, residuals, failures,
+                       seconds | eigen_seconds)

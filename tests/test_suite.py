@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import re
+import time
 import weakref
 from collections import Counter
 
@@ -838,6 +839,29 @@ def test_runs_the_stacked_checks_once_per_sweep_on_the_bands(monkeypatch):
         assert run_suite(ratio, n_max).passed
         assert calls == Counter(_algebra_reports=1, _oracle_reports=1, _w32_reports=w32_runs,
                                 _sweep_eigen=1)
+
+
+def test_times_each_stage_of_the_sweep():
+    start = time.perf_counter()
+    seconds = run_suite(FrequencyRatio(1, 2), 6).stage_seconds
+    elapsed = time.perf_counter() - start
+    assert list(seconds) == ["build", "oracle", "algebra", "w32", "eigen", "certify"]
+    assert all(type(value) is float and math.isfinite(value) and value >= 0
+               for value in seconds.values())
+    assert sum(seconds.values()) <= elapsed
+
+
+def test_times_the_certificate_apart_from_the_eigen_loop(monkeypatch):
+    certify = angular._certify
+
+    def slow_certify(*args):
+        time.sleep(0.05)
+        return certify(*args)
+
+    monkeypatch.setattr(angular, "_certify", slow_certify)
+    seconds = run_suite(FrequencyRatio(1, 2), 6).stage_seconds
+    assert seconds["certify"] >= 0.05
+    assert seconds["eigen"] < 0.05  # the certificate is not counted in the eigen loop too
 
 
 @pytest.mark.parametrize("m,n,n_max", [(1, 2, 12), (3, 5, 6)])

@@ -8,9 +8,10 @@ on that `src` and on this tree's `src`, each in a fresh interpreter, and prints
 the four digest lines, then, for REF and for the tree, the line count of
 `src/deformed_u2/*.py` (as `cat src/deformed_u2/*.py | wc -l`) and one `times`
 line from `tools/suite_time.py`: the in-process `run_suite` time over
-perfbench's 8 verify sweeps and its stages, from the fastest of 5 rounds, the
-best-of-5 `run_suite(1:180, 1)` with a fresh commutator each call (wide), the
-best-of-5 in-process times of perfbench's 4 `spectrum --format json` commands
+perfbench's 8 verify sweeps and its stages (`n/a` on a `src` whose reports
+carry no `stage_seconds`), from the fastest of 5 rounds, the best-of-5
+`run_suite(1:180, 1)` with a fresh commutator each call (wide), the best-of-5
+in-process times of perfbench's 4 `spectrum --format json` commands
 and of its 8 `verify --format json` commands, the best-of-5 `compile()` time
 of the package's sources, and the median command time (cold) and spawn-to-exit
 time (wall) of those 12 commands, each in a fresh interpreter.  `suite_time.py` runs 3 times per side,
@@ -22,7 +23,7 @@ every output bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
 
-It takes about a minute and a half and needs no network.
+It took 93 s on 2 vCPUs (Python 3.11.7) and needs no network.
 """
 
 from __future__ import annotations

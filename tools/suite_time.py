@@ -6,24 +6,20 @@ and the median cold command and process times of those commands.
 imports `deformed_u2` from SRC_DIR and runs `run_suite` once on every sweep
 of `perfbench`'s verify_deep and verify_wide rounds (`VERIFY_DEEP +
 VERIFY_WIDE`, read from `perfbench/workloads.py`) as a warm-up, then five times
-more, with `run_suite`'s private stages wrapped in timers.  Of those five
-rounds, the one with the shortest total gives the total, printed in seconds,
-and its stages, printed in milliseconds, so the stages sum to the total and
-one load spike cannot move the one without the other: `_build_stack` (build),
-`_oracle_reports` (oracle), `_algebra_reports` (algebra), `_sweep_eigen` less
-its nested `angular._certify` (eigen), `_certify`, the enclosure and any counts
-(certify), and the rest of `run_suite` (rest), which holds `_w32_reports`, the
-1:n split's column, the report and the timers.  That time is the library
-alone: no interpreter start, import, CLI rendering or JSON, so it moves with
-the suite's own work.  A stage with no timed call, as when a `src` lacks its
-function, prints `n/a`, and its time goes to rest.  Next comes wide: the
-best-of-5 time of `run_suite(1:180, 1)`, its commutator cache cleared before
-each call, so every call builds and proves the commutator of a ratio with 181
-factors, as a `verify` command does once.
-Then it does the same for the four
-commands of perfbench's spectrum_levels round (`spectrum --format json` at each
-ratio and count of `SPECTRUM_LEVELS`) through
-`cli.main`, click parsing and JSON rendering included, with their stdout
+more.  Of those five rounds, the one with the shortest total gives the total,
+printed in seconds, and its split, printed in milliseconds: each stage summed
+over the round's `SuiteReport.stage_seconds` (build, oracle, algebra, w32,
+eigen and certify; see `deformed_u2.suite`), then rest, the total less the
+stages.  So the split sums to the total, and one load spike cannot move the one
+without the other.  That time is the library alone: no interpreter start,
+import, CLI rendering or JSON, so it moves with the suite's own work.  On a
+`src` whose reports have no `stage_seconds`, each stage prints `n/a` and the
+whole total is rest.  Next comes wide: the best-of-5 time of
+`run_suite(1:180, 1)`, its commutator cache cleared before each call, so every
+call builds and proves the commutator of a ratio with 181 factors, as a
+`verify` command does once.  Then it does the same for the four commands of
+perfbench's spectrum_levels round (`spectrum --format json` at each ratio and
+count of `SPECTRUM_LEVELS`) through `cli.main`, click parsing and JSON rendering included, with their stdout
 captured, and prints that total too, and the same total of the eight `verify
 --format json` commands of those verify_deep and verify_wide rounds, which
 adds `verify`'s rendering to the sweeps.  Then comes the best-of-5 time of
@@ -39,11 +35,11 @@ exit, so interpreter start, the import and interpreter exit included.  Warm
 in-process times can mislead about these: a cold command also pays for first
 calls, cold caches and the work the import left undone.
 
-    run_suite 0.0238 s (build 3.0 oracle 3.1 algebra 2.9 eigen 14.0 certify 0.8 rest 2.3 ms)
-    wide 0.0390 s  spectrum 0.0096 s  verify 0.0320 s  compile 0.0186 s  cold 0.0610 s
-    wall 1.8486 s
+    run_suite 0.0238 s (build 3.0 oracle 3.1 algebra 2.8 w32 0.1 eigen 13.3 certify 0.8
+    rest 0.6 ms)  wide 0.0211 s  spectrum 0.0097 s  verify 0.0351 s  compile 0.0208 s
+    cold 0.0577 s  wall 1.8265 s
 
-all on one line; the cold rounds take about 8 s of the run's 10 s (2 vCPUs, Python 3.11.7).
+all on one line; a run took 10.1 s, 9.1 s of it in the cold rounds (2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -75,57 +71,30 @@ def best_of_five(run) -> float:
     return min(totals[1:])
 
 
-# each timed function, as the module it is called through, its name and its stage
-STAGES = (("suite", "run_suite", "rest"), ("suite", "_build_stack", "build"),
-          ("suite", "_oracle_reports", "oracle"), ("suite", "_algebra_reports", "algebra"),
-          ("suite", "_sweep_eigen", "eigen"), ("angular", "_certify", "certify"))
+STAGES = ("build", "oracle", "algebra", "w32", "eigen", "certify")  # `run_suite`'s, in order
 
 
-def stage_split(package, run) -> tuple[float, dict[str, float | None]]:
-    """The shortest total, in s, of five rounds of `run` after a warm-up, and that round's
-    time, in ms, of each stage of `run_suite`."""
-    spans = []  # (stage, start, end) of every wrapped call, in call order
-
-    def timed(stage, function):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                spans.append((stage, start, time.perf_counter()))
-        return wrapper
-
-    originals = []  # (module, name, function) of each wrapped function
-    for module, name, stage in STAGES:
-        module = getattr(package, module)
-        if hasattr(module, name):
-            originals.append((module, name, getattr(module, name)))
-            setattr(module, name, timed(stage, originals[-1][-1]))
+def stage_split(run) -> tuple[float, dict[str, float | None]]:
+    """The shortest total, in s, of five rounds of `run`, each returning its reports, after a
+    warm-up, and that round's split, in ms (`split`)."""
     rounds = []
-    try:
-        for _ in range(6):
-            spans.clear()
-            run()
-            rounds.append(split(spans))
-    finally:
-        for module, name, function in originals:
-            setattr(module, name, function)
-    fastest = min(rounds[1:], key=lambda totals: sum(filter(None, totals.values())))
-    return sum(filter(None, fastest.values())), {
-        key: None if value is None else 1e3 * value for key, value in fastest.items()}
+    for _ in range(6):
+        start = time.perf_counter()
+        reports = run()
+        total = time.perf_counter() - start
+        rounds.append((total, split(total, reports)))
+    total, fastest = min(rounds[1:], key=lambda round_: round_[0])
+    return total, {key: None if value is None else 1e3 * value for key, value in fastest.items()}
 
 
-def split(spans) -> dict[str, float | None]:
-    """One round's stage totals, in s, from its `(stage, start, end)` spans; None for a stage
-    with no span."""
-    totals = dict.fromkeys(("build", "oracle", "algebra", "eigen", "certify", "rest"), 0.0)
-    for stage, start, end in spans:
-        totals[stage] += end - start
-    timed = {stage for stage, _, _ in spans}
-    if "eigen" in timed:  # `_certify` runs inside `_sweep_eigen`
-        totals["eigen"] -= totals["certify"]
-    totals["rest"] -= sum(value for key, value in totals.items() if key != "rest")
-    return {key: value if key in timed else None for key, value in totals.items()}
+def split(total: float, reports) -> dict[str, float | None]:
+    """Each stage's seconds summed over the `stage_seconds` of `reports`, then `rest`, the
+    round's `total` less the stages; None for each stage when a report has no
+    `stage_seconds`, as on an older `src`, so the whole total is rest."""
+    if not all(hasattr(report, "stage_seconds") for report in reports):
+        return dict.fromkeys(STAGES) | {"rest": total}
+    stages = {key: sum(report.stage_seconds[key] for report in reports) for key in STAGES}
+    return stages | {"rest": total - sum(stages.values())}
 
 
 def cold_round(src: Path, commands: list[list[str]]) -> tuple[float, float]:
@@ -156,7 +125,7 @@ def main() -> None:
     from workloads import SPECTRUM_LEVELS, VERIFY_DEEP, VERIFY_WIDE
 
     import deformed_u2
-    from deformed_u2 import FrequencyRatio, cli, run_suite, structure, suite
+    from deformed_u2 import FrequencyRatio, cli, run_suite, structure
 
     if src not in Path(deformed_u2.__file__).resolve().parents:
         sys.exit(f"deformed_u2 was imported from {deformed_u2.__file__}, not from {src}")
@@ -183,11 +152,7 @@ def main() -> None:
         for source, filename in sources:
             compile(source, filename, "exec")
 
-    def stage_round():
-        for ratio, n_max in sweeps:
-            suite.run_suite(ratio, n_max)
-
-    total, split_ms = stage_split(deformed_u2, stage_round)
+    total, split_ms = stage_split(lambda: [run_suite(ratio, n_max) for ratio, n_max in sweeps])
     stages = " ".join(f"{key} {'n/a' if ms is None else f'{ms:.1f}'}"
                       for key, ms in split_ms.items())
     wide = best_of_five(wide_round)

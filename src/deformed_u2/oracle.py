@@ -20,15 +20,16 @@ along which S+ steps by construction.  Every quantity is a plain integer over
 a known denominator, so the oracle needs no truncated basis and no tolerance,
 and no structure function enters: its comparison with `build_irrep` is a set
 of exact checks.  On a stack the members of every irrep are two int64 tables,
-the S0 and H checks run once on them and on the stack's bands, and the weights
-are products of per-mode tables built once per stack.  The S+ entries' 1-ulp
-test has two routes with one outcome.  Lemma: if t = w / D, correctly rounded
-as Python's int division is, is finite and normal (t >= 2^-1022), RN(sqrt(t))
-is within 1 ulp of sqrt(w / D).  Rounding the quotient moves the root by at
-most ulp(t) / (4 sqrt(t)): 0.36 ulp of the root in the upper of the two binades
-of t that map to its binade, 0.25 ulp in the lower; rounding the root adds 0.5
-ulp.  So an entry equal to `np.sqrt(t)` of a normal t passes; the rest (NaN,
-inf, a subnormal t, every entry if a quotient overflows) take `_within_one_ulp`.
+the S0 and H checks run once on them and on the stack's bands, and an irrep's
+lower and raise weights are one sequence of products of per-mode tables built
+once per stack.  The S+ entries' 1-ulp test has two routes with one outcome.
+Lemma: if t = w / D, correctly rounded as Python's int division is, is finite
+and normal (t >= 2^-1022), RN(sqrt(t)) is within 1 ulp of sqrt(w / D).
+Rounding the quotient moves the root by at most ulp(t) / (4 sqrt(t)): 0.36 ulp
+of the root in the upper of the two binades of t that map to its binade, 0.25
+ulp in the lower; rounding the root adds 0.5 ulp.  So an entry equal to
+`np.sqrt(t)` of a normal t passes; the rest (NaN, inf, a subnormal t, every
+entry if a quotient overflows) take `_within_one_ulp`.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     at most 8 times the mn (N_max + 1) irreps of a sweep, so far below 2^53: each
     is exact, and each quotient numpy forms is the correctly rounded one.  A band
     entry must equal its quotient (a NaN fails, -0.0 passes 0.0) and the padding
-    must be 0.0.  The raise and lower weights, per irrep, multiply x-mode tables
-    by p and y-mode tables by q, each built once per stack.
+    must be 0.0.  An irrep's weights are one sequence w_j = X(j) Y(N+1-j), j = 0..N+1, of
+    an x-mode table by p and a y-mode table by q, each built once per stack: the lower
+    from member k weighs w_k and the raise w_{k+1}, as `s_minus` and `s_plus` read them.
     """
     ratio = stack.ratio
     m, n, den = ratio.m, ratio.n, ratio.m**ratio.m * ratio.n**ratio.n
@@ -113,21 +115,18 @@ def _oracle_reports(stack: IrrepStack) -> _Columns:
     s0_ok &= np.all(np.where(real, s0 == s0_num / s0_den, s0 == 0), axis=-1)
     h_ok &= np.all(np.where(real, h == h_num / h_den, h == 0), axis=-1)
 
-    # X(k) = (n_x + 1)...(n_x + m) and n_x ... (n_x - m + 1) at n_x = p - 1 + k m, by p;
-    # Y(j) = n_y ... (n_y - n + 1) and (n_y + 1)...(n_y + n) at n_y = j n + q - 1, by q
-    steps = range(len(k))
-    x_raise, x_lower = ({v: [math.perm(v - 1 + j * m + shift, m) for j in steps]
-                         for v in set(stack.p.tolist())} for shift in (m, 0))
-    y_raise, y_lower = ({v: [math.perm(j * n + v - 1 + shift, n) for j in steps]
-                         for v in set(stack.q.tolist())} for shift in (0, n))
+    # X(j) = n_x ... (n_x - m + 1) at n_x = p - 1 + j m, by p, and Y(j) = n_y ... (n_y - n + 1)
+    # at n_y = j n + q - 1, by q, for j = 0..N_max+1
+    steps = range(len(k) + 1)
+    x = {v: [math.perm(v - 1 + j * m, m) for j in steps] for v in set(stack.p.tolist())}
+    y = {v: [math.perm(j * n + v - 1, n) for j in steps] for v in set(stack.q.tolist())}
     plus, minus, weights = [], [], []  # weights: the Fock P_1..P_N of each irrep, back to back
     for last, p_i, q_i, phi in zip(stack.big_n.tolist(), stack.p.tolist(), stack.q.tolist(),
                                    stack.numerators):  # last: the irrep's N
-        raises = [*map(mul, x_raise[p_i][:last + 1], y_raise[q_i][last::-1])]
-        lowers = [*map(mul, x_lower[p_i][:last + 1], y_lower[q_i][last::-1])]
-        plus.append(raises == [*phi[1:]])
-        minus.append(lowers == [*phi[:-1]])
-        weights += raises[:-1]
+        w = [*map(mul, x[p_i][:last + 2], y[q_i][last + 1::-1])]
+        plus.append(w[1:] == [*phi[1:]])
+        minus.append(w[:-1] == [*phi[:-1]])
+        weights += w[1:-1]
     # the real S+ entries in row order, one per weight: the module's lemma passes most of them
     band, plus = s_plus[real[:, 1:]], np.array(plus, dtype=bool)
     try:

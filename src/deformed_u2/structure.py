@@ -22,14 +22,14 @@ factor P of Phi(x) = x (N+1-x) P(x) are one-variable int products of its rows
 (`_poly`), and a `Fraction` is built only for a returned value.
 On the irrep (N, p, q) the ints 4mn (E/2 + u) = 2n (2p-1) and
 4mn (E/2 - u) = 2m (2q-1) + 4mn N split F at x = k into its raised factors,
-which read p and k alone, and its lowered ones, which read q and N - k alone:
-(4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k).  On the Fock indices the Gamma-quotient
-form makes P_k = m^m n^n Phi(k) an integer, so each irrep's Phi(0..N+1) is
-one table of ints over `_phi_denominator` (`StructureFunction.numerators`),
-each P_k one product of the two tables and one exact division, and every
-exact check reads that table; a sweep builds each X_p and Y_q once for all
-of its irreps (`_phi_numerators`).  The Gamma-quotient form itself, expanded
-into rising/falling factorials, is kept in the tests as an independent check.
+which read p and k alone and are each 4n times an int, and its lowered ones,
+which read q and N - k alone and are each 4m times an int.  Those ints multiply
+to X_p(k) and Y_q(N-k), and P_k = m^m n^n Phi(k) = X_p(k) Y_q(N-k), so each
+irrep's Phi(0..N+1) is one table of ints over `_phi_denominator`
+(`StructureFunction.numerators`), each P_k one product of the two tables, and
+every exact check reads that table; a sweep builds each X_p and Y_q once for
+all of its irreps (`_phi_numerators`).  The Gamma-quotient form, expanded into
+rising/falling factorials, is kept in the tests as an independent check.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, prod
-from operator import floordiv, mul, sub
+from operator import mul, sub
 
 from .core import FrequencyRatio, IrrepLabel
 from .exceptions import NotDivisibleError
@@ -104,29 +103,27 @@ def _phi_numerators(ratio: FrequencyRatio, big_ns: Iterable[int], ps: Iterable[i
     """P_0, ..., P_{N+1} of each irrep of `ratio` in the Python-int columns `big_ns`, `ps`, `qs`.
 
     At x = k the raised factors of F on (N, p, q), scaled by 4mn, are
-    2n (2p-1) + 4mn c_i + 4mn k and the lowered ones 2m (2q-1) + 4mn c_i +
-    4mn (N - k), so (4mn)^(m+n) Phi(k) = X_p(k) Y_q(N-k), X_p and Y_q the
-    products of the sigma = +1 and the sigma = -1 rows of `_ladder_factors`,
-    and P_k = X_p(k) Y_q(N-k) // (4^(m+n) m^n n^m) exactly.  X_p(k), k >= 0,
-    and Y_q(j), j >= -1, are each computed once for all of the irreps, when
+    2n (2p-1) + 4mn c_i + 4mn k, each 4n times the int p + (4mn c_i - 2n) / 4n + mk, and
+    the lowered ones 2m (2q-1) + 4mn c_i + 4mn (N - k), each 4m times the int
+    q + (4mn c_i - 2m) / 4m + n (N - k).  With X_p and Y_q the products of those ints over
+    the sigma = +1 and the sigma = -1 rows of `_ladder_factors`, (4mn)^(m+n) Phi(k) =
+    (4n)^m (4m)^n X_p(k) Y_q(N-k), so P_k = m^m n^n Phi(k) = X_p(k) Y_q(N-k).
+    X_p(k), k >= 0, and Y_q(j), j >= -1, are each computed once for all of the irreps, when
     the first irrep that reads them is reached, so a caller that stops early
     computes no table past the irreps it read.
     """
-    m, n, scale = ratio.m, ratio.n, 4 * ratio.m * ratio.n
-    divisor = scale ** (m + n) // _phi_denominator(ratio)
-    raised = [offset for sigma, offset in _ladder_factors(ratio) if sigma > 0]
-    lowered = [offset for sigma, offset in _ladder_factors(ratio) if sigma < 0]
+    m, n, factors = ratio.m, ratio.n, _ladder_factors(ratio)
+    raised = [(offset - 2 * n) // (4 * n) for sigma, offset in factors if sigma > 0]
+    lowered = [(offset - 2 * m) // (4 * m) for sigma, offset in factors if sigma < 0]
     x_tables, y_tables = defaultdict(list), defaultdict(list)  # X_p(k) at [k], Y_q(j) at [j + 1]
     for big_n, p, q in zip(big_ns, ps, qs):
         x, y = x_tables[p], y_tables[q]
         if len(x) < big_n + 2:
-            x += [prod(2 * n * (2 * p - 1) + offset + scale * k for offset in raised)
-                  for k in range(len(x), big_n + 2)]
+            x += [prod(p + shift + m * k for shift in raised) for k in range(len(x), big_n + 2)]
         if len(y) < big_n + 2:
-            y += [prod(2 * m * (2 * q - 1) + offset + scale * j for offset in lowered)
+            y += [prod(q + shift + n * j for shift in lowered)
                   for j in range(len(y) - 1, big_n + 1)]
-        # X_p(k) Y_q(N - k) for k = 0..N+1
-        yield tuple(map(floordiv, map(mul, x, y[big_n + 1::-1]), repeat(divisor)))
+        yield tuple(map(mul, x, y[big_n + 1::-1]))  # X_p(k) Y_q(N - k) for k = 0..N+1
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ class StructureFunction:
     @functools.cached_property
     def numerators(self) -> tuple[int, ...]:
         """P_0, ..., P_{N+1} with Phi(k) = P_k / D, D = `_phi_denominator`: `_phi_numerators`,
-        one exact integer division of X_p(k) Y_q(N-k) per P_k, on a sweep of one."""
+        the int products X_p(k) Y_q(N-k), on a sweep of one."""
         label = self.label
         [numerators] = _phi_numerators(self.ratio, (label.N,), (label.p,), (label.q,))
         return numerators

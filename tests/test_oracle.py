@@ -17,7 +17,7 @@ from deformed_u2 import (
     irrep_members,
     oracle_compare,
 )
-from deformed_u2 import oracle
+from deformed_u2 import oracle, representation, structure
 from deformed_u2.oracle import _oracle_reports, _within_one_ulp
 from deformed_u2.representation import _BANDS, IrrepStack, _build_stack
 from deformed_u2.suite import run_suite
@@ -146,6 +146,26 @@ class TestOracleCompare:
         monkeypatch.setattr(StructureFunction, "__call__", refuse)
         assert all(oracle_compare(rep).passed for rep in reps)
 
+    def test_decides_every_check_without_the_ladder_table(self, monkeypatch):
+        # the Fock weights read m and n alone, so with F's factor table and the Phi tables built
+        # from it out of reach, a prebuilt stack is still checked, and a moved P_1 still fails
+        ratio = FrequencyRatio(3, 5)
+        stack = _build_stack(ratio, *columns_of(labels_of(ratio, 3)))
+        *rest, (p_0, p_1, *tail) = stack.numerators  # the last irrep has N = 3
+        moved = dataclasses.replace(stack, numerators=(*rest, (p_0, p_1 + 1, *tail)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle read F's factor table")
+
+        for module in (structure, representation):
+            monkeypatch.setattr(module, "_phi_numerators", refuse)
+        monkeypatch.setattr(structure, "_ladder_factors", refuse)
+        irreps = len(stack.big_n)
+        assert _oracle_reports(stack) == ({}, {name: [True] * irreps for name in CHECKS})
+        failing = {name: [i for i, ok in enumerate(column) if not ok]
+                   for name, column in _oracle_reports(moved)[1].items()}
+        assert failing == {"s0": [], "s_plus": [irreps - 1], "s_minus": [irreps - 1], "h": []}
+
 
 class TestMutations:
     REP = build_irrep(IrrepLabel(4, 2, 3), FrequencyRatio(2, 3))
@@ -187,13 +207,16 @@ class TestMutations:
         assert checks == [{**CHECKS, name: False} if i == 7 else CHECKS for i in range(30)]
 
     def test_wrong_phi_entry(self):
-        # +-1 moves Phi(k) by 1/D, the smallest representable change; -D by -1
-        denominator = 2**2 * 3**3
-        for k in range(len(self.REP.numerators)):
+        # +-1 moves Phi(k) by 1/D, the smallest representable change; -D by -1.  The lowers
+        # read P_0..P_N and the raises P_1..P_{N+1}, so only the two ends fail one check
+        denominator, last = 2**2 * 3**3, len(self.REP.numerators) - 1
+        for k in range(last + 1):
+            expected = {name for name, reads in (("s_minus", k < last), ("s_plus", k > 0)) if reads}
             for delta in (1, -1, -denominator):
                 numerators = list(self.REP.numerators)
                 numerators[k] += delta
-                assert failed(dataclasses.replace(self.REP, numerators=tuple(numerators))), k
+                replaced = dataclasses.replace(self.REP, numerators=tuple(numerators))
+                assert failed(replaced) == expected, (k, delta)
 
     def test_wrong_u_or_diagonal(self):
         assert failed(dataclasses.replace(self.REP, u=self.REP.u + Fraction(1, 10**9))) == {"s0"}

@@ -171,6 +171,18 @@ class TestStructureFunction:
                     assert divmod(sf._product(k, 1), divisor) == (numerator, 0), (sf.label, k)
                     assert gamma_value(sf.label, ratio, k) * denominator == numerator, (sf.label, k)
 
+    def test_the_tables_follow_the_ladder_factors(self, monkeypatch):
+        # each row's offset 4mn c_i moved by 4mn (c_i by 1) keeps every factor 4n or 4m times
+        # an int, and moves the Phi tables: they are read off the table, not off m and n
+        ratio = FrequencyRatio(2, 3)
+        columns = columns_of(all_labels(2, 3, 4))
+        tables = list(structure._phi_numerators(ratio, *columns))
+        for row, (sigma, offset) in enumerate(_ladder_factors(ratio)):
+            factors = list(_ladder_factors(ratio))
+            factors[row] = (sigma, offset + 4 * 2 * 3)
+            monkeypatch.setattr(structure, "_ladder_factors", lambda ratio: tuple(factors))
+            assert list(structure._phi_numerators(ratio, *columns)) != tables, row
+
     def test_values_do_not_keep_the_instance_alive(self):
         sf = StructureFunction(IrrepLabel(5, 2, 1), FrequencyRatio(2, 3))
         assert sf.numerators == tuple(sf(k) * _phi_denominator(sf.ratio) for k in range(7))

@@ -19,6 +19,7 @@ def load(name: str) -> types.ModuleType:
 
 
 suite_time = load("suite_time")
+identity = load("identity")
 
 
 def test_stage_split_reads_the_reports_and_wraps_no_function():
@@ -51,3 +52,16 @@ def test_reports_without_stage_seconds_put_the_whole_round_in_rest():
     # as on a `src` older than `SuiteReport.stage_seconds`
     reports = [types.SimpleNamespace(), types.SimpleNamespace()]
     assert suite_time.split(0.25, reports) == dict.fromkeys(STAGES) | {"rest": 0.25}
+
+
+def test_median_line_takes_each_field_s_median_at_the_first_line_s_decimals():
+    lines = ["run 1.5 s (build 10.00 ms, certify n/a) 7",
+             "run 9.1 s (build 30.0 ms, certify n/a) 7",
+             "run 2.34 s (build 20.0 ms, certify n/a) 7"]
+    assert identity.median_line(lines) == "run 2.3 s (build 20.00 ms, certify n/a) 7"
+    assert identity.median_line(lines[:2]) == "run 5.3 s (build 20.00 ms, certify n/a) 7"
+
+
+def test_median_line_exits_on_lines_whose_text_differs():
+    with pytest.raises(SystemExit, match="differ in more than their numbers"):
+        identity.median_line(["run 1.5 s (build n/a)", "run 1.5 s (build 2.0 ms)"])

@@ -23,7 +23,7 @@ every output bitwise is checked against its parent with
 
     python tools/identity.py HEAD~1
 
-It took 93 s on 2 vCPUs (Python 3.11.7) and needs no network.
+It took 112 s on 2 vCPUs (Python 3.11.7) and needs no network.
 """
 
 from __future__ import annotations
